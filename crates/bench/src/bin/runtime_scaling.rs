@@ -256,7 +256,7 @@ fn main() {
             let report = run_plan_sharded_with(
                 Box::new(SelectionNode::pass_all()),
                 &plan,
-                |_| spec(split.clone()),
+                |_| spec(*split),
                 cfg,
                 packets.iter().cloned(),
             )

@@ -45,7 +45,7 @@ impl AggSpec {
     }
 
     /// The argument expression, if any.
-    fn arg(&self) -> Option<&Expr> {
+    pub fn arg(&self) -> Option<&Expr> {
         match self {
             AggSpec::Count => None,
             AggSpec::Sum(e)
@@ -62,7 +62,32 @@ impl AggSpec {
             Some(e) => Some(e.eval(ctx)?),
             None => None,
         };
-        match (state, arg) {
+        state.fold(arg)
+    }
+}
+
+/// Runtime state of one aggregate slot.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggState {
+    /// `count(*)` accumulator.
+    Count(u64),
+    /// `sum` accumulator (`Null` before the first value).
+    Sum(Value),
+    /// `min` accumulator.
+    Min(Value),
+    /// `max` accumulator.
+    Max(Value),
+    /// `first` latch.
+    First(Value),
+    /// `last` latch.
+    Last(Value),
+}
+
+impl AggState {
+    /// Fold one tuple in, given the already evaluated argument of the
+    /// slot's [`AggSpec`] (`None` for `count(*)`).
+    pub fn fold(&mut self, arg: Option<Value>) -> Result<(), OpError> {
+        match (self, arg) {
             (AggState::Count(c), None) => *c += 1,
             (AggState::Sum(acc), Some(v)) => {
                 *acc = if acc.is_null() { v } else { acc.add(&v)? };
@@ -91,26 +116,7 @@ impl AggSpec {
         }
         Ok(())
     }
-}
 
-/// Runtime state of one aggregate slot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggState {
-    /// `count(*)` accumulator.
-    Count(u64),
-    /// `sum` accumulator (`Null` before the first value).
-    Sum(Value),
-    /// `min` accumulator.
-    Min(Value),
-    /// `max` accumulator.
-    Max(Value),
-    /// `first` latch.
-    First(Value),
-    /// `last` latch.
-    Last(Value),
-}
-
-impl AggState {
     /// The aggregate's current value.
     pub fn value(&self) -> Value {
         match self {

@@ -12,7 +12,7 @@ use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::Arc;
 
-use sso_types::{Tuple, Value};
+use sso_types::{Tuple, TypeError, Value};
 
 use crate::agg::AggState;
 use crate::error::OpError;
@@ -49,6 +49,31 @@ pub enum BinOp {
     And,
     /// `OR`
     Or,
+}
+
+impl BinOp {
+    /// Apply an arithmetic or comparison operator to two values. This is
+    /// the one definition of every operator's semantics: [`Expr::eval`]
+    /// and the lowered tuple-phase programs both end here (`AND` / `OR`
+    /// short-circuit, so their callers decide whether the right operand
+    /// is evaluated at all and pass only truthiness through).
+    pub fn apply(self, a: &Value, b: &Value) -> Result<Value, TypeError> {
+        Ok(match self {
+            BinOp::Add => a.add(b)?,
+            BinOp::Sub => a.sub(b)?,
+            BinOp::Mul => a.mul(b)?,
+            BinOp::Div => a.div(b)?,
+            BinOp::Rem => a.rem(b)?,
+            BinOp::Eq => Value::Bool(a.eq_value(b)?),
+            BinOp::Ne => Value::Bool(!a.eq_value(b)?),
+            BinOp::Lt => Value::Bool(a.compare(b)? == CmpOrdering::Less),
+            BinOp::Le => Value::Bool(a.compare(b)? != CmpOrdering::Greater),
+            BinOp::Gt => Value::Bool(a.compare(b)? == CmpOrdering::Greater),
+            BinOp::Ge => Value::Bool(a.compare(b)? != CmpOrdering::Less),
+            BinOp::And => Value::Bool(a.truthy() && b.truthy()),
+            BinOp::Or => Value::Bool(a.truthy() || b.truthy()),
+        })
+    }
 }
 
 /// A compiled expression. Column, aggregate, superaggregate, and stateful
@@ -176,20 +201,18 @@ impl Expr {
                 let aggs = ctx
                     .aggs
                     .ok_or(OpError::MissingContext { what: "aggregate", clause: ctx.clause })?;
-                Ok(aggs
-                    .get(*i)
-                    .map(|a| a.value())
-                    .ok_or(OpError::InvalidSpec(format!("aggregate slot {i} out of range")))?)
+                Ok(aggs.get(*i).map(|a| a.value()).ok_or_else(|| {
+                    OpError::InvalidSpec(format!("aggregate slot {i} out of range"))
+                })?)
             }
             Expr::SuperAgg(i) => {
                 let sa = ctx.superaggs.ok_or(OpError::MissingContext {
                     what: "superaggregate",
                     clause: ctx.clause,
                 })?;
-                Ok(sa
-                    .get(*i)
-                    .map(|s| s.value())
-                    .ok_or(OpError::InvalidSpec(format!("superaggregate slot {i} out of range")))?)
+                Ok(sa.get(*i).map(|s| s.value()).ok_or_else(|| {
+                    OpError::InvalidSpec(format!("superaggregate slot {i} out of range"))
+                })?)
             }
             Expr::Not(e) => {
                 let v = e.eval(ctx)?;
@@ -214,21 +237,7 @@ impl Expr {
                 }
                 let a = lhs.eval(ctx)?;
                 let b = rhs.eval(ctx)?;
-                let v = match op {
-                    BinOp::Add => a.add(&b)?,
-                    BinOp::Sub => a.sub(&b)?,
-                    BinOp::Mul => a.mul(&b)?,
-                    BinOp::Div => a.div(&b)?,
-                    BinOp::Rem => a.rem(&b)?,
-                    BinOp::Eq => Value::Bool(a.eq_value(&b)?),
-                    BinOp::Ne => Value::Bool(!a.eq_value(&b)?),
-                    BinOp::Lt => Value::Bool(a.compare(&b)? == CmpOrdering::Less),
-                    BinOp::Le => Value::Bool(a.compare(&b)? != CmpOrdering::Greater),
-                    BinOp::Gt => Value::Bool(a.compare(&b)? == CmpOrdering::Greater),
-                    BinOp::Ge => Value::Bool(a.compare(&b)? != CmpOrdering::Less),
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
-                };
-                Ok(v)
+                Ok(op.apply(&a, &b)?)
             }
             Expr::Sfun { lib, name, fun, args } => {
                 // SFUN calls sit in WHERE and run once per input tuple;
@@ -283,6 +292,28 @@ impl Expr {
     /// value's truthiness.
     pub fn eval_bool(&self, ctx: &mut EvalCtx<'_>) -> Result<bool, OpError> {
         Ok(self.eval(ctx)?.truthy())
+    }
+
+    /// Call `f` on this node and every node under it, parents first.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        match self {
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.walk(f);
+                rhs.walk(f);
+            }
+            Expr::Not(inner) => inner.walk(f),
+            Expr::Sfun { args, .. } | Expr::Scalar { args, .. } => {
+                for a in args {
+                    a.walk(f);
+                }
+            }
+            Expr::Literal(_)
+            | Expr::Column(_)
+            | Expr::GroupVar(_)
+            | Expr::Aggregate(_)
+            | Expr::SuperAgg(_) => {}
+        }
     }
 
     // -- construction helpers (used by tests, examples, and the planner) --

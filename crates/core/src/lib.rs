@@ -34,6 +34,7 @@ pub mod libs;
 pub mod merge;
 pub mod metrics;
 pub mod operator;
+mod program;
 pub mod queries;
 pub mod scalar;
 pub mod sfun;

@@ -105,32 +105,10 @@ impl fmt::Display for NotMergeable {
 
 impl std::error::Error for NotMergeable {}
 
-/// Walk an expression tree, calling `f` on every node.
-fn walk<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(e);
-    match e {
-        Expr::Binary { lhs, rhs, .. } => {
-            walk(lhs, f);
-            walk(rhs, f);
-        }
-        Expr::Not(inner) => walk(inner, f),
-        Expr::Sfun { args, .. } | Expr::Scalar { args, .. } => {
-            for a in args {
-                walk(a, f);
-            }
-        }
-        Expr::Literal(_)
-        | Expr::Column(_)
-        | Expr::GroupVar(_)
-        | Expr::Aggregate(_)
-        | Expr::SuperAgg(_) => {}
-    }
-}
-
 /// Find the first SFUN call named `name` anywhere under `e`.
 fn find_sfun<'a>(e: &'a Expr, name: &str) -> Option<&'a Expr> {
     let mut found = None;
-    walk(e, &mut |node| {
+    e.walk(&mut |node| {
         if found.is_none() {
             if let Expr::Sfun { name: n, .. } = node {
                 if *n == name {

@@ -1,23 +1,31 @@
 //! The generic sampling operator: specification and runtime.
 //!
-//! [`SamplingOperator::process`] implements the evaluation loop of §6.4:
+//! [`SamplingOperator::process`] implements the evaluation loop of §6.4,
+//! staged so that a tuple WHERE rejects pays for steps 1–4 and nothing
+//! else:
 //!
-//! 1. compute the group-by variable values for the tuple;
-//! 2. if an ordered (window-defining) group-by value changed, close the
-//!    window: run each state's window-end hook, evaluate HAVING on every
-//!    group, emit the sampled groups, move supergroup states to the "old"
-//!    table, and clear the group and supergroup tables;
+//! 1. compute the window-defining group-by values; if one changed, close
+//!    the window: run each state's window-end hook, evaluate HAVING on
+//!    every group, emit the sampled groups, move supergroup states to the
+//!    "old" table, and clear the group and supergroup tables;
+//! 2. compute the group-by values the supergroup key and WHERE read;
 //! 3. find or create the tuple's supergroup — a new supergroup whose key
 //!    existed in the previous window inherits its state via the library's
 //!    `state_init(old)`;
 //! 4. evaluate WHERE (with tuple, group-by values, superaggregates and
 //!    SFUN states in scope); discard the tuple on false;
-//! 5. update superaggregates;
-//! 6. find or create the group; update its aggregates; register new
+//! 5. compute the remaining group-by values (they see no SFUN state, so
+//!    putting them off changes nothing but the cost of a rejected tuple);
+//! 6. update superaggregates;
+//! 7. find or create the group; update its aggregates; register new
 //!    groups with the supergroup and its superaggregates;
-//! 7. evaluate CLEANING WHEN; when true, apply CLEANING BY to every
+//! 8. evaluate CLEANING WHEN; when true, apply CLEANING BY to every
 //!    group of this supergroup and evict the groups for which it is
 //!    false (updating superaggregates).
+//!
+//! Every clause is lowered once, at [`SamplingOperator::new`], into the
+//! flat programs of `crate::program`; [`Expr::eval`] is the reference
+//! they are tested against, not what runs per tuple.
 //!
 //! Three tables back this, as in §6.4: the group table, the supergroup
 //! table (with its "old" twin for cross-window state carry-over), and
@@ -35,6 +43,7 @@ use crate::agg::{AggSpec, AggState};
 use crate::error::OpError;
 use crate::expr::{EvalCtx, Expr};
 use crate::metrics::OperatorMetrics;
+use crate::program::Program;
 use crate::sfun::{SfunLibrary, SfunStates, SfunTelemetry};
 use crate::superagg::{SuperAggSpec, SuperAggState};
 
@@ -152,7 +161,62 @@ impl OperatorSpec {
                 "CLEANING WHEN and CLEANING BY must be specified together".into(),
             ));
         }
+        for (clause, expr) in self.clauses() {
+            self.check_slots(clause, expr)?;
+        }
+        for sa in &self.superaggs {
+            if let SuperAggSpec::Sum { agg_slot, .. } = sa {
+                if *agg_slot >= self.aggregates.len() {
+                    return Err(OpError::InvalidSpec(format!(
+                        "sum$ is paired with aggregate slot {agg_slot}, the spec has {}",
+                        self.aggregates.len()
+                    )));
+                }
+            }
+        }
         Ok(())
+    }
+
+    /// Every expression of the spec, with the clause it belongs to.
+    fn clauses(&self) -> impl Iterator<Item = (&'static str, &Expr)> {
+        let optional = [
+            ("WHERE", &self.where_clause),
+            ("HAVING", &self.having),
+            ("CLEANING WHEN", &self.cleaning_when),
+            ("CLEANING BY", &self.cleaning_by),
+        ];
+        let superagg_exprs = self.superaggs.iter().filter_map(|sa| match sa {
+            SuperAggSpec::CountDistinct => None,
+            SuperAggSpec::KthSmallest { expr, .. }
+            | SuperAggSpec::Sum { expr, .. }
+            | SuperAggSpec::Extreme { expr, .. } => Some(expr),
+        });
+        (self.select.iter().map(|(_, e)| ("SELECT", e)))
+            .chain(self.group_by.iter().map(|(_, e)| ("GROUP BY", e)))
+            .chain(optional.into_iter().filter_map(|(c, e)| Some((c, e.as_ref()?))))
+            .chain(self.aggregates.iter().filter_map(|a| Some(("AGGREGATE", a.arg()?))))
+            .chain(superagg_exprs.map(|e| ("SUPERAGG", e)))
+    }
+
+    /// Range-check every slot `expr` references, once, so that no
+    /// evaluation has to: a group-by variable past the GROUP BY list
+    /// would otherwise read as `NULL` and the query would silently group
+    /// on it.
+    fn check_slots(&self, clause: &str, expr: &Expr) -> Result<(), OpError> {
+        let mut bad = None;
+        expr.walk(&mut |node| {
+            let (what, slot, len) = match node {
+                Expr::GroupVar(i) => ("group-by variable", *i, self.group_by.len()),
+                Expr::Aggregate(i) => ("aggregate", *i, self.aggregates.len()),
+                Expr::SuperAgg(i) => ("superaggregate", *i, self.superaggs.len()),
+                Expr::Sfun { lib, .. } => ("stateful-function library", *lib, self.sfun_libs.len()),
+                _ => return,
+            };
+            if slot >= len && bad.is_none() {
+                bad = Some(format!("{clause} references {what} slot {slot}, the spec has {len}"));
+            }
+        });
+        bad.map_or(Ok(()), |msg| Err(OpError::InvalidSpec(msg)))
     }
 
     /// Estimated resident bytes of one group-table entry under this
@@ -280,19 +344,39 @@ enum GroupTable {
 }
 
 impl GroupTable {
-    fn contains(&mut self, key: &Tuple) -> bool {
-        match self {
-            GroupTable::Ram(m) => m.contains_key(key),
-            GroupTable::Paged(b) => b.contains(key),
-        }
-    }
-
-    fn insert(&mut self, key: Tuple, aggs: Vec<AggState>) {
+    /// Find or create the group of `key` and fold one tuple into its
+    /// aggregates. A live group costs one probe with the borrowed key
+    /// and no allocation; a new one has its key built once and is
+    /// returned so the caller can list it under its supergroup.
+    fn upsert(
+        &mut self,
+        key: &[Value],
+        init: impl FnOnce() -> Vec<AggState>,
+        fold: impl FnOnce(&mut [AggState]) -> Result<(), OpError>,
+    ) -> Result<Option<Tuple>, OpError> {
         match self {
             GroupTable::Ram(m) => {
-                m.insert(key, GroupEntry { aggs });
+                if let Some(entry) = m.get_mut(key) {
+                    fold(&mut entry.aggs)?;
+                    return Ok(None);
+                }
+                let mut aggs = init();
+                fold(&mut aggs)?;
+                let key = Tuple::new(key.to_vec());
+                m.insert(key.clone(), GroupEntry { aggs });
+                Ok(Some(key))
             }
-            GroupTable::Paged(b) => b.insert(key, aggs),
+            // A paged table decides residency per call, so it keeps the
+            // probe / insert / touch sequence its fault counters assume.
+            GroupTable::Paged(b) => {
+                let key = Tuple::new(key.to_vec());
+                let is_new = !b.contains(&key);
+                if is_new {
+                    b.insert(key.clone(), init());
+                }
+                fold(b.aggs_mut(&key).expect("group just ensured"))?;
+                Ok(is_new.then_some(key))
+            }
         }
     }
 
@@ -439,9 +523,68 @@ pub struct WindowOutput {
     pub degradation: Degradation,
 }
 
+/// A spec's clauses lowered once for the per-tuple and per-group loops,
+/// and the stage at which each group-by value is computed.
+struct Lowered {
+    group_by: Vec<Program>,
+    where_clause: Option<Program>,
+    having: Option<Program>,
+    cleaning_when: Option<Program>,
+    cleaning_by: Option<Program>,
+    select: Vec<Program>,
+    /// Per aggregate slot, its argument (`None` for `count(*)`).
+    agg_args: Vec<Option<Program>>,
+    /// Per superaggregate slot, its per-tuple argument (`sum$`).
+    superagg_args: Vec<Option<Program>>,
+    /// After the window variables, the supergroup key and every group-by
+    /// variable WHERE reads: computed before WHERE.
+    pre_where: Vec<usize>,
+    /// The rest: computed for admitted tuples only. A group-by
+    /// expression sees the tuple and nothing else (no SFUN state), so
+    /// when it runs changes no state.
+    deferred: Vec<usize>,
+}
+
+impl Lowered {
+    fn new(spec: &OperatorSpec) -> Self {
+        let lower = |e: &Option<Expr>| e.as_ref().map(Program::lower);
+        let mut pre_where = spec.supergroup_indices.clone();
+        if let Some(w) = &spec.where_clause {
+            w.walk(&mut |node| {
+                if let Expr::GroupVar(i) = node {
+                    pre_where.push(*i);
+                }
+            });
+        }
+        pre_where.sort_unstable();
+        pre_where.dedup();
+        pre_where.retain(|i| !spec.window_indices.contains(i));
+        let deferred = (0..spec.group_by.len())
+            .filter(|i| !spec.window_indices.contains(i) && !pre_where.contains(i))
+            .collect();
+        Lowered {
+            group_by: spec.group_by.iter().map(|(_, e)| Program::lower(e)).collect(),
+            where_clause: lower(&spec.where_clause),
+            having: lower(&spec.having),
+            cleaning_when: lower(&spec.cleaning_when),
+            cleaning_by: lower(&spec.cleaning_by),
+            select: spec.select.iter().map(|(_, e)| Program::lower(e)).collect(),
+            agg_args: spec.aggregates.iter().map(|a| a.arg().map(Program::lower)).collect(),
+            superagg_args: spec
+                .superaggs
+                .iter()
+                .map(|sa| sa.tuple_arg().map(Program::lower))
+                .collect(),
+            pre_where,
+            deferred,
+        }
+    }
+}
+
 /// The sampling operator runtime.
 pub struct SamplingOperator {
     spec: Arc<OperatorSpec>,
+    lowered: Lowered,
     groups: GroupTable,
     sg_index: FxHashMap<Tuple, usize>,
     sgs: Vec<SupergroupEntry>,
@@ -455,10 +598,11 @@ pub struct SamplingOperator {
     // persist them without re-deriving window keys per tuple.
     capture_flush: bool,
     flush_state: Option<(Vec<u8>, Vec<u8>)>,
-    // Reused per-tuple buffers (group-by values, supergroup key);
-    // process() runs for every input tuple, so its allocations dominate
-    // rejected-tuple cost.
-    gb_scratch: Vec<Value>,
+    // Reused per-tuple buffers; process() runs for every input tuple,
+    // so it must not allocate for a rejected one. `gb` always holds one
+    // value per group-by variable; for a rejected tuple the deferred
+    // slots keep whatever an earlier tuple left there, unread.
+    gb: Vec<Value>,
     sg_scratch: Vec<Value>,
 }
 
@@ -478,6 +622,8 @@ impl SamplingOperator {
     pub fn new(spec: OperatorSpec) -> Result<Self, OpError> {
         spec.validate()?;
         Ok(SamplingOperator {
+            lowered: Lowered::new(&spec),
+            gb: vec![Value::Null; spec.group_by.len()],
             spec: Arc::new(spec),
             groups: GroupTable::Ram(FxHashMap::default()),
             sg_index: FxHashMap::default(),
@@ -489,7 +635,6 @@ impl SamplingOperator {
             metrics: None,
             capture_flush: false,
             flush_state: None,
-            gb_scratch: Vec::new(),
             sg_scratch: Vec::new(),
         })
     }
@@ -591,21 +736,15 @@ impl SamplingOperator {
     /// the new window).
     pub fn process(&mut self, tuple: &Tuple) -> Result<Option<WindowOutput>, OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.process_span.start());
-        let spec = Arc::clone(&self.spec);
-        // 1. Group-by values, into the reused scratch buffer (an eval
-        // error forfeits the buffer; the next tuple just reallocates).
-        let mut gb = std::mem::take(&mut self.gb_scratch);
-        gb.clear();
-        {
-            let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
-            for (_, e) in &spec.group_by {
-                gb.push(e.eval(&mut ctx)?);
-            }
-        }
-        // 2. Window boundary: compare in place, allocate the window-value
+        // Group-by expressions see the tuple and nothing else.
+        let mut gb_ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
+        // 1. Window key: compare in place, allocate the window-value
         // vector only when the window actually turns over.
+        for &i in &self.spec.window_indices {
+            self.gb[i] = self.lowered.group_by[i].eval(&mut gb_ctx)?;
+        }
         let same_window = match &self.window {
-            Some(cur) => spec.window_indices.iter().map(|&i| &gb[i]).eq(cur.iter()),
+            Some(cur) => self.spec.window_indices.iter().map(|&i| &self.gb[i]).eq(cur.iter()),
             None => false,
         };
         let out = if same_window {
@@ -615,168 +754,174 @@ impl SamplingOperator {
                 Some(_) => Some(self.flush_window()?),
                 None => None,
             };
-            self.window = Some(spec.window_indices.iter().map(|&i| gb[i].clone()).collect());
+            self.window =
+                Some(self.spec.window_indices.iter().map(|&i| self.gb[i].clone()).collect());
             o
         };
         self.wstats.tuples += 1;
+        // 2. The group-by values the supergroup key and WHERE read.
+        for &i in &self.lowered.pre_where {
+            self.gb[i] = self.lowered.group_by[i].eval(&mut gb_ctx)?;
+        }
         // 3. Supergroup lookup / creation (with state carry-over). The
-        // lookup borrows a reused value buffer; a key `Tuple` is only
+        // `ALL` supergroup is entry 0, no probe; otherwise the lookup
+        // borrows a reused value buffer and a key `Tuple` is only
         // allocated when the supergroup is new.
-        self.sg_scratch.clear();
-        self.sg_scratch.extend(spec.supergroup_indices.iter().map(|&i| gb[i].clone()));
-        let sg_idx = match self.sg_index.get(self.sg_scratch.as_slice()) {
-            Some(&i) => i,
-            None => {
-                let sg_key = Tuple::new(std::mem::take(&mut self.sg_scratch));
-                let old = self.old_sgs.get(&sg_key);
-                let states: SfunStates = spec
-                    .sfun_libs
-                    .iter()
-                    .enumerate()
-                    .map(|(li, lib)| {
-                        let prev = old.and_then(|v| v.get(li)).map(|b| b.as_ref() as &dyn Any);
-                        lib.init_state(prev)
-                    })
-                    .collect();
-                let superaggs = spec.superaggs.iter().map(|s| s.init()).collect();
-                let idx = self.sgs.len();
-                self.sgs.push(SupergroupEntry {
-                    key: sg_key.clone(),
-                    superaggs,
-                    states,
-                    groups: Vec::new(),
-                });
-                self.sg_index.insert(sg_key, idx);
-                idx
+        let sg_idx = if self.spec.supergroup_indices.is_empty() {
+            if self.sgs.is_empty() {
+                self.open_supergroup(Tuple::empty());
+            }
+            0
+        } else {
+            self.sg_scratch.clear();
+            self.sg_scratch
+                .extend(self.spec.supergroup_indices.iter().map(|&i| self.gb[i].clone()));
+            match self.sg_index.get(self.sg_scratch.as_slice()) {
+                Some(&i) => i,
+                None => {
+                    let key = Tuple::new(std::mem::take(&mut self.sg_scratch));
+                    self.open_supergroup(key)
+                }
             }
         };
+        let spec = &*self.spec;
+        let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
         // 4. WHERE.
-        let admitted = match &spec.where_clause {
-            Some(w) => {
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-                let mut ctx = EvalCtx {
-                    clause: "WHERE",
-                    tuple: Some(tuple),
-                    group_vars: Some(&gb),
-                    aggs: None,
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                w.eval_bool(&mut ctx)?
+        if let Some(w) = &mut self.lowered.where_clause {
+            let mut ctx = EvalCtx {
+                clause: "WHERE",
+                tuple: Some(tuple),
+                group_vars: Some(&self.gb),
+                aggs: None,
+                superaggs: Some(superaggs),
+                sfun_states: Some(states.as_mut_slice()),
+            };
+            if !w.eval_bool(&mut ctx)? {
+                return Ok(out);
             }
-            None => true,
-        };
-        if !admitted {
-            gb.clear();
-            self.gb_scratch = gb;
-            return Ok(out);
         }
         self.wstats.admitted += 1;
-        // 5. Superaggregate per-tuple updates.
-        {
-            let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-            for (i, sa) in spec.superaggs.iter().enumerate() {
+        // 5. The group-by values nothing before admission needed.
+        for &i in &self.lowered.deferred {
+            self.gb[i] = self.lowered.group_by[i].eval(&mut gb_ctx)?;
+        }
+        let gb = self.gb.as_slice();
+        // 6. Superaggregate per-tuple updates.
+        for (state, arg) in superaggs.iter_mut().zip(&mut self.lowered.superagg_args) {
+            if let Some(arg) = arg {
                 let mut ctx = EvalCtx {
                     clause: "SUPERAGG",
                     tuple: Some(tuple),
-                    group_vars: Some(&gb),
+                    group_vars: Some(gb),
                     aggs: None,
                     superaggs: None,
                     sfun_states: Some(states.as_mut_slice()),
                 };
-                sa.on_tuple(&mut superaggs[i], &mut ctx)?;
+                state.fold_tuple(arg.eval(&mut ctx)?)?;
             }
         }
-        // 6. Group lookup / creation and aggregate update.
-        let gkey = Tuple::new(gb.clone());
-        let is_new = !self.groups.contains(&gkey);
-        if is_new {
-            let aggs = spec.aggregates.iter().map(|a| a.init()).collect();
-            self.groups.insert(gkey.clone(), aggs);
-            self.wstats.groups_created += 1;
-        }
-        {
-            let entry_aggs = self.groups.aggs_mut(&gkey).expect("group just ensured");
-            let SupergroupEntry { superaggs, states, groups: sg_groups, .. } =
-                &mut self.sgs[sg_idx];
-            for (i, a) in spec.aggregates.iter().enumerate() {
-                let mut ctx = EvalCtx {
-                    clause: "AGGREGATE",
-                    tuple: Some(tuple),
-                    group_vars: Some(&gb),
-                    aggs: None,
-                    superaggs: None,
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                a.update(&mut entry_aggs[i], &mut ctx)?;
-            }
-            if is_new {
-                sg_groups.push(gkey.clone());
-                for (i, sa) in spec.superaggs.iter().enumerate() {
-                    sa.on_group_add(&mut superaggs[i], &gb)?;
+        // 7. Group lookup / creation and aggregate update.
+        let agg_args = &mut self.lowered.agg_args;
+        let new_key = self.groups.upsert(
+            gb,
+            || spec.aggregates.iter().map(|a| a.init()).collect(),
+            |aggs| {
+                for (state, arg) in aggs.iter_mut().zip(agg_args) {
+                    let v = match arg {
+                        Some(arg) => {
+                            let mut ctx = EvalCtx {
+                                clause: "AGGREGATE",
+                                tuple: Some(tuple),
+                                group_vars: Some(gb),
+                                aggs: None,
+                                superaggs: None,
+                                sfun_states: Some(states.as_mut_slice()),
+                            };
+                            Some(arg.eval(&mut ctx)?)
+                        }
+                        None => None,
+                    };
+                    state.fold(v)?;
                 }
+                Ok(())
+            },
+        )?;
+        if let Some(key) = new_key {
+            self.wstats.groups_created += 1;
+            members.push(key);
+            for (sa, state) in spec.superaggs.iter().zip(superaggs.iter_mut()) {
+                sa.on_group_add(state, gb)?;
             }
         }
-        // 7. CLEANING WHEN / cleaning phase.
-        if let Some(cw) = &spec.cleaning_when {
-            let trigger = {
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-                let mut ctx = EvalCtx {
-                    clause: "CLEANING WHEN",
-                    tuple: Some(tuple),
-                    group_vars: Some(&gb),
-                    aggs: None,
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                cw.eval_bool(&mut ctx)?
+        // 8. CLEANING WHEN / cleaning phase.
+        if let Some(cw) = &mut self.lowered.cleaning_when {
+            let mut ctx = EvalCtx {
+                clause: "CLEANING WHEN",
+                tuple: Some(tuple),
+                group_vars: Some(gb),
+                aggs: None,
+                superaggs: Some(superaggs),
+                sfun_states: Some(states.as_mut_slice()),
             };
-            if trigger {
+            if cw.eval_bool(&mut ctx)? {
                 self.wstats.cleaning_phases += 1;
                 self.clean_supergroup(sg_idx)?;
             }
         }
-        gb.clear();
-        self.gb_scratch = gb;
         Ok(out)
+    }
+
+    /// Create the supergroup of `key`; if the key existed in the previous
+    /// window, its SFUN states carry over. Returns its index.
+    fn open_supergroup(&mut self, key: Tuple) -> usize {
+        let old = self.old_sgs.get(&key);
+        let states: SfunStates = self
+            .spec
+            .sfun_libs
+            .iter()
+            .enumerate()
+            .map(|(li, lib)| {
+                let prev = old.and_then(|v| v.get(li)).map(|b| b.as_ref() as &dyn Any);
+                lib.init_state(prev)
+            })
+            .collect();
+        let superaggs = self.spec.superaggs.iter().map(|s| s.init()).collect();
+        let idx = self.sgs.len();
+        self.sgs.push(SupergroupEntry { key: key.clone(), superaggs, states, groups: Vec::new() });
+        self.sg_index.insert(key, idx);
+        idx
     }
 
     /// Apply CLEANING BY to every group of supergroup `sg_idx`, evicting
     /// groups for which it is false.
     fn clean_supergroup(&mut self, sg_idx: usize) -> Result<(), OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.clean_span.start());
-        let spec = Arc::clone(&self.spec);
-        let Some(cb) = &spec.cleaning_by else {
+        let Some(cb) = &mut self.lowered.cleaning_by else {
             return Ok(());
         };
-        let group_keys = std::mem::take(&mut self.sgs[sg_idx].groups);
-        let mut kept = Vec::with_capacity(group_keys.len());
+        let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
+        let group_keys = std::mem::take(members);
+        members.reserve(group_keys.len());
         for gkey in group_keys {
-            let keep = {
-                let entry_aggs = self.groups.aggs_mut(&gkey).expect("group listed in supergroup");
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
-                let mut ctx = EvalCtx {
-                    clause: "CLEANING BY",
-                    tuple: None,
-                    group_vars: Some(gkey.values()),
-                    aggs: Some(entry_aggs),
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                cb.eval_bool(&mut ctx)?
+            let entry_aggs = self.groups.aggs_mut(&gkey).expect("group listed in supergroup");
+            let mut ctx = EvalCtx {
+                clause: "CLEANING BY",
+                tuple: None,
+                group_vars: Some(gkey.values()),
+                aggs: Some(entry_aggs),
+                superaggs: Some(superaggs),
+                sfun_states: Some(states.as_mut_slice()),
             };
-            if keep {
-                kept.push(gkey);
+            if cb.eval_bool(&mut ctx)? {
+                members.push(gkey);
             } else {
                 self.wstats.evictions += 1;
                 let entry_aggs = self.groups.remove(&gkey).expect("group listed in supergroup");
-                let superaggs = &mut self.sgs[sg_idx].superaggs;
-                for (i, sa) in spec.superaggs.iter().enumerate() {
-                    sa.on_group_remove(&mut superaggs[i], gkey.values(), &entry_aggs)?;
+                for (sa, state) in self.spec.superaggs.iter().zip(superaggs.iter_mut()) {
+                    sa.on_group_remove(state, gkey.values(), &entry_aggs)?;
                 }
             }
         }
-        self.sgs[sg_idx].groups = kept;
         Ok(())
     }
 
@@ -784,7 +929,7 @@ impl SamplingOperator {
     /// carry-over, table reset.
     fn flush_window(&mut self) -> Result<WindowOutput, OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.window_span.start());
-        let spec = Arc::clone(&self.spec);
+        let spec = &*self.spec;
         // Signal window end to every state (the paper's final_init()).
         for sg in &mut self.sgs {
             for (li, lib) in spec.sfun_libs.iter().enumerate() {
@@ -792,11 +937,10 @@ impl SamplingOperator {
             }
         }
         let mut rows = Vec::new();
-        for sg_idx in 0..self.sgs.len() {
-            let group_keys = std::mem::take(&mut self.sgs[sg_idx].groups);
-            for gkey in group_keys {
+        for sg in &mut self.sgs {
+            let SupergroupEntry { superaggs, states, groups: members, .. } = sg;
+            for gkey in std::mem::take(members) {
                 let entry_aggs = self.groups.aggs_mut(&gkey).expect("group listed in supergroup");
-                let SupergroupEntry { superaggs, states, .. } = &mut self.sgs[sg_idx];
                 let mut ctx = EvalCtx {
                     clause: "HAVING",
                     tuple: None,
@@ -805,14 +949,14 @@ impl SamplingOperator {
                     superaggs: Some(superaggs),
                     sfun_states: Some(states.as_mut_slice()),
                 };
-                let keep = match &spec.having {
+                let keep = match &mut self.lowered.having {
                     Some(h) => h.eval_bool(&mut ctx)?,
                     None => true,
                 };
                 if keep {
                     ctx.clause = "SELECT";
-                    let mut row = Vec::with_capacity(spec.select.len());
-                    for (_, e) in &spec.select {
+                    let mut row = Vec::with_capacity(self.lowered.select.len());
+                    for e in &mut self.lowered.select {
                         row.push(e.eval(&mut ctx)?);
                     }
                     rows.push(Tuple::new(row));
@@ -1162,6 +1306,70 @@ mod tests {
         let mut spec = simple_agg_spec();
         spec.cleaning_when = Some(Expr::lit(true));
         assert!(SamplingOperator::new(spec).is_err(), "CLEANING WHEN without CLEANING BY");
+    }
+
+    #[test]
+    fn validation_rejects_out_of_range_slots() {
+        let rejects = |what: &str, edit: &dyn Fn(&mut OperatorSpec)| {
+            let mut spec = simple_agg_spec();
+            edit(&mut spec);
+            match SamplingOperator::new(spec) {
+                Err(OpError::InvalidSpec(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected InvalidSpec, got {other:?}"),
+            }
+        };
+        // simple_agg_spec has 2 group-by variables, 2 aggregates, no
+        // superaggregates and no SFUN libraries.
+        rejects("SELECT references group-by variable slot 2", &|s| {
+            s.select[0].1 = Expr::GroupVar(2);
+        });
+        rejects("WHERE references group-by variable slot 5", &|s| {
+            s.where_clause = Some(Expr::GroupVar(5).gt(Expr::lit(0u64)));
+        });
+        rejects("HAVING references aggregate slot 2", &|s| {
+            s.having = Some(Expr::Aggregate(2).ge(Expr::lit(1u64)));
+        });
+        rejects("CLEANING WHEN references superaggregate slot 0", &|s| {
+            s.cleaning_when = Some(Expr::SuperAgg(0).gt(Expr::lit(2u64)));
+            s.cleaning_by = Some(Expr::lit(true));
+        });
+        rejects("CLEANING BY references aggregate slot 7", &|s| {
+            s.cleaning_when = Some(Expr::lit(false));
+            s.cleaning_by = Some(Expr::Not(Box::new(Expr::Aggregate(7))));
+        });
+        rejects("AGGREGATE references stateful-function library slot 0", &|s| {
+            let lib = crate::libs::heavy_hitter::library();
+            let call = crate::queries::sfun_expr(0, &lib, "current_bucket", vec![]).unwrap();
+            s.aggregates.push(AggSpec::First(call));
+        });
+        rejects("SUPERAGG references group-by variable slot 2", &|s| {
+            s.superaggs = vec![SuperAggSpec::KthSmallest { expr: Expr::GroupVar(2), k: 1 }];
+        });
+        rejects("sum$ is paired with aggregate slot 2", &|s| {
+            s.superaggs = vec![SuperAggSpec::Sum { expr: Expr::Column(2), agg_slot: 2 }];
+        });
+        // A slot nested under calls and operators is found too.
+        rejects("GROUP BY references aggregate slot 9", &|s| {
+            let nested = Expr::lit(1u64).add(Expr::Not(Box::new(Expr::Aggregate(9))));
+            s.group_by[1].1 =
+                Expr::Scalar { name: "H", fun: crate::scalar::hash_fn(), args: vec![nested] };
+        });
+    }
+
+    #[test]
+    fn group_by_values_are_staged_around_where() {
+        // minhash: tb is the window, srcIP the supergroup key, and WHERE
+        // reads HX — nothing is left to defer. §6.1: WHERE reads no
+        // group-by variable, so all of srcIP, destIP, uts wait.
+        let staged = |spec: OperatorSpec| {
+            let l = Lowered::new(&spec);
+            (l.pre_where, l.deferred)
+        };
+        let minhash = crate::queries::minhash_query(60, 10).unwrap();
+        assert_eq!(staged(minhash), (vec![1, 2], vec![]));
+        let cfg = crate::libs::subset_sum::SubsetSumOpConfig { target: 100, ..Default::default() };
+        let ss = crate::queries::subset_sum_query(60, cfg, false).unwrap();
+        assert_eq!(staged(ss), (vec![], vec![1, 2, 3]));
     }
 
     #[test]

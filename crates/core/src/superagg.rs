@@ -116,17 +116,25 @@ impl SuperAggSpec {
         }
     }
 
+    /// The tuple-phase argument folded in on every admitted tuple, if
+    /// this superaggregate has one (`sum$(expr)`).
+    pub fn tuple_arg(&self) -> Option<&Expr> {
+        match self {
+            SuperAggSpec::Sum { expr, .. } => Some(expr),
+            _ => None,
+        }
+    }
+
     /// Per-tuple update (runs for every tuple passing WHERE).
     pub fn on_tuple(
         &self,
         state: &mut SuperAggState,
         ctx: &mut EvalCtx<'_>,
     ) -> Result<(), OpError> {
-        if let (SuperAggSpec::Sum { expr, .. }, SuperAggState::Sum(acc)) = (self, state) {
-            let v = expr.eval(ctx)?;
-            *acc = if acc.is_null() { v } else { acc.add(&v)? };
+        match self.tuple_arg() {
+            Some(expr) => state.fold_tuple(expr.eval(ctx)?),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// A new group with key `group_key` joined the supergroup.
@@ -220,6 +228,15 @@ impl SuperAggSpec {
 }
 
 impl SuperAggState {
+    /// Fold one admitted tuple in, given the already evaluated
+    /// [`SuperAggSpec::tuple_arg`].
+    pub fn fold_tuple(&mut self, v: Value) -> Result<(), OpError> {
+        if let SuperAggState::Sum(acc) = self {
+            *acc = if acc.is_null() { v } else { acc.add(&v)? };
+        }
+        Ok(())
+    }
+
     /// The superaggregate's current value.
     pub fn value(&self) -> Value {
         match self {

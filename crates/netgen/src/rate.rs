@@ -245,7 +245,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let rates: Vec<u64> = (0..40).map(|_| p.next_rate(&mut rng)).collect();
         for (s, &r) in rates.iter().enumerate() {
-            if (s as u64 / 10) % 2 == 0 {
+            if (s as u64 / 10).is_multiple_of(2) {
                 assert!(r > 19_000, "second {s}: busy rate {r}");
             } else {
                 assert!(r < 500, "second {s}: quiet rate {r}");

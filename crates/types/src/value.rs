@@ -86,7 +86,9 @@ impl fmt::Display for ValueKind {
 ///
 /// Arithmetic follows SQL-ish numeric promotion: `U64 op U64 -> U64`
 /// (signed if subtraction underflows), any operand `F64` promotes the
-/// result to `F64`, and `I64` mixes promote to `I64`.
+/// result to `F64`, and `I64` mixes promote to `I64`. Every operator is
+/// total over the integers: overflow wraps (`add`, `mul`, `I64` `sub`,
+/// `i64::MIN / -1`) and never panics; only a zero divisor is an error.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// Absent / undefined value (e.g. an aggregate over an empty group).
@@ -227,13 +229,16 @@ impl Value {
     }
 
     /// Subtraction; `U64 - U64` yields `I64` when the result is negative.
+    /// A difference below `i64::MIN` (operands more than 2^63 apart)
+    /// saturates there: wrapping it would hand back a positive number
+    /// for a negative result.
     pub fn sub(&self, other: &Self) -> Result<Value, TypeError> {
         match self.numeric_pair(other, "-")? {
             NumPair::U(a, b) => {
                 if a >= b {
                     Ok(Value::U64(a - b))
                 } else {
-                    Ok(Value::I64(-((b - a) as i64)))
+                    Ok(Value::I64(0i64.saturating_sub_unsigned(b - a)))
                 }
             }
             NumPair::I(a, b) => Ok(Value::I64(a.wrapping_sub(b))),
@@ -260,7 +265,7 @@ impl Value {
                 Err(TypeError::DivisionByZero)
             }
             NumPair::U(a, b) => Ok(Value::U64(a / b)),
-            NumPair::I(a, b) => Ok(Value::I64(a / b)),
+            NumPair::I(a, b) => Ok(Value::I64(a.wrapping_div(b))),
             NumPair::F(a, b) => {
                 if b == 0.0 {
                     Err(TypeError::DivisionByZero)
@@ -279,7 +284,7 @@ impl Value {
                 Err(TypeError::DivisionByZero)
             }
             NumPair::U(a, b) => Ok(Value::U64(a % b)),
-            NumPair::I(a, b) => Ok(Value::I64(a % b)),
+            NumPair::I(a, b) => Ok(Value::I64(a.wrapping_rem(b))),
             NumPair::F(a, b) => {
                 if b == 0.0 {
                     Err(TypeError::DivisionByZero)
@@ -473,6 +478,22 @@ mod tests {
         assert_eq!(Value::U64(1).div(&Value::U64(0)), Err(TypeError::DivisionByZero));
         assert_eq!(Value::F64(1.0).div(&Value::F64(0.0)), Err(TypeError::DivisionByZero));
         assert_eq!(Value::U64(1).rem(&Value::U64(0)), Err(TypeError::DivisionByZero));
+    }
+
+    #[test]
+    fn integer_overflow_is_total() {
+        // i64::MIN / -1 overflows: it wraps like `add` / `mul`, it does
+        // not panic.
+        let (min, neg1) = (Value::I64(i64::MIN), Value::I64(-1));
+        assert_eq!(min.div(&neg1).unwrap(), Value::I64(i64::MIN));
+        assert_eq!(min.rem(&neg1).unwrap(), Value::I64(0));
+        // U64 - U64 keeps its sign however far apart the operands are.
+        let big = Value::U64(u64::MAX);
+        assert_eq!(Value::U64(0).sub(&big).unwrap(), Value::I64(i64::MIN));
+        assert_eq!(Value::U64(5).sub(&Value::U64((1 << 63) + 6)).unwrap(), Value::I64(i64::MIN));
+        assert_eq!(Value::U64(0).sub(&Value::U64(1 << 63)).unwrap(), Value::I64(i64::MIN));
+        assert_eq!(Value::U64(1).sub(&Value::U64(1 << 63)).unwrap(), Value::I64(i64::MIN + 1));
+        assert_eq!(Value::I64(i64::MIN).sub(&Value::I64(1)).unwrap(), Value::I64(i64::MAX));
     }
 
     #[test]

@@ -9,8 +9,15 @@ cargo fmt --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
-echo "== cargo test =="
+echo "== cargo test (root package and every crate's unit tests) =="
 cargo test -q
+
+echo "== benchmark smoke (every workload's oracle; traced replay == entry point) =="
+# ~15 s once built: a 4 s feed through all five workloads, untraced and
+# traced. An engine change that moves any workload's output fails here,
+# not first in the benchmark pipeline. Timings of a --quick run mean
+# nothing and are not shown.
+benchmark/run.sh --quick | grep '^# '
 
 echo "== sharded runtime determinism suite =="
 cargo test -q --test sharded
