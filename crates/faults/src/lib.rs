@@ -90,23 +90,23 @@ pub enum FaultEvent {
         every: u64,
     },
     /// Panic router lane `router` when it is handed its `at_tuple`-th
-    /// segment tuple (1-based over the lane's input segment). The
+    /// tuple (1-based, counted across the chunks the lane routes). The
     /// supervisor quarantines the lane for the current window — its
     /// unrouted tuples become `rt.router_uncovered` mass — and respawns
     /// it at the next window boundary.
     RouterPanic {
         /// Router lane that panics.
         router: usize,
-        /// 1-based segment-tuple trigger.
+        /// 1-based lane-local tuple trigger.
         at_tuple: u64,
     },
     /// Stall router lane `router` for `millis` before it routes its
-    /// `at_tuple`-th segment tuple — a slow producer that starves its
+    /// `at_tuple`-th tuple — a slow producer that starves its
     /// rings (timing-only: output is unchanged).
     RouterStall {
         /// Router lane that sleeps.
         router: usize,
-        /// 1-based segment-tuple trigger.
+        /// 1-based lane-local tuple trigger.
         at_tuple: u64,
         /// Stall length in milliseconds.
         millis: u64,
@@ -321,10 +321,10 @@ impl FaultPlan {
     }
 
     /// The router-fault schedule for one router lane: triggers sorted
-    /// by segment-tuple count, consumed front to back by
+    /// by lane-local tuple count, consumed front to back by
     /// [`WorkerFaultSchedule::check`]. Router lanes reuse the worker
     /// schedule machinery — the trigger counter is the lane's 1-based
-    /// position within its input segment.
+    /// tuple ordinal over all the chunks it routes.
     pub fn router_schedule(&self, router: usize) -> WorkerFaultSchedule {
         let mut events: Vec<(u64, WorkerFault)> = self
             .events

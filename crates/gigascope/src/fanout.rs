@@ -68,16 +68,18 @@ pub fn run_fanout(
     let mut first_uts = None;
     let mut last_uts = 0u64;
 
+    // One scratch tuple, overwritten per forwarded packet.
+    let mut tuple = sso_types::Tuple::empty();
     for pkt in packets {
         first_uts.get_or_insert(pkt.uts);
         last_uts = pkt.uts;
         low.tuples_in += 1;
         let sw = Stopwatch::start();
-        let forwarded = plan.low.process(&pkt);
+        let forwarded = plan.low.process_into(&pkt, &mut tuple);
         low.busy += sw.elapsed();
-        let Some(tuple) = forwarded else {
+        if !forwarded {
             continue;
-        };
+        }
         low.tuples_out += 1;
         for ((_, op), result) in plan.highs.iter_mut().zip(results.iter_mut()) {
             result.stats.tuples_in += 1;

@@ -20,6 +20,21 @@ pub trait LowLevelQuery: Send {
     /// Process one packet; `Some(tuple)` forwards it to the high level.
     fn process(&mut self, pkt: &Packet) -> Option<Tuple>;
 
+    /// [`LowLevelQuery::process`] into a caller-owned tuple: `true`
+    /// means `out` now holds the forwarded tuple (whatever it held
+    /// before is overwritten), `false` leaves `out` unspecified. The
+    /// executors hand in a recycled tuple, so a node that overrides
+    /// this forwards without allocating.
+    fn process_into(&mut self, pkt: &Packet, out: &mut Tuple) -> bool {
+        match self.process(pkt) {
+            Some(tuple) => {
+                *out = tuple;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// End of stream: flush any buffered output (e.g. a partial
     /// aggregation epoch). Defaults to nothing.
     fn finish(&mut self) -> Vec<Tuple> {
@@ -47,19 +62,32 @@ impl SelectionNode {
     }
 }
 
+impl SelectionNode {
+    fn passes(&mut self, pkt: &Packet) -> bool {
+        match &mut self.predicate {
+            Some(p) => p(pkt),
+            None => true,
+        }
+    }
+}
+
+// The tuple is the "memory copy" of the real system: it is only built
+// (or overwritten) for forwarded packets.
 impl LowLevelQuery for SelectionNode {
     fn name(&self) -> &'static str {
         "selection"
     }
 
     fn process(&mut self, pkt: &Packet) -> Option<Tuple> {
-        let pass = match &mut self.predicate {
-            Some(p) => p(pkt),
-            None => true,
-        };
-        // The tuple construction is the "memory copy" of the real
-        // system: it only happens for forwarded packets.
-        pass.then(|| pkt.to_tuple())
+        self.passes(pkt).then(|| pkt.to_tuple())
+    }
+
+    fn process_into(&mut self, pkt: &Packet, out: &mut Tuple) -> bool {
+        let pass = self.passes(pkt);
+        if pass {
+            pkt.write_tuple(out);
+        }
+        pass
     }
 }
 
@@ -92,6 +120,12 @@ impl PrefilterNode {
     pub fn counts(&self) -> (u64, u64) {
         (self.basic.offered(), self.basic.sampled())
     }
+
+    /// Offer the packet to the sampler; if sampled, its adjusted `len`.
+    fn sampled_len(&mut self, pkt: &Packet) -> Option<sso_types::Value> {
+        let len = pkt.len as u64;
+        self.basic.offer(len).then(|| sso_types::Value::U64(self.basic.adjusted_weight(len) as u64))
+    }
 }
 
 impl LowLevelQuery for PrefilterNode {
@@ -100,13 +134,17 @@ impl LowLevelQuery for PrefilterNode {
     }
 
     fn process(&mut self, pkt: &Packet) -> Option<Tuple> {
-        if !self.basic.offer(pkt.len as u64) {
-            return None;
-        }
+        let len = self.sampled_len(pkt)?;
         let mut tuple = pkt.to_tuple();
-        let adjusted = self.basic.adjusted_weight(pkt.len as u64);
-        tuple.set(self.len_idx, sso_types::Value::U64(adjusted as u64));
+        tuple.set(self.len_idx, len);
         Some(tuple)
+    }
+
+    fn process_into(&mut self, pkt: &Packet, out: &mut Tuple) -> bool {
+        let Some(len) = self.sampled_len(pkt) else { return false };
+        pkt.write_tuple(out);
+        out.set(self.len_idx, len);
+        true
     }
 }
 
@@ -146,6 +184,55 @@ mod tests {
         let mut n = SelectionNode::pass_all();
         let t = n.process(&pkt(123)).unwrap();
         t.check_arity(&Packet::schema()).unwrap();
+    }
+
+    /// Drive `a` through `process` and `b` through `process_into` (into
+    /// one recycled, initially dirty slot); both must forward the same
+    /// packets as the same tuples.
+    fn assert_same_forwarding(a: &mut dyn LowLevelQuery, b: &mut dyn LowLevelQuery, lens: &[u32]) {
+        let mut slot = Tuple::new(vec![sso_types::Value::str("dead"); 11]);
+        for (i, &len) in lens.iter().enumerate() {
+            let p = Packet { uts: i as u64, ..pkt(len) };
+            let forwarded = b.process_into(&p, &mut slot);
+            assert_eq!(a.process(&p), forwarded.then(|| slot.clone()), "packet {i} (len {len})");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn process_into_is_process_for_selection(
+            lens in proptest::collection::vec(0u32..3000, 0..200),
+            cut in 0u32..3000,
+        ) {
+            assert_same_forwarding(
+                &mut SelectionNode::pass_all(),
+                &mut SelectionNode::pass_all(),
+                &lens,
+            );
+            // A stateful predicate: its own state must advance alike.
+            let make = || {
+                let mut seen = 0u32;
+                SelectionNode::with_predicate(move |p| {
+                    seen += 1;
+                    p.len >= cut || seen.is_multiple_of(3)
+                })
+            };
+            assert_same_forwarding(&mut make(), &mut make(), &lens);
+        }
+
+        #[test]
+        fn process_into_is_process_for_the_prefilter(
+            lens in proptest::collection::vec(0u32..3000, 0..200),
+            z in 0.0f64..5000.0,
+        ) {
+            let (mut a, mut b) = (PrefilterNode::new(z), PrefilterNode::new(z));
+            assert_same_forwarding(&mut a, &mut b, &lens);
+            // Same threshold state afterwards: counters agree and the
+            // metering residue decides the next packets alike.
+            proptest::prop_assert_eq!(a.counts(), b.counts());
+            proptest::prop_assert_eq!(a.z(), b.z());
+            assert_same_forwarding(&mut a, &mut b, &[1, 40, 700, 1, 1500, 2]);
+        }
     }
 
     #[test]

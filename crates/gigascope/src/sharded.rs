@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use sso_core::{shard_plan, NotMergeable, OpError, OperatorSpec, WindowOutput};
 use sso_obs::{SampledSpan, Stopwatch};
-use sso_runtime::{run_sharded, RouterStats, RuntimeConfig, RuntimeError, ShardStats};
+use sso_runtime::{run_sharded, Refill, RouterStats, RuntimeConfig, RuntimeError, ShardStats};
 use sso_types::Packet;
 
 use crate::engine::NodeStats;
@@ -15,7 +15,7 @@ use crate::nodes::LowLevelQuery;
 /// The result of a sharded plan run.
 #[derive(Debug)]
 pub struct ShardedRunReport {
-    /// Low-level node accounting (runs on the router thread).
+    /// Low-level node accounting (runs on the pump, the calling thread).
     pub low: NodeStats,
     /// Merged window outputs, in window order.
     pub windows: Vec<WindowOutput>,
@@ -151,28 +151,29 @@ where
     let mut first_uts = None;
     let mut last_uts = 0u64;
 
-    // The router thread times the low-level node through a sampled span
-    // (1 in 64, scaled back up): a per-packet clock pair costs as much
-    // as a cheap low-level node and would throttle the router thread,
-    // which bounds the whole sharded pipeline. When the caller supplies
-    // no registry, an ephemeral enabled one keeps the NodeStats busy
-    // accounting live without publishing anything.
+    // The pump times the low-level node through a sampled span (1 in
+    // 64, scaled back up): a per-packet clock pair costs as much as a
+    // cheap low-level node and would throttle the pump, which bounds
+    // the whole sharded pipeline. When the caller supplies no registry,
+    // an ephemeral enabled one keeps the NodeStats busy accounting live
+    // without publishing anything.
     let registry = cfg.registry.clone().unwrap_or_default();
     let low_span = SampledSpan::register(&registry, "low.process_ns", "low.busy_ns", "", 6);
-    let prof_start = cfg.profile.as_ref().map(|p| p.now_ns());
 
-    // Drive the low-level node lazily from inside the router loop: the
-    // adapter runs on the calling thread, so the node needs no Sync and
-    // its accounting can borrow locally.
+    // Drive the low-level node lazily from inside the runtime's pump:
+    // the pull function runs on the calling thread, so the node needs no
+    // Sync and its accounting can borrow locally. Every forwarded packet
+    // is written into the recycled tuple the pump hands in. Once the
+    // packets run out the node's `finish()` tail is moved out, tuple by
+    // tuple, and the packet iterator is never polled again.
     let mut packets = packets.into_iter();
-    let mut tail: Vec<sso_types::Tuple> = Vec::new();
-    let mut tail_at = 0usize;
-    let tuples = std::iter::from_fn(|| loop {
-        if tail_at < tail.len() {
-            let t = tail[tail_at].clone();
-            tail_at += 1;
+    let mut tail: Option<std::vec::IntoIter<sso_types::Tuple>> = None;
+    let tuples = Refill(|slot: &mut sso_types::Tuple| loop {
+        if let Some(rest) = tail.as_mut() {
+            let Some(tuple) = rest.next() else { return false };
+            *slot = tuple;
             low_stats.tuples_out += 1;
-            return Some(t);
+            return true;
         }
         match packets.next() {
             Some(pkt) => {
@@ -181,44 +182,25 @@ where
                 low_stats.tuples_in += 1;
                 let forwarded = {
                     let _span = low_span.start();
-                    low.process(&pkt)
+                    low.process_into(&pkt, slot)
                 };
-                if let Some(tuple) = forwarded {
+                if forwarded {
                     low_stats.tuples_out += 1;
-                    return Some(tuple);
+                    return true;
                 }
             }
             None => {
-                if tail.is_empty() {
-                    let sw = Stopwatch::start();
-                    tail = low.finish();
-                    // The finish pass is unsampled; add it to the same
-                    // busy cell the span scales its samples into.
-                    low_span.busy_counter().add(sw.elapsed_ns());
-                    if tail.is_empty() {
-                        return None;
-                    }
-                } else {
-                    return None;
-                }
+                let sw = Stopwatch::start();
+                tail = Some(low.finish().into_iter());
+                // The finish pass is unsampled; add it to the same
+                // busy cell the span scales its samples into.
+                low_span.busy_counter().add(sw.elapsed_ns());
             }
         }
     });
 
     let report = run_sharded(plan, make_spec, cfg, tuples)?;
     low_stats.busy = Duration::from_nanos(low_span.busy_counter().get());
-    if let (Some(p), Some(start)) = (cfg.profile.as_ref(), prof_start) {
-        // The low node runs inline on the router thread, interleaved
-        // with sends; its lineage stamp is one span for the whole run
-        // (busy time, not wall time) so stage attribution can separate
-        // low-level reduction cost from router fan-out cost.
-        let mut lane = p.lane(sso_profile::LaneKind::Low, 0);
-        lane.record(
-            sso_profile::Event::new(sso_profile::Stage::Low, start, low_span.busy_counter().get())
-                .aux(low_stats.tuples_in),
-        );
-        lane.publish();
-    }
     if cfg.registry.is_some() {
         registry.counter("low.tuples_in").add(low_stats.tuples_in);
         registry.counter("low.tuples_out").add(low_stats.tuples_out);

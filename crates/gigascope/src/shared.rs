@@ -95,13 +95,15 @@ pub fn run_fanout_shared(
         Ok(())
     };
 
+    // One scratch tuple, overwritten per forwarded packet.
+    let mut tuple = sso_types::Tuple::empty();
     for pkt in packets {
         first_uts.get_or_insert(pkt.uts);
         last_uts = pkt.uts;
         low_stats.tuples_in += 1;
-        let Some(tuple) = low.process(&pkt) else {
+        if !low.process_into(&pkt, &mut tuple) {
             continue;
-        };
+        }
         low_stats.tuples_out += 1;
         feed(&tuple, &mut plan, &mut group_windows, &mut group_stats)?;
     }

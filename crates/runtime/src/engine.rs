@@ -1,19 +1,29 @@
 //! The sharded runtime: R supervised router lanes hash-partition tuples
 //! by the plan's partition key and feed per-(router, shard) batched
 //! bounded rings; each shard runs its own operator instance draining
-//! all R of its rings in lane order; window outputs are merged by the
+//! all R of its rings in chunk order; window outputs are merged by the
 //! plan's rule after the workers drain.
 //!
-//! ## Router lanes
+//! ## Pump, lanes, and recycled batches
 //!
-//! The materialized input stream is split up front into R *contiguous*
-//! segments (one cursor per lane, see [`router_cursors`]); lane `r`
-//! routes segment `r` into its own set of SPSC rings. Because the
-//! segments are contiguous in stream order, keyed routing is a pure
-//! content hash, and round-robin routing is a pure function of the
-//! tuple's global stream position, every shard receives exactly the
-//! same tuple sequence whatever R is — multi-router runs are
-//! byte-identical to single-router runs.
+//! The calling thread *pumps* the source into fixed-length chunks
+//! (see [`crate::pump`]); chunk `c` goes to lane `c mod R`, which routes
+//! it into its own set of SPSC rings, flushes, and marks the end of the
+//! chunk on every ring. Each worker drains its R rings in chunk order —
+//! lane 0 up to its marker, lane 1 up to its marker, and round again —
+//! so a shard consumes its tuples in global stream order whatever R is.
+//! Keyed routing is a pure content hash and round-robin routing a pure
+//! function of the tuple's global stream position, so multi-router runs
+//! are byte-identical to single-router runs.
+//!
+//! Nothing is materialized: the pump runs at most
+//! [`RuntimeConfig::max_look_ahead`] tuples ahead of the operators.
+//! And every buffer is reused. Spent batches travel back (worker → lane,
+//! lane → pump) on return rings that are never waited on — a full or
+//! closed return ring drops the buffer, and the next taker allocates
+//! one (`rt.tuple_buffers_fresh`) — while the lane *swaps* each routed
+//! tuple with a dead one, so chunks go home full of tuples for the
+//! source to overwrite in place.
 //!
 //! ## Fault tolerance
 //!
@@ -36,12 +46,12 @@
 //!   is cut at the deadline, the merge proceeds over the shards that
 //!   published, and the lost coverage is accounted and alerted through
 //!   the undersample-detector path.
-//! * **Router supervision**: each lane routes under a per-segment
+//! * **Router supervision**: each lane routes under a per-chunk
 //!   `catch_unwind`; a panicked lane is quarantined for the current
 //!   window (its unrouted tuples counted as `rt.router_uncovered`
 //!   mass, degrading that window exactly like a quarantined shard) and
-//!   respawned at the next window boundary from its segment cursor.
-//!   Router death is a degraded window, not a dead process.
+//!   respawned at the next window boundary, in whichever of its chunks
+//!   that falls. Router death is a degraded window, not a dead process.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -70,7 +80,8 @@ use sso_types::Tuple;
 
 use crate::barrier::MergeBarrier;
 use crate::merge::ShardPartial;
-use crate::ring::{ring, PushError};
+use crate::pump::{pump, Chunk, ChunkLane, TupleSource, CHUNK_BATCHES, CHUNK_RING};
+use crate::ring::{ring, Consumer, Producer, PushError};
 
 /// What the router does when a shard's ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,15 +172,9 @@ pub struct RuntimeConfig {
     pub shards: usize,
     /// Number of supervised router lanes. `0` (the default) resolves to
     /// `min(shards, cores/4).max(1)` — see [`auto_routers`]. Each lane
-    /// owns one ring per shard and routes one contiguous segment of the
-    /// input stream; output is byte-identical for every lane count.
+    /// owns one ring per shard and routes every R-th chunk of the input
+    /// stream; output is byte-identical for every lane count.
     pub routers: usize,
-    /// Explicit per-lane segment cursors (0-based start index of each
-    /// lane's input segment; must begin at 0 and be non-decreasing).
-    /// `None` computes them from the stream length — the only reason to
-    /// pass them explicitly is resuming a durable run whose MANIFEST
-    /// recorded the original cursors.
-    pub router_cursors: Option<Vec<u64>>,
     /// Cap on worker *threads*: `0` (the default) spawns one thread per
     /// shard; `N` multiplexes the shards onto `min(N, shards)` pool
     /// threads, each draining its shards' rings round-robin. Results
@@ -237,7 +242,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             shards,
             routers: 0,
-            router_cursors: None,
             worker_cap: 0,
             ring_capacity: 16,
             batch_size: 1024,
@@ -263,15 +267,6 @@ impl RuntimeConfig {
     /// Route with `routers` supervised lanes (`0` = auto).
     pub fn with_routers(mut self, routers: usize) -> Self {
         self.routers = routers;
-        self
-    }
-
-    /// Resume with the original run's per-lane segment cursors (the
-    /// MANIFEST's `router_cursors`), so a recovered run re-partitions
-    /// the regenerated stream identically.
-    pub fn with_router_cursors(mut self, cursors: Vec<u64>) -> Self {
-        self.routers = cursors.len();
-        self.router_cursors = Some(cursors);
         self
     }
 
@@ -346,6 +341,25 @@ impl RuntimeConfig {
     fn effective_ring_capacity(&self) -> usize {
         self.sizing.and_then(|h| h.ring_batches).unwrap_or(self.ring_capacity)
     }
+
+    /// Tuples per pumped chunk. Chunk `c` — stream positions
+    /// `[c * chunk_tuples, (c + 1) * chunk_tuples)` — is routed by lane
+    /// `c % routers`: the whole lane partition, and the reason it needs
+    /// neither the stream's length nor a record in the MANIFEST.
+    pub fn chunk_tuples(&self) -> usize {
+        CHUNK_BATCHES * self.batch_size
+    }
+
+    /// The most tuples the run ever holds between the source and the
+    /// operators: the pump's chunk in hand; per lane its chunk ring and
+    /// the chunk being routed; per (lane, shard) ring its depth plus the
+    /// batch being filled and the batch being processed. A function of
+    /// the configuration only — never of the stream's length.
+    pub fn max_look_ahead(&self) -> usize {
+        let lanes = self.resolved_routers();
+        (1 + lanes * (CHUNK_RING + 1)) * self.chunk_tuples()
+            + lanes * self.shards * (self.effective_ring_capacity() + 2) * self.batch_size
+    }
 }
 
 /// The default router-lane count for `shards` workers:
@@ -355,16 +369,6 @@ impl RuntimeConfig {
 pub fn auto_routers(shards: usize) -> usize {
     let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     (cores / 4).max(1).min(shards.max(1))
-}
-
-/// The per-lane segment cursors for an `n`-tuple stream split across
-/// `routers` contiguous segments: lane `r` owns stream positions
-/// `[cursors[r], cursors[r+1])` (the last segment ends at `n`). These
-/// are the cursors a durable run records in its MANIFEST so `sso
-/// recover` re-partitions the regenerated stream identically.
-pub fn router_cursors(n: u64, routers: usize) -> Vec<u64> {
-    let routers = routers.max(1);
-    (0..routers).map(|r| ((n as u128 * r as u128) / routers as u128) as u64).collect()
 }
 
 /// Per-shard accounting: a thin view over this shard's registry cells
@@ -486,7 +490,8 @@ impl RouterStats {
         }
     }
 
-    /// Segment tuples the lane handled (routed plus uncovered).
+    /// Tuples of the lane's finished chunks (routed, prefiltered away,
+    /// or uncovered); advances chunk by chunk while the run is live.
     pub fn tuples(&self) -> u64 {
         self.tuples.get()
     }
@@ -689,7 +694,7 @@ fn pick_shard(hash: u64, shards: usize) -> usize {
 /// decision depends only on the tuple's content (keyed routing) or its
 /// global stream position (round-robin), never on which lane evaluates
 /// it or what was routed before. That is what makes the per-lane
-/// segment split invisible: shard sequences are byte-identical for any
+/// chunk deal invisible: shard sequences are byte-identical for any
 /// lane count.
 enum Router {
     /// No partition key: deal tuples out cyclically by global stream
@@ -1163,6 +1168,26 @@ fn record_router_send(
     t.lane.publish();
 }
 
+/// What crosses a (lane, shard) ring.
+enum Msg {
+    /// Routed tuples. Only `tuples[..live]` are this batch; anything
+    /// past `live` is dead weight from the buffer's previous trip,
+    /// riding along so its allocation stays in circulation.
+    Batch { id: u32, live: usize, tuples: Vec<Tuple> },
+    /// The lane has sent everything its current chunk held for this
+    /// shard: the worker moves on to the next lane's ring.
+    ChunkEnd,
+}
+
+impl Msg {
+    fn into_tuples(self) -> Vec<Tuple> {
+        match self {
+            Msg::Batch { tuples, .. } => tuples,
+            Msg::ChunkEnd => Vec::new(),
+        }
+    }
+}
+
 /// One router lane's sending state: its set of per-shard rings, the
 /// per-shard batch accumulators and shed state, and its accounting
 /// cells. Batch ids start at the lane index and stride by the lane
@@ -1173,8 +1198,12 @@ struct RouterLane<'a> {
     shards: usize,
     batch_size: usize,
     backpressure: Backpressure,
-    txs: Vec<crate::ring::Producer<(u32, Vec<Tuple>)>>,
-    batches: Vec<Vec<Tuple>>,
+    txs: Vec<Producer<Msg>>,
+    /// Spent batches coming home from each shard's worker.
+    homes: Vec<Consumer<Vec<Tuple>>>,
+    /// Per shard: the batch being filled and how many of its tuples are
+    /// live (the rest are dead tuples waiting to be traded).
+    batches: Vec<(Vec<Tuple>, usize)>,
     shed: Vec<ShedState>,
     routed: Vec<u64>,
     next_batch_id: u32,
@@ -1183,243 +1212,218 @@ struct RouterLane<'a> {
     ring_depths: &'a [Gauge],
     batch_hist: Histogram,
     lane_stats: RouterStats,
+    fresh: Counter,
+    /// A batch ring turned out closed: its worker is gone, and the run
+    /// with it (workers outlive their lanes unless they fail).
+    worker_gone: bool,
     trace: Option<RouterTrace>,
 }
 
 impl RouterLane<'_> {
-    fn push_tuple(&mut self, shard: usize, tuple: Tuple) {
-        self.batches[shard].push(tuple);
-        if self.batches[shard].len() >= self.batch_size {
-            let batch =
-                std::mem::replace(&mut self.batches[shard], Vec::with_capacity(self.batch_size));
-            self.send_batch(shard, batch);
+    /// Route `tuple` to `shard` by trading it for a dead tuple of the
+    /// batch being filled: the chunk it came from goes home with a
+    /// buffer the source can overwrite.
+    fn push_tuple(&mut self, shard: usize, tuple: &mut Tuple) {
+        let (slots, live) = &mut self.batches[shard];
+        match slots.get_mut(*live) {
+            Some(dead) => std::mem::swap(dead, tuple),
+            None => slots.push(std::mem::take(tuple)),
+        }
+        *live += 1;
+        if *live >= self.batch_size {
+            self.send_batch(shard);
         }
     }
 
-    /// End of segment: send every partial batch still buffered.
-    fn flush(&mut self) {
+    /// End of chunk: send every partial batch still buffered, then mark
+    /// the chunk's end on every ring. The marker waits for room under
+    /// every backpressure policy — a worker cannot leave this lane's
+    /// ring without it.
+    fn end_chunk(&mut self) {
         for shard in 0..self.shards {
-            let batch = std::mem::take(&mut self.batches[shard]);
-            if !batch.is_empty() {
-                self.send_batch(shard, batch);
+            if self.batches[shard].1 > 0 {
+                self.send_batch(shard);
+            }
+            if matches!(self.txs[shard].push_tracked(Msg::ChunkEnd), Ok(true)) {
+                self.stats[shard].stalls.inc();
             }
         }
     }
 
-    /// Deliver one batch into the shard's ring under the configured
-    /// backpressure policy (the single-router send path, now per lane).
-    fn send_batch(&mut self, shard: usize, batch: Vec<Tuple>) {
-        let RouterLane {
-            txs,
-            shed,
-            routed,
-            next_batch_id,
-            id_stride,
-            stats,
-            ring_depths,
-            batch_hist,
-            lane_stats,
-            trace: router_trace,
-            backpressure,
-            ..
-        } = self;
-        let len = batch.len() as u64;
-        let batch_id = *next_batch_id;
-        *next_batch_id = next_batch_id.wrapping_add(*id_stride);
-        let t0 = router_trace.as_ref().map(|t| t.p.now_ns());
-        match *backpressure {
-            // Worker death closes the ring; pushes then fail with
-            // Closed and the join below surfaces the reason.
-            Backpressure::Block => {
-                let depth = &ring_depths[shard];
-                let mut waited = false;
-                let mut wait_from = 0u64;
-                let res = txs[shard].push_tracked_with((batch_id, batch), || {
-                    // The waiting batch counts toward ring depth
-                    // from wait *entry*: a full-ring stall
-                    // shorter than one batch is visible to a
-                    // mid-run snapshot, not only at the next
-                    // batch boundary.
-                    waited = true;
-                    depth.add(1.0);
-                    if let Some(t) = router_trace.as_ref() {
-                        wait_from = t.p.now_ns();
-                    }
-                });
-                match res {
-                    Ok(stalled) => {
-                        if stalled {
-                            stats[shard].stalls.inc();
-                        } else {
-                            depth.add(1.0);
-                        }
-                        routed[shard] += len;
-                        batch_hist.record(len);
-                        lane_stats.batch_tuples.record(len);
-                        if let Some(t) = router_trace.as_mut() {
-                            let end = t.p.now_ns();
-                            let w = waited.then_some(wait_from);
-                            record_router_send(t, shard, batch_id, len, t0.unwrap_or(end), end, w);
-                        }
-                    }
-                    // Closed ring: the batch the wait-entry hook
-                    // counted never arrived.
-                    Err(_) => {
-                        if waited {
-                            depth.add(-1.0);
-                        }
-                    }
-                }
-            }
-            Backpressure::DropNewest => match txs[shard].try_push((batch_id, batch)) {
-                Ok(()) => {
-                    routed[shard] += len;
-                    batch_hist.record(len);
-                    lane_stats.batch_tuples.record(len);
-                    ring_depths[shard].add(1.0);
-                    if let Some(t) = router_trace.as_mut() {
-                        let end = t.p.now_ns();
-                        record_router_send(t, shard, batch_id, len, t0.unwrap_or(end), end, None);
-                    }
-                }
-                Err(PushError::Full(_)) => {
-                    stats[shard].dropped.add(len);
-                }
-                Err(PushError::Closed(_)) => {}
-            },
-            Backpressure::Shed { weight_col } => {
-                let state = &mut shed[shard];
-                match txs[shard].try_push((batch_id, batch)) {
-                    Ok(()) => {
-                        routed[shard] += len;
-                        batch_hist.record(len);
-                        lane_stats.batch_tuples.record(len);
-                        ring_depths[shard].add(1.0);
-                        if let Some(t) = router_trace.as_mut() {
-                            let end = t.p.now_ns();
-                            record_router_send(
-                                t,
-                                shard,
-                                batch_id,
-                                len,
-                                t0.unwrap_or(end),
-                                end,
-                                None,
-                            );
-                        }
-                        if state.z > 0.0 {
-                            // Pressure easing: decay toward off.
-                            state.z *= 0.5;
-                            if state.z < state.z0 {
-                                state.z = 0.0;
-                                state.meter = 0.0;
-                            }
-                            stats[shard].shed_z.set(state.z);
-                        }
-                    }
-                    Err(PushError::Full((_, batch))) => {
-                        // Ring pressure raises the threshold (the
-                        // §7.1 mechanism in reverse): the batch
-                        // shrinks by below-threshold rejection
-                        // with exact HT accounting, then the
-                        // survivors are delivered losslessly.
-                        let mean: f64 =
-                            batch.iter().map(|t| tuple_weight(t, weight_col)).sum::<f64>()
-                                / batch.len().max(1) as f64;
-                        if state.z == 0.0 {
-                            state.z0 =
-                                if mean.is_finite() && mean > 0.0 { 2.0 * mean } else { 2.0 };
-                            state.z = state.z0;
-                            // Shedding switched on: arm the
-                            // flight recorder so the pressure
-                            // build-up is preserved.
-                            if let Some(t) = router_trace.as_ref() {
-                                t.p.trigger(DumpReason::Shed);
-                            }
-                        } else {
-                            state.z *= 2.0;
-                        }
-                        stats[shard].shed_z.set(state.z);
-                        let mut kept = Vec::with_capacity(batch.len());
-                        let mut shed_n = 0u64;
-                        let mut shed_w = 0.0;
-                        for t in batch {
-                            let w = tuple_weight(&t, weight_col);
-                            if w > state.z {
-                                kept.push(t);
-                            } else {
-                                state.meter += w;
-                                if state.meter >= state.z {
-                                    state.meter -= state.z;
-                                    kept.push(t);
-                                } else {
-                                    shed_n += 1;
-                                    shed_w += w;
-                                }
-                            }
-                        }
-                        stats[shard].shed_tuples.add(shed_n);
-                        stats[shard].shed_weight.add(shed_w);
-                        if !kept.is_empty() {
-                            let klen = kept.len() as u64;
-                            let depth = &ring_depths[shard];
-                            let mut waited = false;
-                            let mut wait_from = 0u64;
-                            let res = txs[shard].push_tracked_with((batch_id, kept), || {
-                                // Same wait-entry depth account
-                                // as the Block arm.
-                                waited = true;
-                                depth.add(1.0);
-                                if let Some(t) = router_trace.as_ref() {
-                                    wait_from = t.p.now_ns();
-                                }
-                            });
-                            match res {
-                                Ok(stalled) => {
-                                    if stalled {
-                                        stats[shard].stalls.inc();
-                                    } else {
-                                        depth.add(1.0);
-                                    }
-                                    routed[shard] += klen;
-                                    batch_hist.record(klen);
-                                    lane_stats.batch_tuples.record(klen);
-                                    if let Some(t) = router_trace.as_mut() {
-                                        let end = t.p.now_ns();
-                                        let w = waited.then_some(wait_from);
-                                        record_router_send(
-                                            t,
-                                            shard,
-                                            batch_id,
-                                            klen,
-                                            t0.unwrap_or(end),
-                                            end,
-                                            w,
-                                        );
-                                    }
-                                }
-                                Err(_) => {
-                                    if waited {
-                                        depth.add(-1.0);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(PushError::Closed(_)) => {}
-                }
+    /// A spent batch from `shard`'s worker, or — when none has come
+    /// home — a new one.
+    fn recycled(&mut self, shard: usize) -> Vec<Tuple> {
+        match self.homes[shard].try_pop() {
+            Ok(Some(spent)) => spent,
+            _ => {
+                self.fresh.inc();
+                Vec::with_capacity(self.batch_size)
             }
         }
+    }
+
+    /// Account one batch that reached the shard's ring.
+    fn delivered(&mut self, shard: usize, id: u32, len: u64, t0: Option<u64>, wait: Option<u64>) {
+        self.routed[shard] += len;
+        self.batch_hist.record(len);
+        self.lane_stats.batch_tuples.record(len);
+        if let Some(t) = self.trace.as_mut() {
+            let end = t.p.now_ns();
+            record_router_send(t, shard, id, len, t0.unwrap_or(end), end, wait);
+        }
+    }
+
+    /// Push one batch into a ring found full, waiting for room: one
+    /// stall, however long the wait. A closed ring hands the buffer
+    /// back.
+    fn push_blocking(
+        &mut self,
+        shard: usize,
+        id: u32,
+        live: usize,
+        tuples: Vec<Tuple>,
+        t0: Option<u64>,
+    ) -> Option<Vec<Tuple>> {
+        // The waiting batch counts toward ring depth from wait *entry*:
+        // a full-ring stall shorter than one batch is visible to a
+        // mid-run snapshot, not only at the next batch boundary.
+        self.ring_depths[shard].add(1.0);
+        self.stats[shard].stalls.inc();
+        let wait_from = self.trace.as_ref().map(|t| t.p.now_ns());
+        match self.txs[shard].push(Msg::Batch { id, live, tuples }) {
+            Ok(()) => {
+                self.delivered(shard, id, live as u64, t0, wait_from);
+                None
+            }
+            // Closed ring: the batch counted above never arrived.
+            Err(msg) => {
+                self.ring_depths[shard].add(-1.0);
+                self.worker_gone = true;
+                Some(msg.into_tuples())
+            }
+        }
+    }
+
+    /// Deliver `shard`'s accumulated batch into its ring under the
+    /// configured backpressure policy, and start the next one in a
+    /// recycled buffer.
+    fn send_batch(&mut self, shard: usize) {
+        let (tuples, live) = std::mem::take(&mut self.batches[shard]);
+        let id = self.next_batch_id;
+        self.next_batch_id = id.wrapping_add(self.id_stride);
+        let t0 = self.trace.as_ref().map(|t| t.p.now_ns());
+        let unsent =
+            match (self.txs[shard].try_push(Msg::Batch { id, live, tuples }), self.backpressure) {
+                (Ok(()), policy) => {
+                    self.ring_depths[shard].add(1.0);
+                    self.delivered(shard, id, live as u64, t0, None);
+                    let state = &mut self.shed[shard];
+                    if matches!(policy, Backpressure::Shed { .. }) && state.z > 0.0 {
+                        // Pressure easing: decay toward off.
+                        state.z *= 0.5;
+                        if state.z < state.z0 {
+                            state.z = 0.0;
+                            state.meter = 0.0;
+                        }
+                        self.stats[shard].shed_z.set(state.z);
+                    }
+                    None
+                }
+                // Worker death closes the ring: the lane stops at the end of
+                // the chunk, and the join in `run_sharded` surfaces the
+                // reason.
+                (Err(PushError::Closed(msg)), _) => {
+                    self.worker_gone = true;
+                    Some(msg.into_tuples())
+                }
+                (Err(PushError::Full(msg)), Backpressure::Block) => {
+                    self.push_blocking(shard, id, live, msg.into_tuples(), t0)
+                }
+                (Err(PushError::Full(msg)), Backpressure::DropNewest) => {
+                    self.stats[shard].dropped.add(live as u64);
+                    Some(msg.into_tuples())
+                }
+                (Err(PushError::Full(msg)), Backpressure::Shed { weight_col }) => {
+                    // Ring pressure raises the threshold (the §7.1 mechanism
+                    // in reverse): the batch shrinks by below-threshold
+                    // rejection with exact HT accounting, then the survivors
+                    // are delivered losslessly.
+                    let mut tuples = msg.into_tuples();
+                    let state = &mut self.shed[shard];
+                    let mean: f64 =
+                        tuples[..live].iter().map(|t| tuple_weight(t, weight_col)).sum::<f64>()
+                            / live.max(1) as f64;
+                    if state.z == 0.0 {
+                        state.z0 = if mean.is_finite() && mean > 0.0 { 2.0 * mean } else { 2.0 };
+                        state.z = state.z0;
+                        // Shedding switched on: arm the flight recorder so
+                        // the pressure build-up is preserved.
+                        if let Some(t) = self.trace.as_ref() {
+                            t.p.trigger(DumpReason::Shed);
+                        }
+                    } else {
+                        state.z *= 2.0;
+                    }
+                    self.stats[shard].shed_z.set(state.z);
+                    // Survivors are compacted to the front in stream order;
+                    // the shed tuples stay behind them as dead weight.
+                    let mut kept = 0usize;
+                    let mut shed_w = 0.0;
+                    for i in 0..live {
+                        let w = tuple_weight(&tuples[i], weight_col);
+                        let keep = w > state.z || {
+                            state.meter += w;
+                            let metered = state.meter >= state.z;
+                            if metered {
+                                state.meter -= state.z;
+                            }
+                            metered
+                        };
+                        if keep {
+                            tuples.swap(kept, i);
+                            kept += 1;
+                        } else {
+                            shed_w += w;
+                        }
+                    }
+                    self.stats[shard].shed_tuples.add((live - kept) as u64);
+                    self.stats[shard].shed_weight.add(shed_w);
+                    if kept == 0 {
+                        Some(tuples)
+                    } else {
+                        self.push_blocking(shard, id, kept, tuples, t0)
+                    }
+                }
+            };
+        // A batch that never left is the next accumulator as it stands.
+        let next = unsent.unwrap_or_else(|| self.recycled(shard));
+        self.batches[shard] = (next, 0);
     }
 }
 
-/// What a router lane hands back when its segment is done: tuples
-/// delivered per shard, tuples lost to lane quarantine keyed by window,
-/// and whether the injected crash trigger fell inside this segment.
+/// A return ring that starts out full: a pool of `buffers` empty
+/// buffers with room for `len` tuples each, counted as fresh. With the
+/// whole pool in circulation a taker always finds one at home and a
+/// return always finds room.
+fn buffer_pool(
+    buffers: usize,
+    len: usize,
+    fresh: &Counter,
+) -> (Producer<Vec<Tuple>>, Consumer<Vec<Tuple>>) {
+    let (mut tx, rx) = ring(buffers);
+    for _ in 0..buffers {
+        let _ = tx.try_push(Vec::with_capacity(len));
+    }
+    fresh.add(buffers as u64);
+    (tx, rx)
+}
+
+/// What a router lane hands back when its last chunk is done: tuples
+/// delivered per shard and tuples lost to lane quarantine, keyed by
+/// window.
 struct LaneOutcome {
     routed: Vec<u64>,
     uncovered: Vec<(Tuple, u64)>,
-    crash_fired: Option<u64>,
 }
 
 #[inline]
@@ -1440,94 +1444,85 @@ fn add_lane_uncovered(uncovered: &mut Vec<(Tuple, u64)>, key: Tuple, n: u64) {
     }
 }
 
-/// One router lane's whole run: route the contiguous segment starting
-/// at global stream position `seg_start` under the workers' supervision
-/// contract — per-segment `catch_unwind`, a panicked lane quarantined
-/// for the current window (its unrouted tuples counted, never sent),
-/// respawned at the next window boundary from the segment cursor. The
-/// injected process-crash fault cuts routing at the trigger position
-/// exactly as the single-router loop did: only tuples at global
-/// positions `< at` are routed, and buffered batches die unsent.
+/// What a lane's supervision carries from chunk to chunk: a quarantine
+/// opened in one chunk closes at the next window boundary, wherever
+/// that falls.
+#[derive(Default)]
+struct LaneSupervision {
+    /// `Some(key)` while quarantined: tuples of window `key` are counted
+    /// as uncovered, never routed.
+    quarantined: Option<Tuple>,
+    uncovered: Vec<(Tuple, u64)>,
+    /// Lane-local 1-based tuple ordinal over all the lane's chunks:
+    /// router fault triggers (`panic router=R at=N`) key on it,
+    /// quarantined tuples included — the same counting workers use.
+    count: u64,
+    faults: WorkerFaultSchedule,
+}
+
+/// Route one chunk — stream positions `start ..` — under the workers'
+/// supervision contract: per-chunk `catch_unwind`, a panicked lane
+/// quarantined for the current window (its unrouted tuples counted,
+/// never sent), respawned at the next window boundary.
 #[allow(clippy::too_many_arguments)]
-fn route_segment(
+fn route_chunk(
     lane: &mut RouterLane<'_>,
+    sup: &mut LaneSupervision,
     router_def: &Router,
     wexprs: &[Expr],
     prefilter: Option<&Expr>,
     supervision: Supervision,
-    crash_at: Option<u64>,
-    crashed: &SyncBool,
     profiler: Option<&Profiler>,
-    mut faults: WorkerFaultSchedule,
-    mut seg: Vec<Tuple>,
-    seg_start: u64,
-) -> LaneOutcome {
-    let seg_len = seg.len();
-    // The crash trigger is a 1-based global position: tuples strictly
-    // before it are routed, the trigger tuple and everything after it
-    // is lost.
-    let cut_len = match crash_at {
-        Some(n) => (n.saturating_sub(1).saturating_sub(seg_start) as usize).min(seg_len),
-        None => seg_len,
-    };
-    let fires = crash_at.filter(|&n| n > seg_start && n <= seg_start + seg_len as u64);
-    let mut uncovered: Vec<(Tuple, u64)> = Vec::new();
-    let mut quarantined: Option<Tuple> = None;
+    chunk: &mut [Tuple],
+    start: u64,
+) {
     let mut local = 0usize;
-    // Lane-local 1-based tuple ordinal: router fault triggers
-    // (`panic router=R at=N`) key on it, quarantined tuples included —
-    // the same counting workers use.
-    let mut count = 0u64;
-    while local < cut_len {
-        if let Some(qkey) = quarantined.clone() {
-            while local < cut_len {
-                let t = &seg[local];
+    while local < chunk.len() {
+        if let Some(qkey) = sup.quarantined.clone() {
+            while local < chunk.len() {
+                let t = &chunk[local];
                 if window_key(wexprs, t).as_ref() == Some(&qkey) {
-                    count += 1;
+                    sup.count += 1;
                     if passes_prefilter(prefilter, t) {
-                        add_lane_uncovered(&mut uncovered, qkey.clone(), 1);
+                        add_lane_uncovered(&mut sup.uncovered, qkey.clone(), 1);
                         lane.lane_stats.uncovered.inc();
                     }
                     local += 1;
                 } else {
-                    // Window boundary: the lane respawns from its
-                    // cursor — routing is stateless, so going live
-                    // again *is* the respawn.
-                    quarantined = None;
+                    // Window boundary: routing is stateless, so going
+                    // live again *is* the respawn.
+                    sup.quarantined = None;
                     break;
                 }
             }
-            if quarantined.is_some() {
+            if sup.quarantined.is_some() {
                 break;
             }
         }
-        // Live segment: one catch_unwind per segment, not per tuple.
+        // Live stretch: one catch_unwind per stretch, not per tuple.
         // `local` lives outside the closure: after a panic it names the
         // tuple that tripped it (the injected trip fires before the
-        // tuple is taken out of the segment, so it is still intact for
+        // tuple is traded out of the chunk, so it is still intact for
         // window-key attribution).
         let outcome = {
             let local = &mut local;
-            let count = &mut count;
-            let faults = &mut faults;
-            let seg = &mut seg;
+            let count = &mut sup.count;
+            let faults = &mut sup.faults;
+            let chunk = &mut *chunk;
             let lane = &mut *lane;
             let router = lane.router;
             catch_unwind(AssertUnwindSafe(move || {
-                while *local < cut_len {
+                while *local < chunk.len() {
                     *count += 1;
                     if let Some(f) = faults.check(*count) {
                         f.trip_router(router, *count);
                     }
-                    let tuple = std::mem::replace(&mut seg[*local], Tuple::new(Vec::new()));
-                    if !passes_prefilter(prefilter, &tuple) {
-                        *local += 1;
-                        continue;
+                    let tuple = &mut chunk[*local];
+                    if passes_prefilter(prefilter, tuple) {
+                        let shard = router_def.route(tuple, start + *local as u64, lane.shards);
+                        lane.push_tuple(shard, tuple);
                     }
-                    let index = seg_start + *local as u64;
-                    let shard = router_def.route(&tuple, index, lane.shards);
                     *local += 1;
-                    lane.push_tuple(shard, tuple);
                 }
             }))
         };
@@ -1537,39 +1532,21 @@ fn route_segment(
             }
             // The tripping tuple's window is poisoned for this lane:
             // the tuple itself (if it would have been routed) and every
-            // following same-window tuple in the segment are lost.
-            let t = &seg[local];
+            // following same-window tuple of the lane's chunks are lost.
+            let t = &chunk[local];
             let key = window_key(wexprs, t).unwrap_or_else(|| Tuple::new(Vec::new()));
             if passes_prefilter(prefilter, t) {
-                add_lane_uncovered(&mut uncovered, key.clone(), 1);
+                add_lane_uncovered(&mut sup.uncovered, key.clone(), 1);
                 lane.lane_stats.uncovered.inc();
             }
             lane.lane_stats.quarantines.inc();
             if let Some(p) = profiler {
                 p.trigger(DumpReason::Panic);
             }
-            quarantined = Some(key);
+            sup.quarantined = Some(key);
             local += 1;
         }
     }
-    if let Some(at) = fires {
-        // The arriving trigger tuple kills the "process": everything
-        // buffered on this lane dies with it, and the workers see the
-        // flag and drain-discard.
-        crashed.store(true, AtomicOrdering::Release);
-        if let Some(p) = profiler {
-            p.trigger(DumpReason::Crash);
-        }
-        lane.lane_stats.tuples.add(count);
-        return LaneOutcome {
-            routed: std::mem::take(&mut lane.routed),
-            uncovered,
-            crash_fired: Some(at),
-        };
-    }
-    lane.flush();
-    lane.lane_stats.tuples.add(count);
-    LaneOutcome { routed: std::mem::take(&mut lane.routed), uncovered, crash_fired: None }
 }
 
 /// Run `tuples` through `cfg.shards` operator instances partitioned and
@@ -1582,23 +1559,25 @@ fn route_segment(
 /// `Sync` because quarantine supervision calls it *from the worker
 /// threads* to respawn a fresh operator after a panic.
 ///
-/// The stream is materialized on the calling thread, split into
-/// [`RuntimeConfig::routers`] contiguous segments, and routed by that
-/// many supervised lane threads; workers run under
-/// [`std::thread::scope`]. An operator error always aborts the run with
+/// The calling thread pumps `tuples` (any `IntoIterator<Item = Tuple>`,
+/// or a [`crate::Refill`] pull function) chunk by chunk to
+/// [`RuntimeConfig::routers`] supervised lane threads — the source may
+/// be endless; at most [`RuntimeConfig::max_look_ahead`] tuples are ever
+/// in flight. Lanes and workers run under [`std::thread::scope`]. An
+/// operator error always aborts the run with
 /// the shard index attached; a worker or router-lane panic aborts only
 /// under [`Supervision::Abort`] — the default quarantines the shard (or
 /// lane) for the poisoned window and completes the run with coverage
 /// accounting.
-pub fn run_sharded<F, I>(
+pub fn run_sharded<F, S>(
     plan: &ShardPlan,
     make_spec: F,
     cfg: &RuntimeConfig,
-    tuples: I,
+    tuples: S,
 ) -> Result<ShardedReport, RuntimeError>
 where
     F: Fn(usize) -> Result<OperatorSpec, OpError> + Sync,
-    I: IntoIterator<Item = Tuple>,
+    S: TupleSource,
 {
     if cfg.shards == 0 {
         return Err(RuntimeError::BadConfig("shards must be positive".into()));
@@ -1609,28 +1588,8 @@ where
         ));
     }
 
-    // Materialize the stream up front: the lane segmentation needs the
-    // total length, and a lazily generated feed must be produced on one
-    // thread anyway to keep its order deterministic.
-    let stream: Vec<Tuple> = tuples.into_iter().collect();
-    let total = stream.len() as u64;
     let routers = cfg.resolved_routers();
-    let cursors = match &cfg.router_cursors {
-        None => router_cursors(total, routers),
-        Some(c) => {
-            if c.len() != routers
-                || c.first() != Some(&0)
-                || c.windows(2).any(|w| w[0] > w[1])
-                || c.last().copied().unwrap_or(0) > total
-            {
-                return Err(RuntimeError::BadConfig(format!(
-                    "router cursors must be {routers} non-decreasing offsets starting at 0 \
-                     within the {total}-tuple stream"
-                )));
-            }
-            c.clone()
-        }
-    };
+    let chunk_len = cfg.chunk_tuples();
 
     // A run without a caller-supplied registry records into a private
     // disabled one: ShardStats cells still work, spans stay off.
@@ -1697,6 +1656,10 @@ where
         .map(|shard| registry.gauge_labeled("rt.ring_depth", format!("shard={shard}")))
         .collect();
     let batch_hist = registry.histogram("rt.batch_tuples");
+    // Batch and chunk buffers allocated because no recycled one was at
+    // hand: the seeded pools below, plus one per lost return. A function
+    // of the configuration, not of the stream's length.
+    let fresh = registry.counter("rt.tuple_buffers_fresh");
 
     // Workers deposit their final partials here; the calling thread
     // waits on it after the joins (or cuts it at the window deadline),
@@ -1706,7 +1669,7 @@ where
     if cfg.supervision == Supervision::Quarantine {
         install_supervised_panic_hook();
     }
-    // The process-crash fault: when any lane's global stream position
+    // The process-crash fault: when the pump's global stream position
     // reaches the trigger, this flag flips and the run dies like a
     // kill — no flushes, no merge, no final checkpoints. (`at=0` is
     // clamped to the first tuple.)
@@ -1720,28 +1683,39 @@ where
         shard_setups.first().map(|(op, ..)| op.spec().window_exprs()).unwrap_or_default();
     // Routing is stateless, so one definition serves every lane.
     let router_def = Router::new(plan);
-    // Lineage tracing: the merge path owns a lane here; router lanes
-    // and workers open theirs on their own threads. Everything is
-    // `None` (one branch per batch) when profiling is off.
+    // Lineage tracing: the merge path owns a lane here; the pump, the
+    // router lanes and the workers open theirs on their own threads.
+    // Everything is `None` (one branch per batch) when profiling is off.
     let mut merge_trace = cfg.profile.as_ref().map(|p| (p.clone(), p.lane(LaneKind::Merge, 0)));
+    let next_tuple = tuples.into_refill();
     type ScopeOut = (Vec<Option<ShardPartial>>, Vec<usize>, Vec<(Tuple, u64)>, Vec<u64>);
     let (partials, stragglers, router_uncovered, routed) =
         std::thread::scope(|s| -> Result<ScopeOut, RuntimeError> {
             // One SPSC ring per (router, shard): lane r owns row r of
-            // producers, shard k drains column k in lane order. Ring
-            // items carry the lane-assigned batch id so worker-side
-            // stamps share lineage with the route stamp.
-            type BatchTx = crate::ring::Producer<(u32, Vec<Tuple>)>;
-            type BatchRx = crate::ring::Consumer<(u32, Vec<Tuple>)>;
-            let mut txs_by_router: Vec<Vec<BatchTx>> =
+            // producers, shard k drains column k in chunk order. Batches
+            // carry the lane-assigned batch id so worker-side stamps
+            // share lineage with the route stamp. Beside every ring runs
+            // a return ring taking spent batches home, holding the
+            // pair's whole pool — the ring's depth, the batch being
+            // filled, the batch being processed — so the lane never
+            // allocates a batch and a return never finds its ring full.
+            let ring_cap = cfg.effective_ring_capacity();
+            let mut txs_by_router: Vec<Vec<Producer<Msg>>> =
                 (0..routers).map(|_| Vec::with_capacity(cfg.shards)).collect();
-            let mut rxs_by_shard: Vec<Vec<BatchRx>> =
-                (0..cfg.shards).map(|_| Vec::with_capacity(routers)).collect();
-            for txs in txs_by_router.iter_mut() {
-                for rxs in rxs_by_shard.iter_mut() {
-                    let (tx, rx) = ring::<(u32, Vec<Tuple>)>(cfg.effective_ring_capacity());
+            let mut homes_by_router: Vec<Vec<Consumer<Vec<Tuple>>>> =
+                (0..routers).map(|_| Vec::with_capacity(cfg.shards)).collect();
+            type ShardRings = (Vec<Consumer<Msg>>, Vec<Producer<Vec<Tuple>>>);
+            let mut rings_by_shard: Vec<ShardRings> = (0..cfg.shards)
+                .map(|_| (Vec::with_capacity(routers), Vec::with_capacity(routers)))
+                .collect();
+            for (txs, homes) in txs_by_router.iter_mut().zip(homes_by_router.iter_mut()) {
+                for (rxs, home_txs) in rings_by_shard.iter_mut() {
+                    let (tx, rx) = ring::<Msg>(ring_cap);
+                    let (home_tx, home_rx) = buffer_pool(ring_cap + 2, cfg.batch_size, &fresh);
                     txs.push(tx);
+                    homes.push(home_rx);
                     rxs.push(rx);
+                    home_txs.push(home_tx);
                 }
             }
             // The worker pool: `resolved_workers()` threads share the
@@ -1755,7 +1729,7 @@ where
             // way: each shard's batches are consumed in its own ring
             // order by exactly one thread.
             let pool_threads = cfg.resolved_workers();
-            let mut shard_inputs: Vec<_> = shard_setups.into_iter().zip(rxs_by_shard).collect();
+            let mut shard_inputs: Vec<_> = shard_setups.into_iter().zip(rings_by_shard).collect();
             // Per pool thread: (last shard it touched, join handle) —
             // the cell attributes an Abort-supervised panic to the
             // shard whose batch was running when the thread died.
@@ -1779,9 +1753,11 @@ where
                     }
                     struct Task<'t, F> {
                         shard: usize,
-                        rxs: Vec<crate::ring::Consumer<(u32, Vec<Tuple>)>>,
-                        /// Lowest unfinished lane; the shard is done
-                        /// when it reaches `rxs.len()`.
+                        rxs: Vec<Consumer<Msg>>,
+                        /// Spent batches go home to the lane they came
+                        /// from.
+                        homes: Vec<Producer<Vec<Tuple>>>,
+                        /// The lane whose chunk is being consumed.
                         lane: usize,
                         done: bool,
                         worker: Option<Worker<'t, F>>,
@@ -1792,7 +1768,7 @@ where
                     let mut tasks: Vec<Task<'_, F>> = group
                         .into_iter()
                         .enumerate()
-                        .map(|(i, ((op, store, watermark, recovered), rxs))| {
+                        .map(|(i, ((op, store, watermark, recovered), (rxs, homes)))| {
                             let shard = first_shard + i;
                             let wexprs = op.spec().window_exprs();
                             let faults = cfg_faults
@@ -1804,6 +1780,7 @@ where
                             Task {
                                 shard,
                                 rxs,
+                                homes,
                                 lane: 0,
                                 done: false,
                                 worker: Some(Worker {
@@ -1838,12 +1815,15 @@ where
                         })
                         .collect();
                     // Round-robin over unfinished tasks. Within a task,
-                    // drain all R rings in lane order: lane r holds the
-                    // stream segment starting at cursor r, so
-                    // full-drain-per-lane delivers each shard's tuples
-                    // in global stream order. Deadlock-free: pops never
-                    // block (an empty open ring moves the scan on), so
-                    // every lane's pushes always progress somewhere.
+                    // drain the R rings in chunk order: chunk c came
+                    // through lane c mod R, so reading each ring up to
+                    // its end-of-chunk marker and then moving to the
+                    // next delivers the shard's tuples in global stream
+                    // order. A ring that closes where a chunk should
+                    // begin means no later chunk exists on any lane.
+                    // Deadlock-free: pops never block (an empty open
+                    // ring moves the scan on), and the lane holding the
+                    // oldest unconsumed chunk can always push.
                     let mut remaining = tasks.len();
                     let mut backoff = Backoff::new();
                     while remaining > 0 {
@@ -1854,59 +1834,27 @@ where
                             }
                             let worker = task.worker.as_mut().expect("live task has a worker");
                             loop {
-                                if task.lane == task.rxs.len() {
-                                    // Every lane drained and closed:
-                                    // the shard is complete.
-                                    task.done = true;
-                                    remaining -= 1;
-                                    if crashed.load(AtomicOrdering::Acquire) {
-                                        // Simulated process death:
-                                        // routing was cut exactly at
-                                        // the trigger position, so what
-                                        // was delivered is
-                                        // deterministic — but the open
-                                        // window dies here. No finish,
-                                        // no finalize, no publish:
-                                        // exactly what a killed process
-                                        // leaves behind.
-                                        break;
-                                    }
-                                    shard_cell.store(task.shard, AtomicOrdering::Relaxed);
-                                    let sw = Stopwatch::start();
-                                    worker.finish()?;
-                                    let busy = sw.elapsed_ns();
-                                    task.stats.busy_ns.add(busy);
-                                    if let Some((p, lane)) = task.wtrace.as_mut() {
-                                        let end = p.now_ns();
-                                        lane.record(
-                                            ProfEvent::new(
-                                                ProfStage::Flush,
-                                                end.saturating_sub(busy),
-                                                busy,
-                                            )
-                                            .shard(task.shard as u16)
-                                            .window(worker.windows.len().saturating_sub(1) as u32),
-                                        );
-                                        lane.publish();
-                                    }
-                                    let worker =
-                                        task.worker.take().expect("finishing task has a worker");
-                                    barrier.publish(task.shard, worker.into_partial());
-                                    break;
-                                }
                                 match task.rxs[task.lane].try_pop() {
-                                    Err(()) => task.lane += 1,
                                     Ok(None) => break,
-                                    Ok(Some((batch_id, batch))) => {
+                                    Ok(Some(Msg::ChunkEnd)) => {
+                                        progressed = true;
+                                        task.lane = (task.lane + 1) % task.rxs.len();
+                                    }
+                                    Ok(Some(Msg::Batch { id, live, tuples })) => {
                                         progressed = true;
                                         shard_cell.store(task.shard, AtomicOrdering::Relaxed);
                                         task.depth.add(-1.0);
                                         let win = worker.windows.len() as u32;
                                         let sw = Stopwatch::start();
-                                        worker.run_batch(&batch)?;
+                                        worker.run_batch(&tuples[..live])?;
                                         let busy = sw.elapsed_ns();
-                                        task.stats.tuples.add(batch.len() as u64);
+                                        task.stats.tuples.add(live as u64);
                                         task.stats.busy_ns.add(busy);
+                                        // Never waited on: a full or
+                                        // closed return ring frees the
+                                        // batch here and the lane
+                                        // allocates its replacement.
+                                        let _ = task.homes[task.lane].try_push(tuples);
                                         if let Some((p, lane)) = task.wtrace.as_mut() {
                                             let end = p.now_ns();
                                             lane.record(
@@ -1917,12 +1865,58 @@ where
                                                 )
                                                 .shard(task.shard as u16)
                                                 .window(win)
-                                                .batch(batch_id)
-                                                .aux(batch.len() as u64),
+                                                .batch(id)
+                                                .aux(live as u64),
                                             );
                                             lane.publish();
                                         }
                                         worker.publish_store_stats();
+                                    }
+                                    Err(()) => {
+                                        // The stream is over: the shard
+                                        // is complete.
+                                        task.done = true;
+                                        remaining -= 1;
+                                        if crashed.load(AtomicOrdering::Acquire) {
+                                            // Simulated process death:
+                                            // the pump cut the stream
+                                            // exactly at the trigger
+                                            // position, so what was
+                                            // delivered is
+                                            // deterministic — but the
+                                            // open window dies here. No
+                                            // finish, no finalize, no
+                                            // publish: exactly what a
+                                            // killed process leaves
+                                            // behind.
+                                            break;
+                                        }
+                                        shard_cell.store(task.shard, AtomicOrdering::Relaxed);
+                                        let sw = Stopwatch::start();
+                                        worker.finish()?;
+                                        let busy = sw.elapsed_ns();
+                                        task.stats.busy_ns.add(busy);
+                                        if let Some((p, lane)) = task.wtrace.as_mut() {
+                                            let end = p.now_ns();
+                                            lane.record(
+                                                ProfEvent::new(
+                                                    ProfStage::Flush,
+                                                    end.saturating_sub(busy),
+                                                    busy,
+                                                )
+                                                .shard(task.shard as u16)
+                                                .window(
+                                                    worker.windows.len().saturating_sub(1) as u32
+                                                ),
+                                            );
+                                            lane.publish();
+                                        }
+                                        let worker = task
+                                            .worker
+                                            .take()
+                                            .expect("finishing task has a worker");
+                                        barrier.publish(task.shard, worker.into_partial());
+                                        break;
                                     }
                                 }
                             }
@@ -1941,32 +1935,26 @@ where
             }
             handles.reverse();
 
-            // Spawn the router lanes: lane r routes segment r through its
-            // own row of rings, under the same supervision contract the
-            // workers run. Outcomes travel through a per-router
-            // MergeBarrier so the calling thread observes every lane's
-            // final accounting through one Release/Acquire protocol.
+            // Spawn the router lanes: lane r routes every R-th chunk
+            // through its own row of rings, under the same supervision
+            // contract the workers run. Outcomes travel through a
+            // per-router MergeBarrier so the calling thread observes
+            // every lane's final accounting through one Release/Acquire
+            // protocol. Each lane's chunk pool is its ring's depth, the
+            // chunk being routed and the chunk being filled.
             let lane_barrier: Arc<MergeBarrier<LaneOutcome>> = MergeBarrier::new(routers);
-            let mut segments: Vec<Vec<Tuple>> = Vec::with_capacity(routers);
-            {
-                let mut rest = stream;
-                for r in (1..routers).rev() {
-                    let at = (cursors[r] as usize).min(rest.len());
-                    segments.push(rest.split_off(at));
-                }
-                segments.push(rest);
-                segments.reverse();
-            }
+            let mut chunk_lanes = Vec::with_capacity(routers);
             let mut lane_handles = Vec::with_capacity(routers);
-            for (r, seg) in segments.into_iter().enumerate() {
-                let txs = std::mem::take(&mut txs_by_router[r]);
-                let seg_start = cursors[r];
+            for (r, (txs, homes)) in txs_by_router.into_iter().zip(homes_by_router).enumerate() {
+                let (chunk_tx, mut chunk_rx) = ring::<Chunk>(CHUNK_RING);
+                let (mut chunk_home, home_rx) = buffer_pool(CHUNK_RING + 2, chunk_len, &fresh);
+                chunk_lanes.push(ChunkLane { tx: chunk_tx, home: home_rx });
                 let lane_stats = router_stats[r].clone();
                 let stats: &[ShardStats] = &stats;
                 let ring_depths: &[Gauge] = &ring_depths;
                 let batch_hist = batch_hist.clone();
+                let fresh = fresh.clone();
                 let faults = cfg.faults.as_ref().map(|p| p.router_schedule(r)).unwrap_or_default();
-                let crashed = Arc::clone(&crashed);
                 let lane_barrier = Arc::clone(&lane_barrier);
                 let router_def = &router_def;
                 let wexprs: &[Expr] = &lane_wexprs;
@@ -1989,7 +1977,8 @@ where
                         batch_size: cfg.batch_size,
                         backpressure: cfg.backpressure,
                         txs,
-                        batches: (0..shards).map(|_| Vec::with_capacity(cfg.batch_size)).collect(),
+                        homes,
+                        batches: (0..shards).map(|_| Default::default()).collect(),
                         shed: (0..shards)
                             .map(|_| ShedState { z: 0.0, z0: 0.0, meter: 0.0 })
                             .collect(),
@@ -2000,27 +1989,78 @@ where
                         ring_depths,
                         batch_hist,
                         lane_stats,
+                        fresh,
+                        worker_gone: false,
                         trace,
                     };
-                    let outcome = route_segment(
-                        &mut lane,
-                        router_def,
-                        wexprs,
-                        prefilter,
-                        supervision,
-                        crash_at,
-                        &crashed,
-                        profile.as_ref(),
-                        faults,
-                        seg,
-                        seg_start,
-                    );
+                    for shard in 0..shards {
+                        lane.batches[shard].0 = lane.recycled(shard);
+                    }
+                    let mut sup = LaneSupervision { faults, ..Default::default() };
+                    loop {
+                        // The wait for the pump is ring wait, not
+                        // ingest: ingest is what the lane does with a
+                        // chunk it has.
+                        let wait_from = lane.trace.as_mut().map(|t| {
+                            let now = t.p.now_ns();
+                            let ingest = now.saturating_sub(t.mark_ns);
+                            t.lane.record(ProfEvent::new(ProfStage::Ingest, t.mark_ns, ingest));
+                            now
+                        });
+                        let next = chunk_rx.pop();
+                        if let (Some(t), Some(from)) = (lane.trace.as_mut(), wait_from) {
+                            t.mark_ns = t.p.now_ns();
+                            let waited = t.mark_ns.saturating_sub(from);
+                            t.lane.record(ProfEvent::new(ProfStage::RingWait, from, waited));
+                            t.lane.publish();
+                        }
+                        let Some(mut chunk) = next else { break };
+                        let counted = sup.count;
+                        route_chunk(
+                            &mut lane,
+                            &mut sup,
+                            router_def,
+                            wexprs,
+                            prefilter,
+                            supervision,
+                            profile.as_ref(),
+                            &mut chunk.tuples[..chunk.live],
+                            chunk.seq * chunk_len as u64,
+                        );
+                        lane.lane_stats.tuples.add(sup.count - counted);
+                        // The crash trigger sat right behind this chunk:
+                        // the lane dies with its partial batches unsent.
+                        // A closed batch ring is a worker that died of
+                        // an error; stopping here closes the chunk ring
+                        // and with it the pump.
+                        if chunk.crash || lane.worker_gone {
+                            break;
+                        }
+                        lane.end_chunk();
+                        // Never waited on: a full or closed return ring
+                        // frees the chunk here and the pump allocates its
+                        // replacement.
+                        let _ = chunk_home.try_push(chunk.tuples);
+                    }
+                    let outcome = LaneOutcome {
+                        routed: std::mem::take(&mut lane.routed),
+                        uncovered: sup.uncovered,
+                    };
                     // Publishing is the lane's last act: rings close
                     // when `lane` (and its producers) drop right after.
                     lane_barrier.publish(r, outcome);
                 }));
             }
-            drop(txs_by_router);
+
+            let crash_fired = pump(
+                next_tuple,
+                chunk_lanes,
+                chunk_len,
+                crash_at,
+                &crashed,
+                &fresh,
+                cfg.profile.as_ref(),
+            );
 
             // Join the lanes before touching the worker barrier: an
             // Abort-supervised lane panic surfaces here (its unwound
@@ -2035,7 +2075,6 @@ where
                     });
                 }
             }
-            let mut crash_fired: Option<u64> = None;
             let mut router_uncovered: Vec<(Tuple, u64)> = Vec::new();
             // Tuples actually delivered into each shard's rings
             // (post-shed/drop), summed over lanes: a straggler's routed
@@ -2049,7 +2088,6 @@ where
                 for (key, n) in outcome.uncovered {
                     add_lane_uncovered(&mut router_uncovered, key, n);
                 }
-                crash_fired = crash_fired.or(outcome.crash_fired);
             }
             let bw_start = merge_trace.as_ref().map(|(p, _)| p.now_ns());
 
@@ -2397,29 +2435,24 @@ mod tests {
     }
 
     #[test]
-    fn router_cursors_split_contiguously() {
-        assert_eq!(router_cursors(10, 4), vec![0, 2, 5, 7]);
-        assert_eq!(router_cursors(0, 3), vec![0, 0, 0]);
-        assert_eq!(router_cursors(5, 1), vec![0]);
-        assert_eq!(router_cursors(7, 0), vec![0], "zero lanes clamps to one");
-    }
-
-    #[test]
     fn multi_router_runs_are_byte_identical() {
         // Key-free (round-robin by stream position) and keyed (content
         // hash) plans: neither routing decision depends on which lane
         // evaluates it, so the lane count must be invisible.
         let tuples = stream(3, 1000, 16);
+        // 128-tuple chunks: every lane routes several per window.
+        let config = |shards: usize, routers: usize| {
+            let mut cfg = RuntimeConfig::new(shards).with_routers(routers);
+            cfg.batch_size = 8;
+            cfg
+        };
         let make_sum = |_| Ok(queries::total_sum_query(1));
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();
-        let base =
-            run_sharded(&plan, make_sum, &RuntimeConfig::new(3).with_routers(1), tuples.clone())
-                .unwrap()
-                .windows;
+        let base = run_sharded(&plan, make_sum, &config(3, 1), tuples.clone()).unwrap().windows;
         for routers in [2, 4] {
-            let cfg = RuntimeConfig::new(3).with_routers(routers);
-            let got = run_sharded(&plan, make_sum, &cfg, tuples.clone()).unwrap();
+            let got = run_sharded(&plan, make_sum, &config(3, routers), tuples.clone()).unwrap();
+            assert!(got.routers.iter().all(|r| r.tuples() > 0), "every lane routed chunks");
             assert_eq!(got.routers.len(), routers);
             assert_eq!(base.len(), got.windows.len());
             for (a, b) in base.iter().zip(&got.windows) {
@@ -2430,51 +2463,11 @@ mod tests {
         let spec = queries::heavy_hitters_query(1, 1 << 20, None).unwrap();
         let plan = shard_plan(&spec).unwrap();
         let make = |_| queries::heavy_hitters_query(1, 1 << 20, None);
-        let single =
-            run_sharded(&plan, make, &RuntimeConfig::new(4).with_routers(1), tuples.clone())
-                .unwrap()
-                .windows;
-        let multi = run_sharded(&plan, make, &RuntimeConfig::new(4).with_routers(3), tuples)
-            .unwrap()
-            .windows;
+        let single = run_sharded(&plan, make, &config(4, 1), tuples.clone()).unwrap().windows;
+        let multi = run_sharded(&plan, make, &config(4, 3), tuples).unwrap().windows;
         assert_eq!(single.len(), multi.len());
         for (a, b) in single.iter().zip(&multi) {
             assert_eq!(a.rows, b.rows);
-        }
-    }
-
-    #[test]
-    fn explicit_cursors_match_the_computed_partition() {
-        let tuples = stream(2, 600, 4);
-        let cursors = router_cursors(tuples.len() as u64, 3);
-        let make = |_| Ok(queries::total_sum_query(1));
-        let spec = queries::total_sum_query(1);
-        let plan = shard_plan(&spec).unwrap();
-        let auto = run_sharded(&plan, make, &RuntimeConfig::new(2).with_routers(3), tuples.clone())
-            .unwrap()
-            .windows;
-        let explicit =
-            run_sharded(&plan, make, &RuntimeConfig::new(2).with_router_cursors(cursors), tuples)
-                .unwrap()
-                .windows;
-        assert_eq!(auto.len(), explicit.len());
-        for (a, b) in auto.iter().zip(&explicit) {
-            assert_eq!(a.rows, b.rows);
-        }
-    }
-
-    #[test]
-    fn rejects_bad_router_cursors() {
-        let spec = queries::total_sum_query(1);
-        let plan = shard_plan(&spec).unwrap();
-        let make = |_| Ok(queries::total_sum_query(1));
-        for cursors in [vec![5, 3], vec![0, 800], vec![0, 10, 5]] {
-            let cfg = RuntimeConfig::new(2).with_router_cursors(cursors.clone());
-            let err = run_sharded(&plan, make, &cfg, stream(1, 100, 4)).unwrap_err();
-            assert!(
-                matches!(err, RuntimeError::BadConfig(_)),
-                "cursors {cursors:?} should be rejected, got {err}"
-            );
         }
     }
 
@@ -2483,23 +2476,28 @@ mod tests {
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();
         let make = |_| Ok(queries::total_sum_query(1));
-        // 1800 tuples, 3 windows of 600. Lane 1 of 2 owns positions
-        // 900..1800; its 150th tuple is global index 1049 — mid-window 2.
+        // 1800 tuples, 3 windows of 600, chunks of 128. Lane 1 of 2
+        // owns the odd chunks; its 150th tuple is the 22nd of its second
+        // chunk (chunk 3) — global index 405, mid-window 0.
         let mut fault = FaultPlan::empty(7);
         fault.events.push(sso_faults::FaultEvent::RouterPanic { router: 1, at_tuple: 150 });
         let fault = fault.into_shared();
         let tuples = stream(3, 600, 4);
         let n = tuples.len() as u64;
         let run = || {
-            let cfg =
+            let mut cfg =
                 RuntimeConfig::new(2).with_routers(2).with_faults(std::sync::Arc::clone(&fault));
+            cfg.batch_size = 8;
+            assert_eq!(cfg.chunk_tuples(), 128);
             run_sharded(&plan, make, &cfg, tuples.clone()).unwrap()
         };
         let report = run();
         assert_eq!(report.router_quarantines(), 1);
-        // The tripping tuple (index 1049) and every following tuple of
-        // window 2 (through index 1199) are lost, never routed.
-        assert_eq!(report.router_uncovered(), 151);
+        // The tripping tuple and the rest of chunk 3 (through index
+        // 511) are lost, never routed; chunk 4 is lane 0's, and the
+        // lane's next chunk (640..) opens in window 1, where it
+        // respawns.
+        assert_eq!(report.router_uncovered(), 512 - 405);
         assert_eq!(report.quarantines(), 0, "no worker was harmed");
         assert!(report.degraded());
         assert_eq!(report.windows.len(), 3);
@@ -2529,6 +2527,7 @@ mod tests {
         fault.events.push(sso_faults::FaultEvent::RouterPanic { router: 1, at_tuple: 10 });
         let mut cfg = RuntimeConfig::new(2).with_routers(2).with_faults(fault.into_shared());
         cfg.supervision = Supervision::Abort;
+        cfg.batch_size = 8; // 128-tuple chunks: lane 1 gets the second
         let err = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, stream(1, 600, 4))
             .unwrap_err();
         match err {

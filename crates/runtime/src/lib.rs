@@ -37,12 +37,14 @@
 pub mod barrier;
 pub mod engine;
 pub mod merge;
+pub mod pump;
 pub mod ring;
 
 pub use barrier::MergeBarrier;
 pub use engine::{
-    auto_routers, route_stream, router_cursors, run_sharded, Backpressure, DurabilityConfig,
-    RouterStats, RuntimeConfig, RuntimeError, ShardStats, ShardedReport, Supervision,
+    auto_routers, route_stream, run_sharded, Backpressure, DurabilityConfig, RouterStats,
+    RuntimeConfig, RuntimeError, ShardStats, ShardedReport, Supervision,
 };
 pub use merge::{merge_shard_partials, merge_windows, ShardPartial};
+pub use pump::{Refill, TupleSource};
 pub use ring::{ring, Consumer, Producer, PushError};

@@ -1,0 +1,164 @@
+//! The pump: the calling thread's end of the sharded pipeline.
+//!
+//! The source is pulled into fixed-length *chunks*; chunk `c` goes to
+//! router lane `c mod R` over that lane's chunk ring. The partition is a
+//! pure function of stream position and `R` — no stream length, no
+//! cursors — so an unbounded source runs in bounded memory, and a lane's
+//! position in the stream is recomputable by anyone who knows the chunk
+//! length ([`crate::RuntimeConfig::chunk_tuples`]).
+//!
+//! Chunk buffers are recycled: a lane trades every tuple it routes for a
+//! dead one and sends the chunk home on a return ring, and the pump
+//! overwrites the dead tuples in place ([`TupleSource`]). In steady
+//! state the pump allocates neither chunks nor tuples.
+
+use sso_obs::Counter;
+use sso_profile::{DumpReason, Event as ProfEvent, LaneKind, Profiler, Stage as ProfStage};
+use sso_sync::Ordering::Release;
+use sso_sync::SyncBool;
+use sso_types::Tuple;
+
+use crate::ring::{Consumer, Producer};
+
+/// Batches' worth of tuples per chunk. Long enough that the per-chunk
+/// flush (one partial batch per shard) is noise next to the full
+/// batches, short enough that `R` lanes interleave within a window.
+pub(crate) const CHUNK_BATCHES: usize = 16;
+
+/// Chunks queued per lane ahead of the one being routed.
+pub(crate) const CHUNK_RING: usize = 2;
+
+/// Where [`crate::run_sharded`] pulls its tuples from.
+///
+/// Any `IntoIterator<Item = Tuple>` is a source (each yielded tuple
+/// replaces a recycled one, which is dropped); a [`Refill`] source
+/// writes into the recycled tuple instead, which is what keeps the
+/// packet path free of per-tuple allocation.
+pub trait TupleSource {
+    /// The pull function: overwrite the tuple with the stream's next
+    /// one and return `true`, or return `false` at end of stream
+    /// (leaving the tuple unspecified).
+    fn into_refill(self) -> impl FnMut(&mut Tuple) -> bool;
+}
+
+impl<I: IntoIterator<Item = Tuple>> TupleSource for I {
+    fn into_refill(self) -> impl FnMut(&mut Tuple) -> bool {
+        let mut tuples = self.into_iter();
+        move |slot| tuples.next().map(|t| *slot = t).is_some()
+    }
+}
+
+/// A [`TupleSource`] given directly as its pull function.
+pub struct Refill<F>(pub F);
+
+impl<F: FnMut(&mut Tuple) -> bool> TupleSource for Refill<F> {
+    fn into_refill(self) -> impl FnMut(&mut Tuple) -> bool {
+        self.0
+    }
+}
+
+/// One pumped chunk: stream positions `seq * chunk_len ..` in
+/// `tuples[..live]`; anything past `live` is dead weight from the
+/// buffer's previous trip.
+pub(crate) struct Chunk {
+    pub seq: u64,
+    pub live: usize,
+    pub tuples: Vec<Tuple>,
+    /// The injected crash fired inside this chunk: `tuples[..live]` is
+    /// everything before the trigger, and the lane dies after routing
+    /// it without flushing.
+    pub crash: bool,
+}
+
+/// The pump's two rings to one router lane.
+pub(crate) struct ChunkLane {
+    pub tx: Producer<Chunk>,
+    /// Routed chunks coming home, full of dead tuples.
+    pub home: Consumer<Vec<Tuple>>,
+}
+
+/// Pump the source dry (or up to the crash trigger) into `lanes`,
+/// closing every chunk ring on return. Returns the trigger position if
+/// the injected crash fired.
+pub(crate) fn pump(
+    mut next: impl FnMut(&mut Tuple) -> bool,
+    mut lanes: Vec<ChunkLane>,
+    chunk_len: usize,
+    crash_at: Option<u64>,
+    crashed: &SyncBool,
+    fresh: &Counter,
+    profile: Option<&Profiler>,
+) -> Option<u64> {
+    let mut trace = profile.map(|p| (p, p.lane(LaneKind::Low, 0)));
+    let mut pulled = 0u64;
+    let mut fired = None;
+    let routers = lanes.len() as u64;
+    for seq in 0u64.. {
+        let lane = &mut lanes[(seq % routers) as usize];
+        let mut tuples = match lane.home.try_pop() {
+            Ok(Some(routed)) => routed,
+            // Nothing has come home (a return was dropped): a lost
+            // return costs an allocation, never correctness.
+            _ => {
+                fresh.inc();
+                Vec::with_capacity(chunk_len)
+            }
+        };
+        let t0 = trace.as_ref().map(|(p, _)| p.now_ns());
+        let (mut live, mut ended, mut crash) = (0usize, false, false);
+        while live < chunk_len {
+            if live == tuples.len() {
+                tuples.push(Tuple::empty());
+            }
+            if !next(&mut tuples[live]) {
+                ended = true;
+                break;
+            }
+            pulled += 1;
+            if crash_at == Some(pulled) {
+                // The arriving trigger tuple kills the "process": it and
+                // everything after it is lost.
+                crash = true;
+                break;
+            }
+            live += 1;
+        }
+        if crash {
+            // Raised before the chunk is pushed, so a worker that finds
+            // its ring closed without an end-of-chunk marker sees it.
+            crashed.store(true, Release);
+            fired = crash_at;
+            if let Some(p) = profile {
+                p.trigger(DumpReason::Crash);
+            }
+        }
+        let mut lane_gone = false;
+        if live > 0 || crash {
+            let t1 = trace.as_ref().map(|(p, _)| p.now_ns());
+            let mut wait_from = None;
+            let sent = lane.tx.push_tracked_with(Chunk { seq, live, tuples, crash }, || {
+                wait_from = trace.as_ref().map(|(p, _)| p.now_ns());
+            });
+            // A closed chunk ring is a dead lane (an `Abort`-supervised
+            // panic); the join in `run_sharded` reports it.
+            lane_gone = sent.is_err();
+            if let (Some((p, events)), Some(t0), Some(t1)) = (trace.as_mut(), t0, t1) {
+                events.record(
+                    ProfEvent::new(ProfStage::Low, t0, t1.saturating_sub(t0)).aux(live as u64),
+                );
+                if let Some(w) = wait_from {
+                    events.record(ProfEvent::new(
+                        ProfStage::RingWait,
+                        w,
+                        p.now_ns().saturating_sub(w),
+                    ));
+                }
+                events.publish();
+            }
+        }
+        if ended || crash || lane_gone {
+            break;
+        }
+    }
+    fired
+}

@@ -104,18 +104,42 @@ impl Packet {
         )
     }
 
+    /// The values of [`Packet::schema`]'s fields, in order.
+    #[inline]
+    fn values(&self) -> [u64; 8] {
+        [
+            self.time(),
+            self.uts,
+            self.src_ip as u64,
+            self.dest_ip as u64,
+            self.src_port as u64,
+            self.dest_port as u64,
+            self.proto.number() as u64,
+            self.len as u64,
+        ]
+    }
+
     /// Convert to a positional tuple matching [`Packet::schema`].
     pub fn to_tuple(&self) -> Tuple {
+        let [time, uts, src_ip, dest_ip, src_port, dest_port, proto, len] = self.values();
         Tuple::new(vec![
-            Value::U64(self.time()),
-            Value::U64(self.uts),
-            Value::U64(self.src_ip as u64),
-            Value::U64(self.dest_ip as u64),
-            Value::U64(self.src_port as u64),
-            Value::U64(self.dest_port as u64),
-            Value::U64(self.proto.number() as u64),
-            Value::U64(self.len as u64),
+            Value::U64(time),
+            Value::U64(uts),
+            Value::U64(src_ip),
+            Value::U64(dest_ip),
+            Value::U64(src_port),
+            Value::U64(dest_port),
+            Value::U64(proto),
+            Value::U64(len),
         ])
+    }
+
+    /// [`Packet::to_tuple`] into a tuple the caller already has,
+    /// whatever it held: the "memory copy" into a ring-buffer slot. A
+    /// recycled tuple is rewritten in place, without touching the
+    /// allocator.
+    pub fn write_tuple(&self, out: &mut Tuple) {
+        out.refill_u64(self.values());
     }
 
     /// The flow 5-tuple key `(srcIP, destIP, srcPort, destPort, proto)`.
@@ -181,6 +205,57 @@ mod tests {
         assert_eq!(t.get_named(&s, "len").unwrap(), &Value::U64(1500));
         assert_eq!(t.get_named(&s, "proto").unwrap(), &Value::U64(6));
         assert_eq!(t.get_named(&s, "srcIP").unwrap(), &Value::U64(0x0a000001));
+    }
+
+    fn arb_value(shared: std::sync::Arc<str>) -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<u64>().prop_map(Value::U64),
+            any::<i64>().prop_map(Value::I64),
+            (-1e9f64..1e9).prop_map(Value::F64),
+            Just(Value::Str(shared)),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Overwriting a recycled tuple — any arity, any value kinds —
+        /// is indistinguishable from building a fresh one, and releases
+        /// whatever the dead tuple still referenced.
+        #[test]
+        fn write_tuple_over_a_dirty_tuple_equals_to_tuple(
+            uts in proptest::prelude::any::<u64>(),
+            ip in proptest::prelude::any::<u32>(),
+            port in proptest::prelude::any::<u16>(),
+            proto in proptest::prelude::any::<u8>(),
+            dirty in proptest::collection::vec(arb_value("dead".into()), 0..13),
+        ) {
+            let p = Packet {
+                uts,
+                src_ip: ip,
+                dest_ip: !ip,
+                src_port: port,
+                dest_port: !port,
+                proto: Protocol::from_number(proto),
+                len: ip >> 16,
+            };
+            let held: Vec<std::sync::Arc<str>> = dirty
+                .iter()
+                .filter_map(|v| match v {
+                    Value::Str(s) => Some(s.clone()),
+                    _ => None,
+                })
+                .collect();
+            let mut slot = Tuple::new(dirty);
+            let refs_before = held.first().map(std::sync::Arc::strong_count);
+            p.write_tuple(&mut slot);
+            proptest::prop_assert_eq!(&slot, &p.to_tuple());
+            proptest::prop_assert_eq!(slot.arity(), Packet::schema().arity());
+            // Every `Str` the dead tuple held gave its reference back.
+            let refs_after = held.first().map(std::sync::Arc::strong_count);
+            proptest::prop_assert_eq!(refs_after, refs_before.map(|n| n - held.len()));
+        }
     }
 
     #[test]

@@ -77,6 +77,21 @@ impl Tuple {
         self.values[idx] = value;
     }
 
+    /// Overwrite the tuple with unsigned integers, keeping the value
+    /// buffer: whatever it held is released (a `Str`'s `Arc` is
+    /// dropped), and a tuple that already had room for `N` values is
+    /// rewritten without allocating. Each value is written straight
+    /// into its slot — building a `[Value; N]` first costs a stalled
+    /// load per value when it is copied out again.
+    pub fn refill_u64<const N: usize>(&mut self, values: [u64; N]) {
+        self.values.truncate(N);
+        let kept = self.values.len();
+        for (slot, v) in self.values.iter_mut().zip(values) {
+            *slot = Value::U64(v);
+        }
+        self.values.extend(values[kept..].iter().map(|&v| Value::U64(v)));
+    }
+
     /// Project the given indices into a new tuple (used to build group and
     /// supergroup keys).
     pub fn project(&self, indices: &[usize]) -> Tuple {

@@ -122,6 +122,30 @@ echo "== sso --shards smoke run =="
 cargo run -q --bin sso -- --feed research --seconds 2 --shards 4 \
     "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb" >/dev/null
 
+echo "== flat-memory smoke (sharded run on a 10x longer feed, <20 s) =="
+# ROADMAP item 2's gate: the sharded runtime streams its feed, so peak
+# RSS may grow with the feed only by what the CLI itself holds — its
+# Vec<Packet>, ~32 B/packet. A materialised Vec<Tuple> costs ~240
+# B/packet. ru_maxrss of a waited child is its VmHWM (KiB); it is read
+# after the short run and again after the long one, whose peak is the
+# larger.
+cargo build -q --release --bin sso
+python3 -c '
+import resource, subprocess
+def run(seconds):
+    subprocess.run(
+        ["target/release/sso", "run", "--feed", "datacenter", "--seconds", str(seconds),
+         "--shards", "2", "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb"],
+        check=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+short, long = run(5), run(50)
+packets = 45 * 100_000  # ~100k packets/s on the datacenter feed
+per_packet = (long - short) * 1024 / packets
+print(f"peak RSS {short / 1024:.0f} MiB at 5 s, {long / 1024:.0f} MiB at 50 s: "
+      f"{per_packet:.1f} B per extra packet")
+assert per_packet <= 64, f"peak RSS grows {per_packet:.0f} B per extra packet (limit 64)"
+'
+
 echo "== sso run --metrics smoke (JSON validity) =="
 cargo run -q --bin sso -- run --metrics - --seconds 2 --json \
     "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb" \

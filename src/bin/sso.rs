@@ -79,12 +79,11 @@
 //! (or the newest `*.ssoprof` inside).
 //!
 //! `sso recover DIR` replays a durable run from its `MANIFEST`: the
-//! original feed is regenerated and re-partitioned across the recorded
-//! router-lane cursors (`routers` / `router_cursors` keys), every
-//! window already in the store is served back without recomputation,
-//! and the run continues from the first unrecorded window. Fault plans
-//! are deliberately not replayed — recovery is expected to match the
-//! fault-free run.
+//! original feed is regenerated and dealt chunk by chunk to the recorded
+//! number of router lanes (`routers` key), every window already in the
+//! store is served back without recomputation, and the run continues
+//! from the first unrecorded window. Fault plans are deliberately not
+//! replayed — recovery is expected to match the fault-free run.
 //!
 //! `sso check FILE` runs the static analyzer over every `;`-separated
 //! query in FILE without executing anything, printing rustc-style
@@ -145,10 +144,6 @@ struct Options {
     /// shard; `auto` = the host's cores; N pools surplus shards onto
     /// `min(N, shards)` threads (byte-identical results either way).
     workers: usize,
-    /// Per-lane segment cursors restored from a MANIFEST by `sso
-    /// recover`, so the resumed run re-partitions the regenerated
-    /// stream exactly as the crashed run did.
-    router_cursors: Option<Vec<u64>>,
     fault_plan: Option<String>,
     fault_seed: Option<u64>,
     durable: Option<String>,
@@ -512,7 +507,6 @@ fn parse_args(argv: &[String], top: bool) -> Options {
         shards: 1,
         routers: 0,
         workers: 0,
-        router_cursors: None,
         fault_plan: None,
         fault_seed: None,
         durable: None,
@@ -670,15 +664,13 @@ fn recover_options(args: &[String]) -> Options {
     let seed = parse_num("seed", require("seed"));
     let shards = parse_num("shards", require("shards")) as usize;
     let state_budget = get("state_budget").map(|v| parse_num("state_budget", v));
-    // The lane partition is part of the recorded run shape: replaying
-    // the exact cursors (not re-deriving them on this machine's core
-    // count) is what keeps the resumed run byte-identical. Manifests
-    // from single-router builds carry neither key; 0/None falls back to
-    // this machine's auto default.
+    // The lane count is part of the recorded run shape (replayed, not
+    // re-derived from this machine's core count); the partition itself
+    // is a pure function of stream position and lane count, so nothing
+    // else needs recording — a `router_cursors` key left by an older
+    // build is ignored. Manifests from single-router builds carry no
+    // `routers` key; 0 falls back to this machine's auto default.
     let routers = get("routers").map(|v| parse_num("routers", v) as usize).unwrap_or(0);
-    let router_cursors = get("router_cursors").map(|v| {
-        v.split(',').map(|c| parse_num("router_cursors", c.to_string())).collect::<Vec<u64>>()
-    });
     Options {
         feed: get("feed").unwrap_or_else(|| "research".to_string()),
         trace: get("trace"),
@@ -689,7 +681,6 @@ fn recover_options(args: &[String]) -> Options {
         shards,
         routers,
         workers: 0,
-        router_cursors,
         // Fault plans are deliberately not replayed: recovery must
         // converge on the fault-free output, and re-arming the crash
         // event would kill the resumed run at the same tuple again.
@@ -842,9 +833,6 @@ fn execute_query(
         let mut cfg = RuntimeConfig::new(opts.shards)
             .with_routers(opts.routers)
             .with_worker_cap(opts.workers);
-        if let Some(cursors) = &opts.router_cursors {
-            cfg = cfg.with_router_cursors(cursors.clone());
-        }
         // Pre-size group tables and rings from the static audit's
         // certified ceilings. With --trace the declared envelope may
         // not describe the input, but the hints stay sound: reserve()
@@ -884,7 +872,7 @@ fn execute_query(
             Box::new(SelectionNode::pass_all()),
             make,
             &cfg,
-            packets.to_vec(),
+            packets.iter().copied(),
         ) {
             Ok(report) => report,
             Err(stream_sampler::gigascope::ShardedRunError::Runtime(
@@ -1343,13 +1331,10 @@ fn main() {
     // the manifest must survive the crash it exists to recover from.
     if let (Some(dir), false) = (&opts.durable, opts.resume) {
         let path = std::path::Path::new(dir);
-        // Pin the lane partition, not just the request: `--routers auto`
-        // resolves against THIS machine's core count, and the per-lane
-        // segment cursors depend on the stream length — both must be
-        // replayed verbatim for `sso recover` to re-route every tuple
-        // to the same shard in the same batch.
+        // Pin the lane count, not just the request: `--routers auto`
+        // resolves against THIS machine's core count, and `sso recover`
+        // must deal the regenerated stream to the same number of lanes.
         let routers = RuntimeConfig::new(opts.shards).with_routers(opts.routers).resolved_routers();
-        let cursors = stream_sampler::runtime::router_cursors(packets.len() as u64, routers);
         let mut entries: Vec<(String, String)> = vec![
             ("query".into(), query_text.replace(['\n', '\r'], " ")),
             ("feed".into(), opts.feed.clone()),
@@ -1357,10 +1342,6 @@ fn main() {
             ("seconds".into(), opts.seconds.to_string()),
             ("shards".into(), opts.shards.to_string()),
             ("routers".into(), routers.to_string()),
-            (
-                "router_cursors".into(),
-                cursors.iter().map(u64::to_string).collect::<Vec<_>>().join(","),
-            ),
             ("fsync".into(), opts.fsync.clone()),
         ];
         if let Some(trace) = &opts.trace {

@@ -194,40 +194,49 @@ fn worker_stalls_change_timing_not_results() {
 /// as `rt.router_uncovered` mass), the re-thresholded estimates equal a
 /// fault-free run over the surviving tuples row-for-row, and the same
 /// seed replays byte-identically. Content routing makes the surviving
-/// set position-computable: the loss is the contiguous slice from the
-/// trip index to the next window boundary inside the victim's segment.
+/// set position-computable from the chunk rule — chunk `c` is routed by
+/// lane `c % R` — the loss is every victim-lane position from the trip
+/// to the window's end, across however many of the lane's chunks (the
+/// other lane's chunks in between are untouched).
 #[test]
 fn router_panic_degrades_exactly_one_window_with_exact_surviving_estimates() {
-    use stream_sampler::runtime::router_cursors;
-
-    // One-second windows over an 8-second feed: the victim lane's
-    // segment spans several windows, so the quarantine both opens
-    // (mid-window trip) and closes (respawn at the next boundary).
+    // One-second windows over an 8-second feed in 1024-tuple chunks: a
+    // window spans several of the victim lane's chunks, so the
+    // quarantine both opens (mid-window trip), is carried across chunk
+    // edges, and closes (respawn at the next boundary).
     let window = 1u64;
     let make = move |_| queries::basic_subset_sum_query(window, 400.0);
     let pkts = research_feed(0xfa).take_seconds(8);
     let routers = 2usize;
     let victim = 1usize;
-    let seg_start = router_cursors(pkts.len() as u64, routers)[victim] as usize;
+    let config = || {
+        let mut cfg = RuntimeConfig::new(SHARDS).with_routers(routers);
+        cfg.batch_size = 64;
+        cfg
+    };
+    let chunk = config().chunk_tuples();
+    // The victim lane's stream positions, in the order it routes them.
+    let mine: Vec<usize> = (0..pkts.len()).filter(|i| (i / chunk) % routers == victim).collect();
     let window_of = |i: usize| pkts[i].time() / window;
 
-    // Trip mid-window in the first window boundary PAST the segment
-    // start: fully interior to the lane, with a later window to resume
-    // into.
-    let boundary = (seg_start..pkts.len())
-        .find(|&i| window_of(i) != window_of(seg_start))
-        .expect("segment spans a window boundary");
+    // Trip mid-window just past the lane's first window boundary: a
+    // whole window slice to lose, and a later window to resume into.
+    let boundary = (1..mine.len())
+        .find(|&k| window_of(mine[k]) != window_of(mine[0]))
+        .expect("the lane's chunks span a window boundary");
     let trip = boundary + 2;
-    let poisoned_w = window_of(trip);
-    assert_eq!(poisoned_w, window_of(trip - 1), "trip lands mid-window");
+    let poisoned_w = window_of(mine[trip]);
+    assert_eq!(poisoned_w, window_of(mine[trip - 1]), "trip lands mid-window");
     assert!(poisoned_w < window_of(pkts.len() - 1), "a later window exists to respawn into");
-    let lost: Vec<usize> = (trip..pkts.len()).take_while(|&i| window_of(i) == poisoned_w).collect();
-    let at_tuple = (trip - seg_start + 1) as u64; // lane-local, 1-based
+    let lost: Vec<usize> =
+        mine[trip..].iter().copied().take_while(|&i| window_of(i) == poisoned_w).collect();
+    assert!(lost.last().unwrap() / chunk > lost[0] / chunk, "the loss crosses a chunk edge");
+    let at_tuple = (trip + 1) as u64; // lane-local, 1-based
 
     let fault = FaultPlan::parse(&format!("panic router={victim} at={at_tuple}"))
         .expect("router grammar parses")
         .into_shared();
-    let cfg = RuntimeConfig::new(SHARDS).with_routers(routers).with_faults(fault);
+    let cfg = config().with_faults(fault);
 
     let report = run(make, &cfg, pkts.clone());
     assert!(report.degraded(), "an unrouted window slice must degrade the run");
@@ -256,7 +265,7 @@ fn router_panic_degrades_exactly_one_window_with_exact_surviving_estimates() {
     // run's estimates bit-for-bit.
     let surviving: Vec<Packet> =
         pkts.iter().enumerate().filter(|(i, _)| !lost.contains(i)).map(|(_, p)| *p).collect();
-    let reference = run(make, &RuntimeConfig::new(SHARDS).with_routers(routers), surviving);
+    let reference = run(make, &config(), surviving);
     assert!(!reference.degraded());
     assert_eq!(reference.windows.len(), report.windows.len());
     for (f, r) in report.windows.iter().zip(&reference.windows) {

@@ -181,43 +181,107 @@ fn ring_push_tracked_counts_one_stall_per_wait() {
     assert!(explored.schedules > 1, "interleavings explored: {explored:?}");
 }
 
-/// Multi-router drain order: a shard owns one SPSC ring PER router
-/// lane, and the worker drains ring 0 to closure before ever reading
-/// ring 1 — exactly the engine's per-shard consume loop. The drained
-/// sequence must be lane 0's batches in FIFO order followed by lane
-/// 1's, with nothing lost: lane order plus the lanes' strided batch
-/// ids is what makes R-router runs byte-identical to single-router
-/// runs. Lane 0 is pre-filled and closed from the main thread — the
-/// two lanes share no cells, so a second *live* producer adds no new
-/// dependency pairs, only spin-loop schedules past the budget; the
-/// race under test is lane 1 pushing while the consumer retires lane 0.
+/// The end-of-chunk marker on a ring (the engine's `Msg::ChunkEnd`).
+const CHUNK_END: u32 = u32::MAX;
+
+/// Multi-router chunk order: a shard owns one SPSC ring PER router
+/// lane; chunk `c` of the stream came through lane `c mod R`, and every
+/// lane ends each of its chunks with a marker. The worker reads one
+/// ring up to the marker, then moves to the next lane's ring — exactly
+/// the engine's per-shard consume loop — and is done when the ring it
+/// turns to is closed and drained: chunks are dealt in order, so no
+/// later chunk exists on any lane. Here the stream is three chunks,
+/// `[0, 1] [10] [20]`: lane 1 closes one chunk earlier than lane 0, and
+/// the worker must still come back to lane 0 for chunk 2 before it
+/// finds lane 1 closed. Lane 0 is pre-filled and closed from the main
+/// thread — the two lanes share no cells, so a second *live* producer
+/// adds no new dependency pairs, only spin-loop schedules past the
+/// budget; the races under test are lane 1 pushing its chunk, and then
+/// closing, while the consumer is away on lane 0.
 #[test]
-fn multi_router_rings_drain_in_lane_order() {
+fn multi_router_rings_drain_in_chunk_order() {
     let explored = check(|| {
-        let (mut tx0, mut rx0) = ring::<u32>(2);
-        let (mut tx1, mut rx1) = ring::<u32>(1);
-        for i in 0..2u32 {
-            tx0.try_push(i).expect("capacity 2 holds both");
+        let (mut tx0, rx0) = ring::<u32>(5);
+        let (mut tx1, rx1) = ring::<u32>(2);
+        for item in [0, 1, CHUNK_END, 20, CHUNK_END] {
+            tx0.try_push(item).expect("capacity 5 holds chunks 0 and 2");
         }
-        drop(tx0); // lane 0 finished its segment; ring 0 is closed
+        drop(tx0); // lane 0 routed its last chunk; ring 0 is closed
         let lane1 = thread::spawn(move || {
-            for i in 10..12u32 {
-                tx1.push(i).expect("worker alive");
+            for item in [10, CHUNK_END] {
+                tx1.try_push(item).expect("capacity 2 holds chunk 1");
             }
         });
+        let mut rings = [rx0, rx1];
+        let mut lane = 0usize;
         let mut got = Vec::new();
-        while let Some(v) = rx0.pop() {
-            got.push(v);
-        }
-        while let Some(v) = rx1.pop() {
-            got.push(v);
+        while let Some(item) = rings[lane].pop() {
+            if item == CHUNK_END {
+                lane = (lane + 1) % rings.len();
+            } else {
+                got.push(item);
+            }
         }
         lane1.join();
-        assert_eq!(got, vec![0, 1, 10, 11], "drain is FIFO within a lane, lanes in index order");
+        assert_eq!(got, vec![0, 1, 10, 20], "FIFO within a chunk, chunks in stream order");
+        assert_eq!(lane, 1, "the stream ended where chunk 3 would have begun");
     })
     .unwrap_or_else(|f| panic!("{f}"));
     assert!(explored.complete, "exploration must be exhaustive: {explored:?}");
     assert!(explored.schedules > 1, "interleavings explored: {explored:?}");
+}
+
+/// Spent batches travel home on a return ring nobody ever waits on: the
+/// worker `try_push`es and, finding the ring full, drops the buffer;
+/// the lane `try_pop`s when it needs one and, finding none, allocates.
+/// Here the return ring is deliberately too small (the engine sizes it
+/// so it never fills): whether the second return finds room depends on
+/// whether the lane took the first one home in time. Either way the run
+/// completes — nobody waits, so a lane blocked on its forward ring can
+/// never be waited on in turn — and every buffer is accounted for: a
+/// lost return costs the lane one allocation, never a tuple. The
+/// forward ring is pre-filled and closed from the main thread, so the
+/// only live race is the one under test (and no spin loop multiplies
+/// the schedule space).
+#[test]
+fn full_return_ring_drops_the_buffer_and_never_blocks() {
+    use std::sync::atomic::{AtomicUsize, Ordering as StdOrdering};
+    // Deliberately invisible to the checker: tallies across schedules.
+    static DROPPED_ONE: AtomicUsize = AtomicUsize::new(0);
+    static DROPPED_NONE: AtomicUsize = AtomicUsize::new(0);
+    let explored = check(|| {
+        let (mut tx, mut rx) = ring::<u32>(2);
+        let (mut home_tx, mut home_rx) = ring::<u32>(1);
+        for buffer in 0..2u32 {
+            tx.try_push(buffer).expect("capacity 2 holds both batches");
+        }
+        drop(tx);
+        let worker = thread::spawn(move || {
+            let mut dropped = 0usize;
+            while let Some(spent) = rx.pop() {
+                if home_tx.try_push(spent).is_err() {
+                    dropped += 1;
+                }
+            }
+            dropped
+        });
+        // The lane needs one buffer: a recycled one if any is home yet.
+        let recycled = usize::from(matches!(home_rx.try_pop(), Ok(Some(_))));
+        let dropped = worker.join();
+        let mut left_home = 0usize;
+        while let Ok(Some(_)) = home_rx.try_pop() {
+            left_home += 1;
+        }
+        assert_eq!(recycled + left_home + dropped, 2, "every spent buffer is accounted for");
+        assert!(dropped <= 1 && (dropped == 0) == (recycled + left_home == 2));
+        [&DROPPED_NONE, &DROPPED_ONE][dropped].fetch_add(1, StdOrdering::Relaxed);
+    })
+    .unwrap_or_else(|f| panic!("{f}"));
+    assert!(explored.complete, "exploration must be exhaustive: {explored:?}");
+    assert!(
+        DROPPED_ONE.load(StdOrdering::Relaxed) > 0 && DROPPED_NONE.load(StdOrdering::Relaxed) > 0,
+        "both the full-ring drop and the in-time return must be explored: {explored:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -130,12 +130,13 @@ fn lossy_counting_crash_recovery_matches_fault_free() {
 
 /// The CLI recover path with multi-router ingestion: a durable
 /// `--routers 2` run killed mid-stream by `crash at=N` leaves a
-/// MANIFEST whose `routers` and `router_cursors` keys pin the lane
-/// partition (schema-pinned here, value for value), and `sso recover
-/// DIR` restores every cursor and resumes with window output
-/// byte-identical to a fault-free run of the same query.
+/// MANIFEST whose `routers` key pins the lane count — all the lane
+/// partition depends on besides stream position — and `sso recover DIR`
+/// resumes with window output byte-identical to a fault-free run of
+/// the same query, also from a manifest that still carries the
+/// `router_cursors` key older builds wrote.
 #[test]
-fn cli_recover_restores_router_cursors_from_manifest() {
+fn cli_recover_pins_routers_and_ignores_stale_router_cursors() {
     let sso = env!("CARGO_BIN_EXE_sso");
     let dir = tmpdir("cli-routers");
     let seed = 9u64;
@@ -169,23 +170,21 @@ fn cli_recover_restores_router_cursors_from_manifest() {
     let stderr = String::from_utf8_lossy(&crashed.stderr);
     assert!(stderr.contains("sso recover"), "crash output points at recovery:\n{stderr}");
 
-    // Schema pin: exactly these keys, exactly these values.
-    let manifest = stream_sampler::store::read_manifest(&dir).expect("MANIFEST survives");
-    let get = |k: &str| {
-        manifest.iter().find(|(key, _)| key == k).map(|(_, v)| v.as_str()).unwrap_or_else(|| {
-            panic!("MANIFEST must carry `{k}`: {manifest:?}");
-        })
-    };
-    assert_eq!(get("shards"), "4");
-    assert_eq!(get("routers"), "2");
-    assert_eq!(
-        get("router_cursors"),
-        format!("0,{}", n / 2),
-        "two lanes split the {n}-tuple stream at its midpoint"
-    );
+    // Schema pin: the run shape is recorded, a stream-length-dependent
+    // partition no longer is.
+    let mut manifest = stream_sampler::store::read_manifest(&dir).expect("MANIFEST survives");
+    let get = |k: &str| manifest.iter().find(|(key, _)| key == k).map(|(_, v)| v.as_str());
+    assert_eq!(get("shards"), Some("4"));
+    assert_eq!(get("routers"), Some("2"));
+    assert_eq!(get("router_cursors"), None, "the partition is a function of position and R");
 
-    // Recovery restores the cursors and converges on the fault-free
-    // output, byte for byte on the machine-readable channel.
+    // An older build's manifest carried per-lane segment cursors; such
+    // a store must still recover, the key ignored.
+    manifest.push(("router_cursors".into(), format!("0,{}", n / 2)));
+    stream_sampler::store::write_manifest(&dir, &manifest).expect("rewrite MANIFEST");
+
+    // Recovery converges on the fault-free output, byte for byte on the
+    // machine-readable channel.
     let recovered = std::process::Command::new(sso)
         .args(["recover", "--json", dir_s])
         .output()

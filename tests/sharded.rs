@@ -438,3 +438,72 @@ fn router_count_is_invisible_under_a_shared_prefilter() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Chunk edges: the pump deals the stream to the lanes in fixed-length
+// chunks (chunk c to lane c mod R), every lane flushes at every chunk
+// end, and every worker follows the chunk order across its R rings.
+// None of that may show: feeds that end just before, on, and just after
+// a chunk edge, with window boundaries both inside chunks and exactly on
+// an edge, must reproduce the single-instance output at every router,
+// shard and worker-thread count — for position-routed (round-robin) and
+// content-routed plans alike.
+
+#[test]
+fn chunk_edges_are_invisible_at_every_router_shard_and_worker_count() {
+    let config = |shards: usize, routers: usize, worker_cap: usize| {
+        let mut cfg = RuntimeConfig::new(shards).with_routers(routers).with_worker_cap(worker_cap);
+        cfg.batch_size = 8;
+        cfg
+    };
+    let chunk = config(1, 1, 0).chunk_tuples();
+    // One window per chunk and a half: boundaries fall alternately
+    // mid-chunk (1.5, 4.5, ...) and exactly on a chunk edge (3, 6, ...).
+    let per_window = 3 * chunk / 2;
+    let feed: Vec<Packet> = research_feed(FEED_SEED)
+        .take_seconds(SECONDS)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut p)| {
+            p.uts = (i / per_window) as u64 * WINDOW * 1_000_000_000 + (i % per_window) as u64;
+            p
+        })
+        .collect();
+    assert!(feed.len() > 3 * chunk + 7);
+
+    type MakeSpec =
+        Box<dyn Fn(usize) -> Result<OperatorSpec, stream_sampler::operator::OpError> + Sync>;
+    let cases: Vec<(&str, MakeSpec)> = vec![
+        ("total_sum", Box::new(|_| Ok(queries::total_sum_query(WINDOW)))),
+        ("heavy_hitters", Box::new(|_| queries::heavy_hitters_query(WINDOW, 1 << 20, None))),
+    ];
+    for len in [chunk - 1, chunk, chunk + 1, 3 * chunk + 7] {
+        let pkts = &feed[..len];
+        for (name, make) in &cases {
+            let single = reference_for(make(0).unwrap(), pkts);
+            for routers in 1..=4usize {
+                for shards in [1usize, 2, 5] {
+                    for worker_cap in [1usize, 0] {
+                        let report = run_plan_sharded(
+                            Box::new(SelectionNode::pass_all()),
+                            make,
+                            &config(shards, routers, worker_cap),
+                            pkts.to_vec(),
+                        )
+                        .expect("sharded run");
+                        let what = format!(
+                            "{name}: {len} tuples, {routers} lanes, {shards} shards, cap {worker_cap}"
+                        );
+                        assert_windows_equal(&single, &report.windows, &what);
+                        assert_eq!(
+                            report.routers.iter().map(|r| r.tuples()).sum::<u64>(),
+                            len as u64,
+                            "{what}: every tuple passed through a lane"
+                        );
+                        assert_eq!(report.tuples_processed(), len as u64, "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
