@@ -8,7 +8,8 @@
 //! semantics) and once under the default [`Supervision::Quarantine`]
 //! with an *armed but never-firing* fault plan (worker events parked at
 //! `at_tuple = u64::MAX`), so the fault-check branch is live on every
-//! tuple. Repetitions alternate the modes; best-of-reps is reported.
+//! tuple. Repetitions alternate the modes; each mode's median (with its
+//! quartiles) is reported.
 //!
 //! The acceptance gate (enforced by `scripts/check.sh` over
 //! `BENCH_faults.json`) is ≤ 5% throughput overhead: surviving shard
@@ -16,7 +17,7 @@
 
 use std::time::Instant;
 
-use sso_bench::{header, maybe_json};
+use sso_bench::{header, maybe_json, quartiles};
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::{queries, shard_plan, OpError, OperatorSpec};
 use sso_faults::{FaultEvent, FaultPlan};
@@ -48,6 +49,8 @@ struct Config {
 struct Mode {
     supervised: bool,
     secs: f64,
+    secs_q1: f64,
+    secs_q3: f64,
     tuples_per_sec: f64,
     windows: usize,
 }
@@ -113,21 +116,21 @@ fn main() {
         eprintln!("# {n} packets, {REPS} alternating reps per mode");
     }
 
-    let mut base_best = (f64::INFINITY, 0usize);
-    let mut sup_best = (f64::INFINITY, 0usize);
+    let (mut base_secs, mut base_windows) = (Vec::with_capacity(REPS), 0usize);
+    let (mut sup_secs, mut sup_windows) = (Vec::with_capacity(REPS), 0usize);
     for _ in 0..REPS {
         let base = run_once(&packets, false);
-        if base.0 < base_best.0 {
-            base_best = base;
-        }
+        base_secs.push(base.0);
+        base_windows = base.1;
         let sup = run_once(&packets, true);
-        if sup.0 < sup_best.0 {
-            sup_best = sup;
-        }
+        sup_secs.push(sup.0);
+        sup_windows = sup.1;
     }
 
-    let base_tps = n as f64 / base_best.0;
-    let sup_tps = n as f64 / sup_best.0;
+    let [base_q1, base_median, base_q3] = quartiles(&mut base_secs);
+    let base_tps = n as f64 / base_median;
+    let [sup_q1, sup_median, sup_q3] = quartiles(&mut sup_secs);
+    let sup_tps = n as f64 / sup_median;
     let report = Report {
         config: Config {
             feed: "datacenter",
@@ -141,15 +144,19 @@ fn main() {
         },
         baseline: Mode {
             supervised: false,
-            secs: base_best.0,
+            secs: base_median,
+            secs_q1: base_q1,
+            secs_q3: base_q3,
             tuples_per_sec: base_tps,
-            windows: base_best.1,
+            windows: base_windows,
         },
         supervised: Mode {
             supervised: true,
-            secs: sup_best.0,
+            secs: sup_median,
+            secs_q1: sup_q1,
+            secs_q3: sup_q3,
             tuples_per_sec: sup_tps,
-            windows: sup_best.1,
+            windows: sup_windows,
         },
         overhead_pct: 100.0 * (base_tps - sup_tps) / base_tps,
     };

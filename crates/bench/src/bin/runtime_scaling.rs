@@ -7,15 +7,21 @@
 //! against it we run `run_plan_sharded` at 1, 2, 4, and 8 shards and
 //! report wall-clock tuples/sec per configuration.
 //!
+//! Every configuration runs [`REPS`] interleaved repetitions and is
+//! reported as the median wall time with its quartiles; a gate on a
+//! single best-of-N number has no measure of spread and fails on noise.
+//!
 //! The speedup curve is gated in `check.sh` against the recorded
-//! `host_cores`: while shards fit within the host's cores, speedup
-//! must be monotonically non-decreasing (the multi-router restructure
-//! removed the single-router inversion); once shards exceed cores the
-//! extra shards cannot run in parallel, so the gate instead bounds the
-//! oversubscription cost (each step keeps ≥ 90% of the previous
-//! step's speedup — the `worker_busy_secs` column shows the operator
-//! floor behind the residual: split samplers at 8× smaller budgets do
-//! ~10% more per-tuple work, and the router pays an 8-way scatter).
+//! `host_cores` and each configuration's `threads` (the pump, its
+//! router lanes, its worker threads): while a step's threads fit within
+//! the host's cores, speedup must not fall (the multi-router
+//! restructure removed the single-router inversion); a step that puts
+//! more threads on the same cores may lose what fair sharing of the
+//! cores takes from it, and 10% on top (the `worker_busy_secs` column
+//! shows the operator floor behind the residual: split samplers at 8×
+//! smaller budgets do ~10% more per-tuple work, and the router pays an
+//! 8-way scatter). Either way the two configurations' interquartile
+//! ranges are added to the allowance.
 //!
 //! Two correctness gates run alongside the timing:
 //!
@@ -33,7 +39,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use sso_analysis::{audit_file, AuditOptions};
-use sso_bench::{header, maybe_json};
+use sso_bench::{header, maybe_json, quartiles};
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::shard_plan;
 use sso_core::{queries, OpError, OperatorSpec, SamplingOperator, WindowOutput};
@@ -71,8 +77,14 @@ struct Run {
     mode: String,
     shards: usize,
     routers: usize,
+    /// Threads the configuration keeps busy: the pump, the router lanes
+    /// and the worker threads (two for the threaded baseline).
+    threads: usize,
     ring_batches: usize,
+    /// Median wall time over the repetitions, and its quartiles.
     secs: f64,
+    secs_q1: f64,
+    secs_q3: f64,
     /// Summed worker busy time: the operator-work floor under `secs`.
     /// The gap between them is routing + hand-off + scheduling.
     worker_busy_secs: f64,
@@ -231,13 +243,14 @@ fn main() {
     // Interleave the repetitions round-robin across every configuration
     // (threaded baseline included) instead of running each one's reps
     // back to back: background noise arrives in bursts, so consecutive
-    // reps of one configuration can all land in the same slow patch and
-    // best-of-N never sees its quiet-machine time. Round-robin spreads
-    // each configuration's reps across the full measurement span.
-    let mut base_secs = f64::INFINITY;
+    // reps of one configuration would all land in the same slow patch.
+    // Round-robin spreads each configuration's reps across the full
+    // measurement span. Output does not depend on timing, so the last
+    // repetition's report stands for all of them.
+    let mut base_secs = Vec::with_capacity(REPS);
     let mut base_windows = Vec::new();
-    let mut best: Vec<Option<(f64, sso_gigascope::ShardedRunReport)>> =
-        configs.iter().map(|_| None).collect();
+    let mut sharded: Vec<(Vec<f64>, Option<sso_gigascope::ShardedRunReport>)> =
+        configs.iter().map(|_| (Vec::with_capacity(REPS), None)).collect();
     for _ in 0..REPS {
         let plan_t = TwoLevelPlan::new(
             Box::new(SelectionNode::pass_all()),
@@ -245,13 +258,10 @@ fn main() {
         );
         let t0 = Instant::now();
         let report = run_plan_threaded(plan_t, packets.iter().cloned()).expect("threaded run");
-        let secs = t0.elapsed().as_secs_f64();
-        if secs < base_secs {
-            base_secs = secs;
-            base_windows = report.windows;
-        }
+        base_secs.push(t0.elapsed().as_secs_f64());
+        base_windows = report.windows;
 
-        for (slot, (_, split, cfg)) in configs.iter().enumerate() {
+        for ((secs, last), (_, split, cfg)) in sharded.iter_mut().zip(&configs) {
             let t0 = Instant::now();
             let report = run_plan_sharded_with(
                 Box::new(SelectionNode::pass_all()),
@@ -261,39 +271,44 @@ fn main() {
                 packets.iter().cloned(),
             )
             .expect("sharded run");
-            let secs = t0.elapsed().as_secs_f64();
-            if best[slot].as_ref().map(|(b, _)| secs < *b).unwrap_or(true) {
-                best[slot] = Some((secs, report));
-            }
+            secs.push(t0.elapsed().as_secs_f64());
+            *last = Some(report);
         }
     }
-    let base_tps = n as f64 / base_secs;
+    let [base_q1, base_median, base_q3] = quartiles(&mut base_secs);
 
     let mut runs = vec![Run {
         mode: "threaded".into(),
         shards: 1,
         routers: 0,
+        threads: 2,
         ring_batches: 0,
-        secs: base_secs,
+        secs: base_median,
+        secs_q1: base_q1,
+        secs_q3: base_q3,
         worker_busy_secs: 0.0,
-        tuples_per_sec: base_tps,
+        tuples_per_sec: n as f64 / base_median,
         speedup_vs_threaded: 1.0,
         windows: base_windows.len(),
         stalls: 0,
         dropped: 0,
         max_estimate_err_pct: max_estimate_err_pct(&base_windows, &truth),
     }];
-    for ((shards, _, cfg), best) in configs.iter().zip(best) {
-        let (secs, report) = best.expect("at least one rep");
+    for ((shards, _, cfg), (mut secs, report)) in configs.iter().zip(sharded) {
+        let [q1, median, q3] = quartiles(&mut secs);
+        let report = report.expect("at least one rep");
         runs.push(Run {
             mode: "sharded".into(),
             shards: *shards,
             routers: cfg.resolved_routers(),
+            threads: 1 + cfg.resolved_routers() + cfg.resolved_workers(),
             ring_batches: cfg.sizing.and_then(|h| h.ring_batches).unwrap_or(cfg.ring_capacity),
-            secs,
+            secs: median,
+            secs_q1: q1,
+            secs_q3: q3,
             worker_busy_secs: report.shards.iter().map(|s| s.busy().as_secs_f64()).sum(),
-            tuples_per_sec: n as f64 / secs,
-            speedup_vs_threaded: base_secs / secs,
+            tuples_per_sec: n as f64 / median,
+            speedup_vs_threaded: base_median / median,
             windows: report.windows.len(),
             stalls: report.shards.iter().map(|s| s.stalls()).sum(),
             dropped: report.dropped(),
@@ -324,12 +339,13 @@ fn main() {
     }
     header("Runtime scaling: dynamic subset-sum (1000 samples/period), data-center feed");
     println!(
-        "{:>9} {:>7} {:>8} {:>5} {:>8} {:>8} {:>12} {:>9} {:>8} {:>8} {:>10}",
+        "{:>9} {:>7} {:>8} {:>5} {:>8} {:>15} {:>8} {:>12} {:>9} {:>8} {:>8} {:>10}",
         "mode",
         "shards",
         "routers",
         "ring",
         "secs",
+        "[q1, q3]",
         "busy",
         "tuples/s",
         "speedup",
@@ -339,12 +355,13 @@ fn main() {
     );
     for r in &report.runs {
         println!(
-            "{:>9} {:>7} {:>8} {:>5} {:>8.3} {:>8.3} {:>12.0} {:>8.2}x {:>8} {:>8} {:>9.2}%",
+            "{:>9} {:>7} {:>8} {:>5} {:>8.3} {:>15} {:>8.3} {:>12.0} {:>8.2}x {:>8} {:>8} {:>9.2}%",
             r.mode,
             r.shards,
             r.routers,
             r.ring_batches,
             r.secs,
+            format!("[{:.3}, {:.3}]", r.secs_q1, r.secs_q3),
             r.worker_busy_secs,
             r.tuples_per_sec,
             r.speedup_vs_threaded,

@@ -30,6 +30,7 @@
 pub mod agg;
 pub mod error;
 pub mod expr;
+pub mod groups;
 pub mod libs;
 pub mod merge;
 pub mod metrics;
@@ -44,11 +45,13 @@ pub mod superagg;
 pub use agg::{AggSpec, AggState};
 pub use error::{panic_message, OpError};
 pub use expr::{BinOp, EvalCtx, Expr};
+pub use groups::{PagedBackend, SpillStats};
 pub use merge::{shard_plan, ColumnRule, MergeRule, NotMergeable, ShardPlan};
 pub use metrics::OperatorMetrics;
 pub use operator::{
-    Degradation, OperatorSpec, OperatorStats, PagedBackend, SamplingOperator, SizingHints,
-    SpillStats, WindowOutput, WindowStats,
+    Degradation, OperatorSpec, OperatorStats, SamplingOperator, SizingHints, WindowOutput,
+    WindowStats,
 };
+pub use program::Predicate;
 pub use sfun::{SfunLibrary, SfunStates, SfunTelemetry, Signature};
 pub use superagg::{SuperAggSpec, SuperAggState};

@@ -28,6 +28,7 @@ pub struct OperatorMetrics {
     cleaning_phases: Counter,
     evictions: Counter,
     groups: Gauge,
+    groups_peak: Gauge,
     threshold_z: Gauge,
     pub(crate) process_span: SampledSpan,
     pub(crate) clean_span: SampledSpan,
@@ -50,6 +51,7 @@ impl OperatorMetrics {
             cleaning_phases: registry.counter_labeled("op.cleaning_phases", label.clone()),
             evictions: registry.counter_labeled("op.evictions", label.clone()),
             groups: registry.gauge_labeled("op.groups", label.clone()),
+            groups_peak: registry.gauge_labeled("op.groups_peak", label.clone()),
             threshold_z: registry.gauge_labeled("op.threshold_z", label.clone()),
             process_span: SampledSpan::register(
                 registry,
@@ -87,9 +89,18 @@ impl OperatorMetrics {
         }
     }
 
-    /// Flush one closed window's counters and sampling telemetry.
+    /// Flush one closed window's counters and sampling telemetry:
+    /// `groups` are the groups live at the close (after the last
+    /// cleaning phase), `groups_peak` the most that were live at once
+    /// during the window — the number the audit's ceiling bounds.
     /// Returns whether the under-sampling detector fired.
-    pub fn on_window(&self, w: &WindowStats, groups: u64, telem: Option<&SfunTelemetry>) -> bool {
+    pub fn on_window(
+        &self,
+        w: &WindowStats,
+        groups: u64,
+        groups_peak: u64,
+        telem: Option<&SfunTelemetry>,
+    ) -> bool {
         self.windows.inc();
         self.tuples.add(w.tuples);
         self.admitted.add(w.admitted);
@@ -98,6 +109,7 @@ impl OperatorMetrics {
         self.cleaning_phases.add(w.cleaning_phases);
         self.evictions.add(w.evictions);
         self.groups.set(groups as f64);
+        self.groups_peak.set(groups_peak as f64);
         match telem {
             Some(t) => {
                 self.threshold_z.set(t.threshold);

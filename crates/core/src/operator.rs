@@ -27,10 +27,12 @@
 //! flat programs of `crate::program`; [`Expr::eval`] is the reference
 //! they are tested against, not what runs per tuple.
 //!
-//! Three tables back this, as in §6.4: the group table, the supergroup
-//! table (with its "old" twin for cross-window state carry-over), and
-//! the supergroup→groups index (kept in insertion order so output is
-//! deterministic).
+//! Three tables back this, as in §6.4: the group table (`crate::groups`:
+//! a group is a dense id into strided key and aggregate arenas), the
+//! supergroup table (with its "old" twin for cross-window state
+//! carry-over), and the supergroup→groups index — per supergroup, the
+//! ids of its groups in insertion order, so output is deterministic and
+//! cleaning and window close walk ids without hashing a key.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -39,9 +41,10 @@ use rustc_hash::FxHashMap;
 use sso_types::wire::{put_bytes, put_tuple, put_u32, take_tuple, Reader};
 use sso_types::{Tuple, Value};
 
-use crate::agg::{AggSpec, AggState};
+use crate::agg::AggSpec;
 use crate::error::OpError;
 use crate::expr::{EvalCtx, Expr};
+use crate::groups::{GroupTable, PagedBackend, SpillStats};
 use crate::metrics::OperatorMetrics;
 use crate::program::Program;
 use crate::sfun::{SfunLibrary, SfunStates, SfunTelemetry};
@@ -220,10 +223,13 @@ impl OperatorSpec {
     }
 
     /// Estimated resident bytes of one group-table entry under this
-    /// spec: the key tuple (one [`Value`] per group-by variable), the
-    /// aggregate-state vector, and the hash-table slot. The static
-    /// audit multiplies this by its certified group ceiling to turn a
-    /// group count into a memory ceiling, so the estimate errs high.
+    /// spec: the key (one [`Value`] per group-by variable), the
+    /// aggregate states, and the index share, each with room for a
+    /// container header. The static audit multiplies this by its
+    /// certified group ceiling to turn a group count into a memory
+    /// ceiling, so the estimate errs high: the table's real layout
+    /// (strided arenas, stored hash, ≤ 2 index slots, member-list entry)
+    /// stays under it (`group_entry_bytes_cover_the_real_layout`).
     pub fn group_entry_bytes(&self) -> usize {
         let key = TUPLE_HEADER_BYTES + self.group_by.len() * VALUE_BYTES;
         let aggs = TUPLE_HEADER_BYTES + self.aggregates.len() * AGG_STATE_BYTES;
@@ -281,148 +287,13 @@ impl SizingHints {
     pub const MAX_RESERVE: usize = 1 << 20;
 }
 
-/// One group: its aggregate states. The key lives in the table.
-#[derive(Debug)]
-struct GroupEntry {
-    aggs: Vec<AggState>,
-}
-
-/// A pluggable group-table backend that may page entries to disk.
-///
-/// The operator's group table is normally an in-RAM hash map. When live
-/// state would exceed a configured budget, `sso-store` substitutes a
-/// paged table (fixed-size pages, clock eviction, spill file) through
-/// this trait. Lookups take `&mut self` because a miss may fault a page
-/// in — and evict another to stay under budget.
-pub trait PagedBackend: Send {
-    /// Is this key present (resident or spilled)?
-    fn contains(&mut self, key: &Tuple) -> bool;
-    /// Insert a new entry (the key must not already be present).
-    fn insert(&mut self, key: Tuple, aggs: Vec<AggState>);
-    /// Mutable access to an entry's aggregate states, faulting its page
-    /// in if spilled.
-    fn aggs_mut(&mut self, key: &Tuple) -> Option<&mut Vec<AggState>>;
-    /// Remove an entry, returning its aggregate states.
-    fn remove(&mut self, key: &Tuple) -> Option<Vec<AggState>>;
-    /// Live entries (resident + spilled).
-    fn len(&self) -> usize;
-    /// Is the table empty?
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Drop every entry and reset the spill file (window close).
-    fn clear(&mut self);
-    /// Size hint from the audit's certified ceiling.
-    fn reserve(&mut self, additional: usize);
-    /// Estimated bytes of RAM-resident state right now.
-    fn resident_bytes(&self) -> u64;
-    /// High-water mark of [`Self::resident_bytes`].
-    fn peak_resident_bytes(&self) -> u64;
-    /// Spilled pages faulted back in so far.
-    fn page_faults(&self) -> u64;
-    /// Pages currently in the spill file.
-    fn spilled_pages(&self) -> u64;
-}
-
-/// Spill counters of a paged group table (see [`PagedBackend`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpillStats {
-    /// Estimated bytes of RAM-resident group state.
-    pub resident_bytes: u64,
-    /// High-water mark of `resident_bytes`.
-    pub peak_resident_bytes: u64,
-    /// Page faults served from the spill file.
-    pub page_faults: u64,
-    /// Pages currently spilled.
-    pub spilled_pages: u64,
-}
-
-/// The group table: in-RAM by default, paged under a state budget.
-enum GroupTable {
-    Ram(FxHashMap<Tuple, GroupEntry>),
-    Paged(Box<dyn PagedBackend>),
-}
-
-impl GroupTable {
-    /// Find or create the group of `key` and fold one tuple into its
-    /// aggregates. A live group costs one probe with the borrowed key
-    /// and no allocation; a new one has its key built once and is
-    /// returned so the caller can list it under its supergroup.
-    fn upsert(
-        &mut self,
-        key: &[Value],
-        init: impl FnOnce() -> Vec<AggState>,
-        fold: impl FnOnce(&mut [AggState]) -> Result<(), OpError>,
-    ) -> Result<Option<Tuple>, OpError> {
-        match self {
-            GroupTable::Ram(m) => {
-                if let Some(entry) = m.get_mut(key) {
-                    fold(&mut entry.aggs)?;
-                    return Ok(None);
-                }
-                let mut aggs = init();
-                fold(&mut aggs)?;
-                let key = Tuple::new(key.to_vec());
-                m.insert(key.clone(), GroupEntry { aggs });
-                Ok(Some(key))
-            }
-            // A paged table decides residency per call, so it keeps the
-            // probe / insert / touch sequence its fault counters assume.
-            GroupTable::Paged(b) => {
-                let key = Tuple::new(key.to_vec());
-                let is_new = !b.contains(&key);
-                if is_new {
-                    b.insert(key.clone(), init());
-                }
-                fold(b.aggs_mut(&key).expect("group just ensured"))?;
-                Ok(is_new.then_some(key))
-            }
-        }
-    }
-
-    fn aggs_mut(&mut self, key: &Tuple) -> Option<&mut Vec<AggState>> {
-        match self {
-            GroupTable::Ram(m) => m.get_mut(key).map(|e| &mut e.aggs),
-            GroupTable::Paged(b) => b.aggs_mut(key),
-        }
-    }
-
-    fn remove(&mut self, key: &Tuple) -> Option<Vec<AggState>> {
-        match self {
-            GroupTable::Ram(m) => m.remove(key).map(|e| e.aggs),
-            GroupTable::Paged(b) => b.remove(key),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            GroupTable::Ram(m) => m.len(),
-            GroupTable::Paged(b) => b.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            GroupTable::Ram(m) => m.clear(),
-            GroupTable::Paged(b) => b.clear(),
-        }
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        match self {
-            GroupTable::Ram(m) => m.reserve(additional),
-            GroupTable::Paged(b) => b.reserve(additional),
-        }
-    }
-}
-
-/// One supergroup: superaggregates, SFUN states, and its member groups
-/// in insertion order.
+/// One supergroup: superaggregates, SFUN states, and the ids of its
+/// member groups in insertion order.
 struct SupergroupEntry {
     key: Tuple,
     superaggs: Vec<SuperAggState>,
     states: SfunStates,
-    groups: Vec<Tuple>,
+    groups: Vec<u32>,
 }
 
 /// Per-window counters (Figures 3–4 read these).
@@ -624,8 +495,8 @@ impl SamplingOperator {
         Ok(SamplingOperator {
             lowered: Lowered::new(&spec),
             gb: vec![Value::Null; spec.group_by.len()],
+            groups: GroupTable::new(spec.group_by.len(), spec.aggregates.len()),
             spec: Arc::new(spec),
-            groups: GroupTable::Ram(FxHashMap::default()),
             sg_index: FxHashMap::default(),
             sgs: Vec::new(),
             old_sgs: FxHashMap::default(),
@@ -646,26 +517,18 @@ impl SamplingOperator {
         self.metrics = Some(metrics);
     }
 
-    /// Replace the in-RAM group table with a paged (spill-to-disk)
-    /// backend. Must be called before any tuple is processed; existing
-    /// entries are not migrated.
+    /// Keep the groups' aggregate states in a paged (spill-to-disk)
+    /// backend instead of RAM; keys and the index stay resident. Must be
+    /// called before any tuple is processed; existing entries are not
+    /// migrated.
     pub fn set_group_backend(&mut self, backend: Box<dyn PagedBackend>) {
-        debug_assert_eq!(self.groups.len(), 0, "backend swap on a live group table");
-        self.groups = GroupTable::Paged(backend);
+        self.groups.set_backend(backend);
     }
 
-    /// Spill counters when a paged backend is installed; `None` for the
-    /// default in-RAM table.
+    /// Spill counters when a paged backend is installed; `None` while
+    /// aggregate states live in RAM.
     pub fn spill_stats(&self) -> Option<SpillStats> {
-        match &self.groups {
-            GroupTable::Ram(_) => None,
-            GroupTable::Paged(b) => Some(SpillStats {
-                resident_bytes: b.resident_bytes(),
-                peak_resident_bytes: b.peak_resident_bytes(),
-                page_faults: b.page_faults(),
-                spilled_pages: b.spilled_pages(),
-            }),
-        }
+        self.groups.spill_stats()
     }
 
     /// Pre-size the group and supergroup tables from the audit's
@@ -822,33 +685,29 @@ impl SamplingOperator {
         }
         // 7. Group lookup / creation and aggregate update.
         let agg_args = &mut self.lowered.agg_args;
-        let new_key = self.groups.upsert(
-            gb,
-            || spec.aggregates.iter().map(|a| a.init()).collect(),
-            |aggs| {
-                for (state, arg) in aggs.iter_mut().zip(agg_args) {
-                    let v = match arg {
-                        Some(arg) => {
-                            let mut ctx = EvalCtx {
-                                clause: "AGGREGATE",
-                                tuple: Some(tuple),
-                                group_vars: Some(gb),
-                                aggs: None,
-                                superaggs: None,
-                                sfun_states: Some(states.as_mut_slice()),
-                            };
-                            Some(arg.eval(&mut ctx)?)
-                        }
-                        None => None,
-                    };
-                    state.fold(v)?;
-                }
-                Ok(())
-            },
-        )?;
-        if let Some(key) = new_key {
+        let new_id = self.groups.upsert(gb, &spec.aggregates, |aggs| {
+            for (state, arg) in aggs.iter_mut().zip(agg_args) {
+                let v = match arg {
+                    Some(arg) => {
+                        let mut ctx = EvalCtx {
+                            clause: "AGGREGATE",
+                            tuple: Some(tuple),
+                            group_vars: Some(gb),
+                            aggs: None,
+                            superaggs: None,
+                            sfun_states: Some(states.as_mut_slice()),
+                        };
+                        Some(arg.eval(&mut ctx)?)
+                    }
+                    None => None,
+                };
+                state.fold(v)?;
+            }
+            Ok(())
+        })?;
+        if let Some(id) = new_id {
             self.wstats.groups_created += 1;
-            members.push(key);
+            members.push(id);
             for (sa, state) in spec.superaggs.iter().zip(superaggs.iter_mut()) {
                 sa.on_group_add(state, gb)?;
             }
@@ -900,29 +759,46 @@ impl SamplingOperator {
             return Ok(());
         };
         let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
-        let group_keys = std::mem::take(members);
-        members.reserve(group_keys.len());
-        for gkey in group_keys {
-            let entry_aggs = self.groups.aggs_mut(&gkey).expect("group listed in supergroup");
+        // Walk the member ids, compacting the list in place (order kept).
+        // Whatever way the walk ends, `members[kept..seen]` are the ids
+        // it evicted.
+        let (mut kept, mut seen) = (0, 0);
+        let outcome = loop {
+            let Some(&id) = members.get(seen) else { break Ok(()) };
+            let (key, aggs) = self.groups.entry_mut(id);
             let mut ctx = EvalCtx {
                 clause: "CLEANING BY",
                 tuple: None,
-                group_vars: Some(gkey.values()),
-                aggs: Some(entry_aggs),
+                group_vars: Some(key),
+                aggs: Some(&*aggs),
                 superaggs: Some(superaggs),
                 sfun_states: Some(states.as_mut_slice()),
             };
-            if cb.eval_bool(&mut ctx)? {
-                members.push(gkey);
-            } else {
-                self.wstats.evictions += 1;
-                let entry_aggs = self.groups.remove(&gkey).expect("group listed in supergroup");
-                for (sa, state) in self.spec.superaggs.iter().zip(superaggs.iter_mut()) {
-                    sa.on_group_remove(state, gkey.values(), &entry_aggs)?;
+            // The superaggregates see an evicted group's key and
+            // aggregates before its id is freed for reuse.
+            let keep = cb.eval_bool(&mut ctx).and_then(|keep| {
+                if !keep {
+                    for (sa, state) in self.spec.superaggs.iter().zip(superaggs.iter_mut()) {
+                        sa.on_group_remove(state, key, aggs)?;
+                    }
                 }
+                Ok(keep)
+            });
+            match keep {
+                Ok(true) => {
+                    members[kept] = id;
+                    kept += 1;
+                }
+                Ok(false) => {
+                    self.wstats.evictions += 1;
+                    self.groups.remove(id);
+                }
+                Err(e) => break Err(e),
             }
-        }
-        Ok(())
+            seen += 1;
+        };
+        members.drain(kept..seen);
+        outcome
     }
 
     /// Close the current window: HAVING + SELECT per group, state
@@ -939,13 +815,13 @@ impl SamplingOperator {
         let mut rows = Vec::new();
         for sg in &mut self.sgs {
             let SupergroupEntry { superaggs, states, groups: members, .. } = sg;
-            for gkey in std::mem::take(members) {
-                let entry_aggs = self.groups.aggs_mut(&gkey).expect("group listed in supergroup");
+            for &id in members.iter() {
+                let (key, aggs) = self.groups.entry_mut(id);
                 let mut ctx = EvalCtx {
                     clause: "HAVING",
                     tuple: None,
-                    group_vars: Some(gkey.values()),
-                    aggs: Some(entry_aggs),
+                    group_vars: Some(key),
+                    aggs: Some(aggs),
                     superaggs: Some(superaggs),
                     sfun_states: Some(states.as_mut_slice()),
                 };
@@ -985,7 +861,7 @@ impl SamplingOperator {
         } else {
             None
         };
-        let groups_at_close = self.groups.len() as u64;
+        let (groups_at_close, groups_peak) = (self.groups.len() as u64, self.groups.peak() as u64);
         // Carry supergroup states into the old table for the next window.
         self.old_sgs.clear();
         for sg in self.sgs.drain(..) {
@@ -997,7 +873,7 @@ impl SamplingOperator {
         stats.output_rows = rows.len() as u64;
         self.stats.accumulate(&stats);
         if let Some(m) = &self.metrics {
-            m.on_window(&stats, groups_at_close, telemetry.as_ref());
+            m.on_window(&stats, groups_at_close, groups_peak, telemetry.as_ref());
         }
         if self.capture_flush {
             let carry = self.export_carry().map_err(OpError::InvalidSpec)?;
@@ -1240,6 +1116,74 @@ mod tests {
         assert_eq!(outs[0].stats.cleaning_phases, 1);
         let keys: Vec<&Value> = outs[0].rows.iter().map(|r| r.get(1)).collect();
         assert_eq!(keys, vec![&Value::U64(1), &Value::U64(3)]);
+    }
+
+    /// Lossy counting evicts a source and meets it again in the same
+    /// window: the group starts over in a recycled slot — `count(*)` = 1
+    /// and `first(current_bucket())` the *new* bucket — not from what
+    /// the slot last held.
+    #[test]
+    fn a_group_recreated_in_a_recycled_slot_starts_fresh() {
+        // Buckets of four tuples; time, srcIP, len at the packet's columns.
+        let mut spec = crate::queries::heavy_hitters_query(60, 4, None).unwrap();
+        spec.select.push(("first_bucket".into(), Expr::Aggregate(2)));
+        let mut op = SamplingOperator::new(spec).unwrap();
+        let packet = |src_ip: u32| {
+            let p = sso_types::Packet {
+                uts: 1,
+                src_ip,
+                dest_ip: 9,
+                src_port: 1000,
+                dest_port: 80,
+                proto: sso_types::Protocol::Tcp,
+                len: 10,
+            };
+            p.to_tuple()
+        };
+        // Bucket 1: four sources seen once; all fail `f + Δ > b` (1 + 1 > 2).
+        for src in [1, 2, 3, 4] {
+            op.process(&packet(src)).unwrap();
+        }
+        assert_eq!((op.group_count(), op.groups.peak()), (0, 4));
+        // Bucket 2: source 1 again, twice, then two sources seen once.
+        for src in [1, 1, 5, 6] {
+            op.process(&packet(src)).unwrap();
+        }
+        assert_eq!(op.groups.peak(), 4, "bucket 2 ran in bucket 1's slots");
+        let out = op.finish().unwrap().unwrap();
+        assert_eq!(out.stats.evictions, 6);
+        // 2 + 2 > 3: kept, with this bucket's count and bucket id.
+        let row = |vals: [u64; 5]| Tuple::new(vals.map(Value::U64).to_vec());
+        assert_eq!(out.rows, vec![row([0, 1, 20, 2, 2])]);
+    }
+
+    /// `Kth_smallest_value$` and `sum$` are told of an eviction with the
+    /// evicted group's own key and aggregates, before its slot is
+    /// recycled — and again when the slot's next tenant is evicted.
+    #[test]
+    fn superaggregates_see_the_evicted_group_before_its_slot_is_recycled() {
+        let mut spec = simple_agg_spec();
+        spec.superaggs = vec![
+            SuperAggSpec::CountDistinct,
+            SuperAggSpec::KthSmallest { expr: Expr::GroupVar(1), k: 1 },
+            SuperAggSpec::Sum { expr: Expr::Column(2), agg_slot: 0 },
+        ];
+        spec.cleaning_when = Some(Expr::SuperAgg(0).gt(Expr::lit(2u64)));
+        spec.cleaning_by = Some(Expr::Aggregate(0).ge(Expr::lit(10u64)));
+        spec.select.push(("least_k".into(), Expr::SuperAgg(1)));
+        spec.select.push(("total".into(), Expr::SuperAgg(2)));
+        let mut op = SamplingOperator::new(spec).unwrap();
+        // The third group triggers a cleaning phase that evicts k=1 (sum
+        // 3); k=2 then takes its slot, and is evicted (sum 4) in turn.
+        for tuple in [t(1, 5, 100), t(2, 1, 3), t(3, 7, 50), t(4, 2, 4)] {
+            op.process(&tuple).unwrap();
+        }
+        assert_eq!((op.group_count(), op.groups.peak()), (2, 3));
+        let out = op.finish().unwrap().unwrap();
+        assert_eq!(out.stats.evictions, 2);
+        let row = |vals: [u64; 6]| Tuple::new(vals.map(Value::U64).to_vec());
+        // Both evicted keys left the rank tracker, both sums left `sum$`.
+        assert_eq!(out.rows, vec![row([0, 5, 100, 1, 5, 150]), row([0, 7, 50, 1, 5, 150])]);
     }
 
     #[test]

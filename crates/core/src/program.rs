@@ -28,7 +28,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use sso_types::Value;
+use sso_types::{Tuple, Value};
 
 use crate::error::OpError;
 use crate::expr::{BinOp, EvalCtx, Expr};
@@ -315,16 +315,39 @@ impl Program {
     }
 }
 
+/// A predicate over one input tuple — a shared prefilter hoisted out of
+/// the queries behind it — lowered once and run as a [`Program`], the
+/// way the operator runs its own clauses. [`Expr::eval_bool`] with only
+/// a tuple in scope is its meaning.
+///
+/// A caller that filters *ahead* of operators which keep their full
+/// WHERE treats an error as a pass: the tuple then reaches an operator,
+/// which raises the error under its own clause, or rejects the tuple
+/// before the failing conjunct is reached — exactly as without the
+/// prefilter.
+pub struct Predicate(Program);
+
+impl Predicate {
+    /// Lower `expr`.
+    pub fn new(expr: &Expr) -> Self {
+        Predicate(Program::lower(expr))
+    }
+
+    /// Does `tuple` satisfy the predicate? Anything but an input column
+    /// is out of scope and an error.
+    pub fn test(&mut self, tuple: &Tuple) -> Result<bool, OpError> {
+        self.0.eval_bool(&mut EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("prefilter") })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::any::Any;
 
-    use proptest::prelude::*;
-    use sso_types::Tuple;
-
     use super::*;
     use crate::agg::AggState;
     use crate::superagg::SuperAggState;
+    use proptest::prelude::*;
 
     /// All six kinds, weighted toward the operands where integer
     /// arithmetic overflows, divides by zero or changes sign.

@@ -128,3 +128,25 @@ fn deferred_group_by_error_is_raised_for_admitted_tuples_only() {
     op.process(&t(1, 8, 2, 1)).unwrap();
     assert!(op.process(&t(2, 8, 0, 1)).is_err(), "a/0 on an admitted tuple is still an error");
 }
+
+/// The audit turns a certified group count into a memory ceiling with
+/// `group_entry_bytes`. The model must stay above what the group table
+/// really spends on a group: its key and aggregate states in the strided
+/// arenas, the stored hash, two index slots (load ≤ ½) — with the
+/// member-list entry and the growth slack of the vectors inside the
+/// difference.
+#[test]
+fn group_entry_bytes_cover_the_real_layout() {
+    use std::mem::size_of;
+    for (name, _) in EXAMPLE_QUERIES {
+        let spec = builder(name);
+        let (k, a) = (spec.group_by.len(), spec.aggregates.len());
+        let real =
+            k * size_of::<sso_types::Value>() + a * size_of::<sso_core::AggState>() + 8 + 2 * 4;
+        assert!(
+            real <= spec.group_entry_bytes(),
+            "{name}: a group really takes {real} B, the audit models {}",
+            spec.group_entry_bytes()
+        );
+    }
+}

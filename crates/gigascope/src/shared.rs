@@ -13,8 +13,7 @@
 //! `(window, rows)` per consumer: consumers keep their full residual
 //! predicates, so sharing changes only *work*, never *output*.
 
-use sso_core::expr::EvalCtx;
-use sso_core::{Expr, OpError, SamplingOperator, WindowOutput};
+use sso_core::{Expr, OpError, Predicate, SamplingOperator, WindowOutput};
 use sso_types::Packet;
 
 use crate::engine::NodeStats;
@@ -34,8 +33,10 @@ pub struct SharedGroup {
 /// deduplicated operator groups.
 pub struct SharedQueryPlan {
     /// Pure tuple predicate hoisted out of every member query; a tuple
-    /// failing it is dropped before any operator sees it. Compiled from
-    /// the base-stream schema (e.g. via
+    /// failing it is dropped before any operator sees it, a tuple it
+    /// cannot be evaluated on is passed through (the consumers keep
+    /// their full WHERE and raise the error, or not, as they would
+    /// unshared). Compiled from the base-stream schema (e.g. via
     /// `sso_query::compile_packet_predicate`).
     pub prefilter: Option<Expr>,
     /// The share groups, in plan order.
@@ -73,15 +74,15 @@ pub fn run_fanout_shared(
         .collect();
     let mut first_uts = None;
     let mut last_uts = 0u64;
+    let mut prefilter = plan.prefilter.as_ref().map(Predicate::new);
 
-    let feed = |tuple: &sso_types::Tuple,
-                plan: &mut SharedQueryPlan,
-                group_windows: &mut [Vec<WindowOutput>],
-                group_stats: &mut [NodeStats]|
+    let mut feed = |tuple: &sso_types::Tuple,
+                    plan: &mut SharedQueryPlan,
+                    group_windows: &mut [Vec<WindowOutput>],
+                    group_stats: &mut [NodeStats]|
      -> Result<(), OpError> {
-        if let Some(pred) = &plan.prefilter {
-            let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("shared prefilter") };
-            if !pred.eval_bool(&mut ctx)? {
+        if let Some(pred) = &mut prefilter {
+            if !pred.test(tuple).unwrap_or(true) {
                 return Ok(());
             }
         }

@@ -63,8 +63,8 @@ use std::time::Duration;
 
 use rustc_hash::FxHasher;
 use sso_core::{
-    panic_message, EvalCtx, Expr, OpError, OperatorMetrics, OperatorSpec, SamplingOperator,
-    ShardPlan, SizingHints, SpillStats, WindowOutput,
+    panic_message, EvalCtx, Expr, OpError, OperatorMetrics, OperatorSpec, Predicate,
+    SamplingOperator, ShardPlan, SizingHints, SpillStats, WindowOutput,
 };
 use sso_faults::{FaultPlan, WorkerFaultSchedule};
 use sso_obs::{
@@ -1217,9 +1217,23 @@ struct RouterLane<'a> {
     /// with it (workers outlive their lanes unless they fail).
     worker_gone: bool,
     trace: Option<RouterTrace>,
+    /// This lane's lowered copy of [`RuntimeConfig::shared_prefilter`].
+    prefilter: Option<Predicate>,
 }
 
 impl RouterLane<'_> {
+    /// Is `tuple` routed at all? A tuple the shared prefilter cannot be
+    /// evaluated on is: the operator behind the router keeps its full
+    /// WHERE and raises the error, or rejects the tuple, as it would
+    /// without a prefilter.
+    #[inline]
+    fn passes_prefilter(&mut self, tuple: &Tuple) -> bool {
+        match &mut self.prefilter {
+            None => true,
+            Some(pred) => pred.test(tuple).unwrap_or(true),
+        }
+    }
+
     /// Route `tuple` to `shard` by trading it for a dead tuple of the
     /// batch being filled: the chunk it came from goes home with a
     /// buffer the source can overwrite.
@@ -1426,17 +1440,6 @@ struct LaneOutcome {
     uncovered: Vec<(Tuple, u64)>,
 }
 
-#[inline]
-fn passes_prefilter(prefilter: Option<&Expr>, tuple: &Tuple) -> bool {
-    match prefilter {
-        None => true,
-        Some(pred) => {
-            let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("shared prefilter") };
-            pred.eval_bool(&mut ctx).unwrap_or(true)
-        }
-    }
-}
-
 fn add_lane_uncovered(uncovered: &mut Vec<(Tuple, u64)>, key: Tuple, n: u64) {
     match uncovered.iter_mut().find(|(k, _)| *k == key) {
         Some((_, c)) => *c += n,
@@ -1470,7 +1473,6 @@ fn route_chunk(
     sup: &mut LaneSupervision,
     router_def: &Router,
     wexprs: &[Expr],
-    prefilter: Option<&Expr>,
     supervision: Supervision,
     profiler: Option<&Profiler>,
     chunk: &mut [Tuple],
@@ -1483,7 +1485,7 @@ fn route_chunk(
                 let t = &chunk[local];
                 if window_key(wexprs, t).as_ref() == Some(&qkey) {
                     sup.count += 1;
-                    if passes_prefilter(prefilter, t) {
+                    if lane.passes_prefilter(t) {
                         add_lane_uncovered(&mut sup.uncovered, qkey.clone(), 1);
                         lane.lane_stats.uncovered.inc();
                     }
@@ -1518,7 +1520,7 @@ fn route_chunk(
                         f.trip_router(router, *count);
                     }
                     let tuple = &mut chunk[*local];
-                    if passes_prefilter(prefilter, tuple) {
+                    if lane.passes_prefilter(tuple) {
                         let shard = router_def.route(tuple, start + *local as u64, lane.shards);
                         lane.push_tuple(shard, tuple);
                     }
@@ -1535,7 +1537,7 @@ fn route_chunk(
             // following same-window tuple of the lane's chunks are lost.
             let t = &chunk[local];
             let key = window_key(wexprs, t).unwrap_or_else(|| Tuple::new(Vec::new()));
-            if passes_prefilter(prefilter, t) {
+            if lane.passes_prefilter(t) {
                 add_lane_uncovered(&mut sup.uncovered, key.clone(), 1);
                 lane.lane_stats.uncovered.inc();
             }
@@ -1992,6 +1994,7 @@ where
                         fresh,
                         worker_gone: false,
                         trace,
+                        prefilter: prefilter.map(Predicate::new),
                     };
                     for shard in 0..shards {
                         lane.batches[shard].0 = lane.recycled(shard);
@@ -2021,7 +2024,6 @@ where
                             &mut sup,
                             router_def,
                             wexprs,
-                            prefilter,
                             supervision,
                             profile.as_ref(),
                             &mut chunk.tuples[..chunk.live],

@@ -12,10 +12,12 @@
 //!   appends one framed record (output + carry + aux) to an append-only
 //!   log, so a restarted worker resumes from the last *recorded* window
 //!   and loses at most the window that was open when the process died;
-//! * **a spill-to-disk paged group table** — when a query's certified
-//!   live state exceeds the configured `--state-budget`, the group
-//!   table pages entries to a spill file under clock (second-chance)
-//!   eviction, keeping resident bytes under the budget.
+//! * **a spill-to-disk pager of group aggregate states** — when a
+//!   query's certified live state exceeds the configured
+//!   `--state-budget`, the operator's group table keeps its keys and
+//!   index in RAM and pages the groups' aggregate states, by group id,
+//!   to a spill file under clock (second-chance) eviction, keeping
+//!   their resident bytes under the budget.
 //!
 //! Recovery reads the newest valid checkpoint (falling back to the
 //! previous one on checksum mismatch), replays WAL records that chain

@@ -1,10 +1,13 @@
-//! The spill-to-disk paged group table.
+//! The spill-to-disk store of group aggregate states.
 //!
-//! Implements [`sso_core::PagedBackend`]: group entries live in
-//! fixed-size pages (sealed at [`PAGE_BYTES`] of modeled bytes); when
-//! resident state exceeds the budget, clock (second-chance) eviction
-//! encodes a victim page and appends it to the shard's spill file. A
-//! lookup that lands on a spilled page faults it back in.
+//! Implements [`sso_core::PagedBackend`]: the operator's group table
+//! keeps every key, its index and the member lists in RAM and addresses
+//! a group by a dense id; under a state budget the groups' *aggregate
+//! states* live here instead, in fixed-size pages (sealed at
+//! [`PAGE_BYTES`] of modeled bytes). When resident state exceeds the
+//! budget, clock (second-chance) eviction encodes a victim page and
+//! appends it to the shard's spill file. Access to an id whose page is
+//! spilled faults the page back in.
 //!
 //! Two pages are never evicted: the *open* page (still filling with new
 //! groups) and the page just touched by the current operation. The
@@ -23,23 +26,26 @@ use rustc_hash::FxHashMap;
 use sso_core::operator::{AGG_STATE_BYTES, HASH_SLOT_BYTES, TUPLE_HEADER_BYTES, VALUE_BYTES};
 use sso_core::snapshot::{put_agg_states, take_agg_states, PAGE_BYTES};
 use sso_core::{AggState, PagedBackend};
-use sso_types::wire::{put_tuple, put_u32, take_tuple, Reader};
-use sso_types::Tuple;
+use sso_types::wire::{put_u32, Reader};
+use sso_types::Value;
 
 /// Modeled resident bytes of one group entry (key + aggregate states +
 /// hash slot), matching `OperatorSpec::group_entry_bytes`.
-fn entry_bytes(key: &Tuple, aggs: &[AggState]) -> u64 {
+fn entry_bytes(key_len: usize, aggs: &[AggState]) -> u64 {
     (TUPLE_HEADER_BYTES
-        + key.arity() * VALUE_BYTES
+        + key_len * VALUE_BYTES
         + TUPLE_HEADER_BYTES
         + aggs.len() * AGG_STATE_BYTES
         + HASH_SLOT_BYTES) as u64
 }
 
+/// A page's entries: aggregate states by group id.
+type Entries = FxHashMap<u32, Vec<AggState>>;
+
 /// One page of group entries.
 struct Page {
     /// Resident entries; `None` when the page lives in the spill file.
-    entries: Option<FxHashMap<Tuple, Vec<AggState>>>,
+    entries: Option<Entries>,
     /// Modeled bytes of this page's entries.
     bytes: u64,
     /// Sealed pages accept no new entries and are eviction candidates.
@@ -65,12 +71,23 @@ impl Page {
     }
 }
 
-/// A group table bounded to `budget` modeled resident bytes, spilling
-/// overflow pages to a file.
+/// Where a group id's entry lives, and its modeled bytes.
+#[derive(Clone, Copy)]
+struct Slot {
+    page: u32,
+    bytes: u32,
+}
+
+/// The slot of an id that holds no entry.
+const VACANT: Slot = Slot { page: u32::MAX, bytes: 0 };
+
+/// Group aggregate states bounded to `budget` modeled resident bytes,
+/// spilling overflow pages to a file.
 pub struct PagedGroupTable {
     file: File,
     budget: u64,
-    index: FxHashMap<Tuple, u32>,
+    /// Group id → its slot, or [`VACANT`].
+    slots: Vec<Slot>,
     pages: Vec<Page>,
     open_page: u32,
     resident: u64,
@@ -89,7 +106,7 @@ impl PagedGroupTable {
         Ok(PagedGroupTable {
             file,
             budget,
-            index: FxHashMap::default(),
+            slots: Vec::new(),
             pages: vec![Page::fresh()],
             open_page: 0,
             resident: 0,
@@ -107,26 +124,31 @@ impl PagedGroupTable {
         Self::new(&crate::wal::spill_path(dir, shard), budget)
     }
 
-    fn encode_page(entries: &FxHashMap<Tuple, Vec<AggState>>) -> Vec<u8> {
+    /// The slot of `id`, if it holds an entry.
+    fn slot(&self, id: u32) -> Option<Slot> {
+        self.slots.get(id as usize).copied().filter(|s| s.page != VACANT.page)
+    }
+
+    fn encode_page(entries: &Entries) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, entries.len() as u32);
-        for (key, aggs) in entries {
-            put_tuple(&mut out, key);
+        for (id, aggs) in entries {
+            put_u32(&mut out, *id);
             put_agg_states(&mut out, aggs);
         }
         out
     }
 
-    fn decode_page(bytes: &[u8]) -> io::Result<FxHashMap<Tuple, Vec<AggState>>> {
+    fn decode_page(bytes: &[u8]) -> io::Result<Entries> {
         let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
         let mut r = Reader::new(bytes);
         let n = r.take_u32().map_err(|e| bad(e.to_string()))? as usize;
-        let mut entries = FxHashMap::default();
-        entries.reserve(n);
+        let mut entries = Entries::default();
+        entries.reserve(n.min(PAGE_BYTES));
         for _ in 0..n {
-            let key = take_tuple(&mut r).map_err(|e| bad(e.to_string()))?;
+            let id = r.take_u32().map_err(|e| bad(e.to_string()))?;
             let aggs = take_agg_states(&mut r).map_err(|e| bad(e.to_string()))?;
-            entries.insert(key, aggs);
+            entries.insert(id, aggs);
         }
         if !r.is_empty() {
             return Err(bad("trailing bytes in spill page".into()));
@@ -196,20 +218,20 @@ impl PagedGroupTable {
 }
 
 impl PagedBackend for PagedGroupTable {
-    fn contains(&mut self, key: &Tuple) -> bool {
-        self.index.contains_key(key)
-    }
-
-    fn insert(&mut self, key: Tuple, aggs: Vec<AggState>) {
+    fn insert(&mut self, id: u32, key: &[Value], aggs: Vec<AggState>) {
+        debug_assert!(self.slot(id).is_none(), "group id {id} inserted twice");
         let pid = self.open_page as usize;
-        let eb = entry_bytes(&key, &aggs);
+        let eb = entry_bytes(key.len(), &aggs);
         let page = &mut self.pages[pid];
-        page.entries.as_mut().expect("open page is resident").insert(key.clone(), aggs);
+        page.entries.as_mut().expect("open page is resident").insert(id, aggs);
         page.bytes += eb;
         page.refbit = true;
         page.dirty = true;
         self.resident += eb;
-        self.index.insert(key, self.open_page);
+        if self.slots.len() <= id as usize {
+            self.slots.resize(id as usize + 1, VACANT);
+        }
+        self.slots[id as usize] = Slot { page: self.open_page, bytes: eb as u32 };
         if self.pages[pid].bytes >= PAGE_BYTES as u64 {
             self.pages[pid].sealed = true;
             self.pages.push(Page::fresh());
@@ -222,34 +244,30 @@ impl PagedBackend for PagedGroupTable {
         self.enforce_budget(pins).expect("spill write failed");
     }
 
-    fn aggs_mut(&mut self, key: &Tuple) -> Option<&mut Vec<AggState>> {
-        let pid = *self.index.get(key)? as usize;
+    fn aggs_mut(&mut self, id: u32) -> Option<&mut [AggState]> {
+        let pid = self.slot(id)?.page as usize;
         self.ensure_resident(pid).expect("spill read failed");
         self.pages[pid].refbit = true;
         self.pages[pid].dirty = true;
         self.enforce_budget([self.open_page, pid as u32]).expect("spill write failed");
-        self.pages[pid].entries.as_mut().expect("page faulted in").get_mut(key)
+        let entries = self.pages[pid].entries.as_mut().expect("page faulted in");
+        entries.get_mut(&id).map(Vec::as_mut_slice)
     }
 
-    fn remove(&mut self, key: &Tuple) -> Option<Vec<AggState>> {
-        let pid = *self.index.get(key)? as usize;
+    fn remove(&mut self, id: u32) {
+        let Some(Slot { page: pid, bytes }) = self.slot(id) else { return };
+        let (pid, eb) = (pid as usize, bytes as u64);
         self.ensure_resident(pid).expect("spill read failed");
-        self.index.remove(key);
+        self.slots[id as usize] = VACANT;
         let page = &mut self.pages[pid];
-        let aggs = page.entries.as_mut().expect("page faulted in").remove(key)?;
-        let eb = entry_bytes(key, &aggs);
+        page.entries.as_mut().expect("page faulted in").remove(&id);
         page.bytes -= eb;
         page.dirty = true;
         self.resident -= eb;
-        Some(aggs)
-    }
-
-    fn len(&self) -> usize {
-        self.index.len()
     }
 
     fn clear(&mut self) {
-        self.index.clear();
+        self.slots.clear();
         self.pages = vec![Page::fresh()];
         self.open_page = 0;
         self.resident = 0;
@@ -259,7 +277,7 @@ impl PagedBackend for PagedGroupTable {
     }
 
     fn reserve(&mut self, additional: usize) {
-        self.index.reserve(additional);
+        self.slots.reserve(additional);
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -282,14 +300,13 @@ impl PagedBackend for PagedGroupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sso_types::Value;
 
-    fn key(i: u64) -> Tuple {
-        Tuple::new(vec![Value::U64(i / 100), Value::U64(i)])
-    }
+    /// Two values per key, as sized by the byte model; the pager does
+    /// not keep them.
+    const KEY: [Value; 2] = [Value::Null, Value::Null];
 
-    fn aggs(i: u64) -> Vec<AggState> {
-        vec![AggState::Count(i), AggState::Sum(Value::U64(i * 3))]
+    fn aggs(i: u32) -> Vec<AggState> {
+        vec![AggState::Count(i as u64), AggState::Sum(Value::U64(i as u64 * 3))]
     }
 
     fn tmp(tag: &str) -> std::path::PathBuf {
@@ -301,15 +318,16 @@ mod tests {
         let p = tmp("map");
         let mut t = PagedGroupTable::new(&p, u64::MAX).unwrap();
         for i in 0..100 {
-            assert!(!t.contains(&key(i)));
-            t.insert(key(i), aggs(i));
-            assert!(t.contains(&key(i)));
+            assert!(t.aggs_mut(i).is_none());
+            t.insert(i, &KEY, aggs(i));
+            assert!(t.aggs_mut(i).is_some());
         }
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.aggs_mut(&key(7)).unwrap()[0], AggState::Count(7));
-        assert_eq!(t.remove(&key(7)).unwrap()[1], AggState::Sum(Value::U64(21)));
-        assert!(!t.contains(&key(7)));
-        assert_eq!(t.len(), 99);
+        assert_eq!(t.resident_bytes(), 100 * entry_bytes(2, &aggs(0)));
+        assert_eq!(t.aggs_mut(7).unwrap()[0], AggState::Count(7));
+        t.remove(7);
+        assert!(t.aggs_mut(7).is_none());
+        t.remove(7);
+        assert_eq!(t.resident_bytes(), 99 * entry_bytes(2, &aggs(0)));
         assert_eq!(t.page_faults(), 0, "nothing spilled under an infinite budget");
         let _ = std::fs::remove_file(&p);
     }
@@ -321,18 +339,18 @@ mod tests {
         // of 3 pages forces spilling.
         let budget = (3 * PAGE_BYTES) as u64;
         let mut t = PagedGroupTable::new(&p, budget).unwrap();
-        let n = 2000u64;
+        let n = 2000;
         for i in 0..n {
-            t.insert(key(i), aggs(i));
+            t.insert(i, &KEY, aggs(i));
         }
         assert!(t.spilled_pages() > 0, "budget forced spilling");
         assert!(t.resident_bytes() <= budget, "resident {} > budget {budget}", t.resident_bytes());
         assert!(t.peak_resident_bytes() <= budget);
         // Every entry is still retrievable, exactly.
         for i in 0..n {
-            let a = t.aggs_mut(&key(i)).unwrap_or_else(|| panic!("entry {i} lost"));
-            assert_eq!(a[0], AggState::Count(i));
-            assert_eq!(a[1], AggState::Sum(Value::U64(i * 3)));
+            let a = t.aggs_mut(i).unwrap_or_else(|| panic!("entry {i} lost"));
+            assert_eq!(a[0], AggState::Count(i as u64));
+            assert_eq!(a[1], AggState::Sum(Value::U64(i as u64 * 3)));
         }
         assert!(t.page_faults() > 0);
         assert!(t.resident_bytes() <= budget);
@@ -345,15 +363,47 @@ mod tests {
         let budget = (2 * PAGE_BYTES) as u64;
         let mut t = PagedGroupTable::new(&p, budget).unwrap();
         for i in 0..1500 {
-            t.insert(key(i), aggs(i));
+            t.insert(i, &KEY, aggs(i));
         }
         // Mutate an early (likely spilled) entry, then force more
         // eviction traffic, then verify the mutation persisted.
-        t.aggs_mut(&key(3)).unwrap()[0] = AggState::Count(999_999);
+        t.aggs_mut(3).unwrap()[0] = AggState::Count(999_999);
         for i in 1500..3000 {
-            t.insert(key(i), aggs(i));
+            t.insert(i, &KEY, aggs(i));
         }
-        assert_eq!(t.aggs_mut(&key(3)).unwrap()[0], AggState::Count(999_999));
+        assert_eq!(t.aggs_mut(3).unwrap()[0], AggState::Count(999_999));
+        let _ = std::fs::remove_file(&p);
+    }
+
+    /// The group table reuses a freed id for another key. The id's new
+    /// entry lands in the open page, and the old page — spilled with the
+    /// old entry in it — never brings that entry back.
+    #[test]
+    fn a_reused_id_does_not_resurrect_its_old_entry() {
+        let p = tmp("reuse");
+        let budget = (2 * PAGE_BYTES) as u64;
+        let mut t = PagedGroupTable::new(&p, budget).unwrap();
+        for i in 0..1500 {
+            t.insert(i, &KEY, aggs(i));
+        }
+        let first_page_len = t.pages[0].disk.expect("page 0 was spilled with id 3 in it").1;
+        assert!(t.pages[0].entries.is_none());
+        // Removal faults page 0 in; the rewrite is smaller by one entry.
+        t.remove(3);
+        t.insert(3, &KEY, vec![AggState::Count(0), AggState::Sum(Value::Null)]);
+        assert_eq!(t.slot(3).unwrap().page, t.open_page, "a new entry goes to the open page");
+        // An eviction / fault cycle over every page, the old one included.
+        for i in 1500..3000 {
+            t.insert(i, &KEY, aggs(i));
+        }
+        for i in 0..3000 {
+            let expect = if i == 3 { AggState::Count(0) } else { AggState::Count(i as u64) };
+            assert_eq!(t.aggs_mut(i).unwrap()[0], expect, "id {i}");
+        }
+        assert!(t.pages[0].disk.unwrap().1 < first_page_len, "page 0 was rewritten without id 3");
+        t.aggs_mut(0).unwrap();
+        let old_page = t.pages[0].entries.as_ref().expect("id 0 just faulted page 0 in");
+        assert!(!old_page.contains_key(&3));
         let _ = std::fs::remove_file(&p);
     }
 
@@ -363,17 +413,16 @@ mod tests {
         let budget = (2 * PAGE_BYTES) as u64;
         let mut t = PagedGroupTable::new(&p, budget).unwrap();
         for i in 0..1500 {
-            t.insert(key(i), aggs(i));
+            t.insert(i, &KEY, aggs(i));
         }
         t.clear();
-        assert_eq!(t.len(), 0);
         assert_eq!(t.resident_bytes(), 0);
         assert_eq!(t.spilled_pages(), 0);
-        assert!(!t.contains(&key(3)));
+        assert!(t.aggs_mut(3).is_none());
         assert_eq!(std::fs::metadata(&p).unwrap().len(), 0, "spill file truncated");
         // Reusable after clear.
-        t.insert(key(1), aggs(1));
-        assert_eq!(t.aggs_mut(&key(1)).unwrap()[0], AggState::Count(1));
+        t.insert(1, &KEY, aggs(1));
+        assert_eq!(t.aggs_mut(1).unwrap()[0], AggState::Count(1));
         let _ = std::fs::remove_file(&p);
     }
 }

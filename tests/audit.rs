@@ -11,19 +11,31 @@ use stream_sampler::operator::queries::EXAMPLE_QUERIES;
 use stream_sampler::operator::{OpError, OperatorMetrics};
 use stream_sampler::prelude::*;
 
-/// Peak live groups / supergroups while processing `packets`, sampled
-/// after every tuple (stronger than a gauge read at window close).
+/// Peak live groups / supergroups while processing `packets`. The
+/// groups are the largest `op.groups_peak` the operator exported at a
+/// window close, cross-checked against a poll after every tuple: the
+/// poll can miss only the one group whose arrival triggers a cleaning
+/// phase, live during the phase and gone (or a neighbour is) before
+/// `process` returns.
 fn observed_peak(text: &str, packets: &[Packet]) -> (usize, usize) {
     let mut op = compile(text, &Packet::schema(), &PlannerConfig::standard()).unwrap();
     let registry = Registry::new();
     op.set_metrics(OperatorMetrics::register(&registry, ""));
-    let (mut peak_groups, mut peak_supergroups) = (0usize, 0usize);
+    let (mut peak_groups, mut polled_groups, mut peak_supergroups) = (0usize, 0usize, 0usize);
+    let exported = || registry.snapshot().value("op.groups_peak") as usize;
     for p in packets {
-        op.process(&p.to_tuple()).unwrap();
-        peak_groups = peak_groups.max(op.group_count());
+        if op.process(&p.to_tuple()).unwrap().is_some() {
+            peak_groups = peak_groups.max(exported());
+        }
+        polled_groups = polled_groups.max(op.group_count());
         peak_supergroups = peak_supergroups.max(op.supergroup_count());
     }
     op.finish().unwrap();
+    peak_groups = peak_groups.max(exported());
+    assert!(
+        (polled_groups..=polled_groups + 1).contains(&peak_groups),
+        "op.groups_peak says {peak_groups}, a poll after every tuple saw {polled_groups}"
+    );
     (peak_groups, peak_supergroups)
 }
 

@@ -297,6 +297,78 @@ fn sharded_runtime_shared_prefilter_is_transparent() {
     }
 }
 
+/// One lowered prefilter with one error policy: a tuple the prefilter
+/// cannot be evaluated on is passed through, inline and sharded alike,
+/// so the operators behind it decide — the same `Ok`/`Err` and the same
+/// windows as without the prefilter.
+#[test]
+fn erroring_prefilter_is_transparent_inline_and_sharded() {
+    // `7 / (len % 2)` divides by zero on every even length. The first
+    // WHERE rejects an even length before it reaches the division, the
+    // second does not.
+    let guarded = "SELECT tb, sum(len), count(*) FROM PKT \
+                   WHERE len % 2 = 1 AND 7 / (len % 2) >= 1 GROUP BY time/2 as tb";
+    let unguarded = "SELECT tb, sum(len), count(*) FROM PKT \
+                     WHERE len >= 40 AND 7 / (len % 2) >= 1 GROUP BY time/2 as tb";
+    let hoisted = "SELECT tb FROM PKT WHERE 7 / (len % 2) >= 1 GROUP BY time/2 as tb";
+    let schema = stream_sampler::query::base_stream_schema("PKT").unwrap();
+    let config = PlannerConfig::standard();
+    let pred = stream_sampler::query::parse_query(hoisted).unwrap().where_clause.unwrap();
+    let prefilter = compile_packet_predicate(&pred, &schema).unwrap();
+    let packets = research_feed(0xd1f).take_seconds(6);
+    assert!(packets.iter().any(|p| p.len % 2 == 0) && packets.iter().any(|p| p.len % 2 == 1));
+
+    for (text, runs) in [(guarded, true), (unguarded, false)] {
+        let op = || stream_sampler::query::compile(text, &schema, &config).expect("compile");
+        let low = || Box::new(SelectionNode::pass_all());
+        let plain = run_fanout(
+            FanoutPlan { low: low(), highs: vec![("q1".into(), op())] },
+            packets.clone(),
+        );
+        let filtered = run_fanout_shared(
+            low(),
+            SharedQueryPlan {
+                prefilter: Some(prefilter.clone()),
+                groups: vec![SharedGroup { op: op(), consumers: vec!["q1".into()] }],
+            },
+            packets.clone(),
+        );
+        assert_eq!(plain.is_ok(), runs, "{text}");
+        match (&plain, &filtered) {
+            (Ok(u), Ok(s)) => assert_identical(u, s, 1),
+            (Err(u), Err(s)) => assert_eq!(u.to_string(), s.to_string()),
+            _ => {
+                panic!("inline: unshared ok = {}, shared ok = {}", plain.is_ok(), filtered.is_ok())
+            }
+        }
+
+        let spec = |_| {
+            let q = stream_sampler::query::parse_query(text).unwrap();
+            stream_sampler::query::plan(&q, &schema, &config).map_err(|e| match e {
+                stream_sampler::query::QueryError::Plan(op) => op,
+                other => panic!("unexpected: {other}"),
+            })
+        };
+        let cfg = RuntimeConfig::new(2);
+        let plain = run_plan_sharded(low(), spec, &cfg, packets.clone());
+        let cfg = cfg.with_shared_prefilter(Arc::new(prefilter.clone()));
+        let filtered = run_plan_sharded(low(), spec, &cfg, packets.clone());
+        assert_eq!(plain.is_ok(), runs, "{text}, sharded");
+        match (&plain, &filtered) {
+            (Ok(u), Ok(s)) => {
+                assert_eq!(u.windows.len(), s.windows.len());
+                for (a, b) in u.windows.iter().zip(&s.windows) {
+                    assert_eq!((&a.window, &a.rows), (&b.window, &b.rows));
+                }
+            }
+            (Err(_), Err(_)) => {}
+            _ => {
+                panic!("sharded: plain ok = {}, filtered ok = {}", plain.is_ok(), filtered.is_ok())
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
