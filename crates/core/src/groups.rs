@@ -43,8 +43,8 @@ use crate::error::OpError;
 /// may fault a page in — and evict another to stay under budget.
 pub trait PagedBackend: Send {
     /// Store the aggregate states of a new group. `id` must not be
-    /// present; `key` sizes the entry in the byte model and is not kept.
-    fn insert(&mut self, id: u32, key: &[Value], aggs: Vec<AggState>);
+    /// present.
+    fn insert(&mut self, id: u32, aggs: Vec<AggState>);
     /// Mutable access to a group's aggregate states, faulting its page
     /// in if spilled.
     fn aggs_mut(&mut self, id: u32) -> Option<&mut [AggState]>;
@@ -199,9 +199,17 @@ impl GroupTable {
             self.resize_index(self.index.len() * 2);
             pos = self.probe(hash, |_| false);
         }
+        let grown = self.free.is_empty();
         let id = self.alloc(key, hash, specs);
         if let Err(e) = fold(self.entry_mut(id).1) {
             self.release(id);
+            if grown {
+                // The arenas' last slot was never a live group.
+                self.free.pop();
+                self.hashes.pop();
+                self.keys.truncate(self.keys.len() - self.key_len);
+                self.aggs.truncate(self.hashes.len() * self.agg_len);
+            }
             return Err(e);
         }
         self.index[pos] = id;
@@ -308,7 +316,7 @@ impl GroupTable {
         let states = specs.iter().map(AggSpec::init);
         match &mut self.paged {
             None => self.aggs[agg_range].iter_mut().zip(states).for_each(|(s, init)| *s = init),
-            Some(b) => b.insert(id, key, states.collect()),
+            Some(b) => b.insert(id, states.collect()),
         }
         id
     }
@@ -357,8 +365,7 @@ mod tests {
     struct InRam(HashMap<u32, Vec<AggState>>);
 
     impl PagedBackend for InRam {
-        fn insert(&mut self, id: u32, key: &[Value], aggs: Vec<AggState>) {
-            assert_eq!(key.len(), KEY_LEN);
+        fn insert(&mut self, id: u32, aggs: Vec<AggState>) {
             assert!(self.0.insert(id, aggs).is_none(), "id {id} inserted twice");
         }
         fn aggs_mut(&mut self, id: u32) -> Option<&mut [AggState]> {
@@ -494,7 +501,6 @@ mod tests {
                         if !model.contains_key(&pool[k]) {
                             let room = (model.len() + 1) * SLOTS_PER_GROUP;
                             slots = slots.max(room.next_power_of_two());
-                            peak = peak.max(model.len() + 1);
                         }
                     }
                     Op::Remove(k) => {

@@ -344,10 +344,11 @@ impl Predicate {
 mod tests {
     use std::any::Any;
 
+    use proptest::prelude::*;
+
     use super::*;
     use crate::agg::AggState;
     use crate::superagg::SuperAggState;
-    use proptest::prelude::*;
 
     /// All six kinds, weighted toward the operands where integer
     /// arithmetic overflows, divides by zero or changes sign.

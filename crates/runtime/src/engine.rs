@@ -1599,6 +1599,7 @@ where
     let mut shard_setups: Vec<ShardSetup> = Vec::with_capacity(cfg.shards);
     for shard in 0..cfg.shards {
         let spec = make_spec(shard).map_err(|source| RuntimeError::Op { shard, source })?;
+        let entry_bytes = spec.group_entry_bytes() as u64;
         let mut op =
             SamplingOperator::new(spec).map_err(|source| RuntimeError::Op { shard, source })?;
         op.set_metrics(OperatorMetrics::register(&registry, format!("shard={shard}")));
@@ -1615,7 +1616,7 @@ where
             op.set_capture_flush(true);
             if let Some(total) = d.state_budget {
                 let per_shard = (total / cfg.shards as u64).max(1);
-                let table = PagedGroupTable::for_shard(&d.dir, shard, per_shard)
+                let table = PagedGroupTable::for_shard(&d.dir, shard, per_shard, entry_bytes)
                     .map_err(|e| store_err(e.to_string()))?;
                 op.set_group_backend(Box::new(table));
             }

@@ -14,30 +14,19 @@
 //! practical floor for a useful budget is therefore about two pages —
 //! the static audit's W206 lint warns below that.
 //!
-//! Byte accounting uses the same per-entry model as the static audit
-//! (`VALUE_BYTES`, `AGG_STATE_BYTES`, …), so a certified in-RAM ceiling
-//! from `sso audit` translates directly into a page count here.
+//! Byte accounting uses the static audit's per-entry model — the table
+//! is built with the query's `OperatorSpec::group_entry_bytes()` — so a
+//! certified in-RAM ceiling from `sso audit` translates directly into a
+//! page count here.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use rustc_hash::FxHashMap;
-use sso_core::operator::{AGG_STATE_BYTES, HASH_SLOT_BYTES, TUPLE_HEADER_BYTES, VALUE_BYTES};
 use sso_core::snapshot::{put_agg_states, take_agg_states, PAGE_BYTES};
 use sso_core::{AggState, PagedBackend};
 use sso_types::wire::{put_u32, Reader};
-use sso_types::Value;
-
-/// Modeled resident bytes of one group entry (key + aggregate states +
-/// hash slot), matching `OperatorSpec::group_entry_bytes`.
-fn entry_bytes(key_len: usize, aggs: &[AggState]) -> u64 {
-    (TUPLE_HEADER_BYTES
-        + key_len * VALUE_BYTES
-        + TUPLE_HEADER_BYTES
-        + aggs.len() * AGG_STATE_BYTES
-        + HASH_SLOT_BYTES) as u64
-}
 
 /// A page's entries: aggregate states by group id.
 type Entries = FxHashMap<u32, Vec<AggState>>;
@@ -71,23 +60,19 @@ impl Page {
     }
 }
 
-/// Where a group id's entry lives, and its modeled bytes.
-#[derive(Clone, Copy)]
-struct Slot {
-    page: u32,
-    bytes: u32,
-}
-
-/// The slot of an id that holds no entry.
-const VACANT: Slot = Slot { page: u32::MAX, bytes: 0 };
+/// The page of an id that holds no entry.
+const VACANT: u32 = u32::MAX;
 
 /// Group aggregate states bounded to `budget` modeled resident bytes,
 /// spilling overflow pages to a file.
 pub struct PagedGroupTable {
     file: File,
     budget: u64,
-    /// Group id → its slot, or [`VACANT`].
-    slots: Vec<Slot>,
+    /// Modeled resident bytes of one entry (key + aggregate states +
+    /// hash slot): `OperatorSpec::group_entry_bytes()` of the query.
+    entry_bytes: u64,
+    /// Group id → its page, or [`VACANT`].
+    slots: Vec<u32>,
     pages: Vec<Page>,
     open_page: u32,
     resident: u64,
@@ -99,13 +84,14 @@ pub struct PagedGroupTable {
 
 impl PagedGroupTable {
     /// Create a paged table backed by `path` (truncated) with the given
-    /// resident-byte budget.
-    pub fn new(path: &Path, budget: u64) -> io::Result<Self> {
+    /// resident-byte budget, every entry modeled as `entry_bytes`.
+    pub fn new(path: &Path, budget: u64, entry_bytes: u64) -> io::Result<Self> {
         let file =
             OpenOptions::new().create(true).read(true).write(true).truncate(true).open(path)?;
         Ok(PagedGroupTable {
             file,
             budget,
+            entry_bytes,
             slots: Vec::new(),
             pages: vec![Page::fresh()],
             open_page: 0,
@@ -119,14 +105,14 @@ impl PagedGroupTable {
 
     /// Create the table on a shard's spill file inside a durable-run
     /// directory.
-    pub fn for_shard(dir: &Path, shard: usize, budget: u64) -> io::Result<Self> {
+    pub fn for_shard(dir: &Path, shard: usize, budget: u64, entry_bytes: u64) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        Self::new(&crate::wal::spill_path(dir, shard), budget)
+        Self::new(&crate::wal::spill_path(dir, shard), budget, entry_bytes)
     }
 
-    /// The slot of `id`, if it holds an entry.
-    fn slot(&self, id: u32) -> Option<Slot> {
-        self.slots.get(id as usize).copied().filter(|s| s.page != VACANT.page)
+    /// The page of `id`, if it holds an entry.
+    fn page_of(&self, id: u32) -> Option<usize> {
+        self.slots.get(id as usize).filter(|&&page| page != VACANT).map(|&page| page as usize)
     }
 
     fn encode_page(entries: &Entries) -> Vec<u8> {
@@ -218,10 +204,10 @@ impl PagedGroupTable {
 }
 
 impl PagedBackend for PagedGroupTable {
-    fn insert(&mut self, id: u32, key: &[Value], aggs: Vec<AggState>) {
-        debug_assert!(self.slot(id).is_none(), "group id {id} inserted twice");
+    fn insert(&mut self, id: u32, aggs: Vec<AggState>) {
+        debug_assert!(self.page_of(id).is_none(), "group id {id} inserted twice");
         let pid = self.open_page as usize;
-        let eb = entry_bytes(key.len(), &aggs);
+        let eb = self.entry_bytes;
         let page = &mut self.pages[pid];
         page.entries.as_mut().expect("open page is resident").insert(id, aggs);
         page.bytes += eb;
@@ -231,7 +217,7 @@ impl PagedBackend for PagedGroupTable {
         if self.slots.len() <= id as usize {
             self.slots.resize(id as usize + 1, VACANT);
         }
-        self.slots[id as usize] = Slot { page: self.open_page, bytes: eb as u32 };
+        self.slots[id as usize] = self.open_page;
         if self.pages[pid].bytes >= PAGE_BYTES as u64 {
             self.pages[pid].sealed = true;
             self.pages.push(Page::fresh());
@@ -245,7 +231,7 @@ impl PagedBackend for PagedGroupTable {
     }
 
     fn aggs_mut(&mut self, id: u32) -> Option<&mut [AggState]> {
-        let pid = self.slot(id)?.page as usize;
+        let pid = self.page_of(id)?;
         self.ensure_resident(pid).expect("spill read failed");
         self.pages[pid].refbit = true;
         self.pages[pid].dirty = true;
@@ -255,8 +241,8 @@ impl PagedBackend for PagedGroupTable {
     }
 
     fn remove(&mut self, id: u32) {
-        let Some(Slot { page: pid, bytes }) = self.slot(id) else { return };
-        let (pid, eb) = (pid as usize, bytes as u64);
+        let Some(pid) = self.page_of(id) else { return };
+        let eb = self.entry_bytes;
         self.ensure_resident(pid).expect("spill read failed");
         self.slots[id as usize] = VACANT;
         let page = &mut self.pages[pid];
@@ -299,11 +285,13 @@ impl PagedBackend for PagedGroupTable {
 
 #[cfg(test)]
 mod tests {
+    use sso_types::Value;
+
     use super::*;
 
-    /// Two values per key, as sized by the byte model; the pager does
-    /// not keep them.
-    const KEY: [Value; 2] = [Value::Null, Value::Null];
+    /// `group_entry_bytes()` of a query with a two-column key and two
+    /// aggregates.
+    const ENTRY_BYTES: u64 = 208;
 
     fn aggs(i: u32) -> Vec<AggState> {
         vec![AggState::Count(i as u64), AggState::Sum(Value::U64(i as u64 * 3))]
@@ -316,18 +304,18 @@ mod tests {
     #[test]
     fn acts_like_a_map_within_budget() {
         let p = tmp("map");
-        let mut t = PagedGroupTable::new(&p, u64::MAX).unwrap();
+        let mut t = PagedGroupTable::new(&p, u64::MAX, ENTRY_BYTES).unwrap();
         for i in 0..100 {
             assert!(t.aggs_mut(i).is_none());
-            t.insert(i, &KEY, aggs(i));
+            t.insert(i, aggs(i));
             assert!(t.aggs_mut(i).is_some());
         }
-        assert_eq!(t.resident_bytes(), 100 * entry_bytes(2, &aggs(0)));
+        assert_eq!(t.resident_bytes(), 100 * ENTRY_BYTES);
         assert_eq!(t.aggs_mut(7).unwrap()[0], AggState::Count(7));
         t.remove(7);
         assert!(t.aggs_mut(7).is_none());
         t.remove(7);
-        assert_eq!(t.resident_bytes(), 99 * entry_bytes(2, &aggs(0)));
+        assert_eq!(t.resident_bytes(), 99 * ENTRY_BYTES);
         assert_eq!(t.page_faults(), 0, "nothing spilled under an infinite budget");
         let _ = std::fs::remove_file(&p);
     }
@@ -338,10 +326,10 @@ mod tests {
         // Each entry models ~240 bytes; 2000 entries ≈ 7 pages. Budget
         // of 3 pages forces spilling.
         let budget = (3 * PAGE_BYTES) as u64;
-        let mut t = PagedGroupTable::new(&p, budget).unwrap();
+        let mut t = PagedGroupTable::new(&p, budget, ENTRY_BYTES).unwrap();
         let n = 2000;
         for i in 0..n {
-            t.insert(i, &KEY, aggs(i));
+            t.insert(i, aggs(i));
         }
         assert!(t.spilled_pages() > 0, "budget forced spilling");
         assert!(t.resident_bytes() <= budget, "resident {} > budget {budget}", t.resident_bytes());
@@ -361,15 +349,15 @@ mod tests {
     fn mutations_survive_eviction() {
         let p = tmp("mut");
         let budget = (2 * PAGE_BYTES) as u64;
-        let mut t = PagedGroupTable::new(&p, budget).unwrap();
+        let mut t = PagedGroupTable::new(&p, budget, ENTRY_BYTES).unwrap();
         for i in 0..1500 {
-            t.insert(i, &KEY, aggs(i));
+            t.insert(i, aggs(i));
         }
         // Mutate an early (likely spilled) entry, then force more
         // eviction traffic, then verify the mutation persisted.
         t.aggs_mut(3).unwrap()[0] = AggState::Count(999_999);
         for i in 1500..3000 {
-            t.insert(i, &KEY, aggs(i));
+            t.insert(i, aggs(i));
         }
         assert_eq!(t.aggs_mut(3).unwrap()[0], AggState::Count(999_999));
         let _ = std::fs::remove_file(&p);
@@ -382,19 +370,19 @@ mod tests {
     fn a_reused_id_does_not_resurrect_its_old_entry() {
         let p = tmp("reuse");
         let budget = (2 * PAGE_BYTES) as u64;
-        let mut t = PagedGroupTable::new(&p, budget).unwrap();
+        let mut t = PagedGroupTable::new(&p, budget, ENTRY_BYTES).unwrap();
         for i in 0..1500 {
-            t.insert(i, &KEY, aggs(i));
+            t.insert(i, aggs(i));
         }
         let first_page_len = t.pages[0].disk.expect("page 0 was spilled with id 3 in it").1;
         assert!(t.pages[0].entries.is_none());
         // Removal faults page 0 in; the rewrite is smaller by one entry.
         t.remove(3);
-        t.insert(3, &KEY, vec![AggState::Count(0), AggState::Sum(Value::Null)]);
-        assert_eq!(t.slot(3).unwrap().page, t.open_page, "a new entry goes to the open page");
+        t.insert(3, vec![AggState::Count(0), AggState::Sum(Value::Null)]);
+        assert_eq!(t.slots[3], t.open_page, "a new entry goes to the open page");
         // An eviction / fault cycle over every page, the old one included.
         for i in 1500..3000 {
-            t.insert(i, &KEY, aggs(i));
+            t.insert(i, aggs(i));
         }
         for i in 0..3000 {
             let expect = if i == 3 { AggState::Count(0) } else { AggState::Count(i as u64) };
@@ -411,9 +399,9 @@ mod tests {
     fn clear_resets_table_and_spill_file() {
         let p = tmp("clear");
         let budget = (2 * PAGE_BYTES) as u64;
-        let mut t = PagedGroupTable::new(&p, budget).unwrap();
+        let mut t = PagedGroupTable::new(&p, budget, ENTRY_BYTES).unwrap();
         for i in 0..1500 {
-            t.insert(i, &KEY, aggs(i));
+            t.insert(i, aggs(i));
         }
         t.clear();
         assert_eq!(t.resident_bytes(), 0);
@@ -421,7 +409,7 @@ mod tests {
         assert!(t.aggs_mut(3).is_none());
         assert_eq!(std::fs::metadata(&p).unwrap().len(), 0, "spill file truncated");
         // Reusable after clear.
-        t.insert(1, &KEY, aggs(1));
+        t.insert(1, aggs(1));
         assert_eq!(t.aggs_mut(1).unwrap()[0], AggState::Count(1));
         let _ = std::fs::remove_file(&p);
     }

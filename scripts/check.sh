@@ -235,27 +235,21 @@ pct = r["overhead_pct"]
 sup = r["supervised"]["tuples_per_sec"]
 base = r["baseline"]["tuples_per_sec"]
 print(f"supervision overhead: {pct:.2f}% ({sup:.0f} vs {base:.0f} tuples/s)")
-noise = 100.0 * sum((r[m]["secs_q3"] - r[m]["secs_q1"]) / r[m]["secs"] for m in ("baseline", "supervised"))
-assert pct <= 5.0 + noise, (
-    f"supervision overhead {pct:.2f}% exceeds the 5% budget plus the IQRs of the two modes ({noise:.1f}%)")
+assert pct <= 5.0, f"supervision overhead {pct:.2f}% exceeds the 5% budget"
 '
 
 echo "== runtime scaling gate (multi-router, no speedup inversion) =="
 # Re-measures the 1/2/4/8-shard curve with `--routers auto` into
 # BENCH_runtime.json, every configuration as the median and quartiles
-# of its interleaved repetitions, with the threads it keeps busy (pump +
-# router lanes + worker threads). While a step's threads fit within the
-# host's cores the speedup must not fall (the single-router inversion
-# this curve used to show is gone). Past the cores the threads share
-# them: a step from t to t' > cores threads may lose what fair sharing
-# takes — it keeps min(1, cores/t') / min(1, cores/t) at best — and 10%
-# on top for the oversubscription itself. Either way a step fails only
-# if it loses more than that *plus* the two configurations'
-# interquartile ranges: a fixed percentage on single best-of-N numbers
-# fails on the host's noise, and a gate that fails on the parent gates
-# nothing. The 1-shard sharded run must also beat the two-thread
-# pipeline — the ring-sizing fix for the old 1-shard stall anomaly is
-# what buys that.
+# of its interleaved repetitions. While shards fit within the host's
+# cores the speedup must be monotonically non-decreasing (the
+# single-router inversion this curve used to show is gone); past the
+# host's cores the extra shards cannot physically run in parallel, so
+# the gate bounds the oversubscription cost instead: a step fails if it
+# loses more than 10% plus the two configurations' interquartile ranges
+# (a fixed 10% on single best-of-N numbers failed on the host's noise).
+# The 1-shard sharded run must also beat the two-thread pipeline — the
+# ring-sizing fix for the old 1-shard stall anomaly is what buys that.
 cargo run -q --release -p sso-bench --bin runtime_scaling -- --routers auto --json \
     > BENCH_runtime.json
 python3 -c '
@@ -272,26 +266,20 @@ for run in sharded:
     assert err <= 5.0, f"{n} shards: estimate err {err:.2f}%"
 s0 = sharded[0]["speedup_vs_threaded"]
 assert s0 >= 1.0, f"1-shard sharded run slower than threaded: {s0:.2f}x"
-def iqr(run):
-    return (run["secs_q3"] - run["secs_q1"]) / run["secs"]
-def share(run):
-    return min(1.0, cores / run["threads"])
 for prev, cur in zip(sharded, sharded[1:]):
     s_prev, s_cur = prev["speedup_vs_threaded"], cur["speedup_vs_threaded"]
-    noise = iqr(prev) + iqr(cur)
-    step = "{}sh/{}thr {:.2f}x -> {}sh/{}thr {:.2f}x (IQRs {:.1%})".format(
-        prev["shards"], prev["threads"], s_prev, cur["shards"], cur["threads"], s_cur, noise)
-    if cur["threads"] <= cores:
-        assert s_cur >= s_prev * (0.98 - noise), (
-            f"speedup inversion inside the parallel range: {step}")
+    n_prev, n_cur = prev["shards"], cur["shards"]
+    if n_cur <= cores:
+        assert s_cur >= s_prev * 0.98, (
+            f"speedup inversion inside the parallel range: "
+            f"{n_prev}sh {s_prev:.2f}x -> {n_cur}sh {s_cur:.2f}x")
     else:
-        fair = share(cur) / share(prev)
-        assert s_cur >= s_prev * fair * (0.90 - noise), (
-            f"oversubscription beyond {cores} cores costs more than fair sharing "
-            f"({fair:.2f}) and 10%: {step}")
+        iqrs = sum((run["secs_q3"] - run["secs_q1"]) / run["secs"] for run in (prev, cur))
+        assert s_cur >= s_prev * (0.90 - iqrs), (
+            f"oversubscription cost beyond {cores} cores exceeds 10% plus the IQRs ({iqrs:.1%}): "
+            f"{n_prev}sh {s_prev:.2f}x -> {n_cur}sh {s_cur:.2f}x")
 curve = " -> ".join(
-    "{}sh {:.2f}x ±{:.0%}".format(run["shards"], run["speedup_vs_threaded"], iqr(run) / 2)
-    for run in sharded)
+    "{}sh {:.2f}x".format(run["shards"], run["speedup_vs_threaded"]) for run in sharded)
 print(f"runtime scaling OK ({cores} cores): {curve}")
 '
 
@@ -304,9 +292,7 @@ pct = r["overhead_pct"]
 dur = r["durable"]["tuples_per_sec"]
 base = r["baseline"]["tuples_per_sec"]
 print(f"durable-store overhead: {pct:.2f}% ({dur:.0f} vs {base:.0f} tuples/s)")
-noise = 100.0 * sum((r[m]["secs_q3"] - r[m]["secs_q1"]) / r[m]["secs"] for m in ("baseline", "durable"))
-assert pct <= 5.0 + noise, (
-    f"durable-store overhead {pct:.2f}% exceeds the 5% budget plus the IQRs of the two modes ({noise:.1f}%)")
+assert pct <= 5.0, f"durable-store overhead {pct:.2f}% exceeds the 5% budget"
 '
 
 echo "== observability overhead gate (instrumented within 5%) =="
@@ -318,9 +304,7 @@ pct = r["overhead_pct"]
 instr = r["instrumented"]["tuples_per_sec"]
 plain = r["uninstrumented"]["tuples_per_sec"]
 print(f"telemetry overhead: {pct:.2f}% ({instr:.0f} vs {plain:.0f} tuples/s)")
-noise = 100.0 * sum((r[m]["secs_q3"] - r[m]["secs_q1"]) / r[m]["secs"] for m in ("uninstrumented", "instrumented"))
-assert pct <= 5.0 + noise, (
-    f"telemetry overhead {pct:.2f}% exceeds the 5% budget plus the IQRs of the two modes ({noise:.1f}%)")
+assert pct <= 5.0, f"telemetry overhead {pct:.2f}% exceeds the 5% budget"
 '
 
 echo "== profiling overhead gate (causal tracing within 5%) =="
@@ -341,9 +325,7 @@ ing, proc = shares["ingest"], shares["process"]
 print(f"profiling overhead: {pct:.2f}% ({prof:.0f} vs {plain:.0f} tuples/s)")
 print(f"8-shard attribution: dominant={dominant} router={router:.1f}% "
       f"ingest={ing:.1f}% process={proc:.1f}%")
-noise = 100.0 * sum((r[m]["secs_q3"] - r[m]["secs_q1"]) / r[m]["secs"] for m in ("unprofiled", "profiled"))
-assert pct <= 5.0 + noise, (
-    f"profiling overhead {pct:.2f}% exceeds the 5% budget plus the IQRs of the two modes ({noise:.1f}%)")
+assert pct <= 5.0, f"profiling overhead {pct:.2f}% exceeds the 5% budget"
 assert a["dominant_stage"], "attribution must name a dominant stage"
 assert a["dropped_events"] == 0, "trace lanes wrapped during the bench"
 # The multi-router restructure moved the wall off the ingest thread:
