@@ -62,7 +62,7 @@ impl AggSpec {
             Some(e) => Some(e.eval(ctx)?),
             None => None,
         };
-        state.fold(arg)
+        state.fold(arg.as_ref())
     }
 }
 
@@ -85,29 +85,32 @@ pub enum AggState {
 
 impl AggState {
     /// Fold one tuple in, given the already evaluated argument of the
-    /// slot's [`AggSpec`] (`None` for `count(*)`).
-    pub fn fold(&mut self, arg: Option<Value>) -> Result<(), OpError> {
+    /// slot's [`AggSpec`] (`None` for `count(*)`), read where it lies.
+    pub fn fold(&mut self, arg: Option<&Value>) -> Result<(), OpError> {
         match (self, arg) {
             (AggState::Count(c), None) => *c += 1,
-            (AggState::Sum(acc), Some(v)) => {
-                *acc = if acc.is_null() { v } else { acc.add(&v)? };
-            }
+            (AggState::Sum(acc), Some(v)) => match (&mut *acc, v) {
+                // `Value::add`'s result for two `u64`s, on the spot.
+                (Value::U64(a), Value::U64(b)) => *a = a.wrapping_add(*b),
+                (Value::Null, _) => *acc = v.clone(),
+                _ => *acc = acc.add(v)?,
+            },
             (AggState::Min(acc), Some(v)) => {
                 if acc.is_null() || v.compare(acc)? == std::cmp::Ordering::Less {
-                    *acc = v;
+                    *acc = v.clone();
                 }
             }
             (AggState::Max(acc), Some(v)) => {
                 if acc.is_null() || v.compare(acc)? == std::cmp::Ordering::Greater {
-                    *acc = v;
+                    *acc = v.clone();
                 }
             }
             (AggState::First(acc), Some(v)) => {
                 if acc.is_null() {
-                    *acc = v;
+                    *acc = v.clone();
                 }
             }
-            (AggState::Last(acc), Some(v)) => *acc = v,
+            (AggState::Last(acc), Some(v)) => acc.clone_from(v),
             _ => {
                 return Err(OpError::InvalidSpec(
                     "aggregate state does not match its spec".to_string(),

@@ -8,8 +8,8 @@
 //!
 //! * keys live in one `Vec<Value>`, `key_len` values per id;
 //! * aggregate states live in one `Vec<AggState>`, `agg_len` per id,
-//!   initialised in place from the spec — or, under a state budget, in a
-//!   [`PagedBackend`] addressed by the same ids;
+//!   cloned in place from the spec's fresh ones — or, under a state
+//!   budget, in a [`PagedBackend`] addressed by the same ids;
 //! * each id keeps the Fx hash of its key, so growing the index and
 //!   unlinking an evicted group never touch a key;
 //! * evicted ids go to a free list and are reused before the arenas
@@ -32,7 +32,6 @@ use rustc_hash::FxHasher;
 use sso_types::Value;
 
 use crate::agg::{AggSpec, AggState};
-use crate::error::OpError;
 
 /// A store of aggregate states by group id that may page them to disk.
 ///
@@ -93,6 +92,12 @@ fn hash_key(key: &[Value]) -> u64 {
     h.finish()
 }
 
+/// Proof that [`GroupTable::upsert`] created a group, and whether the
+/// arenas grew for it.
+pub(crate) struct Created {
+    grown: bool,
+}
+
 /// The group table of one operator (see the module doc).
 pub(crate) struct GroupTable {
     key_len: usize,
@@ -107,13 +112,17 @@ pub(crate) struct GroupTable {
     shift: u32,
     live: usize,
     paged: Option<Box<dyn PagedBackend>>,
+    /// What a new group's aggregate states are cloned from.
+    fresh: Vec<AggState>,
 }
 
 impl GroupTable {
-    pub(crate) fn new(key_len: usize, agg_len: usize) -> Self {
+    /// A table of groups with `key_len` group-by values and the
+    /// aggregates `specs`.
+    pub(crate) fn new(key_len: usize, specs: &[AggSpec]) -> Self {
         GroupTable {
             key_len,
-            agg_len,
+            agg_len: specs.len(),
             keys: Vec::new(),
             aggs: Vec::new(),
             hashes: Vec::new(),
@@ -122,6 +131,7 @@ impl GroupTable {
             shift: 64 - INITIAL_INDEX.trailing_zeros(),
             live: 0,
             paged: None,
+            fresh: specs.iter().map(AggSpec::init).collect(),
         }
     }
 
@@ -173,18 +183,13 @@ impl GroupTable {
         (&self.keys[key_range], aggs)
     }
 
-    /// Find or create the group of `key` and fold one tuple into its
-    /// aggregates: one hash and one probe for a live group, no
-    /// allocation for a new one (its states are initialised in place
-    /// from `specs`). Returns the id of a *new* group, so the caller can
-    /// list it under its supergroup. If `fold` fails the table is as it
-    /// was.
-    pub(crate) fn upsert(
-        &mut self,
-        key: &[Value],
-        specs: &[AggSpec],
-        fold: impl FnOnce(&mut [AggState]) -> Result<(), OpError>,
-    ) -> Result<Option<u32>, OpError> {
+    /// Find or create the group of `key`: one hash and one probe for a
+    /// live group, no allocation for a new one (its states are cloned
+    /// in place from the fresh ones). Returns the group's id and,
+    /// for a *new* group, what [`Self::retract`] needs to undo the
+    /// creation — the caller lists the id under its supergroup, or
+    /// retracts it if the group's first fold fails.
+    pub(crate) fn upsert(&mut self, key: &[Value]) -> (u32, Option<Created>) {
         debug_assert_eq!(key.len(), self.key_len);
         let hash = hash_key(key);
         let mut pos = self.probe(hash, |id| {
@@ -192,29 +197,30 @@ impl GroupTable {
         });
         let found = self.index[pos];
         if found != EMPTY {
-            fold(self.entry_mut(found).1)?;
-            return Ok(None);
+            return (found, None);
         }
         if (self.live + 1) * SLOTS_PER_GROUP > self.index.len() {
             self.resize_index(self.index.len() * 2);
             pos = self.probe(hash, |_| false);
         }
         let grown = self.free.is_empty();
-        let id = self.alloc(key, hash, specs);
-        if let Err(e) = fold(self.entry_mut(id).1) {
-            self.release(id);
-            if grown {
-                // The arenas' last slot was never a live group.
-                self.free.pop();
-                self.hashes.pop();
-                self.keys.truncate(self.keys.len() - self.key_len);
-                self.aggs.truncate(self.hashes.len() * self.agg_len);
-            }
-            return Err(e);
-        }
+        let id = self.alloc(key, hash);
         self.index[pos] = id;
         self.live += 1;
-        Ok(Some(id))
+        (id, Some(Created { grown }))
+    }
+
+    /// Undo the creation of group `id`: but for index room claimed, the
+    /// table is as it was before the [`Self::upsert`] that made it.
+    pub(crate) fn retract(&mut self, id: u32, created: Created) {
+        self.remove(id);
+        if created.grown {
+            // The arenas' last slot was never a live group.
+            self.free.pop();
+            self.hashes.pop();
+            self.keys.truncate(self.keys.len() - self.key_len);
+            self.aggs.truncate(self.hashes.len() * self.agg_len);
+        }
     }
 
     /// Remove a live group: unlink it from the index by its stored hash
@@ -300,7 +306,7 @@ impl GroupTable {
     /// Take an id — a freed one first, else one more slot of the arenas
     /// — and write the group's key, hash and fresh aggregate states
     /// into it.
-    fn alloc(&mut self, key: &[Value], hash: u64, specs: &[AggSpec]) -> u32 {
+    fn alloc(&mut self, key: &[Value], hash: u64) -> u32 {
         let id = self.free.pop().unwrap_or_else(|| {
             let id = u32::try_from(self.hashes.len()).ok().filter(|&id| id != EMPTY);
             self.keys.resize(self.keys.len() + self.key_len, Value::Null);
@@ -313,10 +319,12 @@ impl GroupTable {
         let (key_range, agg_range) = (self.key_range(id), self.agg_range(id));
         self.keys[key_range].clone_from_slice(key);
         self.hashes[id as usize] = hash;
-        let states = specs.iter().map(AggSpec::init);
+        // Cloned from memory, not built here: a state built on the stack
+        // and then moved into its slot is read back before its stores
+        // have retired.
         match &mut self.paged {
-            None => self.aggs[agg_range].iter_mut().zip(states).for_each(|(s, init)| *s = init),
-            Some(b) => b.insert(id, states.collect()),
+            None => self.aggs[agg_range].clone_from_slice(&self.fresh),
+            Some(b) => b.insert(id, self.fresh.clone()),
         }
         id
     }
@@ -343,6 +351,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::error::OpError;
     use crate::expr::Expr;
 
     const KEY_LEN: usize = 2;
@@ -355,8 +364,28 @@ mod tests {
     /// column 0 is `v`.
     fn fold(aggs: &mut [AggState], v: &Value) -> Result<(), OpError> {
         aggs[0].fold(None)?;
-        aggs[1].fold(Some(v.clone()))?;
-        aggs[2].fold(Some(v.clone()))
+        aggs[1].fold(Some(v))?;
+        aggs[2].fold(Some(v))
+    }
+
+    /// What the operator does with a tuple: find or create the group,
+    /// fold, and retract a new group whose first fold fails. The id of a
+    /// *new* group.
+    fn upsert(
+        t: &mut GroupTable,
+        key: &[Value],
+        fold: impl FnOnce(&mut [AggState]) -> Result<(), OpError>,
+    ) -> Result<Option<u32>, OpError> {
+        let (id, created) = t.upsert(key);
+        match (fold(t.entry_mut(id).1), created) {
+            (Ok(()), created) => Ok(created.map(|_| id)),
+            (Err(e), created) => {
+                if let Some(created) = created {
+                    t.retract(id, created);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// A [`PagedBackend`] that never pages: the table's paged branch
@@ -469,7 +498,7 @@ mod tests {
         #[test]
         fn table_is_a_map_from_key_to_aggregates(ops in ops(), paged in any::<bool>()) {
             let (pool, specs) = (pool(), specs());
-            let mut table = GroupTable::new(KEY_LEN, specs.len());
+            let mut table = GroupTable::new(KEY_LEN, &specs);
             if paged {
                 table.set_backend(Box::<InRam>::default());
             }
@@ -481,7 +510,7 @@ mod tests {
                 match op {
                     Op::Upsert(k, v) => {
                         let v = Value::U64(v);
-                        let new = table.upsert(&pool[k], &specs, |aggs| fold(aggs, &v)).unwrap();
+                        let new = upsert(&mut table, &pool[k], |aggs| fold(aggs, &v)).unwrap();
                         prop_assert_eq!(new.is_some(), !model.contains_key(&pool[k]));
                         let group = model.entry(pool[k].clone()).or_insert_with(|| Group {
                             written: pool[k].clone(),
@@ -493,7 +522,7 @@ mod tests {
                         slots = slots.max((model.len() * SLOTS_PER_GROUP).next_power_of_two());
                     }
                     Op::FailedUpsert(k) => {
-                        let failed = table.upsert(&pool[k], &specs, |_| {
+                        let failed = upsert(&mut table, &pool[k], |_| {
                             Err(OpError::InvalidSpec("fold failed".into()))
                         });
                         prop_assert!(failed.is_err());
@@ -544,9 +573,9 @@ mod tests {
     #[test]
     fn a_chain_wraps_around_the_end_and_closes_up_on_removal() {
         let (keys, specs) = (colliders(Value::Null, 0xfff, 4), specs());
-        let mut t = GroupTable::new(KEY_LEN, specs.len());
+        let mut t = GroupTable::new(KEY_LEN, &specs);
         for key in &keys {
-            t.upsert(key, &specs, |_| Ok(())).unwrap();
+            t.upsert(key);
         }
         let last = t.index.len() - 1;
         let chain = |t: &GroupTable| [t.index[last], t.index[0], t.index[1], t.index[2]];
@@ -561,7 +590,7 @@ mod tests {
         // empties: slot 0 is home to `head`, not to the end's overflow.
         t.remove(3);
         let head = &colliders(Value::Null, 0, 1)[0];
-        assert_eq!(t.upsert(head, &specs, |_| Ok(())).unwrap(), Some(3), "the id last freed");
+        assert_eq!(t.upsert(head).0, 3, "the id last freed");
         assert_eq!(chain(&t), [2, 3, EMPTY, EMPTY]);
         t.remove(2);
         assert_eq!(chain(&t), [EMPTY, 3, EMPTY, EMPTY]);
@@ -573,15 +602,15 @@ mod tests {
         let (name, first): (Arc<str>, Arc<str>) = (Arc::from("name"), Arc::from("first"));
         let key = [Value::Str(Arc::clone(&name)), Value::Null];
         let specs = specs();
-        let mut t = GroupTable::new(KEY_LEN, specs.len());
+        let mut t = GroupTable::new(KEY_LEN, &specs);
         let seen = Value::Str(Arc::clone(&first));
-        let id = t.upsert(&key, &specs, |aggs| fold(aggs, &seen)).unwrap().unwrap();
+        let id = upsert(&mut t, &key, |aggs| fold(aggs, &seen)).unwrap().unwrap();
         drop(seen);
         // The key once; `sum` and `first` each hold the argument.
         assert_eq!((Arc::strong_count(&name), Arc::strong_count(&first)), (3, 3));
         t.remove(id);
         assert_eq!((Arc::strong_count(&name), Arc::strong_count(&first)), (2, 1));
-        t.upsert(&key, &specs, |_| Ok(())).unwrap();
+        t.upsert(&key);
         t.clear();
         assert_eq!(Arc::strong_count(&name), 2, "held by `key` and `name` alone");
     }

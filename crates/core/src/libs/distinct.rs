@@ -22,7 +22,7 @@ use sso_types::wire::{put_u64, Reader};
 use sso_types::{Value, ValueKind};
 
 use crate::sfun::args::u64_arg;
-use crate::sfun::{state_mut, SfunLibrary, Signature};
+use crate::sfun::{state_mut, state_ref, SfunLibrary, Signature};
 
 /// Configuration for [`library`].
 #[derive(Debug, Clone, Copy)]
@@ -130,12 +130,12 @@ pub fn library(cfg: DistinctOpConfig) -> SfunLibrary {
         let v = u64_arg("dclean_with", argv, 0)?;
         Ok(Value::Bool(value_level(v) >= s.level))
     })
-    .register("dlevel", Signature::exact(0, ValueKind::UInt), |state, _argv| {
-        let s = state_mut::<DistinctSfunState>(state, "dlevel")?;
+    .register_read_only("dlevel", Signature::exact(0, ValueKind::UInt), |state, _argv| {
+        let s = state_ref::<DistinctSfunState>(state, "dlevel")?;
         Ok(Value::U64(s.level as u64))
     })
-    .register("dscale", Signature::exact(0, ValueKind::UInt), |state, _argv| {
-        let s = state_mut::<DistinctSfunState>(state, "dscale")?;
+    .register_read_only("dscale", Signature::exact(0, ValueKind::UInt), |state, _argv| {
+        let s = state_ref::<DistinctSfunState>(state, "dscale")?;
         Ok(Value::U64(1u64 << s.level))
     })
 }

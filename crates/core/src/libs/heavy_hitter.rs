@@ -27,7 +27,7 @@ use sso_types::wire::{put_u64, Reader};
 use sso_types::{Value, ValueKind};
 
 use crate::sfun::args::u64_arg;
-use crate::sfun::{state_mut, SfunLibrary, Signature};
+use crate::sfun::{state_mut, state_ref, SfunLibrary, Signature};
 
 /// The shared state: bucket width and per-window tuple count.
 #[derive(Debug, Clone, Default)]
@@ -77,15 +77,19 @@ pub fn library() -> SfunLibrary {
             s.count += 1;
             Ok(Value::Bool(s.count % s.w == 0))
         })
-        .register("current_bucket", Signature::exact(0, ValueKind::UInt), |state, _argv| {
-            let s = state_mut::<HeavyHitterState>(state, "current_bucket")?;
-            if s.w == 0 {
-                // Before the first local_count call everything is in
-                // bucket 1.
-                return Ok(Value::U64(1));
-            }
-            Ok(Value::U64(s.count / s.w + 1))
-        })
+        .register_read_only(
+            "current_bucket",
+            Signature::exact(0, ValueKind::UInt),
+            |state, _argv| {
+                let s = state_ref::<HeavyHitterState>(state, "current_bucket")?;
+                if s.w == 0 {
+                    // Before the first local_count call everything is in
+                    // bucket 1.
+                    return Ok(Value::U64(1));
+                }
+                Ok(Value::U64(s.count / s.w + 1))
+            },
+        )
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use sso_types::wire::{put_f64, put_u32, put_u64, Reader};
 use sso_types::{Value, ValueKind};
 
 use crate::sfun::args::{f64_arg, u64_arg};
-use crate::sfun::{state_mut, SfunLibrary, SfunTelemetry, Signature};
+use crate::sfun::{state_mut, state_ref, SfunLibrary, SfunTelemetry, Signature};
 
 /// Configuration for [`library`].
 #[derive(Debug, Clone, Copy)]
@@ -345,18 +345,22 @@ pub fn library(cfg: SubsetSumOpConfig) -> SfunLibrary {
         }
         Ok(Value::Bool(keep))
     })
-    .register("ssthreshold", Signature::exact(0, ValueKind::Float), |state, _argv| {
-        let s = state_mut::<SubsetSumSfunState>(state, "ssthreshold")?;
+    .register_read_only("ssthreshold", Signature::exact(0, ValueKind::Float), |state, _argv| {
+        let s = state_ref::<SubsetSumSfunState>(state, "ssthreshold")?;
         Ok(Value::F64(s.z))
     })
-    .register("sscleanings", Signature::exact(0, ValueKind::UInt), |state, _argv| {
-        let s = state_mut::<SubsetSumSfunState>(state, "sscleanings")?;
+    .register_read_only("sscleanings", Signature::exact(0, ValueKind::UInt), |state, _argv| {
+        let s = state_ref::<SubsetSumSfunState>(state, "sscleanings")?;
         Ok(Value::U64(s.cleanings as u64))
     })
-    .register("ssadmissions", Signature::exact(0, ValueKind::UInt), |state, _argv| {
-        let s = state_mut::<SubsetSumSfunState>(state, "ssadmissions")?;
-        Ok(Value::U64(s.admissions))
-    })
+    .register_read_only(
+        "ssadmissions",
+        Signature::exact(0, ValueKind::UInt),
+        |state, _argv| {
+            let s = state_ref::<SubsetSumSfunState>(state, "ssadmissions")?;
+            Ok(Value::U64(s.admissions))
+        },
+    )
 }
 
 #[cfg(test)]

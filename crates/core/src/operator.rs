@@ -23,9 +23,15 @@
 //!    group of this supergroup and evict the groups for which it is
 //!    false (updating superaggregates).
 //!
-//! Every clause is lowered once, at [`SamplingOperator::new`], into the
-//! flat programs of `crate::program`; [`Expr::eval`] is the reference
-//! they are tested against, not what runs per tuple.
+//! The clauses are lowered once, at [`SamplingOperator::new`], into the
+//! two programs of `crate::program`: the steps above are stages of the
+//! tuple-phase program, over one register file in which the group-by
+//! values lie as the group key; CLEANING BY, HAVING and SELECT are the
+//! group-phase program. [`Expr::eval`] is the reference they are held to
+//! (`tests/reference.rs`), not what runs per tuple. Left out, because
+//! nobody can tell: the argument of a `first(..)` that is set, if it
+//! calls only functions declared read-only; and per group, a read-only
+//! call whose answer no clause of the phase can change (made once).
 //!
 //! Three tables back this, as in §6.4: the group table (`crate::groups`:
 //! a group is a dense id into strided key and aggregate arenas), the
@@ -35,18 +41,19 @@
 //! cleaning and window close walk ids without hashing a key.
 
 use std::any::Any;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 use sso_types::wire::{put_bytes, put_tuple, put_u32, take_tuple, Reader};
 use sso_types::{Tuple, Value};
 
-use crate::agg::AggSpec;
+use crate::agg::{AggSpec, AggState};
 use crate::error::OpError;
-use crate::expr::{EvalCtx, Expr};
+use crate::expr::{BinOp, Expr};
 use crate::groups::{GroupTable, PagedBackend, SpillStats};
 use crate::metrics::OperatorMetrics;
-use crate::program::Program;
+use crate::program::{Frame, GroupVars, Lowering, Program, Scope, Src, Stage};
 use crate::sfun::{SfunLibrary, SfunStates, SfunTelemetry};
 use crate::superagg::{SuperAggSpec, SuperAggState};
 
@@ -394,60 +401,178 @@ pub struct WindowOutput {
     pub degradation: Degradation,
 }
 
-/// A spec's clauses lowered once for the per-tuple and per-group loops,
-/// and the stage at which each group-by value is computed.
-struct Lowered {
-    group_by: Vec<Program>,
-    where_clause: Option<Program>,
-    having: Option<Program>,
-    cleaning_when: Option<Program>,
-    cleaning_by: Option<Program>,
-    select: Vec<Program>,
-    /// Per aggregate slot, its argument (`None` for `count(*)`).
-    agg_args: Vec<Option<Program>>,
-    /// Per superaggregate slot, its per-tuple argument (`sum$`).
-    superagg_args: Vec<Option<Program>>,
-    /// After the window variables, the supergroup key and every group-by
-    /// variable WHERE reads: computed before WHERE.
-    pre_where: Vec<usize>,
-    /// The rest: computed for admitted tuples only. A group-by
-    /// expression sees the tuple and nothing else (no SFUN state), so
-    /// when it runs changes no state.
-    deferred: Vec<usize>,
+/// The values of several clauses (superaggregate arguments, SELECT
+/// columns) computed by one stage; `None` where a slot has none.
+struct Args {
+    ops: Range<usize>,
+    values: Vec<Option<Src>>,
 }
 
-impl Lowered {
-    fn new(spec: &OperatorSpec) -> Self {
-        let lower = |e: &Option<Expr>| e.as_ref().map(Program::lower);
-        let mut pre_where = spec.supergroup_indices.clone();
-        if let Some(w) = &spec.where_clause {
-            w.walk(&mut |node| {
-                if let Expr::GroupVar(i) = node {
-                    pre_where.push(*i);
-                }
-            });
+impl Args {
+    fn lower<'e>(
+        l: &mut Lowering<'_>,
+        scope: Scope,
+        exprs: impl Iterator<Item = Option<&'e Expr>>,
+    ) -> Self {
+        let start = l.at();
+        let values = exprs.map(|e| Some(l.lower(e?, scope, None))).collect();
+        Args { ops: start..l.at(), values }
+    }
+}
+
+/// The group-by variables computed ahead of WHERE (the supergroup key
+/// and every variable WHERE reads) and those deferred to admitted
+/// tuples: a group-by expression sees the tuple and nothing else, so
+/// when it runs changes no state.
+fn staging(spec: &OperatorSpec) -> (Vec<usize>, Vec<usize>) {
+    let mut early = spec.supergroup_indices.clone();
+    if let Some(w) = &spec.where_clause {
+        w.walk(&mut |node| {
+            if let Expr::GroupVar(i) = node {
+                early.push(*i);
+            }
+        });
+    }
+    let rest = (0..spec.group_by.len()).filter(|i| !spec.window_indices.contains(i));
+    rest.partition(|i| early.contains(i))
+}
+
+/// Can skipping the evaluation of `e` go unnoticed: no call but to
+/// functions declared read-only, and nothing that can fail outside them?
+fn elidable(e: &Expr, libs: &[Arc<SfunLibrary>]) -> bool {
+    let mut elidable = true;
+    e.walk(&mut |node| {
+        elidable &= match node {
+            Expr::Literal(_) | Expr::Column(_) | Expr::GroupVar(_) | Expr::Not(_) => true,
+            Expr::Binary { op, .. } => matches!(op, BinOp::And | BinOp::Or),
+            Expr::Sfun { lib, name, fun, .. } => libs[*lib].is_read_only(name, fun),
+            _ => false,
         }
-        pre_where.sort_unstable();
-        pre_where.dedup();
-        pre_where.retain(|i| !spec.window_indices.contains(i));
-        let deferred = (0..spec.group_by.len())
-            .filter(|i| !spec.window_indices.contains(i) && !pre_where.contains(i))
-            .collect();
-        Lowered {
-            group_by: spec.group_by.iter().map(|(_, e)| Program::lower(e)).collect(),
-            where_clause: lower(&spec.where_clause),
-            having: lower(&spec.having),
-            cleaning_when: lower(&spec.cleaning_when),
-            cleaning_by: lower(&spec.cleaning_by),
-            select: spec.select.iter().map(|(_, e)| Program::lower(e)).collect(),
-            agg_args: spec.aggregates.iter().map(|a| a.arg().map(Program::lower)).collect(),
-            superagg_args: spec
-                .superaggs
-                .iter()
-                .map(|sa| sa.tuple_arg().map(Program::lower))
+    });
+    elidable
+}
+
+/// The per-tuple clauses of a spec as one program, in the stages of
+/// [`SamplingOperator::process`]. The group-by values are the registers
+/// `key`: computed into them, read there, and the slice is the group key.
+struct TuplePhase {
+    program: Program,
+    key: Range<usize>,
+    /// The supergroup key, copied by `pre_where` into adjacent
+    /// registers of its own; empty: the `ALL` supergroup.
+    sg_key: Range<usize>,
+    window: Range<usize>,
+    pre_where: Range<usize>,
+    where_clause: Option<Stage>,
+    /// The deferred group-by values, then the `sum$` arguments.
+    admitted: Args,
+    /// Per aggregate slot: its argument; can a set `first` do without?
+    agg_args: Vec<(Option<Stage>, bool)>,
+    /// What `Kth_smallest_value$` / `min$` / `max$` track of a new key.
+    added: Args,
+    cleaning_when: Option<Stage>,
+}
+
+impl TuplePhase {
+    fn new(spec: &OperatorSpec) -> Self {
+        let mut l = Lowering::new(&spec.sfun_libs);
+        let key = l.registers(spec.group_by.len());
+        let sg_key = l.registers(spec.supergroup_indices.len());
+        // What each clause sees (§6.4), from the least.
+        let group_by = Scope { clause: "GROUP BY", tuple: true, ..Scope::default() };
+        let key_regs = Some(GroupVars::Regs(key.start));
+        let hook = Scope { clause: "SUPERAGG", group_vars: key_regs, ..Scope::default() };
+        let arg = |clause| Scope { clause, tuple: true, sfun: true, ..hook };
+        let predicate = |clause| Scope { superaggs: true, ..arg(clause) };
+        // Compute the group-by variables `vars` into their registers.
+        let group_vars = |l: &mut Lowering<'_>, vars: &[usize]| {
+            let start = l.at();
+            for &i in vars {
+                l.lower(&spec.group_by[i].1, group_by, Some(key.start + i));
+            }
+            start..l.at()
+        };
+        let (early, deferred) = staging(spec);
+        TuplePhase {
+            window: group_vars(&mut l, &spec.window_indices),
+            pre_where: {
+                let early = group_vars(&mut l, &early);
+                for (&i, reg) in spec.supergroup_indices.iter().zip(sg_key.clone()) {
+                    l.lower(&Expr::GroupVar(i), hook, Some(reg));
+                }
+                early.start..l.at()
+            },
+            where_clause: spec.where_clause.as_ref().map(|e| l.stage(e, predicate("WHERE"))),
+            admitted: {
+                let deferred = group_vars(&mut l, &deferred);
+                let sums = spec.superaggs.iter().map(|sa| sa.tuple_arg());
+                let args = Args::lower(&mut l, arg("SUPERAGG"), sums);
+                Args { ops: deferred.start..args.ops.end, ..args }
+            },
+            agg_args: (spec.aggregates.iter())
+                .map(|agg| {
+                    let latch = matches!(agg, AggSpec::First(e) if elidable(e, &spec.sfun_libs));
+                    (agg.arg().map(|e| l.stage(e, arg("AGGREGATE"))), latch)
+                })
                 .collect(),
-            pre_where,
-            deferred,
+            added: Args::lower(&mut l, hook, spec.superaggs.iter().map(|sa| sa.group_arg())),
+            cleaning_when: (spec.cleaning_when.as_ref())
+                .map(|e| l.stage(e, predicate("CLEANING WHEN"))),
+            program: l.finish(),
+            key,
+            sg_key,
+        }
+    }
+
+    /// Fold the tuple into a group's aggregate states: each argument
+    /// that is needed is evaluated, and read where its stage left it.
+    fn fold(&mut self, f: &mut Frame<'_>, aggs: &mut [AggState]) -> Result<(), OpError> {
+        for (state, (arg, latch)) in aggs.iter_mut().zip(&self.agg_args) {
+            match arg {
+                None => state.fold(None)?,
+                Some(_) if *latch && matches!(state, AggState::First(v) if !v.is_null()) => {}
+                Some(arg) => {
+                    self.program.run(&arg.ops, f)?;
+                    state.fold(Some(self.program.value(arg.value, f.tuple, f.key)))?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The per-group clauses as one program: each phase that walks groups
+/// has a body, run per group, and a prologue, run once ahead of them.
+struct GroupPhase {
+    program: Program,
+    cleaning_by: Option<Stage>,
+    /// For an evicted group: what `added` tracked of its key.
+    removed: Args,
+    clean_prologue: Range<usize>,
+    having: Option<Stage>,
+    select: Args,
+    close_prologue: Range<usize>,
+}
+
+impl GroupPhase {
+    fn new(spec: &OperatorSpec) -> Self {
+        let mut l = Lowering::new(&spec.sfun_libs);
+        let hook =
+            Scope { group_vars: Some(GroupVars::Key), clause: "SUPERAGG", ..Scope::default() };
+        let clause = |clause| Scope { clause, aggs: true, superaggs: true, sfun: true, ..hook };
+        let columns = spec.select.iter().map(|(_, e)| e);
+        l.body(&spec.cleaning_by.iter().collect::<Vec<_>>());
+        GroupPhase {
+            cleaning_by: spec.cleaning_by.as_ref().map(|e| l.stage(e, clause("CLEANING BY"))),
+            removed: Args::lower(&mut l, hook, spec.superaggs.iter().map(|sa| sa.group_arg())),
+            clean_prologue: l.prologue(),
+            having: {
+                l.body(&spec.having.iter().chain(columns.clone()).collect::<Vec<_>>());
+                spec.having.as_ref().map(|e| l.stage(e, clause("HAVING")))
+            },
+            select: Args::lower(&mut l, clause("SELECT"), columns.map(Some)),
+            close_prologue: l.prologue(),
+            program: l.finish(),
         }
     }
 }
@@ -455,11 +580,15 @@ impl Lowered {
 /// The sampling operator runtime.
 pub struct SamplingOperator {
     spec: Arc<OperatorSpec>,
-    lowered: Lowered,
+    tuple_phase: TuplePhase,
+    group_phase: GroupPhase,
     groups: GroupTable,
     sg_index: FxHashMap<Tuple, usize>,
     sgs: Vec<SupergroupEntry>,
     old_sgs: FxHashMap<Tuple, SfunStates>,
+    /// The last window's member lists, emptied, last opened on top: the
+    /// same supergroups opening again each get the list they grew.
+    member_lists: Vec<Vec<u32>>,
     window: Option<Vec<Value>>,
     wstats: WindowStats,
     stats: OperatorStats,
@@ -469,12 +598,6 @@ pub struct SamplingOperator {
     // persist them without re-deriving window keys per tuple.
     capture_flush: bool,
     flush_state: Option<(Vec<u8>, Vec<u8>)>,
-    // Reused per-tuple buffers; process() runs for every input tuple,
-    // so it must not allocate for a rejected one. `gb` always holds one
-    // value per group-by variable; for a rejected tuple the deferred
-    // slots keep whatever an earlier tuple left there, unread.
-    gb: Vec<Value>,
-    sg_scratch: Vec<Value>,
 }
 
 impl std::fmt::Debug for SamplingOperator {
@@ -493,20 +616,20 @@ impl SamplingOperator {
     pub fn new(spec: OperatorSpec) -> Result<Self, OpError> {
         spec.validate()?;
         Ok(SamplingOperator {
-            lowered: Lowered::new(&spec),
-            gb: vec![Value::Null; spec.group_by.len()],
-            groups: GroupTable::new(spec.group_by.len(), spec.aggregates.len()),
+            tuple_phase: TuplePhase::new(&spec),
+            group_phase: GroupPhase::new(&spec),
+            groups: GroupTable::new(spec.group_by.len(), &spec.aggregates),
             spec: Arc::new(spec),
             sg_index: FxHashMap::default(),
             sgs: Vec::new(),
             old_sgs: FxHashMap::default(),
+            member_lists: Vec::new(),
             window: None,
             wstats: WindowStats::default(),
             stats: OperatorStats::default(),
             metrics: None,
             capture_flush: false,
             flush_state: None,
-            sg_scratch: Vec::new(),
         })
     }
 
@@ -599,130 +722,84 @@ impl SamplingOperator {
     /// the new window).
     pub fn process(&mut self, tuple: &Tuple) -> Result<Option<WindowOutput>, OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.process_span.start());
-        // Group-by expressions see the tuple and nothing else.
-        let mut gb_ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
+        // The one context of this tuple's stages.
+        let mut frame = Frame::of_tuple(tuple);
         // 1. Window key: compare in place, allocate the window-value
         // vector only when the window actually turns over.
-        for &i in &self.spec.window_indices {
-            self.gb[i] = self.lowered.group_by[i].eval(&mut gb_ctx)?;
+        self.tuple_phase.program.run(&self.tuple_phase.window, &mut frame)?;
+        let key = self.tuple_phase.program.regs(&self.tuple_phase.key);
+        let window = self.spec.window_indices.iter().map(|&i| &key[i]);
+        let mut out = None;
+        if !self.window.as_ref().is_some_and(|current| window.clone().eq(current)) {
+            let turned = window.cloned().collect();
+            if self.window.is_some() {
+                out = Some(self.flush_window()?);
+            }
+            self.window = Some(turned);
         }
-        let same_window = match &self.window {
-            Some(cur) => self.spec.window_indices.iter().map(|&i| &self.gb[i]).eq(cur.iter()),
-            None => false,
-        };
-        let out = if same_window {
-            None
-        } else {
-            let o = match self.window {
-                Some(_) => Some(self.flush_window()?),
-                None => None,
-            };
-            self.window =
-                Some(self.spec.window_indices.iter().map(|&i| self.gb[i].clone()).collect());
-            o
-        };
         self.wstats.tuples += 1;
         // 2. The group-by values the supergroup key and WHERE read.
-        for &i in &self.lowered.pre_where {
-            self.gb[i] = self.lowered.group_by[i].eval(&mut gb_ctx)?;
-        }
+        self.tuple_phase.program.run(&self.tuple_phase.pre_where, &mut frame)?;
         // 3. Supergroup lookup / creation (with state carry-over). The
         // `ALL` supergroup is entry 0, no probe; otherwise the lookup
-        // borrows a reused value buffer and a key `Tuple` is only
-        // allocated when the supergroup is new.
-        let sg_idx = if self.spec.supergroup_indices.is_empty() {
+        // borrows registers, and a key is allocated for a new one only.
+        let sg_idx = if self.tuple_phase.sg_key.is_empty() {
             if self.sgs.is_empty() {
                 self.open_supergroup(Tuple::empty());
             }
             0
         } else {
-            self.sg_scratch.clear();
-            self.sg_scratch
-                .extend(self.spec.supergroup_indices.iter().map(|&i| self.gb[i].clone()));
-            match self.sg_index.get(self.sg_scratch.as_slice()) {
+            let key = self.tuple_phase.program.regs(&self.tuple_phase.sg_key);
+            match self.sg_index.get(key) {
                 Some(&i) => i,
                 None => {
-                    let key = Tuple::new(std::mem::take(&mut self.sg_scratch));
+                    let key = Tuple::new(key.to_vec());
                     self.open_supergroup(key)
                 }
             }
         };
-        let spec = &*self.spec;
+        let (spec, tp) = (&*self.spec, &mut self.tuple_phase);
         let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
+        (frame.superaggs, frame.states) = (superaggs, states);
         // 4. WHERE.
-        if let Some(w) = &mut self.lowered.where_clause {
-            let mut ctx = EvalCtx {
-                clause: "WHERE",
-                tuple: Some(tuple),
-                group_vars: Some(&self.gb),
-                aggs: None,
-                superaggs: Some(superaggs),
-                sfun_states: Some(states.as_mut_slice()),
-            };
-            if !w.eval_bool(&mut ctx)? {
+        if let Some(w) = &tp.where_clause {
+            if !tp.program.test(w, &mut frame)? {
                 return Ok(out);
             }
         }
         self.wstats.admitted += 1;
-        // 5. The group-by values nothing before admission needed.
-        for &i in &self.lowered.deferred {
-            self.gb[i] = self.lowered.group_by[i].eval(&mut gb_ctx)?;
-        }
-        let gb = self.gb.as_slice();
-        // 6. Superaggregate per-tuple updates.
-        for (state, arg) in superaggs.iter_mut().zip(&mut self.lowered.superagg_args) {
+        // 5. The group-by values nothing before admission needed, and
+        // 6. the superaggregates' per-tuple updates.
+        tp.program.run(&tp.admitted.ops, &mut frame)?;
+        for (state, arg) in frame.superaggs.iter_mut().zip(&tp.admitted.values) {
             if let Some(arg) = arg {
-                let mut ctx = EvalCtx {
-                    clause: "SUPERAGG",
-                    tuple: Some(tuple),
-                    group_vars: Some(gb),
-                    aggs: None,
-                    superaggs: None,
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                state.fold_tuple(arg.eval(&mut ctx)?)?;
+                state.fold_tuple(tp.program.value(*arg, tuple, &[]))?;
             }
         }
-        // 7. Group lookup / creation and aggregate update.
-        let agg_args = &mut self.lowered.agg_args;
-        let new_id = self.groups.upsert(gb, &spec.aggregates, |aggs| {
-            for (state, arg) in aggs.iter_mut().zip(agg_args) {
-                let v = match arg {
-                    Some(arg) => {
-                        let mut ctx = EvalCtx {
-                            clause: "AGGREGATE",
-                            tuple: Some(tuple),
-                            group_vars: Some(gb),
-                            aggs: None,
-                            superaggs: None,
-                            sfun_states: Some(states.as_mut_slice()),
-                        };
-                        Some(arg.eval(&mut ctx)?)
-                    }
-                    None => None,
-                };
-                state.fold(v)?;
+        // 7. Group lookup / creation by the group-by registers, and
+        // aggregate update. A group whose first fold fails was never there.
+        let (id, created) = self.groups.upsert(tp.program.regs(&tp.key));
+        if let Err(e) = tp.fold(&mut frame, self.groups.entry_mut(id).1) {
+            if let Some(created) = created {
+                self.groups.retract(id, created);
             }
-            Ok(())
-        })?;
-        if let Some(id) = new_id {
+            return Err(e);
+        }
+        if created.is_some() {
             self.wstats.groups_created += 1;
             members.push(id);
-            for (sa, state) in spec.superaggs.iter().zip(superaggs.iter_mut()) {
-                sa.on_group_add(state, gb)?;
+            tp.program.run(&tp.added.ops, &mut frame)?;
+            let hooks = spec.superaggs.iter().zip(frame.superaggs.iter_mut());
+            for ((sa, state), tracked) in hooks.zip(&tp.added.values) {
+                match tracked {
+                    Some(v) => state.track(tp.program.value(*v, tuple, &[])),
+                    None => sa.on_group_add(state, tp.program.regs(&tp.key))?,
+                }
             }
         }
         // 8. CLEANING WHEN / cleaning phase.
-        if let Some(cw) = &mut self.lowered.cleaning_when {
-            let mut ctx = EvalCtx {
-                clause: "CLEANING WHEN",
-                tuple: Some(tuple),
-                group_vars: Some(gb),
-                aggs: None,
-                superaggs: Some(superaggs),
-                sfun_states: Some(states.as_mut_slice()),
-            };
-            if cw.eval_bool(&mut ctx)? {
+        if let Some(cw) = &tp.cleaning_when {
+            if tp.program.test(cw, &mut frame)? {
                 self.wstats.cleaning_phases += 1;
                 self.clean_supergroup(sg_idx)?;
             }
@@ -746,7 +823,8 @@ impl SamplingOperator {
             .collect();
         let superaggs = self.spec.superaggs.iter().map(|s| s.init()).collect();
         let idx = self.sgs.len();
-        self.sgs.push(SupergroupEntry { key: key.clone(), superaggs, states, groups: Vec::new() });
+        let groups = self.member_lists.pop().unwrap_or_default();
+        self.sgs.push(SupergroupEntry { key: key.clone(), superaggs, states, groups });
         self.sg_index.insert(key, idx);
         idx
     }
@@ -755,10 +833,13 @@ impl SamplingOperator {
     /// groups for which it is false.
     fn clean_supergroup(&mut self, sg_idx: usize) -> Result<(), OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.clean_span.start());
-        let Some(cb) = &mut self.lowered.cleaning_by else {
+        let (spec, gp, none) = (&*self.spec, &mut self.group_phase, Tuple::empty());
+        let Some(cb) = &gp.cleaning_by else {
             return Ok(());
         };
         let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
+        let mut frame = Frame { superaggs, states, ..Frame::of_tuple(&none) };
+        gp.program.run(&gp.clean_prologue, &mut frame)?;
         // Walk the member ids, compacting the list in place (order kept).
         // Whatever way the walk ends, `members[kept..seen]` are the ids
         // it evicted.
@@ -766,20 +847,19 @@ impl SamplingOperator {
         let outcome = loop {
             let Some(&id) = members.get(seen) else { break Ok(()) };
             let (key, aggs) = self.groups.entry_mut(id);
-            let mut ctx = EvalCtx {
-                clause: "CLEANING BY",
-                tuple: None,
-                group_vars: Some(key),
-                aggs: Some(&*aggs),
-                superaggs: Some(superaggs),
-                sfun_states: Some(states.as_mut_slice()),
-            };
+            let aggs = &*aggs;
+            let mut frame = frame.of_group(key, aggs);
             // The superaggregates see an evicted group's key and
             // aggregates before its id is freed for reuse.
-            let keep = cb.eval_bool(&mut ctx).and_then(|keep| {
+            let keep = gp.program.test(cb, &mut frame).and_then(|keep| {
                 if !keep {
-                    for (sa, state) in self.spec.superaggs.iter().zip(superaggs.iter_mut()) {
-                        sa.on_group_remove(state, key, aggs)?;
+                    gp.program.run(&gp.removed.ops, &mut frame)?;
+                    let hooks = spec.superaggs.iter().zip(frame.superaggs.iter_mut());
+                    for ((sa, state), tracked) in hooks.zip(&gp.removed.values) {
+                        match tracked {
+                            Some(v) => state.untrack(gp.program.value(*v, &none, key)),
+                            None => sa.on_group_remove(state, key, aggs)?,
+                        }
                     }
                 }
                 Ok(keep)
@@ -812,30 +892,23 @@ impl SamplingOperator {
                 lib.on_window_end(sg.states[li].as_mut());
             }
         }
-        let mut rows = Vec::new();
-        for sg in &mut self.sgs {
+        let (gp, none, mut rows) = (&mut self.group_phase, Tuple::empty(), Vec::new());
+        for sg in self.sgs.iter_mut().filter(|sg| !sg.groups.is_empty()) {
             let SupergroupEntry { superaggs, states, groups: members, .. } = sg;
+            let mut frame = Frame { superaggs, states, ..Frame::of_tuple(&none) };
+            gp.program.run(&gp.close_prologue, &mut frame)?;
             for &id in members.iter() {
                 let (key, aggs) = self.groups.entry_mut(id);
-                let mut ctx = EvalCtx {
-                    clause: "HAVING",
-                    tuple: None,
-                    group_vars: Some(key),
-                    aggs: Some(aggs),
-                    superaggs: Some(superaggs),
-                    sfun_states: Some(states.as_mut_slice()),
-                };
-                let keep = match &mut self.lowered.having {
-                    Some(h) => h.eval_bool(&mut ctx)?,
+                let mut frame = frame.of_group(key, aggs);
+                let keep = match &gp.having {
+                    Some(h) => gp.program.test(h, &mut frame)?,
                     None => true,
                 };
                 if keep {
-                    ctx.clause = "SELECT";
-                    let mut row = Vec::with_capacity(self.lowered.select.len());
-                    for e in &mut self.lowered.select {
-                        row.push(e.eval(&mut ctx)?);
-                    }
-                    rows.push(Tuple::new(row));
+                    gp.program.run(&gp.select.ops, &mut frame)?;
+                    let columns = gp.select.values.iter().flatten();
+                    let row = columns.map(|v| gp.program.value(*v, &none, key).clone());
+                    rows.push(Tuple::new(row.collect()));
                 }
             }
         }
@@ -864,7 +937,10 @@ impl SamplingOperator {
         let (groups_at_close, groups_peak) = (self.groups.len() as u64, self.groups.peak() as u64);
         // Carry supergroup states into the old table for the next window.
         self.old_sgs.clear();
-        for sg in self.sgs.drain(..) {
+        self.member_lists.clear();
+        for mut sg in self.sgs.drain(..).rev() {
+            sg.groups.clear();
+            self.member_lists.push(sg.groups);
             self.old_sgs.insert(sg.key, sg.states);
         }
         self.sg_index.clear();
@@ -1305,10 +1381,7 @@ mod tests {
         // minhash: tb is the window, srcIP the supergroup key, and WHERE
         // reads HX — nothing is left to defer. §6.1: WHERE reads no
         // group-by variable, so all of srcIP, destIP, uts wait.
-        let staged = |spec: OperatorSpec| {
-            let l = Lowered::new(&spec);
-            (l.pre_where, l.deferred)
-        };
+        let staged = |spec: OperatorSpec| staging(&spec);
         let minhash = crate::queries::minhash_query(60, 10).unwrap();
         assert_eq!(staged(minhash), (vec![1, 2], vec![]));
         let cfg = crate::libs::subset_sum::SubsetSumOpConfig { target: 100, ..Default::default() };

@@ -1,84 +1,150 @@
-//! Lowered expressions: what the operator runs per tuple.
+//! Lowered expressions: what the operator runs per tuple and per group.
 //!
 //! [`Expr::eval`] walks a tree and hands a `Result<Value, OpError>` up
 //! from every node, cloning a [`Value`] at every leaf. That is the
 //! public reference semantics; it is too slow for a loop that rejects
 //! 97 % of its input (§6.1's `ssample`). [`SamplingOperator::new`]
-//! therefore lowers every clause once into a [`Program`]: a flat list of
-//! operations over a register file the program owns. Operands are read
-//! in place — an input column, a group-by value, a register — and an
-//! operation on two `u64`s is done on the spot, with no `Value` cloned
-//! and no `Result<Value, _>` built. Every other operand kind falls into
-//! [`BinOp::apply`], the one definition [`Expr::eval`] uses too, so an
-//! operator's meaning is written down once.
+//! therefore lowers the clauses of a spec, once, into two [`Program`]s —
+//! the tuple phase and the group phase — each a flat list of operations
+//! over one register file, cut into *stages*: the operations of a
+//! clause, run when the §6.4 loop gets there. Operands are read in place
+//! (an input column, a value of the group's key, a register), two `u64`s
+//! or two `Bool`s are combined on the spot, and a result is written into
+//! its register, never returned; every other pair of operands falls into
+//! [`BinOp::apply`], the one definition [`Expr::eval`] uses too. What a
+//! clause may read is settled at lowering: its [`Scope`] turns a
+//! reference to anything else into the operation that raises
+//! `Expr::eval`'s `MissingContext` if it is reached, so the interpreter
+//! checks for nothing and a [`Frame`] is plain slices. Sharing registers
+//! is what fusing buys: the group-by values are adjacent registers, the
+//! group key a slice of them; and a group-phase call declared
+//! [read-only](SfunLibrary::register_read_only) moves to a *prologue*
+//! run once per phase (DESIGN.md §5 has the layout and the rules).
 //!
-//! A program is equivalent to the expression it was lowered from: same
-//! value or same error, same SFUN calls in the same order (the
-//! differential property test at the bottom of this file). Two things it
-//! does not carry are the per-evaluation slot range checks —
-//! [`OperatorSpec::validate`] rejects an out-of-range group-by,
-//! aggregate, superaggregate or library slot once, before anything is
-//! lowered — and the per-call argument buffer of `Expr::eval`: call
-//! arguments land in adjacent registers, literal arguments are placed
-//! there once at lowering.
+//! A stage is the expression it was lowered from: same value or same
+//! error, same calls in the same order of every SFUN not declared
+//! read-only (the differential property test below; `tests/reference.rs`
+//! holds the whole operator to it). [`OperatorSpec::validate`] has
+//! range-checked every slot before anything is lowered.
 //!
 //! [`SamplingOperator::new`]: crate::operator::SamplingOperator::new
 //! [`OperatorSpec::validate`]: crate::operator::OperatorSpec::validate
 
+use std::any::Any;
 use std::ops::Range;
 use std::sync::Arc;
 
 use sso_types::{Tuple, Value};
 
+use crate::agg::AggState;
 use crate::error::OpError;
-use crate::expr::{BinOp, EvalCtx, Expr};
+use crate::expr::{BinOp, Expr};
 use crate::scalar::ScalarFn;
-use crate::sfun::SfunFn;
+use crate::sfun::{SfunFn, SfunLibrary};
+use crate::superagg::SuperAggState;
 
 /// Where an operand is read from.
 #[derive(Debug, Clone, Copy)]
-enum Src {
+pub(crate) enum Src {
     /// Input-tuple column.
     Col(usize),
-    /// Group-by variable.
-    GroupVar(usize),
-    /// Register: a constant placed at lowering, or the result of an
-    /// earlier operation of this evaluation.
+    /// Value of the current group's key (group phase).
+    Key(usize),
+    /// Register: a constant placed at lowering, a group-by value of the
+    /// current tuple, or the result of an earlier operation.
     Reg(usize),
 }
 
-/// One operation. Every `dst` register has exactly one writer, so a
-/// constant register is never overwritten.
+/// What an operation computes; [`Inst::dst`] is where it goes.
 enum Op {
-    /// `dst = a op b` for arithmetic and comparisons.
-    Binary { op: BinOp, a: Src, b: Src, dst: usize },
-    /// `dst = Bool(!truthy(a))`.
-    Not { a: Src, dst: usize },
+    /// `a op b` for arithmetic and comparisons.
+    Binary { op: BinOp, a: Src, b: Src },
+    /// `Bool(!truthy(a))`.
+    Not { a: Src },
     /// `AND` (`when = false`) / `OR` (`when = true`) after the left
     /// operand: if `truthy(a) == when` the result is `Bool(when)` and
     /// the right operand — everything up to `skip_to` — is not run.
-    ShortCircuit { a: Src, when: bool, dst: usize, skip_to: usize },
-    /// `dst = Bool(truthy(a))`: the right operand of `AND` / `OR`.
-    Truthy { a: Src, dst: usize },
-    /// `dst = a`: a column or group-by value into a call's argument
-    /// registers, or ahead of a sibling whose evaluation must follow it.
-    Copy { a: Src, dst: usize },
-    /// `dst = aggregate[slot]`.
-    Aggregate { slot: usize, dst: usize },
-    /// `dst = superaggregate[slot]`.
-    SuperAgg { slot: usize, dst: usize },
-    /// `dst = fun(state[lib], regs[args])`.
-    Sfun { lib: usize, name: &'static str, fun: Arc<SfunFn>, args: Range<usize>, dst: usize },
-    /// `dst = fun(regs[args])`.
-    Scalar { name: &'static str, fun: Arc<ScalarFn>, args: Range<usize>, dst: usize },
+    ShortCircuit { a: Src, when: bool, skip_to: usize },
+    /// `Bool(truthy(a))`: the right operand of `AND` / `OR`.
+    Truthy { a: Src },
+    /// `a`, for a call's argument registers or a group-by register.
+    Copy { a: Src },
+    /// `aggregate[slot]`.
+    Aggregate { slot: usize },
+    /// `superaggregate[slot]`.
+    SuperAgg { slot: usize },
+    /// `fun(state[lib], regs[args])`.
+    Sfun { lib: usize, name: &'static str, fun: Arc<SfunFn>, args: Range<usize> },
+    /// `fun(regs[args])`.
+    Scalar { name: &'static str, fun: Arc<ScalarFn>, args: Range<usize> },
+    /// An error: the clause reads `what`, which its [`Scope`] lacks.
+    Missing { what: &'static str, clause: &'static str },
 }
 
-/// An [`Expr`] lowered to straight-line code (forward jumps only, for
-/// `AND` / `OR`).
+/// One operation and the register it writes. Every register has exactly
+/// one writer, so a constant register is never overwritten.
+struct Inst {
+    op: Op,
+    dst: usize,
+}
+
+/// How a clause reads `GroupVar(i)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GroupVars {
+    /// Tuple phase: register `base + i`.
+    Regs(usize),
+    /// Group phase: value `i` of the group's key.
+    Key,
+}
+
+/// What a clause sees — the input tuple, the group-by values (and where
+/// they are), the group's aggregates, the supergroup's superaggregates
+/// and SFUN states — as [`crate::expr::EvalCtx`] says it per evaluation,
+/// said once, at lowering. `clause` is for error messages.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Scope {
+    pub clause: &'static str,
+    pub tuple: bool,
+    pub group_vars: Option<GroupVars>,
+    pub aggs: bool,
+    pub superaggs: bool,
+    pub sfun: bool,
+}
+
+/// What an evaluation reads besides the registers. The parts a clause
+/// does not see are empty, and never read.
+pub(crate) struct Frame<'a> {
+    pub tuple: &'a Tuple,
+    pub key: &'a [Value],
+    pub aggs: &'a [AggState],
+    pub superaggs: &'a mut [SuperAggState],
+    pub states: &'a mut [Box<dyn Any + Send>],
+}
+
+impl<'a> Frame<'a> {
+    /// Nothing but an input tuple.
+    pub(crate) fn of_tuple(tuple: &'a Tuple) -> Self {
+        Frame { tuple, key: &[], aggs: &[], superaggs: &mut [], states: &mut [] }
+    }
+
+    /// The same supergroup, with the key and aggregates of one of its
+    /// groups: a walk makes one per group.
+    pub(crate) fn of_group<'g>(&'g mut self, key: &'g [Value], aggs: &'g [AggState]) -> Frame<'g> {
+        Frame { tuple: self.tuple, key, aggs, superaggs: self.superaggs, states: self.states }
+    }
+}
+
+/// One lowered clause: the operations to run, where its value is left.
+pub(crate) struct Stage {
+    pub ops: Range<usize>,
+    pub value: Src,
+}
+
+/// [`Expr`]s lowered to straight-line code (forward jumps only, for
+/// `AND` / `OR`) over one register file.
 pub(crate) struct Program {
-    ops: Vec<Op>,
+    ops: Vec<Inst>,
     regs: Vec<Value>,
-    result: Src,
 }
 
 #[cold]
@@ -86,232 +152,285 @@ fn missing(what: &'static str, clause: &'static str) -> OpError {
     OpError::MissingContext { what, clause }
 }
 
-/// Read an operand in place.
-#[inline(always)]
-fn operand<'a>(src: Src, ctx: &'a EvalCtx<'_>, regs: &'a [Value]) -> Result<&'a Value, OpError> {
-    match src {
-        Src::Reg(r) => Ok(&regs[r]),
-        Src::Col(i) => match ctx.tuple {
-            Some(t) => Ok(t.get(i)),
-            None => Err(missing("input column", ctx.clause)),
-        },
-        Src::GroupVar(i) => match ctx.group_vars {
-            Some(g) => Ok(&g[i]),
-            None => Err(missing("group-by variable", ctx.clause)),
-        },
+#[cold]
+fn bad_call(sfun: bool, name: &str, reason: String) -> OpError {
+    let function = name.to_string();
+    if sfun {
+        OpError::BadSfunCall { function, reason }
+    } else {
+        OpError::BadScalarCall { function, reason }
     }
 }
 
-/// `a op b` where the result is decided by the two `u64`s alone and is
-/// the one [`BinOp::apply`] gives; `None` sends the rest there
-/// (`u64 - u64 < 0`, a zero divisor, `AND` / `OR`).
+/// Read an operand in place.
 #[inline(always)]
-fn binary_u64(op: BinOp, a: u64, b: u64) -> Option<Value> {
-    Some(match op {
-        BinOp::Add => Value::U64(a.wrapping_add(b)),
-        BinOp::Sub if a >= b => Value::U64(a - b),
-        BinOp::Mul => Value::U64(a.wrapping_mul(b)),
-        BinOp::Div if b != 0 => Value::U64(a / b),
-        BinOp::Rem if b != 0 => Value::U64(a % b),
-        BinOp::Eq => Value::Bool(a == b),
-        BinOp::Ne => Value::Bool(a != b),
-        BinOp::Lt => Value::Bool(a < b),
-        BinOp::Le => Value::Bool(a <= b),
-        BinOp::Gt => Value::Bool(a > b),
-        BinOp::Ge => Value::Bool(a >= b),
+fn operand<'v>(src: Src, tuple: &'v Tuple, key: &'v [Value], regs: &'v [Value]) -> &'v Value {
+    match src {
+        Src::Reg(r) => &regs[r],
+        Src::Col(i) => tuple.get(i),
+        Src::Key(i) => &key[i],
+    }
+}
+
+/// `a op b` where the result is decided by two `u64`s or two `Bool`s
+/// alone and is the one [`BinOp::apply`] gives; `None` sends the rest
+/// there (`u64 - u64 < 0`, a zero divisor, every other pair of kinds).
+#[inline(always)]
+fn binary_fast(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
+    Some(match (op, a, b) {
+        (BinOp::Add, Value::U64(a), Value::U64(b)) => Value::U64(a.wrapping_add(*b)),
+        (BinOp::Sub, Value::U64(a), Value::U64(b)) if a >= b => Value::U64(a - b),
+        (BinOp::Mul, Value::U64(a), Value::U64(b)) => Value::U64(a.wrapping_mul(*b)),
+        (BinOp::Div, Value::U64(a), Value::U64(b)) if *b != 0 => Value::U64(a / b),
+        (BinOp::Rem, Value::U64(a), Value::U64(b)) if *b != 0 => Value::U64(a % b),
+        (BinOp::Eq, Value::U64(a), Value::U64(b)) => Value::Bool(a == b),
+        (BinOp::Ne, Value::U64(a), Value::U64(b)) => Value::Bool(a != b),
+        (BinOp::Lt, Value::U64(a), Value::U64(b)) => Value::Bool(a < b),
+        (BinOp::Le, Value::U64(a), Value::U64(b)) => Value::Bool(a <= b),
+        (BinOp::Gt, Value::U64(a), Value::U64(b)) => Value::Bool(a > b),
+        (BinOp::Ge, Value::U64(a), Value::U64(b)) => Value::Bool(a >= b),
+        // `local_count(100) = TRUE`, as every text query writes it.
+        (BinOp::Eq, Value::Bool(a), Value::Bool(b)) => Value::Bool(a == b),
+        (BinOp::Ne, Value::Bool(a), Value::Bool(b)) => Value::Bool(a != b),
         _ => return None,
     })
 }
 
+/// Every other pair of operands: [`BinOp::apply`], out of line.
+#[inline(never)]
+fn binary_slow(op: BinOp, a: &Value, b: &Value) -> Result<Value, OpError> {
+    Ok(op.apply(a, b)?)
+}
+
 impl Program {
-    /// Lower `expr`. Its slot references must already have been range
-    /// checked (`OperatorSpec::validate`).
-    pub(crate) fn lower(expr: &Expr) -> Program {
-        let mut p = Program { ops: Vec::new(), regs: Vec::new(), result: Src::Reg(0) };
-        p.result = p.lower_node(expr, None);
-        p
+    /// Lower one expression as a program of its own.
+    pub(crate) fn lower(expr: &Expr, scope: Scope) -> (Program, Stage) {
+        let mut lowering = Lowering::new(&[]);
+        let stage = lowering.stage(expr, scope);
+        (lowering.finish(), stage)
     }
 
-    /// The register a node writes: the one it was given, or a new one.
-    fn dst(&mut self, into: Option<usize>) -> usize {
-        into.unwrap_or_else(|| {
-            self.regs.push(Value::Null);
-            self.regs.len() - 1
-        })
+    /// The registers `range`: the group-by values of the current tuple,
+    /// a supergroup key.
+    pub(crate) fn regs(&self, range: &Range<usize>) -> &[Value] {
+        &self.regs[range.clone()]
     }
 
-    /// A column or group-by value: read in place, or copied into `into`.
-    fn leaf(&mut self, a: Src, into: Option<usize>) -> Src {
-        match into {
-            Some(dst) => {
-                self.ops.push(Op::Copy { a, dst });
-                Src::Reg(dst)
-            }
-            None => a,
-        }
+    /// The value a stage left at `src`.
+    #[inline]
+    pub(crate) fn value<'v>(&'v self, src: Src, tuple: &'v Tuple, key: &'v [Value]) -> &'v Value {
+        operand(src, tuple, key, &self.regs)
     }
 
-    /// Emit the operations of `e` and say where its value is found; with
-    /// `into`, that is the given register.
-    fn lower_node(&mut self, e: &Expr, into: Option<usize>) -> Src {
-        let dst = match e {
-            Expr::Literal(v) => {
-                // A constant: placed now, never written again.
-                let dst = self.dst(into);
-                self.regs[dst] = v.clone();
-                dst
-            }
-            Expr::Column(i) => return self.leaf(Src::Col(*i), into),
-            Expr::GroupVar(i) => return self.leaf(Src::GroupVar(*i), into),
-            Expr::Binary { op: op @ (BinOp::And | BinOp::Or), lhs, rhs } => {
-                let a = self.lower_node(lhs, None);
-                let dst = self.dst(into);
-                let short = self.ops.len();
-                self.ops.push(Op::ShortCircuit { a, when: *op == BinOp::Or, dst, skip_to: 0 });
-                let b = self.lower_node(rhs, None);
-                self.ops.push(Op::Truthy { a: b, dst });
-                let end = self.ops.len();
-                if let Op::ShortCircuit { skip_to, .. } = &mut self.ops[short] {
-                    *skip_to = end;
-                }
-                dst
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let mut a = self.lower_node(lhs, None);
-                // `a op b` reads its operands when it runs, after the
-                // operations of `b`. A column or group-by value on the
-                // left can fail (its context may be absent) and must do
-                // so before anything on the right runs, as in the tree.
-                let rhs_is_leaf =
-                    matches!(**rhs, Expr::Literal(_) | Expr::Column(_) | Expr::GroupVar(_));
-                if !matches!(a, Src::Reg(_)) && !rhs_is_leaf {
-                    let early = self.dst(None);
-                    a = self.leaf(a, Some(early));
-                }
-                let b = self.lower_node(rhs, None);
-                let dst = self.dst(into);
-                self.ops.push(Op::Binary { op: *op, a, b, dst });
-                dst
-            }
-            Expr::Not(inner) => {
-                let a = self.lower_node(inner, None);
-                let dst = self.dst(into);
-                self.ops.push(Op::Not { a, dst });
-                dst
-            }
-            Expr::Aggregate(slot) => {
-                let dst = self.dst(into);
-                self.ops.push(Op::Aggregate { slot: *slot, dst });
-                dst
-            }
-            Expr::SuperAgg(slot) => {
-                let dst = self.dst(into);
-                self.ops.push(Op::SuperAgg { slot: *slot, dst });
-                dst
-            }
-            Expr::Sfun { lib, name, fun, args } => {
-                let args = self.lower_args(args);
-                let dst = self.dst(into);
-                self.ops.push(Op::Sfun { lib: *lib, name, fun: Arc::clone(fun), args, dst });
-                dst
-            }
-            Expr::Scalar { name, fun, args } => {
-                let args = self.lower_args(args);
-                let dst = self.dst(into);
-                self.ops.push(Op::Scalar { name, fun: Arc::clone(fun), args, dst });
-                dst
-            }
-        };
-        Src::Reg(dst)
+    /// Run a stage and read its value as a predicate.
+    #[inline]
+    pub(crate) fn test(&mut self, stage: &Stage, f: &mut Frame<'_>) -> Result<bool, OpError> {
+        self.run(&stage.ops, f)?;
+        Ok(self.value(stage.value, f.tuple, f.key).truthy())
     }
 
-    /// Lower call arguments into adjacent registers, left to right.
-    fn lower_args(&mut self, args: &[Expr]) -> Range<usize> {
-        let base = self.regs.len();
-        self.regs.resize(base + args.len(), Value::Null);
-        for (k, arg) in args.iter().enumerate() {
-            self.lower_node(arg, Some(base + k));
-        }
-        base..base + args.len()
-    }
-
-    /// Evaluate against a context; equivalent to [`Expr::eval`].
-    pub(crate) fn eval(&mut self, ctx: &mut EvalCtx<'_>) -> Result<Value, OpError> {
-        self.run(ctx)?;
-        Ok(operand(self.result, ctx, &self.regs)?.clone())
-    }
-
-    /// Evaluate as a predicate; equivalent to [`Expr::eval_bool`].
-    pub(crate) fn eval_bool(&mut self, ctx: &mut EvalCtx<'_>) -> Result<bool, OpError> {
-        self.run(ctx)?;
-        Ok(operand(self.result, ctx, &self.regs)?.truthy())
-    }
-
-    fn run(&mut self, ctx: &mut EvalCtx<'_>) -> Result<(), OpError> {
-        let regs = &mut self.regs;
-        let mut pc = 0;
-        while let Some(op) = self.ops.get(pc) {
+    /// Run the operations `ops`, each writing its register.
+    pub(crate) fn run(&mut self, ops: &Range<usize>, f: &mut Frame<'_>) -> Result<(), OpError> {
+        let (regs, tuple, key) = (self.regs.as_mut_slice(), f.tuple, f.key);
+        let mut pc = ops.start;
+        while pc < ops.end {
+            let Inst { op, dst } = &self.ops[pc];
             pc += 1;
             match op {
-                Op::Binary { op, a, b, dst } => {
-                    let (x, y) = (operand(*a, ctx, regs)?, operand(*b, ctx, regs)?);
-                    let fast = match (x, y) {
-                        (Value::U64(x), Value::U64(y)) => binary_u64(*op, *x, *y),
-                        _ => None,
-                    };
-                    let v = match fast {
-                        Some(v) => v,
-                        None => op.apply(x, y)?,
-                    };
-                    regs[*dst] = v;
+                // One write per path: a single `regs[dst] = match ..`
+                // sends both through the stack slot of the slow path's
+                // `Result`, which the fast path then reads back before
+                // its stores have retired (~15 ns a tuple).
+                Op::Binary { op, a, b } => {
+                    let (x, y) = (operand(*a, tuple, key, regs), operand(*b, tuple, key, regs));
+                    match binary_fast(*op, x, y) {
+                        Some(v) => regs[*dst] = v,
+                        None => {
+                            let v = binary_slow(*op, x, y)?;
+                            regs[*dst] = v;
+                        }
+                    }
                 }
-                Op::Not { a, dst } => {
-                    let v = !operand(*a, ctx, regs)?.truthy();
-                    regs[*dst] = Value::Bool(v);
-                }
-                Op::ShortCircuit { a, when, dst, skip_to } => {
-                    if operand(*a, ctx, regs)?.truthy() == *when {
+                Op::Not { a } => regs[*dst] = Value::Bool(!operand(*a, tuple, key, regs).truthy()),
+                Op::ShortCircuit { a, when, skip_to } => {
+                    if operand(*a, tuple, key, regs).truthy() == *when {
                         regs[*dst] = Value::Bool(*when);
                         pc = *skip_to;
                     }
                 }
-                Op::Truthy { a, dst } => {
-                    let v = operand(*a, ctx, regs)?.truthy();
-                    regs[*dst] = Value::Bool(v);
+                Op::Truthy { a } => {
+                    regs[*dst] = Value::Bool(operand(*a, tuple, key, regs).truthy())
                 }
-                Op::Copy { a, dst } => {
-                    let v = operand(*a, ctx, regs)?.clone();
-                    regs[*dst] = v;
+                Op::Copy { a } => regs[*dst] = operand(*a, tuple, key, regs).clone(),
+                Op::Aggregate { slot } => regs[*dst] = f.aggs[*slot].value(),
+                Op::SuperAgg { slot } => regs[*dst] = f.superaggs[*slot].value(),
+                Op::Sfun { lib, name, fun, args } => {
+                    match fun(f.states[*lib].as_mut(), &regs[args.clone()]) {
+                        Ok(v) => regs[*dst] = v,
+                        Err(reason) => return Err(bad_call(true, name, reason)),
+                    }
                 }
-                Op::Aggregate { slot, dst } => {
-                    let Some(aggs) = ctx.aggs else {
-                        return Err(missing("aggregate", ctx.clause));
-                    };
-                    regs[*dst] = aggs[*slot].value();
-                }
-                Op::SuperAgg { slot, dst } => {
-                    let Some(superaggs) = ctx.superaggs else {
-                        return Err(missing("superaggregate", ctx.clause));
-                    };
-                    regs[*dst] = superaggs[*slot].value();
-                }
-                Op::Sfun { lib, name, fun, args, dst } => {
-                    let Some(states) = ctx.sfun_states.as_mut() else {
-                        return Err(missing("stateful function state", ctx.clause));
-                    };
-                    let state = states[*lib].as_mut();
-                    regs[*dst] = fun(state, &regs[args.clone()]).map_err(|reason| {
-                        OpError::BadSfunCall { function: name.to_string(), reason }
-                    })?;
-                }
-                Op::Scalar { name, fun, args, dst } => {
-                    regs[*dst] = fun(&regs[args.clone()]).map_err(|reason| {
-                        OpError::BadScalarCall { function: name.to_string(), reason }
-                    })?;
-                }
+                Op::Scalar { name, fun, args } => match fun(&regs[args.clone()]) {
+                    Ok(v) => regs[*dst] = v,
+                    Err(reason) => return Err(bad_call(false, name, reason)),
+                },
+                Op::Missing { what, clause } => return Err(missing(what, clause)),
             }
         }
         Ok(())
+    }
+}
+
+/// Builds a [`Program`]: the clauses of one phase, lowered in the order
+/// the loop runs them, sharing registers.
+pub(crate) struct Lowering<'a> {
+    program: Program,
+    libs: &'a [Arc<SfunLibrary>],
+    /// Per library, while a group-phase body is lowered: does no clause
+    /// of the body call a function that may change the state?
+    unchanged: Vec<bool>,
+    /// The body's read-only calls with constant arguments on such a
+    /// library, for [`Self::prologue`].
+    hoisted: Vec<Inst>,
+}
+
+impl<'a> Lowering<'a> {
+    pub(crate) fn new(libs: &'a [Arc<SfunLibrary>]) -> Self {
+        let program = Program { ops: Vec::new(), regs: Vec::new() };
+        Lowering { program, libs, unchanged: Vec::new(), hoisted: Vec::new() }
+    }
+
+    pub(crate) fn finish(self) -> Program {
+        debug_assert!(self.hoisted.is_empty(), "a body's prologue was not placed");
+        self.program
+    }
+
+    /// How many operations there are: stages are ranges of them.
+    pub(crate) fn at(&self) -> usize {
+        self.program.ops.len()
+    }
+
+    /// `n` more registers, adjacent.
+    pub(crate) fn registers(&mut self, n: usize) -> Range<usize> {
+        let base = self.program.regs.len();
+        self.program.regs.resize(base + n, Value::Null);
+        base..base + n
+    }
+
+    /// Lower `e` as a stage of its own.
+    pub(crate) fn stage(&mut self, e: &Expr, scope: Scope) -> Stage {
+        let start = self.at();
+        let value = self.lower(e, scope, None);
+        Stage { ops: start..self.at(), value }
+    }
+
+    /// Start a body: the clauses evaluated for each group of a phase.
+    pub(crate) fn body(&mut self, clauses: &[&Expr]) {
+        self.unchanged = vec![true; self.libs.len()];
+        for clause in clauses {
+            clause.walk(&mut |node| {
+                if let Expr::Sfun { lib, name, fun, .. } = node {
+                    self.unchanged[*lib] &= self.libs[*lib].is_read_only(name, fun);
+                }
+            });
+        }
+    }
+
+    /// End a body: place the calls hoisted out of its clauses, the stage
+    /// to run once ahead of the phase's groups.
+    pub(crate) fn prologue(&mut self) -> Range<usize> {
+        let start = self.at();
+        self.program.ops.append(&mut self.hoisted);
+        self.unchanged.clear();
+        start..self.at()
+    }
+
+    /// A value that lies somewhere: read in place, or copied `into`.
+    fn leaf(&mut self, a: Src, into: Option<usize>) -> Src {
+        let Some(dst) = into else { return a };
+        self.program.ops.push(Inst { op: Op::Copy { a }, dst });
+        Src::Reg(dst)
+    }
+
+    /// Emit the operations of `e` and say where its value is found; with
+    /// `into`, that is the given register.
+    pub(crate) fn lower(&mut self, e: &Expr, scope: Scope, into: Option<usize>) -> Src {
+        let missing = |what| Op::Missing { what, clause: scope.clause };
+        let mut hoist = false;
+        let op = match e {
+            Expr::Literal(v) => {
+                // A constant: placed now, never written again.
+                let dst = into.unwrap_or_else(|| self.registers(1).start);
+                self.program.regs[dst] = v.clone();
+                return Src::Reg(dst);
+            }
+            Expr::Column(i) if scope.tuple => return self.leaf(Src::Col(*i), into),
+            Expr::Column(_) => missing("input column"),
+            Expr::GroupVar(i) => match scope.group_vars {
+                Some(GroupVars::Regs(base)) => return self.leaf(Src::Reg(base + i), into),
+                Some(GroupVars::Key) => return self.leaf(Src::Key(*i), into),
+                None => missing("group-by variable"),
+            },
+            Expr::Binary { op: op @ (BinOp::And | BinOp::Or), lhs, rhs } => {
+                let a = self.lower(lhs, scope, None);
+                let dst = into.unwrap_or_else(|| self.registers(1).start);
+                let short = self.at();
+                let op = Op::ShortCircuit { a, when: *op == BinOp::Or, skip_to: 0 };
+                self.program.ops.push(Inst { op, dst });
+                let b = self.lower(rhs, scope, None);
+                // Past the `Truthy` that follows the right operand.
+                let end = self.at() + 1;
+                if let Op::ShortCircuit { skip_to, .. } = &mut self.program.ops[short].op {
+                    *skip_to = end;
+                }
+                return self.emit(Op::Truthy { a: b }, Some(dst));
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let (a, b) = (self.lower(lhs, scope, None), self.lower(rhs, scope, None));
+                Op::Binary { op: *op, a, b }
+            }
+            Expr::Not(inner) => Op::Not { a: self.lower(inner, scope, None) },
+            Expr::Aggregate(slot) if scope.aggs => Op::Aggregate { slot: *slot },
+            Expr::Aggregate(_) => missing("aggregate"),
+            Expr::SuperAgg(slot) if scope.superaggs => Op::SuperAgg { slot: *slot },
+            Expr::SuperAgg(_) => missing("superaggregate"),
+            Expr::Sfun { lib, name, fun, args } => {
+                hoist = args.iter().all(|arg| matches!(arg, Expr::Literal(_)))
+                    && self.unchanged.get(*lib) == Some(&true)
+                    && self.libs[*lib].is_read_only(name, fun);
+                let args = self.lower_args(args, scope);
+                match scope.sfun {
+                    true => Op::Sfun { lib: *lib, name, fun: Arc::clone(fun), args },
+                    false => missing("stateful function state"),
+                }
+            }
+            Expr::Scalar { name, fun, args } => {
+                let args = self.lower_args(args, scope);
+                Op::Scalar { name, fun: Arc::clone(fun), args }
+            }
+        };
+        if hoist && scope.sfun {
+            let dst = into.unwrap_or_else(|| self.registers(1).start);
+            self.hoisted.push(Inst { op, dst });
+            return Src::Reg(dst);
+        }
+        self.emit(op, into)
+    }
+
+    /// Place `op`, writing `into` or a new register.
+    fn emit(&mut self, op: Op, into: Option<usize>) -> Src {
+        let dst = into.unwrap_or_else(|| self.registers(1).start);
+        self.program.ops.push(Inst { op, dst });
+        Src::Reg(dst)
+    }
+
+    /// Lower call arguments into adjacent registers, left to right.
+    fn lower_args(&mut self, args: &[Expr], scope: Scope) -> Range<usize> {
+        let regs = self.registers(args.len());
+        for (arg, reg) in args.iter().zip(regs.clone()) {
+            self.lower(arg, scope, Some(reg));
+        }
+        regs
     }
 }
 
@@ -325,18 +444,20 @@ impl Program {
 /// which raises the error under its own clause, or rejects the tuple
 /// before the failing conjunct is reached — exactly as without the
 /// prefilter.
-pub struct Predicate(Program);
+pub struct Predicate(Program, Stage);
 
 impl Predicate {
     /// Lower `expr`.
     pub fn new(expr: &Expr) -> Self {
-        Predicate(Program::lower(expr))
+        let scope = Scope { clause: "prefilter", tuple: true, ..Scope::default() };
+        let (program, stage) = Program::lower(expr, scope);
+        Predicate(program, stage)
     }
 
     /// Does `tuple` satisfy the predicate? Anything but an input column
     /// is out of scope and an error.
     pub fn test(&mut self, tuple: &Tuple) -> Result<bool, OpError> {
-        self.0.eval_bool(&mut EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("prefilter") })
+        self.0.test(&self.1, &mut Frame::of_tuple(tuple))
     }
 }
 
@@ -347,8 +468,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::agg::AggState;
-    use crate::superagg::SuperAggState;
+    use crate::expr::EvalCtx;
 
     /// All six kinds, weighted toward the operands where integer
     /// arithmetic overflows, divides by zero or changes sign.
@@ -444,7 +564,7 @@ mod tests {
 
     /// What a clause's context holds; each part may be absent.
     #[derive(Debug, Clone)]
-    struct Scope {
+    struct Given {
         tuple: Option<Tuple>,
         group_vars: Option<Vec<Value>>,
         aggs: Option<Vec<AggState>>,
@@ -452,7 +572,7 @@ mod tests {
         sfun_states: bool,
     }
 
-    fn scope() -> impl Strategy<Value = Scope> {
+    fn given() -> impl Strategy<Value = Given> {
         let values = |n| proptest::collection::vec(value(), n..n + 1);
         let present = || (0u8..5).prop_map(|n| n > 0);
         (
@@ -462,7 +582,7 @@ mod tests {
             (present(), value(), any::<u64>()),
             present(),
         )
-            .prop_map(|((t, cols), (g, gvs), (a, avs), (s, sv, n), sfun_states)| Scope {
+            .prop_map(|((t, cols), (g, gvs), (a, avs), (s, sv, n), sfun_states)| Given {
                 tuple: t.then(|| Tuple::new(cols)),
                 group_vars: g.then_some(gvs),
                 aggs: a.then(|| {
@@ -478,28 +598,72 @@ mod tests {
             })
     }
 
-    /// Evaluate with `run` in a fresh context over `scope`; the outcome
-    /// and the SFUN call logs, rendered exactly (`Value`'s `==` would
-    /// let `U64(5)` pass for `I64(5)`).
-    fn observe<T: std::fmt::Debug>(
-        scope: &Scope,
-        run: impl FnOnce(&mut EvalCtx<'_>) -> Result<T, OpError>,
-    ) -> String {
-        let mut states: Vec<Box<dyn Any + Send>> =
-            (0..LIBS).map(|_| Box::new(CallLog::new()) as Box<dyn Any + Send>).collect();
-        let outcome = {
-            let mut ctx = EvalCtx {
+    impl Given {
+        /// The same, as lowering is told it.
+        fn scope(&self) -> Scope {
+            Scope {
                 clause: "TEST",
-                tuple: scope.tuple.as_ref(),
-                group_vars: scope.group_vars.as_deref(),
-                aggs: scope.aggs.as_deref(),
-                superaggs: scope.superaggs.as_deref(),
-                sfun_states: scope.sfun_states.then_some(states.as_mut_slice()),
-            };
-            run(&mut ctx)
-        };
+                tuple: self.tuple.is_some(),
+                group_vars: self.group_vars.as_ref().map(|_| GroupVars::Key),
+                aggs: self.aggs.is_some(),
+                superaggs: self.superaggs.is_some(),
+                sfun: self.sfun_states,
+            }
+        }
+    }
+
+    fn fresh_states() -> Vec<Box<dyn Any + Send>> {
+        (0..LIBS).map(|_| Box::new(CallLog::new()) as Box<dyn Any + Send>).collect()
+    }
+
+    /// An outcome and the SFUN call logs behind it, rendered exactly
+    /// (`Value`'s `==` would let `U64(5)` pass for `I64(5)`).
+    fn render<T: std::fmt::Debug>(
+        outcome: Result<T, OpError>,
+        states: &[Box<dyn Any + Send>],
+    ) -> String {
         let logs: Vec<&CallLog> = states.iter().map(|s| s.downcast_ref().unwrap()).collect();
         format!("{outcome:?} after {logs:?}")
+    }
+
+    /// Evaluate the reference with `run` in a fresh context over `given`.
+    fn observe<T: std::fmt::Debug>(
+        given: &Given,
+        run: impl FnOnce(&mut EvalCtx<'_>) -> Result<T, OpError>,
+    ) -> String {
+        let mut states = fresh_states();
+        let outcome = run(&mut EvalCtx {
+            clause: "TEST",
+            tuple: given.tuple.as_ref(),
+            group_vars: given.group_vars.as_deref(),
+            aggs: given.aggs.as_deref(),
+            superaggs: given.superaggs.as_deref(),
+            sfun_states: given.sfun_states.then_some(states.as_mut_slice()),
+        });
+        render(outcome, &states)
+    }
+
+    /// Run `stage` of `program` in a fresh frame over `given` and read
+    /// its value with `read`.
+    fn observe_stage<T: std::fmt::Debug>(
+        given: &Given,
+        program: &mut Program,
+        stage: &Stage,
+        read: impl FnOnce(&Value) -> T,
+    ) -> String {
+        let (none, mut states) = (Tuple::empty(), fresh_states());
+        let mut superaggs = given.superaggs.clone().unwrap_or_default();
+        let mut frame = Frame {
+            tuple: given.tuple.as_ref().unwrap_or(&none),
+            key: given.group_vars.as_deref().unwrap_or_default(),
+            aggs: given.aggs.as_deref().unwrap_or_default(),
+            superaggs: &mut superaggs,
+            states: &mut states,
+        };
+        let outcome = program
+            .run(&stage.ops, &mut frame)
+            .map(|()| read(program.value(stage.value, frame.tuple, frame.key)));
+        render(outcome, &states)
     }
 
     proptest! {
@@ -508,22 +672,28 @@ mod tests {
         /// A lowered program is the expression it came from: the same
         /// value or the same error, after the same SFUN calls.
         #[test]
-        fn lowered_program_is_expr_eval(e in expr(), scope in scope()) {
-            let mut program = Program::lower(&e);
+        fn lowered_program_is_expr_eval(e in expr(), given in given()) {
+            let (mut program, stage) = Program::lower(&e, given.scope());
             // Twice: the second run starts from the first one's registers.
             for _ in 0..2 {
                 prop_assert_eq!(
-                    observe(&scope, |ctx| program.eval(ctx)),
-                    observe(&scope, |ctx| e.eval(ctx)),
-                    "eval of {:?} in {:?}", e, scope
+                    observe_stage(&given, &mut program, &stage, Value::clone),
+                    observe(&given, |ctx| e.eval(ctx)),
+                    "eval of {:?} in {:?}", e, given
                 );
                 prop_assert_eq!(
-                    observe(&scope, |ctx| program.eval_bool(ctx)),
-                    observe(&scope, |ctx| e.eval_bool(ctx)),
-                    "eval_bool of {:?} in {:?}", e, scope
+                    observe_stage(&given, &mut program, &stage, Value::truthy),
+                    observe(&given, |ctx| e.eval_bool(ctx)),
+                    "eval_bool of {:?} in {:?}", e, given
                 );
             }
         }
+    }
+
+    /// Everything in scope, nothing there: for expressions of literals
+    /// and calls.
+    fn bare() -> Given {
+        Given { tuple: None, group_vars: None, aggs: None, superaggs: None, sfun_states: true }
     }
 
     #[test]
@@ -536,19 +706,65 @@ mod tests {
             fun: rec(),
             args: vec![Expr::Column(0), Expr::lit(7u64)],
         };
-        let program = Program::lower(&e);
+        let scope = Scope { clause: "TEST", tuple: true, sfun: true, ..Scope::default() };
+        let (program, _) = Program::lower(&e, scope);
         assert_eq!(program.ops.len(), 2, "one copy, one call");
         assert_eq!(program.regs[1], Value::U64(7));
     }
 
     #[test]
     fn short_circuit_skips_the_right_operand() {
-        let scope =
-            Scope { tuple: None, group_vars: None, aggs: None, superaggs: None, sfun_states: true };
         let call = || Expr::Sfun { lib: 1, name: "rec", fun: rec(), args: vec![] };
-        let mut and = Program::lower(&Expr::lit(false).and(call()));
-        assert_eq!(observe(&scope, |ctx| and.eval(ctx)), "Ok(Bool(false)) after [[], []]");
-        let mut or = Program::lower(&Expr::bin(BinOp::Or, Expr::lit(0u64), call()));
-        assert_eq!(observe(&scope, |ctx| or.eval(ctx)), "Ok(Bool(true)) after [[], [\"[]\"]]");
+        let observe = |e: Expr| {
+            let (mut program, stage) = Program::lower(&e, bare().scope());
+            observe_stage(&bare(), &mut program, &stage, Value::clone)
+        };
+        assert_eq!(observe(Expr::lit(false).and(call())), "Ok(Bool(false)) after [[], []]");
+        let or = Expr::bin(BinOp::Or, Expr::lit(0u64), call());
+        assert_eq!(observe(or), "Ok(Bool(true)) after [[], [\"[]\"]]");
+    }
+
+    /// `x = TRUE` / `x <> FALSE` is how every text query writes a
+    /// predicate SFUN: two `Bool`s are compared on the spot, anything
+    /// else next to a `Bool` goes to [`BinOp::apply`] — and either way
+    /// the answer is `BinOp::apply`'s.
+    #[test]
+    fn bool_equality_is_decided_on_the_spot() {
+        let kinds = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::U64(0),
+            Value::U64(1),
+            Value::I64(1),
+            Value::F64(1.0),
+            Value::str("a"),
+        ];
+        for op in [BinOp::Eq, BinOp::Ne] {
+            for (a, b) in kinds.iter().flat_map(|a| kinds.iter().map(move |b| (a, b))) {
+                let fast = binary_fast(op, a, b);
+                let both_bool = matches!((a, b), (Value::Bool(_), Value::Bool(_)));
+                let both_u64 = matches!((a, b), (Value::U64(_), Value::U64(_)));
+                assert_eq!(fast.is_some(), both_bool || both_u64, "{a:?} {op:?} {b:?}");
+                if let Some(v) = fast {
+                    assert_eq!(
+                        format!("{:?}", Ok::<_, ()>(v)),
+                        format!("{:?}", op.apply(a, b).map_err(|_| ()))
+                    );
+                }
+            }
+        }
+        // The slow path's answers, through a program.
+        let eq_true = |v: Value| {
+            let e = Expr::Literal(v).eq(Expr::lit(true));
+            let (mut program, stage) = Program::lower(&e, bare().scope());
+            let through_program = observe_stage(&bare(), &mut program, &stage, Value::clone);
+            assert_eq!(through_program, observe(&bare(), |ctx| e.eval(ctx)));
+            through_program
+        };
+        assert_eq!(eq_true(Value::Null), "Ok(Bool(false)) after [[], []]");
+        assert_eq!(eq_true(Value::U64(1)), "Ok(Bool(true)) after [[], []]");
+        assert_eq!(eq_true(Value::U64(2)), "Ok(Bool(false)) after [[], []]");
+        assert_eq!(eq_true(Value::Bool(true)), "Ok(Bool(true)) after [[], []]");
     }
 }

@@ -19,6 +19,13 @@
 //!
 //! One state instance lives in each supergroup's superaggregate
 //! structure, exactly as in §6.2.
+//!
+//! A function that only *reads* the state is declared so, with
+//! [`SfunLibrary::register_read_only`] — its closure is handed
+//! `&dyn Any`. The operator makes such a call only when it needs the
+//! value (a `first(..)` that is set does not; a group-phase clause needs
+//! it once per phase, not once per group); a function registered with
+//! [`SfunLibrary::register`] is called exactly where the query says.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -129,7 +136,8 @@ pub struct SfunLibrary {
     telemetry: Option<Box<SfunProbe>>,
     persist: Option<(Box<SfunEncode>, Box<SfunDecode>)>,
     persist_aux: Option<(Box<SfunAuxEncode>, Box<SfunAuxDecode>)>,
-    functions: HashMap<&'static str, (Signature, Arc<SfunFn>)>,
+    /// Signature, implementation, and whether it was declared read-only.
+    functions: HashMap<&'static str, (Signature, Arc<SfunFn>, bool)>,
 }
 
 impl std::fmt::Debug for SfunLibrary {
@@ -203,8 +211,61 @@ impl SfunLibrary {
         sig: Signature,
         f: impl Fn(&mut dyn Any, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
     ) -> Self {
-        self.functions.insert(name, (sig, Arc::new(f)));
+        self.functions.insert(name, (sig, Arc::new(f), false));
         self
+    }
+
+    /// Register a function that only *reads* the state — the closure is
+    /// handed `&dyn Any`, so the compiler holds it to that:
+    ///
+    /// ```
+    /// # use sso_core::sfun::{state_ref, SfunLibrary, Signature};
+    /// # use sso_types::{Value, ValueKind};
+    /// SfunLibrary::new("counter", |_| Box::new(0u64)).register_read_only(
+    ///     "seen",
+    ///     Signature::exact(0, ValueKind::UInt),
+    ///     |state, _argv| Ok(Value::U64(*state_ref::<u64>(state, "seen")?)),
+    /// );
+    /// ```
+    ///
+    /// ```compile_fail
+    /// # use sso_core::sfun::{SfunLibrary, Signature};
+    /// # use sso_types::{Value, ValueKind};
+    /// SfunLibrary::new("counter", |_| Box::new(0u64)).register_read_only(
+    ///     "bump",
+    ///     Signature::exact(0, ValueKind::UInt),
+    ///     |state, _argv| {
+    ///         *state.downcast_mut::<u64>().unwrap() += 1; // `state` is `&dyn Any`
+    ///         Ok(Value::Null)
+    ///     },
+    /// );
+    /// ```
+    ///
+    /// The declaration is a contract with the operator: the call's
+    /// outcome depends on the state and the arguments alone, so the
+    /// operator makes the call only when it needs the value. The argument
+    /// of a `first(..)` that is already set is skipped, if nothing in it
+    /// but read-only calls could be told apart from not running; and a
+    /// call with constant arguments in CLEANING BY, HAVING or SELECT is
+    /// made once per cleaning phase / window close, ahead of the
+    /// supergroup's groups, unless a clause of that phase calls a
+    /// function of this library registered with [`Self::register`] —
+    /// which is always called exactly where the query says.
+    pub fn register_read_only(
+        mut self,
+        name: &'static str,
+        sig: Signature,
+        f: impl Fn(&dyn Any, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
+    ) -> Self {
+        let fun = move |state: &mut dyn Any, argv: &[Value]| f(state, argv);
+        self.functions.insert(name, (sig, Arc::new(fun), true));
+        self
+    }
+
+    /// Is `fun` this library's function `name`, and was it registered
+    /// with [`Self::register_read_only`]?
+    pub fn is_read_only(&self, name: &str, fun: &Arc<SfunFn>) -> bool {
+        self.functions.get(name).is_some_and(|(_, f, read_only)| *read_only && Arc::ptr_eq(f, fun))
     }
 
     /// Library name.
@@ -214,19 +275,19 @@ impl SfunLibrary {
 
     /// Look up a function by name.
     pub fn function(&self, name: &str) -> Option<Arc<SfunFn>> {
-        self.functions.get(name).map(|(_, f)| Arc::clone(f))
+        self.functions.get(name).map(|(_, f, _)| Arc::clone(f))
     }
 
     /// Look up a function's declared signature.
     pub fn signature(&self, name: &str) -> Option<Signature> {
-        self.functions.get(name).map(|(sig, _)| *sig)
+        self.functions.get(name).map(|(sig, ..)| *sig)
     }
 
     /// Look up a function by name, returning the library's canonical
     /// `'static` name alongside the implementation (the planner stores
     /// this in compiled expressions).
     pub fn function_entry(&self, name: &str) -> Option<(&'static str, Arc<SfunFn>)> {
-        self.functions.get_key_value(name).map(|(k, (_, f))| (*k, Arc::clone(f)))
+        self.functions.get_key_value(name).map(|(k, (_, f, _))| (*k, Arc::clone(f)))
     }
 
     /// Names of all registered functions.
@@ -288,6 +349,13 @@ impl SfunLibrary {
 pub fn state_mut<'a, T: 'static>(state: &'a mut dyn Any, fname: &str) -> Result<&'a mut T, String> {
     state
         .downcast_mut::<T>()
+        .ok_or_else(|| format!("{fname}: state has unexpected type (library misconfigured)"))
+}
+
+/// Downcast helper for read-only SFUN implementations.
+pub fn state_ref<'a, T: 'static>(state: &'a dyn Any, fname: &str) -> Result<&'a T, String> {
+    state
+        .downcast_ref::<T>()
         .ok_or_else(|| format!("{fname}: state has unexpected type (library misconfigured)"))
 }
 

@@ -125,6 +125,20 @@ impl SuperAggSpec {
         }
     }
 
+    /// The group-key expression whose value is tracked per group, if
+    /// this superaggregate has one (`Kth_smallest_value$`, `min$`,
+    /// `max$`). The operator lowers it once and hands its value to
+    /// [`SuperAggState::track`] / [`SuperAggState::untrack`]; the hooks
+    /// below evaluate the tree, and are the reference.
+    pub fn group_arg(&self) -> Option<&Expr> {
+        match self {
+            SuperAggSpec::KthSmallest { expr, .. } | SuperAggSpec::Extreme { expr, .. } => {
+                Some(expr)
+            }
+            _ => None,
+        }
+    }
+
     /// Per-tuple update (runs for every tuple passing WHERE).
     pub fn on_tuple(
         &self,
@@ -132,7 +146,7 @@ impl SuperAggSpec {
         ctx: &mut EvalCtx<'_>,
     ) -> Result<(), OpError> {
         match self.tuple_arg() {
-            Some(expr) => state.fold_tuple(expr.eval(ctx)?),
+            Some(expr) => state.fold_tuple(&expr.eval(ctx)?),
             None => Ok(()),
         }
     }
@@ -147,20 +161,11 @@ impl SuperAggSpec {
             (SuperAggSpec::CountDistinct, SuperAggState::CountDistinct(n)) => {
                 *n += 1;
             }
-            (
-                SuperAggSpec::KthSmallest { expr, .. },
-                SuperAggState::KthSmallest { tracker, len, .. },
-            ) => {
-                let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = expr.eval(&mut ctx)?;
-                *tracker.entry(OrdValue(v)).or_insert(0) += 1;
-                *len += 1;
-            }
             (SuperAggSpec::Sum { .. }, SuperAggState::Sum(_)) => {}
-            (SuperAggSpec::Extreme { expr, .. }, SuperAggState::Extreme { tracker, .. }) => {
+            (SuperAggSpec::KthSmallest { expr, .. }, state @ SuperAggState::KthSmallest { .. })
+            | (SuperAggSpec::Extreme { expr, .. }, state @ SuperAggState::Extreme { .. }) => {
                 let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = expr.eval(&mut ctx)?;
-                *tracker.entry(OrdValue(v)).or_insert(0) += 1;
+                state.track(&expr.eval(&mut ctx)?);
             }
             _ => {
                 return Err(OpError::InvalidSpec(
@@ -182,29 +187,10 @@ impl SuperAggSpec {
             (SuperAggSpec::CountDistinct, SuperAggState::CountDistinct(n)) => {
                 *n = n.saturating_sub(1);
             }
-            (
-                SuperAggSpec::KthSmallest { expr, .. },
-                SuperAggState::KthSmallest { tracker, len, .. },
-            ) => {
+            (SuperAggSpec::KthSmallest { expr, .. }, state @ SuperAggState::KthSmallest { .. })
+            | (SuperAggSpec::Extreme { expr, .. }, state @ SuperAggState::Extreme { .. }) => {
                 let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = OrdValue(expr.eval(&mut ctx)?);
-                if let Some(count) = tracker.get_mut(&v) {
-                    *count -= 1;
-                    if *count == 0 {
-                        tracker.remove(&v);
-                    }
-                    *len -= 1;
-                }
-            }
-            (SuperAggSpec::Extreme { expr, .. }, SuperAggState::Extreme { tracker, .. }) => {
-                let mut ctx = EvalCtx { group_vars: Some(group_key), ..EvalCtx::empty("SUPERAGG") };
-                let v = OrdValue(expr.eval(&mut ctx)?);
-                if let Some(count) = tracker.get_mut(&v) {
-                    *count -= 1;
-                    if *count == 0 {
-                        tracker.remove(&v);
-                    }
-                }
+                state.untrack(&expr.eval(&mut ctx)?);
             }
             (SuperAggSpec::Sum { agg_slot, .. }, SuperAggState::Sum(acc)) => {
                 let gv = aggs
@@ -230,11 +216,46 @@ impl SuperAggSpec {
 impl SuperAggState {
     /// Fold one admitted tuple in, given the already evaluated
     /// [`SuperAggSpec::tuple_arg`].
-    pub fn fold_tuple(&mut self, v: Value) -> Result<(), OpError> {
+    pub fn fold_tuple(&mut self, v: &Value) -> Result<(), OpError> {
         if let SuperAggState::Sum(acc) = self {
-            *acc = if acc.is_null() { v } else { acc.add(&v)? };
+            *acc = if acc.is_null() { v.clone() } else { acc.add(v)? };
         }
         Ok(())
+    }
+
+    /// The multiset of per-group values, and its size where the state
+    /// keeps one; `None` for a state that tracks no per-group value.
+    fn tracker(&mut self) -> Option<(&mut BTreeMap<OrdValue, u32>, Option<&mut usize>)> {
+        match self {
+            SuperAggState::KthSmallest { tracker, len, .. } => Some((tracker, Some(len))),
+            SuperAggState::Extreme { tracker, .. } => Some((tracker, None)),
+            _ => None,
+        }
+    }
+
+    /// A group whose [`SuperAggSpec::group_arg`] is `v` joined the
+    /// supergroup. States that track no per-group value ignore it.
+    pub fn track(&mut self, v: &Value) {
+        let Some((tracker, len)) = self.tracker() else { return };
+        *tracker.entry(OrdValue(v.clone())).or_insert(0) += 1;
+        if let Some(len) = len {
+            *len += 1;
+        }
+    }
+
+    /// A group whose [`SuperAggSpec::group_arg`] is `v` was evicted. A
+    /// value that is not tracked is left alone.
+    pub fn untrack(&mut self, v: &Value) {
+        let Some((tracker, len)) = self.tracker() else { return };
+        let v = OrdValue(v.clone());
+        let Some(count) = tracker.get_mut(&v) else { return };
+        *count -= 1;
+        if *count == 0 {
+            tracker.remove(&v);
+        }
+        if let Some(len) = len {
+            *len -= 1;
+        }
     }
 
     /// The superaggregate's current value.

@@ -19,6 +19,11 @@ echo "== benchmark smoke (every workload's oracle; traced replay == entry point)
 # nothing and are not shown.
 benchmark/run.sh --quick | grep '^# '
 
+echo "== benchmark crate tests (BENCHMARK.json == src/contract.rs; harness and statistics) =="
+# The benchmark is a workspace of its own: `cargo test` at the root
+# does not see it, and nothing else runs these.
+(cd benchmark && cargo test --offline -q)
+
 echo "== sharded runtime determinism suite =="
 cargo test -q --test sharded
 
