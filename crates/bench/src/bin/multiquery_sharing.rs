@@ -5,26 +5,24 @@
 //! share groups of four byte-identical plans each, at prefilter
 //! thresholds `len >= 100/110/120/130` (every one of which implies
 //! `len >= 100`). Unshared execution runs all sixteen operators behind
-//! the fan-out, the §7.2 worst case. Shared execution runs the plan the
-//! optimizer actually emits — [`optimize_file`] over the query file,
-//! certificate verified by [`OptimizeOutcome::build_shared`] — so the
-//! stream crosses one hoisted prefilter and four deduplicated
-//! operators whose windows fan out to their consumers.
+//! the fan-out — sixteen one-consumer groups, no prefilter — the §7.2
+//! worst case. Shared execution runs the plan the optimizer actually
+//! emits — [`optimize_file`] over the query file, certificate verified
+//! by [`OptimizeOutcome::build_shared`] — so the stream crosses one
+//! hoisted prefilter and four deduplicated operators whose windows fan
+//! out to their consumers.
 //!
-//! Both modes are timed best-of-reps (alternating), and every
-//! consumer's `(window, rows)` output is compared byte-for-byte: the
-//! rewrite must change work, never output. The acceptance gate
-//! (`scripts/check.sh` over `BENCH_rewrite.json`) is `identical` and
-//! shared never slower than unshared.
+//! Both modes go through the same inline driver, timed best-of-reps
+//! (alternating), and every consumer's `(window, rows)` output is
+//! compared byte-for-byte: the rewrite must change work, never output.
+//! The acceptance gate (`scripts/check.sh` over `BENCH_rewrite.json`)
+//! is `identical` and shared never slower than unshared.
 
 use std::time::Instant;
 
 use sso_bench::{header, maybe_json};
 use sso_core::SamplingOperator;
-use sso_gigascope::{
-    run_fanout, run_fanout_shared, FanoutPlan, FanoutReport, SelectionNode, SharedGroup,
-    SharedQueryPlan,
-};
+use sso_gigascope::{run_fanout_shared, FanoutReport, SelectionNode, SharedGroup, SharedQueryPlan};
 use sso_netgen::research_feed;
 use sso_query::{base_stream_schema, compile, PlannerConfig};
 use sso_rewrite::{optimize_file, OptimizeOptions};
@@ -55,16 +53,14 @@ fn workload() -> Vec<(String, String)> {
     qs
 }
 
-fn unshared_plan() -> FanoutPlan {
+fn unshared_plan() -> SharedQueryPlan {
     let schema = base_stream_schema("TCP").expect("TCP schema");
     let config = PlannerConfig::standard();
-    FanoutPlan {
-        low: Box::new(SelectionNode::pass_all()),
-        highs: workload()
+    SharedQueryPlan::unshared(
+        workload()
             .into_iter()
-            .map(|(name, text)| (name, compile(&text, &schema, &config).expect("compile")))
-            .collect(),
-    }
+            .map(|(name, text)| (name, compile(&text, &schema, &config).expect("compile"))),
+    )
 }
 
 /// Build the shared plan the optimizer emits for the workload file,
@@ -97,19 +93,12 @@ fn shared_plan() -> SharedQueryPlan {
     }
 }
 
-fn run_unshared(packets: &[Packet]) -> (FanoutReport, f64) {
-    let plan = unshared_plan();
-    let start = Instant::now();
-    let report = run_fanout(plan, packets.iter().cloned()).expect("unshared run");
-    (report, start.elapsed().as_secs_f64())
-}
-
-fn run_shared(packets: &[Packet]) -> (FanoutReport, f64) {
-    let plan = shared_plan();
+/// Time one run of `plan`; plan construction is outside the interval.
+fn run(plan: SharedQueryPlan, packets: &[Packet]) -> (FanoutReport, f64) {
     let start = Instant::now();
     let report =
         run_fanout_shared(Box::new(SelectionNode::pass_all()), plan, packets.iter().cloned())
-            .expect("shared run");
+            .expect("run");
     (report, start.elapsed().as_secs_f64())
 }
 
@@ -153,8 +142,8 @@ fn main() {
     let mut best_shared = f64::INFINITY;
     let mut all_identical = true;
     for _ in 0..REPS {
-        let (u_report, u_secs) = run_unshared(&packets);
-        let (s_report, s_secs) = run_shared(&packets);
+        let (u_report, u_secs) = run(unshared_plan(), &packets);
+        let (s_report, s_secs) = run(shared_plan(), &packets);
         best_unshared = best_unshared.min(u_secs);
         best_shared = best_shared.min(s_secs);
         all_identical &= identical(&u_report, &s_report);

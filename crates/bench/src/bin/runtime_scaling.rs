@@ -1,11 +1,11 @@
-//! **Runtime scaling** — throughput of the sharded runtime vs the
-//! two-thread pipeline.
+//! **Runtime scaling** — throughput of the sharded runtime as shards
+//! are added.
 //!
 //! The workload is the paper's dynamic subset-sum query (1000 samples
-//! per period) over a steady ~100k pkt/s data-center feed. The baseline
-//! is `run_plan_threaded` (one producer thread, one operator thread);
-//! against it we run `run_plan_sharded` at 1, 2, 4, and 8 shards and
-//! report wall-clock tuples/sec per configuration.
+//! per period) over a steady ~100k pkt/s data-center feed, run through
+//! `run_plan_sharded` at 1, 2, 4, and 8 shards; the 1-shard run is the
+//! baseline every speedup is a ratio to. Wall-clock tuples/sec are
+//! reported per configuration.
 //!
 //! Every configuration runs [`REPS`] interleaved repetitions and is
 //! reported as the median wall time with its quartiles; a gate on a
@@ -43,7 +43,7 @@ use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::shard_plan;
 use sso_core::{queries, OpError, OperatorSpec, SamplingOperator, WindowOutput};
 use sso_gigascope::{
-    run_plan_sharded, run_plan_sharded_with, run_plan_threaded, SelectionNode, TwoLevelPlan,
+    run_plan, run_plan_sharded, run_plan_sharded_with, SelectionNode, TwoLevelPlan,
 };
 use sso_netgen::datacenter_feed;
 use sso_runtime::RuntimeConfig;
@@ -85,7 +85,7 @@ struct Run {
     /// The gap between them is routing + hand-off + scheduling.
     worker_busy_secs: f64,
     tuples_per_sec: f64,
-    speedup_vs_threaded: f64,
+    speedup_vs_1shard: f64,
     windows: usize,
     stalls: u64,
     dropped: u64,
@@ -127,7 +127,7 @@ fn max_estimate_err_pct(windows: &[WindowOutput], truth: &HashMap<u64, u64>) -> 
 /// Exact-query drift check: windows that differ between the single
 /// instance and the 4-way sharded run (must be none).
 fn exact_drift_windows(packets: &[Packet]) -> usize {
-    let single = run_plan_threaded(
+    let single = run_plan(
         TwoLevelPlan::new(
             Box::new(SelectionNode::pass_all()),
             SamplingOperator::new(queries::total_sum_query(WINDOW)).unwrap(),
@@ -248,26 +248,15 @@ fn main() {
         .collect();
 
     // Interleave the repetitions round-robin across every configuration
-    // (threaded baseline included) instead of running each one's reps
-    // back to back: background noise arrives in bursts, so consecutive
-    // reps of one configuration would all land in the same slow patch.
+    // instead of running each one's reps back to back: background noise
+    // arrives in bursts, so consecutive reps of one configuration would
+    // all land in the same slow patch.
     // Round-robin spreads each configuration's reps across the full
     // measurement span. Output does not depend on timing, so the last
     // repetition's report stands for all of them.
-    let mut base_secs = Vec::with_capacity(REPS);
-    let mut base_windows = Vec::new();
     let mut sharded: Vec<(Vec<f64>, Option<sso_gigascope::ShardedRunReport>)> =
         configs.iter().map(|_| (Vec::with_capacity(REPS), None)).collect();
     for _ in 0..REPS {
-        let plan_t = TwoLevelPlan::new(
-            Box::new(SelectionNode::pass_all()),
-            SamplingOperator::new(spec(ss_config()).unwrap()).unwrap(),
-        );
-        let t0 = Instant::now();
-        let report = run_plan_threaded(plan_t, packets.iter().cloned()).expect("threaded run");
-        base_secs.push(t0.elapsed().as_secs_f64());
-        base_windows = report.windows;
-
         for ((secs, last), (_, split, cfg)) in sharded.iter_mut().zip(&configs) {
             let t0 = Instant::now();
             let report = run_plan_sharded_with(
@@ -282,24 +271,7 @@ fn main() {
             *last = Some(report);
         }
     }
-    let [base_q1, base_median, base_q3] = quartiles(&mut base_secs);
-
-    let mut runs = vec![Run {
-        mode: "threaded".into(),
-        shards: 1,
-        routers: 0,
-        ring_batches: 0,
-        secs: base_median,
-        secs_q1: base_q1,
-        secs_q3: base_q3,
-        worker_busy_secs: 0.0,
-        tuples_per_sec: n as f64 / base_median,
-        speedup_vs_threaded: 1.0,
-        windows: base_windows.len(),
-        stalls: 0,
-        dropped: 0,
-        max_estimate_err_pct: max_estimate_err_pct(&base_windows, &truth),
-    }];
+    let mut runs: Vec<Run> = Vec::with_capacity(configs.len());
     for ((shards, _, cfg), (mut secs, report)) in configs.iter().zip(sharded) {
         let [q1, median, q3] = quartiles(&mut secs);
         let report = report.expect("at least one rep");
@@ -313,7 +285,8 @@ fn main() {
             secs_q3: q3,
             worker_busy_secs: report.shards.iter().map(|s| s.busy().as_secs_f64()).sum(),
             tuples_per_sec: n as f64 / median,
-            speedup_vs_threaded: base_median / median,
+            // The first configuration is the 1-shard run.
+            speedup_vs_1shard: runs.first().map_or(1.0, |base| base.secs / median),
             windows: report.windows.len(),
             stalls: report.shards.iter().map(|s| s.stalls()).sum(),
             dropped: report.dropped(),
@@ -369,7 +342,7 @@ fn main() {
             format!("[{:.3}, {:.3}]", r.secs_q1, r.secs_q3),
             r.worker_busy_secs,
             r.tuples_per_sec,
-            r.speedup_vs_threaded,
+            r.speedup_vs_1shard,
             r.stalls,
             r.dropped,
             r.max_estimate_err_pct,

@@ -1,5 +1,14 @@
-//! The two-level query engine: NIC ring → low-level node → high-level
-//! sampling operator, with per-node busy-time accounting.
+//! The two-level query engine: packet iterator → low-level node →
+//! high-level sampling operator(s), with per-node busy-time accounting.
+//!
+//! The packet loop is written once. `LowSource` is the low half: pull
+//! a packet, read it in place, pay the tuple copy only for what the
+//! node forwards. [`run_inline`] is the high half: fill a recycled
+//! batch of [`BATCH`] tuples from the source, run every operator of a
+//! [`SharedQueryPlan`] over it, hand each closed window to the caller's
+//! sink. [`run_plan`] and [`crate::run_fanout_shared`] build a plan and
+//! file the windows; [`crate::run_plan_sharded_with`] feeds the same
+//! source to `sso-runtime`'s pump instead.
 //!
 //! The paper's performance figures report "% of a CPU" while keeping up
 //! with a live feed. Our equivalent: each node's accumulated busy time
@@ -11,12 +20,15 @@
 
 use std::time::Duration;
 
-use sso_core::{panic_message, OpError, OperatorMetrics, SamplingOperator, WindowOutput};
+use sso_core::{OpError, OperatorMetrics, Predicate, SamplingOperator, WindowOutput};
 use sso_obs::{Registry, Stopwatch};
-use sso_types::Packet;
+use sso_types::{Packet, Tuple};
 
 use crate::nodes::LowLevelQuery;
-use crate::ring::RingBuffer;
+use crate::shared::SharedQueryPlan;
+
+/// Tuples per inline batch: the bounded buffer between the two levels.
+pub const BATCH: usize = 4096;
 
 /// A two-level query plan: one low-level reduction node feeding one
 /// high-level sampling operator.
@@ -25,48 +37,22 @@ pub struct TwoLevelPlan {
     pub low: Box<dyn LowLevelQuery>,
     /// The high-level node.
     pub high: SamplingOperator,
-    /// NIC ring capacity (single-threaded mode) / channel bound
-    /// (threaded mode).
-    pub ring_capacity: usize,
     /// Telemetry registry; `None` = run unobserved (NodeStats only).
     pub registry: Option<Registry>,
 }
 
 impl TwoLevelPlan {
-    /// Build a plan with the default 4096-slot ring.
+    /// Build an unobserved plan.
     pub fn new(low: Box<dyn LowLevelQuery>, high: SamplingOperator) -> Self {
-        TwoLevelPlan { low, high, ring_capacity: 4096, registry: None }
+        TwoLevelPlan { low, high, registry: None }
     }
 
-    /// Record the run's telemetry (node handoff counters, ring occupancy,
-    /// operator metrics) into `registry`.
+    /// Record the run's telemetry (node handoff counters, operator
+    /// metrics) into `registry`.
     pub fn with_registry(mut self, registry: Registry) -> Self {
         self.high.set_metrics(OperatorMetrics::register(&registry, ""));
         self.registry = Some(registry);
         self
-    }
-}
-
-/// Registry handles for the cascade-level metrics of one plan run.
-struct CascadeMetrics {
-    low_tuples_in: sso_obs::Counter,
-    low_tuples_out: sso_obs::Counter,
-    low_busy_ns: sso_obs::Counter,
-    high_tuples_in: sso_obs::Counter,
-    high_busy_ns: sso_obs::Counter,
-    ring_occupancy: sso_obs::Gauge,
-}
-
-impl CascadeMetrics {
-    fn register(registry: &Registry) -> Self {
-        CascadeMetrics {
-            low_tuples_in: registry.counter("low.tuples_in"),
-            low_tuples_out: registry.counter("low.tuples_out"),
-            low_busy_ns: registry.counter("low.busy_ns"),
-            high_tuples_in: registry.counter("high.tuples_in"),
-            high_busy_ns: registry.counter("high.busy_ns"),
-            ring_occupancy: registry.gauge("gigascope.ring_occupancy"),
-        }
     }
 }
 
@@ -94,6 +80,175 @@ impl NodeStats {
     }
 }
 
+/// The low half of every execution mode: a packet iterator read in
+/// place by one low-level node. The source never reads the clock: the
+/// caller times `next` as its loop can afford (per batch inline, a
+/// sampled span on the sharded pump) and fills in `busy`.
+pub(crate) struct LowSource<I> {
+    low: Box<dyn LowLevelQuery>,
+    packets: I,
+    /// The node's `finish()` output, once the packets have run out.
+    tail: Option<std::vec::IntoIter<Tuple>>,
+    stats: NodeStats,
+    first_uts: Option<u64>,
+    last_uts: u64,
+}
+
+impl<I: Iterator<Item = Packet>> LowSource<I> {
+    /// `low` over `packets`.
+    pub(crate) fn new(
+        low: Box<dyn LowLevelQuery>,
+        packets: impl IntoIterator<IntoIter = I>,
+    ) -> Self {
+        let stats = NodeStats { name: low.name().to_string(), ..Default::default() };
+        LowSource {
+            low,
+            packets: packets.into_iter(),
+            tail: None,
+            stats,
+            first_uts: None,
+            last_uts: 0,
+        }
+    }
+
+    /// Write the next forwarded tuple into `slot`, the pull
+    /// `sso_runtime::Refill` takes; `false` at end of stream. Once the
+    /// packets run out the node's `finish()` tail is moved out tuple by
+    /// tuple, and the packet iterator is never polled again.
+    #[inline]
+    pub(crate) fn next(&mut self, slot: &mut Tuple) -> bool {
+        loop {
+            if let Some(rest) = self.tail.as_mut() {
+                let Some(tuple) = rest.next() else { return false };
+                *slot = tuple;
+                self.stats.tuples_out += 1;
+                return true;
+            }
+            match self.packets.next() {
+                Some(pkt) => {
+                    self.first_uts.get_or_insert(pkt.uts);
+                    self.last_uts = pkt.uts;
+                    self.stats.tuples_in += 1;
+                    if self.low.process_into(&pkt, slot) {
+                        self.stats.tuples_out += 1;
+                        return true;
+                    }
+                }
+                None => self.tail = Some(self.low.finish().into_iter()),
+            }
+        }
+    }
+
+    /// The node's accounting (`busy` is the caller's to fill) and the
+    /// span the live feed would have taken to deliver the packets
+    /// (last uts − first uts).
+    pub(crate) fn finish(self) -> (NodeStats, Duration) {
+        let span = self.last_uts.saturating_sub(self.first_uts.unwrap_or(0));
+        (self.stats, Duration::from_nanos(span))
+    }
+}
+
+/// What [`run_inline`] measured.
+#[derive(Debug)]
+pub struct InlineRun {
+    /// Low-level node accounting; `busy` covers filling the batches:
+    /// the packet pull, the node and the shared prefilter.
+    pub low: NodeStats,
+    /// One entry per share group, in plan order. `tuples_in` counts
+    /// tuples past the prefilter, `tuples_out` output rows.
+    pub groups: Vec<NodeStats>,
+    /// The span the live feed would have taken to deliver the packets.
+    pub stream_span: Duration,
+}
+
+impl InlineRun {
+    /// Add the run's handoff counters to `registry`: `low.*` for the
+    /// low-level node, `high.*` summed over the groups.
+    pub fn publish(&self, registry: &Registry) {
+        registry.counter("low.tuples_in").add(self.low.tuples_in);
+        registry.counter("low.tuples_out").add(self.low.tuples_out);
+        registry.counter("low.busy_ns").add(self.low.busy.as_nanos() as u64);
+        let high_in: u64 = self.groups.iter().map(|g| g.tuples_in).sum();
+        let high_busy: Duration = self.groups.iter().map(|g| g.busy).sum();
+        registry.counter("high.tuples_in").add(high_in);
+        registry.counter("high.busy_ns").add(high_busy.as_nanos() as u64);
+    }
+}
+
+/// The inline driver: run every operator of `plan` over `packets` on
+/// the calling thread, in batch order.
+///
+/// Up to [`BATCH`] forwarded tuples that pass the shared prefilter (a
+/// tuple it cannot be evaluated on passes: fail-open) are written into
+/// a recycled batch; then each group's operator, in plan order, runs
+/// over the whole batch. An operator decides from its own state and its
+/// own tuple sequence, which are what tuple-major order would give it,
+/// so the output is identical. Every closed window goes to
+/// `sink(group, window, at_end)` as it closes — per group in window
+/// order, `at_end` set for those the end-of-stream flush closes. The
+/// first error ends the run: within a batch that is the first failing
+/// group in plan order, not the earliest failing tuple.
+///
+/// The clock is read once per batch for the fill and once per batch per
+/// group: at 100k+ pkt/s a per-tuple pair costs as much as the work it
+/// measures and would wash out the Figure 6 comparison.
+pub fn run_inline(
+    low: Box<dyn LowLevelQuery>,
+    plan: &mut SharedQueryPlan,
+    packets: impl IntoIterator<Item = Packet>,
+    mut sink: impl FnMut(usize, WindowOutput, bool),
+) -> Result<InlineRun, OpError> {
+    let mut source = LowSource::new(low, packets);
+    let mut prefilter = plan.prefilter.as_ref().map(Predicate::new);
+    let mut groups: Vec<NodeStats> = (0..plan.groups.len())
+        .map(|i| NodeStats { name: format!("share-group-{i}"), ..Default::default() })
+        .collect();
+    let mut low_busy = Duration::ZERO;
+    // Scratch, not a queue: the tuples are overwritten in place batch
+    // after batch, so the steady state allocates nothing.
+    let mut batch: Vec<Tuple> = Vec::new();
+    let mut more = true;
+    while more {
+        let sw = Stopwatch::start();
+        let mut live = 0usize;
+        while live < BATCH {
+            if live == batch.len() {
+                batch.push(Tuple::empty());
+            }
+            more = source.next(&mut batch[live]);
+            if !more {
+                break;
+            }
+            let keep = match &mut prefilter {
+                Some(pred) => pred.test(&batch[live]).unwrap_or(true),
+                None => true,
+            };
+            live += usize::from(keep);
+        }
+        low_busy += sw.elapsed();
+        for (gi, (group, stats)) in plan.groups.iter_mut().zip(&mut groups).enumerate() {
+            let sw = Stopwatch::start();
+            stats.tuples_in += live as u64;
+            for tuple in &batch[..live] {
+                if let Some(w) = group.op.process(tuple)? {
+                    stats.tuples_out += w.rows.len() as u64;
+                    sink(gi, w, false);
+                }
+            }
+            if !more {
+                if let Some(w) = group.op.finish()? {
+                    stats.tuples_out += w.rows.len() as u64;
+                    sink(gi, w, true);
+                }
+            }
+            stats.busy += sw.elapsed();
+        }
+    }
+    let (mut low, stream_span) = source.finish();
+    low.busy = low_busy;
+    Ok(InlineRun { low, groups, stream_span })
+}
+
 /// The result of running a plan over a packet stream.
 #[derive(Debug)]
 pub struct RunReport {
@@ -106,11 +261,10 @@ pub struct RunReport {
     /// The span the live feed would have taken to deliver the packets
     /// (last uts − first uts).
     pub stream_span: Duration,
-    /// Packets dropped at the ring (single-threaded mode only).
+    /// Always 0: the packet iterator is read in place and the batch is
+    /// drained before it is refilled, so the inline engine has nowhere
+    /// to drop. Kept because the benchmark reads it.
     pub ring_dropped: u64,
-    /// Producer stalls on a full ring (threaded mode only; one stall per
-    /// full-ring wait, however long the wait).
-    pub ring_stalls: u64,
 }
 
 impl RunReport {
@@ -130,185 +284,21 @@ impl RunReport {
     }
 }
 
-/// Run a plan single-threaded: packets are staged through the NIC ring
-/// in batches (as a polling low-level query would see them), reduced,
-/// and fed to the operator.
+/// Run a two-level plan on the calling thread: [`run_inline`] over a
+/// one-group plan with no prefilter.
 pub fn run_plan(
-    mut plan: TwoLevelPlan,
+    plan: TwoLevelPlan,
     packets: impl IntoIterator<Item = Packet>,
 ) -> Result<RunReport, OpError> {
-    let mut ring: RingBuffer<Packet> = RingBuffer::new(plan.ring_capacity);
-    let mut low = NodeStats { name: plan.low.name().to_string(), ..Default::default() };
-    let mut high = NodeStats { name: "sampling-operator".to_string(), ..Default::default() };
-    let metrics = plan.registry.as_ref().map(CascadeMetrics::register);
+    let TwoLevelPlan { low, high, registry } = plan;
+    let mut shared = SharedQueryPlan::unshared([(String::new(), high)]);
     let mut windows = Vec::new();
-    let mut first_uts = None;
-    let mut last_uts = 0u64;
-
-    // Timing is per drained batch, not per packet: at 100k+ pkt/s a
-    // per-packet clock pair costs as much as the work being measured
-    // and would wash out the low-level node comparison of Figure 6.
-    // `forwarded` is scratch, not a queue: its tuples are overwritten in
-    // place drain after drain, so the steady state allocates nothing.
-    let mut forwarded: Vec<sso_types::Tuple> = Vec::new();
-    let mut drain = |ring: &mut RingBuffer<Packet>,
-                     plan: &mut TwoLevelPlan,
-                     low: &mut NodeStats,
-                     high: &mut NodeStats,
-                     windows: &mut Vec<WindowOutput>|
-     -> Result<(), OpError> {
-        if let Some(m) = &metrics {
-            // Occupancy is read at drain entry: the high-water moment.
-            m.ring_occupancy.set(ring.len() as f64);
-        }
-        let mut live = 0usize;
-        let sw = Stopwatch::start();
-        while let Some(pkt) = ring.pop() {
-            low.tuples_in += 1;
-            if live == forwarded.len() {
-                forwarded.push(sso_types::Tuple::empty());
-            }
-            if plan.low.process_into(&pkt, &mut forwarded[live]) {
-                live += 1;
-            }
-        }
-        let low_ns = sw.elapsed_ns();
-        low.busy += Duration::from_nanos(low_ns);
-        low.tuples_out += live as u64;
-        high.tuples_in += live as u64;
-        let sw = Stopwatch::start();
-        for tuple in &forwarded[..live] {
-            if let Some(w) = plan.high.process(tuple)? {
-                high.tuples_out += w.rows.len() as u64;
-                windows.push(w);
-            }
-        }
-        let high_ns = sw.elapsed_ns();
-        high.busy += Duration::from_nanos(high_ns);
-        if let Some(m) = &metrics {
-            m.low_busy_ns.add(low_ns);
-            m.high_busy_ns.add(high_ns);
-        }
-        Ok(())
-    };
-
-    for pkt in packets {
-        first_uts.get_or_insert(pkt.uts);
-        last_uts = pkt.uts;
-        if !ring.push(pkt) {
-            // Full: drain then retry once (a dropped retry stays dropped,
-            // like a real ring overwrite).
-            drain(&mut ring, &mut plan, &mut low, &mut high, &mut windows)?;
-            ring.push(pkt);
-        }
-        if ring.is_full() {
-            drain(&mut ring, &mut plan, &mut low, &mut high, &mut windows)?;
-        }
+    let mut run = run_inline(low, &mut shared, packets, |_, w, _| windows.push(w))?;
+    if let Some(registry) = &registry {
+        run.publish(registry);
     }
-    drain(&mut ring, &mut plan, &mut low, &mut high, &mut windows)?;
-    // Flush any output the low-level node buffered (partial aggregation).
-    let sw = Stopwatch::start();
-    let tail = plan.low.finish();
-    let tail_low_ns = sw.elapsed_ns();
-    low.busy += Duration::from_nanos(tail_low_ns);
-    low.tuples_out += tail.len() as u64;
-    let sw = Stopwatch::start();
-    for tuple in tail {
-        high.tuples_in += 1;
-        if let Some(w) = plan.high.process(&tuple)? {
-            high.tuples_out += w.rows.len() as u64;
-            windows.push(w);
-        }
-    }
-    if let Some(w) = plan.high.finish()? {
-        high.tuples_out += w.rows.len() as u64;
-        windows.push(w);
-    }
-    let tail_high_ns = sw.elapsed_ns();
-    high.busy += Duration::from_nanos(tail_high_ns);
-
-    if let Some(m) = &metrics {
-        m.low_busy_ns.add(tail_low_ns);
-        m.high_busy_ns.add(tail_high_ns);
-        // Handoff counters are flushed once per run: they back the
-        // meta-stream's view of the cascade, not per-batch decisions.
-        m.low_tuples_in.add(low.tuples_in);
-        m.low_tuples_out.add(low.tuples_out);
-        m.high_tuples_in.add(high.tuples_in);
-        m.ring_occupancy.set(0.0);
-    }
-
-    let stream_span = Duration::from_nanos(last_uts.saturating_sub(first_uts.unwrap_or(0)));
-    Ok(RunReport { low, high, windows, stream_span, ring_dropped: ring.dropped(), ring_stalls: 0 })
-}
-
-/// Run a plan with the two levels on separate threads connected by a
-/// bounded SPSC ring ([`sso_runtime::ring`]) — the deployment shape of
-/// the real system. Produces
-/// the same windows as [`run_plan`] (the operator is deterministic given
-/// tuple order, which the channel preserves).
-pub fn run_plan_threaded(
-    mut plan: TwoLevelPlan,
-    packets: impl IntoIterator<Item = Packet> + Send,
-) -> Result<RunReport, OpError> {
-    let (mut tx, mut rx) = sso_runtime::ring::<sso_types::Tuple>(plan.ring_capacity);
-    let mut low = NodeStats { name: plan.low.name().to_string(), ..Default::default() };
-    let high = NodeStats { name: "sampling-operator".to_string(), ..Default::default() };
-    let mut first_uts = None;
-    let mut last_uts = 0u64;
-    let mut ring_stalls = 0u64;
-
-    let result: Result<(NodeStats, Vec<WindowOutput>), OpError> = std::thread::scope(|s| {
-        let consumer = s.spawn(move || -> Result<(NodeStats, Vec<WindowOutput>), OpError> {
-            let mut windows = Vec::new();
-            let mut stats = high;
-            while let Some(tuple) = rx.pop() {
-                stats.tuples_in += 1;
-                let sw = Stopwatch::start();
-                let out = plan.high.process(&tuple)?;
-                stats.busy += sw.elapsed();
-                if let Some(w) = out {
-                    stats.tuples_out += w.rows.len() as u64;
-                    windows.push(w);
-                }
-            }
-            if let Some(w) = plan.high.finish()? {
-                stats.tuples_out += w.rows.len() as u64;
-                windows.push(w);
-            }
-            Ok((stats, windows))
-        });
-        for pkt in packets {
-            first_uts.get_or_insert(pkt.uts);
-            last_uts = pkt.uts;
-            low.tuples_in += 1;
-            let sw = Stopwatch::start();
-            let forwarded = plan.low.process(&pkt);
-            low.busy += sw.elapsed();
-            if let Some(tuple) = forwarded {
-                low.tuples_out += 1;
-                match tx.push_tracked(tuple) {
-                    Ok(stalled) => ring_stalls += u64::from(stalled),
-                    Err(_) => break, // consumer died; its error is surfaced below
-                }
-            }
-        }
-        for tuple in plan.low.finish() {
-            low.tuples_out += 1;
-            match tx.push_tracked(tuple) {
-                Ok(stalled) => ring_stalls += u64::from(stalled),
-                Err(_) => break,
-            }
-        }
-        drop(tx);
-        match consumer.join() {
-            Ok(result) => result,
-            Err(payload) => Err(OpError::WorkerPanic(panic_message(payload.as_ref()))),
-        }
-    });
-    let (high, windows) = result?;
-    let stream_span = Duration::from_nanos(last_uts.saturating_sub(first_uts.unwrap_or(0)));
-    Ok(RunReport { low, high, windows, stream_span, ring_dropped: 0, ring_stalls })
+    let high = NodeStats { name: "sampling-operator".to_string(), ..run.groups.remove(0) };
+    Ok(RunReport { low: run.low, high, windows, stream_span: run.stream_span, ring_dropped: 0 })
 }
 
 #[cfg(test)]
@@ -363,26 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_run_matches_single_threaded() {
-        let pkts = sso_netgen::research_feed(4).take_seconds(3);
-        let single = run_plan(
-            TwoLevelPlan::new(Box::new(SelectionNode::pass_all()), agg_operator(1)),
-            pkts.clone(),
-        )
-        .unwrap();
-        let threaded = run_plan_threaded(
-            TwoLevelPlan::new(Box::new(SelectionNode::pass_all()), agg_operator(1)),
-            pkts,
-        )
-        .unwrap();
-        assert_eq!(single.windows.len(), threaded.windows.len());
-        for (a, b) in single.windows.iter().zip(&threaded.windows) {
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.window, b.window);
-        }
-    }
-
-    #[test]
     fn cpu_accounting_is_positive_and_span_matches_feed() {
         let pkts = datacenter_feed(5).take_seconds(1);
         let plan = TwoLevelPlan::new(Box::new(SelectionNode::pass_all()), agg_operator(1));
@@ -414,47 +384,6 @@ mod tests {
                 w.rows.first().map(|r| r.get(3)),
                 Some(Value::F64(_) | Value::U64(_)) | None
             ));
-        }
-    }
-
-    /// Plan whose WHERE clause runs an arbitrary scalar closure — the
-    /// hook for injecting consumer-side failures.
-    fn faulty_plan(
-        fun: impl Fn() -> Result<Value, String> + Send + Sync + 'static,
-    ) -> TwoLevelPlan {
-        use sso_core::Expr;
-        use std::sync::Arc;
-        let mut spec = queries::total_sum_query(1);
-        spec.where_clause = Some(Expr::Scalar {
-            name: "FAULT",
-            fun: Arc::new(move |_args: &[Value]| fun()),
-            args: vec![],
-        });
-        TwoLevelPlan::new(Box::new(SelectionNode::pass_all()), SamplingOperator::new(spec).unwrap())
-    }
-
-    #[test]
-    fn threaded_run_surfaces_consumer_errors() {
-        let pkts = sso_netgen::research_feed(8).take_seconds(1);
-        let plan = faulty_plan(|| Err("deliberate failure".to_string()));
-        match run_plan_threaded(plan, pkts) {
-            Err(OpError::BadScalarCall { function, reason }) => {
-                assert_eq!(function, "FAULT");
-                assert_eq!(reason, "deliberate failure");
-            }
-            other => panic!("expected BadScalarCall, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn threaded_run_reports_consumer_panics_instead_of_aborting() {
-        let pkts = sso_netgen::research_feed(9).take_seconds(1);
-        let plan = faulty_plan(|| panic!("injected operator panic"));
-        match run_plan_threaded(plan, pkts) {
-            Err(OpError::WorkerPanic(msg)) => {
-                assert!(msg.contains("injected operator panic"), "payload lost: {msg}");
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
         }
     }
 

@@ -5,7 +5,7 @@
 //! high-level operators, each fed either by a low-level node's tuple
 //! stream or by another operator's *output rows* (a cascade). This
 //! subsumes [`crate::TwoLevelPlan`] (1 low × 1 high),
-//! [`crate::FanoutPlan`] (1 low × N high), and [`crate::Cascade`]
+//! [`crate::SharedQueryPlan`] (1 low × N high), and [`crate::Cascade`]
 //! (high → high), and allows e.g.
 //!
 //! ```text

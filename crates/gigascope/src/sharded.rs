@@ -5,11 +5,11 @@
 use std::time::Duration;
 
 use sso_core::{shard_plan, NotMergeable, OpError, OperatorSpec, WindowOutput};
-use sso_obs::{SampledSpan, Stopwatch};
+use sso_obs::SampledSpan;
 use sso_runtime::{run_sharded, Refill, RouterStats, RuntimeConfig, RuntimeError, ShardStats};
 use sso_types::Packet;
 
-use crate::engine::NodeStats;
+use crate::engine::{LowSource, NodeStats};
 use crate::nodes::LowLevelQuery;
 
 /// The result of a sharded plan run.
@@ -138,7 +138,7 @@ where
 /// as a single instance — while each shard's sampling state (and its
 /// cleaning work) stays proportionally smaller.
 pub fn run_plan_sharded_with<F>(
-    mut low: Box<dyn LowLevelQuery>,
+    low: Box<dyn LowLevelQuery>,
     plan: &sso_core::ShardPlan,
     make_spec: F,
     cfg: &RuntimeConfig,
@@ -147,65 +147,35 @@ pub fn run_plan_sharded_with<F>(
 where
     F: Fn(usize) -> Result<OperatorSpec, OpError> + Sync,
 {
-    let mut low_stats = NodeStats { name: low.name().to_string(), ..Default::default() };
-    let mut first_uts = None;
-    let mut last_uts = 0u64;
-
     // The pump times the low-level node through a sampled span (1 in
     // 64, scaled back up): a per-packet clock pair costs as much as a
     // cheap low-level node and would throttle the pump, which bounds
-    // the whole sharded pipeline. When the caller supplies no registry,
-    // an ephemeral enabled one keeps the NodeStats busy accounting live
-    // without publishing anything.
+    // the whole sharded pipeline. The span is around the whole pull:
+    // the packet iterator, the node and — on the one call that runs out
+    // of packets — the node's `finish()` pass, sampled like any other
+    // call. When the caller supplies no registry, an ephemeral enabled
+    // one keeps the NodeStats busy accounting live without publishing
+    // anything.
     let registry = cfg.registry.clone().unwrap_or_default();
     let low_span = SampledSpan::register(&registry, "low.process_ns", "low.busy_ns", "", 6);
 
     // Drive the low-level node lazily from inside the runtime's pump:
-    // the pull function runs on the calling thread, so the node needs no
-    // Sync and its accounting can borrow locally. Every forwarded packet
-    // is written into the recycled tuple the pump hands in. Once the
-    // packets run out the node's `finish()` tail is moved out, tuple by
-    // tuple, and the packet iterator is never polled again.
-    let mut packets = packets.into_iter();
-    let mut tail: Option<std::vec::IntoIter<sso_types::Tuple>> = None;
-    let tuples = Refill(|slot: &mut sso_types::Tuple| loop {
-        if let Some(rest) = tail.as_mut() {
-            let Some(tuple) = rest.next() else { return false };
-            *slot = tuple;
-            low_stats.tuples_out += 1;
-            return true;
-        }
-        match packets.next() {
-            Some(pkt) => {
-                first_uts.get_or_insert(pkt.uts);
-                last_uts = pkt.uts;
-                low_stats.tuples_in += 1;
-                let forwarded = {
-                    let _span = low_span.start();
-                    low.process_into(&pkt, slot)
-                };
-                if forwarded {
-                    low_stats.tuples_out += 1;
-                    return true;
-                }
-            }
-            None => {
-                let sw = Stopwatch::start();
-                tail = Some(low.finish().into_iter());
-                // The finish pass is unsampled; add it to the same
-                // busy cell the span scales its samples into.
-                low_span.busy_counter().add(sw.elapsed_ns());
-            }
-        }
+    // the pull runs on the calling thread, so the node needs no Sync,
+    // and every forwarded packet is written into the recycled tuple the
+    // pump hands in.
+    let mut source = LowSource::new(low, packets);
+    let tuples = Refill(|slot: &mut sso_types::Tuple| {
+        let _span = low_span.start();
+        source.next(slot)
     });
 
     let report = run_sharded(plan, make_spec, cfg, tuples)?;
+    let (mut low_stats, stream_span) = source.finish();
     low_stats.busy = Duration::from_nanos(low_span.busy_counter().get());
     if cfg.registry.is_some() {
         registry.counter("low.tuples_in").add(low_stats.tuples_in);
         registry.counter("low.tuples_out").add(low_stats.tuples_out);
     }
-    let stream_span = Duration::from_nanos(last_uts.saturating_sub(first_uts.unwrap_or(0)));
     Ok(ShardedRunReport {
         low: low_stats,
         windows: report.windows,

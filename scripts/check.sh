@@ -161,9 +161,13 @@ idx = data.rfind("{\"snapshots\"")
 assert idx >= 0, "no snapshots document in --metrics output"
 doc = json.loads(data[idx:])
 assert doc["snapshots"], "empty snapshot series"
-for line in data[:idx].strip().splitlines():
+windows = data[:idx].strip().splitlines()
+for line in windows:
     json.loads(line)  # every window record is one valid JSON line
 snaps = doc["snapshots"]
+# One snapshot per window a later tuple closed, plus the final one,
+# which covers the window the end-of-stream flush closed.
+assert len(snaps) == len(windows), f"{len(snaps)} snapshots for {len(windows)} windows"
 last = len(snaps[-1]["metrics"])
 print(f"metrics smoke OK: {len(snaps)} snapshots, last has {last} metrics")
 '
@@ -253,8 +257,7 @@ echo "== runtime scaling gate (multi-router, no speedup inversion) =="
 # the gate bounds the oversubscription cost instead: a step fails if it
 # loses more than 10% plus the two configurations' interquartile ranges
 # (a fixed 10% on single best-of-N numbers failed on the host's noise).
-# The 1-shard sharded run must also beat the two-thread pipeline — the
-# ring-sizing fix for the old 1-shard stall anomaly is what buys that.
+# Every speedup is a ratio to the 1-shard sharded run.
 cargo run -q --release -p sso-bench --bin runtime_scaling -- --routers auto --json \
     > BENCH_runtime.json
 python3 -c '
@@ -269,10 +272,8 @@ for run in sharded:
     n, err = run["shards"], run["max_estimate_err_pct"]
     assert run["dropped"] == 0, f"{n} shards dropped tuples"
     assert err <= 5.0, f"{n} shards: estimate err {err:.2f}%"
-s0 = sharded[0]["speedup_vs_threaded"]
-assert s0 >= 1.0, f"1-shard sharded run slower than threaded: {s0:.2f}x"
 for prev, cur in zip(sharded, sharded[1:]):
-    s_prev, s_cur = prev["speedup_vs_threaded"], cur["speedup_vs_threaded"]
+    s_prev, s_cur = prev["speedup_vs_1shard"], cur["speedup_vs_1shard"]
     n_prev, n_cur = prev["shards"], cur["shards"]
     if n_cur <= cores:
         assert s_cur >= s_prev * 0.98, (
@@ -284,7 +285,7 @@ for prev, cur in zip(sharded, sharded[1:]):
             f"oversubscription cost beyond {cores} cores exceeds 10% plus the IQRs ({iqrs:.1%}): "
             f"{n_prev}sh {s_prev:.2f}x -> {n_cur}sh {s_cur:.2f}x")
 curve = " -> ".join(
-    "{}sh {:.2f}x".format(run["shards"], run["speedup_vs_threaded"]) for run in sharded)
+    "{}sh {:.2f}x".format(run["shards"], run["speedup_vs_1shard"]) for run in sharded)
 print(f"runtime scaling OK ({cores} cores): {curve}")
 '
 

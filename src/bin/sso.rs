@@ -926,16 +926,23 @@ fn execute_query(
         if let Some(reg) = registry {
             op.set_metrics(OperatorMetrics::register(reg, ""));
         }
-        for pkt in packets {
-            if let Some(w) = op.process(&pkt.to_tuple()).map_err(|e| e.to_string())? {
-                if let Some(reg) = registry {
+        let mut plan = SharedQueryPlan::unshared([(String::new(), op)]);
+        // One snapshot per window a later tuple closes; the window the
+        // end-of-stream flush closes is covered by the final snapshot.
+        let run = run_inline(
+            Box::new(SelectionNode::pass_all()),
+            &mut plan,
+            packets.iter().copied(),
+            |_, w, at_end| {
+                if let (Some(reg), false) = (registry, at_end) {
                     snapshots.push(reg.snapshot());
                 }
                 result.windows.push(w);
-            }
-        }
-        if let Some(w) = op.finish().map_err(|e| e.to_string())? {
-            result.windows.push(w);
+            },
+        )
+        .map_err(|e| e.to_string())?;
+        if let Some(reg) = registry {
+            run.publish(reg);
         }
     }
     // Fold the profiler's lanes into the registry before the final

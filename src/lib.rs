@@ -19,7 +19,7 @@
 //! | [`runtime`] | `sso-runtime` | sharded execution: hash-partitioned worker shards, window-aligned merge, shard supervision |
 //! | [`store`] | `sso-store` | durable operator state: window checkpoints, carry-over WAL, spill-to-disk group tables |
 //! | [`faults`] | `sso-faults` | seeded, replayable fault plans: worker panics/stalls, bursts, reordering, skew, malformed tuples |
-//! | [`gigascope`] | `sso-gigascope` | ring buffer, two-level plans, CPU accounting |
+//! | [`gigascope`] | `sso-gigascope` | low-level nodes, the inline batch driver, two-level and multi-query plans, CPU accounting |
 //! | [`netgen`] | `sso-netgen` | synthetic research-center and data-center packet feeds |
 //! | [`analysis`] | `sso-analysis` | static audit: abstract interpretation certifying memory bounds, skew safety, degradation behavior |
 //! | [`rewrite`] | `sso-rewrite` | certified plan-rewrite optimizer: canonical normalization, equivalence prover, multi-query sharing |
@@ -72,8 +72,8 @@ pub mod prelude {
     pub use sso_core::{shard_plan, MergeRule, ShardPlan};
     pub use sso_faults::{FaultEvent, FaultPlan};
     pub use sso_gigascope::{
-        run_fanout_shared, run_plan, run_plan_sharded, run_plan_threaded, PrefilterNode,
-        SelectionNode, ShardedRunReport, SharedGroup, SharedQueryPlan, TwoLevelPlan,
+        run_fanout_shared, run_inline, run_plan, run_plan_sharded, PrefilterNode, SelectionNode,
+        ShardedRunReport, SharedGroup, SharedQueryPlan, TwoLevelPlan,
     };
     pub use sso_netgen::{burst_feed, datacenter_feed, ddos_feed, research_feed};
     pub use sso_obs::{metrics_schema, snapshot_tuples, Registry, Snapshot};

@@ -233,25 +233,68 @@ fn queries_compile_against_builders_equivalently() {
     }
 }
 
+/// The inline driver against the plainest reference there is —
+/// `SamplingOperator::run` over freshly built tuples — for every example
+/// query, on feeds cut around the driver's batch boundaries.
 #[test]
-fn threaded_and_single_threaded_plans_agree_on_text_queries() {
-    let packets = research_feed(106).take_seconds(5);
-    let make = || {
-        compile(
-            "SELECT tb, destIP, sum(len), count(*) FROM PKT GROUP BY time/2 as tb, destIP",
-            &Packet::schema(),
-            &PlannerConfig::empty(),
-        )
-        .unwrap()
+fn inline_driver_matches_operator_run_on_every_example_query() {
+    use stream_sampler::gigascope::BATCH;
+    let schema = Packet::schema();
+    // Two seconds of feed stretched over five minutes, so the example
+    // texts' 60 s windows close inside every cut but the shortest.
+    let feed: Vec<Packet> = research_feed(106)
+        .take_seconds(2)
+        .into_iter()
+        .map(|p| Packet { uts: p.uts * 150, ..p })
+        .collect();
+    let cuts = [0, 1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH + 7];
+    assert!(feed.len() >= 3 * BATCH + 7 && feed[3 * BATCH + 6].time() >= 120);
+    let assert_same = |what: &str, got: &[WindowOutput], want: &[WindowOutput]| {
+        assert_eq!(got.len(), want.len(), "{what}: window count");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.window, w.window, "{what}: window key");
+            assert_eq!(g.rows, w.rows, "{what}: rows of window {}", w.window);
+        }
     };
-    let single =
-        run_plan(TwoLevelPlan::new(Box::new(SelectionNode::pass_all()), make()), packets.clone())
-            .unwrap();
-    let threaded =
-        run_plan_threaded(TwoLevelPlan::new(Box::new(SelectionNode::pass_all()), make()), packets)
-            .unwrap();
-    assert_eq!(single.windows.len(), threaded.windows.len());
-    for (a, b) in single.windows.iter().zip(&threaded.windows) {
-        assert_eq!(a.rows, b.rows);
+
+    let mut compiled = 0;
+    for (name, text) in queries::EXAMPLE_QUERIES {
+        // A planner config per operator: its SFUN libraries number the
+        // states they create, and that number seeds each state's RNG.
+        let make = || compile(text, &schema, &PlannerConfig::standard());
+        if make().is_err() {
+            continue;
+        }
+        compiled += 1;
+        let low = || Box::new(SelectionNode::pass_all());
+        for n in cuts {
+            let what = format!("{name} over {n} packets");
+            let packets = &feed[..n];
+            let reference = make().unwrap().run(tuples_of(packets).iter()).unwrap();
+
+            let registry = Registry::new();
+            let plan = TwoLevelPlan::new(low(), make().unwrap()).with_registry(registry.clone());
+            let single = run_plan(plan, packets.to_vec()).unwrap();
+            assert_same(&what, &single.windows, &reference);
+            let snap = registry.snapshot();
+            assert!(snap.get("high.tuples_in").is_some(), "{what}: counters published");
+            assert_eq!(snap.value("low.tuples_in"), n as f64, "{what}");
+            assert_eq!(snap.value("high.tuples_in"), snap.value("low.tuples_out"), "{what}");
+            assert_eq!(single.high.tuples_in, single.low.tuples_out, "{what}");
+
+            // k copies of the query in k groups each equal the single
+            // run; k = 1 is `run_plan` against a one-group fan-out.
+            for k in [1, 3] {
+                let copies = (0..k).map(|i| (format!("q{i}"), make().unwrap()));
+                let fan =
+                    run_fanout_shared(low(), SharedQueryPlan::unshared(copies), packets.to_vec())
+                        .unwrap();
+                assert_eq!(fan.queries.len(), k);
+                for q in &fan.queries {
+                    assert_same(&format!("{what}, {} of {k}", q.name), &q.windows, &reference);
+                }
+            }
+        }
     }
+    assert!(compiled >= 5, "only {compiled} example queries compile against PKT");
 }

@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use stream_sampler::gigascope::{
-    run_fanout, run_fanout_shared, run_plan_sharded, FanoutPlan, FanoutReport, SelectionNode,
-    SharedGroup, SharedQueryPlan,
+    run_fanout_shared, run_plan_sharded, FanoutReport, SelectionNode, SharedGroup, SharedQueryPlan,
 };
 use stream_sampler::netgen::research_feed;
 use stream_sampler::prelude::*;
@@ -49,8 +48,9 @@ fn unshared(text: &str, packets: &[Packet]) -> FanoutReport {
             let op = stream_sampler::query::compile(stmt, &schema, &config).expect("compile");
             (format!("q{}", i + 1), op)
         })
-        .collect();
-    run_fanout(FanoutPlan { low: Box::new(SelectionNode::pass_all()), highs }, packets.to_vec())
+        .collect::<Vec<_>>();
+    let plan = SharedQueryPlan::unshared(highs);
+    run_fanout_shared(Box::new(SelectionNode::pass_all()), plan, packets.to_vec())
         .expect("unshared run")
 }
 
@@ -321,8 +321,9 @@ fn erroring_prefilter_is_transparent_inline_and_sharded() {
     for (text, runs) in [(guarded, true), (unguarded, false)] {
         let op = || stream_sampler::query::compile(text, &schema, &config).expect("compile");
         let low = || Box::new(SelectionNode::pass_all());
-        let plain = run_fanout(
-            FanoutPlan { low: low(), highs: vec![("q1".into(), op())] },
+        let plain = run_fanout_shared(
+            low(),
+            SharedQueryPlan::unshared([("q1".into(), op())]),
             packets.clone(),
         );
         let filtered = run_fanout_shared(

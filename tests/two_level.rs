@@ -84,23 +84,6 @@ fn prefilter_output_is_itself_an_unbiased_weighted_sample() {
 }
 
 #[test]
-fn ring_buffer_drops_are_surfaced_not_hidden() {
-    // A tiny ring with a slow consumer cannot drop silently: the report
-    // carries the count. (In single-threaded mode the engine drains
-    // eagerly, so this exercises the accounting path with zero drops.)
-    let packets = research_feed(203).take_seconds(1);
-    let n = packets.len() as u64;
-    let mut plan = TwoLevelPlan::new(
-        Box::new(SelectionNode::pass_all()),
-        SamplingOperator::new(queries::total_sum_query(1)).unwrap(),
-    );
-    plan.ring_capacity = 8;
-    let report = run_plan(plan, packets).unwrap();
-    assert_eq!(report.ring_dropped, 0);
-    assert_eq!(report.low.tuples_in, n, "eager draining loses nothing");
-}
-
-#[test]
 fn low_level_selection_can_implement_protocol_filters() {
     // A classic Gigascope low-level query: forward only TCP packets.
     let packets = research_feed(204).take_seconds(3);
