@@ -9,6 +9,7 @@
 //! `clippy.toml` bans the execution paths — so auditing a whole corpus
 //! costs milliseconds.
 
+use sso_core::snapshot::{tuple_wire_bytes, WINDOW_OUTPUT_FIXED_BYTES};
 use sso_core::{shard_plan, Expr, OperatorSpec};
 use sso_netgen::profile::feed_profile;
 use sso_query::ast::Query;
@@ -327,6 +328,9 @@ fn audit_statement(
     let supergroup_entry_bytes = spec.supergroup_entry_bytes() as u64;
     let state_bytes =
         groups_bound.times(group_entry_bytes) + supergroup_bound.times(supergroup_entry_bytes);
+    // At most one output row per live group.
+    let output_wire_bytes = groups_bound.times(tuple_wire_bytes(spec.select.len()))
+        + Card::Finite(tuple_wire_bytes(spec.window_indices.len()) + WINDOW_OUTPUT_FIXED_BYTES);
 
     // W201: no finite state ceiling.
     if !groups_bound.is_finite() {
@@ -462,6 +466,7 @@ fn audit_statement(
         group_entry_bytes,
         supergroup_entry_bytes,
         state_bytes,
+        output_wire_bytes,
         skew,
         mergeable,
         deletion_safety,

@@ -41,6 +41,11 @@ pub struct StatementBounds {
     pub supergroup_entry_bytes: u64,
     /// Certified ceiling on operator state bytes.
     pub state_bytes: Card,
+    /// Certified ceiling on the encoded bytes of one closed window's
+    /// output in a durable record: a row per live group, the window key
+    /// and the stats. Rendered through `durable.wal_bytes_per_window`
+    /// only — the statement's JSON keys are pinned.
+    pub output_wire_bytes: Card,
     /// Router-skew verdict at the audited shard count.
     pub skew: SkewClass,
     /// Whether the plan shards/merges (`shard_plan` succeeds).
@@ -101,8 +106,8 @@ impl StatementBounds {
     }
 }
 
-/// Fixed per-checkpoint overhead beyond the state payload: magic,
-/// version, the meta frame's header and fixed fields.
+/// Fixed allowance on top of the state payload of a boundary snapshot
+/// (headers and fixed fields of whatever carries it).
 pub const SNAPSHOT_HEADER_BYTES: u64 = 64;
 
 /// Fixed per-WAL-record overhead: the frame header (checksum + length),
@@ -114,11 +119,15 @@ pub const WAL_RECORD_OVERHEAD: u64 = 32;
 /// stay under a `--state-budget`.
 #[derive(Debug, Clone)]
 pub struct DurableBounds {
-    /// Ceiling on checkpoint snapshot bytes per window: the certified
-    /// state-bytes ceiling plus [`SNAPSHOT_HEADER_BYTES`].
+    /// Ceiling on the operator state live at a window boundary — what
+    /// a snapshot of it would hold: the certified state-bytes ceiling
+    /// plus [`SNAPSHOT_HEADER_BYTES`]. Not bytes the store writes; those
+    /// are [`Self::wal_bytes_per_window`].
     pub snapshot_bytes_per_window: Card,
-    /// Ceiling on WAL bytes appended per window: one carry-over record
-    /// per live supergroup plus [`WAL_RECORD_OVERHEAD`].
+    /// Ceiling on the bytes the store appends to a shard's log per
+    /// closed window, its only write: the window's output
+    /// ([`StatementBounds::output_wire_bytes`]), one carry-over record
+    /// per live supergroup, and [`WAL_RECORD_OVERHEAD`].
     pub wal_bytes_per_window: Card,
     /// Spill pages needed to hold the certified state ceiling.
     pub spill_pages: Card,
@@ -175,7 +184,8 @@ impl BoundsReport {
         let state = self.total_state_bytes();
         let wal = self.statements.iter().fold(Card::Finite(0), |acc, s| {
             let supergroup_bound = s.supergroup_cardinality.min(s.rows_per_window);
-            acc + supergroup_bound.times(s.supergroup_entry_bytes)
+            acc + s.output_wire_bytes
+                + supergroup_bound.times(s.supergroup_entry_bytes)
                 + Card::Finite(WAL_RECORD_OVERHEAD)
         });
         let page = sso_core::snapshot::PAGE_BYTES as u64;
@@ -248,6 +258,7 @@ mod tests {
             group_entry_bytes: 160,
             supergroup_entry_bytes: 256,
             state_bytes: Card::Finite(6_125_376),
+            output_wire_bytes: Card::Finite(38_186 * 31 + 74),
             skew: SkewClass::Spread,
             mergeable: true,
             deletion_safety: DeletionSafety::Safe,
@@ -284,8 +295,12 @@ mod tests {
         };
         let d = report.durable();
         assert_eq!(d.snapshot_bytes_per_window.finite(), Some(6_125_376 + SNAPSHOT_HEADER_BYTES));
-        // 61 supergroups × 256 bytes + one record's frame overhead.
-        assert_eq!(d.wal_bytes_per_window.finite(), Some(61 * 256 + WAL_RECORD_OVERHEAD));
+        // The window's rows, 61 supergroups × 256 bytes of carry, and
+        // one record's frame overhead.
+        assert_eq!(
+            d.wal_bytes_per_window.finite(),
+            Some(38_186 * 31 + 74 + 61 * 256 + WAL_RECORD_OVERHEAD)
+        );
         assert_eq!(d.spill_pages.finite(), Some(6_125_376u64.div_ceil(page)));
         assert_eq!(d.min_state_budget, 2 * page * 4);
         assert_eq!(d.state_budget, Some(page));

@@ -14,9 +14,7 @@
 //! [`sso_types::wire`]; re-encoding a decoded value reproduces the
 //! original bytes exactly.
 
-use sso_types::wire::{
-    put_bytes, put_f64, put_tuple, put_u32, put_u64, take_tuple, Reader, WireError,
-};
+use sso_types::wire::{put_f64, put_tuple, put_u32, put_u64, take_tuple, Reader, WireError};
 use sso_types::Value;
 
 use crate::agg::AggState;
@@ -136,11 +134,18 @@ pub fn take_window_output(r: &mut Reader<'_>) -> Result<WindowOutput, WireError>
     Ok(WindowOutput { window, rows, stats, degradation })
 }
 
-/// Append a length-prefixed opaque section (used by the store's record
-/// framing for carry-over and library-auxiliary payloads).
-pub fn put_section(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_bytes(out, bytes);
+/// Encoded bytes of a tuple of `arity` non-string values: the arity
+/// prefix, then at most a tag and eight bytes per value. (A `Str`
+/// travels at its own length; the audit's entry-byte estimates leave
+/// string heaps out the same way.)
+pub const fn tuple_wire_bytes(arity: usize) -> u64 {
+    4 + 9 * arity as u64
 }
+
+/// Encoded bytes of a window output apart from its window key and its
+/// rows: the row count, the six stats counters, coverage and the
+/// degraded flag.
+pub const WINDOW_OUTPUT_FIXED_BYTES: u64 = 4 + 6 * 8 + 8 + 1;
 
 #[cfg(test)]
 mod tests {
@@ -154,6 +159,21 @@ mod tests {
         let out = take_agg_state(&mut r).unwrap();
         assert!(r.is_empty());
         out
+    }
+
+    #[test]
+    fn window_output_size_model_matches_the_encoder() {
+        let row = |i: u64| Tuple::new(vec![Value::U64(i), Value::F64(0.5), Value::I64(-1)]);
+        let w = WindowOutput {
+            window: Tuple::new(vec![Value::U64(3)]),
+            rows: (0..5).map(row).collect(),
+            stats: WindowStats::default(),
+            degradation: Degradation { coverage: 1.0, degraded: false },
+        };
+        let mut buf = Vec::new();
+        put_window_output(&mut buf, &w);
+        let modelled = tuple_wire_bytes(1) + WINDOW_OUTPUT_FIXED_BYTES + 5 * tuple_wire_bytes(3);
+        assert_eq!(buf.len() as u64, modelled);
     }
 
     #[test]

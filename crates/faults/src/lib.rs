@@ -114,7 +114,7 @@ pub enum FaultEvent {
     /// Kill the whole process (equivalent) after the router has
     /// dispatched `at_tuple` tuples: routing stops, workers abandon
     /// their open windows, and nothing is merged or published. Only
-    /// durable state (`sso-store` checkpoints + WAL) survives; the run
+    /// durable state (the `sso-store` shard logs) survives; the run
     /// is then resumed with `sso recover`.
     Crash {
         /// 1-based globally-routed-tuple trigger.

@@ -161,7 +161,7 @@ fn prom_help(name: &str) -> &'static str {
         "prof.window_ns" => "End-to-end window latency: first Process stamp to merged Emit",
         "prof.dropped_events" => "Trace events lost to lane ring wrap-around",
         n if n.starts_with("prof.stage.") => "Causal-trace per-stage duration distribution",
-        n if n.starts_with("store.") => "Durable-store metric (checkpoints, WAL, spill pager)",
+        n if n.starts_with("store.") => "Durable-store metric (shard log, spill pager)",
         _ => "stream-sampler metric",
     }
 }

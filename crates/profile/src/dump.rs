@@ -9,17 +9,18 @@
 //! frame k: u8 kind | u32 index | u64 dropped | u32 count | count × 32B events
 //! ```
 //!
-//! each frame on the wire as `u64 fnv_checksum | u32 len | payload`.
+//! each frame on the wire as `u64 fnv_checksum | u32 len | payload`
+//! (`sso_types::wire::put_frame`, the shard log's frame).
 //! Events travel as their four packed little-endian `u64` words, so
 //! encode → decode → encode is byte-identical (the round-trip proptest)
 //! and a truncated or bit-flipped file fails loudly instead of decoding
-//! garbage. Files are written `.tmp` + atomic rename, like checkpoints.
+//! garbage. Files are written `.tmp` + atomic rename.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use sso_types::wire::{checksum, put_u32, put_u64, Reader};
+use sso_types::wire::{put_frame, put_u32, put_u64, take_frame, Reader};
 
 use crate::event::Event;
 use crate::lane::LaneKind;
@@ -62,20 +63,8 @@ impl Dump {
     }
 }
 
-fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    put_u64(out, checksum(payload));
-    put_u32(out, payload.len() as u32);
-    out.extend_from_slice(payload);
-}
-
-fn take_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], String> {
-    let want = r.take_u64().map_err(|e| e.to_string())?;
-    let payload = r.take_bytes().map_err(|e| e.to_string())?;
-    if checksum(payload) != want {
-        return Err("frame checksum mismatch".into());
-    }
-    Ok(payload)
-}
+/// A dump frame is a header of five bytes or one lane's bounded ring.
+const FRAME_FITS: &str = "a dump frame is far below 4 GiB";
 
 /// Encode a dump to its canonical byte form.
 pub fn encode_dump(dump: &Dump) -> Vec<u8> {
@@ -86,7 +75,7 @@ pub fn encode_dump(dump: &Dump) -> Vec<u8> {
     let mut header = Vec::new();
     header.push(dump.reason as u8);
     put_u32(&mut header, dump.lanes.len() as u32);
-    put_frame(&mut out, &header);
+    put_frame(&mut out, &header).expect(FRAME_FITS);
 
     for lane in &dump.lanes {
         let mut p = Vec::with_capacity(17 + lane.events.len() * 32);
@@ -99,7 +88,7 @@ pub fn encode_dump(dump: &Dump) -> Vec<u8> {
                 put_u64(&mut p, w);
             }
         }
-        put_frame(&mut out, &p);
+        put_frame(&mut out, &p).expect(FRAME_FITS);
     }
     out
 }
@@ -118,7 +107,7 @@ pub fn decode_dump(bytes: &[u8]) -> Result<Dump, String> {
         return Err(format!("unsupported dump version {version} (expected {VERSION})"));
     }
 
-    let header = take_frame(&mut r)?;
+    let header = take_frame(&mut r).map_err(|e| e.to_string())?;
     let mut hr = Reader::new(header);
     let reason = DumpReason::from_u8(hr.take_u8().map_err(|e| e.to_string())?)
         .ok_or_else(|| "unknown dump reason".to_string())?;
@@ -129,7 +118,7 @@ pub fn decode_dump(bytes: &[u8]) -> Result<Dump, String> {
 
     let mut lanes = Vec::with_capacity(lane_count as usize);
     for _ in 0..lane_count {
-        let frame = take_frame(&mut r)?;
+        let frame = take_frame(&mut r).map_err(|e| e.to_string())?;
         let mut fr = Reader::new(frame);
         let kind = LaneKind::from_u8(fr.take_u8().map_err(|e| e.to_string())?)
             .ok_or_else(|| "unknown lane kind".to_string())?;
@@ -157,8 +146,8 @@ pub fn decode_dump(bytes: &[u8]) -> Result<Dump, String> {
     Ok(Dump { reason, lanes })
 }
 
-/// Write a dump with the checkpoint discipline: temp file, flush, sync,
-/// atomic rename — a crash mid-write leaves the previous dump intact.
+/// Write a dump whole or not at all: temp file, flush, sync, atomic
+/// rename — a crash mid-write leaves the previous dump intact.
 pub fn write_dump_file(path: &Path, dump: &Dump) -> io::Result<()> {
     let bytes = encode_dump(dump);
     let tmp = path.with_extension("ssoprof.tmp");

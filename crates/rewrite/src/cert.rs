@@ -11,7 +11,7 @@
 //! implication, shard-mergeability) — the reviewer-facing half of the
 //! equivalence argument in DESIGN.md.
 
-use crate::norm::fnv1a;
+use sso_types::wire::checksum;
 
 /// One applied rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +67,7 @@ impl RewriteCertificate {
             text.push_str(&s.digest_line());
             text.push('\n');
         }
-        fnv1a(&text)
+        checksum(text.as_bytes())
     }
 
     /// Recompute the checksum and compare: any mutation of a sealed

@@ -49,7 +49,7 @@ pub mod report;
 
 pub use cert::{RewriteCertificate, RewriteStep};
 pub use equiv::{implies, shared_prefilter};
-pub use norm::{fnv1a, is_pure, is_total, normalize, normalize_statement, NormalizedStatement};
+pub use norm::{is_pure, is_total, normalize, normalize_statement, NormalizedStatement};
 pub use optimize::{
     check_file_prefilters, optimize_file, ExecutableSharedPlan, OptimizeOptions, OptimizeOutcome,
     ReauditSummary, ShareCluster, ShareGroup, SharedGroupDesc, SharedPlanDesc,

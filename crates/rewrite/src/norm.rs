@@ -26,21 +26,12 @@
 //!
 //! Canonical identity is the rendered text of the normalized query
 //! (spans are ignored by [`AstExpr`] equality and by `Display`); node
-//! hashes in rewrite certificates are FNV-1a over that text.
+//! hashes in rewrite certificates are FNV-1a
+//! (`sso_types::wire::checksum`) over that text.
 
 use sso_query::{AstExpr, BinAstOp, ExprKind, Query, Span};
+use sso_types::wire::checksum;
 use sso_types::Schema;
-
-/// FNV-1a over a canonical rendering: the node-hash function used in
-/// rewrite certificates. Stable across runs and platforms.
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Is this expression *pure*: free of stateful sampling functions,
 /// aggregates, and superaggregates? Pure expressions may be reordered,
@@ -450,8 +441,8 @@ pub fn normalize_statement(
         index,
         base,
         query: query.clone(),
-        hash: fnv1a(&canonical),
-        param_hash: fnv1a(&param_canonical),
+        hash: checksum(canonical.as_bytes()),
+        param_hash: checksum(param_canonical.as_bytes()),
         canonical,
         param_canonical,
         norm,

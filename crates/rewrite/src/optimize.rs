@@ -10,10 +10,11 @@ use sso_query::{
     base_stream_schema, compile_packet_predicate, dedup_diagnostics, parse_query, plan, AstExpr,
     BinAstOp, Code, Diagnostic, ExprKind, PlannerConfig,
 };
+use sso_types::wire::checksum;
 
 use crate::cert::{RewriteCertificate, RewriteStep};
 use crate::equiv::shared_prefilter;
-use crate::norm::{fnv1a, normalize_statement, NormalizedStatement};
+use crate::norm::{normalize_statement, NormalizedStatement};
 
 /// Options for [`optimize_file`].
 pub struct OptimizeOptions {
@@ -365,7 +366,7 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
                     rule: "hoist-shared-prefilter".to_string(),
                     statements: cluster.members.clone(),
                     before: members.iter().map(|m| m.hash).collect(),
-                    after: fnv1a(&pf_text),
+                    after: checksum(pf_text.as_bytes()),
                     side_conditions: vec![
                         "every hoisted clause is pure (no stateful or aggregate calls)".to_string(),
                         "every hoisted clause is total (division only by nonzero literals)"

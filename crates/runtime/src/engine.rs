@@ -120,10 +120,10 @@ pub enum Supervision {
     Abort,
 }
 
-/// Durable-state configuration (the `sso-store` subsystem): per-shard
-/// window-boundary checkpoints plus a carry-over WAL under [`Self::dir`],
-/// and an optional resident-state budget that swaps the in-RAM group
-/// table for the spill-to-disk pager.
+/// Durable-state configuration (the `sso-store` subsystem): one
+/// append-only log of closed windows per shard under [`Self::dir`], and
+/// an optional resident-state budget that swaps the in-RAM group table
+/// for the spill-to-disk pager.
 ///
 /// Recovery contract: a run killed mid-stream loses at most the window
 /// that was open at the kill. A resumed run
@@ -133,13 +133,13 @@ pub enum Supervision {
 /// -identical to a fault-free run for every window.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Store directory: per-shard checkpoint/WAL/spill files and the
-    /// run MANIFEST.
+    /// Store directory: per-shard log and spill files and the run
+    /// MANIFEST.
     pub dir: PathBuf,
-    /// Windows between checkpoint compactions; `0` = checkpoint only at
+    /// Windows between checkpoints (syncs of the log); `0` = only at
     /// end of stream.
     pub checkpoint_every: u64,
-    /// WAL fsync policy (checkpoints always sync).
+    /// Per-record fsync policy (checkpoints always sync).
     pub fsync: FsyncPolicy,
     /// Total resident group-state budget in bytes, split evenly across
     /// shards. `None` keeps the in-RAM table (no spilling). After a
@@ -153,7 +153,7 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Durability under `dir` with the default cadence: checkpoint
-    /// every 8 windows, no WAL fsync, no state budget.
+    /// every 8 windows, no per-record fsync, no state budget.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
@@ -213,7 +213,7 @@ pub struct RuntimeConfig {
     /// grow-on-demand behaviour.
     pub sizing: Option<SizingHints>,
     /// Durable operator state: `None` runs fully in memory; `Some`
-    /// checkpoints every shard's window state under the configured
+    /// logs every shard's closed windows under the configured
     /// directory and (optionally) bounds resident group state.
     pub durability: Option<DurabilityConfig>,
     /// Causal stage tracing: every batch leaves lineage stamps (ingest →
@@ -514,9 +514,8 @@ struct StoreStats {
     wal_appends: Gauge,
     wal_bytes: Gauge,
     ckpt_writes: Gauge,
-    ckpt_bytes: Gauge,
-    /// Windows recorded since the last checkpoint — how much WAL replay
-    /// a crash right now would cost.
+    /// Windows recorded since the log was last synced — what power loss
+    /// right now would cost.
     ckpt_age: Gauge,
     resident_bytes: Gauge,
     peak_resident_bytes: Gauge,
@@ -531,7 +530,6 @@ impl StoreStats {
             wal_appends: registry.gauge_labeled("store.wal_appends", label.clone()),
             wal_bytes: registry.gauge_labeled("store.wal_bytes", label.clone()),
             ckpt_writes: registry.gauge_labeled("store.ckpt_writes", label.clone()),
-            ckpt_bytes: registry.gauge_labeled("store.ckpt_bytes", label.clone()),
             ckpt_age: registry.gauge_labeled("store.ckpt_age", label.clone()),
             resident_bytes: registry.gauge_labeled("store.resident_bytes", label.clone()),
             peak_resident_bytes: registry.gauge_labeled("store.peak_resident_bytes", label.clone()),
@@ -544,7 +542,6 @@ impl StoreStats {
         self.wal_appends.set(store.wal_appends() as f64);
         self.wal_bytes.set(store.wal_bytes() as f64);
         self.ckpt_writes.set(store.ckpt_writes() as f64);
-        self.ckpt_bytes.set(store.ckpt_bytes() as f64);
         self.ckpt_age.set(store.windows_since_ckpt() as f64);
         if let Some(s) = spill {
             self.resident_bytes.set(s.resident_bytes as f64);

@@ -2,16 +2,18 @@
 //!
 //! Durable operator state for the stream-sampling runtime:
 //!
-//! * **window-boundary checkpoints** — at every window close the
+//! * **one append-only log per shard** — at every window close the
 //!   operator's persistent state is exactly its cross-window carry-over
-//!   (the group and supergroup tables are empty at the boundary), so a
-//!   shard snapshot is the emitted window outputs plus the carry-over
-//!   SFUN states and library-auxiliary records, written as a versioned,
-//!   checksummed, length-prefixed file per shard;
-//! * **a carry-over WAL** — between checkpoints, each closed window
-//!   appends one framed record (output + carry + aux) to an append-only
-//!   log, so a restarted worker resumes from the last *recorded* window
-//!   and loses at most the window that was open when the process died;
+//!   (the group and supergroup tables are empty at the boundary), so
+//!   each closed window appends one checksummed, length-prefixed record
+//!   — its output, the carry-over SFUN states and the library-auxiliary
+//!   records — and that record is final: nothing rewrites it. A
+//!   restarted worker resumes from the last *recorded* window and loses
+//!   at most the window that was open when the process died;
+//! * **checkpoints as durability points** — every `checkpoint_every`
+//!   windows, and at end of stream, the log is synced; under the
+//!   default fsync policy nothing else is, so that cadence bounds what
+//!   a power failure can cost;
 //! * **a spill-to-disk pager of group aggregate states** — when a
 //!   query's certified live state exceeds the configured
 //!   `--state-budget`, the operator's group table keeps its keys and
@@ -19,13 +21,12 @@
 //!   to a spill file under clock (second-chance) eviction, keeping
 //!   their resident bytes under the budget.
 //!
-//! Recovery reads the newest valid checkpoint (falling back to the
-//! previous one on checksum mismatch), replays WAL records that chain
-//! onto it by sequence number, and hands the runtime a watermark: the
-//! window key of the last durable window. The restarted run re-feeds
-//! the deterministic input and skips every window at or below the
-//! watermark, so surviving windows are byte-identical to a fault-free
-//! run.
+//! Recovery replays the log's records in sequence up to the first that
+//! is torn, corrupt or out of chain, and hands the runtime a watermark:
+//! the window key of the last durable window. The restarted run
+//! re-feeds the deterministic input and skips every window at or below
+//! the watermark, so surviving windows are byte-identical to a
+//! fault-free run.
 
 mod manifest;
 mod pager;

@@ -1,8 +1,15 @@
-//! Checkpoint and WAL files, one set per shard.
+//! The shard log: one append-only file per shard, `shard-K.wal`.
+//!
+//! The operator's recoverable state changes at exactly one point, the
+//! window close, so the durable record of a window is final the moment
+//! it is written. The log therefore *is* the shard's durable state:
+//! every closed window appends one record, no record is ever rewritten,
+//! and recovery is one scan.
 //!
 //! ## Frame format
 //!
-//! Every durable record travels in the same frame:
+//! Every record travels in the tree's one frame
+//! ([`sso_types::wire::put_frame`]):
 //!
 //! ```text
 //! u64  checksum     FNV-1a over the payload
@@ -11,10 +18,10 @@
 //! ```
 //!
 //! A reader stops at the first frame whose checksum or length does not
-//! hold — a torn tail is data loss bounded to that record, never a
-//! panic.
+//! hold — damage is data loss bounded to that record and the ones after
+//! it, never a panic.
 //!
-//! ## WAL record payload (one per closed window)
+//! ## Record payload (one per closed window)
 //!
 //! ```text
 //! u64   seq         window ordinal (0-based) — the chain check
@@ -23,19 +30,15 @@
 //! bytes aux         operator export_aux bytes
 //! ```
 //!
-//! ## Checkpoint file (`shard-K.ckpt`)
+//! Replay accepts a record only when its `seq` is the next ordinal, and
+//! the state as of the last accepted record — its carry, its aux, its
+//! window key as the watermark — is what a resumed run restarts from.
 //!
-//! ```text
-//! magic "SSOSTOR1", u32 version
-//! frame meta:     u64 seq, u8 has_watermark, [tuple], bytes carry, bytes aux
-//! frame output×seq
-//! ```
+//! ## Checkpoints
 //!
-//! A checkpoint is a compaction: it carries every output so far plus
-//! the latest carry/aux, and the WAL restarts empty. Replay accepts a
-//! WAL record only when its `seq` equals the state's next expected
-//! ordinal, so records that belong after a *newer* (corrupted and
-//! discarded) checkpoint cannot be grafted onto an older one.
+//! A checkpoint is a durability point, not a file: it syncs the log, so
+//! everything recorded so far survives power loss. Nothing else is
+//! written, because a synced record is never rewritten.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -43,13 +46,13 @@ use std::path::{Path, PathBuf};
 
 use sso_core::snapshot::{put_window_output, take_window_output};
 use sso_core::WindowOutput;
-use sso_types::wire::{checksum, put_bytes, put_tuple, put_u32, put_u64, take_tuple, Reader};
+use sso_types::wire::{
+    begin_bytes, begin_frame, end_bytes, end_frame, put_bytes, put_u64, take_frame, Reader,
+    WireError,
+};
 use sso_types::Tuple;
 
-const MAGIC: &[u8; 8] = b"SSOSTOR1";
-const VERSION: u32 = 1;
-
-/// When WAL appends reach the platter (matters for power loss, not for
+/// When log appends reach the platter (matters for power loss, not for
 /// process crashes — the OS keeps written pages either way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
@@ -58,7 +61,7 @@ pub enum FsyncPolicy {
     Always,
     /// `fsync` every `n` records: bounded loss window, amortized cost.
     EveryN(u32),
-    /// Never `fsync` the WAL (checkpoints still sync): survives process
+    /// No `fsync` per record (checkpoints still sync): survives process
     /// crashes, not power loss. The default.
     Never,
 }
@@ -88,20 +91,23 @@ impl std::fmt::Display for FsyncPolicy {
 }
 
 /// Where and how a durable run persists its state.
+///
+/// `checkpoint_every` and `fsync` are two cadences of one mechanism, a
+/// sync of the log; the log is synced whenever either is due.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Directory holding the per-shard files and the run MANIFEST.
     pub dir: PathBuf,
     /// Windows between checkpoints; `0` = checkpoint only at end of
-    /// stream (the WAL carries everything in between).
+    /// stream.
     pub checkpoint_every: u64,
-    /// WAL fsync policy.
+    /// Per-record fsync policy.
     pub fsync: FsyncPolicy,
 }
 
 impl StoreConfig {
     /// A config with the default cadence (checkpoint every 8 windows,
-    /// no WAL fsync).
+    /// no per-record fsync).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         StoreConfig { dir: dir.into(), checkpoint_every: 8, fsync: FsyncPolicy::Never }
     }
@@ -131,84 +137,38 @@ pub struct RecoveredShard {
     pub watermark: Option<Tuple>,
 }
 
-/// Append one frame (checksum + length + payload).
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<usize> {
-    let mut head = Vec::with_capacity(12);
-    put_u64(&mut head, checksum(payload));
-    put_u32(&mut head, payload.len() as u32);
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    Ok(head.len() + payload.len())
-}
-
-/// Read the frame starting at `*pos`; `None` on a torn or corrupt
-/// frame. Advances `*pos` past the frame on success.
-fn read_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
-    let rest = buf.get(*pos..)?;
-    if rest.len() < 12 {
-        return None;
-    }
-    let sum = u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes")) as usize;
-    let payload = rest.get(12..12 + len)?;
-    if checksum(payload) != sum {
-        return None;
-    }
-    *pos += 12 + len;
-    Some(payload)
-}
-
-/// In-memory image of a shard's durable state (what the next checkpoint
-/// will contain).
-#[derive(Default)]
-struct ShardState {
-    /// Encoded outputs, one per recorded window.
-    outputs: Vec<Vec<u8>>,
-    carry: Vec<u8>,
-    aux: Vec<u8>,
-    watermark: Option<Tuple>,
-}
-
-impl ShardState {
-    fn seq(&self) -> u64 {
-        self.outputs.len() as u64
-    }
-
-    fn apply(&mut self, output_bytes: Vec<u8>, watermark: Tuple, carry: Vec<u8>, aux: Vec<u8>) {
-        self.outputs.push(output_bytes);
-        self.carry = carry;
-        self.aux = aux;
-        self.watermark = Some(watermark);
-    }
-}
-
-/// Per-shard durable writer: WAL appends per window, periodic
-/// checkpoint compaction.
+/// Per-shard durable writer: one log append per closed window, a sync
+/// of the log at every durability point.
 pub struct ShardStore {
-    dir: PathBuf,
-    shard: usize,
     checkpoint_every: u64,
     fsync: FsyncPolicy,
-    wal: File,
-    unsynced: u32,
+    log: File,
+    /// The record being encoded. Recycled, so recording a window no
+    /// larger than one already recorded allocates nothing, and the
+    /// writer's memory does not grow with the stream.
+    frame: Vec<u8>,
+    /// Records in the log: the next record's `seq`.
+    seq: u64,
+    /// Records appended since the log was last synced.
+    unsynced: u64,
+    /// Records appended since the `checkpoint_every` cadence last fired
+    /// or `checkpoint` was called. Apart from `unsynced` so that the two
+    /// cadences sync on the windows they always have.
     since_ckpt: u64,
-    state: ShardState,
     wal_appends: u64,
     wal_bytes: u64,
     ckpt_writes: u64,
-    ckpt_bytes: u64,
 }
 
 fn wal_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.wal"))
 }
 
-fn ckpt_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.ckpt"))
-}
-
-fn ckpt_prev_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.ckpt.prev"))
+/// The checkpoint files of the store layout before the log was the only
+/// file. A directory holding one has a log that chains onto it, not
+/// onto `seq` 0, which this reader would take for an empty shard.
+fn old_layout_paths(dir: &Path, shard: usize) -> [PathBuf; 2] {
+    ["ckpt", "ckpt.prev"].map(|ext| dir.join(format!("shard-{shard}.{ext}")))
 }
 
 /// The shard's spill-file path (used by the paged group table so all of
@@ -217,159 +177,107 @@ pub(crate) fn spill_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.spill"))
 }
 
+/// A record too long for the frame's length field is the caller's
+/// input, not an I/O fault.
+fn too_long(e: WireError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, e.message)
+}
+
 impl ShardStore {
+    fn over(cfg: &StoreConfig, log: File, seq: u64, wal_bytes: u64) -> Self {
+        ShardStore {
+            checkpoint_every: cfg.checkpoint_every,
+            fsync: cfg.fsync,
+            log,
+            frame: Vec::new(),
+            seq,
+            unsynced: 0,
+            since_ckpt: 0,
+            wal_appends: 0,
+            wal_bytes,
+            ckpt_writes: 0,
+        }
+    }
+
     /// Start a fresh durable run for one shard, removing any previous
-    /// run's files for it.
+    /// run's files for it (of this layout or the older one).
     pub fn create(cfg: &StoreConfig, shard: usize) -> io::Result<Self> {
         fs::create_dir_all(&cfg.dir)?;
-        for p in [
-            wal_path(&cfg.dir, shard),
-            ckpt_path(&cfg.dir, shard),
-            ckpt_prev_path(&cfg.dir, shard),
-            spill_path(&cfg.dir, shard),
-        ] {
+        let [ckpt, prev] = old_layout_paths(&cfg.dir, shard);
+        for p in [wal_path(&cfg.dir, shard), spill_path(&cfg.dir, shard), ckpt, prev] {
             match fs::remove_file(&p) {
                 Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
             }
         }
-        let wal = OpenOptions::new().create(true).append(true).open(wal_path(&cfg.dir, shard))?;
-        Ok(ShardStore {
-            dir: cfg.dir.clone(),
-            shard,
-            checkpoint_every: cfg.checkpoint_every,
-            fsync: cfg.fsync,
-            wal,
-            unsynced: 0,
-            since_ckpt: 0,
-            state: ShardState::default(),
-            wal_appends: 0,
-            wal_bytes: 0,
-            ckpt_writes: 0,
-            ckpt_bytes: 0,
-        })
+        let log = OpenOptions::new().create(true).append(true).open(wal_path(&cfg.dir, shard))?;
+        Ok(Self::over(cfg, log, 0, 0))
     }
 
-    /// Resume a durable run: recover the shard's state, then restart
-    /// the files from a fresh compacting checkpoint (which also
-    /// truncates any torn WAL tail).
+    /// Resume a durable run: recover the shard's state and go on
+    /// appending to its log, after cutting a damaged tail off in place.
     pub fn open_resumed(cfg: &StoreConfig, shard: usize) -> io::Result<(Self, RecoveredShard)> {
-        let recovered = recover_shard(&cfg.dir, shard)?;
-        let mut state = ShardState::default();
-        for out in &recovered.outputs {
-            let mut b = Vec::new();
-            put_window_output(&mut b, out);
-            state.outputs.push(b);
+        let (recovered, valid_bytes) = scan_log(&cfg.dir, shard)?;
+        let log = OpenOptions::new().create(true).append(true).open(wal_path(&cfg.dir, shard))?;
+        if log.metadata()?.len() != valid_bytes {
+            log.set_len(valid_bytes)?;
+            log.sync_all()?;
         }
-        state.carry = recovered.carry.clone();
-        state.aux = recovered.aux.clone();
-        state.watermark = recovered.watermark.clone();
-        // Recreate the WAL empty; the immediate checkpoint below makes
-        // the recovered state durable again before any new window.
-        let wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(wal_path(&cfg.dir, shard))?;
-        let mut store = ShardStore {
-            dir: cfg.dir.clone(),
-            shard,
-            checkpoint_every: cfg.checkpoint_every,
-            fsync: cfg.fsync,
-            wal,
-            unsynced: 0,
-            since_ckpt: 0,
-            state,
-            wal_appends: 0,
-            wal_bytes: 0,
-            ckpt_writes: 0,
-            ckpt_bytes: 0,
-        };
-        store.checkpoint()?;
+        let store = Self::over(cfg, log, recovered.outputs.len() as u64, valid_bytes);
         Ok((store, recovered))
     }
 
-    /// Durably record one closed window, checkpointing when the cadence
-    /// says so.
+    /// Durably record one closed window — one encode into the recycled
+    /// frame, one write — and sync the log when the fsync policy or the
+    /// checkpoint cadence says so.
     pub fn record_window(&mut self, rec: &WindowRecord<'_>) -> io::Result<()> {
-        let mut ob = Vec::new();
-        put_window_output(&mut ob, rec.output);
-        let mut payload = Vec::with_capacity(ob.len() + rec.carry.len() + rec.aux.len() + 24);
-        put_u64(&mut payload, self.state.seq());
-        put_bytes(&mut payload, &ob);
-        put_bytes(&mut payload, rec.carry);
-        put_bytes(&mut payload, rec.aux);
-        let n = write_frame(&mut self.wal, &payload)?;
+        let frame = &mut self.frame;
+        frame.clear();
+        let start = begin_frame(frame);
+        put_u64(frame, self.seq);
+        let output = begin_bytes(frame);
+        put_window_output(frame, rec.output);
+        end_bytes(frame, output).map_err(too_long)?;
+        put_bytes(frame, rec.carry);
+        put_bytes(frame, rec.aux);
+        // Also covers `carry` and `aux`: each lies inside the payload.
+        end_frame(frame, start).map_err(too_long)?;
+        self.log.write_all(frame)?;
+        self.seq += 1;
         self.wal_appends += 1;
-        self.wal_bytes += n as u64;
-        match self.fsync {
-            FsyncPolicy::Always => self.wal.sync_data()?,
-            FsyncPolicy::EveryN(k) => {
-                self.unsynced += 1;
-                if self.unsynced >= k {
-                    self.wal.sync_data()?;
-                    self.unsynced = 0;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
-        self.state.apply(ob, rec.output.window.clone(), rec.carry.to_vec(), rec.aux.to_vec());
+        self.wal_bytes += frame.len() as u64;
+        self.unsynced += 1;
         self.since_ckpt += 1;
+        let due = match self.fsync {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(k) => self.unsynced >= u64::from(k),
+            FsyncPolicy::Never => false,
+        };
+        if due {
+            self.sync()?;
+        }
         if self.checkpoint_every > 0 && self.since_ckpt >= self.checkpoint_every {
             self.checkpoint()?;
         }
         Ok(())
     }
 
-    /// Write a full checkpoint (tmp + rename, previous kept as
-    /// `.ckpt.prev`) and restart the WAL.
-    pub fn checkpoint(&mut self) -> io::Result<()> {
-        let ckpt = ckpt_path(&self.dir, self.shard);
-        let prev = ckpt_prev_path(&self.dir, self.shard);
-        let tmp = self.dir.join(format!("shard-{}.ckpt.tmp", self.shard));
-        let mut f = File::create(&tmp)?;
-        let mut written = 0usize;
-        f.write_all(MAGIC)?;
-        let mut ver = Vec::with_capacity(4);
-        put_u32(&mut ver, VERSION);
-        f.write_all(&ver)?;
-        written += MAGIC.len() + ver.len();
-        let mut meta = Vec::new();
-        put_u64(&mut meta, self.state.seq());
-        match &self.state.watermark {
-            Some(w) => {
-                meta.push(1);
-                put_tuple(&mut meta, w);
-            }
-            None => meta.push(0),
+    fn sync(&mut self) -> io::Result<()> {
+        if self.unsynced > 0 {
+            self.log.sync_data()?;
+            self.unsynced = 0;
+            self.ckpt_writes += 1;
         }
-        put_bytes(&mut meta, &self.state.carry);
-        put_bytes(&mut meta, &self.state.aux);
-        written += write_frame(&mut f, &meta)?;
-        for ob in &self.state.outputs {
-            written += write_frame(&mut f, ob)?;
-        }
-        // Checkpoints always sync: they are the fallback the WAL chains
-        // onto, and they are rare.
-        f.sync_all()?;
-        drop(f);
-        match fs::rename(&ckpt, &prev) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        fs::rename(&tmp, &ckpt)?;
-        self.wal = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(wal_path(&self.dir, self.shard))?;
-        self.unsynced = 0;
-        self.since_ckpt = 0;
-        self.ckpt_writes += 1;
-        self.ckpt_bytes += written as u64;
         Ok(())
+    }
+
+    /// A durability point: every window recorded so far is on the
+    /// platter when this returns. The log is never rewritten, so there
+    /// is nothing to write.
+    pub fn checkpoint(&mut self) -> io::Result<()> {
+        self.since_ckpt = 0;
+        self.sync()
     }
 
     /// Seal the run at end of stream with a final checkpoint.
@@ -377,112 +285,97 @@ impl ShardStore {
         self.checkpoint()
     }
 
-    /// WAL records appended by this writer.
+    /// Records appended by this writer.
     pub fn wal_appends(&self) -> u64 {
         self.wal_appends
     }
 
-    /// WAL bytes appended by this writer.
+    /// Bytes in the shard's log: those a resumed writer found there
+    /// plus those it appended — the file's size.
     pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes
     }
 
-    /// Checkpoints written by this writer.
+    /// Durability points reached by this writer: syncs of the log,
+    /// whichever cadence asked.
     pub fn ckpt_writes(&self) -> u64 {
         self.ckpt_writes
     }
 
-    /// Checkpoint bytes written by this writer.
+    /// Bytes rewritten by checkpoints: 0, the log is never rewritten.
+    /// Kept because the benchmark reads it.
     pub fn ckpt_bytes(&self) -> u64 {
-        self.ckpt_bytes
+        0
     }
 
-    /// Windows recorded since the last checkpoint (the checkpoint age,
-    /// in windows).
+    /// Windows recorded since the last durability point (the
+    /// checkpoint age, in windows): what power loss would cost now.
     pub fn windows_since_ckpt(&self) -> u64 {
-        self.since_ckpt
+        self.unsynced
     }
 
     /// Windows durably recorded in total.
     pub fn windows_recorded(&self) -> u64 {
-        self.state.seq()
+        self.seq
     }
 }
 
-/// Parse a checkpoint file into a [`RecoveredShard`]-shaped state;
-/// `None` when missing, truncated, or checksum-corrupt anywhere.
-fn load_ckpt(path: &Path) -> Option<(RecoveredShard, u64)> {
-    let buf = fs::read(path).ok()?;
-    if buf.len() < 12 || &buf[..8] != MAGIC {
+/// The next record of the log if it is whole and carries `seq`: its
+/// output, carry and aux.
+fn take_record<'a>(r: &mut Reader<'a>, seq: u64) -> Option<(WindowOutput, &'a [u8], &'a [u8])> {
+    let mut payload = Reader::new(take_frame(r).ok()?);
+    if payload.take_u64().ok()? != seq {
         return None;
     }
-    if u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")) != VERSION {
-        return None;
-    }
-    let mut pos = 12usize;
-    let meta = read_frame(&buf, &mut pos)?;
-    let mut r = Reader::new(meta);
-    let seq = r.take_u64().ok()?;
-    let watermark = match r.take_u8().ok()? {
-        0 => None,
-        _ => Some(take_tuple(&mut r).ok()?),
-    };
-    let carry = r.take_bytes().ok()?.to_vec();
-    let aux = r.take_bytes().ok()?.to_vec();
-    if !r.is_empty() {
-        return None;
-    }
-    let mut outputs = Vec::with_capacity(seq.min(1 << 20) as usize);
-    for _ in 0..seq {
-        let ob = read_frame(&buf, &mut pos)?;
-        let mut or = Reader::new(ob);
-        let out = take_window_output(&mut or).ok()?;
-        if !or.is_empty() {
-            return None;
+    let mut output = Reader::new(payload.take_bytes().ok()?);
+    let out = take_window_output(&mut output).ok()?;
+    let carry = payload.take_bytes().ok()?;
+    let aux = payload.take_bytes().ok()?;
+    (output.is_empty() && payload.is_empty()).then_some((out, carry, aux))
+}
+
+/// Replay a shard's log up to its first damaged or out-of-chain record;
+/// also returns the bytes of the log that replayed.
+fn scan_log(dir: &Path, shard: usize) -> io::Result<(RecoveredShard, u64)> {
+    for old in old_layout_paths(dir, shard) {
+        if old.try_exists()? {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: a checkpoint file of the older store layout, which this build cannot \
+                     read (it keeps one log per shard); recover the directory with the build \
+                     that wrote it, or start a fresh run in it",
+                    old.display()
+                ),
+            ));
         }
-        outputs.push(out);
     }
-    Some((RecoveredShard { outputs, carry, aux, watermark }, seq))
-}
-
-/// Recover one shard's durable state: newest valid checkpoint (falling
-/// back to `.ckpt.prev`, then to empty), plus every WAL record that
-/// chains onto it. Never panics on corrupt input — a bad record simply
-/// ends the replay.
-pub fn recover_shard(dir: &Path, shard: usize) -> io::Result<RecoveredShard> {
-    let (mut state, mut seq) = load_ckpt(&ckpt_path(dir, shard))
-        .or_else(|| load_ckpt(&ckpt_prev_path(dir, shard)))
-        .unwrap_or((RecoveredShard::default(), 0));
-    let wal = match fs::read(wal_path(dir, shard)) {
+    let log = match fs::read(wal_path(dir, shard)) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let mut pos = 0usize;
-    while let Some(payload) = read_frame(&wal, &mut pos) {
-        let mut r = Reader::new(payload);
-        let Ok(rec_seq) = r.take_u64() else { break };
-        if rec_seq != seq {
-            // The record belongs after a checkpoint we did not load
-            // (e.g. the newest one was corrupt): stop, the state is
-            // consistent as of `seq` windows.
-            break;
-        }
-        let Ok(ob) = r.take_bytes() else { break };
-        let Ok(carry) = r.take_bytes() else { break };
-        let Ok(aux) = r.take_bytes() else { break };
-        let mut or = Reader::new(ob);
-        let Ok(out) = take_window_output(&mut or) else { break };
-        if !or.is_empty() || !r.is_empty() {
-            break;
-        }
-        state.watermark = Some(out.window.clone());
-        state.outputs.push(out);
-        state.carry = carry.to_vec();
-        state.aux = aux.to_vec();
-        seq += 1;
+    let mut outputs = Vec::new();
+    let (mut carry, mut aux): (&[u8], &[u8]) = (&[], &[]);
+    let mut r = Reader::new(&log);
+    let mut valid = 0;
+    while let Some((out, c, a)) = take_record(&mut r, outputs.len() as u64) {
+        outputs.push(out);
+        (carry, aux) = (c, a);
+        valid = log.len() - r.remaining();
     }
-    Ok(state)
+    let watermark = outputs.last().map(|out| out.window.clone());
+    let state = RecoveredShard { outputs, carry: carry.to_vec(), aux: aux.to_vec(), watermark };
+    Ok((state, valid as u64))
+}
+
+/// Recover one shard's durable state: every record of its log up to the
+/// first that is torn, corrupt or out of chain. Never panics on damaged
+/// input — a bad record simply ends the replay. A directory of the
+/// older checkpoint-file layout is refused with an error naming the
+/// file, not misread as an empty shard.
+pub fn recover_shard(dir: &Path, shard: usize) -> io::Result<RecoveredShard> {
+    scan_log(dir, shard).map(|(state, _)| state)
 }
 
 #[cfg(test)]
@@ -541,6 +434,8 @@ mod tests {
         }
         assert_eq!(store.ckpt_writes(), 2, "checkpoints at windows 2 and 4");
         assert_eq!(store.windows_since_ckpt(), 1);
+        assert_eq!(store.ckpt_bytes(), 0, "a checkpoint writes nothing");
+        assert_eq!(store.wal_bytes(), fs::metadata(wal_path(&dir, 3)).unwrap().len());
         drop(store);
         let rec = recover_shard(&dir, 3).unwrap();
         assert_eq!(rec.outputs.len(), 5);
@@ -567,47 +462,79 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_checkpoint_falls_back_to_previous() {
-        let dir = tmpdir("fallback");
-        let cfg = StoreConfig { checkpoint_every: 2, ..StoreConfig::new(&dir) };
-        let mut store = ShardStore::create(&cfg, 0).unwrap();
-        for w in 1..=4 {
-            record(&mut store, w, format!("c{w}").as_bytes(), b"");
+    fn the_log_is_synced_on_the_windows_the_checkpoint_file_was() {
+        // After which of 7 windows the parent synced a file: its WAL
+        // under the fsync policy (a checkpoint restarted the `every=N`
+        // count), or the checkpoint file it wrote every
+        // `checkpoint_every` windows and at `finalize`.
+        let cases: [(FsyncPolicy, u64, &[u64]); 6] = [
+            (FsyncPolicy::Always, 0, &[1, 2, 3, 4, 5, 6, 7]),
+            (FsyncPolicy::Always, 2, &[1, 2, 3, 4, 5, 6, 7]),
+            (FsyncPolicy::EveryN(3), 0, &[3, 6]),
+            (FsyncPolicy::EveryN(3), 2, &[2, 4, 6]),
+            (FsyncPolicy::Never, 0, &[]),
+            (FsyncPolicy::Never, 2, &[2, 4, 6]),
+        ];
+        for (fsync, checkpoint_every, expected) in cases {
+            let dir = tmpdir(&format!("cadence-{fsync}-{checkpoint_every}"));
+            let cfg = StoreConfig { dir: dir.clone(), checkpoint_every, fsync };
+            let mut store = ShardStore::create(&cfg, 0).unwrap();
+            let mut synced_after = Vec::new();
+            for w in 1..=7 {
+                let before = store.ckpt_writes();
+                record(&mut store, w, b"c", b"");
+                if store.ckpt_writes() > before {
+                    synced_after.push(w);
+                }
+            }
+            assert_eq!(
+                synced_after, expected,
+                "fsync {fsync}, checkpoint_every {checkpoint_every}"
+            );
+            // Window 7 is unsynced unless the policy is `always`.
+            let before = store.ckpt_writes();
+            let left = u64::from(fsync != FsyncPolicy::Always);
+            store.finalize().unwrap();
+            assert_eq!(
+                store.ckpt_writes() - before,
+                left,
+                "finalize syncs what is unsynced ({fsync})"
+            );
+            assert_eq!(store.windows_since_ckpt(), 0);
+            let _ = fs::remove_dir_all(&dir);
         }
-        drop(store);
-        // Flip a payload byte in the newest checkpoint; its checksum now
-        // fails and recovery must use shard-0.ckpt.prev (state as of
-        // window 2). The WAL is empty (truncated at the window-4
-        // checkpoint), so nothing chains past it.
-        let p = ckpt_path(&dir, 0);
-        let mut bytes = fs::read(&p).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        fs::write(&p, &bytes).unwrap();
-        let rec = recover_shard(&dir, 0).unwrap();
-        assert_eq!(rec.outputs.len(), 2, "previous checkpoint state");
-        assert_eq!(rec.carry, b"c2");
-        assert_eq!(rec.watermark, Some(Tuple::new(vec![Value::U64(2)])));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn resume_restarts_from_fresh_checkpoint() {
-        let dir = tmpdir("resume");
-        let cfg = StoreConfig { checkpoint_every: 0, ..StoreConfig::new(&dir) };
+    fn an_old_layout_directory_is_refused_and_a_fresh_run_cleans_it() {
+        let dir = tmpdir("oldlayout");
+        let cfg = StoreConfig::new(&dir);
+        // What the older build left behind: a checkpoint file (magic
+        // SSOSTOR1) and a log that chains onto it.
         let mut store = ShardStore::create(&cfg, 0).unwrap();
-        record(&mut store, 1, b"c1", b"a1");
+        record(&mut store, 1, b"c1", b"");
         drop(store);
-        let (mut resumed, rec) = ShardStore::open_resumed(&cfg, 0).unwrap();
-        assert_eq!(rec.outputs.len(), 1);
-        assert_eq!(rec.carry, b"c1");
-        record(&mut resumed, 2, b"c2", b"a2");
-        resumed.finalize().unwrap();
-        drop(resumed);
+        for ext in ["ckpt", "ckpt.prev"] {
+            let old = dir.join(format!("shard-0.{ext}"));
+            fs::write(&old, b"SSOSTOR1").unwrap();
+            let refused = recover_shard(&dir, 0).unwrap_err();
+            assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+            assert!(refused.to_string().contains(&format!("shard-0.{ext}:")), "{refused}");
+            let refused = ShardStore::open_resumed(&cfg, 0).err().expect("resume is refused too");
+            assert!(refused.to_string().contains("older store layout"), "{refused}");
+            fs::remove_file(&old).unwrap();
+        }
+        assert_eq!(recover_shard(&dir, 0).unwrap().outputs.len(), 1, "nothing else is in the way");
+        fs::write(dir.join("shard-0.ckpt"), b"SSOSTOR1").unwrap();
+        fs::write(dir.join("shard-0.ckpt.prev"), b"SSOSTOR1").unwrap();
+        let mut store = ShardStore::create(&cfg, 0).unwrap();
+        record(&mut store, 5, b"c5", b"");
+        drop(store);
         let rec = recover_shard(&dir, 0).unwrap();
-        assert_eq!(rec.outputs.len(), 2);
-        assert_eq!(rec.carry, b"c2");
-        assert_eq!(rec.aux, b"a2");
+        assert_eq!(rec.outputs.len(), 1);
+        assert_eq!(rec.carry, b"c5");
+        let left: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["shard-0.wal"], "a fresh run leaves the log and nothing else");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -193,8 +193,9 @@ pub fn take_tuple(r: &mut Reader<'_>) -> Result<Tuple, WireError> {
     Ok(Tuple::new(vals))
 }
 
-/// FNV-1a 64-bit checksum — the frame integrity check for snapshot and
-/// WAL records. Not cryptographic; it detects torn writes and bit rot.
+/// FNV-1a 64-bit checksum — the frame integrity check of every durable
+/// record, and the node hash of rewrite certificates. Not
+/// cryptographic; it detects torn writes and bit rot.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -202,6 +203,68 @@ pub fn checksum(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1_0000_01b3);
     }
     h
+}
+
+/// Reserve the length prefix of a [`put_bytes`] section at the end of
+/// `out`, so the section can be encoded straight behind it instead of
+/// into a buffer of its own; [`end_bytes`] takes the returned offset.
+pub fn begin_bytes(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    put_u32(out, 0);
+    start
+}
+
+/// Seal the section begun at `start`: everything appended since is its
+/// content. 4 GiB or more does not fit the `u32` prefix and is an
+/// error, never a truncated length that cannot be read back.
+pub fn end_bytes(out: &mut [u8], start: usize) -> Result<(), WireError> {
+    let len = section_len(out.len() - start - 4)?;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    Ok(())
+}
+
+fn section_len(bytes: usize) -> Result<u32, WireError> {
+    u32::try_from(bytes)
+        .or_else(|_| err(format!("section of {bytes} bytes exceeds the u32 length prefix")))
+}
+
+/// Reserve a frame header — the `u64` [`checksum`] of the payload, then
+/// the payload as a [`put_bytes`] section — at the end of `out`. Every
+/// durable record in the tree (shard log, flight-recorder dump) travels
+/// in this one frame; [`end_frame`] takes the returned offset.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    put_u64(out, 0);
+    begin_bytes(out);
+    start
+}
+
+/// Seal the frame begun at `start`: everything appended since is the
+/// payload, whose checksum and length are patched into the header.
+pub fn end_frame(out: &mut [u8], start: usize) -> Result<(), WireError> {
+    end_bytes(out, start + 8)?;
+    let sum = checksum(&out[start + 12..]);
+    out[start..start + 8].copy_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
+/// Append `payload` as one frame.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), WireError> {
+    let start = begin_frame(out);
+    out.extend_from_slice(payload);
+    end_frame(out, start)
+}
+
+/// Read one frame's payload; a short header, a length past the end of
+/// the input or a checksum mismatch is an error (and the reader's
+/// position is then unspecified).
+pub fn take_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WireError> {
+    let want = r.take_u64()?;
+    let payload = r.take_bytes()?;
+    if checksum(payload) != want {
+        return err("frame checksum mismatch");
+    }
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -272,6 +335,38 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert!(take_value(&mut r).is_err());
         assert!(Reader::new(&[99]).take_u32().is_err());
+    }
+
+    #[test]
+    fn frames_round_trip_and_reject_damage() {
+        let mut buf = vec![0xaa];
+        put_frame(&mut buf, b"first").unwrap();
+        let start = begin_frame(&mut buf);
+        put_u64(&mut buf, 7);
+        end_frame(&mut buf, start).unwrap();
+        let mut r = Reader::new(&buf[1..]);
+        assert_eq!(take_frame(&mut r).unwrap(), b"first");
+        assert_eq!(take_frame(&mut r).unwrap(), 7u64.to_le_bytes());
+        assert!(r.is_empty());
+        assert!(take_frame(&mut r).is_err(), "no header left");
+        let last = buf.len() - 1;
+        buf[last] ^= 1;
+        let mut r = Reader::new(&buf[1..]);
+        assert!(take_frame(&mut r).is_ok());
+        assert!(take_frame(&mut r).is_err(), "flipped payload bit");
+        let mut r = Reader::new(&buf[1..last]);
+        assert!(take_frame(&mut r).is_ok());
+        assert!(take_frame(&mut r).is_err(), "torn payload");
+    }
+
+    #[test]
+    fn a_length_that_does_not_fit_is_an_error_not_a_truncation() {
+        // The check every section and frame goes through, without
+        // allocating 4 GiB to reach it.
+        assert_eq!(section_len(u32::MAX as usize), Ok(u32::MAX));
+        if let Some(too_long) = (u32::MAX as usize).checked_add(1) {
+            assert!(section_len(too_long).unwrap_err().message.contains("4294967296 bytes"));
+        }
     }
 
     #[test]

@@ -41,14 +41,14 @@
 //!                                     sharded runtime (--shards/--routers)
 //!   --fault-seed S                    generate a seeded fault plan instead of
 //!                                     reading one (same replayable format)
-//!   --durable DIR                     persist operator state to DIR: per-shard
-//!                                     window checkpoints plus a carry-over WAL,
-//!                                     so `sso recover DIR` resumes a killed run
+//!   --durable DIR                     persist operator state to DIR: one append-only
+//!                                     log of closed windows per shard, so
+//!                                     `sso recover DIR` resumes a killed run
 //!                                     with loss bounded to the crash window
 //!   --state-budget BYTES              cap live group-table state; shards over
 //!                                     budget page cold groups to a spill file
 //!                                     under DIR (requires --durable)
-//!   --fsync always|never|every=N      WAL durability policy (default never:
+//!   --fsync always|never|every=N      when a logged window is synced (default never:
 //!                                     survives process crashes, not power loss)
 //!   --metrics[=FILE]                  collect telemetry; write JSON snapshots to
 //!                                     FILE (`-`/omitted = stdout, `*.prom` =
@@ -415,7 +415,7 @@ fn run_audit(args: &[String]) -> ! {
         let durable = outcome.report.durable();
         let _ = writeln!(
             out,
-            "{path}: durable: snapshot <= {} B/window, WAL <= {} B/window, \
+            "{path}: durable: boundary state <= {} B, log <= {} B/window, \
              spill pages <= {}, min --state-budget {}",
             durable.snapshot_bytes_per_window,
             durable.wal_bytes_per_window,
@@ -1012,9 +1012,10 @@ fn render_top_profile(p: &stream_sampler::profile::Profiler) -> String {
 /// metrics in the snapshot).
 fn render_shard_health(snap: &Snapshot) -> String {
     // label "shard=N" → [tuples, windows, stalls, dropped, shed,
-    // quarantines, ckpt age, resident spill bytes]. The last two only
-    // appear on durable runs (`store.*` gauges); the columns render
-    // anyway so the table shape is stable.
+    // quarantines, ckpt age (windows logged since the shard's log was
+    // last synced: what power loss would cost now), resident spill
+    // bytes]. The last two only appear on durable runs (`store.*`
+    // gauges); the columns render anyway so the table shape is stable.
     const COLS: [&str; 8] = [
         "rt.tuples",
         "rt.windows",

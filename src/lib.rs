@@ -17,7 +17,7 @@
 //! | [`obs`] | `sso-obs` | telemetry: metrics registry, sampled spans, exporters, the `METRICS` meta-stream |
 //! | [`query`] | `sso-query` | the §5 query language: lexer, parser, planner |
 //! | [`runtime`] | `sso-runtime` | sharded execution: hash-partitioned worker shards, window-aligned merge, shard supervision |
-//! | [`store`] | `sso-store` | durable operator state: window checkpoints, carry-over WAL, spill-to-disk group tables |
+//! | [`store`] | `sso-store` | durable operator state: an append-only log of closed windows per shard, spill-to-disk group tables |
 //! | [`faults`] | `sso-faults` | seeded, replayable fault plans: worker panics/stalls, bursts, reordering, skew, malformed tuples |
 //! | [`gigascope`] | `sso-gigascope` | low-level nodes, the inline batch driver, two-level and multi-query plans, CPU accounting |
 //! | [`netgen`] | `sso-netgen` | synthetic research-center and data-center packet feeds |

@@ -153,3 +153,42 @@ fn sizing_hints_preserve_sharded_output() {
     }
     assert_eq!(sized.coverage, 1.0, "pre-sizing must not shed or degrade");
 }
+
+#[test]
+fn observed_log_bytes_per_window_stay_under_certified_ceiling() {
+    // A durable record carries the window's output rows besides the
+    // carry-over; the certificate has to cover both.
+    let packets = research_feed(7).take_seconds(130);
+    let schema = Packet::schema();
+    let config = PlannerConfig::standard();
+    for name in ["subset_sum_query", "reservoir_query", "heavy_hitters_query"] {
+        let text = EXAMPLE_QUERIES.iter().find(|(n, _)| *n == name).unwrap().1;
+        let out = audit_file(text, &AuditOptions { shards: 2, ..AuditOptions::default() });
+        let certified = out.report.durable().wal_bytes_per_window;
+        let certified =
+            certified.finite().unwrap_or_else(|| panic!("{name}: no finite log ceiling"));
+        let parsed = parse_query(text).unwrap();
+        let make = |_shard: usize| {
+            stream_sampler::query::plan(&parsed, &schema, &config)
+                .map_err(|e| OpError::InvalidSpec(e.to_string()))
+        };
+        let dir = std::env::temp_dir().join(format!("sso-audit-log-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = stream_sampler::runtime::DurabilityConfig::new(&dir);
+        let cfg = RuntimeConfig::new(2).with_durability(durability);
+        run_plan_sharded(Box::new(SelectionNode::pass_all()), make, &cfg, packets.clone()).unwrap();
+        for shard in 0..2 {
+            let wal_bytes =
+                std::fs::metadata(dir.join(format!("shard-{shard}.wal"))).unwrap().len();
+            let windows_recorded =
+                stream_sampler::store::recover_shard(&dir, shard).unwrap().outputs.len() as u64;
+            assert!(windows_recorded >= 2, "{name}: shard {shard} recorded {windows_recorded}");
+            assert!(
+                wal_bytes / windows_recorded <= certified,
+                "{name}: shard {shard} logged {wal_bytes} B over {windows_recorded} windows, \
+                 certified {certified} B/window"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

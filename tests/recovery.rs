@@ -183,6 +183,19 @@ fn cli_recover_pins_routers_and_ignores_stale_router_cursors() {
     manifest.push(("router_cursors".into(), format!("0,{}", n / 2)));
     stream_sampler::store::write_manifest(&dir, &manifest).expect("rewrite MANIFEST");
 
+    // An older build's store kept checkpoint files its log chained
+    // onto; such a directory is refused by name, not read as empty.
+    let old_ckpt = dir.join("shard-2.ckpt");
+    std::fs::write(&old_ckpt, b"SSOSTOR1").expect("plant an old-layout file");
+    let refused = std::process::Command::new(sso)
+        .args(["recover", "--json", dir_s])
+        .output()
+        .expect("sso recover runs");
+    assert!(!refused.status.success(), "an old-layout store must not recover");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("shard-2.ckpt") && stderr.contains("older store layout"), "{stderr}");
+    std::fs::remove_file(&old_ckpt).expect("remove the planted file");
+
     // Recovery converges on the fault-free output, byte for byte on the
     // machine-readable channel.
     let recovered = std::process::Command::new(sso)
