@@ -1,8 +1,9 @@
 //! The generic sampling operator: specification and runtime.
 //!
-//! [`SamplingOperator::process`] implements the evaluation loop of §6.4,
-//! staged so that a tuple WHERE rejects pays for steps 1–4 and nothing
-//! else:
+//! [`SamplingOperator::process`] implements the evaluation loop of §6.4
+//! for one tuple, and [`SamplingOperator::process_batch`] the same body
+//! over a batch, staged so that a tuple WHERE rejects pays for steps 1–4
+//! and nothing else:
 //!
 //! 1. compute the window-defining group-by values; if one changed, close
 //!    the window: run each state's window-end hook, evaluate HAVING on
@@ -526,6 +527,8 @@ impl TuplePhase {
 
     /// Fold the tuple into a group's aggregate states: each argument
     /// that is needed is evaluated, and read where its stage left it.
+    /// Part of the §6.4 body, and inlined into it like its other stages.
+    #[inline(always)]
     fn fold(&mut self, f: &mut Frame<'_>, aggs: &mut [AggState]) -> Result<(), OpError> {
         for (state, (arg, latch)) in aggs.iter_mut().zip(&self.agg_args) {
             match arg {
@@ -721,6 +724,34 @@ impl SamplingOperator {
     /// window's output is returned (the tuple itself is processed into
     /// the new window).
     pub fn process(&mut self, tuple: &Tuple) -> Result<Option<WindowOutput>, OpError> {
+        let mut closed = None;
+        self.admit(tuple, &mut |w| closed = Some(w))?;
+        Ok(closed)
+    }
+
+    /// [`Self::process`] each tuple of `tuples` in order, handing every
+    /// window to `sink` as it closes. The first error ends the batch
+    /// after the windows closed before the failing tuple were handed
+    /// over — a window that tuple closed is lost with it, as it is from
+    /// `process`.
+    pub fn process_batch(
+        &mut self,
+        tuples: &[Tuple],
+        mut sink: impl FnMut(WindowOutput),
+    ) -> Result<(), OpError> {
+        for tuple in tuples {
+            self.admit(tuple, &mut sink)?;
+        }
+        Ok(())
+    }
+
+    /// The §6.4 loop body for one tuple: [`Self::process`] is this, and
+    /// [`Self::process_batch`] runs it inlined in its loop. A window the
+    /// tuple closes goes to `sink` once the tuple is in; it is not
+    /// returned, because a `Result` of a window moved out of every call
+    /// is copied through memory on every tuple.
+    #[inline(always)]
+    fn admit(&mut self, tuple: &Tuple, sink: &mut impl FnMut(WindowOutput)) -> Result<(), OpError> {
         let _span = self.metrics.as_ref().and_then(|m| m.process_span.start());
         // The one context of this tuple's stages.
         let mut frame = Frame::of_tuple(tuple);
@@ -729,11 +760,11 @@ impl SamplingOperator {
         self.tuple_phase.program.run(&self.tuple_phase.window, &mut frame)?;
         let key = self.tuple_phase.program.regs(&self.tuple_phase.key);
         let window = self.spec.window_indices.iter().map(|&i| &key[i]);
-        let mut out = None;
+        let mut closed = None;
         if !self.window.as_ref().is_some_and(|current| window.clone().eq(current)) {
             let turned = window.cloned().collect();
             if self.window.is_some() {
-                out = Some(self.flush_window()?);
+                closed = Some(self.flush_window()?);
             }
             self.window = Some(turned);
         }
@@ -761,50 +792,56 @@ impl SamplingOperator {
         let (spec, tp) = (&*self.spec, &mut self.tuple_phase);
         let SupergroupEntry { superaggs, states, groups: members, .. } = &mut self.sgs[sg_idx];
         (frame.superaggs, frame.states) = (superaggs, states);
-        // 4. WHERE.
-        if let Some(w) = &tp.where_clause {
-            if !tp.program.test(w, &mut frame)? {
-                return Ok(out);
+        'admitted: {
+            // 4. WHERE.
+            if let Some(w) = &tp.where_clause {
+                if !tp.program.test(w, &mut frame)? {
+                    break 'admitted;
+                }
             }
-        }
-        self.wstats.admitted += 1;
-        // 5. The group-by values nothing before admission needed, and
-        // 6. the superaggregates' per-tuple updates.
-        tp.program.run(&tp.admitted.ops, &mut frame)?;
-        for (state, arg) in frame.superaggs.iter_mut().zip(&tp.admitted.values) {
-            if let Some(arg) = arg {
-                state.fold_tuple(tp.program.value(*arg, tuple, &[]))?;
+            self.wstats.admitted += 1;
+            // 5. The group-by values nothing before admission needed, and
+            // 6. the superaggregates' per-tuple updates.
+            tp.program.run(&tp.admitted.ops, &mut frame)?;
+            for (state, arg) in frame.superaggs.iter_mut().zip(&tp.admitted.values) {
+                if let Some(arg) = arg {
+                    state.fold_tuple(tp.program.value(*arg, tuple, &[]))?;
+                }
             }
-        }
-        // 7. Group lookup / creation by the group-by registers, and
-        // aggregate update. A group whose first fold fails was never there.
-        let (id, created) = self.groups.upsert(tp.program.regs(&tp.key));
-        if let Err(e) = tp.fold(&mut frame, self.groups.entry_mut(id).1) {
-            if let Some(created) = created {
-                self.groups.retract(id, created);
+            // 7. Group lookup / creation by the group-by registers, and
+            // aggregate update. A group whose first fold fails was never
+            // there.
+            let (id, created) = self.groups.upsert(tp.program.regs(&tp.key));
+            if let Err(e) = tp.fold(&mut frame, self.groups.entry_mut(id).1) {
+                if let Some(created) = created {
+                    self.groups.retract(id, created);
+                }
+                return Err(e);
             }
-            return Err(e);
-        }
-        if created.is_some() {
-            self.wstats.groups_created += 1;
-            members.push(id);
-            tp.program.run(&tp.added.ops, &mut frame)?;
-            let hooks = spec.superaggs.iter().zip(frame.superaggs.iter_mut());
-            for ((sa, state), tracked) in hooks.zip(&tp.added.values) {
-                match tracked {
-                    Some(v) => state.track(tp.program.value(*v, tuple, &[])),
-                    None => sa.on_group_add(state, tp.program.regs(&tp.key))?,
+            if created.is_some() {
+                self.wstats.groups_created += 1;
+                members.push(id);
+                tp.program.run(&tp.added.ops, &mut frame)?;
+                let hooks = spec.superaggs.iter().zip(frame.superaggs.iter_mut());
+                for ((sa, state), tracked) in hooks.zip(&tp.added.values) {
+                    match tracked {
+                        Some(v) => state.track(tp.program.value(*v, tuple, &[])),
+                        None => sa.on_group_add(state, tp.program.regs(&tp.key))?,
+                    }
+                }
+            }
+            // 8. CLEANING WHEN / cleaning phase.
+            if let Some(cw) = &tp.cleaning_when {
+                if tp.program.test(cw, &mut frame)? {
+                    self.wstats.cleaning_phases += 1;
+                    self.clean_supergroup(sg_idx)?;
                 }
             }
         }
-        // 8. CLEANING WHEN / cleaning phase.
-        if let Some(cw) = &tp.cleaning_when {
-            if tp.program.test(cw, &mut frame)? {
-                self.wstats.cleaning_phases += 1;
-                self.clean_supergroup(sg_idx)?;
-            }
+        if let Some(w) = closed {
+            sink(w);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Create the supergroup of `key`; if the key existed in the previous

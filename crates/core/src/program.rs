@@ -11,7 +11,9 @@
 //! (an input column, a value of the group's key, a register), two `u64`s
 //! or two `Bool`s are combined on the spot, and a result is written into
 //! its register, never returned; every other pair of operands falls into
-//! [`BinOp::apply`], the one definition [`Expr::eval`] uses too. What a
+//! [`BinOp::apply`], the one definition [`Expr::eval`] uses too. The loop
+//! that runs a stage is inlined where the stage is run and holds only
+//! what needs no call; a call of any kind is made out of line. What a
 //! clause may read is settled at lowering: its [`Scope`] turns a
 //! reference to anything else into the operation that raises
 //! `Expr::eval`'s `MissingContext` if it is reached, so the interpreter
@@ -196,10 +198,42 @@ fn binary_fast(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
     })
 }
 
-/// Every other pair of operands: [`BinOp::apply`], out of line.
+/// The operations that call out of the interpreter loop — an SFUN, a
+/// scalar function, an aggregate or superaggregate read, [`BinOp::apply`]
+/// for every pair [`binary_fast`] leaves, a `Missing` — made here, out of
+/// line, so that the loop inlined into each stage's caller holds only
+/// what it computes on the spot.
 #[inline(never)]
-fn binary_slow(op: BinOp, a: &Value, b: &Value) -> Result<Value, OpError> {
-    Ok(op.apply(a, b)?)
+fn call_out(inst: &Inst, regs: &mut [Value], f: &mut Frame<'_>) -> Result<(), OpError> {
+    let dst = inst.dst;
+    match &inst.op {
+        Op::Binary { op, a, b } => {
+            let v = op.apply(operand(*a, f.tuple, f.key, regs), operand(*b, f.tuple, f.key, regs));
+            regs[dst] = v?;
+        }
+        Op::Aggregate { slot } => regs[dst] = f.aggs[*slot].value(),
+        Op::SuperAgg { slot } => regs[dst] = f.superaggs[*slot].value(),
+        // A `Bool` — every sampling predicate's answer — is read back
+        // field by field: copied whole, the `Result` the callee has just
+        // stored a byte at a time would be loaded 16 bytes at once, and
+        // wait for those stores to retire (~6 ns a call).
+        Op::Sfun { lib, name, fun, args } => {
+            match fun(f.states[*lib].as_mut(), &regs[args.clone()]) {
+                Ok(Value::Bool(b)) => regs[dst] = Value::Bool(b),
+                Ok(v) => regs[dst] = v,
+                Err(reason) => return Err(bad_call(true, name, reason)),
+            }
+        }
+        Op::Scalar { name, fun, args } => match fun(&regs[args.clone()]) {
+            Ok(v) => regs[dst] = v,
+            Err(reason) => return Err(bad_call(false, name, reason)),
+        },
+        Op::Missing { what, clause } => return Err(missing(what, clause)),
+        Op::Not { .. } | Op::ShortCircuit { .. } | Op::Truthy { .. } | Op::Copy { .. } => {
+            unreachable!("computed in the loop")
+        }
+    }
+    Ok(())
 }
 
 impl Program {
@@ -212,6 +246,7 @@ impl Program {
 
     /// The registers `range`: the group-by values of the current tuple,
     /// a supergroup key.
+    #[inline]
     pub(crate) fn regs(&self, range: &Range<usize>) -> &[Value] {
         &self.regs[range.clone()]
     }
@@ -223,59 +258,58 @@ impl Program {
     }
 
     /// Run a stage and read its value as a predicate.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn test(&mut self, stage: &Stage, f: &mut Frame<'_>) -> Result<bool, OpError> {
         self.run(&stage.ops, f)?;
         Ok(self.value(stage.value, f.tuple, f.key).truthy())
     }
 
-    /// Run the operations `ops`, each writing its register.
+    /// Run the operations `ops`, each writing its register: the one
+    /// interpreter loop, inlined where a stage is run, so that a stage
+    /// with no operations is one comparison and `time / 2` or
+    /// `len >= 110` a few instructions in the caller. What needs no call
+    /// is computed here; the rest goes to [`call_out`].
+    #[inline(always)]
     pub(crate) fn run(&mut self, ops: &Range<usize>, f: &mut Frame<'_>) -> Result<(), OpError> {
-        let (regs, tuple, key) = (self.regs.as_mut_slice(), f.tuple, f.key);
+        let (code, regs) = (&self.ops[..ops.end], self.regs.as_mut_slice());
+        let (tuple, key) = (f.tuple, f.key);
         let mut pc = ops.start;
         while pc < ops.end {
-            let Inst { op, dst } = &self.ops[pc];
+            let inst = &code[pc];
             pc += 1;
-            match op {
-                // One write per path: a single `regs[dst] = match ..`
-                // sends both through the stack slot of the slow path's
-                // `Result`, which the fast path then reads back before
-                // its stores have retired (~15 ns a tuple).
+            let dst = inst.dst;
+            // An operation done on the spot writes its register and goes
+            // on; the rest, and a pair `binary_fast` leaves, fall through.
+            match &inst.op {
                 Op::Binary { op, a, b } => {
                     let (x, y) = (operand(*a, tuple, key, regs), operand(*b, tuple, key, regs));
-                    match binary_fast(*op, x, y) {
-                        Some(v) => regs[*dst] = v,
-                        None => {
-                            let v = binary_slow(*op, x, y)?;
-                            regs[*dst] = v;
-                        }
+                    if let Some(v) = binary_fast(*op, x, y) {
+                        regs[dst] = v;
+                        continue;
                     }
                 }
-                Op::Not { a } => regs[*dst] = Value::Bool(!operand(*a, tuple, key, regs).truthy()),
+                Op::Not { a } => {
+                    regs[dst] = Value::Bool(!operand(*a, tuple, key, regs).truthy());
+                    continue;
+                }
                 Op::ShortCircuit { a, when, skip_to } => {
                     if operand(*a, tuple, key, regs).truthy() == *when {
-                        regs[*dst] = Value::Bool(*when);
+                        regs[dst] = Value::Bool(*when);
                         pc = *skip_to;
                     }
+                    continue;
                 }
                 Op::Truthy { a } => {
-                    regs[*dst] = Value::Bool(operand(*a, tuple, key, regs).truthy())
+                    regs[dst] = Value::Bool(operand(*a, tuple, key, regs).truthy());
+                    continue;
                 }
-                Op::Copy { a } => regs[*dst] = operand(*a, tuple, key, regs).clone(),
-                Op::Aggregate { slot } => regs[*dst] = f.aggs[*slot].value(),
-                Op::SuperAgg { slot } => regs[*dst] = f.superaggs[*slot].value(),
-                Op::Sfun { lib, name, fun, args } => {
-                    match fun(f.states[*lib].as_mut(), &regs[args.clone()]) {
-                        Ok(v) => regs[*dst] = v,
-                        Err(reason) => return Err(bad_call(true, name, reason)),
-                    }
+                Op::Copy { a } => {
+                    regs[dst] = operand(*a, tuple, key, regs).clone();
+                    continue;
                 }
-                Op::Scalar { name, fun, args } => match fun(&regs[args.clone()]) {
-                    Ok(v) => regs[*dst] = v,
-                    Err(reason) => return Err(bad_call(false, name, reason)),
-                },
-                Op::Missing { what, clause } => return Err(missing(what, clause)),
+                _ => {}
             }
+            call_out(inst, regs, f)?;
         }
         Ok(())
     }

@@ -1,5 +1,5 @@
-//! The allocation gate: a steady-state `process()` call allocates
-//! nothing.
+//! The allocation gate: a steady-state `process()` or `process_batch()`
+//! call allocates nothing.
 //!
 //! Steady state is the second window onward of a stream whose windows
 //! repeat, and a call that neither closes a window nor opens a
@@ -70,18 +70,44 @@ fn feed() -> Vec<Tuple> {
     repeats.map(|p| p.to_tuple()).collect()
 }
 
+/// How the feed enters the operator.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// `process`, a tuple per call.
+    Process,
+    /// `process_batch`, this many tuples per call.
+    Batch(usize),
+}
+
+impl Entry {
+    /// Tuples per call.
+    fn len(self) -> usize {
+        match self {
+            Entry::Process => 1,
+            Entry::Batch(len) => len,
+        }
+    }
+}
+
 /// Allocations made by the steady-state calls of a run over `feed`, and
 /// how many calls that was.
-fn steady_state_allocations(spec: OperatorSpec, feed: &[Tuple]) -> (u64, usize) {
+fn steady_state_allocations(spec: OperatorSpec, feed: &[Tuple], entry: Entry) -> (u64, usize) {
     let mut op = SamplingOperator::new(spec).expect("valid spec");
     let (mut windows_closed, mut allocations, mut calls) = (0, 0, 0);
-    for tuple in feed {
+    for tuples in feed.chunks(entry.len()) {
         let supergroups = op.supergroup_count();
         let before = ALLOCATIONS.with(Cell::get);
-        let closed = op.process(tuple).expect("process");
+        let closed = match entry {
+            Entry::Process => u64::from(op.process(&tuples[0]).expect("process").is_some()),
+            Entry::Batch(_) => {
+                let mut closed = 0;
+                op.process_batch(tuples, |_| closed += 1).expect("process_batch");
+                closed
+            }
+        };
         let made = ALLOCATIONS.with(Cell::get) - before;
-        if closed.is_some() {
-            windows_closed += 1;
+        if closed > 0 {
+            windows_closed += closed;
         } else if windows_closed > 0 && op.supergroup_count() == supergroups {
             allocations += made;
             calls += 1;
@@ -96,15 +122,23 @@ fn a_steady_state_process_call_allocates_nothing() {
     let feed = feed();
     let subset_sum = SubsetSumOpConfig { target: 100, initial_z: 1.0, ..Default::default() };
     let reservoir = ReservoirOpConfig { n: 100, ..Default::default() };
-    let specs = [
-        ("heavy_hitters_query", queries::heavy_hitters_query(WINDOW_SECS, 100, Some(50)).unwrap()),
-        ("subset_sum_query", queries::subset_sum_query(WINDOW_SECS, subset_sum, true).unwrap()),
-        ("reservoir_query", queries::reservoir_query(WINDOW_SECS, reservoir).unwrap()),
-        ("minhash_query", queries::minhash_query(WINDOW_SECS, 10).unwrap()),
-    ];
-    for (name, spec) in specs {
-        let (allocations, calls) = steady_state_allocations(spec, &feed);
-        assert!(calls > feed.len() / 2, "{name}: {calls} steady-state calls of {}", feed.len());
-        assert_eq!(allocations, 0, "{name}: over {calls} steady-state calls");
+    let specs = || {
+        [
+            ("heavy_hitters_query", queries::heavy_hitters_query(WINDOW_SECS, 100, Some(50))),
+            ("subset_sum_query", queries::subset_sum_query(WINDOW_SECS, subset_sum, true)),
+            ("reservoir_query", queries::reservoir_query(WINDOW_SECS, reservoir)),
+            ("minhash_query", queries::minhash_query(WINDOW_SECS, 10)),
+        ]
+    };
+    // A batch of 16 closes a window or opens a supergroup more often than
+    // one tuple does, so fewer of its calls are steady.
+    for (entry, steady_share) in [(Entry::Process, 2), (Entry::Batch(16), 4)] {
+        for (name, spec) in specs() {
+            let (allocations, calls) = steady_state_allocations(spec.unwrap(), &feed, entry);
+            let offered = feed.len().div_ceil(entry.len());
+            let what = format!("{name} through {entry:?}");
+            assert!(calls > offered / steady_share, "{what}: {calls} steady calls of {offered}");
+            assert_eq!(allocations, 0, "{what}: over {calls} steady-state calls");
+        }
     }
 }

@@ -12,11 +12,18 @@
 //! same order and the same [`WindowStats`] — and the same calls, in the
 //! same order, of every stateful function not declared read-only.
 //!
+//! [`SamplingOperator::process_batch`] must in turn be indistinguishable
+//! from [`SamplingOperator::process`] over the same feed cut into
+//! batches anywhere: the same windows handed over in the same order and
+//! at the same point of the call log, and on a failing tuple the same
+//! error, after exactly the windows closed before it.
+//!
 //! [`WindowStats`]: sso_core::WindowStats
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -356,6 +363,101 @@ fn without_seen(log: &[String]) -> Vec<&String> {
     log.iter().filter(|entry| *entry != "seen").collect()
 }
 
+// ---- process_batch against process ------------------------------------
+
+/// Where a feed is cut into `process_batch` calls: `mode` 0 makes every
+/// tuple a batch of its own, 1 cuts at each tuple that closes a window
+/// (in the per-tuple run), 2 just past each one, 3 adds nothing; `at`
+/// adds a cut at each position it holds, modulo the feed length + 1; and
+/// there is always an empty batch.
+#[derive(Debug, Clone)]
+struct Cuts {
+    mode: u8,
+    at: Vec<usize>,
+}
+
+fn cuts() -> impl Strategy<Value = Cuts> {
+    (0u8..4, proptest::collection::vec(0usize..1000, 0..6)).prop_map(|(mode, at)| Cuts { mode, at })
+}
+
+impl Cuts {
+    /// The batches of a feed of `n` tuples, of which those `closes` says
+    /// closed a window.
+    fn batches(&self, n: usize, closes: &[bool]) -> Vec<Range<usize>> {
+        let closing = (0..n).filter(|&i| closes[i]);
+        let mut points: Vec<usize> = self.at.iter().map(|i| i % (n + 1)).collect();
+        match self.mode {
+            0 => points.extend(0..=n),
+            1 => points.extend(closing),
+            2 => points.extend(closing.map(|i| i + 1)),
+            _ => {}
+        }
+        points.extend([0, 0, n]);
+        points.sort_unstable();
+        points.windows(2).map(|w| w[0]..w[1]).collect()
+    }
+}
+
+/// What a run of the operator handed over, in order: the calls logged
+/// up to each window's handover, the window, and at the end the first
+/// error or the end-of-stream window — so a window handed over late or
+/// early moves against the log.
+type Handover = Vec<String>;
+
+fn window_handed_over(events: &mut Handover, w: &WindowOutput) {
+    events.extend(take_log());
+    events.push(format!("window {w:?}"));
+}
+
+fn ended(events: &mut Handover, how: String) -> Handover {
+    events.extend(take_log());
+    events.push(how);
+    std::mem::take(events)
+}
+
+/// The operator over `feed` a tuple at a time, and which tuples closed
+/// a window.
+fn per_tuple(op: &mut SamplingOperator, feed: &[Tuple]) -> (Handover, Vec<bool>) {
+    take_log();
+    let (mut events, mut closes) = (Vec::new(), vec![false; feed.len()]);
+    for (i, tuple) in feed.iter().enumerate() {
+        match op.process(tuple) {
+            Ok(None) => {}
+            Ok(Some(w)) => {
+                closes[i] = true;
+                window_handed_over(&mut events, &w);
+            }
+            Err(e) => return (ended(&mut events, format!("error {e:?}")), closes),
+        }
+    }
+    (ended(&mut events, format!("finish {:?}", op.finish())), closes)
+}
+
+/// The operator over `feed` a batch at a time.
+fn in_batches(op: &mut SamplingOperator, feed: &[Tuple], batches: &[Range<usize>]) -> Handover {
+    take_log();
+    let mut events = Vec::new();
+    for batch in batches {
+        let outcome = op.process_batch(&feed[batch.clone()], |w| {
+            window_handed_over(&mut events, &w);
+        });
+        if let Err(e) = outcome {
+            return ended(&mut events, format!("error {e:?}"));
+        }
+    }
+    ended(&mut events, format!("finish {:?}", op.finish()))
+}
+
+/// Run `feed` through two instances of the operator `build` makes, one
+/// per tuple and one in the batches `cuts` makes of it.
+fn batched(build: impl Fn() -> OperatorSpec, feed: &[Tuple], cuts: &Cuts) -> (Handover, Handover) {
+    let mut op = SamplingOperator::new(build()).expect("valid spec");
+    let (one_by_one, closes) = per_tuple(&mut op, feed);
+    let batches = cuts.batches(feed.len(), &closes);
+    let mut op = SamplingOperator::new(build()).expect("valid spec");
+    (one_by_one, in_batches(&mut op, feed, &batches))
+}
+
 // ---- generated specs and feeds ----------------------------------------
 
 const COLUMNS: usize = 4;
@@ -616,27 +718,42 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
 
     /// Generated specs whose libraries declare nothing read-only: the
-    /// operator is the reference, call for call.
+    /// operator is the reference, call for call — a tuple at a time and
+    /// a batch at a time.
     #[test]
-    fn operator_is_the_reference(spec in spec(false), feed in feed()) {
+    fn operator_is_the_reference(spec in spec(false), feed in feed(), cuts in cuts()) {
         let (operator, reference) = both(|| spec.clone(), &feed);
         prop_assert_eq!(operator, reference, "{:#?}", spec);
+        let (one_by_one, batched) = batched(|| spec.clone(), &feed, &cuts);
+        prop_assert_eq!(one_by_one, batched, "{:?} of {:#?}", cuts, spec);
     }
 
     /// The same with `seen` declared read-only: calls of it may be
     /// skipped or made ahead of a phase's groups — nothing else moves.
     #[test]
-    fn read_only_calls_move_and_nothing_else_does(spec in spec(true), feed in feed()) {
+    fn read_only_calls_move_and_nothing_else_does(
+        spec in spec(true),
+        feed in feed(),
+        cuts in cuts(),
+    ) {
         let (operator, reference) = both(|| spec.clone(), &feed);
         prop_assert_eq!(&operator.outcomes, &reference.outcomes, "{:#?}", spec);
         prop_assert_eq!(without_seen(&operator.log), without_seen(&reference.log), "{:#?}", spec);
+        let (one_by_one, batched) = batched(|| spec.clone(), &feed, &cuts);
+        prop_assert_eq!(one_by_one, batched, "{:?} of {:#?}", cuts, spec);
     }
 
     #[test]
-    fn example_queries_are_the_reference(which in 0..EXAMPLE_QUERIES.len(), feed in packets()) {
+    fn example_queries_are_the_reference(
+        which in 0..EXAMPLE_QUERIES.len(),
+        feed in packets(),
+        cuts in cuts(),
+    ) {
         let (name, _) = EXAMPLE_QUERIES[which];
         let (operator, reference) = both(|| builder(name), &feed);
         prop_assert_eq!(operator, reference, "{}", name);
+        let (one_by_one, batched) = batched(|| builder(name), &feed, &cuts);
+        prop_assert_eq!(one_by_one, batched, "{:?} of {}", cuts, name);
     }
 }
 

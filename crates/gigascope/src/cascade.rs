@@ -32,11 +32,7 @@ impl Cascade {
     pub fn process(&mut self, tuple: &Tuple) -> Result<Vec<WindowOutput>, OpError> {
         let mut out = Vec::new();
         if let Some(w1) = self.first.process(tuple)? {
-            for row in &w1.rows {
-                if let Some(w2) = self.second.process(row)? {
-                    out.push(w2);
-                }
-            }
+            self.second.process_batch(&w1.rows, |w2| out.push(w2))?;
         }
         Ok(out)
     }
@@ -45,11 +41,7 @@ impl Cascade {
     pub fn finish(&mut self) -> Result<Vec<WindowOutput>, OpError> {
         let mut out = Vec::new();
         if let Some(w1) = self.first.finish()? {
-            for row in &w1.rows {
-                if let Some(w2) = self.second.process(row)? {
-                    out.push(w2);
-                }
-            }
+            self.second.process_batch(&w1.rows, |w2| out.push(w2))?;
         }
         if let Some(w2) = self.second.finish()? {
             out.push(w2);

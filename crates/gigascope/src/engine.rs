@@ -181,9 +181,10 @@ impl InlineRun {
 /// Up to [`BATCH`] forwarded tuples that pass the shared prefilter (a
 /// tuple it cannot be evaluated on passes: fail-open) are written into
 /// a recycled batch; then each group's operator, in plan order, runs
-/// over the whole batch. An operator decides from its own state and its
-/// own tuple sequence, which are what tuple-major order would give it,
-/// so the output is identical. Every closed window goes to
+/// over the whole batch in one [`SamplingOperator::process_batch`]
+/// call. An operator decides from its own state and its own tuple
+/// sequence, which are what tuple-major order would give it, so the
+/// output is identical. Every closed window goes to
 /// `sink(group, window, at_end)` as it closes — per group in window
 /// order, `at_end` set for those the end-of-stream flush closes. The
 /// first error ends the run: within a batch that is the first failing
@@ -229,12 +230,11 @@ pub fn run_inline(
         for (gi, (group, stats)) in plan.groups.iter_mut().zip(&mut groups).enumerate() {
             let sw = Stopwatch::start();
             stats.tuples_in += live as u64;
-            for tuple in &batch[..live] {
-                if let Some(w) = group.op.process(tuple)? {
-                    stats.tuples_out += w.rows.len() as u64;
-                    sink(gi, w, false);
-                }
-            }
+            let rows_out = &mut stats.tuples_out;
+            group.op.process_batch(&batch[..live], |w| {
+                *rows_out += w.rows.len() as u64;
+                sink(gi, w, false);
+            })?;
             if !more {
                 if let Some(w) = group.op.finish()? {
                     stats.tuples_out += w.rows.len() as u64;

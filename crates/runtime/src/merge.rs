@@ -31,11 +31,16 @@ fn fx_hash(t: &Tuple) -> u64 {
     h.finish()
 }
 
+/// Two shards' partials of a [`ColumnRule::Sum`] column, added as the
+/// operator's `sum` adds (`Value::add`: `U64`s wrap, a `U64` and an `I64`
+/// give the exact integer), with `NULL` — a sum before its first value —
+/// the identity. A pair `Value::add` refuses (two strings, each the
+/// `sum` of one tuple) is one the operator itself would have failed on;
+/// the merge has no error to return and makes it `NULL`.
 fn add_values(a: &Value, b: &Value) -> Value {
     match (a, b) {
-        (Value::U64(x), Value::U64(y)) => Value::U64(x + y),
-        (Value::I64(x), Value::I64(y)) => Value::I64(x + y),
-        _ => Value::F64(a.as_f64().unwrap_or(0.0) + b.as_f64().unwrap_or(0.0)),
+        (Value::Null, v) | (v, Value::Null) => v.clone(),
+        _ => a.add(b).unwrap_or(Value::Null),
     }
 }
 
@@ -337,6 +342,25 @@ mod tests {
         assert_eq!(merged[0].rows.len(), 1);
         assert_eq!(merged[0].rows[0].get(1), &Value::U64(42));
         assert_eq!(merged[0].rows[0].get(2), &Value::U64(9));
+    }
+
+    /// A `sum` merged is the `sum` the operator folds, for the partials
+    /// where `+` on the payloads is not it.
+    #[test]
+    fn sum_partials_add_as_the_operator_sums() {
+        // Overflow wraps, as `AggState::fold` does (a debug build's `+`
+        // panicked here).
+        assert_eq!(add_values(&Value::U64(u64::MAX), &Value::U64(2)), Value::U64(1));
+        // Partials of opposite sign: the exact integer, of the kind its
+        // sign gives, not an `F64`.
+        assert_eq!(format!("{:?}", add_values(&Value::U64(5), &Value::I64(-7))), "I64(-2)");
+        assert_eq!(format!("{:?}", add_values(&Value::I64(-7), &Value::U64(9))), "U64(2)");
+        // `NULL`, a sum before its first value, is the identity.
+        for v in [Value::U64(3), Value::I64(-3), Value::F64(0.5), Value::Null] {
+            let expect = format!("{v:?}");
+            assert_eq!(format!("{:?}", add_values(&Value::Null, &v)), expect);
+            assert_eq!(format!("{:?}", add_values(&v, &Value::Null)), expect);
+        }
     }
 
     #[test]

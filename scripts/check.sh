@@ -10,6 +10,10 @@ echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
 echo "== cargo test (root package and every crate's unit tests) =="
+# Among the root package's suites: the sharded runtime determinism suite
+# (tests/sharded.rs), the exhaustive concurrency model check under the
+# sso-sync `model` feature (tests/model_check.rs) and the fixed-seed
+# fault-injection matrix (tests/faults.rs).
 cargo test -q
 
 echo "== benchmark smoke (every workload's oracle; traced replay == entry point) =="
@@ -23,16 +27,6 @@ echo "== benchmark crate tests (BENCHMARK.json == src/contract.rs; harness and s
 # The benchmark is a workspace of its own: `cargo test` at the root
 # does not see it, and nothing else runs these.
 (cd benchmark && cargo test --offline -q)
-
-echo "== sharded runtime determinism suite =="
-cargo test -q --test sharded
-
-echo "== concurrency model check (exhaustive, bounded <60s) =="
-# Exhaustively explores the interleavings of the registry fold, shard
-# ring, and merge barrier under the sso-sync `model` feature; the
-# configs in tests/model_check.rs are sized so the whole suite stays
-# well under a minute.
-cargo test -q --test model_check
 
 if [[ "${SSO_CHECK_SANITIZE:-0}" == "1" ]]; then
     echo "== sanitizer pass (opt-in: SSO_CHECK_SANITIZE=1) =="
@@ -171,12 +165,6 @@ assert len(snaps) == len(windows), f"{len(snaps)} snapshots for {len(windows)} w
 last = len(snaps[-1]["metrics"])
 print(f"metrics smoke OK: {len(snaps)} snapshots, last has {last} metrics")
 '
-
-echo "== fault-injection matrix (fixed seeds, replayable) =="
-# The acceptance suite (16-shard mid-window panic, loss accounting for
-# every backpressure mode, plan text round-trip, deadline alerting) —
-# fixed seeds throughout, so a failure replays byte-for-byte.
-cargo test -q --test faults
 
 echo "== sso router-panic smoke (fixed seed, degraded run completes) =="
 # A seeded plan panics one of two router lanes mid-stream (lane-local

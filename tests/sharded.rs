@@ -78,6 +78,17 @@ where
     .expect("sharded run")
 }
 
+/// The operator spec the planner makes of a query over `PKT`.
+fn planned(text: &str) -> Result<OperatorSpec, stream_sampler::operator::OpError> {
+    let schema = stream_sampler::query::base_stream_schema("PKT").unwrap();
+    let config = stream_sampler::query::PlannerConfig::standard();
+    let q = stream_sampler::query::parse_query(text).unwrap();
+    stream_sampler::query::plan(&q, &schema, &config).map_err(|e| match e {
+        stream_sampler::query::QueryError::Plan(op) => op,
+        other => panic!("unexpected: {other}"),
+    })
+}
+
 fn assert_windows_equal(single: &[WindowOutput], sharded: &[WindowOutput], what: &str) {
     assert_eq!(single.len(), sharded.len(), "{what}: window count");
     for (a, b) in single.iter().zip(sharded) {
@@ -98,6 +109,36 @@ fn exact_sums_and_counts_do_not_drift_at_any_shard_count() {
             "every tuple must reach a shard"
         );
     }
+}
+
+/// A `sum` whose shards' partial sums differ in sign: the merge adds a
+/// `U64` and an `I64` partial as the operator's `sum` does, to the same
+/// exact integer of the same kind — not to an `F64`.
+#[test]
+fn sums_of_opposite_sign_on_two_shards_merge_to_the_inline_sum() {
+    let spec =
+        || planned("SELECT tb, sum(srcPort - 30000), count(*) FROM PKT GROUP BY time/2 as tb");
+    // No partition key: tuples are dealt round-robin, so shard 0 sees
+    // the even positions (srcPort - 30000 = len) and shard 1 the odd
+    // ones (-len).
+    let pkts: Vec<Packet> = packets()
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut p)| {
+            let len = p.len as u16;
+            p.src_port = if i % 2 == 0 { 30000 + len } else { 30000 - len };
+            p
+        })
+        .collect();
+    let single = reference_for(spec().unwrap(), &pkts);
+    let report = sharded_for(|_| spec(), 2, &pkts);
+    let busy: Vec<u64> = report.shards.iter().map(|s| s.tuples()).collect();
+    assert!(busy.iter().all(|&n| n > 0), "both shards hold a partial: {busy:?}");
+    // Byte-identical: `Value`'s `==` would take `U64(5)` for `I64(5)`.
+    let rows = |windows: &[WindowOutput]| -> Vec<String> {
+        windows.iter().map(|w| format!("{:?} {:?}", w.window, w.rows)).collect()
+    };
+    assert_eq!(rows(&single), rows(&report.windows));
 }
 
 #[test]
@@ -405,14 +446,7 @@ fn router_count_is_invisible_under_a_shared_prefilter() {
 
     let text = "SELECT tb, sum(len), count(*) FROM PKT WHERE len >= 100 GROUP BY time/2 as tb";
     let schema = stream_sampler::query::base_stream_schema("PKT").unwrap();
-    let config = stream_sampler::query::PlannerConfig::standard();
-    let spec = || {
-        let q = stream_sampler::query::parse_query(text).unwrap();
-        stream_sampler::query::plan(&q, &schema, &config).map_err(|e| match e {
-            stream_sampler::query::QueryError::Plan(op) => op,
-            other => panic!("unexpected: {other}"),
-        })
-    };
+    let spec = || planned(text);
     let pred = stream_sampler::query::parse_query(text).unwrap().where_clause.unwrap();
     let prefilter =
         Arc::new(stream_sampler::query::compile_packet_predicate(&pred, &schema).unwrap());
