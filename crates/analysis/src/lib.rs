@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn report_json_snapshot_is_stable() {
         // One full-report snapshot so schema drift (renamed/removed
-        // keys) fails loudly; check.sh validates the same shape.
+        // keys) fails loudly; tests/audit.rs pins the CLI's full document.
         let out = audit_file(EXAMPLE_QUERIES[6].1, &AuditOptions::default());
         let json = out.report.to_json();
         for key in [

@@ -3,7 +3,7 @@
 //! A [`BoundsReport`] is the certificate the audit emits: per-statement
 //! state ceilings plus the verdicts (skew class, mergeability, deletion
 //! safety) the runtime and CI consume. The JSON rendering is hand-rolled
-//! and field-stable — `scripts/check.sh` validates the schema, so adding
+//! and field-stable — `tests/audit.rs` pins the schema, so adding
 //! or renaming a key is a deliberate, reviewed change.
 
 use sso_core::SizingHints;

@@ -15,6 +15,8 @@
 //! | `sweep_n` | §7.1 in-text: accuracy at N ∈ {100, 1000, 10000} |
 //! | `sweep_gamma` | §7.2 in-text: CPU vs cleaning trigger γ |
 //! | `sweep_relaxation` | ablation: relaxation factor f ∈ {1..20} |
+//! | `transform_hh` | §8: heavy hitters aggregated at the low-level query vs in the operator |
+//! | `overhead` | §7's cost-against-a-baseline for each runtime mechanism (faults, telemetry, tracing, durable store), the 1/2/4/8-shard curve and §7.1 multi-query sharing, one gate rule for all; `BENCH.json` |
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -100,25 +102,6 @@ pub fn measure_operator(
         windows.push(w);
     }
     Ok((t0.elapsed(), windows))
-}
-
-/// Best-of-`reps` busy time for an operator built by `make` (fresh per
-/// repetition), over the same tuple stream. Taking the minimum filters
-/// scheduler noise out of single-shot wall-clock measurements.
-pub fn measure_best_of(
-    reps: usize,
-    mut make: impl FnMut() -> SamplingOperator,
-    tuples: &[Tuple],
-) -> Result<(Duration, Vec<WindowOutput>), OpError> {
-    let mut best: Option<(Duration, Vec<WindowOutput>)> = None;
-    for _ in 0..reps.max(1) {
-        let mut op = make();
-        let (busy, windows) = measure_operator(&mut op, tuples)?;
-        if best.as_ref().map(|(b, _)| busy < *b).unwrap_or(true) {
-            best = Some((busy, windows));
-        }
-    }
-    Ok(best.expect("at least one repetition"))
 }
 
 /// The stream's wall-clock span at line rate: last uts − first uts.

@@ -1,5 +1,5 @@
 //! Report rendering for `sso optimize`: one-line-per-object JSON (the
-//! `--json` machine interface, schema-pinned in check.sh) and a human
+//! `--json` machine interface, schema-pinned in tests/audit.rs) and a human
 //! summary.
 
 use crate::optimize::OptimizeOutcome;

@@ -31,12 +31,12 @@
 //! honest — when a shard *or a router lane* misbehaves (see `DESIGN.md`
 //! §"Fault model"):
 //!
-//! * **Quarantine supervision** ([`Supervision::Quarantine`], the
-//!   default): a worker panic is caught with the poisoned operator's
-//!   current window key; the shard discards (and counts) that window's
-//!   remaining tuples, then respawns a fresh operator instance at the
-//!   next window boundary. Merge-finalize re-thresholds the surviving
-//!   shards' samples and tags the window's output with its coverage.
+//! * **Quarantine supervision**: a worker panic is caught with the
+//!   poisoned operator's current window key; the shard discards (and
+//!   counts) that window's remaining tuples, then respawns a fresh
+//!   operator instance at the next window boundary. Merge-finalize
+//!   re-thresholds the surviving shards' samples and tags the window's
+//!   output with its coverage.
 //! * **Principled shedding** ([`Backpressure::Shed`]): ring pressure
 //!   raises a per-shard threshold z (the §7.1 mechanism driven in
 //!   reverse), so overload sheds *below-threshold* tuples with exact
@@ -55,7 +55,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
@@ -105,19 +105,6 @@ pub enum Backpressure {
         /// tuple 1 (count semantics).
         weight_col: Option<usize>,
     },
-}
-
-/// What happens when a shard's worker panics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Supervision {
-    /// Quarantine the shard for the poisoned window and respawn a fresh
-    /// operator at the next window boundary; the run completes with
-    /// per-window coverage accounting.
-    #[default]
-    Quarantine,
-    /// Abort the run with [`RuntimeError::WorkerPanic`] (the pre-fault
-    /// -tolerance behaviour).
-    Abort,
 }
 
 /// Durable-state configuration (the `sso-store` subsystem): one
@@ -196,8 +183,6 @@ pub struct RuntimeConfig {
     /// registry: counters still land (so [`ShardStats`] stays exact)
     /// but span tracing is off and nothing is exported.
     pub registry: Option<Registry>,
-    /// Worker-panic policy.
-    pub supervision: Supervision,
     /// Cut merge-finalize loose from stragglers after this long: once
     /// the router has routed everything, shards that have not published
     /// within the deadline are excluded from the merge (their routed
@@ -248,7 +233,6 @@ impl RuntimeConfig {
             backpressure: Backpressure::Block,
             seed: 0x5eed_00d5,
             registry: None,
-            supervision: Supervision::default(),
             window_deadline: None,
             faults: None,
             sizing: None,
@@ -562,16 +546,17 @@ pub enum RuntimeError {
         /// The operator error.
         source: OpError,
     },
-    /// A shard's worker thread panicked ([`Supervision::Abort`] only;
-    /// quarantine supervision converts panics into coverage loss).
+    /// A shard's worker thread panicked outside quarantine supervision
+    /// (which converts operator panics into coverage loss) — for
+    /// example in the spec factory while respawning the shard.
     WorkerPanic {
         /// Shard index.
         shard: usize,
         /// Panic payload message.
         message: String,
     },
-    /// A router lane panicked ([`Supervision::Abort`] only; quarantine
-    /// supervision converts lane panics into coverage loss).
+    /// A router lane panicked outside its per-chunk supervision (which
+    /// converts routing panics into coverage loss).
     RouterPanic {
         /// Router-lane index.
         router: usize,
@@ -831,7 +816,6 @@ struct Worker<'a, F> {
     uncovered: Vec<(Tuple, u64)>,
     wexprs: Vec<Expr>,
     faults: WorkerFaultSchedule,
-    supervision: Supervision,
     stats: ShardStats,
     registry: Registry,
     make_spec: &'a F,
@@ -1003,10 +987,7 @@ where
             match outcome {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    if self.supervision == Supervision::Abort {
-                        resume_unwind(payload);
-                    }
+                Err(_) => {
                     self.enter_quarantine(Some(&batch[cursor]));
                     cursor += 1;
                 }
@@ -1043,12 +1024,7 @@ where
                 }
                 Ok(Ok(None)) => {}
                 Ok(Err(source)) => return Err(RuntimeError::Op { shard, source }),
-                Err(payload) => {
-                    if self.supervision == Supervision::Abort {
-                        resume_unwind(payload);
-                    }
-                    self.enter_quarantine(None);
-                }
+                Err(_) => self.enter_quarantine(None),
             }
         }
         if let Some(store) = self.store.as_mut() {
@@ -1071,12 +1047,10 @@ where
 }
 
 thread_local! {
-    /// Set on worker and router threads running under
-    /// [`Supervision::Quarantine`]:
-    /// a caught supervised-lane panic is part of the fault model, not a crash,
-    /// so the hook reduces it to one stderr line — the quarantine
-    /// accounting is the real report. Every other thread (and every
-    /// `Abort`-supervised worker) keeps the previously installed hook.
+    /// Set on worker and router threads: a caught supervised-lane panic
+    /// is part of the fault model, not a crash, so the hook reduces it
+    /// to one stderr line — the quarantine accounting is the real
+    /// report. Every other thread keeps the previously installed hook.
     static QUIET_WORKER_PANICS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -1448,7 +1422,7 @@ fn add_lane_uncovered(uncovered: &mut Vec<(Tuple, u64)>, key: Tuple, n: u64) {
 /// opened in one chunk closes at the next window boundary, wherever
 /// that falls.
 #[derive(Default)]
-struct LaneSupervision {
+struct LaneGuard {
     /// `Some(key)` while quarantined: tuples of window `key` are counted
     /// as uncovered, never routed.
     quarantined: Option<Tuple>,
@@ -1464,13 +1438,11 @@ struct LaneSupervision {
 /// supervision contract: per-chunk `catch_unwind`, a panicked lane
 /// quarantined for the current window (its unrouted tuples counted,
 /// never sent), respawned at the next window boundary.
-#[allow(clippy::too_many_arguments)]
 fn route_chunk(
     lane: &mut RouterLane<'_>,
-    sup: &mut LaneSupervision,
+    sup: &mut LaneGuard,
     router_def: &Router,
     wexprs: &[Expr],
-    supervision: Supervision,
     profiler: Option<&Profiler>,
     chunk: &mut [Tuple],
     start: u64,
@@ -1525,10 +1497,7 @@ fn route_chunk(
                 }
             }))
         };
-        if let Err(payload) = outcome {
-            if supervision == Supervision::Abort {
-                resume_unwind(payload);
-            }
+        if outcome.is_err() {
             // The tripping tuple's window is poisoned for this lane:
             // the tuple itself (if it would have been routed) and every
             // following same-window tuple of the lane's chunks are lost.
@@ -1563,11 +1532,11 @@ fn route_chunk(
 /// [`RuntimeConfig::routers`] supervised lane threads — the source may
 /// be endless; at most [`RuntimeConfig::max_look_ahead`] tuples are ever
 /// in flight. Lanes and workers run under [`std::thread::scope`]. An
-/// operator error always aborts the run with
-/// the shard index attached; a worker or router-lane panic aborts only
-/// under [`Supervision::Abort`] — the default quarantines the shard (or
-/// lane) for the poisoned window and completes the run with coverage
-/// accounting.
+/// operator error aborts the run with the shard index attached; a
+/// worker or router-lane panic quarantines the shard (or lane) for the
+/// poisoned window and the run completes with coverage accounting. A
+/// panic supervision cannot catch — one in the spec factory while a
+/// shard respawns — aborts the run with [`RuntimeError::WorkerPanic`].
 pub fn run_sharded<F, S>(
     plan: &ShardPlan,
     make_spec: F,
@@ -1666,9 +1635,7 @@ where
     // so the merge observes every published shard's last window through
     // the barrier's Release/Acquire protocol.
     let barrier: Arc<MergeBarrier<ShardPartial>> = MergeBarrier::new(cfg.shards);
-    if cfg.supervision == Supervision::Quarantine {
-        install_supervised_panic_hook();
-    }
+    install_supervised_panic_hook();
     // The process-crash fault: when the pump's global stream position
     // reaches the trigger, this flag flips and the run dies like a
     // kill — no flushes, no merge, no final checkpoints. (`at=0` is
@@ -1731,8 +1698,8 @@ where
             let pool_threads = cfg.resolved_workers();
             let mut shard_inputs: Vec<_> = shard_setups.into_iter().zip(rings_by_shard).collect();
             // Per pool thread: (last shard it touched, join handle) —
-            // the cell attributes an Abort-supervised panic to the
-            // shard whose batch was running when the thread died.
+            // the cell attributes a panic that escaped supervision to
+            // the shard whose batch was running when the thread died.
             let mut handles = Vec::with_capacity(pool_threads);
             for t in (0..pool_threads).rev() {
                 let group: Vec<_> = shard_inputs.split_off(t * cfg.shards / pool_threads);
@@ -1742,15 +1709,12 @@ where
                 let barrier = barrier.clone();
                 let cfg_faults = cfg.faults.clone();
                 let registry = registry.clone();
-                let supervision = cfg.supervision;
                 let crashed = Arc::clone(&crashed);
                 let wprof = cfg.profile.clone();
                 let on_shard = Arc::new(SyncUsize::new(first_shard));
                 let shard_cell = Arc::clone(&on_shard);
                 let handle = s.spawn(move || -> Result<(), RuntimeError> {
-                    if supervision == Supervision::Quarantine {
-                        QUIET_WORKER_PANICS.with(|q| q.set(true));
-                    }
+                    QUIET_WORKER_PANICS.with(|q| q.set(true));
                     struct Task<'t, F> {
                         shard: usize,
                         rxs: Vec<Consumer<Msg>>,
@@ -1797,7 +1761,6 @@ where
                                     uncovered: Vec::new(),
                                     wexprs,
                                     faults,
-                                    supervision,
                                     stats: stats[shard].clone(),
                                     registry: registry.clone(),
                                     make_spec,
@@ -1959,12 +1922,9 @@ where
                 let router_def = &router_def;
                 let wexprs: &[Expr] = &lane_wexprs;
                 let prefilter = cfg.shared_prefilter.as_deref();
-                let supervision = cfg.supervision;
                 let profile = cfg.profile.clone();
                 lane_handles.push(s.spawn(move || {
-                    if supervision == Supervision::Quarantine {
-                        QUIET_WORKER_PANICS.with(|q| q.set(true));
-                    }
+                    QUIET_WORKER_PANICS.with(|q| q.set(true));
                     let trace = profile.as_ref().map(|p| RouterTrace {
                         p: p.clone(),
                         lane: p.lane(LaneKind::Router, r as u32),
@@ -1997,7 +1957,7 @@ where
                     for shard in 0..shards {
                         lane.batches[shard].0 = lane.recycled(shard);
                     }
-                    let mut sup = LaneSupervision { faults, ..Default::default() };
+                    let mut sup = LaneGuard { faults, ..Default::default() };
                     loop {
                         // The wait for the pump is ring wait, not
                         // ingest: ingest is what the lane does with a
@@ -2022,7 +1982,6 @@ where
                             &mut sup,
                             router_def,
                             wexprs,
-                            supervision,
                             profile.as_ref(),
                             &mut chunk.tuples[..chunk.live],
                             chunk.seq * chunk_len as u64,
@@ -2062,8 +2021,8 @@ where
                 cfg.profile.as_ref(),
             );
 
-            // Join the lanes before touching the worker barrier: an
-            // Abort-supervised lane panic surfaces here (its unwound
+            // Join the lanes before touching the worker barrier: a lane
+            // panic that escaped supervision surfaces here (its unwound
             // producers already closed its rings, so the workers still
             // drain and exit), and a joined lane has published its
             // outcome — `wait_all` below returns immediately.
@@ -2348,28 +2307,28 @@ mod tests {
     }
 
     #[test]
-    fn abort_supervision_reports_worker_panics() {
+    fn panic_during_respawn_escapes_supervision_as_worker_panic() {
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();
+        // Shard 1 panics mid-window 0 and is quarantined; at the next
+        // window boundary its respawn calls the factory again, which
+        // panics outside any catch_unwind. The run must end with the
+        // error, not hang on the dead worker's rings.
+        let mut fault = FaultPlan::empty(7);
+        fault.events.push(sso_faults::FaultEvent::WorkerPanic { shard: 1, at_tuple: 150 });
+        let cfg = RuntimeConfig::new(2).with_faults(fault.into_shared());
+        let shard1_builds = SyncUsize::new(0);
         let make = |shard: usize| {
-            let mut spec = queries::total_sum_query(1);
-            if shard == 0 {
-                spec.where_clause = Some(Expr::Scalar {
-                    name: "PANIC",
-                    fun: std::sync::Arc::new(|_: &[Value]| panic!("injected shard panic")),
-                    args: vec![],
-                });
+            if shard == 1 && shard1_builds.fetch_add(1, AtomicOrdering::Relaxed) > 0 {
+                panic!("respawn refused for shard 1");
             }
-            Ok(spec)
+            Ok(queries::total_sum_query(1))
         };
-        let mut cfg = RuntimeConfig::new(2);
-        cfg.supervision = Supervision::Abort;
-        let err = run_sharded(&plan, make, &cfg, stream(1, 600, 4)).unwrap_err();
-        match err {
-            RuntimeError::WorkerPanic { shard: 0, message } => {
-                assert!(message.contains("injected shard panic"), "{message}");
+        match run_sharded(&plan, make, &cfg, stream(3, 600, 4)).unwrap_err() {
+            RuntimeError::WorkerPanic { shard: 1, message } => {
+                assert!(message.contains("respawn refused for shard 1"), "{message}");
             }
-            other => panic!("expected WorkerPanic, got {other}"),
+            other => panic!("expected WorkerPanic on shard 1, got {other}"),
         }
     }
 
@@ -2516,25 +2475,6 @@ mod tests {
         for (a, b) in report.windows.iter().zip(&replay.windows) {
             assert_eq!(a.rows, b.rows);
             assert_eq!(a.degradation.degraded, b.degradation.degraded);
-        }
-    }
-
-    #[test]
-    fn abort_supervision_reports_router_panics() {
-        let spec = queries::total_sum_query(1);
-        let plan = shard_plan(&spec).unwrap();
-        let mut fault = FaultPlan::empty(7);
-        fault.events.push(sso_faults::FaultEvent::RouterPanic { router: 1, at_tuple: 10 });
-        let mut cfg = RuntimeConfig::new(2).with_routers(2).with_faults(fault.into_shared());
-        cfg.supervision = Supervision::Abort;
-        cfg.batch_size = 8; // 128-tuple chunks: lane 1 gets the second
-        let err = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, stream(1, 600, 4))
-            .unwrap_err();
-        match err {
-            RuntimeError::RouterPanic { router: 1, message } => {
-                assert!(message.contains("router 1"), "{message}");
-            }
-            other => panic!("expected RouterPanic, got {other}"),
         }
     }
 

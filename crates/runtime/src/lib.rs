@@ -29,10 +29,10 @@
 //! drop the newest batch (counting drops), or shed below-threshold
 //! tuples with exact Horvitz–Thompson accounting
 //! ([`engine::Backpressure::Shed`]) — overload is observable instead of
-//! silent either way. Worker panics are supervised
-//! ([`engine::Supervision`]): the default quarantines the poisoned
-//! window, respawns a fresh operator at the next window boundary, and
-//! tags the merged output with per-window coverage.
+//! silent either way. Worker panics are supervised: the shard is
+//! quarantined for the poisoned window, a fresh operator respawns at the
+//! next window boundary, and the merged output is tagged with
+//! per-window coverage.
 
 pub mod barrier;
 pub mod engine;
@@ -43,7 +43,7 @@ pub mod ring;
 pub use barrier::MergeBarrier;
 pub use engine::{
     auto_routers, route_stream, run_sharded, Backpressure, DurabilityConfig, RouterStats,
-    RuntimeConfig, RuntimeError, ShardStats, ShardedReport, Supervision,
+    RuntimeConfig, RuntimeError, ShardStats, ShardedReport,
 };
 pub use merge::{merge_shard_partials, merge_windows, ShardPartial};
 pub use pump::{Refill, TupleSource};

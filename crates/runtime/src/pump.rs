@@ -139,8 +139,8 @@ pub(crate) fn pump(
             let sent = lane.tx.push_tracked_with(Chunk { seq, live, tuples, crash }, || {
                 wait_from = trace.as_ref().map(|(p, _)| p.now_ns());
             });
-            // A closed chunk ring is a dead lane (an `Abort`-supervised
-            // panic); the join in `run_sharded` reports it.
+            // A closed chunk ring is a dead lane (a panic outside its
+            // per-chunk guard); the join in `run_sharded` reports it.
             lane_gone = sent.is_err();
             if let (Some((p, events)), Some(t0), Some(t1)) = (trace.as_mut(), t0, t1) {
                 events.record(

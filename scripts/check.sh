@@ -51,71 +51,20 @@ if [[ "${SSO_CHECK_SANITIZE:-0}" == "1" ]]; then
     fi
 fi
 
-echo "== static audit over the example corpus (bounds certified, schema stable) =="
+echo "== static audit over the example corpus (bounds certified) =="
 # `sso audit` must certify a finite memory ceiling for every example
 # query with zero diagnostics (--deny-warnings), in well under 5s —
-# the pass is pure abstract interpretation, nothing executes. The
-# python step pins the BoundsReport JSON schema so a renamed or
-# dropped field fails CI instead of silently breaking consumers.
-time cargo run -q --bin sso -- audit --json --deny-warnings examples/queries.sql \
-    | python3 -c '
-import json, sys
-doc = json.loads(sys.stdin.read())
-report, diags = doc["report"], doc["diagnostics"]
-assert diags == [], f"audit diagnostics on the example corpus: {diags}"
-for key in ("feed", "shards", "budget", "total_state_bytes", "durable", "statements"):
-    assert key in report, f"BoundsReport schema drift: missing {key}"
-stmt_keys = {
-    "name", "stream", "sampler", "window_secs", "rows_per_sec",
-    "rows_per_window", "key_cardinality", "supergroup_cardinality",
-    "per_supergroup_bound", "groups_bound", "group_entry_bytes",
-    "supergroup_entry_bytes", "state_bytes", "skew", "mergeable",
-    "deletion_safe",
-}
-stmts = report["statements"]
-assert stmts, "no statements audited"
-for s in stmts:
-    name = s.get("name", "?")
-    assert set(s) == stmt_keys, "StatementBounds schema drift: %s" % (set(s) ^ stmt_keys)
-    assert s["state_bytes"] is not None, "%s: unbounded state" % name
-total = report["total_state_bytes"]
-assert total is not None, "corpus total must be finite"
-print("audit OK: %d statements, total ceiling %d bytes" % (len(stmts), total))
-'
+# the pass is pure abstract interpretation, nothing executes. Its JSON
+# schema is pinned by tests/audit.rs.
+time cargo run -q --bin sso -- audit --json --deny-warnings examples/queries.sql >/dev/null
 
-echo "== plan-rewrite optimizer over the example corpus (certificate schema stable) =="
+echo "== plan-rewrite optimizer over the example corpus (no rewrite, re-audit ok) =="
 # `sso optimize` must stay clean on the example corpus (every WHERE
 # there leads with a stateful sampler, so nothing is hoistable and no
-# W103/W30x may fire), in seconds — the pass is pure static analysis
-# plus the re-audit, nothing executes. The python step pins the rewrite-report
-# JSON schema so consumers (and the golden tests) never drift silently.
-time cargo run -q --bin sso -- optimize --json --deny-warnings examples/queries.sql \
-    | python3 -c '
-import json, sys
-doc = json.loads(sys.stdin.read())
-assert set(doc) == {"report", "diagnostics"}, set(doc)
-report, diags = doc["report"], doc["diagnostics"]
-assert diags == [], f"optimize diagnostics on the example corpus: {diags}"
-assert set(report) == {"statements", "skipped", "clusters", "certificate", "shared", "reaudit"}, (
-    "rewrite report schema drift: %s" % set(report))
-skipped = report["skipped"]
-assert skipped == [], f"skipped statements: {skipped}"
-for c in report["clusters"]:
-    assert set(c) == {"stream", "members", "shared_prefilter", "groups"}, set(c)
-    for g in c["groups"]:
-        assert set(g) == {"statements", "hash", "canonical", "mergeable", "blocked"}, set(g)
-cert = report["certificate"]
-assert set(cert) == {"checksum", "steps"}, set(cert)
-for s in cert["steps"]:
-    assert set(s) == {"rule", "statements", "before", "after", "side_conditions"}, set(s)
-assert cert["steps"] == [], "example corpus must not be rewritten (stateful prefilters)"
-assert report["shared"] == [], "no shared plans expected on the example corpus"
-re = report["reaudit"]
-assert set(re) == {"ok", "total_state_bytes", "statements"}, set(re)
-assert re["ok"], "re-audit failed on the example corpus"
-print("optimize OK: %d statements, %d clusters, re-audit ok"
-      % (report["statements"], len(report["clusters"])))
-'
+# W103/W30x may fire), in seconds — pure static analysis plus the
+# re-audit, nothing executes. Its JSON schema is pinned by
+# tests/audit.rs.
+time cargo run -q --bin sso -- optimize --json --deny-warnings examples/queries.sql >/dev/null
 
 echo "== sso --shards smoke run =="
 cargo run -q --bin sso -- --feed research --seconds 2 --shards 4 \
@@ -242,135 +191,15 @@ PY
 echo "recovery smoke OK: recovered output identical to fault-free run"
 rm -rf "$STORE"
 
-echo "== fault-tolerance overhead gate (supervision within 5%) =="
-cargo run -q --release -p sso-bench --bin fault_overhead -- --json > BENCH_faults.json
-python3 -c '
-import json
-r = json.load(open("BENCH_faults.json"))
-pct = r["overhead_pct"]
-sup = r["supervised"]["tuples_per_sec"]
-base = r["baseline"]["tuples_per_sec"]
-print(f"supervision overhead: {pct:.2f}% ({sup:.0f} vs {base:.0f} tuples/s)")
-assert pct <= 5.0, f"supervision overhead {pct:.2f}% exceeds the 5% budget"
-'
-
-echo "== runtime scaling gate (multi-router, no speedup inversion) =="
-# Re-measures the 1/2/4/8-shard curve with `--routers auto` into
-# BENCH_runtime.json, every configuration as the median and quartiles
-# of its interleaved repetitions. While shards fit within the host's
-# cores the speedup must be monotonically non-decreasing (the
-# single-router inversion this curve used to show is gone); past the
-# host's cores the extra shards cannot physically run in parallel, so
-# the gate bounds the oversubscription cost instead: a step fails if it
-# loses more than 10% plus the two configurations' interquartile ranges
-# (a fixed 10% on single best-of-N numbers failed on the host's noise).
-# Every speedup is a ratio to the 1-shard sharded run.
-cargo run -q --release -p sso-bench --bin runtime_scaling -- --routers auto --json \
-    > BENCH_runtime.json
-python3 -c '
-import json
-r = json.load(open("BENCH_runtime.json"))
-cores = r["config"]["host_cores"]
-assert r["exact_drift_windows"] == 0, "sharded exact query drifted"
-sharded = [run for run in r["runs"] if run["mode"] == "sharded"]
-sharded.sort(key=lambda run: run["shards"])
-assert [run["shards"] for run in sharded] == [1, 2, 4, 8], sharded
-for run in sharded:
-    n, err = run["shards"], run["max_estimate_err_pct"]
-    assert run["dropped"] == 0, f"{n} shards dropped tuples"
-    assert err <= 5.0, f"{n} shards: estimate err {err:.2f}%"
-for prev, cur in zip(sharded, sharded[1:]):
-    s_prev, s_cur = prev["speedup_vs_1shard"], cur["speedup_vs_1shard"]
-    n_prev, n_cur = prev["shards"], cur["shards"]
-    if n_cur <= cores:
-        assert s_cur >= s_prev * 0.98, (
-            f"speedup inversion inside the parallel range: "
-            f"{n_prev}sh {s_prev:.2f}x -> {n_cur}sh {s_cur:.2f}x")
-    else:
-        iqrs = sum((run["secs_q3"] - run["secs_q1"]) / run["secs"] for run in (prev, cur))
-        assert s_cur >= s_prev * (0.90 - iqrs), (
-            f"oversubscription cost beyond {cores} cores exceeds 10% plus the IQRs ({iqrs:.1%}): "
-            f"{n_prev}sh {s_prev:.2f}x -> {n_cur}sh {s_cur:.2f}x")
-curve = " -> ".join(
-    "{}sh {:.2f}x".format(run["shards"], run["speedup_vs_1shard"]) for run in sharded)
-print(f"runtime scaling OK ({cores} cores): {curve}")
-'
-
-echo "== durable-store overhead gate (shard log within 5%) =="
-cargo run -q --release -p sso-bench --bin store_overhead -- --json > BENCH_store.json
-python3 -c '
-import json
-r = json.load(open("BENCH_store.json"))
-gated = r["gated"]
-pct = gated["overhead_pct"]
-dur = gated["durable"]["tuples_per_sec"]
-base = gated["baseline"]["tuples_per_sec"]
-print(f"durable-store overhead: {pct:.2f}% ({dur:.0f} vs {base:.0f} tuples/s)")
-# Ungated: the gated shape logs 4 windows of ~250 rows per shard, too
-# little to see the write path of the store; this one is shaped like
-# the ss_durable workload of benchmark/, where the store matters.
-big = r["ss_durable_shaped"]
-print("  ungated, ss_durable-shaped ({} s windows, {} samples, {} windows): {:.2f}% ({:.0f} vs {:.0f} tuples/s)".format(
-    big["config"]["window_secs"], big["config"]["target_samples"], big["durable"]["windows"],
-    big["overhead_pct"], big["durable"]["tuples_per_sec"], big["baseline"]["tuples_per_sec"]))
-assert pct <= 5.0, f"durable-store overhead {pct:.2f}% exceeds the 5% budget"
-'
-
-echo "== observability overhead gate (instrumented within 5%) =="
-cargo run -q --release -p sso-bench --bin obs_overhead -- --json > BENCH_obs.json
-python3 -c '
-import json
-r = json.load(open("BENCH_obs.json"))
-pct = r["overhead_pct"]
-instr = r["instrumented"]["tuples_per_sec"]
-plain = r["uninstrumented"]["tuples_per_sec"]
-print(f"telemetry overhead: {pct:.2f}% ({instr:.0f} vs {plain:.0f} tuples/s)")
-assert pct <= 5.0, f"telemetry overhead {pct:.2f}% exceeds the 5% budget"
-'
-
-echo "== profiling overhead gate (causal tracing within 5%) =="
-# Also records the measured 8-shard stage attribution (ROADMAP item 1:
-# where does the time go as shards scale?) alongside the gate numbers.
-cargo run -q --release -p sso-bench --bin profile_overhead -- --json > BENCH_profile.json
-python3 -c '
-import json
-r = json.load(open("BENCH_profile.json"))
-pct = r["overhead_pct"]
-prof = r["profiled"]["tuples_per_sec"]
-plain = r["unprofiled"]["tuples_per_sec"]
-a = r["attribution_8shard"]
-dominant = a["dominant_stage"]
-router = a["router_share_pct"]
-shares = {s["stage"]: s["share_pct"] for s in a["stages"]}
-ing, proc = shares["ingest"], shares["process"]
-print(f"profiling overhead: {pct:.2f}% ({prof:.0f} vs {plain:.0f} tuples/s)")
-print(f"8-shard attribution: dominant={dominant} router={router:.1f}% "
-      f"ingest={ing:.1f}% process={proc:.1f}%")
-assert pct <= 5.0, f"profiling overhead {pct:.2f}% exceeds the 5% budget"
-assert a["dominant_stage"], "attribution must name a dominant stage"
-assert a["dropped_events"] == 0, "trace lanes wrapped during the bench"
-# The multi-router restructure moved the wall off the ingest thread:
-# routing must cost less than the workers combined operator work.
-assert ing < proc, (
-    f"ingest share {ing:.1f}% not below workers process share {proc:.1f}%")
-'
-
-echo "== multi-query sharing gate (shared never slower, output identical) =="
-# The §7.1 simultaneous-query workload: 16 near-identical queries in 4
-# share groups. The optimizer's shared plan (one hoisted prefilter + 4
-# deduplicated operators) must produce byte-identical windows and must
-# never be slower than running all 16 operators unshared.
-cargo run -q --release -p sso-bench --bin multiquery_sharing -- --json > BENCH_rewrite.json
-python3 -c '
-import json
-r = json.load(open("BENCH_rewrite.json"))
-speedup = r["speedup"]
-shared = r["shared"]["tuples_per_sec"]
-unshared = r["unshared"]["tuples_per_sec"]
-print(f"sharing speedup: {speedup:.2f}x ({shared:.0f} vs {unshared:.0f} tuples/s)")
-assert r["identical"], "shared execution output diverged from unshared"
-assert speedup >= 1.0, f"shared execution slower than unshared: {speedup:.2f}x"
-'
+echo "== overhead driver (each mechanism against its baseline, scaling, sharing) =="
+# One driver and one rule: every arm is the median of round-robin
+# repetitions, and an arm fails when it loses more than 5 % of its
+# baseline's throughput plus both arms' IQR/median. A scaling step is
+# gated only where pump + router lanes + workers fit the host's cores.
+# The driver also checks exact-query drift, estimate error, drops,
+# shared == unshared output and the 8-shard stage attribution, prints
+# its table on stderr, writes BENCH.json and exits 1 on any failure.
+cargo run -q --release -p sso-bench --bin overhead -- --json > BENCH.json
 
 echo "== sso --profile smoke (chrome trace schema) =="
 PROF="$(mktemp -d)"

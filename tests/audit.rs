@@ -116,6 +116,81 @@ fn example_corpus_audits_clean_and_bounded() {
     assert!(out.report.total_state_bytes().is_finite());
 }
 
+/// `sso audit --json` and `sso optimize --json` over the example
+/// corpus, parsed as a consumer would: exact key sets, no diagnostics, a
+/// finite certified total, no rewrite step and a passing re-audit. A
+/// renamed or dropped field fails here instead of in a consumer.
+#[test]
+fn example_corpus_cli_json_schemas_are_pinned() {
+    let run = |command: &str| -> serde_json::Value {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sso"))
+            .args([command, "--json", "--deny-warnings", "examples/queries.sql"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("run sso");
+        assert!(out.status.success(), "sso {command}: {}", String::from_utf8_lossy(&out.stderr));
+        serde_json::from_str(&String::from_utf8(out.stdout).expect("UTF-8")).expect("one JSON doc")
+    };
+    let keys = |v: &serde_json::Value| -> Vec<String> {
+        v.as_object().expect("a JSON object").keys().cloned().collect()
+    };
+    let empty = |v: &serde_json::Value| v.as_array().is_some_and(Vec::is_empty);
+
+    let audit = run("audit");
+    assert_eq!(keys(&audit), ["diagnostics", "report"]);
+    assert!(empty(&audit["diagnostics"]), "{:?}", audit["diagnostics"]);
+    let report = &audit["report"];
+    let report_keys = ["budget", "durable", "feed", "shards", "statements", "total_state_bytes"];
+    assert_eq!(keys(report), report_keys);
+    assert!(report["total_state_bytes"].as_u64().is_some(), "corpus total must be finite");
+    let statements = report["statements"].as_array().expect("statements");
+    assert_eq!(statements.len(), EXAMPLE_QUERIES.len());
+    for s in statements {
+        assert_eq!(
+            keys(s),
+            [
+                "deletion_safe",
+                "group_entry_bytes",
+                "groups_bound",
+                "key_cardinality",
+                "mergeable",
+                "name",
+                "per_supergroup_bound",
+                "rows_per_sec",
+                "rows_per_window",
+                "sampler",
+                "skew",
+                "state_bytes",
+                "stream",
+                "supergroup_cardinality",
+                "supergroup_entry_bytes",
+                "window_secs",
+            ]
+        );
+        assert!(s["state_bytes"].as_u64().is_some(), "{:?}: unbounded state", s["name"]);
+    }
+
+    let optimize = run("optimize");
+    assert_eq!(keys(&optimize), ["diagnostics", "report"]);
+    assert!(empty(&optimize["diagnostics"]), "{:?}", optimize["diagnostics"]);
+    let report = &optimize["report"];
+    let report_keys = ["certificate", "clusters", "reaudit", "shared", "skipped", "statements"];
+    assert_eq!(keys(report), report_keys);
+    assert!(empty(&report["skipped"]) && empty(&report["shared"]));
+    for cluster in report["clusters"].as_array().expect("clusters") {
+        assert_eq!(keys(cluster), ["groups", "members", "shared_prefilter", "stream"]);
+        for group in cluster["groups"].as_array().expect("groups") {
+            let group_keys = ["blocked", "canonical", "hash", "mergeable", "statements"];
+            assert_eq!(keys(group), group_keys);
+        }
+    }
+    let certificate = &report["certificate"];
+    assert_eq!(keys(certificate), ["checksum", "steps"]);
+    assert!(empty(&certificate["steps"]), "stateful prefilters: nothing may be rewritten");
+    assert_eq!(keys(&report["reaudit"]), ["ok", "statements", "total_state_bytes"]);
+    assert_eq!(report["reaudit"]["ok"].as_bool(), Some(true), "re-audit failed");
+}
+
 #[test]
 fn sizing_hints_preserve_sharded_output() {
     // Pre-sizing from the certificate is a pure capacity hint. Sharded
