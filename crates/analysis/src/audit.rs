@@ -42,8 +42,6 @@ pub struct AuditOptions {
     /// `durable` section records it and W206 fires when it is below the
     /// spill pager's two-page-per-shard working-set floor.
     pub state_budget: Option<u64>,
-    /// Emit W205 for deletion-unsafe plans (turnstile deployments).
-    pub turnstile: bool,
 }
 
 impl Default for AuditOptions {
@@ -54,7 +52,6 @@ impl Default for AuditOptions {
             routers: 1,
             budget: None,
             state_budget: None,
-            turnstile: false,
         }
     }
 }
@@ -437,21 +434,6 @@ fn audit_statement(
         }
     }
 
-    // W205: deletion-unsafe state on a turnstile deployment.
-    let deletion_safety = sampler.kind.deletion_safety();
-    if opts.turnstile {
-        if let crate::domain::DeletionSafety::Unsafe(reason) = deletion_safety {
-            diags.push(
-                Diagnostic::new(
-                    Code::W205,
-                    Span::DUMMY,
-                    format!("{} state cannot absorb turnstile deletions", sampler.kind.label()),
-                )
-                .with_help(reason),
-            );
-        }
-    }
-
     let bounds = StatementBounds {
         name,
         stream: q.from.text.clone(),
@@ -469,7 +451,6 @@ fn audit_statement(
         output_wire_bytes,
         skew,
         mergeable,
-        deletion_safety,
     };
 
     // What the next cascade level sees: column cardinalities for

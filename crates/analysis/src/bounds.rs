@@ -30,7 +30,7 @@ use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_query::ast::{AstExpr, ExprKind, Query};
 use sso_types::{FieldType, Schema};
 
-use crate::domain::{Card, DeletionSafety};
+use crate::domain::Card;
 
 /// The sampling family a query's clause structure selects, with the
 /// parameters its closed-form state bound needs.
@@ -114,30 +114,6 @@ impl SamplerKind {
             },
             SamplerKind::Distinct { capacity } => Card::Finite(capacity + 1),
             SamplerKind::Kmv { k } => Card::Finite(k + 1),
-        }
-    }
-
-    /// Deletion (turnstile-retraction) safety of the sampling state,
-    /// per the non-strict-turnstile feasibility classification:
-    /// hash-threshold samplers re-derive after a deletion, weight- and
-    /// position-dependent ones cannot unwind an admission.
-    pub fn deletion_safety(&self) -> DeletionSafety {
-        match self {
-            SamplerKind::Exact => DeletionSafety::Safe,
-            SamplerKind::Distinct { .. } => DeletionSafety::Safe,
-            SamplerKind::Kmv { .. } => DeletionSafety::Safe,
-            SamplerKind::SubsetSum { .. } => DeletionSafety::Unsafe(
-                "subset-sum thresholds depend on admission order; a retraction cannot \
-                 restore groups discarded under the old threshold",
-            ),
-            SamplerKind::Reservoir { .. } => DeletionSafety::Unsafe(
-                "reservoir occupancy depends on the admission sequence; deleting a \
-                 sampled row cannot recall the rows it displaced",
-            ),
-            SamplerKind::LossyCount { .. } => DeletionSafety::Unsafe(
-                "lossy counting forgets evicted buckets; a retraction against an \
-                 evicted key under-counts silently",
-            ),
         }
     }
 }
@@ -400,16 +376,6 @@ mod tests {
         let basic = SamplerKind::SubsetSum { target: 1, cleaning: false };
         assert_eq!(basic.per_supergroup_bound(Card::Finite(1000)), Card::Unbounded);
         assert_eq!(SamplerKind::Exact.per_supergroup_bound(Card::Finite(10)), Card::Unbounded);
-    }
-
-    #[test]
-    fn deletion_safety_classification() {
-        assert!(SamplerKind::Distinct { capacity: 1 }.deletion_safety().is_safe());
-        assert!(SamplerKind::Kmv { k: 1 }.deletion_safety().is_safe());
-        assert!(SamplerKind::Exact.deletion_safety().is_safe());
-        assert!(!SamplerKind::SubsetSum { target: 1, cleaning: true }.deletion_safety().is_safe());
-        assert!(!SamplerKind::Reservoir { n: 1, cleaning: true }.deletion_safety().is_safe());
-        assert!(!SamplerKind::LossyCount { bucket_width: 1 }.deletion_safety().is_safe());
     }
 
     #[test]

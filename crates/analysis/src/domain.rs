@@ -2,11 +2,10 @@
 //!
 //! Every plan node is summarized by a small product lattice:
 //! cardinalities ([`Card`]: a flat lattice over `u64` with an explicit
-//! top), a partition-skew class ([`SkewClass`]), and a deletion-safety
-//! verdict ([`DeletionSafety`]). Transfer functions only ever move *up*
-//! the lattice (toward `Unbounded`) when information is lost, so every
-//! certified bound is sound: the concrete peak state can never exceed
-//! it.
+//! top) and a partition-skew class ([`SkewClass`]). Transfer functions
+//! only ever move *up* the lattice (toward `Unbounded`) when information
+//! is lost, so every certified bound is sound: the concrete peak state
+//! can never exceed it.
 
 use std::fmt;
 
@@ -66,14 +65,6 @@ impl Card {
         match self {
             Card::Finite(n) => n > limit,
             Card::Unbounded => true,
-        }
-    }
-
-    /// JSON rendering: a number, or `null` for unbounded.
-    pub fn to_json(self) -> String {
-        match self {
-            Card::Finite(n) => n.to_string(),
-            Card::Unbounded => "null".to_string(),
         }
     }
 }
@@ -161,25 +152,6 @@ impl fmt::Display for SkewClass {
             SkewClass::Narrow { cardinality } => write!(f, "narrow (cardinality {cardinality})"),
             other => write!(f, "{}", other.as_str()),
         }
-    }
-}
-
-/// Whether the plan's state can absorb retractions (turnstile-stream
-/// deletions) without corrupting the sample distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeletionSafety {
-    /// Deletions re-derive cleanly (hash-threshold samplers, additive
-    /// exact aggregates).
-    Safe,
-    /// No retraction semantics: once a tuple influenced the state it
-    /// cannot be unwound.
-    Unsafe(&'static str),
-}
-
-impl DeletionSafety {
-    /// Is this plan deletion-safe?
-    pub fn is_safe(self) -> bool {
-        matches!(self, DeletionSafety::Safe)
     }
 }
 

@@ -1,15 +1,16 @@
 //! Machine-readable audit output.
 //!
 //! A [`BoundsReport`] is the certificate the audit emits: per-statement
-//! state ceilings plus the verdicts (skew class, mergeability, deletion
-//! safety) the runtime and CI consume. The JSON rendering is hand-rolled
-//! and field-stable — `tests/audit.rs` pins the schema, so adding
-//! or renaming a key is a deliberate, reviewed change.
+//! state ceilings plus the verdicts (skew class, mergeability) the
+//! runtime and CI consume. `sso audit --json` renders it through the
+//! vendored `serde_json` in the root package's `json` module, and
+//! `tests/audit.rs` pins that document's keys, so adding or renaming one
+//! is a deliberate, reviewed change.
 
 use sso_core::SizingHints;
 
 use crate::bounds::SamplerKind;
-use crate::domain::{Card, DeletionSafety, SkewClass};
+use crate::domain::{Card, SkewClass};
 
 /// Certified bounds for one audited statement.
 #[derive(Debug, Clone)]
@@ -50,8 +51,6 @@ pub struct StatementBounds {
     pub skew: SkewClass,
     /// Whether the plan shards/merges (`shard_plan` succeeds).
     pub mergeable: bool,
-    /// Whether the state survives turnstile deletions.
-    pub deletion_safety: DeletionSafety,
 }
 
 impl StatementBounds {
@@ -74,35 +73,6 @@ impl StatementBounds {
             (per_lane as usize).clamp(16, 256)
         });
         SizingHints { groups: cap(self.groups_bound), supergroups: cap(supergroups), ring_batches }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":{},\"stream\":{},\"sampler\":{},\"window_secs\":{},",
-                "\"rows_per_sec\":{},\"rows_per_window\":{},\"key_cardinality\":{},",
-                "\"supergroup_cardinality\":{},\"per_supergroup_bound\":{},",
-                "\"groups_bound\":{},\"group_entry_bytes\":{},",
-                "\"supergroup_entry_bytes\":{},\"state_bytes\":{},\"skew\":{},",
-                "\"mergeable\":{},\"deletion_safe\":{}}}"
-            ),
-            json_str(&self.name),
-            json_str(&self.stream),
-            json_str(&self.sampler.label()),
-            self.window_secs.map(|w| w.to_string()).unwrap_or_else(|| "null".into()),
-            self.rows_per_sec.to_json(),
-            self.rows_per_window.to_json(),
-            self.key_cardinality.to_json(),
-            self.supergroup_cardinality.to_json(),
-            self.per_supergroup_bound.to_json(),
-            self.groups_bound.to_json(),
-            self.group_entry_bytes,
-            self.supergroup_entry_bytes,
-            self.state_bytes.to_json(),
-            json_str(self.skew.as_str()),
-            self.mergeable,
-            self.deletion_safety.is_safe(),
-        )
     }
 }
 
@@ -137,22 +107,6 @@ pub struct DurableBounds {
     pub min_state_budget: u64,
     /// The audited `--state-budget`, if one was given.
     pub state_budget: Option<u64>,
-}
-
-impl DurableBounds {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"snapshot_bytes_per_window\":{},\"wal_bytes_per_window\":{},",
-                "\"spill_pages\":{},\"min_state_budget\":{},\"state_budget\":{}}}"
-            ),
-            self.snapshot_bytes_per_window.to_json(),
-            self.wal_bytes_per_window.to_json(),
-            self.spill_pages.to_json(),
-            self.min_state_budget,
-            self.state_budget.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
-        )
-    }
 }
 
 /// The audit's certificate for one file: every statement's bounds under
@@ -201,42 +155,6 @@ impl BoundsReport {
             state_budget: self.state_budget,
         }
     }
-
-    /// Field-stable JSON rendering.
-    pub fn to_json(&self) -> String {
-        let stmts: Vec<String> = self.statements.iter().map(|s| s.to_json()).collect();
-        format!(
-            concat!(
-                "{{\"feed\":{},\"shards\":{},\"budget\":{},",
-                "\"total_state_bytes\":{},\"durable\":{},\"statements\":[{}]}}"
-            ),
-            json_str(&self.feed),
-            self.shards,
-            self.budget.map(|b| b.to_string()).unwrap_or_else(|| "null".into()),
-            self.total_state_bytes().to_json(),
-            self.durable().to_json(),
-            stmts.join(","),
-        )
-    }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -261,26 +179,7 @@ mod tests {
             output_wire_bytes: Card::Finite(38_186 * 31 + 74),
             skew: SkewClass::Spread,
             mergeable: true,
-            deletion_safety: DeletionSafety::Safe,
         }
-    }
-
-    #[test]
-    fn json_is_field_stable() {
-        let report = BoundsReport {
-            feed: "research".into(),
-            shards: 4,
-            budget: Some(8_000_000),
-            state_budget: None,
-            statements: vec![sample_statement()],
-        };
-        let json = report.to_json();
-        assert!(json.starts_with("{\"feed\":\"research\",\"shards\":4,\"budget\":8000000,"));
-        assert!(json.contains("\"sampler\":\"reservoir(n=25)\""));
-        assert!(json.contains("\"key_cardinality\":null"), "unbounded renders as null");
-        assert!(json.contains("\"total_state_bytes\":6125376"));
-        assert!(json.contains("\"durable\":{\"snapshot_bytes_per_window\":"));
-        assert!(json.contains("\"deletion_safe\":true"));
     }
 
     #[test]
@@ -345,6 +244,10 @@ mod tests {
 
     #[test]
     fn json_string_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        // Statement names reach the `audit --json` document verbatim;
+        // serde's one escaper quotes them there.
+        let mut s = sample_statement();
+        s.name = "a\"b\\c\nd".into();
+        assert_eq!(serde_json::to_string(&s.name).unwrap(), "\"a\\\"b\\\\c\\nd\"");
     }
 }

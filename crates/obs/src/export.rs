@@ -1,93 +1,12 @@
-//! Snapshot exporters: JSON and Prometheus text format.
-//!
-//! JSON is hand-rendered (the metric set is small and flat) so the
-//! output stays a single compact document that pipes cleanly into
-//! external validators. Prometheus output follows the text exposition
-//! format: `# TYPE` lines, labels in `{}`, histograms as cumulative
-//! `_bucket{le=...}` series plus `_sum`/`_count`.
+//! The Prometheus text exporter: `# TYPE` lines, labels in `{}`,
+//! histograms as cumulative `_bucket{le=...}` series plus
+//! `_sum`/`_count`. Snapshots as JSON (`sso run --metrics`) are built
+//! through the vendored `serde_json` in the root package's `json` module.
 
 use std::fmt::Write as _;
 
 use crate::hist::HistSnapshot;
-use crate::registry::{Metric, MetricKind, MetricValue, Snapshot};
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_json_metric(out: &mut String, m: &Metric) {
-    out.push_str("{\"metric\":");
-    push_json_str(out, m.name);
-    out.push_str(",\"label\":");
-    push_json_str(out, &m.label);
-    let _ = write!(out, ",\"kind\":\"{}\"", m.kind.as_str());
-    match &m.value {
-        MetricValue::Counter(v) => {
-            let _ = write!(out, ",\"value\":{v}");
-        }
-        MetricValue::Gauge(v) => {
-            out.push_str(",\"value\":");
-            push_json_f64(out, *v);
-        }
-        MetricValue::Histogram(h) => {
-            let _ = write!(out, ",\"count\":{},\"sum\":{}", h.count, h.sum);
-            out.push_str(",\"mean\":");
-            push_json_f64(out, h.mean());
-            let _ = write!(out, ",\"p50\":{},\"p99\":{}", h.quantile(0.5), h.quantile(0.99));
-        }
-    }
-    out.push('}');
-}
-
-/// Render one snapshot as a single-line JSON object:
-/// `{"seq":N,"metrics":[...]}`.
-pub fn snapshot_to_json(snap: &Snapshot) -> String {
-    let mut out = String::with_capacity(64 * snap.metrics.len() + 32);
-    let _ = write!(out, "{{\"seq\":{},\"metrics\":[", snap.seq);
-    for (i, m) in snap.metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_metric(&mut out, m);
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Render a run's snapshot series as one JSON document:
-/// `{"snapshots":[...]}` — what `sso run --metrics` writes.
-pub fn snapshots_to_json(snaps: &[Snapshot]) -> String {
-    let mut out = String::from("{\"snapshots\":[");
-    for (i, s) in snaps.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&snapshot_to_json(s));
-    }
-    out.push_str("]}\n");
-    out
-}
+use crate::registry::{MetricValue, Snapshot};
 
 fn prom_name(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
@@ -173,11 +92,7 @@ pub fn snapshot_to_prometheus(snap: &Snapshot) -> String {
     for m in &snap.metrics {
         let name = prom_name(m.name);
         if m.name != last_name {
-            let ty = match m.kind {
-                MetricKind::Counter => "counter",
-                MetricKind::Gauge => "gauge",
-                MetricKind::Histogram => "histogram",
-            };
+            let ty = m.kind.as_str();
             let _ = writeln!(out, "# HELP {name} {}", prom_help(m.name));
             let _ = writeln!(out, "# TYPE {name} {ty}");
             last_name = m.name;
@@ -212,36 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed() {
-        let r = sample_registry();
-        let json = snapshot_to_json(&r.snapshot());
-        assert!(json.starts_with("{\"seq\":0,\"metrics\":["));
-        assert!(json.contains("\"metric\":\"rt.tuples\",\"label\":\"shard=1\""));
-        assert!(json.contains("\"value\":42.25"));
-        assert!(json.contains("\"count\":2,\"sum\":4000"));
-        // Balanced braces/brackets as a cheap structural check.
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn snapshots_document_wraps_series() {
-        let r = sample_registry();
-        let doc = snapshots_to_json(&[r.snapshot(), r.snapshot()]);
-        assert!(doc.starts_with("{\"snapshots\":["));
-        assert!(doc.contains("\"seq\":1"));
-        assert!(doc.ends_with("]}\n"));
-    }
-
-    #[test]
     fn prometheus_has_types_and_hist_series() {
         let r = sample_registry();
         let text = snapshot_to_prometheus(&r.snapshot());
@@ -253,6 +138,16 @@ mod tests {
         assert!(text.contains("op_process_ns_count 2"));
         // TYPE line appears once per metric name even with two cells.
         assert_eq!(text.matches("# TYPE rt_tuples").count(), 1);
+    }
+
+    #[test]
+    fn json_escapes_strings() {
+        // A label reaches the `--metrics` document verbatim; serde's one
+        // escaper quotes it there.
+        let r = Registry::new();
+        r.counter_labeled("rt.tuples", "a\"b\\c\nd").inc();
+        let label = &r.snapshot().metrics[0].label;
+        assert_eq!(serde_json::to_string(label).unwrap(), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # sso-obs
 //!
 //! The telemetry subsystem: a lock-free metrics registry, a sampled
-//! span-tracing facade, snapshot exporters (JSON, Prometheus text), and
+//! span-tracing facade, the Prometheus text exporter, and
 //! the **self-monitoring meta-stream** — snapshots rendered as tuples
 //! with a published [`Schema`](sso_types::Schema) so the sampling
 //! operator can query its own telemetry, mirroring Gigascope's use of

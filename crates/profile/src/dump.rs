@@ -44,6 +44,16 @@ pub struct LaneDump {
     pub events: Vec<Event>,
 }
 
+impl LaneDump {
+    /// The lane as renderers label it: `router/0`, `worker/3`, `merge`.
+    pub fn name(&self) -> String {
+        match self.kind {
+            LaneKind::Worker | LaneKind::Router => format!("{}/{}", self.kind.name(), self.index),
+            kind => kind.name().to_string(),
+        }
+    }
+}
+
 /// A decoded flight-recorder dump.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dump {

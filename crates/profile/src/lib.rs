@@ -40,4 +40,4 @@ pub use dump::{
 pub use event::{Event, Stage, AUX_MAX, BATCH_NONE, SHARD_NONE, STAGES, WINDOW_NONE};
 pub use lane::{LaneKind, LaneWriter};
 pub use profiler::{DumpReason, Profiler, ProfilerConfig};
-pub use render::{chrome_trace_json, render_timeline};
+pub use render::render_timeline;

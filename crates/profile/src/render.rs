@@ -1,19 +1,10 @@
-//! Dump renderers: the human timeline (`sso trace DUMP`) and Chrome
-//! trace-event JSON (`sso trace DUMP --chrome out.json`), loadable in
-//! chrome://tracing and Perfetto.
+//! The human timeline of a dump (`sso trace DUMP`). Its Chrome
+//! trace-event JSON (`sso trace DUMP --chrome out.json`) is built through
+//! the vendored `serde_json` in the root package's `json` module.
 
 use crate::collect::fmt_ns;
 use crate::dump::Dump;
 use crate::event::{Event, BATCH_NONE, SHARD_NONE, WINDOW_NONE};
-use crate::lane::LaneKind;
-
-fn lane_name(kind: LaneKind, index: u32) -> String {
-    match kind {
-        LaneKind::Worker => format!("worker/{index}"),
-        LaneKind::Router => format!("router/{index}"),
-        _ => kind.name().to_string(),
-    }
-}
 
 fn ids(e: &Event) -> String {
     let mut s = String::new();
@@ -34,7 +25,7 @@ fn ids(e: &Event) -> String {
 pub fn render_timeline(dump: &Dump, limit: usize) -> String {
     let mut rows: Vec<(u64, String)> = Vec::with_capacity(dump.event_count());
     for lane in &dump.lanes {
-        let lname = lane_name(lane.kind, lane.index);
+        let lname = lane.name();
         for e in &lane.events {
             let line = format!(
                 "{:>14} {:<9} {:<12}{:<16} {:>10} aux={}",
@@ -68,77 +59,12 @@ pub fn render_timeline(dump: &Dump, limit: usize) -> String {
     out
 }
 
-/// Stable numeric thread id per lane for the trace viewer.
-fn tid(kind: LaneKind, index: u32) -> u32 {
-    match kind {
-        LaneKind::Merge => 1,
-        LaneKind::Low => 2,
-        // Workers from 10, routers from 1000: each multi-router lane
-        // gets its own track, and the two families never collide.
-        LaneKind::Worker => 10 + index,
-        LaneKind::Router => 1000 + index,
-    }
-}
-
-/// Render a dump as Chrome trace-event JSON: thread-name metadata
-/// (`ph:"M"`) plus one complete event (`ph:"X"`, microsecond `ts`/`dur`)
-/// per stamp.
-pub fn chrome_trace_json(dump: &Dump) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |s: String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&s);
-    };
-
-    for lane in &dump.lanes {
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-                tid(lane.kind, lane.index),
-                lane_name(lane.kind, lane.index),
-            ),
-            &mut first,
-        );
-    }
-    for lane in &dump.lanes {
-        let t = tid(lane.kind, lane.index);
-        for e in &lane.events {
-            let mut args = format!("\"aux\":{}", e.aux);
-            if e.shard != SHARD_NONE {
-                args.push_str(&format!(",\"shard\":{}", e.shard));
-            }
-            if e.window != WINDOW_NONE {
-                args.push_str(&format!(",\"window\":{}", e.window));
-            }
-            if e.batch != BATCH_NONE {
-                args.push_str(&format!(",\"batch\":{}", e.batch));
-            }
-            push(
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"sso\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{{}}}}}",
-                    e.stage.name(),
-                    e.t_ns as f64 / 1_000.0,
-                    e.dur_ns as f64 / 1_000.0,
-                    t,
-                    args,
-                ),
-                &mut first,
-            );
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dump::LaneDump;
     use crate::event::{Event, Stage};
+    use crate::lane::LaneKind;
     use crate::profiler::DumpReason;
 
     fn dump() -> Dump {
@@ -183,24 +109,5 @@ mod tests {
         assert!(text.contains("1 earlier events elided"));
         assert!(!text.contains(" route "), "older event elided");
         assert!(text.contains("process"));
-    }
-
-    #[test]
-    fn chrome_json_shape() {
-        let json = chrome_trace_json(&dump());
-        assert!(json.starts_with("{\"displayTimeUnit\""));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"name\":\"worker/1\""));
-        // Router lanes are per-index tracks on their own tid block.
-        assert!(json.contains("\"name\":\"router/0\""));
-        assert!(json.contains("\"tid\":1000"));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":2.000"));
-        assert!(json.contains("\"dur\":0.900"));
-        assert!(json.ends_with("]}"));
-        // Balanced braces — cheap well-formedness check without a parser.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
     }
 }

@@ -100,9 +100,6 @@ pub enum Code {
     /// Shed-unsafe: `Backpressure::Shed` weights by a column the plan
     /// cannot prove numeric and non-negative.
     W204,
-    /// Deletion-unsafe sampler: the plan's sampling state cannot absorb
-    /// retractions on a turnstile stream.
-    W205,
     /// State budget below the spill pager's working-set floor: the
     /// paged group table pins two pages (the open page and the touched
     /// page), so a per-shard budget under two pages cannot be enforced.
@@ -125,44 +122,26 @@ pub enum Code {
     W304,
 }
 
-impl Code {
-    /// The code as it renders, e.g. `E003`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Code::E100 => "E100",
-            Code::E101 => "E101",
-            Code::E001 => "E001",
-            Code::E002 => "E002",
-            Code::E003 => "E003",
-            Code::E004 => "E004",
-            Code::E005 => "E005",
-            Code::E006 => "E006",
-            Code::E007 => "E007",
-            Code::E008 => "E008",
-            Code::E009 => "E009",
-            Code::E010 => "E010",
-            Code::E011 => "E011",
-            Code::E012 => "E012",
-            Code::E013 => "E013",
-            Code::W001 => "W001",
-            Code::W002 => "W002",
-            Code::W003 => "W003",
-            Code::W004 => "W004",
-            Code::W005 => "W005",
-            Code::W103 => "W103",
-            Code::W101 => "W101",
-            Code::W102 => "W102",
-            Code::W201 => "W201",
-            Code::W202 => "W202",
-            Code::W203 => "W203",
-            Code::W204 => "W204",
-            Code::W205 => "W205",
-            Code::W206 => "W206",
-            Code::W301 => "W301",
-            Code::W302 => "W302",
-            Code::W303 => "W303",
-            Code::W304 => "W304",
+/// `Code::ALL` and `Code::as_str` from one list of the codes, so the
+/// two cannot drift (a code missing here fails `as_str`'s match).
+macro_rules! code_table {
+    ($($code:ident)*) => {
+        /// Every code.
+        pub const ALL: &'static [Code] = &[$(Code::$code),*];
+
+        /// The code as it renders, e.g. `E003`.
+        pub fn as_str(self) -> &'static str {
+            match self {
+                $(Code::$code => stringify!($code),)*
+            }
         }
+    };
+}
+
+impl Code {
+    code_table! {
+        E100 E101 E001 E002 E003 E004 E005 E006 E007 E008 E009 E010 E011 E012 E013
+        W001 W002 W003 W004 W005 W103 W101 W102 W201 W202 W203 W204 W206 W301 W302 W303 W304
     }
 
     /// The severity implied by the code's letter.
@@ -185,43 +164,8 @@ impl std::str::FromStr for Code {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // Keep in sync with `as_str`; the round-trip is unit-tested.
-        Ok(match s {
-            "E100" => Code::E100,
-            "E101" => Code::E101,
-            "E001" => Code::E001,
-            "E002" => Code::E002,
-            "E003" => Code::E003,
-            "E004" => Code::E004,
-            "E005" => Code::E005,
-            "E006" => Code::E006,
-            "E007" => Code::E007,
-            "E008" => Code::E008,
-            "E009" => Code::E009,
-            "E010" => Code::E010,
-            "E011" => Code::E011,
-            "E012" => Code::E012,
-            "E013" => Code::E013,
-            "W001" => Code::W001,
-            "W002" => Code::W002,
-            "W003" => Code::W003,
-            "W004" => Code::W004,
-            "W005" => Code::W005,
-            "W103" => Code::W103,
-            "W101" => Code::W101,
-            "W102" => Code::W102,
-            "W201" => Code::W201,
-            "W202" => Code::W202,
-            "W203" => Code::W203,
-            "W204" => Code::W204,
-            "W205" => Code::W205,
-            "W206" => Code::W206,
-            "W301" => Code::W301,
-            "W302" => Code::W302,
-            "W303" => Code::W303,
-            "W304" => Code::W304,
-            other => return Err(format!("unknown diagnostic code `{other}`")),
-        })
+        let code = Code::ALL.iter().copied().find(|c| c.as_str() == s);
+        code.ok_or_else(|| format!("unknown diagnostic code `{s}`"))
     }
 }
 
@@ -261,219 +205,6 @@ impl Diagnostic {
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}[{}]: {}", self.severity.label(), self.code, self.message)
-    }
-}
-
-impl Diagnostic {
-    /// One machine-readable JSON object, on one line, for `sso check
-    /// --json`. The shape is fixed — `code`, `severity`, `span`
-    /// (`start`/`end` byte offsets), `message`, `help` (string or
-    /// null) — so editors and CI can split on newlines and parse each
-    /// independently.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"code\":\"");
-        out.push_str(self.code.as_str());
-        out.push_str("\",\"severity\":\"");
-        out.push_str(self.severity.label());
-        out.push_str("\",\"span\":{\"start\":");
-        out.push_str(&self.span.start.to_string());
-        out.push_str(",\"end\":");
-        out.push_str(&self.span.end.to_string());
-        out.push_str("},\"message\":");
-        json_string(&mut out, &self.message);
-        out.push_str(",\"help\":");
-        match &self.help {
-            Some(h) => json_string(&mut out, h),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parse one line of [`to_json`](Self::to_json) output back into a
-    /// diagnostic (the vendored serde has no deserializer, so this is a
-    /// purpose-built reader for exactly that shape; unknown keys are
-    /// rejected, key order is free). Severity is re-derived from the
-    /// code, and a `severity` field that contradicts it is an error.
-    pub fn from_json(line: &str) -> Result<Diagnostic, String> {
-        let mut p = JsonReader::new(line);
-        let (mut code, mut severity, mut span) = (None, None, None);
-        let (mut message, mut help) = (None, None);
-        p.expect('{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "code" => code = Some(p.string()?.parse::<Code>()?),
-                "severity" => severity = Some(p.string()?),
-                "message" => message = Some(p.string()?),
-                "help" => help = p.string_or_null()?,
-                "span" => {
-                    let (mut start, mut end) = (None, None);
-                    p.expect('{')?;
-                    loop {
-                        let k = p.string()?;
-                        p.expect(':')?;
-                        match k.as_str() {
-                            "start" => start = Some(p.number()?),
-                            "end" => end = Some(p.number()?),
-                            other => return Err(format!("unknown span key `{other}`")),
-                        }
-                        if !p.more_entries()? {
-                            break;
-                        }
-                    }
-                    span = Some(Span::new(
-                        start.ok_or("span missing `start`")?,
-                        end.ok_or("span missing `end`")?,
-                    ));
-                }
-                other => return Err(format!("unknown diagnostic key `{other}`")),
-            }
-            if !p.more_entries()? {
-                break;
-            }
-        }
-        p.finish()?;
-        let code = code.ok_or("missing `code`")?;
-        let d = Diagnostic {
-            severity: code.severity(),
-            code,
-            span: span.ok_or("missing `span`")?,
-            message: message.ok_or("missing `message`")?,
-            help,
-        };
-        if let Some(sev) = severity {
-            if sev != d.severity.label() {
-                return Err(format!("severity `{sev}` contradicts code {code}"));
-            }
-        }
-        Ok(d)
-    }
-}
-
-/// Append `s` to `out` as a JSON string literal.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A cursor over one line of diagnostic JSON: just enough of the
-/// grammar (objects of strings/numbers/null) for [`Diagnostic::from_json`].
-struct JsonReader<'a> {
-    rest: &'a str,
-}
-
-impl<'a> JsonReader<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonReader { rest: s }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        self.skip_ws();
-        let mut chars = self.rest.chars();
-        match chars.next() {
-            Some(c) if c == want => {
-                self.rest = chars.as_str();
-                Ok(())
-            }
-            got => Err(format!("expected `{want}`, found {got:?}")),
-        }
-    }
-
-    /// After a value: `,` means another key follows, `}` closes.
-    fn more_entries(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        let mut chars = self.rest.chars();
-        match chars.next() {
-            Some(',') => {
-                self.rest = chars.as_str();
-                Ok(true)
-            }
-            Some('}') => {
-                self.rest = chars.as_str();
-                Ok(false)
-            }
-            got => Err(format!("expected `,` or `}}`, found {got:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next().map(|(_, e)| e) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let mut hex = String::new();
-                        for _ in 0..4 {
-                            hex.push(chars.next().map(|(_, h)| h).ok_or("truncated \\u escape")?);
-                        }
-                        let n = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        out.push(char::from_u32(n).ok_or("\\u escape is not a scalar value")?);
-                    }
-                    e => return Err(format!("bad escape {e:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn string_or_null(&mut self) -> Result<Option<String>, String> {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix("null") {
-            self.rest = rest;
-            return Ok(None);
-        }
-        self.string().map(Some)
-    }
-
-    fn number(&mut self) -> Result<usize, String> {
-        self.skip_ws();
-        let end = self.rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(self.rest.len());
-        let (digits, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        digits.parse().map_err(|_| format!("expected a number, found `{digits}`"))
-    }
-
-    fn finish(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing input after diagnostic: `{}`", self.rest))
-        }
     }
 }
 
@@ -625,37 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let d = Diagnostic::new(
-            Code::E003,
-            Span::new(7, 12),
-            "aggregate `count` is not allowed in CLEANING WHEN",
-        )
-        .with_help("aggregates are group-phase; CLEANING WHEN runs per tuple");
-        let line = d.to_json();
-        assert!(!line.contains('\n'), "one object per line: {line}");
-        assert_eq!(Diagnostic::from_json(&line).unwrap(), d);
-
-        // No help → null, and messages with quotes/newlines survive.
-        let d = Diagnostic::new(Code::W004, Span::new(0, 3), "say \"hi\"\nthen \\ stop");
-        let line = d.to_json();
-        assert!(line.contains("\"help\":null"), "{line}");
-        assert!(!line.contains('\n'), "escapes keep it on one line: {line}");
-        assert_eq!(Diagnostic::from_json(&line).unwrap(), d);
-    }
-
-    #[test]
-    fn json_rejects_malformed_input() {
-        assert!(Diagnostic::from_json("").is_err());
-        assert!(Diagnostic::from_json("{}").is_err(), "missing required keys");
-        let good = Diagnostic::new(Code::E001, Span::new(1, 2), "m").to_json();
-        assert!(Diagnostic::from_json(&good.replace("E001", "E999")).is_err(), "unknown code");
-        assert!(Diagnostic::from_json(&good.replace("error", "warning")).is_err(), "severity lies");
-        assert!(Diagnostic::from_json(&format!("{good}x")).is_err(), "trailing garbage");
-        assert!(Diagnostic::from_json(&good[..good.len() - 2]).is_err(), "truncated");
-    }
-
-    #[test]
     fn code_as_str_round_trips() {
         for code in [
             Code::E100,
@@ -685,7 +385,6 @@ mod tests {
             Code::W202,
             Code::W203,
             Code::W204,
-            Code::W205,
             Code::W206,
             Code::W301,
             Code::W302,
@@ -711,11 +410,6 @@ mod tests {
         assert_eq!(diags[0].message, "first copy");
         assert_eq!(diags[1].message, "different span survives");
         assert_eq!(diags[2].message, "different code survives");
-
-        // The deduped batch survives a JSON round trip unchanged.
-        let reparsed: Vec<Diagnostic> =
-            diags.iter().map(|d| Diagnostic::from_json(&d.to_json()).unwrap()).collect();
-        assert_eq!(reparsed, diags);
     }
 
     #[test]

@@ -54,4 +54,4 @@ pub use optimize::{
     check_file_prefilters, optimize_file, ExecutableSharedPlan, OptimizeOptions, OptimizeOutcome,
     ReauditSummary, ShareCluster, ShareGroup, SharedGroupDesc, SharedPlanDesc,
 };
-pub use report::{outcome_to_json, render_summary};
+pub use report::render_summary;

@@ -99,15 +99,14 @@
 //! interpretation over the same cascade, certifying a memory ceiling
 //! per query against a declared feed envelope (`--feed`, default
 //! research), a router-skew verdict at `--shards N`, and degradation
-//! behavior (W201–W206). `--budget BYTES` makes the command fail when
+//! behavior (W201–W204, W206). `--budget BYTES` makes the command fail when
 //! the certified total exceeds the budget (or cannot be bounded);
 //! `--state-budget BYTES` audits a durable run's spill budget (W206
 //! fires when it is under the pager's two-page-per-shard floor);
 //! `--json` emits the machine-readable `BoundsReport` — including the
 //! `durable` section with certified snapshot/WAL bytes per window —
-//! plus diagnostics; `--turnstile` additionally flags deletion-unsafe
-//! samplers. Nothing is executed: the verdict comes from the paper's
-//! closed-form state bounds evaluated symbolically.
+//! plus diagnostics. Nothing is executed: the verdict comes from the
+//! paper's closed-form state bounds evaluated symbolically.
 //!
 //! `sso optimize FILE` runs the certified plan-rewrite optimizer
 //! (`sso-rewrite`) over the file's simultaneous query set: plans are
@@ -123,6 +122,7 @@
 
 use std::io::Write;
 
+use stream_sampler::json;
 use stream_sampler::obs::{export, metrics_schema, snapshot_tuples, Registry, Snapshot};
 use stream_sampler::operator::{OperatorMetrics, OperatorSpec, WindowOutput};
 use stream_sampler::prelude::*;
@@ -174,7 +174,7 @@ fn usage() -> ! {
          \x20      sso trace [--chrome FILE] [--limit N] DUMP-FILE|DIR\n\
          \x20      sso check [--json] [--deny-warnings] QUERY-FILE\n\
          \x20      sso audit [--json] [--deny-warnings] [--feed NAME] [--shards N] \
-         [--budget BYTES] [--state-budget BYTES] [--turnstile] QUERY-FILE\n\
+         [--budget BYTES] [--state-budget BYTES] QUERY-FILE\n\
          \x20      sso optimize [--json] [--deny-warnings] [--explain] QUERY-FILE"
     );
     std::process::exit(2);
@@ -276,7 +276,7 @@ fn run_check(args: &[String]) -> ! {
     let mut out = std::io::stdout().lock();
     for d in &all {
         let _ = if json {
-            writeln!(out, "{}", d.to_json())
+            writeln!(out, "{}", line(&json::diagnostic(d)))
         } else {
             writeln!(out, "{}", diag::render_one(&text, path, d))
         };
@@ -295,7 +295,7 @@ fn run_check(args: &[String]) -> ! {
 }
 
 /// `sso audit [--json] [--deny-warnings] [--feed NAME] [--shards N]
-/// [--budget BYTES] [--turnstile] FILE`: run the static
+/// [--budget BYTES] FILE`: run the static
 /// abstract-interpretation pass over every query in FILE, printing the
 /// certified bounds (or the JSON `BoundsReport`) plus any W2xx
 /// diagnostics. Exits 0 when the file certifies cleanly, 1 on errors,
@@ -307,7 +307,7 @@ fn run_audit(args: &[String]) -> ! {
     let usage = || -> ! {
         eprintln!(
             "usage: sso audit [--json] [--deny-warnings] [--feed NAME] [--shards N] \
-             [--routers N] [--budget BYTES] [--state-budget BYTES] [--turnstile] QUERY-FILE"
+             [--routers N] [--budget BYTES] [--state-budget BYTES] QUERY-FILE"
         );
         std::process::exit(2);
     };
@@ -326,7 +326,6 @@ fn run_audit(args: &[String]) -> ! {
         match a.as_str() {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            "--turnstile" => opts.turnstile = true,
             "--feed" => opts.feed = value(&mut i),
             "--shards" => {
                 opts.shards = value(&mut i)
@@ -382,13 +381,7 @@ fn run_audit(args: &[String]) -> ! {
     if json {
         // One object: the bounds certificate plus every diagnostic, so
         // CI consumes a single line per audited file.
-        let lines: Vec<String> = diags.iter().map(|d| d.to_json()).collect();
-        let _ = writeln!(
-            out,
-            "{{\"report\":{},\"diagnostics\":[{}]}}",
-            outcome.report.to_json(),
-            lines.join(",")
-        );
+        let _ = writeln!(out, "{}", line(&json::audit(&outcome.report, &diags)));
     } else {
         for d in &diags {
             let _ = writeln!(out, "{}", diag::render_one(&text, &path, d));
@@ -444,9 +437,7 @@ fn run_audit(args: &[String]) -> ! {
 /// anything. Exits 0 when clean, 1 on errors, a failed re-audit, or
 /// (with `--deny-warnings`) any warning, 2 on usage or I/O problems.
 fn run_optimize(args: &[String]) -> ! {
-    use stream_sampler::rewrite::{
-        optimize_file, outcome_to_json, render_summary, OptimizeOptions,
-    };
+    use stream_sampler::rewrite::{optimize_file, render_summary, OptimizeOptions};
 
     let usage = || -> ! {
         eprintln!("usage: sso optimize [--json] [--deny-warnings] [--explain] QUERY-FILE");
@@ -485,7 +476,7 @@ fn run_optimize(args: &[String]) -> ! {
     if json {
         // One object per file: the rewrite report (clusters, certificate,
         // shared plans, re-audit) plus every diagnostic.
-        let _ = writeln!(out, "{}", outcome_to_json(&outcome));
+        let _ = writeln!(out, "{}", line(&json::optimize(&outcome)));
     } else {
         for d in &outcome.diagnostics {
             let _ = writeln!(out, "{}", diag::render_one(&text, &path, d));
@@ -741,7 +732,7 @@ fn run_trace(args: &[String]) -> ! {
     });
     match chrome {
         Some(out) => {
-            let body = stream_sampler::profile::chrome_trace_json(&dump);
+            let body = line(&json::chrome_trace(&dump));
             if out == "-" {
                 print!("{body}");
             } else if let Err(e) = std::fs::write(&out, body) {
@@ -1130,15 +1121,15 @@ fn render_router_health(snap: &Snapshot) -> String {
 /// JSON document to stdout, `*.prom` writes Prometheus text of the last
 /// snapshot, anything else gets the JSON document as a file.
 fn write_metrics(target: &str, snapshots: &[Snapshot]) {
-    if target == "-" {
-        print!("{}", export::snapshots_to_json(snapshots));
-        return;
-    }
     let body = if target.ends_with(".prom") {
         snapshots.last().map(export::snapshot_to_prometheus).unwrap_or_default()
     } else {
-        export::snapshots_to_json(snapshots)
+        line(&json::snapshots(snapshots)) + "\n"
     };
+    if target == "-" {
+        print!("{body}");
+        return;
+    }
     if let Err(e) = std::fs::write(target, body) {
         eprintln!("error: cannot write {target}: {e}");
         std::process::exit(1);
@@ -1501,13 +1492,7 @@ fn main() {
 
 fn print_window(w: &WindowOutput, columns: &[String], opts: &Options) -> u64 {
     if opts.json {
-        // One JSON object per window, rows as arrays of strings.
-        let rows: Vec<Vec<String>> =
-            w.rows.iter().map(|r| r.values().iter().map(|v| v.to_string()).collect()).collect();
-        println!(
-            "{}",
-            serde_json_lite(&w.window.to_string(), columns, &rows, &w.stats, &w.degradation)
-        );
+        println!("{}", line(&json::window(w, columns)));
         return w.rows.len() as u64;
     }
     let degraded = if w.degradation.degraded {
@@ -1534,32 +1519,7 @@ fn print_window(w: &WindowOutput, columns: &[String], opts: &Options) -> u64 {
     w.rows.len() as u64
 }
 
-/// Tiny hand-rolled JSON encoder for the window record (values are
-/// numbers/strings only; strings contain no quotes).
-fn serde_json_lite(
-    window: &str,
-    columns: &[String],
-    rows: &[Vec<String>],
-    stats: &stream_sampler::operator::WindowStats,
-    degradation: &Degradation,
-) -> String {
-    let cols = columns.iter().map(|c| format!("\"{c}\"")).collect::<Vec<_>>().join(",");
-    let rows = rows
-        .iter()
-        .map(|r| {
-            let cells = r.iter().map(|v| format!("\"{v}\"")).collect::<Vec<_>>().join(",");
-            format!("[{cells}]")
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"window\":\"{window}\",\"columns\":[{cols}],\"rows\":[{rows}],\
-         \"tuples\":{},\"admitted\":{},\"cleaning_phases\":{},\
-         \"coverage\":{},\"degraded\":{}}}",
-        stats.tuples,
-        stats.admitted,
-        stats.cleaning_phases,
-        degradation.coverage,
-        degradation.degraded
-    )
+/// A document on one line: what every JSON output of the CLI prints.
+fn line(doc: &serde_json::Value) -> String {
+    serde_json::to_string(doc).expect("a Value always serializes")
 }

@@ -23,6 +23,7 @@
 //! | [`netgen`] | `sso-netgen` | synthetic research-center and data-center packet feeds |
 //! | [`analysis`] | `sso-analysis` | static audit: abstract interpretation certifying memory bounds, skew safety, degradation behavior |
 //! | [`rewrite`] | `sso-rewrite` | certified plan-rewrite optimizer: canonical normalization, equivalence prover, multi-query sharing |
+//! | [`json`] | (this package) | every JSON document the `sso` CLI writes or reads, through the vendored `serde_json` |
 //!
 //! ## Quick start
 //!
@@ -63,6 +64,8 @@ pub use sso_runtime as runtime;
 pub use sso_sampling as sampling;
 pub use sso_store as store;
 pub use sso_types as types;
+
+pub mod json;
 
 /// The names most programs need.
 pub mod prelude {

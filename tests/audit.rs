@@ -149,7 +149,6 @@ fn example_corpus_cli_json_schemas_are_pinned() {
         assert_eq!(
             keys(s),
             [
-                "deletion_safe",
                 "group_entry_bytes",
                 "groups_bound",
                 "key_cardinality",

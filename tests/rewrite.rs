@@ -22,7 +22,7 @@ use stream_sampler::netgen::research_feed;
 use stream_sampler::prelude::*;
 use stream_sampler::query::{compile_packet_predicate, Code};
 use stream_sampler::rewrite::{
-    check_file_prefilters, optimize_file, outcome_to_json, OptimizeOptions, OptimizeOutcome,
+    check_file_prefilters, optimize_file, OptimizeOptions, OptimizeOutcome,
 };
 
 fn optimize(text: &str) -> OptimizeOutcome {
@@ -121,14 +121,13 @@ fn golden_example_corpus_is_a_fixed_point() {
     }
 
     // Golden JSON shape (not full content — hashes cover that above).
-    let json = outcome_to_json(&outcome);
-    assert!(
-        json.starts_with("{\"report\":{\"statements\":7,\"skipped\":[],\"clusters\":["),
-        "{json}"
-    );
+    let json = serde_json::to_string(&stream_sampler::json::optimize(&outcome)).unwrap();
+    assert!(json.starts_with("{\"diagnostics\":[],\"report\":{\"certificate\":{"), "{json}");
+    assert!(json.contains("\"clusters\":[{"));
+    assert!(json.contains("\"skipped\":[]"));
+    assert!(json.contains("\"statements\":7}}"), "{json}");
     assert!(json.contains("\"steps\":[]"));
     assert!(json.contains("\"shared\":[]"));
-    assert!(json.ends_with("\"diagnostics\":[]}"), "{json}");
 }
 
 /// Applying the rewrites produces a certificate whose steps name the
@@ -182,7 +181,7 @@ fn w103_duplicate_prefilter_across_statements() {
         assert_eq!(d.code, Code::W103);
         assert!(!d.span.is_dummy());
         spans.push(d.span.start);
-        let json = d.to_json();
+        let json = serde_json::to_string(&stream_sampler::json::diagnostic(d)).unwrap();
         assert!(json.contains("\"code\":\"W103\""), "{json}");
         assert_eq!("W103".parse::<Code>().unwrap(), Code::W103);
     }
