@@ -10,12 +10,22 @@
 //! shard's last write to it. The `model_check` suite verifies exactly
 //! this invariant (and that downgrading the increment to `Relaxed` is
 //! reported as a data race).
+//!
+//! The merging thread parks while it waits, on a
+//! [`sso_sync::ParkSlot`]: it announces itself with a `SeqCst` store,
+//! re-checks the count, and parks only if shards are still missing.
+//! Every publish ends with a `notify` — a `SeqCst` fence, then one load
+//! of the announcement — and unparks the merger only if it announced.
+//! The fences order each side's store before its load of the other's,
+//! so the last publish and the merger's announcement cannot both go
+//! unseen.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use sso_sync::hint::Backoff;
+use sso_obs::Stopwatch;
 use sso_sync::Ordering::{Acquire, Release};
-use sso_sync::{SyncBool, SyncCell, SyncUsize};
+use sso_sync::{ParkSlot, SyncBool, SyncCell, SyncUsize};
 
 /// Collects one `T` per shard; see the module docs for the protocol.
 pub struct MergeBarrier<T> {
@@ -24,6 +34,8 @@ pub struct MergeBarrier<T> {
     /// must know *which* slots are safe to read, not just how many.
     ready: Box<[SyncBool]>,
     published: SyncUsize,
+    /// Where the merging thread waits; every publish notifies it.
+    merger: ParkSlot,
 }
 
 impl<T: Send> MergeBarrier<T> {
@@ -33,6 +45,7 @@ impl<T: Send> MergeBarrier<T> {
             slots: (0..shards).map(|_| SyncCell::new(None)).collect(),
             ready: (0..shards).map(|_| SyncBool::new(false)).collect(),
             published: SyncUsize::new(0),
+            merger: ParkSlot::new(),
         })
     }
 
@@ -45,20 +58,13 @@ impl<T: Send> MergeBarrier<T> {
         unsafe { self.slots[shard].with_mut(|slot| *slot = Some(value)) };
         self.ready[shard].store(true, Release);
         self.published.fetch_add(1, Release);
-    }
-
-    /// How many shards have published so far (`Acquire`, monotonic).
-    pub fn published(&self) -> usize {
-        self.published.load(Acquire)
+        self.merger.notify();
     }
 
     /// Wait until every shard has published, then take all partials in
     /// shard order (`None` entries would mean a double-take and panic).
     pub fn wait_all(&self) -> Vec<T> {
-        let mut backoff = Backoff::new();
-        while self.published.load(Acquire) < self.slots.len() {
-            backoff.wait();
-        }
+        self.park_until_published(None);
         self.slots
             .iter()
             .enumerate()
@@ -70,6 +76,36 @@ impl<T: Send> MergeBarrier<T> {
                     .unwrap_or_else(|| panic!("shard {shard} never published"))
             })
             .collect()
+    }
+
+    /// Park until every shard has published or `timeout` has passed,
+    /// whichever comes first — the window-deadline wait ahead of
+    /// [`Self::take_ready`].
+    pub fn wait_timeout(&self, timeout: Duration) {
+        self.park_until_published(Some(timeout));
+    }
+
+    fn park_until_published(&self, timeout: Option<Duration>) {
+        let all = || self.published.load(Acquire) >= self.slots.len();
+        let clock = timeout.map(|t| (t, Stopwatch::start()));
+        while !all() {
+            let left = match clock {
+                None => None,
+                Some((t, sw)) => match t.checked_sub(sw.elapsed()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return,
+                },
+            };
+            self.merger.announce();
+            if all() {
+                self.merger.withdraw();
+                return;
+            }
+            match left {
+                None => self.merger.park(),
+                Some(left) => self.merger.park_timeout(left),
+            }
+        }
     }
 
     /// Take the partials of every shard that has published *so far*,
@@ -107,7 +143,6 @@ mod tests {
         let b = MergeBarrier::new(3);
         b.publish(2, "c");
         b.publish(0, "a");
-        assert_eq!(b.published(), 2);
         b.publish(1, "b");
         assert_eq!(b.wait_all(), vec!["a", "b", "c"]);
     }
@@ -138,6 +173,24 @@ mod tests {
         // take picks it up (taken slots stay empty).
         b.publish(1, "b");
         assert_eq!(b.take_ready(), vec![None, Some("b"), None]);
+    }
+
+    #[test]
+    fn wait_timeout_returns_at_the_deadline_or_the_last_publish() {
+        let b = MergeBarrier::new(2);
+        b.publish(0, 1);
+        let sw = Stopwatch::start();
+        b.wait_timeout(Duration::from_millis(5));
+        assert!(sw.elapsed() >= Duration::from_millis(5), "a straggler holds it to the deadline");
+        let late = {
+            let b = b.clone();
+            sso_sync::thread::spawn(move || b.publish(1, 2))
+        };
+        let sw = Stopwatch::start();
+        b.wait_timeout(Duration::from_secs(60));
+        assert!(sw.elapsed() < Duration::from_secs(60), "the last publish wakes it");
+        assert_eq!(b.wait_all(), vec![1, 2]);
+        late.join();
     }
 
     #[test]

@@ -74,14 +74,15 @@ use sso_profile::{
     DumpReason, Event as ProfEvent, LaneKind, LaneWriter, Profiler, Stage as ProfStage,
 };
 use sso_store::{FsyncPolicy, PagedGroupTable, ShardStore, StoreConfig, WindowRecord};
-use sso_sync::hint::Backoff;
-use sso_sync::{SyncBool, SyncUsize};
+use sso_sync::{ParkSlot, SyncBool, SyncUsize};
 use sso_types::Tuple;
 
 use crate::barrier::MergeBarrier;
 use crate::merge::ShardPartial;
-use crate::pump::{pump, Chunk, ChunkLane, TupleSource, CHUNK_BATCHES, CHUNK_RING};
-use crate::ring::{ring, Consumer, Producer, PushError};
+use crate::pump::{
+    prefetch, pump, Chunk, ChunkLane, TupleSource, CHUNK_BATCHES, CHUNK_RING, PREFETCH_AHEAD,
+};
+use crate::ring::{ring, ring_notifying, Consumer, Producer, PushError};
 
 /// What the router does when a shard's ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,9 +167,7 @@ pub struct RuntimeConfig {
     /// shard; `N` multiplexes the shards onto `min(N, shards)` pool
     /// threads, each draining its shards' rings round-robin. Results
     /// are byte-identical either way — every shard's batches are still
-    /// consumed in its own ring order by exactly one thread — but on a
-    /// host with fewer cores than shards the cap stops idle workers
-    /// from burning scheduler quanta the busy ones need.
+    /// consumed in its own ring order by exactly one thread.
     pub worker_cap: usize,
     /// Ring depth per (router, shard) ring, in batches.
     pub ring_capacity: usize,
@@ -1484,6 +1483,9 @@ fn route_chunk(
             let router = lane.router;
             catch_unwind(AssertUnwindSafe(move || {
                 while *local < chunk.len() {
+                    if let Some(ahead) = chunk.get(*local + PREFETCH_AHEAD) {
+                        prefetch(ahead, false);
+                    }
                     *count += 1;
                     if let Some(f) = faults.check(*count) {
                         f.trip_router(router, *count);
@@ -1667,6 +1669,14 @@ where
             // filled, the batch being processed — so the lane never
             // allocates a batch and a return never finds its ring full.
             let ring_cap = cfg.effective_ring_capacity();
+            // The worker pool: `resolved_workers()` threads share the
+            // shards contiguously (thread t owns shards
+            // [t·S/W, (t+1)·S/W)), and each parks on one slot that every
+            // ring it drains notifies.
+            let pool_threads = cfg.resolved_workers();
+            let first_shard_of = |t: usize| t * cfg.shards / pool_threads;
+            let pool_slots: Vec<Arc<ParkSlot>> =
+                (0..pool_threads).map(|_| Arc::new(ParkSlot::new())).collect();
             let mut txs_by_router: Vec<Vec<Producer<Msg>>> =
                 (0..routers).map(|_| Vec::with_capacity(cfg.shards)).collect();
             let mut homes_by_router: Vec<Vec<Consumer<Vec<Tuple>>>> =
@@ -1676,8 +1686,12 @@ where
                 .map(|_| (Vec::with_capacity(routers), Vec::with_capacity(routers)))
                 .collect();
             for (txs, homes) in txs_by_router.iter_mut().zip(homes_by_router.iter_mut()) {
-                for (rxs, home_txs) in rings_by_shard.iter_mut() {
-                    let (tx, rx) = ring::<Msg>(ring_cap);
+                for (shard, (rxs, home_txs)) in rings_by_shard.iter_mut().enumerate() {
+                    let owner = (0..pool_threads)
+                        .rev()
+                        .find(|&t| first_shard_of(t) <= shard)
+                        .expect("thread 0 owns shard 0");
+                    let (tx, rx) = ring_notifying::<Msg>(ring_cap, Arc::clone(&pool_slots[owner]));
                     let (home_tx, home_rx) = buffer_pool(ring_cap + 2, cfg.batch_size, &fresh);
                     txs.push(tx);
                     homes.push(home_rx);
@@ -1685,25 +1699,21 @@ where
                     home_txs.push(home_tx);
                 }
             }
-            // The worker pool: `resolved_workers()` threads share the
-            // shards contiguously (thread t owns shards
-            // [t·S/W, (t+1)·S/W)). With the default cap of one thread
-            // per shard each pool thread owns exactly one task and this
-            // degenerates to the classic per-shard worker; with a cap
-            // below the shard count one thread round-robins its tasks
-            // with non-blocking pops, so an oversubscribed host is not
-            // forced to context-switch per batch. Byte-identical either
-            // way: each shard's batches are consumed in its own ring
-            // order by exactly one thread.
-            let pool_threads = cfg.resolved_workers();
+            // With the default cap of one thread per shard each pool
+            // thread owns exactly one task and this degenerates to the
+            // classic per-shard worker; with a cap below the shard count
+            // one thread round-robins its tasks with non-blocking pops.
+            // Byte-identical either way: each shard's batches are
+            // consumed in its own ring order by exactly one thread.
             let mut shard_inputs: Vec<_> = shard_setups.into_iter().zip(rings_by_shard).collect();
             // Per pool thread: (last shard it touched, join handle) —
             // the cell attributes a panic that escaped supervision to
             // the shard whose batch was running when the thread died.
             let mut handles = Vec::with_capacity(pool_threads);
             for t in (0..pool_threads).rev() {
-                let group: Vec<_> = shard_inputs.split_off(t * cfg.shards / pool_threads);
-                let first_shard = t * cfg.shards / pool_threads;
+                let first_shard = first_shard_of(t);
+                let group: Vec<_> = shard_inputs.split_off(first_shard);
+                let park = Arc::clone(&pool_slots[t]);
                 let stats: &[ShardStats] = &stats;
                 let ring_depths: &[Gauge] = &ring_depths;
                 let barrier = barrier.clone();
@@ -1786,9 +1796,13 @@ where
                     // begin means no later chunk exists on any lane.
                     // Deadlock-free: pops never block (an empty open
                     // ring moves the scan on), and the lane holding the
-                    // oldest unconsumed chunk can always push.
+                    // oldest unconsumed chunk can always push. A pass
+                    // that finds nothing announces the thread on its
+                    // park slot, and the next pass is the re-check: if
+                    // that one finds nothing either, the thread parks
+                    // until a push or close on one of its rings.
                     let mut remaining = tasks.len();
-                    let mut backoff = Backoff::new();
+                    let mut announced = false;
                     while remaining > 0 {
                         let mut progressed = false;
                         for task in tasks.iter_mut() {
@@ -1809,6 +1823,9 @@ where
                                         task.depth.add(-1.0);
                                         let win = worker.windows.len() as u32;
                                         let sw = Stopwatch::start();
+                                        for tuple in &tuples[..live] {
+                                            prefetch(tuple, false);
+                                        }
                                         worker.run_batch(&tuples[..live])?;
                                         let busy = sw.elapsed_ns();
                                         task.stats.tuples.add(live as u64);
@@ -1884,12 +1901,19 @@ where
                                 }
                             }
                         }
-                        if remaining > 0 {
-                            if progressed {
-                                backoff.reset();
-                            } else {
-                                backoff.wait();
+                        if remaining == 0 {
+                            break;
+                        }
+                        let was_announced = std::mem::take(&mut announced);
+                        if progressed {
+                            if was_announced {
+                                park.withdraw();
                             }
+                        } else if was_announced {
+                            park.park();
+                        } else {
+                            park.announce();
+                            announced = true;
                         }
                     }
                     Ok(())
@@ -2094,10 +2118,7 @@ where
                     barrier.wait_all().into_iter().map(Some).collect()
                 }
                 Some(deadline) => {
-                    let sw = Stopwatch::start();
-                    while barrier.published() < cfg.shards && sw.elapsed() < deadline {
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
+                    barrier.wait_timeout(deadline);
                     let taken = barrier.take_ready();
                     for (shard, p) in taken.iter().enumerate() {
                         if p.is_none() {
@@ -2479,6 +2500,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
     fn drop_newest_accounts_every_lost_tuple() {
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();
@@ -2508,6 +2530,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
     fn shed_backpressure_accounts_every_lost_tuple() {
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();
@@ -2540,6 +2563,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
     fn window_deadline_cuts_stragglers_and_accounts_their_traffic() {
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();

@@ -18,6 +18,19 @@
 //!   `Acquire`-checked after an empty/full observation, so a final
 //!   hand-off is never missed.
 //!
+//! A side that must wait — the consumer on an empty ring, the producer
+//! on a full one — parks instead of spinning, on a
+//! [`sso_sync::ParkSlot`]: it announces itself with a `SeqCst` store,
+//! re-checks the indices, and parks only if the ring is still empty
+//! (full). Every push, pop and close ends with the other side's
+//! `notify` — a `SeqCst` fence and one load of its announcement, so
+//! one per batch — and unparks it only if it announced. The fences
+//! pair the announcement with the index store: without them a waiter
+//! could miss the push that landed just before it announced while the
+//! pusher missed the announcement, and sleep forever. A thread that
+//! drains several rings gives them all one consumer slot
+//! ([`ring_notifying`]) and parks on it once for all of them.
+//!
 //! Single-producer / single-consumer is enforced structurally: the two
 //! endpoint types are not `Clone` and their methods take `&mut self`.
 
@@ -25,9 +38,8 @@ use std::sync::Arc;
 
 #[cfg(test)]
 use sso_sync::hint::spin_yield;
-use sso_sync::hint::Backoff;
 use sso_sync::Ordering::{Acquire, Relaxed, Release};
-use sso_sync::{SyncBool, SyncCell, SyncUsize};
+use sso_sync::{ParkSlot, SyncBool, SyncCell, SyncUsize};
 
 struct Shared<T> {
     slots: Box<[SyncCell<Option<T>>]>,
@@ -39,6 +51,12 @@ struct Shared<T> {
     producer_done: SyncBool,
     /// The consumer is gone: pushes fail fast instead of blocking.
     consumer_gone: SyncBool,
+    /// Where a producer waits for room: notified by pops and by the
+    /// consumer's drop.
+    room: ParkSlot,
+    /// Where the consumer waits for items: notified by pushes and by the
+    /// producer's drop. Shared by every ring one thread drains.
+    items: Arc<ParkSlot>,
 }
 
 /// Why a push did not enqueue.
@@ -56,6 +74,18 @@ pub enum PushError<T> {
 /// # Panics
 /// If `capacity` is zero.
 pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
+    ring_notifying(capacity, Arc::new(ParkSlot::new()))
+}
+
+/// [`ring`] whose pushes and close notify `consumer`: a thread draining
+/// several rings waits on the one slot they all share.
+///
+/// # Panics
+/// If `capacity` is zero.
+pub fn ring_notifying<T: Send>(
+    capacity: usize,
+    consumer: Arc<ParkSlot>,
+) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "ring capacity must be positive");
     let shared = Arc::new(Shared {
         slots: (0..capacity).map(|_| SyncCell::new(None)).collect(),
@@ -63,6 +93,8 @@ pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         tail: SyncUsize::new(0),
         producer_done: SyncBool::new(false),
         consumer_gone: SyncBool::new(false),
+        room: ParkSlot::new(),
+        items: consumer,
     });
     (Producer { shared: shared.clone() }, Consumer { shared })
 }
@@ -98,7 +130,15 @@ impl<T: Send> Producer<T> {
         // `Release` publishes the slot write to the consumer's
         // `Acquire` load of `tail`.
         s.tail.store(tail.wrapping_add(1), Release);
+        s.items.notify();
         Ok(())
+    }
+
+    /// Full with the consumer still there: the wait's re-check.
+    fn full(&self) -> bool {
+        let s = &*self.shared;
+        !s.consumer_gone.load(Acquire)
+            && s.tail.load(Relaxed).wrapping_sub(s.head.load(Acquire)) >= s.slots.len()
     }
 
     /// Enqueue, waiting while the ring is full. `Err` hands the value
@@ -109,16 +149,17 @@ impl<T: Send> Producer<T> {
 
     /// [`Producer::push`], reporting whether the call had to wait:
     /// `Ok(true)` means the ring was full at least once before the value
-    /// went in. One full-ring wait is one stall, *however many spin
-    /// iterations it took* — callers that count stalls must not be able
-    /// to over-count by spinning (the `model_check` suite pins this).
+    /// went in. One full-ring wait is one stall, *however many times the
+    /// producer woke to a still-full ring* — callers that count stalls
+    /// must not be able to over-count (the `model_check` suite pins
+    /// this).
     pub fn push_tracked(&mut self, value: T) -> Result<bool, T> {
         self.push_tracked_with(value, || {})
     }
 
     /// [`Producer::push_tracked`] with a wait-entry hook:
     /// `on_first_stall` runs **exactly once**, at the first full-ring
-    /// observation, before any spin — not per retry iteration. This is
+    /// observation, before the first park — not per retry. This is
     /// where callers record "a batch is now waiting" state (e.g. the
     /// `rt.ring_depth` gauge), so stalls shorter than one batch are
     /// visible the moment they begin rather than only at the next batch
@@ -129,7 +170,6 @@ impl<T: Send> Producer<T> {
         mut on_first_stall: impl FnMut(),
     ) -> Result<bool, T> {
         let mut stalled = false;
-        let mut backoff = Backoff::new();
         loop {
             match self.try_push(value) {
                 Ok(()) => return Ok(stalled),
@@ -140,7 +180,13 @@ impl<T: Send> Producer<T> {
                         on_first_stall();
                     }
                     value = v;
-                    backoff.wait();
+                    let room = &self.shared.room;
+                    room.announce();
+                    if self.full() {
+                        room.park();
+                    } else {
+                        room.withdraw();
+                    }
                 }
             }
         }
@@ -152,6 +198,7 @@ impl<T> Drop for Producer<T> {
         // `Release` so a consumer that observes the flag also observes
         // every push before it.
         self.shared.producer_done.store(true, Release);
+        self.shared.items.notify();
     }
 }
 
@@ -184,20 +231,32 @@ impl<T: Send> Consumer<T> {
         // `Release` hands the emptied slot back to the producer's
         // `Acquire` load of `head`.
         s.head.store(head.wrapping_add(1), Release);
+        s.room.notify();
         Ok(Some(value.expect("ring slot published but empty")))
     }
 
-    /// Dequeue, waiting while the ring is empty. `None` means the
-    /// producer is gone and the ring is drained. The wait escalates
-    /// from yields to micro-sleeps ([`Backoff`]) so idle consumers on
-    /// an oversubscribed host don't starve the producer of cycles.
+    /// Empty with the producer still there: the wait's re-check.
+    fn empty(&self) -> bool {
+        let s = &*self.shared;
+        s.tail.load(Acquire) == s.head.load(Relaxed) && !s.producer_done.load(Acquire)
+    }
+
+    /// Dequeue, parking while the ring is empty. `None` means the
+    /// producer is gone and the ring is drained.
     pub fn pop(&mut self) -> Option<T> {
-        let mut backoff = Backoff::new();
         loop {
             match self.try_pop() {
                 Ok(Some(v)) => return Some(v),
                 Err(()) => return None,
-                Ok(None) => backoff.wait(),
+                Ok(None) => {
+                    let items = &self.shared.items;
+                    items.announce();
+                    if self.empty() {
+                        items.park();
+                    } else {
+                        items.withdraw();
+                    }
+                }
             }
         }
     }
@@ -206,6 +265,7 @@ impl<T: Send> Consumer<T> {
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
         self.shared.consumer_gone.store(true, Release);
+        self.shared.room.notify();
     }
 }
 

@@ -80,6 +80,7 @@ fn endless_source_stops_at_an_operator_error() {
 /// The pump never runs further ahead of the lanes than the configured
 /// rings allow, however slow the workers and however long the stream.
 #[test]
+#[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
 fn the_source_is_pulled_no_further_ahead_than_the_look_ahead_bound() {
     let plan = shard_plan(&queries::total_sum_query(1)).unwrap();
     let registry = Registry::disabled();

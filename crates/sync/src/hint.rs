@@ -1,13 +1,14 @@
 //! Spin-loop shims.
 
-/// Yield inside a spin/backoff loop.
+/// Yield inside a spin loop.
 ///
 /// Normal builds: `std::thread::yield_now()`. In a model run the thread
 /// *blocks* until some other thread performs a write (any store, RMW,
 /// cell write, or unlock) — an unbounded spin loop would otherwise make
 /// exhaustive exploration diverge, and a spin that can never be
 /// released by another thread's write is a livelock, which the
-/// scheduler reports as a deadlock.
+/// scheduler reports as a deadlock. Waits that may last go through a
+/// [`crate::ParkSlot`] instead.
 #[inline]
 pub fn spin_yield() {
     #[cfg(feature = "model")]
@@ -15,52 +16,4 @@ pub fn spin_yield() {
         return;
     }
     std::thread::yield_now();
-}
-
-/// Escalating wait for loops that may stay blocked for a while: a run
-/// of plain [`spin_yield`]s first (short waits stay cheap and a model
-/// run sees nothing but blocking yields), then exponentially growing
-/// micro-sleeps capped well under a batch's worth of work. The sleep
-/// escalation is what keeps an oversubscribed host healthy: when every
-/// worker shares one core, N idle waiters yield-looping consume N/(N+1)
-/// of the scheduler's quanta and the single busy thread crawls —
-/// parking the waiters gives the core back. Callers re-create (or
-/// [`Backoff::reset`]) after progress so the next wait starts cheap.
-#[derive(Default)]
-pub struct Backoff {
-    rounds: u32,
-}
-
-impl Backoff {
-    /// Plain yields before the first sleep.
-    const YIELDS: u32 = 32;
-    /// Sleep ceiling; doubling stops here (~¼ of a 1 ms batch).
-    const MAX_SLEEP_MICROS: u64 = 64;
-
-    pub const fn new() -> Self {
-        Backoff { rounds: 0 }
-    }
-
-    /// Wait one round, escalating. In a model run every round is a
-    /// blocking [`spin_yield`] — exploration semantics are unchanged.
-    pub fn wait(&mut self) {
-        #[cfg(feature = "model")]
-        if crate::model::ctx::with(|c| c.yield_now()).is_some() {
-            return;
-        }
-        if self.rounds < Self::YIELDS {
-            self.rounds += 1;
-            std::thread::yield_now();
-        } else {
-            let exp = (self.rounds - Self::YIELDS).min(8);
-            self.rounds = self.rounds.saturating_add(1);
-            let micros = (1u64 << exp).min(Self::MAX_SLEEP_MICROS);
-            std::thread::sleep(std::time::Duration::from_micros(micros));
-        }
-    }
-
-    /// Forget the escalation; the next [`Backoff::wait`] yields again.
-    pub fn reset(&mut self) {
-        self.rounds = 0;
-    }
 }

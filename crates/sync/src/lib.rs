@@ -5,8 +5,9 @@
 //! SPSC shard rings and the window-aligned merge barrier in
 //! `sso-runtime`. Hot paths use [`SyncU64`], [`SyncUsize`],
 //! [`SyncBool`], [`SyncCell`], and [`SyncMutex`] instead of raw
-//! `std::sync::atomic` / `std::sync::Mutex` types (lint-enforced via
-//! per-crate `clippy.toml` deny-lists).
+//! `std::sync::atomic` / `std::sync::Mutex` types, and block on a
+//! [`ParkSlot`] instead of spinning, yielding or sleeping (lint-enforced
+//! via per-crate `clippy.toml` deny-lists).
 //!
 //! In a normal build every facade call is an `#[inline]` passthrough to
 //! the `std` primitive — zero cost, identical codegen. With the `model`
@@ -43,7 +44,10 @@ pub use facade::{fence, SyncBool, SyncCell, SyncMutex, SyncMutexGuard, SyncU64, 
 pub use std::sync::atomic::Ordering;
 
 pub mod hint;
+pub mod park;
 pub mod thread;
+
+pub use park::ParkSlot;
 
 #[cfg(feature = "model")]
 pub mod model;

@@ -4,11 +4,13 @@
 //! schedule. Threads spawned through [`crate::thread::spawn`] run on
 //! real OS threads but are serialized: a scheduler baton lets exactly
 //! one thread execute at a time, and every facade operation (atomic
-//! access, cell access, mutex lock/unlock, fence, yield, spawn, join)
+//! access, cell access, mutex lock/unlock, fence, yield, park/unpark,
+//! spawn, join)
 //! is one scheduling decision. The explorer drives a depth-first search
 //! over those decisions, pruned with dynamic partial-order reduction:
 //! only reorderings of *dependent* operations (same location, at least
-//! one write) seed new schedules.
+//! one write) seed new schedules, and sleep sets skip a thread whose
+//! next operation was already explored from an equivalent state.
 //!
 //! Synchronization is tracked with vector clocks, ThreadSanitizer
 //! style: values are sequentially consistent (the real atomics are
@@ -79,13 +81,15 @@ enum Op {
     Unlock,
     Fence(Ordering),
     Yield,
+    Park,
+    Unpark,
     Spawn,
     Join,
 }
 
 impl Op {
     fn is_write(self) -> bool {
-        matches!(self, Op::Store(_) | Op::Rmw(_) | Op::CellWrite | Op::Unlock)
+        matches!(self, Op::Store(_) | Op::Rmw(_) | Op::CellWrite | Op::Unlock | Op::Unpark)
     }
 }
 
@@ -96,6 +100,31 @@ struct Event {
     /// Display id of the touched location (`None` for fence/yield/
     /// spawn/join), assigned in first-touch order.
     loc: Option<usize>,
+    /// Address of the touched location: what dependence compares.
+    addr: Option<usize>,
+}
+
+impl Event {
+    fn new(tid: usize, op: Op, addr: Option<usize>) -> Self {
+        Event { tid, op, loc: None, addr }
+    }
+
+    /// The operation `tid` is parked at, as the event it will become
+    /// (a CAS counts as its success, the conservative choice).
+    fn pending(tid: usize, p: &Pending) -> Self {
+        let (op, addr) = match *p {
+            Pending::Atomic(op, a) | Pending::Cell(op, a) => (op, Some(a)),
+            Pending::Lock(a) => (Op::Lock, Some(a)),
+            Pending::Unlock(a) => (Op::Unlock, Some(a)),
+            Pending::Fence(o) => (Op::Fence(o), None),
+            Pending::Yield(_) => (Op::Yield, None),
+            Pending::Park { token, .. } => (Op::Park, Some(token)),
+            Pending::Unpark(token) => (Op::Unpark, Some(token)),
+            Pending::Spawn => (Op::Spawn, None),
+            Pending::Join(_) => (Op::Join, None),
+        };
+        Event::new(tid, op, addr)
+    }
 }
 
 impl fmt::Display for Event {
@@ -111,6 +140,8 @@ impl fmt::Display for Event {
             Op::Unlock => write!(f, "unlock")?,
             Op::Fence(o) => write!(f, "fence({o:?})")?,
             Op::Yield => write!(f, "yield")?,
+            Op::Park => write!(f, "park")?,
+            Op::Unpark => write!(f, "unpark")?,
             Op::Spawn => write!(f, "spawn")?,
             Op::Join => write!(f, "join")?,
         }
@@ -134,7 +165,7 @@ fn dependent(a: &Event, b: &Event) -> bool {
     if matches!(b.op, Op::Yield) {
         return a.op.is_write();
     }
-    match (a.loc, b.loc) {
+    match (a.addr, b.addr) {
         (Some(x), Some(y)) if x == y => match (a.op, b.op) {
             // Mutex protocol: two acquires of the same (free) mutex are
             // the only co-enabled dependent pair. Unlock↔lock and
@@ -213,11 +244,8 @@ pub struct Explored {
 // Scheduler state
 // ---------------------------------------------------------------------------
 
-/// A parked thread's announced next operation. Some fields are only
-/// read through `Debug` (the deadlock report names what each thread
-/// was parked on).
+/// A parked thread's announced next operation.
 #[derive(Clone, Debug)]
-#[allow(dead_code)]
 enum Pending {
     Atomic(Op, usize),
     Cell(Op, usize),
@@ -227,6 +255,13 @@ enum Pending {
     /// Yield, with the global write epoch at announce time: enabled
     /// only once some other thread has written since.
     Yield(u64),
+    /// Park on a slot's token: enabled once the slot has been unparked
+    /// (or at any point, for a park with a timeout).
+    Park {
+        token: usize,
+        timeout: bool,
+    },
+    Unpark(usize),
     Spawn,
     /// Join on a model thread id: enabled once that thread finished.
     Join(usize),
@@ -269,6 +304,9 @@ struct Loc {
 struct Branch {
     enabled: BTreeSet<usize>,
     choice: usize,
+    /// Threads asleep at this point: their next operation was explored
+    /// from an equivalent state, so choosing one is redundant.
+    sleep: BTreeSet<usize>,
 }
 
 struct SchedState {
@@ -279,6 +317,11 @@ struct SchedState {
     /// Thread choices to follow; extended by the default policy past
     /// its end.
     prescription: Vec<usize>,
+    /// The sleep set at the prescription's last decision: the threads
+    /// already explored there and the ones asleep before them.
+    sleep_from: Option<(usize, BTreeSet<usize>)>,
+    /// The current sleep set (empty while replaying the prescription).
+    sleep: BTreeSet<usize>,
     depth: usize,
     branches: Vec<Branch>,
     trace: Vec<Event>,
@@ -286,6 +329,8 @@ struct SchedState {
     next_loc_id: usize,
     /// Held model mutexes (by address).
     held: BTreeSet<usize>,
+    /// Park slots with an unconsumed unpark token (by address).
+    tokens: BTreeSet<usize>,
     /// Bumped on every write; wakes yield-blocked spinners.
     write_epoch: u64,
     /// The epoch of the last forced spinner wake (see `maybe_decide`):
@@ -319,19 +364,26 @@ fn install_panic_hook() {
 }
 
 impl Scheduler {
-    fn new(prescription: Vec<usize>, max_steps: usize) -> Arc<Self> {
+    fn new(
+        prescription: Vec<usize>,
+        sleep_from: Option<(usize, BTreeSet<usize>)>,
+        max_steps: usize,
+    ) -> Arc<Self> {
         Arc::new(Scheduler {
             state: Mutex::new(SchedState {
                 threads: vec![ThreadState { clock: VClock(vec![1]), ..Default::default() }],
                 live: 1,
                 executing: None,
                 prescription,
+                sleep_from,
+                sleep: BTreeSet::new(),
                 depth: 0,
                 branches: Vec::new(),
                 trace: Vec::new(),
                 locs: HashMap::new(),
                 next_loc_id: 0,
                 held: BTreeSet::new(),
+                tokens: BTreeSet::new(),
                 write_epoch: 0,
                 forced_wake_epoch: None,
                 failure: None,
@@ -415,6 +467,7 @@ fn pending_enabled(st: &SchedState, p: &Pending) -> bool {
         Pending::Lock(addr) => !st.held.contains(addr),
         Pending::Join(child) => st.threads[*child].finished,
         Pending::Yield(epoch) => st.write_epoch != *epoch,
+        Pending::Park { token, timeout } => *timeout || st.tokens.contains(token),
         _ => true,
     }
 }
@@ -481,6 +534,9 @@ fn maybe_decide(st: &mut SchedState, cv: &Condvar) {
         return;
     }
     let d = st.depth;
+    if let Some((_, sleep)) = st.sleep_from.take_if(|(at, _)| *at == d) {
+        st.sleep = sleep;
+    }
     let choice = match st.prescription.get(d) {
         Some(&c) if enabled.contains(&c) => c,
         Some(&c) => {
@@ -489,16 +545,32 @@ fn maybe_decide(st: &mut SchedState, cv: &Condvar) {
             *enabled.iter().next().expect("nonempty")
         }
         None => {
+            let awake: BTreeSet<usize> = enabled.difference(&st.sleep).copied().collect();
+            let Some(&lowest) = awake.iter().next() else {
+                // Every enabled thread is asleep: whatever runs next was
+                // already explored from an equivalent state. End this
+                // schedule without a failure.
+                st.aborting = true;
+                cv.notify_all();
+                return;
+            };
             let last = st.trace.last().map(|e| e.tid);
             let c = match last {
-                Some(t) if enabled.contains(&t) => t,
-                _ => *enabled.iter().next().expect("nonempty"),
+                Some(t) if awake.contains(&t) => t,
+                _ => lowest,
             };
             st.prescription.push(c);
             c
         }
     };
-    st.branches.push(Branch { enabled, choice });
+    // A sleeping thread wakes once an operation dependent on its own
+    // next one runs.
+    let sleep = std::mem::take(&mut st.sleep);
+    let next = |t: usize| Event::pending(t, st.threads[t].parked.as_ref().expect("all parked"));
+    let chosen = next(choice);
+    st.sleep =
+        sleep.iter().copied().filter(|&t| t != choice && !dependent(&next(t), &chosen)).collect();
+    st.branches.push(Branch { enabled, choice, sleep });
     st.depth += 1;
     st.executing = Some(choice);
     cv.notify_all();
@@ -591,7 +663,7 @@ pub(crate) mod ctx {
             };
             self.sched.acquire(tid, pending);
             let r = body();
-            self.sched.complete(tid, Event { tid, op, loc: None }, |st| {
+            self.sched.complete(tid, Event::new(tid, op, Some(addr)), |st| {
                 let loc = loc_entry(st, addr);
                 let id = loc.id;
                 let result = apply_atomic(st, tid, addr, op);
@@ -617,7 +689,7 @@ pub(crate) mod ctx {
             self.sched.acquire(tid, Pending::Atomic(Op::Rmw(success), addr));
             let (r, ok) = body();
             let op = if ok { Op::Rmw(success) } else { Op::Load(failure) };
-            self.sched.complete(tid, Event { tid, op, loc: None }, |st| {
+            self.sched.complete(tid, Event::new(tid, op, Some(addr)), |st| {
                 let loc = loc_entry(st, addr);
                 let id = loc.id;
                 let result = apply_atomic(st, tid, addr, op);
@@ -668,7 +740,7 @@ pub(crate) mod ctx {
                 }
                 if let Some(why) = racy {
                     let kind_s = if op == Op::CellWrite { "write" } else { "read" };
-                    st.trace.push(Event { tid, op, loc: Some(id) });
+                    st.trace.push(Event { tid, op, loc: Some(id), addr: Some(addr) });
                     fail(
                         &mut st,
                         FailureKind::DataRace,
@@ -680,7 +752,7 @@ pub(crate) mod ctx {
                 }
             }
             let r = body();
-            self.sched.complete(tid, Event { tid, op, loc: None }, move |st| {
+            self.sched.complete(tid, Event::new(tid, op, Some(addr)), move |st| {
                 let clock = st.threads[tid].clock.clone();
                 let epoch = clock.get(tid);
                 let loc = loc_entry(st, addr);
@@ -706,7 +778,7 @@ pub(crate) mod ctx {
             }
             let tid = self.tid;
             self.sched.acquire(tid, Pending::Lock(addr));
-            self.sched.complete(tid, Event { tid, op: Op::Lock, loc: None }, |st| {
+            self.sched.complete(tid, Event::new(tid, Op::Lock, Some(addr)), |st| {
                 let loc = loc_entry(st, addr);
                 let id = loc.id;
                 let release = loc.release.clone();
@@ -725,7 +797,7 @@ pub(crate) mod ctx {
             }
             let tid = self.tid;
             self.sched.acquire(tid, Pending::Unlock(addr));
-            self.sched.complete(tid, Event { tid, op: Op::Unlock, loc: None }, |st| {
+            self.sched.complete(tid, Event::new(tid, Op::Unlock, Some(addr)), |st| {
                 let clock = st.threads[tid].clock.clone();
                 let loc = loc_entry(st, addr);
                 let id = loc.id;
@@ -745,7 +817,7 @@ pub(crate) mod ctx {
             }
             let tid = self.tid;
             self.sched.acquire(tid, Pending::Fence(ord));
-            self.sched.complete(tid, Event { tid, op: Op::Fence(ord), loc: None }, |st| {
+            self.sched.complete(tid, Event::new(tid, Op::Fence(ord), None), |st| {
                 let t = &mut st.threads[tid];
                 if is_acquire(ord) {
                     let pend = t.acq_pending.clone();
@@ -768,7 +840,45 @@ pub(crate) mod ctx {
                 st.threads[tid].seen_epoch
             };
             self.sched.acquire(tid, Pending::Yield(epoch));
-            self.sched.complete(tid, Event { tid, op: Op::Yield, loc: None }, |_| Ok(()));
+            self.sched.complete(tid, Event::new(tid, Op::Yield, None), |_| Ok(()));
+        }
+
+        /// Block until `token`'s slot is unparked — only that slot's
+        /// unpark enables it, so a missed notify is a deadlock — then
+        /// consume the token. With `timeout`, the park may also return
+        /// at any point without one.
+        pub(crate) fn park(&self, token: usize, timeout: bool) {
+            if self.bypass() {
+                return;
+            }
+            let tid = self.tid;
+            self.sched.acquire(tid, Pending::Park { token, timeout });
+            self.sched.complete(tid, Event::new(tid, Op::Park, Some(token)), |st| {
+                st.tokens.remove(&token);
+                let id = loc_entry(st, token).id;
+                if let Some(ev) = st.trace.last_mut() {
+                    ev.loc = Some(id);
+                }
+                Ok(())
+            });
+        }
+
+        /// Leave an unpark token on `token`'s slot.
+        pub(crate) fn unpark(&self, token: usize) {
+            if self.bypass() {
+                return;
+            }
+            let tid = self.tid;
+            self.sched.acquire(tid, Pending::Unpark(token));
+            self.sched.complete(tid, Event::new(tid, Op::Unpark, Some(token)), |st| {
+                st.tokens.insert(token);
+                st.write_epoch += 1;
+                let id = loc_entry(st, token).id;
+                if let Some(ev) = st.trace.last_mut() {
+                    ev.loc = Some(id);
+                }
+                Ok(())
+            });
         }
 
         pub(crate) fn spawn(&self, f: Box<dyn FnOnce() + Send>) -> usize {
@@ -795,7 +905,7 @@ pub(crate) mod ctx {
                 .spawn(move || run_model_thread(sched, child, f))
                 .expect("spawn model thread");
             self.sched.handles.lock().expect("handles").push(handle);
-            self.sched.complete(tid, Event { tid, op: Op::Spawn, loc: None }, |_| Ok(()));
+            self.sched.complete(tid, Event::new(tid, Op::Spawn, None), |_| Ok(()));
             child
         }
 
@@ -805,7 +915,7 @@ pub(crate) mod ctx {
             }
             let tid = self.tid;
             self.sched.acquire(tid, Pending::Join(child));
-            self.sched.complete(tid, Event { tid, op: Op::Join, loc: None }, |st| {
+            self.sched.complete(tid, Event::new(tid, Op::Join, None), |st| {
                 let child_clock = st.threads[child].clock.clone();
                 st.threads[tid].clock.join(&child_clock);
                 Ok(())
@@ -920,6 +1030,8 @@ pub(crate) mod ctx {
 struct StackFrame {
     enabled: BTreeSet<usize>,
     done: BTreeSet<usize>,
+    /// Threads asleep when this state was first reached; never chosen.
+    sleep: BTreeSet<usize>,
     /// DPOR: threads whose op was found dependent with a later event
     /// and must be tried at this point.
     backtrack: BTreeSet<usize>,
@@ -978,7 +1090,7 @@ impl Model {
         let f: Arc<dyn Fn() + Send + Sync> = Arc::new(f);
 
         if let Some(schedule) = self.replay {
-            let (_, _, failure) = run_one(&f, schedule, self.max_steps);
+            let (_, _, failure) = run_one(&f, schedule, None, self.max_steps);
             return match failure {
                 Some(fl) => Err(Box::new(fl)),
                 None => Ok(Explored { schedules: 1, complete: false }),
@@ -988,13 +1100,15 @@ impl Model {
         let mut stack: Vec<StackFrame> = Vec::new();
         let mut schedules = 0usize;
         let mut prescription: Vec<usize> = Vec::new();
+        let mut sleep_from = None;
 
         loop {
             if schedules >= self.max_schedules {
                 return Ok(Explored { schedules, complete: false });
             }
             schedules += 1;
-            let (branches, events, failure) = run_one(&f, prescription, self.max_steps);
+            let (branches, events, failure) =
+                run_one(&f, prescription, sleep_from.take(), self.max_steps);
             if let Some(fl) = failure {
                 return Err(Box::new(fl));
             }
@@ -1010,6 +1124,7 @@ impl Model {
                     stack.push(StackFrame {
                         enabled: b.enabled.clone(),
                         done: BTreeSet::from([b.choice]),
+                        sleep: b.sleep.clone(),
                         backtrack: BTreeSet::new(),
                     });
                 }
@@ -1040,12 +1155,16 @@ impl Model {
             let next = (0..stack.len()).rev().find_map(|d| {
                 let fr = &stack[d];
                 let pool = if self.dpor { &fr.backtrack } else { &fr.enabled };
-                pool.iter().find(|c| !fr.done.contains(c)).map(|&c| (d, c))
+                pool.iter().find(|c| !fr.done.contains(c) && !fr.sleep.contains(c)).map(|&c| (d, c))
             });
             match next {
                 Some((d, c)) => {
                     prescription = path[..d].to_vec();
                     prescription.push(c);
+                    // What was explored from this state before `c`
+                    // sleeps through `c`'s subtree until woken.
+                    let fr = &stack[d];
+                    sleep_from = Some((d, fr.sleep.union(&fr.done).copied().collect()));
                     stack.truncate(d + 1);
                 }
                 None => return Ok(Explored { schedules, complete: true }),
@@ -1062,9 +1181,10 @@ pub fn check(f: impl Fn() + Send + Sync + 'static) -> Result<Explored, Box<Failu
 fn run_one(
     f: &Arc<dyn Fn() + Send + Sync>,
     prescription: Vec<usize>,
+    sleep_from: Option<(usize, BTreeSet<usize>)>,
     max_steps: usize,
 ) -> (Vec<Branch>, Vec<Event>, Option<Failure>) {
-    let sched = Scheduler::new(prescription, max_steps);
+    let sched = Scheduler::new(prescription, sleep_from, max_steps);
     let root = f.clone();
     let s2 = sched.clone();
     let root_handle = std::thread::Builder::new()
@@ -1294,6 +1414,48 @@ mod tests {
             }
         })
         .expect_err("one forced wake must not mask a writer-less livelock");
+        assert_eq!(failure.kind, FailureKind::Deadlock);
+    }
+
+    /// A park is released by its own slot's notify and nothing else: an
+    /// unrelated store, or a notify of another slot, leaves it blocked,
+    /// and the stall is reported as a deadlock.
+    #[test]
+    fn park_waits_for_its_own_slot_only() {
+        use crate::park::ParkSlot;
+        check(|| {
+            let flag = Arc::new(SyncU64::new(0));
+            let slot = Arc::new(ParkSlot::new());
+            let (f2, s2) = (flag.clone(), slot.clone());
+            let h = thread::spawn(move || {
+                f2.store(1, Ordering::Release);
+                s2.notify();
+            });
+            while flag.load(Ordering::Acquire) == 0 {
+                slot.announce();
+                if flag.load(Ordering::Acquire) != 0 {
+                    slot.withdraw();
+                    break;
+                }
+                slot.park();
+            }
+            h.join();
+        })
+        .expect("announce / re-check / park never misses the notify");
+
+        let failure = check(|| {
+            let flag = Arc::new(SyncU64::new(0));
+            let (mine, other) = (Arc::new(ParkSlot::new()), Arc::new(ParkSlot::new()));
+            let (f2, o2) = (flag.clone(), other.clone());
+            let h = thread::spawn(move || {
+                f2.store(1, Ordering::Release);
+                o2.notify();
+            });
+            mine.announce();
+            mine.park();
+            h.join();
+        })
+        .expect_err("a park nobody notifies must not be woken by other writes");
         assert_eq!(failure.kind, FailureKind::Deadlock);
     }
 

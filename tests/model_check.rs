@@ -5,10 +5,12 @@
 //!
 //! Each positive test asserts `complete == true`: the bounded
 //! interleaving space was *exhausted* with zero reported races, not
-//! sampled. The two `seeded_bug_*` tests plant real ordering bugs
-//! (a `Relaxed` store where `Release` is required; an off-by-one slot
-//! index) and assert the checker catches them, printing the replayable
-//! schedule — the detector is itself under test.
+//! sampled. The `seeded_bug_*` tests plant real bugs (a `Relaxed` store
+//! where `Release` is required; an off-by-one slot index; a park
+//! without the re-check after the announcement) and assert the checker
+//! catches them, printing the replayable schedule — the detector is
+//! itself under test. A model `park` wakes only on its own slot's
+//! notify, so a missed wakeup is reported as a deadlock.
 //!
 //! Configurations are deliberately tiny (2–3 threads, 2–4 ops each):
 //! exhaustive exploration is exponential, and these shapes already
@@ -19,7 +21,7 @@ use std::sync::Arc;
 use sso_sync::hint::spin_yield;
 use sso_sync::model::{check, FailureKind, Model};
 use sso_sync::Ordering::{Acquire, Relaxed, Release};
-use sso_sync::{thread, SyncCell, SyncUsize};
+use sso_sync::{thread, ParkSlot, SyncCell, SyncUsize};
 use stream_sampler::obs::Registry;
 use stream_sampler::runtime::{ring, MergeBarrier, PushError};
 
@@ -111,6 +113,31 @@ fn ring_block_neither_loses_nor_duplicates() {
     })
     .unwrap_or_else(|f| panic!("{f}"));
     assert!(explored.complete, "exploration must be exhaustive: {explored:?}");
+}
+
+/// The consumer's park: in the schedules where the consumer finds the
+/// ring empty it announces itself, re-checks and parks, and the
+/// producer's push must wake it — every schedule ends, none deadlocks.
+/// The producer drops only once the consumer has acknowledged the item
+/// on a second ring, so the close's own notify cannot stand in for a
+/// missed push notify.
+#[test]
+fn ring_consumer_park_never_misses_a_push() {
+    let explored = check(|| {
+        let (mut tx, mut rx) = ring::<u32>(1);
+        let (mut ack_tx, mut ack_rx) = ring::<u32>(1);
+        let producer = thread::spawn(move || {
+            tx.try_push(7).expect("capacity 1 holds one item");
+            assert_eq!(ack_rx.pop(), Some(7), "the consumer acknowledges");
+        });
+        assert_eq!(rx.pop(), Some(7), "the push reaches the parked consumer");
+        ack_tx.try_push(7).expect("capacity 1 holds the acknowledgement");
+        assert_eq!(rx.pop(), None, "the drop closes the ring");
+        producer.join();
+    })
+    .unwrap_or_else(|f| panic!("{f}"));
+    assert!(explored.complete, "exploration must be exhaustive: {explored:?}");
+    assert!(explored.schedules > 1, "interleavings explored: {explored:?}");
 }
 
 /// DropNewest policy: whatever interleaving the router and worker land
@@ -405,6 +432,39 @@ fn seeded_bug_off_by_one_ring_index_is_reported() {
         .check(scenario)
         .expect_err("replaying the printed schedule reproduces the bug");
     assert_eq!(replayed.kind, failure.kind);
+}
+
+/// The lost wakeup the re-check prevents: a waiter that announces
+/// itself and parks without looking again sleeps through a notify that
+/// ran between its last check and its announcement (the notifier saw
+/// nobody waiting). Nothing else can wake a model park, so the checker
+/// reports a deadlock, and the printed schedule replays to it.
+#[test]
+fn seeded_bug_skipped_recheck_is_a_lost_wakeup() {
+    let scenario = || {
+        let tail = Arc::new(SyncUsize::new(0));
+        let items = Arc::new(ParkSlot::new());
+        let (t2, i2) = (tail.clone(), items.clone());
+        let producer = thread::spawn(move || {
+            t2.store(1, Release);
+            i2.notify();
+        });
+        while tail.load(Acquire) == 0 {
+            items.announce();
+            // BUG: parks without re-checking `tail` after the announcement.
+            items.park();
+        }
+        producer.join();
+    };
+    let failure = check(scenario).expect_err("a park without the re-check must be caught");
+    eprintln!("{failure}"); // the replayable schedule, for the log
+    assert_eq!(failure.kind, FailureKind::Deadlock, "unexpected failure kind: {failure}");
+    assert!(!failure.schedule.is_empty());
+    let replayed = Model::new()
+        .replay(failure.schedule.clone())
+        .check(scenario)
+        .expect_err("replaying the printed schedule reproduces the lost wakeup");
+    assert_eq!(replayed.kind, FailureKind::Deadlock);
 }
 
 // ---------------------------------------------------------------------------
