@@ -42,6 +42,7 @@
 //! cleaning and window close walk ids without hashing a key.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -598,9 +599,13 @@ pub struct SamplingOperator {
     metrics: Option<OperatorMetrics>,
     // Durable-store support: when enabled, every window flush captures
     // the carry-over and aux bytes at the boundary, so a worker can
-    // persist them without re-deriving window keys per tuple.
+    // persist them without re-deriving window keys per tuple. One batch
+    // can close several windows, so they queue, oldest first.
     capture_flush: bool,
-    flush_state: Option<(Vec<u8>, Vec<u8>)>,
+    flush_state: VecDeque<(Vec<u8>, Vec<u8>)>,
+    /// Tuples of the current `process_batch` slice handed to `admit`,
+    /// the one in hand included.
+    batch_entered: usize,
 }
 
 impl std::fmt::Debug for SamplingOperator {
@@ -632,7 +637,8 @@ impl SamplingOperator {
             stats: OperatorStats::default(),
             metrics: None,
             capture_flush: false,
-            flush_state: None,
+            flush_state: VecDeque::new(),
+            batch_entered: 0,
         })
     }
 
@@ -713,11 +719,22 @@ impl SamplingOperator {
         self.capture_flush = on;
     }
 
-    /// The carry/aux bytes captured at the most recent window flush
-    /// (see [`Self::set_capture_flush`]), consumed. `None` when capture
-    /// is off or no window has flushed since the last take.
+    /// The carry/aux bytes captured at the oldest window flush not yet
+    /// taken (see [`Self::set_capture_flush`]), consumed. Successive
+    /// calls hand back every boundary captured since the last take, in
+    /// the order the windows closed, so a batch that closed two windows
+    /// yields two snapshots. `None` when capture is off or every
+    /// captured snapshot has been taken.
     pub fn take_flush_state(&mut self) -> Option<(Vec<u8>, Vec<u8>)> {
-        self.flush_state.take()
+        self.flush_state.pop_front()
+    }
+
+    /// How many tuples of the latest [`Self::process_batch`] slice were
+    /// handed to the loop body, the last one included: the slice's
+    /// length after `Ok`, and the 1-based position of the tuple that
+    /// raised it after an `Err` or a panic unwinding out of the call.
+    pub fn batch_entered(&self) -> usize {
+        self.batch_entered
     }
 
     /// Process one tuple. If the tuple opens a new window, the previous
@@ -739,7 +756,9 @@ impl SamplingOperator {
         tuples: &[Tuple],
         mut sink: impl FnMut(WindowOutput),
     ) -> Result<(), OpError> {
+        self.batch_entered = 0;
         for tuple in tuples {
+            self.batch_entered += 1;
             self.admit(tuple, &mut sink)?;
         }
         Ok(())
@@ -990,7 +1009,8 @@ impl SamplingOperator {
         }
         if self.capture_flush {
             let carry = self.export_carry().map_err(OpError::InvalidSpec)?;
-            self.flush_state = Some((carry, self.export_aux()));
+            let aux = self.export_aux();
+            self.flush_state.push_back((carry, aux));
         }
         let window = Tuple::new(self.window.clone().unwrap_or_default());
         Ok(WindowOutput { window, rows, stats, degradation: Degradation::default() })
@@ -1162,6 +1182,47 @@ mod tests {
 
     fn t(time: u64, k: u64, v: u64) -> Tuple {
         Tuple::new(vec![Value::U64(time), Value::U64(k), Value::U64(v)])
+    }
+
+    #[test]
+    fn a_batch_closing_several_windows_queues_every_boundary_snapshot() {
+        let spec = || {
+            let cfg =
+                crate::libs::subset_sum::SubsetSumOpConfig { target: 4, ..Default::default() };
+            crate::queries::subset_sum_query(1, cfg, false).unwrap()
+        };
+        // Four one-second windows of packets; one batch closes three.
+        let feed: Vec<Tuple> = (0..40u64)
+            .map(|i| {
+                sso_types::Packet {
+                    uts: i * 100_000_000 + 1,
+                    src_ip: i as u32,
+                    dest_ip: 9,
+                    src_port: 1,
+                    dest_port: 2,
+                    proto: sso_types::Protocol::Tcp,
+                    len: 100 + 37 * (i as u32 % 11),
+                }
+                .to_tuple()
+            })
+            .collect();
+        // One tuple at a time, taking the snapshot as each window closes.
+        let mut single = SamplingOperator::new(spec()).unwrap();
+        single.set_capture_flush(true);
+        let mut want = Vec::new();
+        for tuple in &feed {
+            if single.process(tuple).unwrap().is_some() {
+                want.push(single.take_flush_state().unwrap());
+            }
+        }
+        assert_eq!(want.len(), 3);
+        let mut batched = SamplingOperator::new(spec()).unwrap();
+        batched.set_capture_flush(true);
+        let mut closed = 0;
+        batched.process_batch(&feed, |_| closed += 1).unwrap();
+        assert_eq!((closed, batched.batch_entered()), (3, feed.len()));
+        let got: Vec<_> = std::iter::from_fn(|| batched.take_flush_state()).collect();
+        assert_eq!(got, want, "every boundary, oldest first");
     }
 
     #[test]

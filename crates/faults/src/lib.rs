@@ -491,6 +491,13 @@ impl WorkerFaultSchedule {
         self.next >= self.events.len()
     }
 
+    /// The tuple count the next pending trigger is due at, without
+    /// consuming it: a caller that works in batches stops its batch
+    /// short of that tuple.
+    pub fn peek(&self) -> Option<u64> {
+        self.events.get(self.next).map(|&(at, _)| at)
+    }
+
     /// The fault (if any) scheduled for the `tuple_count`-th tuple.
     /// Triggers whose count has already passed fire immediately (a shard
     /// may receive fewer tuples between triggers than the plan guessed).

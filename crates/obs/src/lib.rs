@@ -16,10 +16,11 @@
 //!   [`Registry::snapshot`] merges cells with the same `(name, label)`
 //!   at read time. Per-shard code simply registers its own handle and
 //!   never contends with its siblings.
-//! * **One branch when disabled.** [`SampledSpan::start`] loads one
-//!   atomic flag and returns `None` when the registry's tracing is off;
-//!   when on, only every `1/2^k`-th call pays the `Instant` pair, and
-//!   the measured duration is scaled back up into the busy counter.
+//! * **One branch when disabled.** [`SampledSpan::start`] tests one
+//!   flag held in the span and returns `None` when the registry's
+//!   tracing was off at registration; when on, a counter the span's
+//!   thread owns picks every `1/2^k`-th call to pay the `Instant` pair,
+//!   and the measured duration is scaled back up into the busy counter.
 //! * **Memory ordering.** All hot-path operations are `Relaxed`:
 //!   snapshots are statistical reads that tolerate a few in-flight
 //!   increments. Where exactness matters (final per-shard stats), the

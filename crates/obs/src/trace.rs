@@ -1,21 +1,25 @@
 //! Sampled span tracing.
 //!
 //! A [`SampledSpan`] wraps a histogram (raw per-span nanoseconds) and a
-//! counter (total busy nanoseconds) from the registry. [`SampledSpan::
-//! start`] is the *only* hot-path cost when tracing is disabled: one
-//! `Relaxed` load of the registry's enabled flag and a `None` return.
-//! When enabled, a shared call counter selects every `1/2^k`-th call to
-//! actually take an `Instant` pair; the measured duration is recorded
-//! raw into the histogram and scaled back up (`× 2^k`) into the busy
-//! counter, so busy time stays an unbiased estimate of total time spent
-//! in the span.
+//! counter (total busy nanoseconds) from the registry.
 //!
-//! This replaces the bespoke 1-in-64 timing hack that used to live in
-//! the Gigascope sharded engine.
+//! What [`SampledSpan::start`] costs:
+//!
+//! * **Disabled** (the registry's tracing was off at registration): one
+//!   test of a flag held in the span itself and a `None` return.
+//! * **Enabled, unsampled** (`2^k - 1` entries in `2^k`): the flag test
+//!   plus a plain load, add and store of the span's own call counter. The
+//!   counter is a `Cell`, so no locked read-modify-write and no shared
+//!   cache line: the span is `Send` but not `Sync`, and the one thread
+//!   that holds it owns its count. A clone starts from the original's
+//!   count and advances its own.
+//! * **Enabled, sampled** (1 entry in `2^k`): an `Instant` pair, two
+//!   `Arc` bumps for the guard, and on drop one histogram record plus
+//!   one counter add. The raw duration goes into the histogram and is
+//!   scaled back up (`× 2^k`) into the busy counter, so busy time stays
+//!   an unbiased estimate of total time spent in the span.
 
-use sso_sync::Ordering::Relaxed;
-use sso_sync::{SyncBool, SyncU64};
-use std::sync::Arc;
+use std::cell::Cell;
 
 use crate::hist::Histogram;
 use crate::registry::{Counter, Registry};
@@ -24,8 +28,8 @@ use crate::time::Stopwatch;
 /// A named span that samples 1 in `2^k` entries.
 #[derive(Debug, Clone)]
 pub struct SampledSpan {
-    enabled: Arc<SyncBool>,
-    calls: Arc<SyncU64>,
+    enabled: bool,
+    calls: Cell<u64>,
     mask: u64,
     hist: Histogram,
     busy: Counter,
@@ -44,8 +48,8 @@ impl SampledSpan {
         sample_shift: u32,
     ) -> Self {
         SampledSpan {
-            enabled: Arc::new(SyncBool::new(registry.is_enabled())),
-            calls: Arc::new(SyncU64::new(0)),
+            enabled: registry.is_enabled(),
+            calls: Cell::new(0),
             mask: (1u64 << sample_shift) - 1,
             hist: registry.histogram_labeled(hist_name, label.clone()),
             busy: registry.counter_labeled(busy_name, label),
@@ -63,10 +67,12 @@ impl SampledSpan {
     /// not sampled; hold the guard for the duration of the work.
     #[inline]
     pub fn start(&self) -> Option<SpanGuard> {
-        if !self.enabled.load(Relaxed) {
+        if !self.enabled {
             return None;
         }
-        if self.calls.fetch_add(1, Relaxed) & self.mask != 0 {
+        let call = self.calls.get();
+        self.calls.set(call.wrapping_add(1));
+        if call & self.mask != 0 {
             return None;
         }
         Some(SpanGuard {
@@ -146,5 +152,27 @@ mod tests {
             span.start();
         }
         assert_eq!(r.snapshot().get_labeled("t_ns", "x").unwrap().hits(), 5);
+    }
+
+    #[test]
+    fn owned_counter_samples_exactly_n_of_n_times_2k() {
+        for shift in [0u32, 1, 3, 6, 10] {
+            for n in [1u64, 5, 37] {
+                let r = Registry::new();
+                let span = SampledSpan::register(&r, "t_ns", "t_busy_ns", "", shift);
+                // The span moves to the thread that owns it; its count
+                // travels with it.
+                let taken = std::thread::spawn(move || {
+                    (0..n << shift).filter_map(|_| span.start().map(SpanGuard::finish)).count()
+                })
+                .join()
+                .unwrap();
+                assert_eq!(taken as u64, n, "shift {shift}");
+                let snap = r.snapshot();
+                let hist = snap.get("t_ns").unwrap();
+                assert_eq!(hist.hits(), n, "shift {shift}");
+                assert_eq!(snap.value("t_busy_ns"), hist.scalar() * (1u64 << shift) as f64);
+            }
+        }
     }
 }

@@ -55,6 +55,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -706,6 +707,20 @@ impl Router {
         }
     }
 
+    /// The columns [`Self::route`] reads, as one span: none for
+    /// round-robin, from the first to the last key column, or every
+    /// column (`0..usize::MAX`) for general expressions.
+    fn reads(&self) -> Range<usize> {
+        match self {
+            Router::RoundRobin => 0..0,
+            Router::Columns(cols) => {
+                let (lo, hi) = (cols.iter().min(), cols.iter().max());
+                lo.map_or(0, |&c| c)..hi.map_or(0, |&c| c + 1)
+            }
+            Router::Exprs(_) => 0..usize::MAX,
+        }
+    }
+
     /// The shard for the tuple at 0-based global stream position
     /// `index`.
     fn route(&self, tuple: &Tuple, index: u64, shards: usize) -> usize {
@@ -910,89 +925,104 @@ where
                     return Ok(());
                 }
             }
-            // Live segment: one catch_unwind per segment, not per tuple,
-            // so the fault-free hot path pays (almost) nothing. `cursor`
-            // lives outside the closure: after a panic it names the
-            // tuple that tripped it.
-            let outcome = {
-                let op = self.op.as_mut().expect("live worker has an operator");
-                let cursor = &mut cursor;
-                let tuple_count = &mut self.tuple_count;
-                let window_tuples = &mut self.window_tuples;
-                let windows = &mut self.windows;
-                let faults = &mut self.faults;
-                let window_counter = &self.stats.windows;
-                let shard = self.shard;
-                let store = &mut self.store;
-                let watermark = &mut self.watermark;
-                let wexprs = &self.wexprs;
-                catch_unwind(AssertUnwindSafe(move || -> Result<(), RuntimeError> {
-                    let op_err = |source| RuntimeError::Op { shard, source };
-                    while *cursor < batch.len() {
-                        let tuple = &batch[*cursor];
-                        if watermark.is_some() {
-                            // Resume prefix: tuples at or below the
-                            // watermark are covered by recovered
-                            // windows' stored outputs. Only this
-                            // prefix pays a per-tuple window-key
-                            // evaluation; windows are monotone in
-                            // stream order, so the first tuple past
-                            // the watermark ends the checking for
-                            // good.
-                            if let Some(k) = window_key(wexprs, tuple) {
-                                let wm = watermark.as_ref().expect("checked above");
-                                if window_le(&k, wm) {
-                                    *tuple_count += 1;
-                                    *cursor += 1;
-                                    continue;
-                                }
-                                *watermark = None;
-                            }
-                        }
-                        *tuple_count += 1;
-                        if let Some(f) = faults.check(*tuple_count) {
-                            f.trip(shard, *tuple_count);
-                        }
-                        match op.process(tuple).map_err(op_err)? {
-                            Some(w) => {
-                                window_counter.inc();
-                                if let Some(st) = store.as_mut() {
-                                    // The operator captured carry/aux
-                                    // at the flush boundary, before
-                                    // this tuple touched the new
-                                    // window's state — exactly the
-                                    // restart state.
-                                    let (carry, aux) = op.take_flush_state().ok_or_else(|| {
-                                        RuntimeError::Store {
-                                            shard,
-                                            message: "window closed without a boundary \
-                                                          snapshot"
-                                                .into(),
-                                        }
-                                    })?;
-                                    record_window(st, &w, &carry, &aux, shard)?;
-                                }
-                                windows.push(w);
-                                // This tuple opened the new window.
-                                *window_tuples = 1;
-                            }
-                            None => *window_tuples += 1,
-                        }
-                        *cursor += 1;
-                    }
-                    Ok(())
-                }))
-            };
-            match outcome {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => return Err(e),
-                Err(_) => {
-                    self.enter_quarantine(Some(&batch[cursor]));
-                    cursor += 1;
-                }
+            cursor = self.skip_recovered(batch, cursor);
+            if cursor < batch.len() {
+                cursor += self.run_stretch(&batch[cursor..])?;
             }
         }
         Ok(())
+    }
+
+    /// Resume prefix: tuples at or below the watermark are covered by
+    /// recovered windows' stored outputs, so they are counted and
+    /// skipped. Only this prefix pays a per-tuple window-key
+    /// evaluation; windows are monotone in stream order, so the first
+    /// tuple past the watermark ends the checking for good. Returns the
+    /// position of the first tuple the operator must see.
+    fn skip_recovered(&mut self, batch: &[Tuple], mut cursor: usize) -> usize {
+        while let (Some(wm), Some(t)) = (&self.watermark, batch.get(cursor)) {
+            match window_key(&self.wexprs, t) {
+                Some(k) if window_le(&k, wm) => {
+                    self.tuple_count += 1;
+                    cursor += 1;
+                }
+                Some(_) => self.watermark = None,
+                // The operator evaluates the key again and reports the
+                // error; the watermark stays up for the next tuple.
+                None => break,
+            }
+        }
+        cursor
+    }
+
+    /// Hand the live operator one stretch from the front of `tuples` in
+    /// one `process_batch` call, under one `catch_unwind`, and return
+    /// how many tuples it consumed. A stretch ends just before the
+    /// tuple the shard's next fault is due at, so a fault trips first
+    /// thing in a stretch, before the operator sees its tuple; while a
+    /// resume watermark is still up (its tuple had no window key) the
+    /// stretch is that one tuple. After a panic the operator's
+    /// [`SamplingOperator::batch_entered`] names the tuple that raised
+    /// it, and that tuple is the last one consumed.
+    fn run_stretch(&mut self, tuples: &[Tuple]) -> Result<usize, RuntimeError> {
+        let shard = self.shard;
+        let first = self.tuple_count + 1;
+        let fault = self.faults.check(first);
+        let len = match (&self.watermark, self.faults.peek()) {
+            (Some(_), _) => 1,
+            (None, Some(at)) => at.saturating_sub(first).max(1).min(tuples.len() as u64) as usize,
+            (None, None) => tuples.len(),
+        };
+        let op = self.op.as_mut().expect("live worker has an operator");
+        let windows = &mut self.windows;
+        let before = windows.len();
+        let mut in_op = false;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(f) = fault {
+                f.trip(shard, first);
+            }
+            in_op = true;
+            op.process_batch(&tuples[..len], |w| windows.push(w))
+        }));
+        let (entered, panicked) = match &outcome {
+            Ok(Ok(())) => (len, false),
+            Ok(Err(_)) => (op.batch_entered(), false),
+            Err(_) if in_op => (op.batch_entered(), true),
+            // The fault tripped before the operator saw its tuple.
+            Err(_) => (1, true),
+        };
+        self.tuple_count += entered as u64;
+        // Every window the stretch closed, in order: each was complete
+        // before the tuple that failed or panicked (if any) came in.
+        let mut closed_tuples = 0;
+        for w in &self.windows[before..] {
+            self.stats.windows.inc();
+            closed_tuples += w.stats.tuples;
+            if let Some(store) = self.store.as_mut() {
+                // The operator captured carry/aux at each flush
+                // boundary, before the tuple that closed the window
+                // touched the new window's state: exactly the restart
+                // state.
+                let (carry, aux) = op.take_flush_state().ok_or_else(|| RuntimeError::Store {
+                    shard,
+                    message: "window closed without a boundary snapshot".into(),
+                })?;
+                record_window(store, w, &carry, &aux, shard)?;
+            }
+        }
+        // Tuples fed into the window still open: those already in it,
+        // plus the stretch's tuples before a panicking one, less every
+        // tuple of the windows that closed.
+        let fed = (entered - usize::from(panicked)) as u64;
+        self.window_tuples = self.window_tuples + fed - closed_tuples;
+        match outcome {
+            Ok(Ok(())) => Ok(len),
+            Ok(Err(source)) => Err(RuntimeError::Op { shard, source }),
+            Err(_) => {
+                self.enter_quarantine(Some(&tuples[entered - 1]));
+                Ok(entered)
+            }
+        }
     }
 
     /// End of stream: flush the live operator's final window (a panic
@@ -1446,6 +1476,10 @@ fn route_chunk(
     chunk: &mut [Tuple],
     start: u64,
 ) {
+    // The lane prefetches only the values it reads: the lines the
+    // worker alone reads then travel from the pump's core once, not via
+    // this one.
+    let reads = if lane.prefilter.is_some() { 0..usize::MAX } else { router_def.reads() };
     let mut local = 0usize;
     while local < chunk.len() {
         if let Some(qkey) = sup.quarantined.clone() {
@@ -1481,10 +1515,12 @@ fn route_chunk(
             let chunk = &mut *chunk;
             let lane = &mut *lane;
             let router = lane.router;
+            let reads = &reads;
             catch_unwind(AssertUnwindSafe(move || {
                 while *local < chunk.len() {
                     if let Some(ahead) = chunk.get(*local + PREFETCH_AHEAD) {
-                        prefetch(ahead, false);
+                        let values = ahead.values();
+                        prefetch(values.get(reads.clone()).unwrap_or(values), false);
                     }
                     *count += 1;
                     if let Some(f) = faults.check(*count) {
@@ -1824,7 +1860,7 @@ where
                                         let win = worker.windows.len() as u32;
                                         let sw = Stopwatch::start();
                                         for tuple in &tuples[..live] {
-                                            prefetch(tuple, false);
+                                            prefetch(tuple.values(), false);
                                         }
                                         worker.run_batch(&tuples[..live])?;
                                         let busy = sw.elapsed_ns();

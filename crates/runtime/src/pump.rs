@@ -16,7 +16,7 @@ use sso_obs::Counter;
 use sso_profile::{DumpReason, Event as ProfEvent, LaneKind, Profiler, Stage as ProfStage};
 use sso_sync::Ordering::Release;
 use sso_sync::SyncBool;
-use sso_types::Tuple;
+use sso_types::{Tuple, Value};
 
 use crate::ring::{Consumer, Producer};
 
@@ -31,21 +31,38 @@ pub(crate) const CHUNK_RING: usize = 2;
 /// How many tuples ahead of the one in hand a stage asks the cache for.
 pub(crate) const PREFETCH_AHEAD: usize = 8;
 
-/// Ask the cache for `tuple`'s values ahead of use. A recycled tuple's
-/// values were last touched by another stage on another core, so each
-/// first touch is a cross-core miss; requested a few tuples early, the
-/// misses overlap instead of stalling one after the other. `write`
-/// asks for the lines in exclusive state, for a tuple about to be
-/// overwritten. A hint only: it never faults and changes no value.
+/// Bytes per cache line on every host this runs on.
+const LINE: usize = 64;
+
+/// The address of every cache line the bytes `[addr, addr + len)`
+/// touch, once each and in order: from `addr` aligned down to a line
+/// through the line holding the last byte. A block that does not start
+/// on a line spans one line more than its length alone suggests, so
+/// stepping `LINE` bytes from `addr` misses the last one.
+pub(crate) fn cache_lines(addr: usize, len: usize) -> impl Iterator<Item = usize> {
+    let first = addr & !(LINE - 1);
+    let end = if len == 0 { first } else { addr + len };
+    (first..end).step_by(LINE)
+}
+
+/// Ask the cache for a recycled tuple's `values` (all of them, or the
+/// columns a stage reads) ahead of use. They were last touched by
+/// another stage on another core, so each first touch is a cross-core
+/// miss; requested a few tuples early, the misses overlap instead of
+/// stalling one after the other. Every line the values span is
+/// requested ([`cache_lines`]): the allocator aligns them to 16 bytes,
+/// not 64, so a 192-byte packet tuple usually spans four lines, not
+/// three. `write` asks for the lines in exclusive state, for a tuple
+/// about to be overwritten. A hint only: it never faults and changes no
+/// value.
 #[inline(always)]
-pub(crate) fn prefetch(tuple: &Tuple, write: bool) {
+pub(crate) fn prefetch(values: &[Value], write: bool) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0, _MM_HINT_T0};
-        let values = tuple.values();
-        let start = values.as_ptr().cast::<i8>();
-        for offset in (0..std::mem::size_of_val(values)).step_by(64) {
-            let line = start.wrapping_add(offset);
+        let start = values.as_ptr() as usize;
+        for line in cache_lines(start, std::mem::size_of_val(values)) {
+            let line = std::ptr::without_provenance::<i8>(line);
             // SAFETY: SSE is part of the x86_64 baseline, and a prefetch
             // never dereferences its address.
             unsafe {
@@ -58,7 +75,7 @@ pub(crate) fn prefetch(tuple: &Tuple, write: bool) {
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (tuple, write);
+    let _ = (values, write);
 }
 
 /// Where [`crate::run_sharded`] pulls its tuples from.
@@ -144,7 +161,7 @@ pub(crate) fn pump(
                 tuples.push(Tuple::empty());
             }
             if let Some(ahead) = tuples.get(live + PREFETCH_AHEAD) {
-                prefetch(ahead, true);
+                prefetch(ahead.values(), true);
             }
             if !next(&mut tuples[live]) {
                 ended = true;
@@ -197,4 +214,29 @@ pub(crate) fn pump(
         }
     }
     fired
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cache_lines_cover_each_touched_line_once() {
+        // A base that is itself line-aligned, so `align` is the block's
+        // offset within its first line.
+        let base = 1 << 20;
+        // A packet tuple: eight 24-byte values in a block the allocator
+        // aligned to 16 bytes spans four lines, not three.
+        assert_eq!(cache_lines(base + 16, 192).count(), 4);
+        for align in 0..LINE {
+            for len in 0..=512 {
+                let addr = base + align;
+                let lines: Vec<usize> = cache_lines(addr, len).collect();
+                let mut want: Vec<usize> =
+                    (addr..addr + len).map(|byte| byte & !(LINE - 1)).collect();
+                want.dedup();
+                assert_eq!(lines, want, "start {align} mod {LINE}, length {len}");
+            }
+        }
+    }
 }
