@@ -5,7 +5,7 @@
 //!
 //! The workload is the dynamic subset-sum query (1000 samples per 5 s
 //! window) over a seeded data-center feed, sharded as `sso run --shards
-//! N` shards it, worker threads capped at the host's cores. Arms:
+//! N` shards it: one worker thread per shard. Arms:
 //! `base` and `base_again` (4 shards, an A/A pair); `faults` (an armed
 //! fault plan whose events never fire); `registry` (a live
 //! [`sso_obs::Registry`]); `profiler` (an [`sso_profile::Profiler`]);
@@ -83,11 +83,11 @@ impl Shape {
         queries::subset_sum_query(self.window_secs, cfg, false)
     }
 
-    /// The configuration `sso run --shards N` builds, workers capped at
-    /// `cores`. The audit certifies the per-shard budget each worker
-    /// runs: the full one would reserve the whole query's table per shard.
-    fn runtime(self, cores: usize) -> RuntimeConfig {
-        let cfg = RuntimeConfig::new(self.shards).with_worker_cap(cores);
+    /// The configuration `sso run --shards N` builds. The audit
+    /// certifies the per-shard budget each worker runs: the full one
+    /// would reserve the whole query's table per shard.
+    fn runtime(self) -> RuntimeConfig {
+        let cfg = RuntimeConfig::new(self.shards);
         let query = format!(
             "SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold()) FROM PKTS \
              WHERE ssample(len, {}) = TRUE GROUP BY time/{} as tb, srcIP, destIP, uts \
@@ -122,9 +122,9 @@ impl Shape {
 }
 
 /// Threads a sharded configuration runs: the pump (the calling thread),
-/// the router lanes and the worker threads.
+/// the router lanes and one worker per shard.
 fn threads(cfg: &RuntimeConfig) -> usize {
-    1 + cfg.resolved_routers() + cfg.resolved_workers()
+    1 + cfg.resolved_routers() + cfg.shards
 }
 
 /// Whether a configuration can show parallel scaling on this host: only
@@ -395,14 +395,14 @@ fn main() {
         checkpoint_every,
         ..DurabilityConfig::new(tmp.join(dir))
     };
-    let base = GATED.runtime(cores);
+    let base = GATED.runtime();
     let mut parked = FaultPlan::empty(0);
     parked.events.extend(
         (0..GATED.shards).map(|shard| FaultEvent::WorkerPanic { shard, at_tuple: u64::MAX }),
     );
     let parked = parked.into_shared();
     let scaled = |n: usize| {
-        let cfg = GATED.with_shards(n).runtime(cores);
+        let cfg = GATED.with_shards(n).runtime();
         move || cfg.clone()
     };
     let profiler = || Profiler::new(ProfilerConfig::default());
@@ -462,7 +462,7 @@ fn main() {
 
     let eight = GATED.with_shards(8);
     let profiled = Profiler::new(ProfilerConfig::default());
-    eight.run(p, &eight.runtime(cores).with_profile(profiled.clone()));
+    eight.run(p, &eight.runtime().with_profile(profiled.clone()));
     let trace = profiled.report();
     let share = |stage: &str| {
         trace.stages.iter().find(|s| s.stage.name() == stage).map_or(0.0, |s| s.share_pct)
@@ -595,9 +595,5 @@ mod tests {
         assert_eq!(threads(&cfg), 4);
         assert!(fits(threads(&cfg), 4));
         assert!(!fits(threads(&cfg), 3));
-        // Capping the workers at one thread frees a core.
-        let capped = cfg.with_worker_cap(1);
-        assert_eq!(threads(&capped), 3);
-        assert!(fits(threads(&capped), 3));
     }
 }

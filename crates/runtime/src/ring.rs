@@ -27,9 +27,9 @@
 //! one per batch — and unparks it only if it announced. The fences
 //! pair the announcement with the index store: without them a waiter
 //! could miss the push that landed just before it announced while the
-//! pusher missed the announcement, and sleep forever. A thread that
-//! drains several rings gives them all one consumer slot
-//! ([`ring_notifying`]) and parks on it once for all of them.
+//! pusher missed the announcement, and sleep forever. Each ring owns
+//! both slots: a worker draining several rings waits in the `pop` of
+//! the one whose turn it is.
 //!
 //! Single-producer / single-consumer is enforced structurally: the two
 //! endpoint types are not `Clone` and their methods take `&mut self`.
@@ -55,8 +55,8 @@ struct Shared<T> {
     /// consumer's drop.
     room: ParkSlot,
     /// Where the consumer waits for items: notified by pushes and by the
-    /// producer's drop. Shared by every ring one thread drains.
-    items: Arc<ParkSlot>,
+    /// producer's drop.
+    items: ParkSlot,
 }
 
 /// Why a push did not enqueue.
@@ -74,18 +74,6 @@ pub enum PushError<T> {
 /// # Panics
 /// If `capacity` is zero.
 pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
-    ring_notifying(capacity, Arc::new(ParkSlot::new()))
-}
-
-/// [`ring`] whose pushes and close notify `consumer`: a thread draining
-/// several rings waits on the one slot they all share.
-///
-/// # Panics
-/// If `capacity` is zero.
-pub fn ring_notifying<T: Send>(
-    capacity: usize,
-    consumer: Arc<ParkSlot>,
-) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "ring capacity must be positive");
     let shared = Arc::new(Shared {
         slots: (0..capacity).map(|_| SyncCell::new(None)).collect(),
@@ -94,7 +82,7 @@ pub fn ring_notifying<T: Send>(
         producer_done: SyncBool::new(false),
         consumer_gone: SyncBool::new(false),
         room: ParkSlot::new(),
-        items: consumer,
+        items: ParkSlot::new(),
     });
     (Producer { shared: shared.clone() }, Consumer { shared })
 }

@@ -31,10 +31,6 @@
 //!                                     1); output is byte-identical at any lane
 //!                                     count, and a panicked lane degrades one
 //!                                     window instead of killing the run
-//!   --workers N|auto                  cap worker threads at N (auto = the host's
-//!                                     cores): surplus shards multiplex round-robin
-//!                                     on pool threads, byte-identical to
-//!                                     one-thread-per-shard (default: per-shard)
 //!   --fault-plan FILE                 inject faults from a fault-plan file (see
 //!                                     `sso-faults`); feed-level events perturb the
 //!                                     packets, worker/router events need the
@@ -140,10 +136,6 @@ struct Options {
     /// `--routers N|auto`: supervised router-lane count. `0` = auto
     /// (`min(shards, cores/4).max(1)`); non-zero pins the lane count.
     routers: usize,
-    /// `--workers N|auto`: worker-thread cap. `0` = one thread per
-    /// shard; `auto` = the host's cores; N pools surplus shards onto
-    /// `min(N, shards)` threads (byte-identical results either way).
-    workers: usize,
     fault_plan: Option<String>,
     fault_seed: Option<u64>,
     durable: Option<String>,
@@ -167,7 +159,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sso [run|top] [--feed research|datacenter|ddos|burst] [--trace FILE] \
          [--dump FILE] [--seconds N] [--seed S] [--limit R] [--shards N] [--routers N|auto] \
-         [--workers N|auto] [--fault-plan FILE] [--fault-seed S] \
+         [--fault-plan FILE] [--fault-seed S] \
          [--durable DIR] [--state-budget BYTES] [--fsync always|never|every=N] \
          [--metrics[=FILE]] [--profile[=FILE]] [--meta QUERY] [--explain] [--json] 'QUERY'\n\
          \x20      sso recover [--json] [--limit R] [--metrics[=FILE]] STORE-DIR\n\
@@ -497,7 +489,6 @@ fn parse_args(argv: &[String], top: bool) -> Options {
         limit: 20,
         shards: 1,
         routers: 0,
-        workers: 0,
         fault_plan: None,
         fault_seed: None,
         durable: None,
@@ -539,16 +530,6 @@ fn parse_args(argv: &[String], top: bool) -> Options {
                 // positive N pins the supervised lane count.
                 opts.routers = match value(&mut i).as_str() {
                     "auto" => 0,
-                    n => n.parse::<usize>().ok().unwrap_or_else(|| usage()),
-                }
-            }
-            "--workers" => {
-                // `0` keeps one thread per shard; `auto` caps at the
-                // host's cores; N pools onto min(N, shards) threads.
-                opts.workers = match value(&mut i).as_str() {
-                    "auto" => std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1),
                     n => n.parse::<usize>().ok().unwrap_or_else(|| usage()),
                 }
             }
@@ -671,7 +652,6 @@ fn recover_options(args: &[String]) -> Options {
         limit,
         shards,
         routers,
-        workers: 0,
         // Fault plans are deliberately not replayed: recovery must
         // converge on the fault-free output, and re-arming the crash
         // event would kill the resumed run at the same tuple again.
@@ -821,9 +801,7 @@ fn execute_query(
             stream_sampler::query::plan(parsed, &schema, &config)
                 .map_err(|e| stream_sampler::operator::OpError::InvalidSpec(e.to_string()))
         };
-        let mut cfg = RuntimeConfig::new(opts.shards)
-            .with_routers(opts.routers)
-            .with_worker_cap(opts.workers);
+        let mut cfg = RuntimeConfig::new(opts.shards).with_routers(opts.routers);
         // Pre-size group tables and rings from the static audit's
         // certified ceilings. With --trace the declared envelope may
         // not describe the input, but the hints stay sound: reserve()

@@ -479,18 +479,18 @@ fn router_count_is_invisible_under_a_shared_prefilter() {
 // end, and every worker follows the chunk order across its R rings.
 // None of that may show: feeds that end just before, on, and just after
 // a chunk edge, with window boundaries both inside chunks and exactly on
-// an edge, must reproduce the single-instance output at every router,
-// shard and worker-thread count — for position-routed (round-robin) and
-// content-routed plans alike.
+// an edge, must reproduce the single-instance output at every router
+// and shard count (one worker thread per shard) — for position-routed
+// (round-robin) and content-routed plans alike.
 
 #[test]
 fn chunk_edges_are_invisible_at_every_router_shard_and_worker_count() {
-    let config = |shards: usize, routers: usize, worker_cap: usize| {
-        let mut cfg = RuntimeConfig::new(shards).with_routers(routers).with_worker_cap(worker_cap);
+    let config = |shards: usize, routers: usize| {
+        let mut cfg = RuntimeConfig::new(shards).with_routers(routers);
         cfg.batch_size = 8;
         cfg
     };
-    let chunk = config(1, 1, 0).chunk_tuples();
+    let chunk = config(1, 1).chunk_tuples();
     // One window per chunk and a half: boundaries fall alternately
     // mid-chunk (1.5, 4.5, ...) and exactly on a chunk edge (3, 6, ...).
     let per_window = 3 * chunk / 2;
@@ -517,25 +517,21 @@ fn chunk_edges_are_invisible_at_every_router_shard_and_worker_count() {
             let single = reference_for(make(0).unwrap(), pkts);
             for routers in 1..=4usize {
                 for shards in [1usize, 2, 5] {
-                    for worker_cap in [1usize, 0] {
-                        let report = run_plan_sharded(
-                            Box::new(SelectionNode::pass_all()),
-                            make,
-                            &config(shards, routers, worker_cap),
-                            pkts.to_vec(),
-                        )
-                        .expect("sharded run");
-                        let what = format!(
-                            "{name}: {len} tuples, {routers} lanes, {shards} shards, cap {worker_cap}"
-                        );
-                        assert_windows_equal(&single, &report.windows, &what);
-                        assert_eq!(
-                            report.routers.iter().map(|r| r.tuples()).sum::<u64>(),
-                            len as u64,
-                            "{what}: every tuple passed through a lane"
-                        );
-                        assert_eq!(report.tuples_processed(), len as u64, "{what}");
-                    }
+                    let report = run_plan_sharded(
+                        Box::new(SelectionNode::pass_all()),
+                        make,
+                        &config(shards, routers),
+                        pkts.to_vec(),
+                    )
+                    .expect("sharded run");
+                    let what = format!("{name}: {len} tuples, {routers} lanes, {shards} shards");
+                    assert_windows_equal(&single, &report.windows, &what);
+                    assert_eq!(
+                        report.routers.iter().map(|r| r.tuples()).sum::<u64>(),
+                        len as u64,
+                        "{what}: every tuple passed through a lane"
+                    );
+                    assert_eq!(report.tuples_processed(), len as u64, "{what}");
                 }
             }
         }
