@@ -39,6 +39,7 @@ pub mod engine;
 pub mod merge;
 pub mod pump;
 pub mod ring;
+mod worker;
 
 pub use barrier::MergeBarrier;
 pub use engine::{
