@@ -11,6 +11,7 @@ use sso_core::{queries, shard_plan, Expr};
 use sso_faults::{FaultEvent, FaultPlan};
 use sso_obs::Registry;
 use sso_runtime::{run_sharded, RuntimeConfig, RuntimeError};
+use sso_sync::{Ordering, SyncUsize};
 use sso_types::{Packet, Protocol, Tuple, Value};
 
 /// An endless feed: 1000 tuples to the second, sixteen sources.
@@ -74,6 +75,35 @@ fn endless_source_stops_at_an_operator_error() {
         cfg.batch_size = 16;
         let err = run_sharded(&plan, make, &cfg, endless()).unwrap_err();
         assert!(matches!(err, RuntimeError::Op { shard: 1, .. }), "{routers} lanes: {err}");
+    }
+}
+
+/// A panic that escapes supervision ends the run the same way, and is
+/// reported for the shard whose thread it killed: the last shard panics
+/// mid-window, and its respawn at the next window boundary panics in
+/// the spec factory, outside any `catch_unwind`.
+#[test]
+fn endless_source_stops_at_an_escaped_panic_on_the_last_shard() {
+    let plan = shard_plan(&queries::total_sum_query(1)).unwrap();
+    let mut fault = FaultPlan::empty(7);
+    fault.events.push(FaultEvent::WorkerPanic { shard: 2, at_tuple: 150 });
+    for routers in [1, 2] {
+        let mut cfg =
+            RuntimeConfig::new(3).with_routers(routers).with_faults(fault.clone().into_shared());
+        cfg.batch_size = 16;
+        let shard2_builds = SyncUsize::new(0);
+        let make = |shard: usize| {
+            if shard == 2 && shard2_builds.fetch_add(1, Ordering::Relaxed) > 0 {
+                panic!("respawn refused for shard 2");
+            }
+            Ok(queries::total_sum_query(1))
+        };
+        match run_sharded(&plan, make, &cfg, endless()).unwrap_err() {
+            RuntimeError::WorkerPanic { shard: 2, message } => {
+                assert!(message.contains("respawn refused"), "{routers} lanes: {message}");
+            }
+            other => panic!("{routers} lanes: expected WorkerPanic on shard 2, got {other}"),
+        }
     }
 }
 

@@ -176,7 +176,8 @@ echo "== overhead driver (each mechanism against its baseline, scaling, sharing)
 # One driver and one rule: every arm is the median of round-robin
 # repetitions, and an arm fails when it loses more than 5 % of its
 # baseline's throughput plus both arms' IQR/median. A scaling step is
-# gated only where pump + router lanes + workers fit the host's cores.
+# gated only where pump + router lanes + one worker per shard fit the
+# host's cores.
 # The driver also checks exact-query drift, estimate error, drops,
 # shared == unshared output and the 8-shard stage attribution, prints
 # its table on stderr, writes BENCH.json and exits 1 on any failure.
