@@ -30,11 +30,6 @@ pub struct AuditOptions {
     pub feed: String,
     /// Shard count the skew and mergeability checks assume.
     pub shards: usize,
-    /// Router-lane count the skew verdict assumes (the runtime's
-    /// `--routers`). Every lane hash-routes by the same partition key,
-    /// so a narrow key funnels *all* lanes into the same few shards —
-    /// the W202 verdict is stated per lane.
-    pub routers: usize,
     /// Optional total-state budget in bytes; the report records it and
     /// [`AuditOutcome::budget_exceeded`] reflects the verdict.
     pub budget: Option<u64>,
@@ -46,13 +41,7 @@ pub struct AuditOptions {
 
 impl Default for AuditOptions {
     fn default() -> Self {
-        AuditOptions {
-            feed: "research".to_string(),
-            shards: 1,
-            routers: 1,
-            budget: None,
-            state_budget: None,
-        }
+        AuditOptions { feed: "research".to_string(), shards: 1, budget: None, state_budget: None }
     }
 }
 
@@ -373,24 +362,10 @@ fn audit_statement(
                     SkewClass::Narrow { cardinality } => cardinality,
                     _ => unreachable!("is_hazard() covers only Constant and Narrow"),
                 };
-                let lanes = opts.routers.max(1);
-                let message = if lanes > 1 {
-                    // Every router lane hashes the same key the same
-                    // way, so the narrow key concentrates all lanes
-                    // onto the same shards — the verdict holds per
-                    // lane, and the reached shards' workers drain
-                    // `lanes` contending rings each.
-                    format!(
-                        "partition key reaches at most {routed} of {} shards from each of \
-                         {lanes} router lanes ({skew} skew class)",
-                        opts.shards
-                    )
-                } else {
-                    format!(
-                        "partition key reaches at most {routed} of {} shards ({skew} skew class)",
-                        opts.shards
-                    )
-                };
+                let message = format!(
+                    "partition key reaches at most {routed} of {} shards ({skew} skew class)",
+                    opts.shards
+                );
                 diags.push(Diagnostic::new(Code::W202, Span::DUMMY, message).with_help(
                     "at least one shard is statically guaranteed to idle; partition on a \
                      higher-cardinality key or lower --shards",

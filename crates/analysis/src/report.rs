@@ -56,21 +56,18 @@ pub struct StatementBounds {
 impl StatementBounds {
     /// Pre-sizing hints for the runtime: reserve the certified group
     /// and supergroup ceilings up front (capped at
-    /// [`SizingHints::MAX_RESERVE`]), and size each (router, shard)
-    /// ring for about a second of that lane's batches at the certified
-    /// input rate — each of a shard's `routers` rings carries 1/routers
-    /// of the shard's traffic, so the per-shard buffering stays one
-    /// second of input however many lanes feed it. Unbounded dimensions
-    /// reserve nothing and keep the configured ring.
-    pub fn sizing_hints(&self, shards: usize, routers: usize, batch_size: usize) -> SizingHints {
+    /// [`SizingHints::MAX_RESERVE`]), and size each shard's ring for
+    /// about a second of its batches at the certified input rate.
+    /// Unbounded dimensions reserve nothing and keep the configured
+    /// ring.
+    pub fn sizing_hints(&self, shards: usize, batch_size: usize) -> SizingHints {
         let cap = |c: Card| -> usize {
             c.finite().map(|n| (n as usize).min(SizingHints::MAX_RESERVE)).unwrap_or(0)
         };
         let supergroups = self.supergroup_cardinality.min(self.rows_per_window);
         let ring_batches = self.rows_per_sec.finite().map(|r| {
-            let per_lane =
-                r / (batch_size.max(1) as u64) / (shards.max(1) as u64) / (routers.max(1) as u64);
-            (per_lane as usize).clamp(16, 256)
+            let per_shard = r / (batch_size.max(1) as u64) / (shards.max(1) as u64);
+            (per_shard as usize).clamp(16, 256)
         });
         SizingHints { groups: cap(self.groups_bound), supergroups: cap(supergroups), ring_batches }
     }
@@ -221,23 +218,20 @@ mod tests {
     #[test]
     fn sizing_hints_cap_and_ring() {
         let s = sample_statement();
-        let hints = s.sizing_hints(4, 1, 1024);
+        let hints = s.sizing_hints(4, 1024);
         assert_eq!(hints.groups, 38_186);
         assert_eq!(hints.supergroups, 61);
-        // 25k rows/s ÷ 1024 batch ÷ 4 shards ÷ 1 router ≈ 6 → clamped up to 16.
+        // 25k rows/s ÷ 1024 batch ÷ 4 shards ≈ 6 → clamped up to 16.
         assert_eq!(hints.ring_batches, Some(16));
-        // A single shard fed by one lane keeps a second of batches:
-        // 25k ÷ 1024 ≈ 24 — the deep ring that absorbs feed bursts
-        // instead of thrashing `push_tracked` waits.
-        assert_eq!(s.sizing_hints(1, 1, 1024).ring_batches, Some(24));
-        // Two lanes each carry half the shard's traffic; the per-lane
-        // ring halves (floor at 16) so total buffering is unchanged.
-        assert_eq!(s.sizing_hints(1, 2, 1024).ring_batches, Some(16));
+        // A single shard keeps a second of batches: 25k ÷ 1024 ≈ 24 —
+        // the deep ring that absorbs feed bursts instead of thrashing
+        // `push_tracked` waits.
+        assert_eq!(s.sizing_hints(1, 1024).ring_batches, Some(24));
 
         let mut unbounded = sample_statement();
         unbounded.groups_bound = Card::Unbounded;
         unbounded.rows_per_sec = Card::Unbounded;
-        let hints = unbounded.sizing_hints(4, 1, 1024);
+        let hints = unbounded.sizing_hints(4, 1024);
         assert_eq!(hints.groups, 0, "unbounded reserves nothing");
         assert_eq!(hints.ring_batches, None);
     }

@@ -101,7 +101,7 @@ impl Shape {
             AuditOptions { feed: "datacenter".into(), shards: self.shards, ..Default::default() };
         let outcome = audit_file(&query, &opts);
         let bounds = outcome.report.statements.first().expect("workload audits");
-        let hints = bounds.sizing_hints(self.shards, cfg.resolved_routers(), cfg.batch_size);
+        let hints = bounds.sizing_hints(self.shards, cfg.batch_size);
         cfg.with_sizing(hints)
     }
 
@@ -121,10 +121,10 @@ impl Shape {
     }
 }
 
-/// Threads a sharded configuration runs: the pump (the calling thread),
-/// the router lanes and one worker per shard.
+/// Threads a sharded configuration runs: the pump (the calling thread,
+/// which also routes) and one worker per shard.
 fn threads(cfg: &RuntimeConfig) -> usize {
-    1 + cfg.resolved_routers() + cfg.shards
+    1 + cfg.shards
 }
 
 /// Whether a configuration can show parallel scaling on this host: only
@@ -590,10 +590,10 @@ mod tests {
 
     #[test]
     fn a_configuration_with_more_threads_than_cores_is_ungated() {
-        // Pump + 1 router lane + 2 workers.
-        let cfg = RuntimeConfig::new(2).with_routers(1);
-        assert_eq!(threads(&cfg), 4);
-        assert!(fits(threads(&cfg), 4));
-        assert!(!fits(threads(&cfg), 3));
+        // Pump + 2 workers.
+        let cfg = RuntimeConfig::new(2);
+        assert_eq!(threads(&cfg), 3);
+        assert!(fits(threads(&cfg), 3));
+        assert!(!fits(threads(&cfg), 2));
     }
 }

@@ -21,8 +21,8 @@ pub struct ShardedRunReport {
     pub windows: Vec<WindowOutput>,
     /// Per-shard worker accounting.
     pub shards: Vec<ShardStats>,
-    /// Per-router-lane accounting.
-    pub routers: Vec<RouterStats>,
+    /// The router's accounting.
+    pub router: RouterStats,
     /// The span the live feed would have taken to deliver the packets.
     pub stream_span: Duration,
     /// Run-level coverage (1.0 = no faults degraded the output).
@@ -52,14 +52,14 @@ impl ShardedRunReport {
         self.shards.iter().map(|s| s.quarantines()).sum()
     }
 
-    /// Router-lane panics caught and quarantined.
+    /// Routing panics caught and quarantined.
     pub fn router_quarantines(&self) -> u64 {
-        self.routers.iter().map(|r| r.quarantines()).sum()
+        self.router.quarantines()
     }
 
-    /// Tuples lost to quarantined router lanes (never routed).
+    /// Tuples lost to router quarantine (never routed).
     pub fn router_uncovered(&self) -> u64 {
-        self.routers.iter().map(|r| r.uncovered()).sum()
+        self.router.uncovered()
     }
 
     /// Whether any fault degraded the output.
@@ -180,7 +180,7 @@ where
         low: low_stats,
         windows: report.windows,
         shards: report.shards,
-        routers: report.routers,
+        router: report.router,
         stream_span,
         coverage: report.coverage,
         stragglers: report.stragglers,

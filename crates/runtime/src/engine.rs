@@ -1,34 +1,32 @@
-//! The sharded runtime: R supervised router lanes hash-partition tuples
-//! by the plan's partition key and feed per-(router, shard) batched
-//! bounded rings; each shard runs its own operator instance draining
-//! all R of its rings in chunk order; window outputs are merged by the
-//! plan's rule after the workers drain.
+//! The sharded runtime: the calling thread pumps the source and
+//! hash-partitions each tuple by the plan's partition key into one
+//! batched bounded ring per shard; each shard runs its own operator
+//! instance on a thread of its own, draining its ring; window outputs
+//! are merged by the plan's rule after the workers drain.
 //!
-//! ## Pump, lanes, and recycled batches
+//! ## Pump, rings, and recycled batches
 //!
-//! The calling thread *pumps* the source into fixed-length chunks
-//! (see [`crate::pump`]); chunk `c` goes to lane `c mod R`, which routes
-//! it into its own set of SPSC rings, flushes, and marks the end of the
-//! chunk on every ring. Each worker drains its R rings in chunk order —
-//! lane 0 up to its marker, lane 1 up to its marker, and round again —
-//! so a shard consumes its tuples in global stream order whatever R is.
-//! Keyed routing is a pure content hash and round-robin routing a pure
-//! function of the tuple's global stream position, so multi-router runs
-//! are byte-identical to single-router runs.
+//! The calling thread *pumps* the source into a fixed-length chunk (see
+//! [`crate::pump`]), routes the chunk into the shards' SPSC rings, and
+//! flushes every partial batch at the chunk's end, which bounds how
+//! long a lightly loaded shard's tuples wait. One thread routes, and
+//! each shard reads one ring, so a shard consumes its tuples in global
+//! stream order. Keyed routing is a pure content hash and round-robin
+//! routing a pure function of the tuple's global stream position.
 //!
 //! Nothing is materialized: the pump runs at most
 //! [`RuntimeConfig::max_look_ahead`] tuples ahead of the operators.
-//! And every buffer is reused. Spent batches travel back (worker → lane,
-//! lane → pump) on return rings that are never waited on — a full or
-//! closed return ring drops the buffer, and the next taker allocates
-//! one (`rt.tuple_buffers_fresh`) — while the lane *swaps* each routed
-//! tuple with a dead one, so chunks go home full of tuples for the
+//! And every buffer is reused. Spent batches travel back (worker →
+//! pump) on return rings that are never waited on — a full or closed
+//! return ring drops the buffer, and the next taker allocates one
+//! (`rt.tuple_buffers_fresh`) — while routing *swaps* each tuple with a
+//! dead one, so the one chunk buffer stays full of tuples for the
 //! source to overwrite in place.
 //!
 //! ## Fault tolerance
 //!
 //! Degradation mechanisms keep a run alive — and its samples
-//! honest — when a shard *or a router lane* misbehaves (see `DESIGN.md`
+//! honest — when a shard *or the router* misbehaves (see `DESIGN.md`
 //! §"Fault model"):
 //!
 //! * **Quarantine supervision**: a worker panic is caught with the
@@ -46,12 +44,12 @@
 //!   is cut at the deadline, the merge proceeds over the shards that
 //!   published, and the lost coverage is accounted and alerted through
 //!   the undersample-detector path.
-//! * **Router supervision**: each lane routes under a per-chunk
-//!   `catch_unwind`; a panicked lane is quarantined for the current
-//!   window (its unrouted tuples counted as `rt.router_uncovered`
-//!   mass, degrading that window exactly like a quarantined shard) and
-//!   respawned at the next window boundary, in whichever of its chunks
-//!   that falls. Router death is a degraded window, not a dead process.
+//! * **Router supervision**: the pump routes under a per-stretch
+//!   `catch_unwind`; a routing panic quarantines the router for the
+//!   current window (its unrouted tuples counted as
+//!   `rt.router_uncovered` mass, degrading that window exactly like a
+//!   quarantined shard) and routing resumes at the next window
+//!   boundary. Router death is a degraded window, not a dead process.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -66,7 +64,7 @@ use sso_core::{
     panic_message, EvalCtx, Expr, OpError, OperatorMetrics, OperatorSpec, Predicate,
     SamplingOperator, ShardPlan, SizingHints, SpillStats, WindowOutput,
 };
-use sso_faults::{FaultPlan, WorkerFaultSchedule};
+use sso_faults::{FaultEvent, FaultPlan, WorkerFaultSchedule};
 use sso_obs::{Counter, Gauge, Histogram, Registry, UndersampleConfig, UndersampleDetector};
 use sso_profile::{
     DumpReason, Event as ProfEvent, LaneKind, LaneWriter, Profiler, Stage as ProfStage,
@@ -77,9 +75,7 @@ use sso_types::Tuple;
 
 use crate::barrier::MergeBarrier;
 use crate::merge::ShardPartial;
-use crate::pump::{
-    prefetch, pump, Chunk, ChunkLane, TupleSource, CHUNK_BATCHES, CHUNK_RING, PREFETCH_AHEAD,
-};
+use crate::pump::{prefetch, pump, TupleSource, CHUNK_BATCHES, PREFETCH_AHEAD};
 use crate::ring::{ring, Consumer, Producer, PushError};
 use crate::worker::{window_key, Worker};
 
@@ -157,12 +153,7 @@ impl DurabilityConfig {
 pub struct RuntimeConfig {
     /// Number of worker shards (operator instances).
     pub shards: usize,
-    /// Number of supervised router lanes. `0` (the default) resolves to
-    /// `min(shards, cores/4).max(1)` — see [`auto_routers`]. Each lane
-    /// owns one ring per shard and routes every R-th chunk of the input
-    /// stream; output is byte-identical for every lane count.
-    pub routers: usize,
-    /// Ring depth per (router, shard) ring, in batches.
+    /// Ring depth per shard, in batches.
     pub ring_capacity: usize,
     /// Tuples per batch.
     pub batch_size: usize,
@@ -218,7 +209,6 @@ impl RuntimeConfig {
     pub fn new(shards: usize) -> Self {
         RuntimeConfig {
             shards,
-            routers: 0,
             ring_capacity: 16,
             batch_size: 1024,
             backpressure: Backpressure::Block,
@@ -239,20 +229,15 @@ impl RuntimeConfig {
         self
     }
 
-    /// Route with `routers` supervised lanes (`0` = auto).
-    pub fn with_routers(mut self, routers: usize) -> Self {
-        self.routers = routers;
+    /// Compatibility shim for callers that still pin a router-lane
+    /// count: the pump is the one router, so the only count there is
+    /// is 1. Stores nothing; to be deleted with its last caller.
+    ///
+    /// # Panics
+    /// If `routers` is not 1.
+    pub fn with_routers(self, routers: usize) -> Self {
+        assert_eq!(routers, 1, "the pump is the only router");
         self
-    }
-
-    /// The lane count this config runs with: the explicit value, or the
-    /// [`auto_routers`] default when `routers == 0`.
-    pub fn resolved_routers(&self) -> usize {
-        if self.routers == 0 {
-            auto_routers(self.shards)
-        } else {
-            self.routers
-        }
     }
 
     /// Inject faults from `plan` (worker panics and stalls).
@@ -295,33 +280,19 @@ impl RuntimeConfig {
         self.sizing.and_then(|h| h.ring_batches).unwrap_or(self.ring_capacity)
     }
 
-    /// Tuples per pumped chunk. Chunk `c` — stream positions
-    /// `[c * chunk_tuples, (c + 1) * chunk_tuples)` — is routed by lane
-    /// `c % routers`: the whole lane partition, and the reason it needs
-    /// neither the stream's length nor a record in the MANIFEST.
+    /// Tuples per pumped chunk: the pump pulls this many from the
+    /// source, routes them, and flushes every shard's partial batch.
     pub fn chunk_tuples(&self) -> usize {
         CHUNK_BATCHES * self.batch_size
     }
 
     /// The most tuples the run ever holds between the source and the
-    /// operators: the pump's chunk in hand; per lane its chunk ring and
-    /// the chunk being routed; per (lane, shard) ring its depth plus the
-    /// batch being filled and the batch being processed. A function of
-    /// the configuration only — never of the stream's length.
+    /// operators: the pump's chunk, plus per shard its ring's depth,
+    /// the batch being filled and the batch being processed. A function
+    /// of the configuration only — never of the stream's length.
     pub fn max_look_ahead(&self) -> usize {
-        let lanes = self.resolved_routers();
-        (1 + lanes * (CHUNK_RING + 1)) * self.chunk_tuples()
-            + lanes * self.shards * (self.effective_ring_capacity() + 2) * self.batch_size
+        self.chunk_tuples() + self.shards * (self.effective_ring_capacity() + 2) * self.batch_size
     }
-}
-
-/// The default router-lane count for `shards` workers:
-/// `min(shards, cores/4).max(1)`. Routing is ~4x cheaper per tuple than
-/// operator processing, so one lane per four cores keeps ingest off the
-/// workers' cores until the shard count itself is the limit.
-pub fn auto_routers(shards: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    (cores / 4).max(1).min(shards.max(1))
 }
 
 /// Per-shard accounting: a thin view over this shard's registry cells
@@ -418,43 +389,38 @@ impl ShardStats {
     }
 }
 
-/// Per-router-lane accounting: a thin view over the lane's registry
-/// cells (`rt.router_*` metrics labeled `router=R`). Exact once the
-/// run has joined its lanes.
+/// The router's accounting: a thin view over its registry cells
+/// (`rt.router_*` metrics labeled `router=0`). Exact once the run has
+/// returned.
 #[derive(Debug, Clone)]
 pub struct RouterStats {
-    /// Router-lane index.
-    pub router: usize,
     tuples: Counter,
     quarantines: Counter,
     uncovered: Counter,
-    batch_tuples: Histogram,
 }
 
 impl RouterStats {
-    fn register(registry: &Registry, router: usize) -> Self {
-        let label = format!("router={router}");
+    fn register(registry: &Registry) -> Self {
+        let label = "router=0";
         RouterStats {
-            router,
-            tuples: registry.counter_labeled("rt.router_tuples", label.clone()),
-            quarantines: registry.counter_labeled("rt.router_quarantines", label.clone()),
-            uncovered: registry.counter_labeled("rt.router_uncovered", label.clone()),
-            batch_tuples: registry.histogram_labeled("rt.router_batch_tuples", label),
+            tuples: registry.counter_labeled("rt.router_tuples", label),
+            quarantines: registry.counter_labeled("rt.router_quarantines", label),
+            uncovered: registry.counter_labeled("rt.router_uncovered", label),
         }
     }
 
-    /// Tuples of the lane's finished chunks (routed, prefiltered away,
-    /// or uncovered); advances chunk by chunk while the run is live.
+    /// Tuples of the finished chunks (routed, prefiltered away, or
+    /// uncovered); advances chunk by chunk while the run is live.
     pub fn tuples(&self) -> u64 {
         self.tuples.get()
     }
 
-    /// Lane panics caught and quarantined.
+    /// Routing panics caught and quarantined.
     pub fn quarantines(&self) -> u64 {
         self.quarantines.get()
     }
 
-    /// Tuples lost while the lane was quarantined (never routed).
+    /// Tuples lost while the router was quarantined (never routed).
     pub fn uncovered(&self) -> u64 {
         self.uncovered.get()
     }
@@ -524,14 +490,6 @@ pub enum RuntimeError {
         /// Panic payload message.
         message: String,
     },
-    /// A router lane panicked outside its per-chunk supervision (which
-    /// converts routing panics into coverage loss).
-    RouterPanic {
-        /// Router-lane index.
-        router: usize,
-        /// Panic payload message.
-        message: String,
-    },
     /// The configuration is unusable (zero shards, zero batch size).
     BadConfig(String),
     /// An injected `crash@N` fault fired: routing stopped at the
@@ -559,9 +517,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::WorkerPanic { shard, message } => {
                 write!(f, "shard {shard} worker panicked: {message}")
             }
-            RuntimeError::RouterPanic { router, message } => {
-                write!(f, "router lane {router} panicked: {message}")
-            }
             RuntimeError::BadConfig(msg) => write!(f, "bad runtime config: {msg}"),
             RuntimeError::Crashed { at_tuple } => {
                 write!(f, "injected crash fired at stream tuple {at_tuple}")
@@ -583,8 +538,8 @@ pub struct ShardedReport {
     pub windows: Vec<WindowOutput>,
     /// Per-shard accounting, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Per-router-lane accounting, indexed by lane.
-    pub routers: Vec<RouterStats>,
+    /// The router's accounting.
+    pub router: RouterStats,
     /// Run-level coverage: fraction of worker-delivered (plus
     /// straggler-routed) tuples represented by the merged output.
     pub coverage: f64,
@@ -614,14 +569,14 @@ impl ShardedReport {
         self.shards.iter().map(|s| s.quarantines()).sum()
     }
 
-    /// Total router-lane panics caught and quarantined.
+    /// Routing panics caught and quarantined.
     pub fn router_quarantines(&self) -> u64 {
-        self.routers.iter().map(|r| r.quarantines()).sum()
+        self.router.quarantines()
     }
 
-    /// Total tuples lost to quarantined router lanes (never routed).
+    /// Tuples lost to router quarantine (never routed).
     pub fn router_uncovered(&self) -> u64 {
-        self.routers.iter().map(|r| r.uncovered()).sum()
+        self.router.uncovered()
     }
 
     /// Whether any fault degraded the output (`coverage < 1`).
@@ -641,12 +596,10 @@ fn pick_shard(hash: u64, shards: usize) -> usize {
     }
 }
 
-/// How a router lane picks a shard for a tuple. Stateless — a routing
+/// How the router picks a shard for a tuple. Stateless — a routing
 /// decision depends only on the tuple's content (keyed routing) or its
-/// global stream position (round-robin), never on which lane evaluates
-/// it or what was routed before. That is what makes the per-lane
-/// chunk deal invisible: shard sequences are byte-identical for any
-/// lane count.
+/// global stream position (round-robin), never on what was routed
+/// before, so [`route_stream`] replays it from the tuples alone.
 enum Router {
     /// No partition key: deal tuples out cyclically by global stream
     /// position (valid only with a key-free merge rule).
@@ -739,10 +692,11 @@ pub fn route_stream<'a>(
 type ShardSetup = (SamplingOperator, Option<ShardStore>, Option<Tuple>, Vec<WindowOutput>);
 
 thread_local! {
-    /// Set on worker and router threads: a caught supervised-lane panic
-    /// is part of the fault model, not a crash, so the hook reduces it
-    /// to one stderr line — the quarantine accounting is the real
-    /// report. Every other thread keeps the previously installed hook.
+    /// Set on worker threads, and on the pump while it routes under
+    /// supervision: a caught supervised panic is part of the fault
+    /// model, not a crash, so the hook reduces it to one stderr line —
+    /// the quarantine accounting is the real report. Everywhere else
+    /// the previously installed hook runs.
     static QUIET_WORKER_PANICS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -760,14 +714,23 @@ fn install_supervised_panic_hook() {
                     .copied()
                     .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                     .unwrap_or("<non-string panic payload>");
-                eprintln!(
-                    "sso-runtime: supervised panic (lane quarantined for this window): {msg}"
-                );
+                eprintln!("sso-runtime: supervised panic (quarantined for this window): {msg}");
             } else {
                 prev(info);
             }
         }));
     });
+}
+
+/// Run `f` under `catch_unwind` with the supervised-panic hook quieted
+/// for this thread, restoring the thread's previous setting after: the
+/// pump routes on the caller's thread, whose other panics keep their
+/// hook.
+fn supervised<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    let was = QUIET_WORKER_PANICS.with(|q| q.replace(true));
+    let outcome = catch_unwind(AssertUnwindSafe(f));
+    QUIET_WORKER_PANICS.with(|q| q.set(was));
+    outcome
 }
 
 /// Per-shard shed state: the threshold z and the small-tuple meter (the
@@ -789,10 +752,12 @@ fn tuple_weight(t: &Tuple, weight_col: Option<usize>) -> f64 {
     }
 }
 
-/// The router thread's tracing state: its event lane plus the end of
-/// the previous send, which anchors the next `Ingest` stamp (everything
-/// the router did between two sends — feed intake, hashing, batch
-/// accumulation — is ingest time).
+/// The router's tracing state: its event lane (`router/0`, written by
+/// the pump) plus the end of the previous send, which anchors the next
+/// `Ingest` stamp (everything the router did between two sends —
+/// hashing, batch accumulation — is ingest time). The mark is reset at
+/// the start of every chunk: the fill before it is the pump's `Low`
+/// stamp, not ingest.
 struct RouterTrace {
     p: Profiler,
     lane: LaneWriter,
@@ -831,37 +796,23 @@ fn record_router_send(
     t.lane.publish();
 }
 
-/// What crosses a (lane, shard) ring.
-pub(crate) enum Msg {
-    /// Routed tuples. Only `tuples[..live]` are this batch; anything
-    /// past `live` is dead weight from the buffer's previous trip,
-    /// riding along so its allocation stays in circulation.
-    Batch { id: u32, live: usize, tuples: Vec<Tuple> },
-    /// The lane has sent everything its current chunk held for this
-    /// shard: the worker moves on to the next lane's ring.
-    ChunkEnd,
+/// What crosses a shard ring: routed tuples. Only `tuples[..live]`
+/// are this batch; anything past `live` is dead weight from the
+/// buffer's previous trip, riding along so its allocation stays in
+/// circulation. `id` threads lineage stamps from route to process.
+pub(crate) struct Batch {
+    pub(crate) id: u32,
+    pub(crate) live: usize,
+    pub(crate) tuples: Vec<Tuple>,
 }
 
-impl Msg {
-    fn into_tuples(self) -> Vec<Tuple> {
-        match self {
-            Msg::Batch { tuples, .. } => tuples,
-            Msg::ChunkEnd => Vec::new(),
-        }
-    }
-}
-
-/// One router lane's sending state: its set of per-shard rings, the
-/// per-shard batch accumulators and shed state, and its accounting
-/// cells. Batch ids start at the lane index and stride by the lane
-/// count, so ids stay unique across lanes and lineage stamps stay
-/// unambiguous.
-struct RouterLane<'a> {
-    router: usize,
+/// The router's sending state: the per-shard rings, batch accumulators
+/// and shed state, and its accounting cells.
+struct Sender<'a> {
     shards: usize,
     batch_size: usize,
     backpressure: Backpressure,
-    txs: Vec<Producer<Msg>>,
+    txs: Vec<Producer<Batch>>,
     /// Spent batches coming home from each shard's worker.
     homes: Vec<Consumer<Vec<Tuple>>>,
     /// Per shard: the batch being filled and how many of its tuples are
@@ -870,21 +821,20 @@ struct RouterLane<'a> {
     shed: Vec<ShedState>,
     routed: Vec<u64>,
     next_batch_id: u32,
-    id_stride: u32,
     stats: &'a [ShardStats],
     ring_depths: &'a [Gauge],
     batch_hist: Histogram,
-    lane_stats: RouterStats,
+    router_stats: RouterStats,
     fresh: Counter,
     /// A batch ring turned out closed: its worker is gone, and the run
-    /// with it (workers outlive their lanes unless they fail).
+    /// with it (workers outlive the pump's routing unless they fail).
     worker_gone: bool,
     trace: Option<RouterTrace>,
-    /// This lane's lowered copy of [`RuntimeConfig::shared_prefilter`].
+    /// The lowered [`RuntimeConfig::shared_prefilter`].
     prefilter: Option<Predicate>,
 }
 
-impl RouterLane<'_> {
+impl Sender<'_> {
     /// Is `tuple` routed at all? A tuple the shared prefilter cannot be
     /// evaluated on is: the operator behind the router keeps its full
     /// WHERE and raises the error, or rejects the tuple, as it would
@@ -912,17 +862,12 @@ impl RouterLane<'_> {
         }
     }
 
-    /// End of chunk: send every partial batch still buffered, then mark
-    /// the chunk's end on every ring. The marker waits for room under
-    /// every backpressure policy — a worker cannot leave this lane's
-    /// ring without it.
+    /// End of chunk: send every partial batch still buffered, so a
+    /// lightly loaded shard's tuples wait at most one chunk.
     fn end_chunk(&mut self) {
         for shard in 0..self.shards {
             if self.batches[shard].1 > 0 {
                 self.send_batch(shard);
-            }
-            if matches!(self.txs[shard].push_tracked(Msg::ChunkEnd), Ok(true)) {
-                self.stats[shard].stalls.inc();
             }
         }
     }
@@ -943,7 +888,6 @@ impl RouterLane<'_> {
     fn delivered(&mut self, shard: usize, id: u32, len: u64, t0: Option<u64>, wait: Option<u64>) {
         self.routed[shard] += len;
         self.batch_hist.record(len);
-        self.lane_stats.batch_tuples.record(len);
         if let Some(t) = self.trace.as_mut() {
             let end = t.p.now_ns();
             record_router_send(t, shard, id, len, t0.unwrap_or(end), end, wait);
@@ -967,16 +911,16 @@ impl RouterLane<'_> {
         self.ring_depths[shard].add(1.0);
         self.stats[shard].stalls.inc();
         let wait_from = self.trace.as_ref().map(|t| t.p.now_ns());
-        match self.txs[shard].push(Msg::Batch { id, live, tuples }) {
+        match self.txs[shard].push(Batch { id, live, tuples }) {
             Ok(()) => {
                 self.delivered(shard, id, live as u64, t0, wait_from);
                 None
             }
             // Closed ring: the batch counted above never arrived.
-            Err(msg) => {
+            Err(batch) => {
                 self.ring_depths[shard].add(-1.0);
                 self.worker_gone = true;
-                Some(msg.into_tuples())
+                Some(batch.tuples)
             }
         }
     }
@@ -987,91 +931,91 @@ impl RouterLane<'_> {
     fn send_batch(&mut self, shard: usize) {
         let (tuples, live) = std::mem::take(&mut self.batches[shard]);
         let id = self.next_batch_id;
-        self.next_batch_id = id.wrapping_add(self.id_stride);
+        self.next_batch_id = id.wrapping_add(1);
         let t0 = self.trace.as_ref().map(|t| t.p.now_ns());
-        let unsent =
-            match (self.txs[shard].try_push(Msg::Batch { id, live, tuples }), self.backpressure) {
-                (Ok(()), policy) => {
-                    self.ring_depths[shard].add(1.0);
-                    self.delivered(shard, id, live as u64, t0, None);
-                    let state = &mut self.shed[shard];
-                    if matches!(policy, Backpressure::Shed { .. }) && state.z > 0.0 {
-                        // Pressure easing: decay toward off.
-                        state.z *= 0.5;
-                        if state.z < state.z0 {
-                            state.z = 0.0;
-                            state.meter = 0.0;
-                        }
-                        self.stats[shard].shed_z.set(state.z);
-                    }
-                    None
-                }
-                // Worker death closes the ring: the lane stops at the end of
-                // the chunk, and the join in `run_sharded` surfaces the
-                // reason.
-                (Err(PushError::Closed(msg)), _) => {
-                    self.worker_gone = true;
-                    Some(msg.into_tuples())
-                }
-                (Err(PushError::Full(msg)), Backpressure::Block) => {
-                    self.push_blocking(shard, id, live, msg.into_tuples(), t0)
-                }
-                (Err(PushError::Full(msg)), Backpressure::DropNewest) => {
-                    self.stats[shard].dropped.add(live as u64);
-                    Some(msg.into_tuples())
-                }
-                (Err(PushError::Full(msg)), Backpressure::Shed { weight_col }) => {
-                    // Ring pressure raises the threshold (the §7.1 mechanism
-                    // in reverse): the batch shrinks by below-threshold
-                    // rejection with exact HT accounting, then the survivors
-                    // are delivered losslessly.
-                    let mut tuples = msg.into_tuples();
-                    let state = &mut self.shed[shard];
-                    let mean: f64 =
-                        tuples[..live].iter().map(|t| tuple_weight(t, weight_col)).sum::<f64>()
-                            / live.max(1) as f64;
-                    if state.z == 0.0 {
-                        state.z0 = if mean.is_finite() && mean > 0.0 { 2.0 * mean } else { 2.0 };
-                        state.z = state.z0;
-                        // Shedding switched on: arm the flight recorder so
-                        // the pressure build-up is preserved.
-                        if let Some(t) = self.trace.as_ref() {
-                            t.p.trigger(DumpReason::Shed);
-                        }
-                    } else {
-                        state.z *= 2.0;
+        let unsent = match (self.txs[shard].try_push(Batch { id, live, tuples }), self.backpressure)
+        {
+            (Ok(()), policy) => {
+                self.ring_depths[shard].add(1.0);
+                self.delivered(shard, id, live as u64, t0, None);
+                let state = &mut self.shed[shard];
+                if matches!(policy, Backpressure::Shed { .. }) && state.z > 0.0 {
+                    // Pressure easing: decay toward off.
+                    state.z *= 0.5;
+                    if state.z < state.z0 {
+                        state.z = 0.0;
+                        state.meter = 0.0;
                     }
                     self.stats[shard].shed_z.set(state.z);
-                    // Survivors are compacted to the front in stream order;
-                    // the shed tuples stay behind them as dead weight.
-                    let mut kept = 0usize;
-                    let mut shed_w = 0.0;
-                    for i in 0..live {
-                        let w = tuple_weight(&tuples[i], weight_col);
-                        let keep = w > state.z || {
-                            state.meter += w;
-                            let metered = state.meter >= state.z;
-                            if metered {
-                                state.meter -= state.z;
-                            }
-                            metered
-                        };
-                        if keep {
-                            tuples.swap(kept, i);
-                            kept += 1;
-                        } else {
-                            shed_w += w;
-                        }
+                }
+                None
+            }
+            // Worker death closes the ring: the pump stops at the end
+            // of the chunk, and the join in `run_sharded` surfaces the
+            // reason.
+            (Err(PushError::Closed(batch)), _) => {
+                self.worker_gone = true;
+                Some(batch.tuples)
+            }
+            (Err(PushError::Full(batch)), Backpressure::Block) => {
+                self.push_blocking(shard, id, live, batch.tuples, t0)
+            }
+            (Err(PushError::Full(batch)), Backpressure::DropNewest) => {
+                self.stats[shard].dropped.add(live as u64);
+                Some(batch.tuples)
+            }
+            (Err(PushError::Full(batch)), Backpressure::Shed { weight_col }) => {
+                // Ring pressure raises the threshold (the §7.1 mechanism
+                // in reverse): the batch shrinks by below-threshold
+                // rejection with exact HT accounting, then the survivors
+                // are delivered losslessly.
+                let mut tuples = batch.tuples;
+                let state = &mut self.shed[shard];
+                let mean: f64 =
+                    tuples[..live].iter().map(|t| tuple_weight(t, weight_col)).sum::<f64>()
+                        / live.max(1) as f64;
+                if state.z == 0.0 {
+                    state.z0 = if mean.is_finite() && mean > 0.0 { 2.0 * mean } else { 2.0 };
+                    state.z = state.z0;
+                    // Shedding switched on: arm the flight recorder so
+                    // the pressure build-up is preserved.
+                    if let Some(t) = self.trace.as_ref() {
+                        t.p.trigger(DumpReason::Shed);
                     }
-                    self.stats[shard].shed_tuples.add((live - kept) as u64);
-                    self.stats[shard].shed_weight.add(shed_w);
-                    if kept == 0 {
-                        Some(tuples)
+                } else {
+                    state.z *= 2.0;
+                }
+                self.stats[shard].shed_z.set(state.z);
+                // Survivors are compacted to the front in stream order;
+                // the shed tuples stay behind them as dead weight.
+                let mut kept = 0usize;
+                let mut shed_w = 0.0;
+                for i in 0..live {
+                    let w = tuple_weight(&tuples[i], weight_col);
+                    let keep = w > state.z || {
+                        state.meter += w;
+                        let metered = state.meter >= state.z;
+                        if metered {
+                            state.meter -= state.z;
+                        }
+                        metered
+                    };
+                    if keep {
+                        tuples.swap(kept, i);
+                        kept += 1;
                     } else {
-                        self.push_blocking(shard, id, kept, tuples, t0)
+                        shed_w += w;
                     }
                 }
-            };
+                self.stats[shard].shed_tuples.add((live - kept) as u64);
+                self.stats[shard].shed_weight.add(shed_w);
+                if kept == 0 {
+                    Some(tuples)
+                } else {
+                    self.push_blocking(shard, id, kept, tuples, t0)
+                }
+            }
+        };
         // A batch that never left is the next accumulator as it stands.
         let next = unsent.unwrap_or_else(|| self.recycled(shard));
         self.batches[shard] = (next, 0);
@@ -1095,54 +1039,45 @@ fn buffer_pool(
     (tx, rx)
 }
 
-/// What a router lane hands back when its last chunk is done: tuples
-/// delivered per shard and tuples lost to lane quarantine, keyed by
-/// window.
-struct LaneOutcome {
-    routed: Vec<u64>,
-    uncovered: Vec<(Tuple, u64)>,
-}
-
-fn add_lane_uncovered(uncovered: &mut Vec<(Tuple, u64)>, key: Tuple, n: u64) {
+fn add_uncovered(uncovered: &mut Vec<(Tuple, u64)>, key: Tuple, n: u64) {
     match uncovered.iter_mut().find(|(k, _)| *k == key) {
         Some((_, c)) => *c += n,
         None => uncovered.push((key, n)),
     }
 }
 
-/// What a lane's supervision carries from chunk to chunk: a quarantine
+/// What routing supervision carries from chunk to chunk: a quarantine
 /// opened in one chunk closes at the next window boundary, wherever
 /// that falls.
 #[derive(Default)]
-struct LaneGuard {
+struct RouteGuard {
     /// `Some(key)` while quarantined: tuples of window `key` are counted
     /// as uncovered, never routed.
     quarantined: Option<Tuple>,
     uncovered: Vec<(Tuple, u64)>,
-    /// Lane-local 1-based tuple ordinal over all the lane's chunks:
-    /// router fault triggers (`panic router=R at=N`) key on it,
-    /// quarantined tuples included — the same counting workers use.
+    /// 1-based stream ordinal of the tuple being routed: router fault
+    /// triggers (`panic router=0 at=N`) key on it, quarantined tuples
+    /// included — the same counting workers use.
     count: u64,
     faults: WorkerFaultSchedule,
 }
 
 /// Route one chunk — stream positions `start ..` — under the workers'
-/// supervision contract: per-chunk `catch_unwind`, a panicked lane
+/// supervision contract: per-stretch `catch_unwind`, a panicked router
 /// quarantined for the current window (its unrouted tuples counted,
-/// never sent), respawned at the next window boundary.
+/// never sent), live again at the next window boundary.
 fn route_chunk(
-    lane: &mut RouterLane<'_>,
-    sup: &mut LaneGuard,
+    sender: &mut Sender<'_>,
+    sup: &mut RouteGuard,
     router_def: &Router,
     wexprs: &[Expr],
     profiler: Option<&Profiler>,
     chunk: &mut [Tuple],
     start: u64,
 ) {
-    // The lane prefetches only the values it reads: the lines the
-    // worker alone reads then travel from the pump's core once, not via
-    // this one.
-    let reads = if lane.prefilter.is_some() { 0..usize::MAX } else { router_def.reads() };
+    // The router prefetches only the values it reads: the lines the
+    // worker alone reads then travel from the pump's cache once.
+    let reads = if sender.prefilter.is_some() { 0..usize::MAX } else { router_def.reads() };
     let mut local = 0usize;
     while local < chunk.len() {
         if let Some(qkey) = sup.quarantined.clone() {
@@ -1150,9 +1085,9 @@ fn route_chunk(
                 let t = &chunk[local];
                 if window_key(wexprs, t).as_ref() == Some(&qkey) {
                     sup.count += 1;
-                    if lane.passes_prefilter(t) {
-                        add_lane_uncovered(&mut sup.uncovered, qkey.clone(), 1);
-                        lane.lane_stats.uncovered.inc();
+                    if sender.passes_prefilter(t) {
+                        add_uncovered(&mut sup.uncovered, qkey.clone(), 1);
+                        sender.router_stats.uncovered.inc();
                     }
                     local += 1;
                 } else {
@@ -1176,10 +1111,9 @@ fn route_chunk(
             let count = &mut sup.count;
             let faults = &mut sup.faults;
             let chunk = &mut *chunk;
-            let lane = &mut *lane;
-            let router = lane.router;
+            let sender = &mut *sender;
             let reads = &reads;
-            catch_unwind(AssertUnwindSafe(move || {
+            supervised(move || {
                 while *local < chunk.len() {
                     if let Some(ahead) = chunk.get(*local + PREFETCH_AHEAD) {
                         let values = ahead.values();
@@ -1187,28 +1121,28 @@ fn route_chunk(
                     }
                     *count += 1;
                     if let Some(f) = faults.check(*count) {
-                        f.trip_router(router, *count);
+                        f.trip_router(*count);
                     }
                     let tuple = &mut chunk[*local];
-                    if lane.passes_prefilter(tuple) {
-                        let shard = router_def.route(tuple, start + *local as u64, lane.shards);
-                        lane.push_tuple(shard, tuple);
+                    if sender.passes_prefilter(tuple) {
+                        let shard = router_def.route(tuple, start + *local as u64, sender.shards);
+                        sender.push_tuple(shard, tuple);
                     }
                     *local += 1;
                 }
-            }))
+            })
         };
         if outcome.is_err() {
-            // The tripping tuple's window is poisoned for this lane:
+            // The tripping tuple's window is poisoned for the router:
             // the tuple itself (if it would have been routed) and every
-            // following same-window tuple of the lane's chunks are lost.
+            // following same-window tuple are lost.
             let t = &chunk[local];
             let key = window_key(wexprs, t).unwrap_or_else(|| Tuple::new(Vec::new()));
-            if lane.passes_prefilter(t) {
-                add_lane_uncovered(&mut sup.uncovered, key.clone(), 1);
-                lane.lane_stats.uncovered.inc();
+            if sender.passes_prefilter(t) {
+                add_uncovered(&mut sup.uncovered, key.clone(), 1);
+                sender.router_stats.uncovered.inc();
             }
-            lane.lane_stats.quarantines.inc();
+            sender.router_stats.quarantines.inc();
             if let Some(p) = profiler {
                 p.trigger(DumpReason::Panic);
             }
@@ -1229,15 +1163,16 @@ fn route_chunk(
 /// threads* to respawn a fresh operator after a panic.
 ///
 /// The calling thread pumps `tuples` (any `IntoIterator<Item = Tuple>`,
-/// or a [`crate::Refill`] pull function) chunk by chunk to
-/// [`RuntimeConfig::routers`] supervised lane threads — the source may
-/// be endless; at most [`RuntimeConfig::max_look_ahead`] tuples are ever
-/// in flight. Lanes and workers run under [`std::thread::scope`]. An
+/// or a [`crate::Refill`] pull function) chunk by chunk and routes each
+/// chunk into the shards' rings itself — the source may be endless; at
+/// most [`RuntimeConfig::max_look_ahead`] tuples are ever in flight.
+/// The `cfg.shards` workers run under [`std::thread::scope`]. An
 /// operator error aborts the run with the shard index attached; a
-/// worker or router-lane panic quarantines the shard (or lane) for the
-/// poisoned window and the run completes with coverage accounting. A
-/// panic supervision cannot catch — one in the spec factory while a
-/// shard respawns — aborts the run with [`RuntimeError::WorkerPanic`].
+/// worker or routing panic quarantines the shard (or the router) for
+/// the poisoned window and the run completes with coverage accounting.
+/// A worker panic supervision cannot catch — one in the spec factory
+/// while a shard respawns — aborts the run with
+/// [`RuntimeError::WorkerPanic`].
 pub fn run_sharded<F, S>(
     plan: &ShardPlan,
     make_spec: F,
@@ -1257,7 +1192,23 @@ where
         ));
     }
 
-    let routers = cfg.resolved_routers();
+    // A worker fault aimed past the last shard would never fire.
+    let events = cfg.faults.iter().flat_map(|p| &p.events);
+    if let Some(shard) = events
+        .filter_map(|e| match *e {
+            FaultEvent::WorkerPanic { shard, .. } | FaultEvent::WorkerStall { shard, .. } => {
+                Some(shard)
+            }
+            _ => None,
+        })
+        .find(|&shard| shard >= cfg.shards)
+    {
+        return Err(RuntimeError::BadConfig(format!(
+            "fault plan targets shard {shard}, but the run has {} shards",
+            cfg.shards
+        )));
+    }
+
     let chunk_len = cfg.chunk_tuples();
 
     // A run without a caller-supplied registry records into a private
@@ -1317,18 +1268,17 @@ where
 
     let stats: Vec<ShardStats> =
         (0..cfg.shards).map(|shard| ShardStats::register(&registry, shard)).collect();
-    let router_stats: Vec<RouterStats> =
-        (0..routers).map(|r| RouterStats::register(&registry, r)).collect();
+    let router_stats = RouterStats::register(&registry);
     // Ring depth is maintained by hand (inc on enqueue, dec on dequeue):
     // the channel exposes no len(), and per-shard gauge cells sum to the
     // total queued batches at snapshot time.
     let ring_depths: Vec<Gauge> = (0..cfg.shards)
         .map(|shard| registry.gauge_labeled("rt.ring_depth", format!("shard={shard}")))
         .collect();
-    let batch_hist = registry.histogram("rt.batch_tuples");
     // Batch and chunk buffers allocated because no recycled one was at
-    // hand: the seeded pools below, plus one per lost return. A function
-    // of the configuration, not of the stream's length.
+    // hand: the chunk, the seeded pools below, plus one per lost
+    // return. A function of the configuration, not of the stream's
+    // length.
     let fresh = registry.counter("rt.tuple_buffers_fresh");
 
     // Workers deposit their final partials here; the calling thread
@@ -1344,61 +1294,46 @@ where
     let crash_at = cfg.faults.as_ref().and_then(|p| p.crash_at()).map(|n| n.max(1));
     let crashed = SyncBool::new(false);
     let make_spec = &make_spec;
-    // Lane quarantine attributes unrouted tuples to the window they
+    // Router quarantine attributes unrouted tuples to the window they
     // would have landed in; every shard shares the same window shape,
-    // so shard 0's expressions serve all lanes.
-    let lane_wexprs: Vec<Expr> =
+    // so shard 0's expressions serve.
+    let route_wexprs: Vec<Expr> =
         shard_setups.first().map(|(op, ..)| op.spec().window_exprs()).unwrap_or_default();
-    // Routing is stateless, so one definition serves every lane.
     let router_def = Router::new(plan);
-    // Lineage tracing: the merge path owns a lane here; the pump, the
-    // router lanes and the workers open theirs on their own threads.
-    // Everything is `None` (one branch per batch) when profiling is off.
+    // Lineage tracing: the merge path and the pump own lanes here; the
+    // workers open theirs on their own threads. Everything is `None`
+    // (one branch per batch) when profiling is off.
     let mut merge_trace = cfg.profile.as_ref().map(|p| (p.clone(), p.lane(LaneKind::Merge, 0)));
     let next_tuple = tuples.into_refill();
     type ScopeOut = (Vec<Option<ShardPartial>>, Vec<usize>, Vec<(Tuple, u64)>, Vec<u64>);
     let (partials, stragglers, router_uncovered, routed) =
         std::thread::scope(|s| -> Result<ScopeOut, RuntimeError> {
-            // One SPSC ring per (router, shard): lane r owns row r of
-            // producers, shard k drains column k in chunk order. Batches
-            // carry the lane-assigned batch id so worker-side stamps
-            // share lineage with the route stamp. Beside every ring runs
-            // a return ring taking spent batches home, holding the
-            // pair's whole pool — the ring's depth, the batch being
-            // filled, the batch being processed — so the lane never
-            // allocates a batch and a return never finds its ring full.
+            // One SPSC ring per shard, the pump producing and the shard's
+            // worker consuming. Batches carry the router-assigned batch id
+            // so worker-side stamps share lineage with the route stamp.
+            // Beside every ring runs a return ring taking spent batches
+            // home, holding the shard's whole pool — the ring's depth, the
+            // batch being filled, the batch being processed — so the pump
+            // never allocates a batch and a return never finds its ring
+            // full.
             let ring_cap = cfg.effective_ring_capacity();
-            let mut txs_by_router: Vec<Vec<Producer<Msg>>> =
-                (0..routers).map(|_| Vec::with_capacity(cfg.shards)).collect();
-            let mut homes_by_router: Vec<Vec<Consumer<Vec<Tuple>>>> =
-                (0..routers).map(|_| Vec::with_capacity(cfg.shards)).collect();
-            type ShardRings = (Vec<Consumer<Msg>>, Vec<Producer<Vec<Tuple>>>);
-            let mut rings_by_shard: Vec<ShardRings> = (0..cfg.shards)
-                .map(|_| (Vec::with_capacity(routers), Vec::with_capacity(routers)))
-                .collect();
-            for (txs, homes) in txs_by_router.iter_mut().zip(homes_by_router.iter_mut()) {
-                for (rxs, home_txs) in rings_by_shard.iter_mut() {
-                    let (tx, rx) = ring::<Msg>(ring_cap);
-                    let (home_tx, home_rx) = buffer_pool(ring_cap + 2, cfg.batch_size, &fresh);
-                    txs.push(tx);
-                    homes.push(home_rx);
-                    rxs.push(rx);
-                    home_txs.push(home_tx);
-                }
-            }
+            let mut txs = Vec::with_capacity(cfg.shards);
+            let mut homes = Vec::with_capacity(cfg.shards);
             // One worker thread per shard; `handles[k]` is shard k's.
             let mut handles = Vec::with_capacity(cfg.shards);
-            for (shard, ((op, store, watermark, recovered), (rxs, homes))) in
-                shard_setups.into_iter().zip(rings_by_shard).enumerate()
-            {
+            for (shard, (op, store, watermark, recovered)) in shard_setups.into_iter().enumerate() {
+                let (tx, rx) = ring::<Batch>(ring_cap);
+                let (home, home_rx) = buffer_pool(ring_cap + 2, cfg.batch_size, &fresh);
+                txs.push(tx);
+                homes.push(home_rx);
                 let (stats, depth) = (stats[shard].clone(), ring_depths[shard].clone());
                 let (barrier, crashed, registry) = (&*barrier, &crashed, &registry);
                 handles.push(s.spawn(move || {
                     QUIET_WORKER_PANICS.with(|q| q.set(true));
                     let worker = Worker {
                         shard,
-                        rxs,
-                        homes,
+                        rx,
+                        home,
                         depth,
                         wexprs: op.spec().window_exprs(),
                         op: Some(op),
@@ -1428,156 +1363,77 @@ where
                 }));
             }
 
-            // Spawn the router lanes: lane r routes every R-th chunk
-            // through its own row of rings, under the same supervision
-            // contract the workers run. Outcomes travel through a
-            // per-router MergeBarrier so the calling thread observes
-            // every lane's final accounting through one Release/Acquire
-            // protocol. Each lane's chunk pool is its ring's depth, the
-            // chunk being routed and the chunk being filled.
-            let lane_barrier: Arc<MergeBarrier<LaneOutcome>> = MergeBarrier::new(routers);
-            let mut chunk_lanes = Vec::with_capacity(routers);
-            let mut lane_handles = Vec::with_capacity(routers);
-            for (r, (txs, homes)) in txs_by_router.into_iter().zip(homes_by_router).enumerate() {
-                let (chunk_tx, mut chunk_rx) = ring::<Chunk>(CHUNK_RING);
-                let (mut chunk_home, home_rx) = buffer_pool(CHUNK_RING + 2, chunk_len, &fresh);
-                chunk_lanes.push(ChunkLane { tx: chunk_tx, home: home_rx });
-                let lane_stats = router_stats[r].clone();
-                let stats: &[ShardStats] = &stats;
-                let ring_depths: &[Gauge] = &ring_depths;
-                let batch_hist = batch_hist.clone();
-                let fresh = fresh.clone();
-                let faults = cfg.faults.as_ref().map(|p| p.router_schedule(r)).unwrap_or_default();
-                let lane_barrier = Arc::clone(&lane_barrier);
-                let router_def = &router_def;
-                let wexprs: &[Expr] = &lane_wexprs;
-                let prefilter = cfg.shared_prefilter.as_deref();
-                let profile = cfg.profile.clone();
-                lane_handles.push(s.spawn(move || {
-                    QUIET_WORKER_PANICS.with(|q| q.set(true));
-                    let trace = profile.as_ref().map(|p| RouterTrace {
-                        p: p.clone(),
-                        lane: p.lane(LaneKind::Router, r as u32),
-                        mark_ns: p.now_ns(),
-                    });
-                    let shards = cfg.shards;
-                    let mut lane = RouterLane {
-                        router: r,
-                        shards,
-                        batch_size: cfg.batch_size,
-                        backpressure: cfg.backpressure,
-                        txs,
-                        homes,
-                        batches: (0..shards).map(|_| Default::default()).collect(),
-                        shed: (0..shards)
-                            .map(|_| ShedState { z: 0.0, z0: 0.0, meter: 0.0 })
-                            .collect(),
-                        routed: vec![0; shards],
-                        next_batch_id: r as u32,
-                        id_stride: routers as u32,
-                        stats,
-                        ring_depths,
-                        batch_hist,
-                        lane_stats,
-                        fresh,
-                        worker_gone: false,
-                        trace,
-                        prefilter: prefilter.map(Predicate::new),
-                    };
-                    for shard in 0..shards {
-                        lane.batches[shard].0 = lane.recycled(shard);
-                    }
-                    let mut sup = LaneGuard { faults, ..Default::default() };
-                    loop {
-                        // The wait for the pump is ring wait, not
-                        // ingest: ingest is what the lane does with a
-                        // chunk it has.
-                        let wait_from = lane.trace.as_mut().map(|t| {
-                            let now = t.p.now_ns();
-                            let ingest = now.saturating_sub(t.mark_ns);
-                            t.lane.record(ProfEvent::new(ProfStage::Ingest, t.mark_ns, ingest));
-                            now
-                        });
-                        let next = chunk_rx.pop();
-                        if let (Some(t), Some(from)) = (lane.trace.as_mut(), wait_from) {
-                            t.mark_ns = t.p.now_ns();
-                            let waited = t.mark_ns.saturating_sub(from);
-                            t.lane.record(ProfEvent::new(ProfStage::RingWait, from, waited));
-                            t.lane.publish();
-                        }
-                        let Some(mut chunk) = next else { break };
-                        let counted = sup.count;
-                        route_chunk(
-                            &mut lane,
-                            &mut sup,
-                            router_def,
-                            wexprs,
-                            profile.as_ref(),
-                            &mut chunk.tuples[..chunk.live],
-                            chunk.seq * chunk_len as u64,
-                        );
-                        lane.lane_stats.tuples.add(sup.count - counted);
-                        // The crash trigger sat right behind this chunk:
-                        // the lane dies with its partial batches unsent.
-                        // A closed batch ring is a worker that died of
-                        // an error; stopping here closes the chunk ring
-                        // and with it the pump.
-                        if chunk.crash || lane.worker_gone {
-                            break;
-                        }
-                        lane.end_chunk();
-                        // Never waited on: a full or closed return ring
-                        // frees the chunk here and the pump allocates its
-                        // replacement.
-                        let _ = chunk_home.try_push(chunk.tuples);
-                    }
-                    let outcome = LaneOutcome {
-                        routed: std::mem::take(&mut lane.routed),
-                        uncovered: sup.uncovered,
-                    };
-                    // Publishing is the lane's last act: rings close
-                    // when `lane` (and its producers) drop right after.
-                    lane_barrier.publish(r, outcome);
-                }));
+            // The calling thread routes: it pulls a chunk, routes it under
+            // the workers' supervision contract, and flushes every partial
+            // batch before pulling the next.
+            let shards = cfg.shards;
+            let mut sender = Sender {
+                shards,
+                batch_size: cfg.batch_size,
+                backpressure: cfg.backpressure,
+                txs,
+                homes,
+                batches: (0..shards).map(|_| Default::default()).collect(),
+                shed: (0..shards).map(|_| ShedState { z: 0.0, z0: 0.0, meter: 0.0 }).collect(),
+                routed: vec![0; shards],
+                next_batch_id: 0,
+                stats: &stats,
+                ring_depths: &ring_depths,
+                batch_hist: registry.histogram("rt.batch_tuples"),
+                router_stats: router_stats.clone(),
+                fresh: fresh.clone(),
+                worker_gone: false,
+                trace: cfg.profile.as_ref().map(|p| RouterTrace {
+                    p: p.clone(),
+                    lane: p.lane(LaneKind::Router, 0),
+                    mark_ns: 0,
+                }),
+                prefilter: cfg.shared_prefilter.as_deref().map(Predicate::new),
+            };
+            for shard in 0..shards {
+                sender.batches[shard].0 = sender.recycled(shard);
             }
-
+            let faults = cfg.faults.as_ref().map(|p| p.router_schedule()).unwrap_or_default();
+            let mut sup = RouteGuard { faults, ..Default::default() };
             let crash_fired = pump(
                 next_tuple,
-                chunk_lanes,
                 chunk_len,
                 crash_at,
                 &crashed,
                 &fresh,
                 cfg.profile.as_ref(),
+                |chunk, start, crash| {
+                    if let Some(t) = sender.trace.as_mut() {
+                        t.mark_ns = t.p.now_ns();
+                    }
+                    let counted = sup.count;
+                    route_chunk(
+                        &mut sender,
+                        &mut sup,
+                        &router_def,
+                        &route_wexprs,
+                        cfg.profile.as_ref(),
+                        chunk,
+                        start,
+                    );
+                    sender.router_stats.tuples.add(sup.count - counted);
+                    // The crash trigger sat right behind this chunk: the
+                    // partial batches die unsent. A closed batch ring is a
+                    // worker that died of an error: the run stops here.
+                    if crash || sender.worker_gone {
+                        return false;
+                    }
+                    sender.end_chunk();
+                    true
+                },
             );
-
-            // Join the lanes before touching the worker barrier: a lane
-            // panic that escaped supervision surfaces here (its unwound
-            // producers already closed its rings, so the workers still
-            // drain and exit), and a joined lane has published its
-            // outcome — `wait_all` below returns immediately.
-            for (r, handle) in lane_handles.into_iter().enumerate() {
-                if let Err(payload) = handle.join() {
-                    return Err(RuntimeError::RouterPanic {
-                        router: r,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-            }
-            let mut router_uncovered: Vec<(Tuple, u64)> = Vec::new();
-            // Tuples actually delivered into each shard's rings
-            // (post-shed/drop), summed over lanes: a straggler's routed
-            // count is the traffic its missing partial would have
-            // covered.
-            let mut routed: Vec<u64> = vec![0; cfg.shards];
-            for outcome in lane_barrier.wait_all() {
-                for (shard, n) in outcome.routed.iter().enumerate() {
-                    routed[shard] += n;
-                }
-                for (key, n) in outcome.uncovered {
-                    add_lane_uncovered(&mut router_uncovered, key, n);
-                }
-            }
+            // Tuples actually delivered into each shard's ring
+            // (post-shed/drop): a straggler's routed count is the traffic
+            // its missing partial would have covered. Dropping the sender
+            // closes every ring, so the workers drain and exit.
+            let routed = std::mem::take(&mut sender.routed);
+            drop(sender);
+            let router_uncovered = sup.uncovered;
             let bw_start = merge_trace.as_ref().map(|(p, _)| p.now_ns());
 
             let mut stragglers: Vec<usize> = Vec::new();
@@ -1601,7 +1457,7 @@ where
                 // Rings are closed; workers drain-and-discard and exit
                 // without publishing. Nothing merges. The joins give the
                 // flight-recorder dump its happens-before edge: every
-                // lane is quiescent when the last events are read.
+                // worker is quiescent when the last events are read.
                 join_all(handles)?;
                 if let Some(p) = &cfg.profile {
                     if let Err(e) = p.write_dump_if_triggered() {
@@ -1655,7 +1511,7 @@ where
     let router_uncovered_total: u64 = router_uncovered.iter().map(|(_, n)| *n).sum();
     let mut parts: Vec<ShardPartial> = partials.into_iter().flatten().collect();
     if !router_uncovered.is_empty() {
-        // Lane-quarantine losses enter the merge as one windows-free
+        // Router-quarantine losses enter the merge as one windows-free
         // partial: merge-finalize folds the per-window counts into each
         // window's Degradation verdict exactly as it does a quarantined
         // shard's.
@@ -1683,7 +1539,7 @@ where
 
     // Run-level coverage: delivered tuples the merged output represents,
     // over everything delivered or lost before delivery (stragglers and
-    // quarantined router lanes contribute only loss).
+    // router quarantine contribute only loss).
     let mut covered = 0u64;
     let mut uncovered_total = straggler_routed + router_uncovered_total;
     for (shard, st) in stats.iter().enumerate() {
@@ -1700,7 +1556,7 @@ where
     };
     registry.gauge("rt.coverage").set(coverage);
     if !stragglers.is_empty() || router_uncovered_total > 0 {
-        // The deadline (or a quarantined lane) cut real traffic out of
+        // The deadline (or router quarantine) cut real traffic out of
         // the result: fire the undersample path so the degradation
         // shows up on the same alert channel as the §7.1 pathology.
         let offered = covered + uncovered_total;
@@ -1715,7 +1571,7 @@ where
             eprintln!("sso-profile: flight-recorder dump failed: {e}");
         }
     }
-    Ok(ShardedReport { windows, shards: stats, routers: router_stats, coverage, stragglers })
+    Ok(ShardedReport { windows, shards: stats, router: router_stats, coverage, stragglers })
 }
 
 #[cfg(test)]
@@ -1917,76 +1773,36 @@ mod tests {
     }
 
     #[test]
-    fn multi_router_runs_are_byte_identical() {
-        // Key-free (round-robin by stream position) and keyed (content
-        // hash) plans: neither routing decision depends on which lane
-        // evaluates it, so the lane count must be invisible.
-        let tuples = stream(3, 1000, 16);
-        // 128-tuple chunks: every lane routes several per window.
-        let config = |shards: usize, routers: usize| {
-            let mut cfg = RuntimeConfig::new(shards).with_routers(routers);
-            cfg.batch_size = 8;
-            cfg
-        };
-        let make_sum = |_| Ok(queries::total_sum_query(1));
-        let spec = queries::total_sum_query(1);
-        let plan = shard_plan(&spec).unwrap();
-        let base = run_sharded(&plan, make_sum, &config(3, 1), tuples.clone()).unwrap().windows;
-        for routers in [2, 4] {
-            let got = run_sharded(&plan, make_sum, &config(3, routers), tuples.clone()).unwrap();
-            assert!(got.routers.iter().all(|r| r.tuples() > 0), "every lane routed chunks");
-            assert_eq!(got.routers.len(), routers);
-            assert_eq!(base.len(), got.windows.len());
-            for (a, b) in base.iter().zip(&got.windows) {
-                assert_eq!(a.window, b.window);
-                assert_eq!(a.rows, b.rows, "{routers} routers must not drift");
-            }
-        }
-        let spec = queries::heavy_hitters_query(1, 1 << 20, None).unwrap();
-        let plan = shard_plan(&spec).unwrap();
-        let make = |_| queries::heavy_hitters_query(1, 1 << 20, None);
-        let single = run_sharded(&plan, make, &config(4, 1), tuples.clone()).unwrap().windows;
-        let multi = run_sharded(&plan, make, &config(4, 3), tuples).unwrap().windows;
-        assert_eq!(single.len(), multi.len());
-        for (a, b) in single.iter().zip(&multi) {
-            assert_eq!(a.rows, b.rows);
-        }
-    }
-
-    #[test]
     fn router_panic_quarantines_one_window_and_replays_identically() {
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();
         let make = |_| Ok(queries::total_sum_query(1));
-        // 1800 tuples, 3 windows of 600, chunks of 128. Lane 1 of 2
-        // owns the odd chunks; its 150th tuple is the 22nd of its second
-        // chunk (chunk 3) — global index 405, mid-window 0.
+        // 1800 tuples, 3 windows of 600, chunks of 128. The router's
+        // 406th tuple is global index 405, mid-window 0, in chunk 3.
         let mut fault = FaultPlan::empty(7);
-        fault.events.push(sso_faults::FaultEvent::RouterPanic { router: 1, at_tuple: 150 });
+        fault.events.push(sso_faults::FaultEvent::RouterPanic { at_tuple: 406 });
         let fault = fault.into_shared();
         let tuples = stream(3, 600, 4);
         let n = tuples.len() as u64;
         let run = || {
-            let mut cfg =
-                RuntimeConfig::new(2).with_routers(2).with_faults(std::sync::Arc::clone(&fault));
+            let mut cfg = RuntimeConfig::new(2).with_faults(std::sync::Arc::clone(&fault));
             cfg.batch_size = 8;
             assert_eq!(cfg.chunk_tuples(), 128);
             run_sharded(&plan, make, &cfg, tuples.clone()).unwrap()
         };
         let report = run();
         assert_eq!(report.router_quarantines(), 1);
-        // The tripping tuple and the rest of chunk 3 (through index
-        // 511) are lost, never routed; chunk 4 is lane 0's, and the
-        // lane's next chunk (640..) opens in window 1, where it
-        // respawns.
-        assert_eq!(report.router_uncovered(), 512 - 405);
+        // The tripping tuple and the rest of window 0 (through index
+        // 599, across chunk edges) are lost, never routed; routing
+        // resumes at index 600, the first tuple of window 1.
+        assert_eq!(report.router_uncovered(), 600 - 405);
         assert_eq!(report.quarantines(), 0, "no worker was harmed");
         assert!(report.degraded());
         assert_eq!(report.windows.len(), 3);
         let degraded: Vec<_> = report.windows.iter().filter(|w| w.degradation.degraded).collect();
-        assert_eq!(degraded.len(), 1, "exactly one window pays for the lane death");
+        assert_eq!(degraded.len(), 1, "exactly one window pays for the router's death");
         assert!(degraded[0].degradation.coverage < 1.0);
-        // Conservation: delivered + lane-lost covers the whole stream.
+        // Conservation: delivered + router-lost covers the whole stream.
         let delivered: u64 = report.shards.iter().map(|s| s.tuples()).sum();
         assert_eq!(delivered + report.router_uncovered(), n);
         let covered: u64 = report.windows.iter().map(|w| w.stats.tuples).sum();
@@ -2281,5 +2097,25 @@ mod tests {
             run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &RuntimeConfig::new(0), [])
                 .unwrap_err();
         assert!(matches!(err, RuntimeError::BadConfig(_)));
+    }
+
+    #[test]
+    fn rejects_a_worker_fault_past_the_last_shard() {
+        let plan = shard_plan(&queries::total_sum_query(1)).unwrap();
+        for event in [
+            sso_faults::FaultEvent::WorkerPanic { shard: 4, at_tuple: 10 },
+            sso_faults::FaultEvent::WorkerStall { shard: 9, at_tuple: 10, millis: 1 },
+        ] {
+            let mut fault = FaultPlan::empty(7);
+            fault.events.push(event);
+            let cfg = RuntimeConfig::new(4).with_faults(fault.into_shared());
+            let make = |_| Ok(queries::total_sum_query(1));
+            match run_sharded(&plan, make, &cfg, stream(1, 100, 4)).unwrap_err() {
+                RuntimeError::BadConfig(msg) => {
+                    assert!(msg.contains("shard") && msg.contains("4 shards"), "{msg}")
+                }
+                other => panic!("{event}: expected BadConfig, got {other}"),
+            }
+        }
     }
 }

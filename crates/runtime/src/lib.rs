@@ -1,11 +1,12 @@
 //! # sso-runtime
 //!
 //! A sharded execution runtime for the sampling operator (§7.2 partial
-//! aggregation): the input stream is hash-partitioned on the query's
-//! group key across N worker shards, each running its own
-//! [`sso_core::SamplingOperator`] instance behind a batched bounded
-//! ring, and per-shard window outputs are re-combined by the query's
-//! [`sso_core::MergeRule`] at each window boundary.
+//! aggregation): the calling thread pulls the input stream and
+//! hash-partitions it on the query's group key across N worker shards,
+//! each running its own [`sso_core::SamplingOperator`] instance behind
+//! one batched bounded ring, and per-shard window outputs are
+//! re-combined by the query's [`sso_core::MergeRule`] at each window
+//! boundary.
 //!
 //! The contract comes from [`sso_core::shard_plan`]: a query is
 //! shard-mergeable when its per-window state obeys a partial-aggregation
@@ -25,7 +26,7 @@
 //!   ([`sso_core::MergeRule::KmvTruncate`], the row-level form of
 //!   [`sso_sampling::KmvSketch::merge`]).
 //!
-//! Producers apply backpressure per shard: block (counting stalls),
+//! The router applies backpressure per shard: block (counting stalls),
 //! drop the newest batch (counting drops), or shed below-threshold
 //! tuples with exact Horvitz–Thompson accounting
 //! ([`engine::Backpressure::Shed`]) — overload is observable instead of
@@ -43,8 +44,8 @@ mod worker;
 
 pub use barrier::MergeBarrier;
 pub use engine::{
-    auto_routers, route_stream, run_sharded, Backpressure, DurabilityConfig, RouterStats,
-    RuntimeConfig, RuntimeError, ShardStats, ShardedReport,
+    route_stream, run_sharded, Backpressure, DurabilityConfig, RouterStats, RuntimeConfig,
+    RuntimeError, ShardStats, ShardedReport,
 };
 pub use merge::{merge_shard_partials, merge_windows, ShardPartial};
 pub use pump::{Refill, TupleSource};

@@ -1,16 +1,15 @@
 //! The pump: the calling thread's end of the sharded pipeline.
 //!
-//! The source is pulled into fixed-length *chunks*; chunk `c` goes to
-//! router lane `c mod R` over that lane's chunk ring. The partition is a
-//! pure function of stream position and `R` — no stream length, no
-//! cursors — so an unbounded source runs in bounded memory, and a lane's
-//! position in the stream is recomputable by anyone who knows the chunk
-//! length ([`crate::RuntimeConfig::chunk_tuples`]).
+//! The source is pulled into one fixed-length *chunk*, which the same
+//! thread then routes into the shards' rings (see [`crate::engine`])
+//! before pulling the next. Chunk `c` holds stream positions
+//! `c * chunk_len ..`, so routing knows every tuple's global position
+//! without counting, and an unbounded source runs in bounded memory.
 //!
-//! Chunk buffers are recycled: a lane trades every tuple it routes for a
-//! dead one and sends the chunk home on a return ring, and the pump
-//! overwrites the dead tuples in place ([`TupleSource`]). In steady
-//! state the pump allocates neither chunks nor tuples.
+//! The chunk buffer is refilled in place: routing trades every tuple it
+//! sends for a dead one from a recycled batch, and the pump overwrites
+//! the dead tuples ([`TupleSource`]). In steady state the pump allocates
+//! neither chunks nor tuples.
 
 use sso_obs::Counter;
 use sso_profile::{DumpReason, Event as ProfEvent, LaneKind, Profiler, Stage as ProfStage};
@@ -18,15 +17,11 @@ use sso_sync::Ordering::Release;
 use sso_sync::SyncBool;
 use sso_types::{Tuple, Value};
 
-use crate::ring::{Consumer, Producer};
-
 /// Batches' worth of tuples per chunk. Long enough that the per-chunk
 /// flush (one partial batch per shard) is noise next to the full
-/// batches, short enough that `R` lanes interleave within a window.
+/// batches, short enough that a lightly loaded shard's tuples do not
+/// wait long for it.
 pub(crate) const CHUNK_BATCHES: usize = 16;
-
-/// Chunks queued per lane ahead of the one being routed.
-pub(crate) const CHUNK_RING: usize = 2;
 
 /// How many tuples ahead of the one in hand a stage asks the cache for.
 pub(crate) const PREFETCH_AHEAD: usize = 8;
@@ -107,53 +102,26 @@ impl<F: FnMut(&mut Tuple) -> bool> TupleSource for Refill<F> {
     }
 }
 
-/// One pumped chunk: stream positions `seq * chunk_len ..` in
-/// `tuples[..live]`; anything past `live` is dead weight from the
-/// buffer's previous trip.
-pub(crate) struct Chunk {
-    pub seq: u64,
-    pub live: usize,
-    pub tuples: Vec<Tuple>,
-    /// The injected crash fired inside this chunk: `tuples[..live]` is
-    /// everything before the trigger, and the lane dies after routing
-    /// it without flushing.
-    pub crash: bool,
-}
-
-/// The pump's two rings to one router lane.
-pub(crate) struct ChunkLane {
-    pub tx: Producer<Chunk>,
-    /// Routed chunks coming home, full of dead tuples.
-    pub home: Consumer<Vec<Tuple>>,
-}
-
-/// Pump the source dry (or up to the crash trigger) into `lanes`,
-/// closing every chunk ring on return. Returns the trigger position if
-/// the injected crash fired.
+/// Pump the source dry (or up to the crash trigger), handing each
+/// chunk to `route` with its first stream position and whether the
+/// injected crash fired inside it (the chunk is then everything before
+/// the trigger). `route` returns `false` to stop the pump. Returns the
+/// trigger position if the injected crash fired.
 pub(crate) fn pump(
     mut next: impl FnMut(&mut Tuple) -> bool,
-    mut lanes: Vec<ChunkLane>,
     chunk_len: usize,
     crash_at: Option<u64>,
     crashed: &SyncBool,
     fresh: &Counter,
     profile: Option<&Profiler>,
+    mut route: impl FnMut(&mut [Tuple], u64, bool) -> bool,
 ) -> Option<u64> {
     let mut trace = profile.map(|p| (p, p.lane(LaneKind::Low, 0)));
     let mut pulled = 0u64;
     let mut fired = None;
-    let routers = lanes.len() as u64;
+    fresh.inc();
+    let mut tuples = Vec::with_capacity(chunk_len);
     for seq in 0u64.. {
-        let lane = &mut lanes[(seq % routers) as usize];
-        let mut tuples = match lane.home.try_pop() {
-            Ok(Some(routed)) => routed,
-            // Nothing has come home (a return was dropped): a lost
-            // return costs an allocation, never correctness.
-            _ => {
-                fresh.inc();
-                Vec::with_capacity(chunk_len)
-            }
-        };
         let t0 = trace.as_ref().map(|(p, _)| p.now_ns());
         let (mut live, mut ended, mut crash) = (0usize, false, false);
         while live < chunk_len {
@@ -177,39 +145,25 @@ pub(crate) fn pump(
             live += 1;
         }
         if crash {
-            // Raised before the chunk is pushed, so a worker that finds
-            // its ring closed without an end-of-chunk marker sees it.
+            // Raised before routing ends and the rings close, so a worker
+            // that finds its ring closed sees it.
             crashed.store(true, Release);
             fired = crash_at;
             if let Some(p) = profile {
                 p.trigger(DumpReason::Crash);
             }
         }
-        let mut lane_gone = false;
-        if live > 0 || crash {
-            let t1 = trace.as_ref().map(|(p, _)| p.now_ns());
-            let mut wait_from = None;
-            let sent = lane.tx.push_tracked_with(Chunk { seq, live, tuples, crash }, || {
-                wait_from = trace.as_ref().map(|(p, _)| p.now_ns());
-            });
-            // A closed chunk ring is a dead lane (a panic outside its
-            // per-chunk guard); the join in `run_sharded` reports it.
-            lane_gone = sent.is_err();
-            if let (Some((p, events)), Some(t0), Some(t1)) = (trace.as_mut(), t0, t1) {
-                events.record(
-                    ProfEvent::new(ProfStage::Low, t0, t1.saturating_sub(t0)).aux(live as u64),
-                );
-                if let Some(w) = wait_from {
-                    events.record(ProfEvent::new(
-                        ProfStage::RingWait,
-                        w,
-                        p.now_ns().saturating_sub(w),
-                    ));
-                }
-                events.publish();
-            }
+        if live == 0 && !crash {
+            break;
         }
-        if ended || crash || lane_gone {
+        if let (Some((p, events)), Some(t0)) = (trace.as_mut(), t0) {
+            events.record(
+                ProfEvent::new(ProfStage::Low, t0, p.now_ns().saturating_sub(t0)).aux(live as u64),
+            );
+            events.publish();
+        }
+        let go_on = route(&mut tuples[..live], seq * chunk_len as u64, crash);
+        if ended || crash || !go_on {
             break;
         }
     }

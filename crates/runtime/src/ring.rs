@@ -28,8 +28,9 @@
 //! pair the announcement with the index store: without them a waiter
 //! could miss the push that landed just before it announced while the
 //! pusher missed the announcement, and sleep forever. Each ring owns
-//! both slots: a worker draining several rings waits in the `pop` of
-//! the one whose turn it is.
+//! both slots. In the runtime there is one forward ring per shard, the
+//! pump producing and the shard's worker consuming, and beside it one
+//! return ring taking spent batches the other way.
 //!
 //! Single-producer / single-consumer is enforced structurally: the two
 //! endpoint types are not `Clone` and their methods take `&mut self`.

@@ -1,7 +1,6 @@
-//! The shard worker: one thread per shard drains the shard's ring from
-//! every router lane in chunk order and runs its supervised operator
-//! instance over each batch (see [`crate::engine`] for the pump and the
-//! lanes that feed it).
+//! The shard worker: one thread per shard drains the shard's one ring
+//! and runs its supervised operator instance over each batch (see
+//! [`crate::engine`] for the pump that routes into it).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -17,7 +16,7 @@ use sso_sync::SyncBool;
 use sso_types::Tuple;
 
 use crate::barrier::MergeBarrier;
-use crate::engine::{Msg, RuntimeError, ShardStats, StoreStats};
+use crate::engine::{Batch, RuntimeError, ShardStats, StoreStats};
 use crate::merge::ShardPartial;
 use crate::pump::prefetch;
 use crate::ring::{Consumer, Producer};
@@ -63,16 +62,16 @@ fn record_window(
         .map_err(|e| RuntimeError::Store { shard, message: e.to_string() })
 }
 
-/// One shard's supervised worker: its R forward rings and their return
-/// rings, the live operator (or the window key it is quarantined for),
+/// One shard's supervised worker: its forward ring and return ring, the
+/// live operator (or the window key it is quarantined for),
 /// the window outputs accumulated so far, and the per-window uncovered
 /// counts. Each shard runs one on a thread of its own ([`Worker::drain`]).
 pub(crate) struct Worker<'a, F> {
     pub(crate) shard: usize,
-    /// The shard's ring from each router lane, drained in chunk order.
-    pub(crate) rxs: Vec<Consumer<Msg>>,
-    /// Spent batches go home to the lane they came from.
-    pub(crate) homes: Vec<Producer<Vec<Tuple>>>,
+    /// The shard's ring from the pump.
+    pub(crate) rx: Consumer<Batch>,
+    /// Spent batches go home to the pump.
+    pub(crate) home: Producer<Vec<Tuple>>,
     /// This shard's `rt.ring_depth` cell: one down per batch taken.
     pub(crate) depth: Gauge,
     pub(crate) op: Option<SamplingOperator>,
@@ -336,25 +335,16 @@ where
         ShardPartial { windows: self.windows, uncovered: self.uncovered }
     }
 
-    /// The shard's thread body. Drains the R rings in chunk order:
-    /// chunk c came through lane c mod R, so reading each ring up to its
-    /// end-of-chunk marker and then moving to the next delivers the
-    /// shard's tuples in global stream order. The wait is the ring's own
-    /// blocking `pop`, and it cannot deadlock: the lane holding the
-    /// oldest unconsumed chunk can always push. A ring that closes where
-    /// a chunk should begin means no later chunk exists on any lane, so
-    /// the shard is complete and its partial goes to the barrier.
+    /// The shard's thread body. Drains the ring in stream order, waiting
+    /// in the ring's own blocking `pop`; a closed, drained ring means the
+    /// pump is done, so the shard is complete and its partial goes to
+    /// the barrier.
     pub(crate) fn drain(
         mut self,
         crashed: &SyncBool,
         barrier: &MergeBarrier<ShardPartial>,
     ) -> Result<(), RuntimeError> {
-        let mut lane = 0;
-        while let Some(msg) = self.rxs[lane].pop() {
-            let Msg::Batch { id, live, tuples } = msg else {
-                lane = (lane + 1) % self.rxs.len();
-                continue;
-            };
+        while let Some(Batch { id, live, tuples }) = self.rx.pop() {
             self.depth.add(-1.0);
             let win = self.windows.len() as u32;
             let sw = Stopwatch::start();
@@ -366,8 +356,8 @@ where
             self.stats.tuples.add(live as u64);
             self.stats.busy_ns.add(busy);
             // Never waited on: a full or closed return ring frees the
-            // batch here and the lane allocates its replacement.
-            let _ = self.homes[lane].try_push(tuples);
+            // batch here and the pump allocates its replacement.
+            let _ = self.home.try_push(tuples);
             self.stamp(ProfStage::Process, busy, |e| e.window(win).batch(id).aux(live as u64));
             self.publish_store_stats();
         }

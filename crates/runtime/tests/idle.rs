@@ -1,6 +1,5 @@
-//! An idle sharded run costs (almost) no CPU: router lanes and workers
-//! with nothing to do park until a push or a close wakes them, instead
-//! of polling. Its own test binary with one test, so no other test's
+//! An idle sharded run costs (almost) no CPU: workers with nothing to
+//! do park until a push or a close wakes them, instead of polling. Its own test binary with one test, so no other test's
 //! threads share the process CPU clock it reads.
 #![cfg(target_os = "linux")]
 
@@ -28,9 +27,8 @@ fn process_cpu() -> Duration {
 }
 
 /// A source that sleeps 2 ms before every chunk, behind a shared
-/// prefilter no tuple passes: every 2 ms the pump hands the lane a
-/// chunk and the lane hands each worker an end-of-chunk marker, and
-/// in between nobody has anything to do. Parked threads cost nothing
+/// prefilter no tuple passes: every 2 ms the pump routes a chunk and
+/// sends nothing, and in between nobody has anything to do. Parked threads cost nothing
 /// in between; threads that poll (yield, sleep, re-check) burn CPU for
 /// the whole nap. The bound leaves room for the hand-offs themselves,
 /// which cost tens of microseconds each in an unoptimised build.
@@ -44,7 +42,7 @@ fn a_waiting_run_parks_instead_of_polling() {
         fun: Arc::new(|_: &[Value]| Ok(Value::Bool(false))),
         args: vec![],
     };
-    let mut cfg = RuntimeConfig::new(2).with_routers(1).with_shared_prefilter(Arc::new(nothing));
+    let mut cfg = RuntimeConfig::new(2).with_shared_prefilter(Arc::new(nothing));
     cfg.batch_size = 1;
     let chunk = cfg.chunk_tuples() as u64;
     let mut slept = Duration::ZERO;
@@ -75,8 +73,8 @@ fn a_waiting_run_parks_instead_of_polling() {
     let before = process_cpu();
     let report = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, source).unwrap();
     let cpu = process_cpu() - before;
-    let routed: u64 = report.routers.iter().map(|r| r.tuples()).sum();
-    assert_eq!(routed, CHUNKS * chunk, "every chunk reached the lane");
+    let routed = report.router.tuples();
+    assert_eq!(routed, CHUNKS * chunk, "every chunk reached the router");
     assert!(slept >= Duration::from_millis(500), "the source slept {slept:?}");
     assert!(
         cpu.as_secs_f64() <= 0.10 * slept.as_secs_f64(),

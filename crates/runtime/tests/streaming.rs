@@ -43,19 +43,15 @@ fn endless_source_runs_until_the_crash_trigger() {
     let at_tuple = 50_000;
     let mut fault = FaultPlan::empty(7);
     fault.events.push(FaultEvent::Crash { at_tuple });
-    for routers in [1, 3] {
-        let mut cfg =
-            RuntimeConfig::new(2).with_routers(routers).with_faults(fault.clone().into_shared());
-        cfg.batch_size = 64;
-        let err = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, endless())
-            .expect_err("the injected crash ends the run");
-        assert_eq!(err, RuntimeError::Crashed { at_tuple }, "{routers} lanes");
-    }
+    let mut cfg = RuntimeConfig::new(2).with_faults(fault.into_shared());
+    cfg.batch_size = 64;
+    let err = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, endless())
+        .expect_err("the injected crash ends the run");
+    assert_eq!(err, RuntimeError::Crashed { at_tuple });
 }
 
 /// An operator error ends the run even when the source never does: the
-/// dead worker's closed rings stop its lanes, and a stopped lane's closed
-/// chunk ring stops the pump.
+/// dead worker's closed ring stops the pump.
 #[test]
 fn endless_source_stops_at_an_operator_error() {
     let plan = shard_plan(&queries::total_sum_query(1)).unwrap();
@@ -70,12 +66,10 @@ fn endless_source_stops_at_an_operator_error() {
         }
         Ok(spec)
     };
-    for routers in [1, 2] {
-        let mut cfg = RuntimeConfig::new(3).with_routers(routers);
-        cfg.batch_size = 16;
-        let err = run_sharded(&plan, make, &cfg, endless()).unwrap_err();
-        assert!(matches!(err, RuntimeError::Op { shard: 1, .. }), "{routers} lanes: {err}");
-    }
+    let mut cfg = RuntimeConfig::new(3);
+    cfg.batch_size = 16;
+    let err = run_sharded(&plan, make, &cfg, endless()).unwrap_err();
+    assert!(matches!(err, RuntimeError::Op { shard: 1, .. }), "{err}");
 }
 
 /// A panic that escapes supervision ends the run the same way, and is
@@ -87,34 +81,31 @@ fn endless_source_stops_at_an_escaped_panic_on_the_last_shard() {
     let plan = shard_plan(&queries::total_sum_query(1)).unwrap();
     let mut fault = FaultPlan::empty(7);
     fault.events.push(FaultEvent::WorkerPanic { shard: 2, at_tuple: 150 });
-    for routers in [1, 2] {
-        let mut cfg =
-            RuntimeConfig::new(3).with_routers(routers).with_faults(fault.clone().into_shared());
-        cfg.batch_size = 16;
-        let shard2_builds = SyncUsize::new(0);
-        let make = |shard: usize| {
-            if shard == 2 && shard2_builds.fetch_add(1, Ordering::Relaxed) > 0 {
-                panic!("respawn refused for shard 2");
-            }
-            Ok(queries::total_sum_query(1))
-        };
-        match run_sharded(&plan, make, &cfg, endless()).unwrap_err() {
-            RuntimeError::WorkerPanic { shard: 2, message } => {
-                assert!(message.contains("respawn refused"), "{routers} lanes: {message}");
-            }
-            other => panic!("{routers} lanes: expected WorkerPanic on shard 2, got {other}"),
+    let mut cfg = RuntimeConfig::new(3).with_faults(fault.into_shared());
+    cfg.batch_size = 16;
+    let shard2_builds = SyncUsize::new(0);
+    let make = |shard: usize| {
+        if shard == 2 && shard2_builds.fetch_add(1, Ordering::Relaxed) > 0 {
+            panic!("respawn refused for shard 2");
         }
+        Ok(queries::total_sum_query(1))
+    };
+    match run_sharded(&plan, make, &cfg, endless()).unwrap_err() {
+        RuntimeError::WorkerPanic { shard: 2, message } => {
+            assert!(message.contains("respawn refused"), "{message}");
+        }
+        other => panic!("expected WorkerPanic on shard 2, got {other}"),
     }
 }
 
-/// The pump never runs further ahead of the lanes than the configured
+/// The pump never runs further ahead of the workers than the configured
 /// rings allow, however slow the workers and however long the stream.
 #[test]
 #[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
 fn the_source_is_pulled_no_further_ahead_than_the_look_ahead_bound() {
     let plan = shard_plan(&queries::total_sum_query(1)).unwrap();
     let registry = Registry::disabled();
-    let mut cfg = RuntimeConfig::new(2).with_routers(2).with_registry(registry.clone());
+    let mut cfg = RuntimeConfig::new(2).with_registry(registry.clone());
     cfg.batch_size = 8;
     cfg.ring_capacity = 2;
     let bound = cfg.max_look_ahead() as u64;
@@ -139,10 +130,11 @@ fn the_source_is_pulled_no_further_ahead_than_the_look_ahead_bound() {
         let (pulls, worst, registry) = (pulls.clone(), worst.clone(), registry.clone());
         endless().take(total as usize).inspect(move |_| {
             pulls.set(pulls.get() + 1);
-            // The routed count only grows, so reading it after the pull
-            // over-states the distance: a sound check.
+            // The processed count only grows, so reading it after the
+            // pull over-states the distance: a sound check. It trails the
+            // pull by the chunk, the rings and the batches in hand.
             if pulls.get() % 16 == 0 {
-                let ahead = pulls.get() - sum_of(&registry, "rt.router_tuples");
+                let ahead = pulls.get() - sum_of(&registry, "rt.tuples");
                 worst.set(worst.get().max(ahead));
             }
         })
@@ -161,7 +153,7 @@ fn fresh_buffers_do_not_grow_with_the_stream() {
     let plan = shard_plan(&queries::heavy_hitters_query(1, 1 << 20, None).unwrap()).unwrap();
     let fresh_after = |tuples: usize| {
         let registry = Registry::disabled();
-        let mut cfg = RuntimeConfig::new(3).with_routers(2).with_registry(registry.clone());
+        let mut cfg = RuntimeConfig::new(3).with_registry(registry.clone());
         cfg.batch_size = 16;
         cfg.ring_capacity = 4;
         let report = run_sharded(

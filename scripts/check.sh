@@ -97,13 +97,13 @@ assert per_packet <= 64, f"peak RSS grows {per_packet:.0f} B per extra packet (l
 '
 
 echo "== sso router-panic smoke (fixed seed, degraded run completes) =="
-# A seeded plan panics one of two router lanes mid-stream (lane-local
-# trip index); the run must survive with exactly one coverage-tagged
+# A seeded plan panics the router mid-stream (stream-position trip
+# index); the run must survive with exactly one coverage-tagged
 # degraded window rather than dying with the router.
 RSMOKE="$(mktemp -d)"
-printf 'panic router=1 at=10000\n' > "$RSMOKE/plan.txt"
+printf 'panic router=0 at=10000\n' > "$RSMOKE/plan.txt"
 cargo run -q --bin sso -- run --feed research --seconds 4 --shards 4 \
-    --routers 2 --fault-plan "$RSMOKE/plan.txt" --json \
+    --fault-plan "$RSMOKE/plan.txt" --json \
     "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb" \
     2>/dev/null \
     | python3 -c '
@@ -176,8 +176,7 @@ echo "== overhead driver (each mechanism against its baseline, scaling, sharing)
 # One driver and one rule: every arm is the median of round-robin
 # repetitions, and an arm fails when it loses more than 5 % of its
 # baseline's throughput plus both arms' IQR/median. A scaling step is
-# gated only where pump + router lanes + one worker per shard fit the
-# host's cores.
+# gated only where pump + one worker per shard fit the host's cores.
 # The driver also checks exact-query drift, estimate error, drops,
 # shared == unshared output and the 8-shard stage attribution, prints
 # its table on stderr, writes BENCH.json and exits 1 on any failure.

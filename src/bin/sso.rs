@@ -25,16 +25,15 @@
 //!   --seed S                          feed seed (default 1)
 //!   --limit R                         print at most R rows per window (default 20)
 //!   --shards N                        run N partitioned operator shards (default 1);
-//!                                     refuses non-shard-mergeable queries with W102
-//!   --routers N|auto                  feed the shards through N supervised router
-//!                                     lanes (auto = min(shards, cores/4), at least
-//!                                     1); output is byte-identical at any lane
-//!                                     count, and a panicked lane degrades one
-//!                                     window instead of killing the run
+//!                                     refuses non-shard-mergeable queries with W102.
+//!                                     The calling thread routes under supervision:
+//!                                     a routing panic degrades one window instead
+//!                                     of killing the run
 //!   --fault-plan FILE                 inject faults from a fault-plan file (see
 //!                                     `sso-faults`); feed-level events perturb the
 //!                                     packets, worker/router events need the
-//!                                     sharded runtime (--shards/--routers)
+//!                                     sharded runtime (--shards); a worker event
+//!                                     naming a shard the run lacks is an error
 //!   --fault-seed S                    generate a seeded fault plan instead of
 //!                                     reading one (same replayable format)
 //!   --durable DIR                     persist operator state to DIR: one append-only
@@ -75,11 +74,11 @@
 //! (or the newest `*.ssoprof` inside).
 //!
 //! `sso recover DIR` replays a durable run from its `MANIFEST`: the
-//! original feed is regenerated and dealt chunk by chunk to the recorded
-//! number of router lanes (`routers` key), every window already in the
-//! store is served back without recomputation, and the run continues
-//! from the first unrecorded window. Fault plans are deliberately not
-//! replayed — recovery is expected to match the fault-free run.
+//! original feed is regenerated and routed to the recorded number of
+//! shards, every window already in the store is served back without
+//! recomputation, and the run continues from the first unrecorded
+//! window. Fault plans are deliberately not replayed — recovery is
+//! expected to match the fault-free run.
 //!
 //! `sso check FILE` runs the static analyzer over every `;`-separated
 //! query in FILE without executing anything, printing rustc-style
@@ -133,9 +132,6 @@ struct Options {
     seed: u64,
     limit: usize,
     shards: usize,
-    /// `--routers N|auto`: supervised router-lane count. `0` = auto
-    /// (`min(shards, cores/4).max(1)`); non-zero pins the lane count.
-    routers: usize,
     fault_plan: Option<String>,
     fault_seed: Option<u64>,
     durable: Option<String>,
@@ -158,7 +154,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: sso [run|top] [--feed research|datacenter|ddos|burst] [--trace FILE] \
-         [--dump FILE] [--seconds N] [--seed S] [--limit R] [--shards N] [--routers N|auto] \
+         [--dump FILE] [--seconds N] [--seed S] [--limit R] [--shards N] \
          [--fault-plan FILE] [--fault-seed S] \
          [--durable DIR] [--state-budget BYTES] [--fsync always|never|every=N] \
          [--metrics[=FILE]] [--profile[=FILE]] [--meta QUERY] [--explain] [--json] 'QUERY'\n\
@@ -299,7 +295,7 @@ fn run_audit(args: &[String]) -> ! {
     let usage = || -> ! {
         eprintln!(
             "usage: sso audit [--json] [--deny-warnings] [--feed NAME] [--shards N] \
-             [--routers N] [--budget BYTES] [--state-budget BYTES] QUERY-FILE"
+             [--budget BYTES] [--state-budget BYTES] QUERY-FILE"
         );
         std::process::exit(2);
     };
@@ -321,13 +317,6 @@ fn run_audit(args: &[String]) -> ! {
             "--feed" => opts.feed = value(&mut i),
             "--shards" => {
                 opts.shards = value(&mut i)
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--routers" => {
-                opts.routers = value(&mut i)
                     .parse::<usize>()
                     .ok()
                     .filter(|&n| n > 0)
@@ -488,7 +477,6 @@ fn parse_args(argv: &[String], top: bool) -> Options {
         seed: 1,
         limit: 20,
         shards: 1,
-        routers: 0,
         fault_plan: None,
         fault_seed: None,
         durable: None,
@@ -524,14 +512,6 @@ fn parse_args(argv: &[String], top: bool) -> Options {
                     .ok()
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage())
-            }
-            "--routers" => {
-                // `auto` and `0` both mean the core-count default; any
-                // positive N pins the supervised lane count.
-                opts.routers = match value(&mut i).as_str() {
-                    "auto" => 0,
-                    n => n.parse::<usize>().ok().unwrap_or_else(|| usage()),
-                }
             }
             "--fault-plan" => opts.fault_plan = Some(value(&mut i)),
             "--fault-seed" => {
@@ -636,13 +616,9 @@ fn recover_options(args: &[String]) -> Options {
     let seed = parse_num("seed", require("seed"));
     let shards = parse_num("shards", require("shards")) as usize;
     let state_budget = get("state_budget").map(|v| parse_num("state_budget", v));
-    // The lane count is part of the recorded run shape (replayed, not
-    // re-derived from this machine's core count); the partition itself
-    // is a pure function of stream position and lane count, so nothing
-    // else needs recording — a `router_cursors` key left by an older
-    // build is ignored. Manifests from single-router builds carry no
-    // `routers` key; 0 falls back to this machine's auto default.
-    let routers = get("routers").map(|v| parse_num("routers", v) as usize).unwrap_or(0);
+    // Routing is a pure function of the tuples and the shard count, so
+    // nothing else about it needs recording: the `routers` and
+    // `router_cursors` keys older builds wrote are ignored.
     Options {
         feed: get("feed").unwrap_or_else(|| "research".to_string()),
         trace: get("trace"),
@@ -651,7 +627,6 @@ fn recover_options(args: &[String]) -> Options {
         seed,
         limit,
         shards,
-        routers,
         // Fault plans are deliberately not replayed: recovery must
         // converge on the fault-free output, and re-arming the crash
         // event would kill the resumed run at the same tuple again.
@@ -796,12 +771,12 @@ fn execute_query(
     // Durable and profiled runs always go through the sharded runtime —
     // that is where the per-shard store and the lineage-stamped stage
     // pipeline live — even at --shards 1.
-    if opts.shards > 1 || opts.routers != 0 || opts.durable.is_some() || profiler.is_some() {
+    if opts.shards > 1 || opts.durable.is_some() || profiler.is_some() {
         let make = |_shard: usize| {
             stream_sampler::query::plan(parsed, &schema, &config)
                 .map_err(|e| stream_sampler::operator::OpError::InvalidSpec(e.to_string()))
         };
-        let mut cfg = RuntimeConfig::new(opts.shards).with_routers(opts.routers);
+        let mut cfg = RuntimeConfig::new(opts.shards);
         // Pre-size group tables and rings from the static audit's
         // certified ceilings. With --trace the declared envelope may
         // not describe the input, but the hints stay sound: reserve()
@@ -811,12 +786,11 @@ fn execute_query(
             let audit_opts = stream_sampler::analysis::AuditOptions {
                 feed: opts.feed.clone(),
                 shards: opts.shards,
-                routers: cfg.resolved_routers(),
                 ..Default::default()
             };
             let outcome = stream_sampler::analysis::audit_file(text, &audit_opts);
             if let Some(s) = outcome.report.statements.first() {
-                let hints = s.sizing_hints(opts.shards, cfg.resolved_routers(), cfg.batch_size);
+                let hints = s.sizing_hints(opts.shards, cfg.batch_size);
                 cfg = cfg.with_sizing(hints);
             }
         }
@@ -1046,53 +1020,29 @@ fn render_shard_health(snap: &Snapshot) -> String {
     out
 }
 
-/// The ROUTERS rows of the `sso top` health table: one line per
-/// supervised router lane with its routed-tuple count, batch count (the
-/// per-lane `rt.router_batch_tuples` histogram's observation count),
-/// quarantines, and unrouted (uncovered) loss mass. Empty for
-/// single-instance runs.
+/// The ROUTER row of the `sso top` health table: the router's
+/// routed-tuple count, batch count (the `rt.batch_tuples` histogram's
+/// observation count), quarantines, and unrouted (uncovered) loss mass.
+/// Empty for single-instance runs.
 fn render_router_health(snap: &Snapshot) -> String {
-    // label "router=R" → [tuples, batches, quarantines, uncovered].
-    let mut routers: Vec<(usize, [f64; 4])> = Vec::new();
-    for m in &snap.metrics {
-        let col = match m.name {
-            "rt.router_tuples" => 0,
-            "rt.router_batch_tuples" => 1,
-            "rt.router_quarantines" => 2,
-            "rt.router_uncovered" => 3,
-            _ => continue,
-        };
-        let Some(router) = m.label.strip_prefix("router=").and_then(|s| s.parse::<usize>().ok())
-        else {
-            continue;
-        };
-        let row = match routers.iter_mut().find(|(r, _)| *r == router) {
-            Some((_, row)) => row,
-            None => {
-                routers.push((router, [0.0; 4]));
-                &mut routers.last_mut().expect("just pushed").1
-            }
-        };
-        // The batch histogram's scalar is total tuples; the column
-        // reports how many batches the lane cut.
-        row[col] = if col == 1 { m.hits() as f64 } else { m.scalar() };
-    }
-    if routers.is_empty() {
+    let get = |name: &str| snap.metrics.iter().find(|m| m.name == name);
+    let Some(tuples) = get("rt.router_tuples") else {
         return String::new();
-    }
-    routers.sort_by_key(|(r, _)| *r);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "\n{:<6} {:>12} {:>9} {:>12} {:>10}\n",
-        "ROUTER", "TUPLES", "BATCHES", "QUARANTINED", "UNCOVERED"
-    ));
-    for (router, row) in &routers {
-        out.push_str(&format!(
-            "{:<6} {:>12} {:>9} {:>12} {:>10}\n",
-            router, row[0], row[1], row[2], row[3]
-        ));
-    }
-    out
+    };
+    let scalar = |name: &str| get(name).map_or(0.0, |m| m.scalar());
+    format!(
+        "\n{:<6} {:>12} {:>9} {:>12} {:>10}\n{:<6} {:>12} {:>9} {:>12} {:>10}\n",
+        "ROUTER",
+        "TUPLES",
+        "BATCHES",
+        "QUARANTINED",
+        "UNCOVERED",
+        0,
+        tuples.scalar(),
+        get("rt.batch_tuples").map_or(0, |m| m.hits()),
+        scalar("rt.router_quarantines"),
+        scalar("rt.router_uncovered"),
+    )
 }
 
 /// Write collected snapshots to the `--metrics` target: `-` prints the
@@ -1283,15 +1233,13 @@ fn main() {
     // proper W102 diagnostic instead of a runtime error. Durable runs
     // go through the sharded runtime even at --shards 1, so they gate
     // too.
-    if (opts.shards > 1 || opts.routers != 0 || opts.durable.is_some() || opts.profile.is_some())
+    if (opts.shards > 1 || opts.durable.is_some() || opts.profile.is_some())
         && stream_sampler::operator::shard_plan(&spec).is_err()
     {
         let diags = stream_sampler::query::check_shard_mergeable(query_text, &schema, &config);
         eprint!("{}", diag::render(query_text, "query", &diags));
         if opts.shards > 1 {
             eprintln!("error: --shards {} requires a shard-mergeable query", opts.shards);
-        } else if opts.routers != 0 {
-            eprintln!("error: --routers {} requires a shard-mergeable query", opts.routers);
         } else if opts.durable.is_some() {
             eprintln!("error: --durable requires a shard-mergeable query");
         } else {
@@ -1308,17 +1256,12 @@ fn main() {
     // the manifest must survive the crash it exists to recover from.
     if let (Some(dir), false) = (&opts.durable, opts.resume) {
         let path = std::path::Path::new(dir);
-        // Pin the lane count, not just the request: `--routers auto`
-        // resolves against THIS machine's core count, and `sso recover`
-        // must deal the regenerated stream to the same number of lanes.
-        let routers = RuntimeConfig::new(opts.shards).with_routers(opts.routers).resolved_routers();
         let mut entries: Vec<(String, String)> = vec![
             ("query".into(), query_text.replace(['\n', '\r'], " ")),
             ("feed".into(), opts.feed.clone()),
             ("seed".into(), opts.seed.to_string()),
             ("seconds".into(), opts.seconds.to_string()),
             ("shards".into(), opts.shards.to_string()),
-            ("routers".into(), routers.to_string()),
             ("fsync".into(), opts.fsync.clone()),
         ];
         if let Some(trace) = &opts.trace {

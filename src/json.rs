@@ -220,8 +220,9 @@ fn metric(m: &Metric) -> Value {
 }
 
 /// Stable numeric thread id per lane for the trace viewer: workers from
-/// 10, routers from 1000, so each multi-router lane gets its own track
-/// and the two families never collide.
+/// 10, routers from 1000 (dumps from older builds can hold several
+/// router lanes), so every lane gets its own track and the two families
+/// never collide.
 fn tid(lane: &LaneDump) -> u32 {
     match lane.kind {
         LaneKind::Merge => 1,

@@ -213,8 +213,8 @@ fn sizing_hints_preserve_sharded_output() {
 
     let out = audit_file(text, &AuditOptions { shards: 2, ..AuditOptions::default() });
     let bounds = &out.report.statements[0];
-    let cfg = RuntimeConfig::new(2).with_routers(2);
-    let hints = bounds.sizing_hints(2, cfg.resolved_routers(), cfg.batch_size);
+    let cfg = RuntimeConfig::new(2);
+    let hints = bounds.sizing_hints(2, cfg.batch_size);
     assert!(hints.groups > 0, "certificate must yield a reservation");
     let sized = run(&cfg.with_sizing(hints));
 

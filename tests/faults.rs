@@ -188,59 +188,52 @@ fn worker_stalls_change_timing_not_results() {
     assert_reports_byte_identical(&faulted, &clean, "stalls vs clean");
 }
 
-/// The router-lane half of the fault model: a seeded `panic router=R
-/// at=N` mid-window leaves the run alive with exactly one degraded
-/// window (the victim lane's unrouted remainder of that window counted
-/// as `rt.router_uncovered` mass), the re-thresholded estimates equal a
+/// The router half of the fault model: a seeded `panic router=0 at=N`
+/// mid-window leaves the run alive with exactly one degraded window
+/// (the router's unrouted remainder of that window counted as
+/// `rt.router_uncovered` mass), the re-thresholded estimates equal a
 /// fault-free run over the surviving tuples row-for-row, and the same
-/// seed replays byte-identically. Content routing makes the surviving
-/// set position-computable from the chunk rule — chunk `c` is routed by
-/// lane `c % R` — the loss is every victim-lane position from the trip
-/// to the window's end, across however many of the lane's chunks (the
-/// other lane's chunks in between are untouched).
+/// seed replays byte-identically. The router counts tuples in stream
+/// order, so the loss is every stream position from the trip to the
+/// window's end, across however many chunks that spans.
 #[test]
 fn router_panic_degrades_exactly_one_window_with_exact_surviving_estimates() {
     // One-second windows over an 8-second feed in 1024-tuple chunks: a
-    // window spans several of the victim lane's chunks, so the
-    // quarantine both opens (mid-window trip), is carried across chunk
-    // edges, and closes (respawn at the next boundary).
+    // window spans several chunks, so the quarantine both opens
+    // (mid-window trip), is carried across chunk edges, and closes
+    // (routing resumes at the next boundary).
     let window = 1u64;
     let make = move |_| queries::basic_subset_sum_query(window, 400.0);
     let pkts = research_feed(0xfa).take_seconds(8);
-    let routers = 2usize;
-    let victim = 1usize;
     let config = || {
-        let mut cfg = RuntimeConfig::new(SHARDS).with_routers(routers);
+        let mut cfg = RuntimeConfig::new(SHARDS);
         cfg.batch_size = 64;
         cfg
     };
     let chunk = config().chunk_tuples();
-    // The victim lane's stream positions, in the order it routes them.
-    let mine: Vec<usize> = (0..pkts.len()).filter(|i| (i / chunk) % routers == victim).collect();
     let window_of = |i: usize| pkts[i].time() / window;
 
-    // Trip mid-window just past the lane's first window boundary: a
-    // whole window slice to lose, and a later window to resume into.
-    let boundary = (1..mine.len())
-        .find(|&k| window_of(mine[k]) != window_of(mine[0]))
-        .expect("the lane's chunks span a window boundary");
+    // Trip mid-window just past the first window boundary: a whole
+    // window slice to lose, and a later window to resume into.
+    let boundary = (1..pkts.len())
+        .find(|&i| window_of(i) != window_of(0))
+        .expect("the feed spans a window boundary");
     let trip = boundary + 2;
-    let poisoned_w = window_of(mine[trip]);
-    assert_eq!(poisoned_w, window_of(mine[trip - 1]), "trip lands mid-window");
+    let poisoned_w = window_of(trip);
+    assert_eq!(poisoned_w, window_of(trip - 1), "trip lands mid-window");
     assert!(poisoned_w < window_of(pkts.len() - 1), "a later window exists to respawn into");
-    let lost: Vec<usize> =
-        mine[trip..].iter().copied().take_while(|&i| window_of(i) == poisoned_w).collect();
+    let lost: Vec<usize> = (trip..pkts.len()).take_while(|&i| window_of(i) == poisoned_w).collect();
     assert!(lost.last().unwrap() / chunk > lost[0] / chunk, "the loss crosses a chunk edge");
-    let at_tuple = (trip + 1) as u64; // lane-local, 1-based
+    let at_tuple = (trip + 1) as u64; // 1-based
 
-    let fault = FaultPlan::parse(&format!("panic router={victim} at={at_tuple}"))
+    let fault = FaultPlan::parse(&format!("panic router=0 at={at_tuple}"))
         .expect("router grammar parses")
         .into_shared();
     let cfg = config().with_faults(fault);
 
     let report = run(make, &cfg, pkts.clone());
     assert!(report.degraded(), "an unrouted window slice must degrade the run");
-    assert_eq!(report.router_quarantines(), 1, "one lane panic, one quarantine");
+    assert_eq!(report.router_quarantines(), 1, "one router panic, one quarantine");
     assert_eq!(report.quarantines(), 0, "no worker was harmed");
     assert_eq!(report.router_uncovered(), lost.len() as u64, "loss is exactly the window slice");
 
@@ -285,18 +278,18 @@ fn router_panic_degrades_exactly_one_window_with_exact_surviving_estimates() {
 }
 
 /// Router stalls are timing-only faults, exactly like worker stalls:
-/// under blocking backpressure a stalled lane delays batches but loses
+/// under blocking backpressure a stalled router delays batches but loses
 /// nothing, so the result is byte-identical to the fault-free run.
 #[test]
 fn router_stalls_change_timing_not_results() {
     let make = |_| Ok(queries::total_sum_query(WINDOW));
     let pkts = research_feed(3).take_seconds(3);
-    let fault = FaultPlan::parse("stall router=0 at=100 ms=15\nstall router=1 at=50 ms=10")
+    let fault = FaultPlan::parse("stall router=0 at=50 ms=10\nstall router=0 at=100 ms=15")
         .expect("router stall grammar parses");
-    let cfg = RuntimeConfig::new(4).with_routers(2).with_faults(fault.into_shared());
+    let cfg = RuntimeConfig::new(4).with_faults(fault.into_shared());
 
     let faulted = run(make, &cfg, pkts.clone());
-    let clean = run(make, &RuntimeConfig::new(4).with_routers(2), pkts);
+    let clean = run(make, &RuntimeConfig::new(4), pkts);
     assert!(!faulted.degraded(), "stalls lose nothing");
     assert_eq!(faulted.coverage, 1.0);
     assert_eq!(faulted.router_uncovered(), 0);
@@ -309,7 +302,7 @@ fn router_stalls_change_timing_not_results() {
 /// router-uncovered, and delivered == covered + worker-uncovered.
 #[test]
 fn router_faults_keep_the_ledger_exact() {
-    let plan = FaultPlan::parse("panic router=0 at=100\nstall router=1 at=50 ms=5")
+    let plan = FaultPlan::parse("stall router=0 at=50 ms=5\npanic router=0 at=100")
         .expect("router grammar parses")
         .into_shared();
     let pkts = research_feed(11).take_seconds(4);
@@ -319,7 +312,7 @@ fn router_faults_keep_the_ledger_exact() {
         ("drop", Backpressure::DropNewest, 1),
         ("shed", Backpressure::Shed { weight_col: None }, 1),
     ] {
-        let mut cfg = RuntimeConfig::new(8).with_routers(2).with_faults(plan.clone());
+        let mut cfg = RuntimeConfig::new(8).with_faults(plan.clone());
         cfg.backpressure = backpressure;
         cfg.ring_capacity = ring_capacity;
         cfg.batch_size = 64;
@@ -339,9 +332,9 @@ fn router_faults_keep_the_ledger_exact() {
             delivered,
             "{name}: delivered must equal covered + worker-uncovered"
         );
-        // The lane panic fires at a fixed segment ordinal, before any
+        // The router panic fires at a fixed stream ordinal, before any
         // backpressure can intervene: it must be caught in every mode.
-        assert_eq!(report.router_quarantines(), 1, "{name}: lane panic must be caught");
+        assert_eq!(report.router_quarantines(), 1, "{name}: router panic must be caught");
         assert!(report.router_uncovered() > 0, "{name}: quarantine mass is accounted");
     }
 }
@@ -401,6 +394,32 @@ fn fault_plans_round_trip_through_text() {
         let reparsed = FaultPlan::parse(&text).expect("round-trip parse");
         assert_eq!(plan, reparsed, "plan text:\n{text}");
     }
+}
+
+/// A fault that cannot fire is an error, not a silent no-op: `sso run`
+/// exits 1 naming the target when a plan panics a shard the run lacks
+/// (the runtime refuses it) or a router other than 0 (the parser does).
+#[test]
+fn cli_refuses_fault_targets_the_run_lacks() {
+    let dir = std::env::temp_dir().join(format!("sso-fault-targets-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tempdir");
+    for (directive, says) in [
+        ("panic shard=9 at=1000", "fault plan targets shard 9, but the run has 4 shards"),
+        ("panic router=3 at=1000", "line 1: no router 3"),
+    ] {
+        let plan = dir.join("plan.txt");
+        std::fs::write(&plan, format!("{directive}\n")).expect("plan file");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sso"))
+            .args(["run", "--feed", "research", "--seconds", "2", "--shards", "4"])
+            .args(["--fault-plan", plan.to_str().expect("utf-8 tempdir")])
+            .arg("SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb")
+            .output()
+            .expect("sso runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{directive}: {stderr}");
+        assert!(stderr.contains(says), "{directive}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The window deadline converts a straggler into accounted coverage

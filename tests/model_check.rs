@@ -208,56 +208,6 @@ fn ring_push_tracked_counts_one_stall_per_wait() {
     assert!(explored.schedules > 1, "interleavings explored: {explored:?}");
 }
 
-/// The end-of-chunk marker on a ring (the engine's `Msg::ChunkEnd`).
-const CHUNK_END: u32 = u32::MAX;
-
-/// Multi-router chunk order: a shard owns one SPSC ring PER router
-/// lane; chunk `c` of the stream came through lane `c mod R`, and every
-/// lane ends each of its chunks with a marker. The worker reads one
-/// ring up to the marker, then moves to the next lane's ring — exactly
-/// the engine's per-shard consume loop — and is done when the ring it
-/// turns to is closed and drained: chunks are dealt in order, so no
-/// later chunk exists on any lane. Here the stream is three chunks,
-/// `[0, 1] [10] [20]`: lane 1 closes one chunk earlier than lane 0, and
-/// the worker must still come back to lane 0 for chunk 2 before it
-/// finds lane 1 closed. Lane 0 is pre-filled and closed from the main
-/// thread — the two lanes share no cells, so a second *live* producer
-/// adds no new dependency pairs, only spin-loop schedules past the
-/// budget; the races under test are lane 1 pushing its chunk, and then
-/// closing, while the consumer is away on lane 0.
-#[test]
-fn multi_router_rings_drain_in_chunk_order() {
-    let explored = check(|| {
-        let (mut tx0, rx0) = ring::<u32>(5);
-        let (mut tx1, rx1) = ring::<u32>(2);
-        for item in [0, 1, CHUNK_END, 20, CHUNK_END] {
-            tx0.try_push(item).expect("capacity 5 holds chunks 0 and 2");
-        }
-        drop(tx0); // lane 0 routed its last chunk; ring 0 is closed
-        let lane1 = thread::spawn(move || {
-            for item in [10, CHUNK_END] {
-                tx1.try_push(item).expect("capacity 2 holds chunk 1");
-            }
-        });
-        let mut rings = [rx0, rx1];
-        let mut lane = 0usize;
-        let mut got = Vec::new();
-        while let Some(item) = rings[lane].pop() {
-            if item == CHUNK_END {
-                lane = (lane + 1) % rings.len();
-            } else {
-                got.push(item);
-            }
-        }
-        lane1.join();
-        assert_eq!(got, vec![0, 1, 10, 20], "FIFO within a chunk, chunks in stream order");
-        assert_eq!(lane, 1, "the stream ended where chunk 3 would have begun");
-    })
-    .unwrap_or_else(|f| panic!("{f}"));
-    assert!(explored.complete, "exploration must be exhaustive: {explored:?}");
-    assert!(explored.schedules > 1, "interleavings explored: {explored:?}");
-}
-
 /// Spent batches travel home on a return ring nobody ever waits on: the
 /// worker `try_push`es and, finding the ring full, drops the buffer;
 /// the lane `try_pop`s when it needs one and, finding none, allocates.

@@ -128,15 +128,15 @@ fn lossy_counting_crash_recovery_matches_fault_free() {
     crash_then_recover(|_| queries::heavy_hitters_query(WINDOW, 200, None), "lossy-counting");
 }
 
-/// The CLI recover path with multi-router ingestion: a durable
-/// `--routers 2` run killed mid-stream by `crash at=N` leaves a
-/// MANIFEST whose `routers` key pins the lane count — all the lane
-/// partition depends on besides stream position — and `sso recover DIR`
-/// resumes with window output byte-identical to a fault-free run of
-/// the same query, also from a manifest that still carries the
-/// `router_cursors` key older builds wrote.
+/// The CLI recover path: a durable run killed mid-stream by `crash
+/// at=N` leaves a MANIFEST that records the run's shape and nothing
+/// about routing — the partition is a function of the tuples and the
+/// shard count — and `sso recover DIR` resumes with window output
+/// byte-identical to a fault-free run of the same query, also from a
+/// manifest that still carries the `routers` and `router_cursors` keys
+/// older builds wrote.
 #[test]
-fn cli_recover_pins_routers_and_ignores_stale_router_cursors() {
+fn cli_recover_ignores_stale_router_keys() {
     let sso = env!("CARGO_BIN_EXE_sso");
     let dir = tmpdir("cli-routers");
     let seed = 9u64;
@@ -152,34 +152,35 @@ fn cli_recover_pins_routers_and_ignores_stale_router_cursors() {
         cmd.args(["run", "--feed", "research"])
             .args(["--seed", &seed.to_string()])
             .args(["--seconds", &seconds.to_string()])
-            .args(["--shards", "4", "--routers", "2", "--json"])
+            .args(["--shards", "4", "--json"])
             .args(extra)
             .arg(query);
         cmd.output().expect("sso runs")
     };
 
-    // The fault-free reference: same query, same lane shape, no store.
+    // The fault-free reference: same query, same shards, no store.
     let reference = base(&[]);
     assert!(reference.status.success(), "{}", String::from_utf8_lossy(&reference.stderr));
 
     // The durable run dies at the injected crash, after the MANIFEST
-    // (written before execution) has pinned the lane partition.
+    // (written before execution) has recorded the run's shape.
     let dir_s = dir.to_str().expect("utf-8 tempdir");
     let crashed = base(&["--durable", dir_s, "--fault-plan", plan_path.to_str().unwrap()]);
     assert!(!crashed.status.success(), "the injected crash must kill the run");
     let stderr = String::from_utf8_lossy(&crashed.stderr);
     assert!(stderr.contains("sso recover"), "crash output points at recovery:\n{stderr}");
 
-    // Schema pin: the run shape is recorded, a stream-length-dependent
-    // partition no longer is.
+    // Schema pin: the run shape is recorded, the routing is not.
     let mut manifest = stream_sampler::store::read_manifest(&dir).expect("MANIFEST survives");
     let get = |k: &str| manifest.iter().find(|(key, _)| key == k).map(|(_, v)| v.as_str());
     assert_eq!(get("shards"), Some("4"));
-    assert_eq!(get("routers"), Some("2"));
-    assert_eq!(get("router_cursors"), None, "the partition is a function of position and R");
+    assert_eq!(get("routers"), None, "the run has one router, nothing to pin");
+    assert_eq!(get("router_cursors"), None, "the partition is a function of the tuples");
 
-    // An older build's manifest carried per-lane segment cursors; such
-    // a store must still recover, the key ignored.
+    // Older builds' manifests carried a router-lane count and per-lane
+    // segment cursors; such a store must still recover, the keys
+    // ignored.
+    manifest.push(("routers".into(), "2".into()));
     manifest.push(("router_cursors".into(), format!("0,{}", n / 2)));
     stream_sampler::store::write_manifest(&dir, &manifest).expect("rewrite MANIFEST");
 

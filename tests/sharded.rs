@@ -345,98 +345,6 @@ proptest! {
                 prop_assert_eq!(&a.rows, &b.rows, "rows for window {:?} at {} shards", a.window, shards);
             }
         }
-
-        // Router lanes must be equally invisible under disorder: the
-        // same perturbed stream at 2 and 4 router lanes is byte-
-        // identical to the single-lane run at the same shard count.
-        let lane_run = |routers: usize| {
-            run_plan_sharded(
-                Box::new(SelectionNode::pass_all()),
-                |_| Ok(queries::total_sum_query(WINDOW)),
-                &RuntimeConfig::new(4).with_routers(routers),
-                pkts.clone(),
-            )
-            .expect("sharded run")
-            .windows
-        };
-        let one_lane = lane_run(1);
-        for routers in [2usize, 4] {
-            let got = lane_run(routers);
-            prop_assert_eq!(one_lane.len(), got.len(), "window count at {} routers", routers);
-            for (a, b) in one_lane.iter().zip(&got) {
-                prop_assert_eq!(&a.window, &b.window, "window key at {} routers", routers);
-                prop_assert_eq!(
-                    &a.rows, &b.rows,
-                    "rows for window {:?} at {} routers", a.window, routers
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Multi-router ingestion: the feed is split into per-lane contiguous
-// segments and every lane hash-routes its own slice, so the number of
-// router lanes must be invisible in the merged output — byte-identical
-// at 1, 2, and 4 lanes for every mergeable example query, with and
-// without a hoisted shared prefilter in front of the lanes.
-
-fn sharded_routers<F>(make: F, shards: usize, routers: usize, pkts: &[Packet]) -> ShardedRunReport
-where
-    F: Fn(usize) -> Result<OperatorSpec, stream_sampler::operator::OpError> + Sync,
-{
-    run_plan_sharded(
-        Box::new(SelectionNode::pass_all()),
-        make,
-        &RuntimeConfig::new(shards).with_routers(routers),
-        pkts.to_vec(),
-    )
-    .expect("sharded run")
-}
-
-#[test]
-fn router_count_leaves_every_mergeable_query_byte_identical() {
-    type MakeSpec =
-        Box<dyn Fn(usize) -> Result<OperatorSpec, stream_sampler::operator::OpError> + Sync>;
-    let cases: Vec<(&str, MakeSpec)> = vec![
-        ("total_sum", Box::new(|_| Ok(queries::total_sum_query(WINDOW)))),
-        ("heavy_hitters", Box::new(|_| queries::heavy_hitters_query(WINDOW, 1 << 20, None))),
-        ("minhash", Box::new(|_| queries::minhash_query(WINDOW, 16))),
-        ("basic_subset_sum", Box::new(|_| queries::basic_subset_sum_query(WINDOW, 400.0))),
-        (
-            "subset_sum",
-            Box::new(|_| {
-                queries::subset_sum_query(
-                    WINDOW,
-                    SubsetSumOpConfig { target: 100, initial_z: 1.0, ..Default::default() },
-                    false,
-                )
-            }),
-        ),
-        (
-            "reservoir",
-            Box::new(|_| {
-                queries::reservoir_query(
-                    WINDOW,
-                    ReservoirOpConfig { n: 50, seed: 7, ..Default::default() },
-                )
-            }),
-        ),
-    ];
-    let pkts = packets();
-    for (name, make) in &cases {
-        let one = sharded_routers(make, 4, 1, &pkts);
-        for routers in [2usize, 4] {
-            let many = sharded_routers(make, 4, routers, &pkts);
-            assert_windows_equal(&one.windows, &many.windows, &format!("{name} x{routers} lanes"));
-            assert_eq!(
-                many.shards.iter().map(|s| s.tuples()).sum::<u64>(),
-                pkts.len() as u64,
-                "{name} x{routers} lanes: every tuple must reach a shard"
-            );
-            assert_eq!(many.router_uncovered(), 0, "{name}: fault-free lanes lose nothing");
-            assert_eq!(many.routers.len(), routers, "{name}: one stats block per lane");
-        }
     }
 }
 
@@ -452,45 +360,38 @@ fn router_count_is_invisible_under_a_shared_prefilter() {
         Arc::new(stream_sampler::query::compile_packet_predicate(&pred, &schema).unwrap());
     let pkts = packets();
 
-    // The prefilter runs on every lane, ahead of routing; lane count
-    // must not change which tuples it admits or where they land.
-    let run_with = |routers: usize, filtered: bool| {
-        let mut cfg = RuntimeConfig::new(4).with_routers(routers);
+    // The prefilter runs in the router, ahead of routing; it must not
+    // change the output, only which tuples reach the shards.
+    let run_with = |filtered: bool| {
+        let mut cfg = RuntimeConfig::new(4);
         if filtered {
             cfg = cfg.with_shared_prefilter(prefilter.clone());
         }
         run_plan_sharded(Box::new(SelectionNode::pass_all()), |_| spec(), &cfg, pkts.clone())
             .expect("sharded run")
     };
-    let plain = run_with(1, false);
-    for routers in [1usize, 2, 4] {
-        let filtered = run_with(routers, true);
-        assert_windows_equal(
-            &plain.windows,
-            &filtered.windows,
-            &format!("shared prefilter x{routers} lanes"),
-        );
-    }
+    let plain = run_with(false);
+    let filtered = run_with(true);
+    assert_windows_equal(&plain.windows, &filtered.windows, "shared prefilter");
 }
 
 // ---------------------------------------------------------------------
-// Chunk edges: the pump deals the stream to the lanes in fixed-length
-// chunks (chunk c to lane c mod R), every lane flushes at every chunk
-// end, and every worker follows the chunk order across its R rings.
-// None of that may show: feeds that end just before, on, and just after
-// a chunk edge, with window boundaries both inside chunks and exactly on
-// an edge, must reproduce the single-instance output at every router
-// and shard count (one worker thread per shard) — for position-routed
-// (round-robin) and content-routed plans alike.
+// Chunk edges: the pump pulls the stream in fixed-length chunks and
+// flushes every shard's partial batch at every chunk end. None of that
+// may show: feeds that end just before, on, and just after a chunk
+// edge, with window boundaries both inside chunks and exactly on an
+// edge, must reproduce the single-instance output at every shard count
+// (one worker thread per shard) — for position-routed (round-robin) and
+// content-routed plans alike.
 
 #[test]
 fn chunk_edges_are_invisible_at_every_router_shard_and_worker_count() {
-    let config = |shards: usize, routers: usize| {
-        let mut cfg = RuntimeConfig::new(shards).with_routers(routers);
+    let config = |shards: usize| {
+        let mut cfg = RuntimeConfig::new(shards);
         cfg.batch_size = 8;
         cfg
     };
-    let chunk = config(1, 1).chunk_tuples();
+    let chunk = config(1).chunk_tuples();
     // One window per chunk and a half: boundaries fall alternately
     // mid-chunk (1.5, 4.5, ...) and exactly on a chunk edge (3, 6, ...).
     let per_window = 3 * chunk / 2;
@@ -515,24 +416,22 @@ fn chunk_edges_are_invisible_at_every_router_shard_and_worker_count() {
         let pkts = &feed[..len];
         for (name, make) in &cases {
             let single = reference_for(make(0).unwrap(), pkts);
-            for routers in 1..=4usize {
-                for shards in [1usize, 2, 5] {
-                    let report = run_plan_sharded(
-                        Box::new(SelectionNode::pass_all()),
-                        make,
-                        &config(shards, routers),
-                        pkts.to_vec(),
-                    )
-                    .expect("sharded run");
-                    let what = format!("{name}: {len} tuples, {routers} lanes, {shards} shards");
-                    assert_windows_equal(&single, &report.windows, &what);
-                    assert_eq!(
-                        report.routers.iter().map(|r| r.tuples()).sum::<u64>(),
-                        len as u64,
-                        "{what}: every tuple passed through a lane"
-                    );
-                    assert_eq!(report.tuples_processed(), len as u64, "{what}");
-                }
+            for shards in [1usize, 2, 5] {
+                let report = run_plan_sharded(
+                    Box::new(SelectionNode::pass_all()),
+                    make,
+                    &config(shards),
+                    pkts.to_vec(),
+                )
+                .expect("sharded run");
+                let what = format!("{name}: {len} tuples, {shards} shards");
+                assert_windows_equal(&single, &report.windows, &what);
+                assert_eq!(
+                    report.router.tuples(),
+                    len as u64,
+                    "{what}: every tuple passed through the router"
+                );
+                assert_eq!(report.tuples_processed(), len as u64, "{what}");
             }
         }
     }
