@@ -358,7 +358,7 @@ impl OperatorStats {
 ///
 /// A single-instance run always covers everything. A sharded run under
 /// faults can lose traffic to a quarantined (panicked) worker or to a
-/// straggler shard cut off by the window deadline; the merge-finalize
+/// quarantined router; the merge-finalize
 /// path then re-thresholds the surviving shards' samples — unbiased over
 /// the *covered* traffic — and records the shortfall here instead of
 /// silently pretending the window was whole.

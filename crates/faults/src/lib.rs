@@ -666,6 +666,14 @@ mod tests {
             let plan = FaultPlan { seed, events };
             proptest::prop_assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
         }
+
+        /// Arbitrary text parses to a plan or an error, never a panic.
+        #[test]
+        fn parse_never_panics_prop(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            let _ = FaultPlan::parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     fn arb_event() -> impl proptest::strategy::Strategy<Value = FaultEvent> {

@@ -27,8 +27,6 @@ pub struct ShardedRunReport {
     pub stream_span: Duration,
     /// Run-level coverage (1.0 = no faults degraded the output).
     pub coverage: f64,
-    /// Shards cut off by the window deadline.
-    pub stragglers: Vec<usize>,
 }
 
 impl ShardedRunReport {
@@ -183,7 +181,6 @@ where
         router: report.router,
         stream_span,
         coverage: report.coverage,
-        stragglers: report.stragglers,
     })
 }
 

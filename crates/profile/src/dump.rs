@@ -126,7 +126,9 @@ pub fn decode_dump(bytes: &[u8]) -> Result<Dump, String> {
         return Err("trailing bytes in header frame".into());
     }
 
-    let mut lanes = Vec::with_capacity(lane_count as usize);
+    // Counts come from the file: cap what they reserve, so a corrupt
+    // count fails at the missing frame instead of in the allocator.
+    let mut lanes = Vec::with_capacity((lane_count as usize).min(1 << 16));
     for _ in 0..lane_count {
         let frame = take_frame(&mut r).map_err(|e| e.to_string())?;
         let mut fr = Reader::new(frame);
@@ -135,7 +137,7 @@ pub fn decode_dump(bytes: &[u8]) -> Result<Dump, String> {
         let index = fr.take_u32().map_err(|e| e.to_string())?;
         let dropped = fr.take_u64().map_err(|e| e.to_string())?;
         let count = fr.take_u32().map_err(|e| e.to_string())?;
-        let mut events = Vec::with_capacity(count as usize);
+        let mut events = Vec::with_capacity((count as usize).min(1 << 16));
         for _ in 0..count {
             let mut w = [0u64; 4];
             for word in &mut w {
@@ -215,6 +217,22 @@ mod tests {
         assert!(decode_dump(&bytes).is_err());
         assert!(decode_dump(&bytes[..bytes.len() - 2]).is_err(), "torn tail");
         assert!(decode_dump(b"NOTADUMP").is_err());
+    }
+
+    #[test]
+    fn huge_declared_counts_are_errors_not_allocations() {
+        let mut bytes = MAGIC.to_vec();
+        put_u32(&mut bytes, VERSION);
+        let mut header = vec![DumpReason::Manual as u8];
+        put_u32(&mut header, u32::MAX);
+        put_frame(&mut bytes, &header).unwrap();
+        assert!(decode_dump(&bytes).is_err(), "u32::MAX lanes declared, none present");
+        let mut lane = vec![LaneKind::Worker as u8];
+        put_u32(&mut lane, 0);
+        put_u64(&mut lane, 0);
+        put_u32(&mut lane, u32::MAX);
+        put_frame(&mut bytes, &lane).unwrap();
+        assert!(decode_dump(&bytes).is_err(), "u32::MAX events declared, none present");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub enum Stage {
     Process = 3,
     /// A worker's end-of-stream finalize (final window flush).
     Flush = 4,
-    /// The router waiting on the merge barrier for shard partials.
+    /// The pump joining the shard workers for their partials.
     BarrierWait = 5,
     /// Merging per-shard partial windows.
     Merge = 6,

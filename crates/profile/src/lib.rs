@@ -16,15 +16,15 @@
 //! directly) and per-window end-to-end latency histograms on the
 //! `sso-obs` power-of-two buckets.
 //!
-//! The same rings double as a **flight recorder**: on worker panic,
-//! window-deadline straggle, shed activation, or a `crash` fault, the
+//! The same rings double as a **flight recorder**: on a worker or
+//! router panic, shed activation, or a `crash` fault, the
 //! last N events per lane are dumped (checksummed `sso-store`-style
 //! frames, atomic rename) and `sso trace` renders them as a human
 //! timeline or Chrome trace-event JSON.
 //!
 //! Everything shared goes through the `sso-sync` facade, so the
 //! record/publish/collect protocol is exhaustively explored by
-//! `tests/model_check.rs` alongside the ring and barrier.
+//! `tests/model_check.rs` alongside the ring.
 
 pub mod collect;
 pub mod dump;

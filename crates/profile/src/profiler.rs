@@ -6,8 +6,8 @@
 //! mutex touched at lane *creation*, never on the record path), the
 //! epoch stopwatch, the dump trigger, and the dump destination.
 //!
-//! Dump triggers are first-CAS-wins: the first of panic / straggle /
-//! shed / crash to fire names the dump's reason; later triggers are
+//! Dump triggers are first-CAS-wins: the first of panic / shed / crash
+//! to fire names the dump's reason; later triggers are
 //! no-ops. Triggering only raises a flag — the dump itself is written
 //! by the runtime **after** worker joins, when every lane is quiescent
 //! and the `Release`-published heads are authoritative.
@@ -31,8 +31,8 @@ pub enum DumpReason {
     Manual = 0,
     /// A worker shard panicked into quarantine.
     Panic = 1,
-    /// A shard missed the window deadline.
-    Straggle = 2,
+    // Byte 2 stays unassigned: a dump carrying it must not decode as
+    // another reason.
     /// Shed backpressure activated (threshold left zero).
     Shed = 3,
     /// A `crash at=N` fault fired.
@@ -44,7 +44,6 @@ impl DumpReason {
         match self {
             DumpReason::Manual => "manual",
             DumpReason::Panic => "panic",
-            DumpReason::Straggle => "straggle",
             DumpReason::Shed => "shed",
             DumpReason::Crash => "crash",
         }
@@ -54,7 +53,6 @@ impl DumpReason {
         match v {
             0 => Some(DumpReason::Manual),
             1 => Some(DumpReason::Panic),
-            2 => Some(DumpReason::Straggle),
             3 => Some(DumpReason::Shed),
             4 => Some(DumpReason::Crash),
             _ => None,

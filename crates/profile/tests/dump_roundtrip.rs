@@ -1,11 +1,13 @@
 //! Flight-recorder dump format property: for arbitrary dumps,
-//! encode → decode → encode is **byte-identical**, and decode rejects
-//! any single-bit corruption of the framed payloads. This is what lets
+//! encode → decode → encode is **byte-identical**, decode rejects
+//! any single-bit corruption of the framed payloads, and decode of
+//! arbitrary bytes returns an error instead of panicking. This is what lets
 //! `sso trace` trust a dump written moments before a crash: either the
 //! frames checksum clean and decode to exactly what was recorded, or
 //! the file fails loudly.
 
 use proptest::prelude::*;
+use sso_profile::dump::{MAGIC, VERSION};
 use sso_profile::{
     decode_dump, encode_dump, Dump, DumpReason, Event, LaneDump, LaneKind, Stage, AUX_MAX,
 };
@@ -58,7 +60,6 @@ fn dump_strategy() -> impl Strategy<Value = Dump> {
         prop_oneof![
             Just(DumpReason::Manual),
             Just(DumpReason::Panic),
-            Just(DumpReason::Straggle),
             Just(DumpReason::Shed),
             Just(DumpReason::Crash)
         ],
@@ -101,6 +102,23 @@ proptest! {
             Err(_) => {}
             Ok(d) => prop_assert_eq!(d, dump, "a surviving decode must be the original"),
         }
+    }
+
+    #[test]
+    fn arbitrary_bytes_decode_or_fail_without_panicking(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = decode_dump(&bytes);
+    }
+
+    #[test]
+    fn arbitrary_bytes_after_a_valid_preamble_decode_or_fail_without_panicking(
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&tail);
+        let _ = decode_dump(&bytes);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The sharded runtime: the calling thread pumps the source and
 //! hash-partitions each tuple by the plan's partition key into one
 //! batched bounded ring per shard; each shard runs its own operator
-//! instance on a thread of its own, draining its ring; window outputs
-//! are merged by the plan's rule after the workers drain.
+//! instance on a thread of its own, draining its ring; each worker's
+//! window outputs are its thread's result, and the pump merges them by
+//! the plan's rule once it has joined every worker.
 //!
 //! ## Pump, rings, and recycled batches
 //!
@@ -39,11 +40,6 @@
 //!   raises a per-shard threshold z (the §7.1 mechanism driven in
 //!   reverse), so overload sheds *below-threshold* tuples with exact
 //!   Horvitz–Thompson accounting instead of dropping whole batches.
-//! * **Window deadline** ([`RuntimeConfig::window_deadline`]): a
-//!   straggler shard cannot stall merge-finalize forever — the barrier
-//!   is cut at the deadline, the merge proceeds over the shards that
-//!   published, and the lost coverage is accounted and alerted through
-//!   the undersample-detector path.
 //! * **Router supervision**: the pump routes under a per-stretch
 //!   `catch_unwind`; a routing panic quarantines the router for the
 //!   current window (its unrouted tuples counted as
@@ -73,7 +69,6 @@ use sso_store::{FsyncPolicy, PagedGroupTable, ShardStore, StoreConfig};
 use sso_sync::SyncBool;
 use sso_types::Tuple;
 
-use crate::barrier::MergeBarrier;
 use crate::merge::ShardPartial;
 use crate::pump::{prefetch, pump, TupleSource, CHUNK_BATCHES, PREFETCH_AHEAD};
 use crate::ring::{ring, Consumer, Producer, PushError};
@@ -166,11 +161,6 @@ pub struct RuntimeConfig {
     /// registry: counters still land (so [`ShardStats`] stays exact)
     /// but span tracing is off and nothing is exported.
     pub registry: Option<Registry>,
-    /// Cut merge-finalize loose from stragglers after this long: once
-    /// the router has routed everything, shards that have not published
-    /// within the deadline are excluded from the merge (their routed
-    /// traffic is accounted as uncovered). `None` waits forever.
-    pub window_deadline: Option<Duration>,
     /// Fault-injection plan: worker events fire inside the shard
     /// workers. Feed-level events must be applied by the caller via
     /// [`sso_faults::FaultPlan::perturb_packets`].
@@ -185,8 +175,8 @@ pub struct RuntimeConfig {
     /// directory and (optionally) bounds resident group state.
     pub durability: Option<DurabilityConfig>,
     /// Causal stage tracing: every batch leaves lineage stamps (ingest →
-    /// route → ring wait → process → barrier → merge → emit) in
-    /// per-thread event rings, and panic/straggle/shed/crash triggers
+    /// route → ring wait → process → barrier wait → merge → emit) in
+    /// per-thread event rings, and panic/shed/crash triggers
     /// dump them as a flight recording. `None` costs one branch per
     /// batch.
     pub profile: Option<Profiler>,
@@ -214,7 +204,6 @@ impl RuntimeConfig {
             backpressure: Backpressure::Block,
             seed: 0x5eed_00d5,
             registry: None,
-            window_deadline: None,
             faults: None,
             sizing: None,
             durability: None,
@@ -540,12 +529,9 @@ pub struct ShardedReport {
     pub shards: Vec<ShardStats>,
     /// The router's accounting.
     pub router: RouterStats,
-    /// Run-level coverage: fraction of worker-delivered (plus
-    /// straggler-routed) tuples represented by the merged output.
+    /// Run-level coverage: fraction of offered tuples (worker-delivered
+    /// plus lost to router quarantine) represented by the merged output.
     pub coverage: f64,
-    /// Shards cut off by the window deadline (their partials were not
-    /// published in time and are excluded from the merge).
-    pub stragglers: Vec<usize>,
 }
 
 impl ShardedReport {
@@ -819,7 +805,6 @@ struct Sender<'a> {
     /// live (the rest are dead tuples waiting to be traded).
     batches: Vec<(Vec<Tuple>, usize)>,
     shed: Vec<ShedState>,
-    routed: Vec<u64>,
     next_batch_id: u32,
     stats: &'a [ShardStats],
     ring_depths: &'a [Gauge],
@@ -886,7 +871,6 @@ impl Sender<'_> {
 
     /// Account one batch that reached the shard's ring.
     fn delivered(&mut self, shard: usize, id: u32, len: u64, t0: Option<u64>, wait: Option<u64>) {
-        self.routed[shard] += len;
         self.batch_hist.record(len);
         if let Some(t) = self.trace.as_mut() {
             let end = t.p.now_ns();
@@ -1281,11 +1265,6 @@ where
     // length.
     let fresh = registry.counter("rt.tuple_buffers_fresh");
 
-    // Workers deposit their final partials here; the calling thread
-    // waits on it after the joins (or cuts it at the window deadline),
-    // so the merge observes every published shard's last window through
-    // the barrier's Release/Acquire protocol.
-    let barrier: Arc<MergeBarrier<ShardPartial>> = MergeBarrier::new(cfg.shards);
     install_supervised_panic_hook();
     // The process-crash fault: when the pump's global stream position
     // reaches the trigger, this flag flips and the run dies like a
@@ -1305,8 +1284,8 @@ where
     // (one branch per batch) when profiling is off.
     let mut merge_trace = cfg.profile.as_ref().map(|p| (p.clone(), p.lane(LaneKind::Merge, 0)));
     let next_tuple = tuples.into_refill();
-    type ScopeOut = (Vec<Option<ShardPartial>>, Vec<usize>, Vec<(Tuple, u64)>, Vec<u64>);
-    let (partials, stragglers, router_uncovered, routed) =
+    type ScopeOut = (Vec<ShardPartial>, Vec<(Tuple, u64)>);
+    let (mut parts, router_uncovered) =
         std::thread::scope(|s| -> Result<ScopeOut, RuntimeError> {
             // One SPSC ring per shard, the pump producing and the shard's
             // worker consuming. Batches carry the router-assigned batch id
@@ -1327,7 +1306,7 @@ where
                 txs.push(tx);
                 homes.push(home_rx);
                 let (stats, depth) = (stats[shard].clone(), ring_depths[shard].clone());
-                let (barrier, crashed, registry) = (&*barrier, &crashed, &registry);
+                let (crashed, registry) = (&crashed, &registry);
                 handles.push(s.spawn(move || {
                     QUIET_WORKER_PANICS.with(|q| q.set(true));
                     let worker = Worker {
@@ -1359,7 +1338,7 @@ where
                         profiler: cfg.profile.clone(),
                         trace: cfg.profile.as_ref().map(|p| p.lane(LaneKind::Worker, shard as u32)),
                     };
-                    worker.drain(crashed, barrier)
+                    worker.drain(crashed)
                 }));
             }
 
@@ -1375,7 +1354,6 @@ where
                 homes,
                 batches: (0..shards).map(|_| Default::default()).collect(),
                 shed: (0..shards).map(|_| ShedState { z: 0.0, z0: 0.0, meter: 0.0 }).collect(),
-                routed: vec![0; shards],
                 next_batch_id: 0,
                 stats: &stats,
                 ring_depths: &ring_depths,
@@ -1427,38 +1405,31 @@ where
                     true
                 },
             );
-            // Tuples actually delivered into each shard's ring
-            // (post-shed/drop): a straggler's routed count is the traffic
-            // its missing partial would have covered. Dropping the sender
-            // closes every ring, so the workers drain and exit.
-            let routed = std::mem::take(&mut sender.routed);
+            // Dropping the sender closes every ring, so the workers drain
+            // and exit.
             drop(sender);
             let router_uncovered = sup.uncovered;
             let bw_start = merge_trace.as_ref().map(|(p, _)| p.now_ns());
-
-            let mut stragglers: Vec<usize> = Vec::new();
-            type Handle<'s> = std::thread::ScopedJoinHandle<'s, Result<(), RuntimeError>>;
-            let join_all = |handles: Vec<Handle<'_>>| -> Result<(), RuntimeError> {
-                for (shard, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => return Err(e),
-                        Err(payload) => {
-                            return Err(RuntimeError::WorkerPanic {
-                                shard,
-                                message: panic_message(payload.as_ref()),
-                            });
-                        }
+            // Each worker's partial is its thread's result: the join is
+            // the happens-before edge from the shard's last write to the
+            // merge. Partials come out in shard order; a crashed run's
+            // workers return none.
+            let mut partials = Vec::with_capacity(handles.len());
+            for (shard, handle) in handles.into_iter().enumerate() {
+                match handle.join() {
+                    Ok(partial) => partials.extend(partial?),
+                    Err(payload) => {
+                        return Err(RuntimeError::WorkerPanic {
+                            shard,
+                            message: panic_message(payload.as_ref()),
+                        });
                     }
                 }
-                Ok(())
-            };
+            }
             if let Some(at_tuple) = crash_fired {
-                // Rings are closed; workers drain-and-discard and exit
-                // without publishing. Nothing merges. The joins give the
-                // flight-recorder dump its happens-before edge: every
-                // worker is quiescent when the last events are read.
-                join_all(handles)?;
+                // Nothing merges. The joins above give the flight
+                // recorder's dump its happens-before edge: every worker is
+                // quiescent when the last events are read.
                 if let Some(p) = &cfg.profile {
                     if let Err(e) = p.write_dump_if_triggered() {
                         eprintln!("sso-profile: flight-recorder dump failed: {e}");
@@ -1466,50 +1437,20 @@ where
                 }
                 return Err(RuntimeError::Crashed { at_tuple });
             }
-            let partials: Vec<Option<ShardPartial>> = match cfg.window_deadline {
-                None => {
-                    join_all(handles)?;
-                    // Every worker joined cleanly, so every shard
-                    // published and this returns immediately.
-                    barrier.wait_all().into_iter().map(Some).collect()
-                }
-                Some(deadline) => {
-                    barrier.wait_timeout(deadline);
-                    let taken = barrier.take_ready();
-                    for (shard, p) in taken.iter().enumerate() {
-                        if p.is_none() {
-                            stragglers.push(shard);
-                        }
-                    }
-                    if !stragglers.is_empty() {
-                        if let Some(p) = &cfg.profile {
-                            p.trigger(DumpReason::Straggle);
-                        }
-                    }
-                    // The cut is made: late partials are discarded. The
-                    // joins below still run (rings are closed, so every
-                    // worker drains and exits in bounded time) and
-                    // surface operator errors; they bound the *threads*,
-                    // the deadline bounds the *result*.
-                    join_all(handles)?;
-                    taken
-                }
-            };
             if let Some((p, lane)) = merge_trace.as_mut() {
                 let end = p.now_ns();
                 let start = bw_start.unwrap_or(end);
-                lane.record(
-                    ProfEvent::new(ProfStage::BarrierWait, start, end.saturating_sub(start))
-                        .aux(stragglers.len() as u64),
-                );
+                lane.record(ProfEvent::new(
+                    ProfStage::BarrierWait,
+                    start,
+                    end.saturating_sub(start),
+                ));
                 lane.publish();
             }
-            Ok((partials, stragglers, router_uncovered, routed))
+            Ok((partials, router_uncovered))
         })?;
 
-    let straggler_routed: u64 = stragglers.iter().map(|&s| routed[s]).sum();
     let router_uncovered_total: u64 = router_uncovered.iter().map(|(_, n)| *n).sum();
-    let mut parts: Vec<ShardPartial> = partials.into_iter().flatten().collect();
     if !router_uncovered.is_empty() {
         // Router-quarantine losses enter the merge as one windows-free
         // partial: merge-finalize folds the per-window counts into each
@@ -1518,7 +1459,7 @@ where
         parts.push(ShardPartial { windows: Vec::new(), uncovered: router_uncovered });
     }
     let merge_start = merge_trace.as_ref().map(|(p, _)| p.now_ns());
-    let windows = crate::merge::merge_shard_partials(parts, &plan.rule, cfg.seed, straggler_routed);
+    let windows = crate::merge::merge_shard_partials(parts, &plan.rule, cfg.seed);
     if let Some((p, lane)) = merge_trace.as_mut() {
         let end = p.now_ns();
         let start = merge_start.unwrap_or(end);
@@ -1538,14 +1479,11 @@ where
     }
 
     // Run-level coverage: delivered tuples the merged output represents,
-    // over everything delivered or lost before delivery (stragglers and
-    // router quarantine contribute only loss).
+    // over everything delivered or lost before delivery (router
+    // quarantine contributes only loss).
     let mut covered = 0u64;
-    let mut uncovered_total = straggler_routed + router_uncovered_total;
-    for (shard, st) in stats.iter().enumerate() {
-        if stragglers.contains(&shard) {
-            continue;
-        }
+    let mut uncovered_total = router_uncovered_total;
+    for st in &stats {
         covered += st.tuples().saturating_sub(st.uncovered());
         uncovered_total += st.uncovered();
     }
@@ -1555,15 +1493,15 @@ where
         covered as f64 / (covered + uncovered_total) as f64
     };
     registry.gauge("rt.coverage").set(coverage);
-    if !stragglers.is_empty() || router_uncovered_total > 0 {
-        // The deadline (or router quarantine) cut real traffic out of
-        // the result: fire the undersample path so the degradation
-        // shows up on the same alert channel as the §7.1 pathology.
+    if router_uncovered_total > 0 {
+        // Router quarantine cut real traffic out of the result: fire the
+        // undersample path so the degradation shows up on the same
+        // alert channel as the §7.1 pathology.
         let offered = covered + uncovered_total;
         UndersampleDetector::register(&registry, "rt", UndersampleConfig { ratio: 1.0 })
             .observe(covered, offered, offered);
     }
-    // A triggered flight recording (panic, straggle, shed) lands on
+    // A triggered flight recording (panic, shed) lands on
     // disk even when the run completes; crash dumps were written on the
     // early-return path above.
     if let Some(p) = &cfg.profile {
@@ -1571,7 +1509,7 @@ where
             eprintln!("sso-profile: flight-recorder dump failed: {e}");
         }
     }
-    Ok(ShardedReport { windows, shards: stats, router: router_stats, coverage, stragglers })
+    Ok(ShardedReport { windows, shards: stats, router: router_stats, coverage })
 }
 
 #[cfg(test)]
@@ -1878,43 +1816,6 @@ mod tests {
         // Count-weight shedding with the metering rule keeps 1-in-z:
         // some of every overloaded batch must still get through.
         assert!(processed > 0);
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
-    fn window_deadline_cuts_stragglers_and_accounts_their_traffic() {
-        let spec = queries::total_sum_query(1);
-        let plan = shard_plan(&spec).unwrap();
-        let mut cfg = RuntimeConfig::new(2);
-        cfg.window_deadline = Some(Duration::from_millis(10));
-        cfg.batch_size = 32;
-        // Shard 1 is a straggler: every tuple sleeps ~1ms, so it cannot
-        // publish before the deadline.
-        let make = |shard: usize| {
-            let mut spec = queries::total_sum_query(1);
-            if shard == 1 {
-                spec.where_clause = Some(Expr::Scalar {
-                    name: "SLOW",
-                    fun: std::sync::Arc::new(|_: &[Value]| {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                        Ok(Value::Bool(true))
-                    }),
-                    args: vec![],
-                });
-            }
-            Ok(spec)
-        };
-        let tuples = stream(1, 400, 4);
-        let report = run_sharded(&plan, make, &cfg, tuples).unwrap();
-        assert_eq!(report.stragglers, vec![1]);
-        assert!(report.degraded());
-        assert!(report.coverage < 1.0 && report.coverage > 0.0, "{}", report.coverage);
-        // The surviving shard's windows made it into the output, scaled
-        // down by the straggler's routed share.
-        assert!(!report.windows.is_empty());
-        for w in &report.windows {
-            assert!(w.degradation.degraded);
-        }
     }
 
     #[test]

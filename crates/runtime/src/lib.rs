@@ -4,9 +4,9 @@
 //! aggregation): the calling thread pulls the input stream and
 //! hash-partitions it on the query's group key across N worker shards,
 //! each running its own [`sso_core::SamplingOperator`] instance behind
-//! one batched bounded ring, and per-shard window outputs are
-//! re-combined by the query's [`sso_core::MergeRule`] at each window
-//! boundary.
+//! one batched bounded ring. Each shard's window outputs are its worker
+//! thread's result; once every worker is joined they are re-combined,
+//! window by window, by the query's [`sso_core::MergeRule`].
 //!
 //! The contract comes from [`sso_core::shard_plan`]: a query is
 //! shard-mergeable when its per-window state obeys a partial-aggregation
@@ -35,14 +35,12 @@
 //! next window boundary, and the merged output is tagged with
 //! per-window coverage.
 
-pub mod barrier;
 pub mod engine;
 pub mod merge;
 pub mod pump;
 pub mod ring;
 mod worker;
 
-pub use barrier::MergeBarrier;
 pub use engine::{
     route_stream, run_sharded, Backpressure, DurabilityConfig, RouterStats, RuntimeConfig,
     RuntimeError, ShardStats, ShardedReport,

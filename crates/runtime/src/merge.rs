@@ -194,16 +194,12 @@ pub fn merge_windows(
     rule: &MergeRule,
     seed: u64,
 ) -> Vec<WindowOutput> {
-    merge_shard_partials(per_shard.into_iter().map(ShardPartial::clean).collect(), rule, seed, 0)
+    merge_shard_partials(per_shard.into_iter().map(ShardPartial::clean).collect(), rule, seed)
 }
 
 /// [`merge_windows`] over full [`ShardPartial`]s: merges the surviving
 /// shards' outputs per the rule, then tags every window with its
-/// coverage. Per-window uncovered counts come from quarantine records;
-/// `straggler_tuples` is traffic routed to shards whose partials never
-/// arrived (window-deadline cutoff) — unattributable to any particular
-/// window, it scales every window's coverage by the run-level surviving
-/// fraction instead.
+/// coverage. Per-window uncovered counts come from quarantine records.
 ///
 /// A window key that appears *only* in uncovered records (its only
 /// shard's worker was poisoned for the whole window) still yields an
@@ -213,25 +209,17 @@ pub fn merge_shard_partials(
     parts: Vec<ShardPartial>,
     rule: &MergeRule,
     seed: u64,
-    straggler_tuples: u64,
 ) -> Vec<WindowOutput> {
     let mut by_window: HashMap<Tuple, Vec<WindowOutput>> = HashMap::new();
     let mut uncovered: HashMap<Tuple, u64> = HashMap::new();
-    let mut covered_total = 0u64;
     for p in parts {
         for w in p.windows {
-            covered_total += w.stats.tuples;
             by_window.entry(w.window.clone()).or_default().push(w);
         }
         for (key, n) in p.uncovered {
             *uncovered.entry(key).or_default() += n;
         }
     }
-    let straggler_frac = if straggler_tuples == 0 {
-        1.0
-    } else {
-        covered_total as f64 / (covered_total + straggler_tuples) as f64
-    };
     let mut keys: Vec<Tuple> = by_window.keys().cloned().collect();
     for key in uncovered.keys() {
         if !by_window.contains_key(key) {
@@ -251,12 +239,7 @@ pub fn merge_shard_partials(
                     degradation: Degradation::default(),
                 },
             };
-            let mut deg = Degradation::from_counts(out.stats.tuples, lost);
-            if straggler_tuples > 0 {
-                deg.coverage *= straggler_frac;
-                deg.degraded = true;
-            }
-            out.degradation = deg;
+            out.degradation = Degradation::from_counts(out.stats.tuples, lost);
             out
         })
         .collect()
@@ -292,23 +275,13 @@ mod tests {
                 ],
             },
         ];
-        let merged = merge_shard_partials(parts, &MergeRule::Concat, 0, 0);
+        let merged = merge_shard_partials(parts, &MergeRule::Concat, 0);
         assert_eq!(merged.len(), 3);
         assert!((merged[0].degradation.coverage - 6.0 / 8.0).abs() < 1e-12);
         assert!(merged[0].degradation.degraded);
         assert_eq!(merged[1].degradation, Degradation::default());
         assert_eq!(merged[2].degradation.coverage, 0.0);
         assert!(merged[2].rows.is_empty(), "fully lost window still surfaces, empty");
-    }
-
-    #[test]
-    fn straggler_tuples_scale_every_window() {
-        let parts = vec![ShardPartial::clean(vec![w(1, vec![], 30), w(2, vec![], 30)])];
-        let merged = merge_shard_partials(parts, &MergeRule::Concat, 0, 60);
-        for m in &merged {
-            assert!(m.degradation.degraded);
-            assert!((m.degradation.coverage - 0.5).abs() < 1e-12, "{:?}", m.degradation);
-        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use sso_store::{ShardStore, WindowRecord};
 use sso_sync::SyncBool;
 use sso_types::Tuple;
 
-use crate::barrier::MergeBarrier;
 use crate::engine::{Batch, RuntimeError, ShardStats, StoreStats};
 use crate::merge::ShardPartial;
 use crate::pump::prefetch;
@@ -331,19 +330,14 @@ where
         }
     }
 
-    fn into_partial(self) -> ShardPartial {
-        ShardPartial { windows: self.windows, uncovered: self.uncovered }
-    }
-
     /// The shard's thread body. Drains the ring in stream order, waiting
     /// in the ring's own blocking `pop`; a closed, drained ring means the
-    /// pump is done, so the shard is complete and its partial goes to
-    /// the barrier.
+    /// pump is done, so the shard is complete and its partial is the
+    /// thread's result, which the pump takes when it joins the thread.
     pub(crate) fn drain(
         mut self,
         crashed: &SyncBool,
-        barrier: &MergeBarrier<ShardPartial>,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<Option<ShardPartial>, RuntimeError> {
         while let Some(Batch { id, live, tuples }) = self.rx.pop() {
             self.depth.add(-1.0);
             let win = self.windows.len() as u32;
@@ -365,9 +359,9 @@ where
             // Simulated process death: the pump cut the stream exactly
             // at the trigger position, so what was delivered is
             // deterministic, but the open window dies here. No finish,
-            // no finalize, no publish: exactly what a killed process
+            // no finalize, no partial: exactly what a killed process
             // leaves behind.
-            return Ok(());
+            return Ok(None);
         }
         let sw = Stopwatch::start();
         self.finish()?;
@@ -375,8 +369,7 @@ where
         self.stats.busy_ns.add(busy);
         let win = self.windows.len().saturating_sub(1) as u32;
         self.stamp(ProfStage::Flush, busy, |e| e.window(win));
-        barrier.publish(self.shard, self.into_partial());
-        Ok(())
+        Ok(Some(ShardPartial { windows: self.windows, uncovered: self.uncovered }))
     }
 
     /// Stamp one `stage` event of `busy` ns ending now on the worker's

@@ -6,9 +6,7 @@
 //!
 //! * [`reservoir`] — fixed-size uniform sampling: Vitter's Algorithm R and
 //!   the skip-based Algorithm Z ("generate a skip, jump, replace").
-//! * [`lossy`] — the Manku–Motwani lossy-counting heavy-hitters sketch,
-//!   and [`sticky`] — the probabilistic sticky-sampling sibling from the
-//!   same VLDB 2002 paper.
+//! * [`lossy`] — the Manku–Motwani lossy-counting heavy-hitters sketch.
 //! * [`kmv`] — k-minimum-values min-hash signatures with resemblance and
 //!   rarity estimators (Broder; Datar–Muthukrishnan).
 //! * [`subset_sum`] — Duffield–Lund–Thorup threshold ("subset-sum")
@@ -18,10 +16,6 @@
 //! * [`distinct`] — Gibbons' distinct sampling (the paper's reference
 //!   \[19\]): a bounded uniform sample over distinct values via hash-level
 //!   thresholds, for distinct-count and distinct-subset queries.
-//! * [`quantile`] — the Greenwald–Khanna quantile summary, the paper's
-//!   §8 example of an algorithm whose COMPRESS phase needs inter-sample
-//!   communication and therefore does *not* fit the operator (it runs
-//!   as a stream UDAF instead).
 //!
 //! These are the ground-truth baselines: the operator-hosted versions in
 //! `sso-core` are tested for distributional agreement against this crate,
@@ -32,17 +26,13 @@ pub mod distinct;
 pub mod hash;
 pub mod kmv;
 pub mod lossy;
-pub mod quantile;
 pub mod reservoir;
-pub mod sticky;
 pub mod subset_sum;
 
 pub use distinct::DistinctSampler;
 pub use kmv::KmvSketch;
 pub use lossy::LossyCounter;
-pub use quantile::GkSummary;
 pub use reservoir::{Reservoir, SkipReservoir};
-pub use sticky::StickySampler;
 pub use subset_sum::{
     merge_threshold_samples, merge_window_results, BasicSubsetSum, DynamicSubsetSum,
     MergedThresholdSample, SubsetSumConfig, ThresholdCarry, ThresholdPart, WeightedSample,

@@ -1,10 +1,9 @@
 //! # sso-sync
 //!
 //! The concurrency facade for the workspace's hand-rolled lock-free
-//! structures: the sharded-handle metrics registry in `sso-obs`, the
-//! SPSC shard rings and the window-aligned merge barrier in
-//! `sso-runtime`. Hot paths use [`SyncU64`], [`SyncUsize`],
-//! [`SyncBool`], [`SyncCell`], and [`SyncMutex`] instead of raw
+//! structures: the sharded-handle metrics registry in `sso-obs` and the
+//! SPSC shard rings in `sso-runtime`. Hot paths use [`SyncU64`],
+//! [`SyncUsize`], [`SyncBool`], [`SyncCell`], and [`SyncMutex`] instead of raw
 //! `std::sync::atomic` / `std::sync::Mutex` types, and block on a
 //! [`ParkSlot`] instead of spinning, yielding or sleeping (lint-enforced
 //! via per-crate `clippy.toml` deny-lists).

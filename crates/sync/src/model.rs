@@ -118,7 +118,7 @@ impl Event {
             Pending::Unlock(a) => (Op::Unlock, Some(a)),
             Pending::Fence(o) => (Op::Fence(o), None),
             Pending::Yield(_) => (Op::Yield, None),
-            Pending::Park { token, .. } => (Op::Park, Some(token)),
+            Pending::Park(token) => (Op::Park, Some(token)),
             Pending::Unpark(token) => (Op::Unpark, Some(token)),
             Pending::Spawn => (Op::Spawn, None),
             Pending::Join(_) => (Op::Join, None),
@@ -255,12 +255,8 @@ enum Pending {
     /// Yield, with the global write epoch at announce time: enabled
     /// only once some other thread has written since.
     Yield(u64),
-    /// Park on a slot's token: enabled once the slot has been unparked
-    /// (or at any point, for a park with a timeout).
-    Park {
-        token: usize,
-        timeout: bool,
-    },
+    /// Park on a slot's token: enabled once the slot has been unparked.
+    Park(usize),
     Unpark(usize),
     Spawn,
     /// Join on a model thread id: enabled once that thread finished.
@@ -467,7 +463,7 @@ fn pending_enabled(st: &SchedState, p: &Pending) -> bool {
         Pending::Lock(addr) => !st.held.contains(addr),
         Pending::Join(child) => st.threads[*child].finished,
         Pending::Yield(epoch) => st.write_epoch != *epoch,
-        Pending::Park { token, timeout } => *timeout || st.tokens.contains(token),
+        Pending::Park(token) => st.tokens.contains(token),
         _ => true,
     }
 }
@@ -845,14 +841,13 @@ pub(crate) mod ctx {
 
         /// Block until `token`'s slot is unparked — only that slot's
         /// unpark enables it, so a missed notify is a deadlock — then
-        /// consume the token. With `timeout`, the park may also return
-        /// at any point without one.
-        pub(crate) fn park(&self, token: usize, timeout: bool) {
+        /// consume the token.
+        pub(crate) fn park(&self, token: usize) {
             if self.bypass() {
                 return;
             }
             let tid = self.tid;
-            self.sched.acquire(tid, Pending::Park { token, timeout });
+            self.sched.acquire(tid, Pending::Park(token));
             self.sched.complete(tid, Event::new(tid, Op::Park, Some(token)), |st| {
                 st.tokens.remove(&token);
                 let id = loc_entry(st, token).id;

@@ -38,7 +38,6 @@
 use std::sync::atomic::fence;
 use std::sync::Mutex;
 use std::thread::Thread;
-use std::time::Duration;
 
 use crate::Ordering::{Relaxed, SeqCst};
 use crate::SyncBool;
@@ -82,26 +81,12 @@ impl ParkSlot {
     /// Block until notified (or spuriously woken); the announcement is
     /// cleared on return.
     pub fn park(&self) {
-        self.block(None);
-    }
-
-    /// [`Self::park`], returning after `timeout` at the latest. In a
-    /// model run the timeout may fire at any point.
-    pub fn park_timeout(&self, timeout: Duration) {
-        self.block(Some(timeout));
-    }
-
-    fn block(&self, timeout: Option<Duration>) {
         #[cfg(feature = "model")]
-        let modeled =
-            crate::model::ctx::with(|c| c.park(self.token(), timeout.is_some())).is_some();
+        let modeled = crate::model::ctx::with(|c| c.park(self.token())).is_some();
         #[cfg(not(feature = "model"))]
         let modeled = false;
         if !modeled {
-            match timeout {
-                None => std::thread::park(),
-                Some(timeout) => std::thread::park_timeout(timeout),
-            }
+            std::thread::park();
         }
         self.withdraw();
     }
@@ -164,13 +149,5 @@ mod tests {
             slot.park();
         }
         waker.join();
-    }
-
-    #[test]
-    fn park_timeout_returns_without_a_notify() {
-        let slot = ParkSlot::new();
-        slot.announce();
-        slot.park_timeout(Duration::from_millis(1));
-        slot.notify();
     }
 }

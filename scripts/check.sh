@@ -103,7 +103,7 @@ echo "== sso router-panic smoke (fixed seed, degraded run completes) =="
 RSMOKE="$(mktemp -d)"
 printf 'panic router=0 at=10000\n' > "$RSMOKE/plan.txt"
 cargo run -q --bin sso -- run --feed research --seconds 4 --shards 4 \
-    --fault-plan "$RSMOKE/plan.txt" --json \
+    --fault-plan "$RSMOKE/plan.txt" --profile="$RSMOKE/flight.ssoprof" --json \
     "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb" \
     2>/dev/null \
     | python3 -c '
@@ -116,6 +116,18 @@ assert all(0.0 < r["coverage"] < 1.0 for r in deg), deg
 cov = deg[0]["coverage"]
 print(f"router-panic smoke OK: {len(rows)} windows, 1 degraded (coverage {cov:.2f})")
 '
+# The run's flight recording names the router panic as its trigger, and
+# a torn copy of it is a decode error (exit 1), not an abort.
+TRACE="$(cargo run -q --bin sso -- trace "$RSMOKE/flight.ssoprof")"
+grep -q 'reason=panic' <<<"$TRACE" || { echo "trace does not name reason panic"; exit 1; }
+head -c "$(($(wc -c < "$RSMOKE/flight.ssoprof") / 2))" "$RSMOKE/flight.ssoprof" \
+    > "$RSMOKE/torn.ssoprof"
+status=0
+cargo run -q --bin sso -- trace "$RSMOKE/torn.ssoprof" > /dev/null 2> "$RSMOKE/torn.err" || status=$?
+if [[ $status -ne 1 ]] || ! grep -q '^error:' "$RSMOKE/torn.err"; then
+    echo "sso trace on a torn dump: exit $status, want 1 and an error: line"; exit 1
+fi
+echo "flight-recorder smoke OK: reason panic; a torn dump exits 1"
 rm -rf "$RSMOKE"
 
 echo "== sso --fault-seed smoke (degraded run completes) =="

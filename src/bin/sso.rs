@@ -53,8 +53,8 @@
 //!                                     print the stage-attribution report; an
 //!                                     explicit FILE always gets a flight-recorder
 //!                                     dump, bare `--profile` dumps only when a
-//!                                     fault trigger fires (panic / straggle /
-//!                                     shed / crash; default flight.ssoprof, or
+//!                                     fault trigger fires (panic / shed /
+//!                                     crash; default flight.ssoprof, or
 //!                                     under --durable DIR when set)
 //!   --meta QUERY                      run a second sampling query over the
 //!                                     telemetry snapshots (FROM METRICS)
@@ -853,15 +853,7 @@ fn execute_query(
             ));
         }
         if report.degraded() {
-            result.shard_lines.push(format!(
-                "# DEGRADED: coverage {:.4}{}",
-                report.coverage,
-                if report.stragglers.is_empty() {
-                    String::new()
-                } else {
-                    format!(", stragglers {:?}", report.stragglers)
-                }
-            ));
+            result.shard_lines.push(format!("# DEGRADED: coverage {:.4}", report.coverage));
         }
         result.windows = report.windows;
     } else {

@@ -1,7 +1,7 @@
-//! Exhaustive concurrency model checks for the three hand-rolled
+//! Exhaustive concurrency model checks for the two hand-rolled
 //! lock-free structures (`sso check`'s dynamic sibling): the metrics
-//! registry write/snapshot-fold path, the SPSC shard ring under both
-//! backpressure policies, and the merge-finalize barrier.
+//! registry write/snapshot-fold path and the SPSC shard ring under both
+//! backpressure policies.
 //!
 //! Each positive test asserts `complete == true`: the bounded
 //! interleaving space was *exhausted* with zero reported races, not
@@ -23,7 +23,7 @@ use sso_sync::model::{check, FailureKind, Model};
 use sso_sync::Ordering::{Acquire, Relaxed, Release};
 use sso_sync::{thread, ParkSlot, SyncCell, SyncUsize};
 use stream_sampler::obs::Registry;
-use stream_sampler::runtime::{ring, MergeBarrier, PushError};
+use stream_sampler::runtime::{ring, PushError};
 
 // ---------------------------------------------------------------------------
 // Registry: sharded-handle writes vs the snapshot fold
@@ -259,39 +259,6 @@ fn full_return_ring_drops_the_buffer_and_never_blocks() {
         DROPPED_ONE.load(StdOrdering::Relaxed) > 0 && DROPPED_NONE.load(StdOrdering::Relaxed) > 0,
         "both the full-ring drop and the in-time return must be explored: {explored:?}"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Merge-finalize barrier
-// ---------------------------------------------------------------------------
-
-/// The merge thread must observe every shard's *final* partial: each
-/// worker fills its window vector (a plain cell write) and publishes;
-/// wait_all's Acquire must order every fill before the fold.
-#[test]
-fn merge_barrier_observes_every_shards_final_partial() {
-    let explored = check(|| {
-        let barrier: Arc<MergeBarrier<Vec<u64>>> = MergeBarrier::new(2);
-        let workers: Vec<_> = (0..2)
-            .map(|shard| {
-                let barrier = barrier.clone();
-                thread::spawn(move || {
-                    let shard = shard as u64;
-                    // The shard's final partial, built up then published.
-                    let mut windows = vec![shard * 10];
-                    windows.push(shard * 10 + 1);
-                    barrier.publish(shard as usize, windows);
-                })
-            })
-            .collect();
-        let partials = barrier.wait_all();
-        assert_eq!(partials, vec![vec![0, 1], vec![10, 11]], "a shard's last write was missed");
-        for w in workers {
-            w.join();
-        }
-    })
-    .unwrap_or_else(|f| panic!("{f}"));
-    assert!(explored.complete, "exploration must be exhaustive: {explored:?}");
 }
 
 // ---------------------------------------------------------------------------
