@@ -93,7 +93,7 @@ pub fn library(cfg: DistinctOpConfig) -> SfunLibrary {
             DistinctSfunState::decode(bytes).map(|s| Box::new(s) as Box<dyn std::any::Any + Send>)
         },
     )
-    .register(
+    .register_run(
         "dsample",
         // Second (capacity) argument is only needed when the config
         // does not preset it.
@@ -102,9 +102,8 @@ pub fn library(cfg: DistinctOpConfig) -> SfunLibrary {
         } else {
             Signature::exact(2, ValueKind::Bool)
         },
-        |state, argv| {
-            let s = state_mut::<DistinctSfunState>(state, "dsample")?;
-            let v = u64_arg("dsample", argv, 0)?;
+        #[inline(always)]
+        |s: &mut DistinctSfunState, v: u64, argv: &[Value]| {
             if s.capacity == 0 {
                 let cap = u64_arg("dsample", argv, 1)? as usize;
                 if cap == 0 {
@@ -112,7 +111,7 @@ pub fn library(cfg: DistinctOpConfig) -> SfunLibrary {
                 }
                 s.capacity = cap;
             }
-            Ok(Value::Bool(value_level(v) >= s.level))
+            Ok(value_level(v) >= s.level)
         },
     )
     .register("ddo_clean", Signature::exact(1, ValueKind::Bool), |state, argv| {
@@ -143,6 +142,8 @@ pub fn library(cfg: DistinctOpConfig) -> SfunLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sfun::run_and_calls;
+    use proptest::prelude::*;
     use std::any::Any;
 
     fn call(lib: &SfunLibrary, state: &mut Box<dyn Any + Send>, f: &str, args: &[Value]) -> Value {
@@ -205,5 +206,34 @@ mod tests {
         old.downcast_mut::<DistinctSfunState>().unwrap().level = 5;
         let next = lib.init_state(Some(old.as_ref()));
         assert_eq!(next.downcast_ref::<DistinctSfunState>().unwrap().level, 0);
+    }
+
+    /// A state as `decode` rebuilds it from arbitrary field values: a
+    /// capacity of 0 (so `dsample`'s second argument sets it), any level.
+    fn any_state() -> impl Strategy<Value = Vec<u8>> {
+        let capacity = prop_oneof![Just(0usize), 1usize..500, 0usize..1 << 40];
+        let level = prop_oneof![0u32..4, any::<u32>()];
+        (capacity, level)
+            .prop_map(|(capacity, level)| DistinctSfunState { capacity, level }.encode())
+    }
+
+    /// `dsample(x)` or `dsample(x, capacity)`, the capacity now and then
+    /// 0; what lies at the column's place is not read.
+    fn argv() -> impl Strategy<Value = Vec<Value>> {
+        let cap = prop_oneof![Just(None), Just(Some(0u64)), (1u64..500).prop_map(Some)];
+        cap.prop_map(|cap| [Value::str("x")].into_iter().chain(cap.map(Value::U64)).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn dsample_run_form_is_its_calls(
+            state in any_state(),
+            column in proptest::collection::vec(prop_oneof![0u64..100, any::<u64>()], 0..64),
+            argv in argv(),
+        ) {
+            let lib = library(DistinctOpConfig::default());
+            let [run, calls] = run_and_calls(&lib, "dsample", &state, &column, &argv);
+            prop_assert_eq!(run, calls);
+        }
     }
 }

@@ -150,7 +150,7 @@ pub fn library(cfg: ReservoirOpConfig) -> SfunLibrary {
             Err(_) => false,
         },
     )
-    .register(
+    .register_run(
         "rsample",
         // The sample size argument is only needed when the config does
         // not preset it.
@@ -159,8 +159,8 @@ pub fn library(cfg: ReservoirOpConfig) -> SfunLibrary {
         } else {
             Signature::exact(1, ValueKind::Bool)
         },
-        |state, argv| {
-            let s = state_mut::<ReservoirSfunState>(state, "rsample")?;
+        #[inline(always)]
+        |s: &mut ReservoirSfunState, (): (), argv: &[Value]| {
             if s.n == 0 {
                 let n = u64_arg("rsample", argv, 0)? as usize;
                 if n == 0 {
@@ -175,7 +175,7 @@ pub fn library(cfg: ReservoirOpConfig) -> SfunLibrary {
                 // Candidate with probability n / t.
                 (s.rng.gen::<f64>() * s.seen as f64) < s.n as f64
             };
-            Ok(Value::Bool(admit))
+            Ok(admit)
         },
     )
     .register("rsdo_clean", Signature::exact(1, ValueKind::Bool), |state, argv| {
@@ -212,6 +212,8 @@ pub fn library(cfg: ReservoirOpConfig) -> SfunLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sfun::run_and_calls;
+    use proptest::prelude::*;
     use std::any::Any;
 
     fn call(lib: &SfunLibrary, state: &mut Box<dyn Any + Send>, f: &str, args: &[Value]) -> Value {
@@ -305,5 +307,50 @@ mod tests {
         let mut st = lib.init_state(None);
         let f = lib.function("rsample").unwrap();
         assert!(f(st.as_mut(), &[Value::U64(0)]).unwrap_err().contains("positive"));
+    }
+
+    /// A state as `decode` rebuilds it from arbitrary field values: a
+    /// sample size of 0 (so `rsample`'s argument sets it), any RNG words,
+    /// a cleaning pass in progress.
+    fn any_state() -> impl Strategy<Value = Vec<u8>> {
+        let size = || prop_oneof![Just(0usize), 1usize..50, 0usize..1 << 40];
+        let words = (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>());
+        let flags = (any::<bool>(), any::<bool>());
+        let sizes = (size(), any::<u32>(), prop_oneof![0u64..100, 0u64..1 << 40], size(), size());
+        (sizes, words, flags).prop_map(|(sizes, (a, b, c, d), flags)| {
+            let (n, t_factor, seen, keep_left, total_left) = sizes;
+            let (final_started, final_subsample) = flags;
+            let rng = StdRng::from_state([a, b, c, d]);
+            let st = ReservoirSfunState {
+                n,
+                t_factor,
+                seen,
+                rng,
+                keep_left,
+                total_left,
+                final_started,
+                final_subsample,
+            };
+            st.encode()
+        })
+    }
+
+    /// `rsample()` or `rsample(n)`, `n` now and then 0.
+    fn argv() -> impl Strategy<Value = Vec<Value>> {
+        let n = prop_oneof![Just(None), Just(Some(0u64)), (1u64..50).prop_map(Some)];
+        n.prop_map(|n| n.map(Value::U64).into_iter().collect())
+    }
+
+    proptest! {
+        #[test]
+        fn rsample_run_form_is_its_calls(
+            state in any_state(),
+            column in proptest::collection::vec(any::<u64>(), 0..64),
+            argv in argv(),
+        ) {
+            let lib = library(ReservoirOpConfig::default());
+            let [run, calls] = run_and_calls(&lib, "rsample", &state, &column, &argv);
+            prop_assert_eq!(run, calls);
+        }
     }
 }

@@ -290,7 +290,7 @@ pub fn library(cfg: SubsetSumOpConfig) -> SfunLibrary {
             cleanings: s.cleanings as u64,
         })
     })
-    .register(
+    .register_run(
         "ssample",
         // Second (target sample size) argument is only needed when the
         // config does not preset it.
@@ -299,9 +299,8 @@ pub fn library(cfg: SubsetSumOpConfig) -> SfunLibrary {
         } else {
             Signature::exact(2, ValueKind::Bool)
         },
-        |state, argv| {
-            let s = state_mut::<SubsetSumSfunState>(state, "ssample")?;
-            let len = f64_arg("ssample", argv, 0)?;
+        #[inline(always)]
+        |s: &mut SubsetSumSfunState, len: f64, argv: &[Value]| {
             if s.target == 0 {
                 let n = u64_arg("ssample", argv, 1)? as usize;
                 if n == 0 {
@@ -309,7 +308,7 @@ pub fn library(cfg: SubsetSumOpConfig) -> SfunLibrary {
                 }
                 s.target = n;
             }
-            Ok(Value::Bool(s.admit(len)))
+            Ok(s.admit(len))
         },
     )
     .register("ssdo_clean", Signature::exact(1, ValueKind::Bool), |state, argv| {
@@ -365,7 +364,10 @@ pub fn library(cfg: SubsetSumOpConfig) -> SfunLibrary {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::sfun::run_and_calls;
 
     fn call(
         lib: &SfunLibrary,
@@ -552,5 +554,57 @@ mod tests {
         assert!(f(st.as_mut(), &[Value::U64(1), Value::U64(0)])
             .unwrap_err()
             .contains("must be positive"));
+    }
+
+    /// A state as `decode` rebuilds it from arbitrary field values: a
+    /// threshold of 0 or NaN, a target of 0 (so `ssample`'s second
+    /// argument sets it), a cleaning pass in progress.
+    fn any_state() -> impl Strategy<Value = Vec<u8>> {
+        let real = || prop_oneof![Just(0.0), Just(f64::NAN), -1e3..3e3, 0.0..1e18, any::<f64>()];
+        let size = || prop_oneof![Just(0usize), 1usize..200];
+        let count = || 0u64..1 << 40;
+        let cfg = (size(), real(), real(), real()).prop_map(|(target, gamma, initial_z, relax)| {
+            SubsetSumOpConfig { target, gamma, initial_z, relax_factor: relax }
+        });
+        let reals = (real(), real(), real(), real(), (real(), real()));
+        let flags = (any::<bool>(), any::<bool>(), any::<bool>());
+        let counts = (size(), 0usize..1 << 40, 0usize..1 << 40, (count(), count()), count());
+        (cfg, reals, flags, counts, 0u32..1 << 20).prop_map(
+            |(cfg, reals, flags, counts, cleanings)| {
+                let (z, z_prev, admit_counter, clean_counter, (sample_weight, pass_weight)) = reals;
+                let (target, big_count, pass_big, (admissions, offered), final_kept) = counts;
+                let mut st = SubsetSumSfunState::new(cfg, z);
+                (st.target, st.z_prev, st.admit_counter, st.clean_counter) =
+                    (target, z_prev, admit_counter, clean_counter);
+                (st.sample_weight, st.pass_weight, st.big_count, st.pass_big) =
+                    (sample_weight, pass_weight, big_count, pass_big);
+                (st.in_pass, st.final_started, st.final_subsample) = flags;
+                (st.admissions, st.offered, st.cleanings, st.final_kept) =
+                    (admissions, offered, cleanings, final_kept);
+                st.encode()
+            },
+        )
+    }
+
+    /// Packet lengths, and weights past 2^53 that an `f64` rounds.
+    fn weights() -> impl Strategy<Value = Vec<u64>> {
+        let weight = prop_oneof![Just(0u64), 1u64..3000, (1u64 << 53)..u64::MAX];
+        proptest::collection::vec(weight, 0..48)
+    }
+
+    /// `ssample(len)` or `ssample(len, N)`, `N` now and then 0; what lies
+    /// at the column's place is not read.
+    fn argv() -> impl Strategy<Value = Vec<Value>> {
+        let n = prop_oneof![Just(None), Just(Some(0u64)), (1u64..300).prop_map(Some)];
+        n.prop_map(|n| [Value::str("len")].into_iter().chain(n.map(Value::U64)).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn ssample_run_form_is_its_calls(state in any_state(), column in weights(), argv in argv()) {
+            let lib = library(SubsetSumOpConfig::default());
+            let [run, calls] = run_and_calls(&lib, "ssample", &state, &column, &argv);
+            prop_assert_eq!(run, calls);
+        }
     }
 }

@@ -26,6 +26,20 @@
 //! value (a `first(..)` that is set does not; a group-phase clause needs
 //! it once per phase, not once per group); a function registered with
 //! [`SfunLibrary::register`] is called exactly where the query says.
+//!
+//! A decide-on-arrival WHERE function — `ssample`, `rsample`, `dsample`:
+//! one call per tuple, `TRUE` to admit it — is declared with
+//! [`SfunLibrary::register_run`] from one typed body over the library's
+//! state. The library builds two forms of it from that body: the
+//! per-call [`SfunFn`] every clause calls, and a *run form*
+//! ([`SfunRun`]) that decides a run of calls in one loop — one downcast
+//! per run, the body inlined, the column argument a `u64` slice, so no
+//! `dyn` call, downcast or [`Value`] per rejected tuple. Each call of a
+//! run is committed to the state in order, exactly as the per-call form
+//! commits it, and the run stops at the first call that returns `TRUE`
+//! or fails. `SamplingOperator::process_batch` decides WHERE with it
+//! where the query allows (DESIGN.md, "Staged admit"). The body must
+//! not panic: a run's tuples count as entered only once it returns.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -79,6 +93,79 @@ impl Signature {
 /// arguments in, value out. Errors are strings, wrapped into
 /// [`crate::OpError::BadSfunCall`] by the evaluator.
 pub type SfunFn = dyn Fn(&mut dyn Any, &[Value]) -> Result<Value, String> + Send + Sync;
+
+/// The run form of a function declared with [`SfunLibrary::register_run`]:
+/// the calls `f(state, [v, argv[1..]])` for each `v` of `column`, in
+/// order (`f(state, argv)` for a function that reads no column), each
+/// committed as the per-call form commits it. `argv` is a call's
+/// argument list; the column argument's place in it is not read.
+pub type SfunRun = dyn Fn(&mut dyn Any, &[u64], &[Value]) -> RunEnd + Send + Sync;
+
+/// Where a run of calls to a run form ended.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunEnd {
+    /// Every call returned `FALSE`.
+    Rejected,
+    /// Call `i` returned `TRUE`, every call before it `FALSE`.
+    Admitted(usize),
+    /// Call `i` failed, every call before it returned `FALSE`.
+    Failed(usize, String),
+}
+
+/// The first argument of a function with a run form, as its typed body
+/// takes it: `f64` or `u64` for an input column, `()` for none.
+pub trait RunArg: Sized {
+    /// Is the first argument an input column?
+    const COLUMN: bool;
+    /// Read it from a call's arguments, as the per-call form does.
+    fn read(fname: &str, argv: &[Value]) -> Result<Self, String>;
+    /// What [`Self::read`] gives for `Value::U64(v)`.
+    fn of_u64(v: u64) -> Self;
+}
+
+impl RunArg for f64 {
+    const COLUMN: bool = true;
+    fn read(fname: &str, argv: &[Value]) -> Result<Self, String> {
+        args::f64_arg(fname, argv, 0)
+    }
+    fn of_u64(v: u64) -> Self {
+        v as f64
+    }
+}
+
+impl RunArg for u64 {
+    const COLUMN: bool = true;
+    fn read(fname: &str, argv: &[Value]) -> Result<Self, String> {
+        args::u64_arg(fname, argv, 0)
+    }
+    fn of_u64(v: u64) -> Self {
+        v
+    }
+}
+
+impl RunArg for () {
+    const COLUMN: bool = false;
+    fn read(_: &str, _: &[Value]) -> Result<Self, String> {
+        Ok(())
+    }
+    fn of_u64(_: u64) -> Self {}
+}
+
+/// A run form, and whether its first argument is an input column.
+#[derive(Clone)]
+pub(crate) struct RunForm {
+    pub kernel: Arc<SfunRun>,
+    pub column: bool,
+}
+
+/// A registered function: its signature, implementation, whether it
+/// was declared read-only, and its run form if it has one.
+struct Function {
+    sig: Signature,
+    fun: Arc<SfunFn>,
+    read_only: bool,
+    run: Option<RunForm>,
+}
 
 /// State-constructor: receives the equivalent state from the previous
 /// time window (if the supergroup existed then) for carry-over.
@@ -136,8 +223,7 @@ pub struct SfunLibrary {
     telemetry: Option<Box<SfunProbe>>,
     persist: Option<(Box<SfunEncode>, Box<SfunDecode>)>,
     persist_aux: Option<(Box<SfunAuxEncode>, Box<SfunAuxDecode>)>,
-    /// Signature, implementation, and whether it was declared read-only.
-    functions: HashMap<&'static str, (Signature, Arc<SfunFn>, bool)>,
+    functions: HashMap<&'static str, Function>,
 }
 
 impl std::fmt::Debug for SfunLibrary {
@@ -206,13 +292,56 @@ impl SfunLibrary {
 
     /// Register one function with its call signature.
     pub fn register(
-        mut self,
+        self,
         name: &'static str,
         sig: Signature,
         f: impl Fn(&mut dyn Any, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
     ) -> Self {
-        self.functions.insert(name, (sig, Arc::new(f), false));
+        self.insert(name, Function { sig, fun: Arc::new(f), read_only: false, run: None })
+    }
+
+    fn insert(mut self, name: &'static str, function: Function) -> Self {
+        self.functions.insert(name, function);
         self
+    }
+
+    /// Register a decide-on-arrival function from its typed body:
+    /// `body(state, x, argv)` decides one call, `x` being the first
+    /// argument as `X` reads it (`X = ()`: the function reads no column
+    /// and finds every argument in `argv`). Calls with a state of
+    /// another type fail as [`state_mut`] says. The per-call form and
+    /// the run form ([`SfunRun`]) are both this body, so they cannot
+    /// drift apart; a body with a column must not read `argv[0]`. Mark
+    /// the body `#[inline(always)]`: the run form's loop holds it.
+    pub fn register_run<S: 'static, X: RunArg>(
+        self,
+        name: &'static str,
+        sig: Signature,
+        body: impl Fn(&mut S, X, &[Value]) -> Result<bool, String> + Clone + Send + Sync + 'static,
+    ) -> Self {
+        // A copy per form: called through one shared `Arc`, the per-call
+        // form kept the body out of line (~8 ns a call).
+        let call = body.clone();
+        let fun = move |state: &mut dyn Any, argv: &[Value]| {
+            let s = state_mut::<S>(state, name)?;
+            Ok(Value::Bool(call(s, X::read(name, argv)?, argv)?))
+        };
+        let kernel = move |state: &mut dyn Any, column: &[u64], argv: &[Value]| {
+            let s = match state_mut::<S>(state, name) {
+                Ok(s) => s,
+                Err(reason) => return RunEnd::Failed(0, reason),
+            };
+            for (i, &v) in column.iter().enumerate() {
+                match body(s, X::of_u64(v), argv) {
+                    Ok(false) => {}
+                    Ok(true) => return RunEnd::Admitted(i),
+                    Err(reason) => return RunEnd::Failed(i, reason),
+                }
+            }
+            RunEnd::Rejected
+        };
+        let run = Some(RunForm { kernel: Arc::new(kernel), column: X::COLUMN });
+        self.insert(name, Function { sig, fun: Arc::new(fun), read_only: false, run })
     }
 
     /// Register a function that only *reads* the state — the closure is
@@ -252,20 +381,25 @@ impl SfunLibrary {
     /// function of this library registered with [`Self::register`] —
     /// which is always called exactly where the query says.
     pub fn register_read_only(
-        mut self,
+        self,
         name: &'static str,
         sig: Signature,
         f: impl Fn(&dyn Any, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
     ) -> Self {
         let fun = move |state: &mut dyn Any, argv: &[Value]| f(state, argv);
-        self.functions.insert(name, (sig, Arc::new(fun), true));
-        self
+        self.insert(name, Function { sig, fun: Arc::new(fun), read_only: true, run: None })
     }
 
     /// Is `fun` this library's function `name`, and was it registered
     /// with [`Self::register_read_only`]?
     pub fn is_read_only(&self, name: &str, fun: &Arc<SfunFn>) -> bool {
-        self.functions.get(name).is_some_and(|(_, f, read_only)| *read_only && Arc::ptr_eq(f, fun))
+        self.functions.get(name).is_some_and(|f| f.read_only && Arc::ptr_eq(&f.fun, fun))
+    }
+
+    /// The run form of `fun`, if it is this library's function `name`
+    /// and was registered with [`Self::register_run`].
+    pub(crate) fn run_form(&self, name: &str, fun: &Arc<SfunFn>) -> Option<RunForm> {
+        self.functions.get(name).filter(|f| Arc::ptr_eq(&f.fun, fun))?.run.clone()
     }
 
     /// Library name.
@@ -275,19 +409,19 @@ impl SfunLibrary {
 
     /// Look up a function by name.
     pub fn function(&self, name: &str) -> Option<Arc<SfunFn>> {
-        self.functions.get(name).map(|(_, f, _)| Arc::clone(f))
+        self.functions.get(name).map(|f| Arc::clone(&f.fun))
     }
 
     /// Look up a function's declared signature.
     pub fn signature(&self, name: &str) -> Option<Signature> {
-        self.functions.get(name).map(|(sig, ..)| *sig)
+        self.functions.get(name).map(|f| f.sig)
     }
 
     /// Look up a function by name, returning the library's canonical
     /// `'static` name alongside the implementation (the planner stores
     /// this in compiled expressions).
     pub fn function_entry(&self, name: &str) -> Option<(&'static str, Arc<SfunFn>)> {
-        self.functions.get_key_value(name).map(|(k, (_, f, _))| (*k, Arc::clone(f)))
+        self.functions.get_key_value(name).map(|(k, f)| (*k, Arc::clone(&f.fun)))
     }
 
     /// Names of all registered functions.
@@ -378,6 +512,41 @@ pub mod args {
             .as_f64()
             .map_err(|e| format!("{fname}: argument {idx}: {e}"))
     }
+}
+
+/// `column` decided by function `name`'s run form and, call by call, by
+/// its per-call form, each from its own decoding of `state`: where each
+/// stopped, and the state's encoding afterwards. `argv` is a call's
+/// arguments; the per-call loop puts each column value at its head.
+#[cfg(test)]
+pub(crate) fn run_and_calls(
+    lib: &SfunLibrary,
+    name: &str,
+    state: &[u8],
+    column: &[u64],
+    argv: &[Value],
+) -> [(RunEnd, Vec<u8>); 2] {
+    let fun = lib.function(name).expect("a registered function");
+    let form = lib.run_form(name, &fun).expect("a run form");
+    let mut run = lib.decode_state(state).expect("a decodable state");
+    let end = (form.kernel)(run.as_mut(), column, argv);
+    let mut calls = lib.decode_state(state).expect("a decodable state");
+    let mut call_argv = argv.to_vec();
+    let mut call_end = RunEnd::Rejected;
+    for (i, &v) in column.iter().enumerate() {
+        if form.column {
+            call_argv[0] = Value::U64(v);
+        }
+        match fun(calls.as_mut(), &call_argv) {
+            Ok(Value::Bool(false)) => continue,
+            Ok(Value::Bool(true)) => call_end = RunEnd::Admitted(i),
+            Ok(other) => panic!("{name} returned {other:?}"),
+            Err(reason) => call_end = RunEnd::Failed(i, reason),
+        }
+        break;
+    }
+    let encode = |state: &Box<dyn Any + Send>| lib.encode_state(state.as_ref()).expect("encodes");
+    [(end, encode(&run)), (call_end, encode(&calls))]
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use sso_core::libs::distinct::DistinctOpConfig;
 use sso_core::libs::reservoir::ReservoirOpConfig;
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::queries::{self, EXAMPLE_QUERIES};
-use sso_core::{AggSpec, Expr, OperatorSpec, SamplingOperator};
+use sso_core::{AggSpec, Expr, OperatorSpec, SamplingOperator, WindowOutput};
 use sso_netgen::research_feed;
 use sso_types::wire::{checksum, put_tuple, put_u32, put_u64};
 use sso_types::{Packet, Tuple, Value};
@@ -27,12 +27,27 @@ fn feed() -> Vec<Tuple> {
     research_feed(SEED).take_seconds(FEED_SECONDS).iter().map(Packet::to_tuple).collect()
 }
 
+/// The digest of a run through `process`, a tuple at a time.
 fn digest(spec: OperatorSpec, tuples: &[Tuple]) -> u64 {
     let mut op = SamplingOperator::new(spec).expect("valid spec");
-    let outs = op.run(tuples).expect("run");
+    digest_of(&op.run(tuples).expect("run"))
+}
+
+/// The digest of a run through `process_batch`, `batch` tuples a call.
+fn digest_batched(spec: OperatorSpec, tuples: &[Tuple], batch: usize) -> u64 {
+    let mut op = SamplingOperator::new(spec).expect("valid spec");
+    let mut outs = Vec::new();
+    for chunk in tuples.chunks(batch) {
+        op.process_batch(chunk, |w| outs.push(w)).expect("process_batch");
+    }
+    outs.extend(op.finish().expect("finish"));
+    digest_of(&outs)
+}
+
+fn digest_of(outs: &[WindowOutput]) -> u64 {
     assert_eq!(outs.len() as u64, FEED_SECONDS / WINDOW_SECS);
     let mut buf = Vec::new();
-    for o in &outs {
+    for o in outs {
         put_tuple(&mut buf, &o.window);
         put_u32(&mut buf, o.rows.len() as u32);
         for row in &o.rows {
@@ -90,6 +105,12 @@ fn example_queries_keep_their_output() {
         assert_eq!(name, golden_name);
         let got = digest(builder(name), &tuples);
         assert_eq!(got, *want, "{name}: output digest moved ({got:#018x})");
+        // `process_batch`, where the run path decides WHERE, is held to
+        // the same digest.
+        for batch in [1, 7, 4096] {
+            let got = digest_batched(builder(name), &tuples, batch);
+            assert_eq!(got, *want, "{name} in batches of {batch}: digest moved ({got:#018x})");
+        }
     }
 }
 

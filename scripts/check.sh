@@ -148,9 +148,12 @@ print(f"fault smoke OK: {len(rows)} windows, {deg} degraded")
 echo "== crash-recovery smoke (durable store, resumed run matches fault-free) =="
 # A durable 4-shard run is killed mid-stream by an injected crash
 # fault; `sso recover` over the same store must reproduce the
-# fault-free run's JSON output byte-for-byte.
+# fault-free run's JSON output byte-for-byte. Run for an aggregate and
+# for the subset-sum query of examples/queries.sql (with `time/1`
+# windows), whose WHERE the shards decide a run of tuples at a time.
+crash_and_recover() {
+SMOKE_QUERY="$1"
 STORE="$(mktemp -d)"
-SMOKE_QUERY="SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb"
 cargo run -q --bin sso -- run --feed research --seconds 4 --shards 4 --json \
     "$SMOKE_QUERY" > "$STORE/baseline.json"
 printf 'crash at=20000\n' > "$STORE/plan.txt"
@@ -183,6 +186,14 @@ print(f"store layout OK: {len(logs)} logs, no checkpoint files, sizes match stor
 PY
 echo "recovery smoke OK: recovered output identical to fault-free run"
 rm -rf "$STORE"
+}
+crash_and_recover "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb"
+crash_and_recover "SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold()) FROM PKTS \
+WHERE ssample(len, 100) = TRUE \
+GROUP BY time/1 as tb, srcIP, destIP, uts \
+HAVING ssfinal_clean(sum(len), count_distinct\$(*)) = TRUE \
+CLEANING WHEN ssdo_clean(count_distinct\$(*)) = TRUE \
+CLEANING BY ssclean_with(sum(len)) = TRUE"
 
 echo "== overhead driver (each mechanism against its baseline, scaling, sharing) =="
 # One driver and one rule: every arm is the median of round-robin
