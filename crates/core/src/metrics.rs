@@ -13,8 +13,8 @@ use sso_obs::{Counter, Gauge, Registry, SampledSpan, UndersampleConfig, Undersam
 use crate::operator::WindowStats;
 use crate::sfun::SfunTelemetry;
 
-/// Sample 1 in `2^PROCESS_SHIFT` tuple-phase spans; window-close and
-/// cleaning spans are rare and recorded unsampled.
+/// Sample 1 in `2^PROCESS_SHIFT` tuple-phase spans and WHERE runs;
+/// window-close and cleaning spans are rare and recorded unsampled.
 const PROCESS_SHIFT: u32 = 6;
 
 /// Registry handles for one operator instance.
@@ -31,6 +31,9 @@ pub struct OperatorMetrics {
     groups_peak: Gauge,
     threshold_z: Gauge,
     pub(crate) process_span: SampledSpan,
+    /// One run of WHERE calls decided by a run form (`op.process_ns` is
+    /// one tuple's way through the loop body).
+    pub(crate) run_span: SampledSpan,
     pub(crate) clean_span: SampledSpan,
     pub(crate) window_span: SampledSpan,
     pub(crate) finalize_span: SampledSpan,
@@ -57,6 +60,13 @@ impl OperatorMetrics {
                 registry,
                 "op.process_ns",
                 "op.busy_ns",
+                label.clone(),
+                PROCESS_SHIFT,
+            ),
+            run_span: SampledSpan::register(
+                registry,
+                "op.run_ns",
+                "op.run_busy_ns",
                 label.clone(),
                 PROCESS_SHIFT,
             ),

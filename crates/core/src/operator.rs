@@ -24,10 +24,8 @@
 //!    group of this supergroup and evict the groups for which it is
 //!    false (updating superaggregates).
 //!
-//! Where WHERE is a call to a function with a run form (`crate::sfun`)
-//! and nothing but the window key comes before it, `process_batch`
-//! decides the run of tuples of the open window in one kernel call and
-//! enters the body above, WHERE skipped, for the tuple it admits only.
+//! Where the spec has a run path (`RunPath`), `process_batch` takes
+//! step 4 for a run of tuples in one call.
 //!
 //! The clauses are lowered once, at [`SamplingOperator::new`], into the
 //! two programs of `crate::program`: the steps above are stages of the
@@ -584,8 +582,8 @@ impl RunPath {
             call => call,
         };
         let Expr::Sfun { lib, name, fun, args } = call else { return None };
-        let form = spec.sfun_libs[*lib].run_form(name, fun)?;
-        let (column, literals) = match (form.column, args.split_first()) {
+        let (kernel, reads_column) = spec.sfun_libs[*lib].run_form(name, fun)?;
+        let (column, literals) = match (reads_column, args.split_first()) {
             (true, Some((Expr::Column(c), rest))) => (Some(*c), rest),
             (true, _) => return None,
             (false, _) => (None, &args[..]),
@@ -607,16 +605,7 @@ impl RunPath {
         // With the `ALL` supergroup and WHERE reading no group-by value,
         // no group-by value is computed before WHERE.
         spec.supergroup_indices.is_empty().then_some(())?;
-        Some(RunPath {
-            lib: *lib,
-            name,
-            kernel: form.kernel,
-            argv,
-            column,
-            time,
-            divisor,
-            scratch: Vec::new(),
-        })
+        Some(RunPath { lib: *lib, name, kernel, argv, column, time, divisor, scratch: Vec::new() })
     }
 }
 
@@ -853,7 +842,6 @@ impl SamplingOperator {
             }
             while self.batch_entered < start + run {
                 if let Some(i) = self.decide_run(self.batch_entered - start)? {
-                    self.batch_entered += 1;
                     self.admit(&tuples[start + i], &mut sink, true)?;
                 }
             }
@@ -891,25 +879,29 @@ impl SamplingOperator {
     }
 
     /// WHERE over the gathered run from its tuple `from` on, in one
-    /// kernel call: the tuples it rejects are entered, and the one it
-    /// admits, if any, is named; on `Err`, the tuple that raised it is
-    /// the last one entered.
+    /// kernel call: every tuple it decides is entered, and the one it
+    /// admits, if any, is named; on `Err` or a panic, the tuple that
+    /// raised it is the last one entered.
     #[inline(always)]
     fn decide_run(&mut self, from: usize) -> Result<Option<usize>, OpError> {
         let (run, sg) = (self.run.as_mut().expect("a gathered run"), &mut self.sgs[0]);
-        let _span = self.metrics.as_ref().and_then(|m| m.process_span.start());
-        let (rejected, admitted) =
+        let _span = self.metrics.as_ref().and_then(|m| m.run_span.start());
+        // Entered before the call, so a panicking kernel is charged to
+        // the first tuple it decides.
+        self.batch_entered += 1;
+        let (decided, admitted) =
             match (run.kernel)(sg.states[run.lib].as_mut(), &run.scratch[from..], &run.argv) {
                 RunEnd::Rejected => (run.scratch.len() - from, None),
-                RunEnd::Admitted(i) => (i, Some(from + i)),
+                RunEnd::Admitted(i) => (i + 1, Some(from + i)),
                 RunEnd::Failed(i, reason) => {
                     self.wstats.tuples += i as u64 + 1;
-                    self.batch_entered += i + 1;
+                    self.batch_entered += i;
                     return Err(OpError::BadSfunCall { function: run.name.to_string(), reason });
                 }
             };
-        self.wstats.tuples += rejected as u64;
-        self.batch_entered += rejected;
+        // The admitted tuple is counted where it enters the body.
+        self.wstats.tuples += (decided - usize::from(admitted.is_some())) as u64;
+        self.batch_entered += decided - 1;
         Ok(admitted)
     }
 

@@ -27,19 +27,11 @@
 //! it once per phase, not once per group); a function registered with
 //! [`SfunLibrary::register`] is called exactly where the query says.
 //!
-//! A decide-on-arrival WHERE function — `ssample`, `rsample`, `dsample`:
-//! one call per tuple, `TRUE` to admit it — is declared with
-//! [`SfunLibrary::register_run`] from one typed body over the library's
-//! state. The library builds two forms of it from that body: the
-//! per-call [`SfunFn`] every clause calls, and a *run form*
-//! ([`SfunRun`]) that decides a run of calls in one loop — one downcast
-//! per run, the body inlined, the column argument a `u64` slice, so no
-//! `dyn` call, downcast or [`Value`] per rejected tuple. Each call of a
-//! run is committed to the state in order, exactly as the per-call form
-//! commits it, and the run stops at the first call that returns `TRUE`
-//! or fails. `SamplingOperator::process_batch` decides WHERE with it
-//! where the query allows (DESIGN.md, "Staged admit"). The body must
-//! not panic: a run's tuples count as entered only once it returns.
+//! A decide-on-arrival WHERE function (`ssample`, `rsample`, `dsample`)
+//! is declared with [`SfunLibrary::register_run`] from one typed body,
+//! from which the library builds both its per-call [`SfunFn`] and its
+//! *run form* ([`SfunRun`]): the same calls over a `u64` column in one
+//! loop, with no `dyn` call, downcast or [`Value`] per call.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -151,22 +143,6 @@ impl RunArg for () {
     fn of_u64(_: u64) -> Self {}
 }
 
-/// A run form, and whether its first argument is an input column.
-#[derive(Clone)]
-pub(crate) struct RunForm {
-    pub kernel: Arc<SfunRun>,
-    pub column: bool,
-}
-
-/// A registered function: its signature, implementation, whether it
-/// was declared read-only, and its run form if it has one.
-struct Function {
-    sig: Signature,
-    fun: Arc<SfunFn>,
-    read_only: bool,
-    run: Option<RunForm>,
-}
-
 /// State-constructor: receives the equivalent state from the previous
 /// time window (if the supergroup existed then) for carry-over.
 pub type SfunInit = dyn Fn(Option<&dyn Any>) -> Box<dyn Any + Send> + Send + Sync;
@@ -223,7 +199,10 @@ pub struct SfunLibrary {
     telemetry: Option<Box<SfunProbe>>,
     persist: Option<(Box<SfunEncode>, Box<SfunDecode>)>,
     persist_aux: Option<(Box<SfunAuxEncode>, Box<SfunAuxDecode>)>,
-    functions: HashMap<&'static str, Function>,
+    /// Signature, implementation, and whether it was declared read-only.
+    functions: HashMap<&'static str, (Signature, Arc<SfunFn>, bool)>,
+    /// Run forms, and whether each reads an input column.
+    runs: HashMap<&'static str, (Arc<SfunRun>, bool)>,
 }
 
 impl std::fmt::Debug for SfunLibrary {
@@ -248,6 +227,7 @@ impl SfunLibrary {
             persist: None,
             persist_aux: None,
             functions: HashMap::new(),
+            runs: HashMap::new(),
         }
     }
 
@@ -292,16 +272,12 @@ impl SfunLibrary {
 
     /// Register one function with its call signature.
     pub fn register(
-        self,
+        mut self,
         name: &'static str,
         sig: Signature,
         f: impl Fn(&mut dyn Any, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
     ) -> Self {
-        self.insert(name, Function { sig, fun: Arc::new(f), read_only: false, run: None })
-    }
-
-    fn insert(mut self, name: &'static str, function: Function) -> Self {
-        self.functions.insert(name, function);
+        self.functions.insert(name, (sig, Arc::new(f), false));
         self
     }
 
@@ -314,7 +290,7 @@ impl SfunLibrary {
     /// drift apart; a body with a column must not read `argv[0]`. Mark
     /// the body `#[inline(always)]`: the run form's loop holds it.
     pub fn register_run<S: 'static, X: RunArg>(
-        self,
+        mut self,
         name: &'static str,
         sig: Signature,
         body: impl Fn(&mut S, X, &[Value]) -> Result<bool, String> + Clone + Send + Sync + 'static,
@@ -340,8 +316,8 @@ impl SfunLibrary {
             }
             RunEnd::Rejected
         };
-        let run = Some(RunForm { kernel: Arc::new(kernel), column: X::COLUMN });
-        self.insert(name, Function { sig, fun: Arc::new(fun), read_only: false, run })
+        self.runs.insert(name, (Arc::new(kernel), X::COLUMN));
+        self.register(name, sig, fun)
     }
 
     /// Register a function that only *reads* the state — the closure is
@@ -381,25 +357,27 @@ impl SfunLibrary {
     /// function of this library registered with [`Self::register`] —
     /// which is always called exactly where the query says.
     pub fn register_read_only(
-        self,
+        mut self,
         name: &'static str,
         sig: Signature,
         f: impl Fn(&dyn Any, &[Value]) -> Result<Value, String> + Send + Sync + 'static,
     ) -> Self {
         let fun = move |state: &mut dyn Any, argv: &[Value]| f(state, argv);
-        self.insert(name, Function { sig, fun: Arc::new(fun), read_only: true, run: None })
+        self.functions.insert(name, (sig, Arc::new(fun), true));
+        self
     }
 
     /// Is `fun` this library's function `name`, and was it registered
     /// with [`Self::register_read_only`]?
     pub fn is_read_only(&self, name: &str, fun: &Arc<SfunFn>) -> bool {
-        self.functions.get(name).is_some_and(|f| f.read_only && Arc::ptr_eq(&f.fun, fun))
+        self.functions.get(name).is_some_and(|(_, f, read_only)| *read_only && Arc::ptr_eq(f, fun))
     }
 
     /// The run form of `fun`, if it is this library's function `name`
     /// and was registered with [`Self::register_run`].
-    pub(crate) fn run_form(&self, name: &str, fun: &Arc<SfunFn>) -> Option<RunForm> {
-        self.functions.get(name).filter(|f| Arc::ptr_eq(&f.fun, fun))?.run.clone()
+    pub(crate) fn run_form(&self, name: &str, fun: &Arc<SfunFn>) -> Option<(Arc<SfunRun>, bool)> {
+        let (_, f, _) = self.functions.get(name)?;
+        self.runs.get(name).filter(|_| Arc::ptr_eq(f, fun)).cloned()
     }
 
     /// Library name.
@@ -409,19 +387,19 @@ impl SfunLibrary {
 
     /// Look up a function by name.
     pub fn function(&self, name: &str) -> Option<Arc<SfunFn>> {
-        self.functions.get(name).map(|f| Arc::clone(&f.fun))
+        self.functions.get(name).map(|(_, f, _)| Arc::clone(f))
     }
 
     /// Look up a function's declared signature.
     pub fn signature(&self, name: &str) -> Option<Signature> {
-        self.functions.get(name).map(|f| f.sig)
+        self.functions.get(name).map(|(sig, ..)| *sig)
     }
 
     /// Look up a function by name, returning the library's canonical
     /// `'static` name alongside the implementation (the planner stores
     /// this in compiled expressions).
     pub fn function_entry(&self, name: &str) -> Option<(&'static str, Arc<SfunFn>)> {
-        self.functions.get_key_value(name).map(|(k, f)| (*k, Arc::clone(&f.fun)))
+        self.functions.get_key_value(name).map(|(k, (_, f, _))| (*k, Arc::clone(f)))
     }
 
     /// Names of all registered functions.
@@ -527,14 +505,14 @@ pub(crate) fn run_and_calls(
     argv: &[Value],
 ) -> [(RunEnd, Vec<u8>); 2] {
     let fun = lib.function(name).expect("a registered function");
-    let form = lib.run_form(name, &fun).expect("a run form");
+    let (kernel, reads_column) = lib.run_form(name, &fun).expect("a run form");
     let mut run = lib.decode_state(state).expect("a decodable state");
-    let end = (form.kernel)(run.as_mut(), column, argv);
+    let end = kernel(run.as_mut(), column, argv);
     let mut calls = lib.decode_state(state).expect("a decodable state");
     let mut call_argv = argv.to_vec();
     let mut call_end = RunEnd::Rejected;
     for (i, &v) in column.iter().enumerate() {
-        if form.column {
+        if reads_column {
             call_argv[0] = Value::U64(v);
         }
         match fun(calls.as_mut(), &call_argv) {

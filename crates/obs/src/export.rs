@@ -71,7 +71,8 @@ fn prom_help(name: &str) -> &'static str {
         "op.output_rows" => "Rows emitted at window close",
         "op.groups" => "Live groups in the operator table",
         "op.threshold_z" => "Current sampling threshold",
-        "op.process_ns" => "Tuple-phase latency per tuple or WHERE run (sampled 1 in 64)",
+        "op.process_ns" => "Tuple-phase latency (sampled 1 in 64)",
+        "op.run_ns" => "Latency of one run of WHERE calls decided at once (sampled 1 in 64)",
         "op.window_close_ns" => "Window-close flush latency",
         "op.finalize_ns" => "End-of-stream force-close latency",
         "low.busy_ns" => "Low-level node busy time on the router thread",

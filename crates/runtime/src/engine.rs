@@ -8,9 +8,9 @@
 //! ## Pump, rings, and recycled batches
 //!
 //! The calling thread *pumps* the source into a fixed-length chunk (see
-//! [`crate::pump`]), routes the chunk into the shards' SPSC rings, and
-//! flushes every partial batch at the chunk's end, which bounds how
-//! long a lightly loaded shard's tuples wait. One thread routes, and
+//! [`crate::pump`]), routes it into the shards' SPSC rings a piece at a
+//! time as it fills, and flushes every partial batch at the chunk's
+//! end, which bounds how long a lightly loaded shard's tuples wait. One thread routes, and
 //! each shard reads one ring, so a shard consumes its tuples in global
 //! stream order. Keyed routing is a pure content hash and round-robin
 //! routing a pure function of the tuple's global stream position.
@@ -741,13 +741,15 @@ fn tuple_weight(t: &Tuple, weight_col: Option<usize>) -> f64 {
 /// The router's tracing state: its event lane (`router/0`, written by
 /// the pump) plus the end of the previous send, which anchors the next
 /// `Ingest` stamp (everything the router did between two sends —
-/// hashing, batch accumulation — is ingest time). The mark is reset at
-/// the start of every chunk: the fill before it is the pump's `Low`
-/// stamp, not ingest.
+/// hashing, batch accumulation — is ingest time). The pump pulls a
+/// piece between two routing calls; that fill is its `Low` stamp, not
+/// ingest, so each call moves the mark forward by the time since the
+/// last one ended (`paused_ns`).
 struct RouterTrace {
     p: Profiler,
     lane: LaneWriter,
     mark_ns: u64,
+    paused_ns: u64,
 }
 
 /// Stamp one completed send: `Ingest` since the previous send,
@@ -837,6 +839,11 @@ impl Sender<'_> {
     /// buffer the source can overwrite.
     fn push_tuple(&mut self, shard: usize, tuple: &mut Tuple) {
         let (slots, live) = &mut self.batches[shard];
+        // The slots came home from the worker's core: ask for the one
+        // this shard fills a few tuples from now.
+        if let Some(ahead) = slots.get(*live + PREFETCH_AHEAD..=*live + PREFETCH_AHEAD) {
+            prefetch(ahead, true);
+        }
         match slots.get_mut(*live) {
             Some(dead) => std::mem::swap(dead, tuple),
             None => slots.push(std::mem::take(tuple)),
@@ -1046,11 +1053,11 @@ struct RouteGuard {
     faults: WorkerFaultSchedule,
 }
 
-/// Route one chunk — stream positions `start ..` — under the workers'
-/// supervision contract: per-stretch `catch_unwind`, a panicked router
-/// quarantined for the current window (its unrouted tuples counted,
-/// never sent), live again at the next window boundary.
-fn route_chunk(
+/// Route one piece of a chunk — stream positions `start ..` — under
+/// the workers' supervision contract: per-stretch `catch_unwind`, a
+/// panicked router quarantined for the current window (its unrouted
+/// tuples counted, never sent), live again at the next window boundary.
+fn route_piece(
     sender: &mut Sender<'_>,
     sup: &mut RouteGuard,
     router_def: &Router,
@@ -1342,9 +1349,10 @@ where
                 }));
             }
 
-            // The calling thread routes: it pulls a chunk, routes it under
-            // the workers' supervision contract, and flushes every partial
-            // batch before pulling the next.
+            // The calling thread routes: it pulls a chunk a piece at a
+            // time, routes each piece under the workers' supervision
+            // contract, and flushes every partial batch before pulling the
+            // next chunk.
             let shards = cfg.shards;
             let mut sender = Sender {
                 shards,
@@ -1365,6 +1373,7 @@ where
                     p: p.clone(),
                     lane: p.lane(LaneKind::Router, 0),
                     mark_ns: 0,
+                    paused_ns: 0,
                 }),
                 prefilter: cfg.shared_prefilter.as_deref().map(Predicate::new),
             };
@@ -1380,28 +1389,34 @@ where
                 &crashed,
                 &fresh,
                 cfg.profile.as_ref(),
-                |chunk, start, crash| {
+                |piece, start, chunk_done, crash| {
                     if let Some(t) = sender.trace.as_mut() {
-                        t.mark_ns = t.p.now_ns();
+                        t.mark_ns += t.p.now_ns().saturating_sub(t.paused_ns);
                     }
                     let counted = sup.count;
-                    route_chunk(
+                    route_piece(
                         &mut sender,
                         &mut sup,
                         &router_def,
                         &route_wexprs,
                         cfg.profile.as_ref(),
-                        chunk,
+                        piece,
                         start,
                     );
                     sender.router_stats.tuples.add(sup.count - counted);
-                    // The crash trigger sat right behind this chunk: the
+                    // The crash trigger sat right behind this piece: the
                     // partial batches die unsent. A closed batch ring is a
-                    // worker that died of an error: the run stops here.
-                    if crash || sender.worker_gone {
+                    // worker that died of an error: the run stops at the
+                    // chunk's end.
+                    if crash || (chunk_done && sender.worker_gone) {
                         return false;
                     }
-                    sender.end_chunk();
+                    if chunk_done {
+                        sender.end_chunk();
+                    }
+                    if let Some(t) = sender.trace.as_mut() {
+                        t.paused_ns = t.p.now_ns();
+                    }
                     true
                 },
             );
@@ -1685,6 +1700,50 @@ mod tests {
             assert!(w.degradation.degraded, "window {:?} should be degraded", w.window);
             assert!(w.degradation.coverage < 1.0);
         }
+    }
+
+    #[test]
+    fn run_form_panic_quarantines_one_window() {
+        use sso_core::{queries::sfun_expr, SfunLibrary, Signature};
+        use sso_types::ValueKind;
+        let spec = queries::total_sum_query(1);
+        let plan = shard_plan(&spec).unwrap();
+        // WHERE is a run form that rejects every tuple, so each 16-tuple
+        // batch of an open window is one run from the batch's head; its
+        // body panics once, on shard 1's 150th call. The panic must be
+        // charged to a tuple of the run: one window quarantined, not a
+        // WorkerPanic.
+        let fired = std::sync::Arc::new(SyncUsize::new(0));
+        let len = Packet::schema().index_of("len").unwrap();
+        let make = |shard: usize| {
+            let fired = fired.clone();
+            let body = move |calls: &mut u64, _: u64, _: &[Value]| {
+                *calls += 1;
+                if shard == 1 && *calls == 150 && fired.fetch_add(1, AtomicOrdering::Relaxed) == 0 {
+                    panic!("injected run-form panic");
+                }
+                Ok(false)
+            };
+            let lib = SfunLibrary::new("calls", |_| Box::new(0u64)).register_run(
+                "reject",
+                Signature::exact(1, ValueKind::Bool),
+                body,
+            );
+            let mut spec = queries::total_sum_query(1);
+            spec.where_clause = Some(sfun_expr(0, &lib, "reject", vec![Expr::Column(len)])?);
+            spec.sfun_libs = vec![lib.into()];
+            Ok(spec)
+        };
+        let mut cfg = RuntimeConfig::new(2);
+        cfg.batch_size = 16;
+        let tuples = stream(3, 600, 4);
+        let n = tuples.len() as u64;
+        let report = run_sharded(&plan, make, &cfg, tuples).unwrap();
+        assert_eq!(report.quarantines(), 1);
+        let uncovered: u64 = report.shards.iter().map(|s| s.uncovered()).sum();
+        let covered: u64 = report.windows.iter().map(|w| w.stats.tuples).sum();
+        assert_eq!(covered + uncovered, n, "coverage accounting must be exact");
+        assert_eq!(report.windows.iter().filter(|w| w.degradation.degraded).count(), 1);
     }
 
     #[test]
