@@ -14,7 +14,10 @@
 //! shaped like the benchmark's `ss_durable` workload, whose 20 large
 //! windows show the store's write path that the gated shape's 4 small
 //! ones cannot; `unshared` and `shared`, §7.1's 16 TCP queries in 4
-//! share groups, run as 16 operators or as the plan `sso-rewrite` emits.
+//! share groups, run as 16 operators or as the plan `sso-rewrite` emits;
+//! and `inline`, ungated: the gated shape's query through `run_plan` on
+//! the calling thread, whose `RunReport` prices the low-level node and
+//! the operator per tuple (`inline_layers` in the report).
 //!
 //! Every repetition runs every arm once, starting one arm later each
 //! time: noise comes in bursts, so back-to-back repetitions of one arm
@@ -32,9 +35,9 @@
 //! The table goes to stderr; `--json` prints the report (`BENCH.json`)
 //! on stdout. A failed check or gated comparison exits 1.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sso_analysis::{audit_file, AuditOptions};
 use sso_bench::maybe_json;
@@ -238,13 +241,39 @@ fn identical(a: &FanoutReport, b: &FanoutReport) -> bool {
     outputs(a) == outputs(b)
 }
 
-/// Correctness over every repetition of every arm.
+/// Correctness over every repetition of every arm, and the `inline`
+/// arm's layers.
 #[derive(Default)]
 struct Tally {
     max_err_pct: Cell<f64>,
     dropped: Cell<u64>,
     degraded_windows: Cell<usize>,
     mismatched_fanout_runs: Cell<usize>,
+    /// Per `inline` repetition: low and high busy ns per tuple.
+    inline_ns: RefCell<Vec<[f64; 2]>>,
+}
+
+impl Tally {
+    /// Check each window's volume estimate against `truth`.
+    fn estimates(&self, truth: &HashMap<u64, u64>, windows: &[WindowOutput]) {
+        for w in windows {
+            let actual = truth.get(&w.window.get(0).as_u64().expect("tb")).copied().unwrap_or(0);
+            let est: f64 = w.rows.iter().map(|r| r.get(3).as_f64().expect("adj")).sum();
+            if actual > 0 {
+                let err = 100.0 * (est - actual as f64).abs() / actual as f64;
+                self.max_err_pct.set(self.max_err_pct.get().max(err));
+            }
+        }
+    }
+}
+
+/// Bytes per window of `shape`, the truth its estimates are held to.
+fn volumes(shape: Shape, packets: &[Packet]) -> HashMap<u64, u64> {
+    let mut truth: HashMap<u64, u64> = HashMap::new();
+    for p in packets {
+        *truth.entry(p.time() / shape.window_secs).or_default() += p.len as u64;
+    }
+    truth
 }
 
 struct Arm<'a> {
@@ -267,21 +296,11 @@ fn sharded<'a>(
     packets: &'a [Packet],
     tally: &'a Tally,
 ) -> Arm<'a> {
-    let mut truth: HashMap<u64, u64> = HashMap::new();
-    for p in packets {
-        *truth.entry(p.time() / shape.window_secs).or_default() += p.len as u64;
-    }
+    let truth = volumes(shape, packets);
     let threads = threads(&cfg());
     let run = move || {
         let (secs, report) = shape.run(packets, &cfg());
-        for w in &report.windows {
-            let actual = truth.get(&w.window.get(0).as_u64().expect("tb")).copied().unwrap_or(0);
-            let est: f64 = w.rows.iter().map(|r| r.get(3).as_f64().expect("adj")).sum();
-            if actual > 0 {
-                let err = 100.0 * (est - actual as f64).abs() / actual as f64;
-                tally.max_err_pct.set(tally.max_err_pct.get().max(err));
-            }
-        }
+        tally.estimates(&truth, &report.windows);
         tally.dropped.set(tally.dropped.get() + report.dropped());
         let degraded = report.windows.iter().filter(|w| w.degradation.degraded).count();
         tally.degraded_windows.set(tally.degraded_windows.get() + degraded);
@@ -289,6 +308,26 @@ fn sharded<'a>(
     };
     let (shards, tuples) = (Some(shape.shards), packets.len());
     Arm { name, shards, threads, tuples, run: Box::new(run), secs: vec![], windows: 0 }
+}
+
+/// The `inline` arm: the gated shape's query through `run_plan` on the
+/// calling thread; building the plan is untimed.
+fn inline<'a>(packets: &'a [Packet], tally: &'a Tally) -> Arm<'a> {
+    let truth = volumes(GATED, packets);
+    let run = move || {
+        let op = SamplingOperator::new(GATED.spec(GATED.target).expect("workload spec"));
+        let plan = TwoLevelPlan::new(Box::new(SelectionNode::pass_all()), op.expect("operator"));
+        let t0 = Instant::now();
+        let report = run_plan(plan, packets.iter().copied()).expect("inline run");
+        let secs = t0.elapsed().as_secs_f64();
+        tally.estimates(&truth, &report.windows);
+        let per_tuple = |busy: Duration| busy.as_nanos() as f64 / packets.len() as f64;
+        let layers = [per_tuple(report.low.busy), per_tuple(report.high.busy)];
+        tally.inline_ns.borrow_mut().push(layers);
+        (secs, report.windows.len())
+    };
+    let (name, tuples) = ("inline", packets.len());
+    Arm { name, shards: None, threads: 1, tuples, run: Box::new(run), secs: vec![], windows: 0 }
 }
 
 /// A fan-out arm on the calling thread; building the plan is untimed.
@@ -352,6 +391,16 @@ struct Checks {
     dropped_trace_events_8shard: u64,
 }
 
+/// The `inline` arm's layers, from the engine's own `RunReport`: busy
+/// ns per tuple, median over the repetitions. `low` is the packet pull
+/// and the low-level node, `high` the operator (with the tuple copies
+/// of what it admits, where it runs over packets).
+#[derive(serde::Serialize)]
+struct InlineLayers {
+    low_ns_per_tuple: f64,
+    high_ns_per_tuple: f64,
+}
+
 #[derive(serde::Serialize)]
 struct Report {
     datacenter_seed: u64,
@@ -362,6 +411,7 @@ struct Report {
     host_cores: usize,
     arms: Vec<ArmReport>,
     comparisons: Vec<Comparison>,
+    inline_layers: InlineLayers,
     checks: Checks,
     failures: Vec<String>,
 }
@@ -425,6 +475,7 @@ fn main() {
         sharded("ss_durable", SS_DURABLE, || shaped().with_durability(durable("ss", 4)), p, t),
         fanout("unshared", unshared_plan, &mq_packets, &reference, t),
         fanout("shared", shared_plan, &mq_packets, &reference, t),
+        inline(p, t),
     ];
     eprintln!("# {} arms, {REPS} repetitions each, round-robin; {cores} host cores", arms.len());
     for rep in 0..REPS {
@@ -459,6 +510,12 @@ fn main() {
         Comparison { name, arm, baseline, threads, host_cores: cores, gated, verdict }
     })
     .collect();
+
+    let inline_ns = t.inline_ns.borrow();
+    // A spread's middle rank is the median, whatever it measures.
+    let median = |layer: usize| Spread::of(&inline_ns.iter().map(|l| l[layer]).collect::<Vec<_>>());
+    let inline_layers =
+        InlineLayers { low_ns_per_tuple: median(0).secs, high_ns_per_tuple: median(1).secs };
 
     let eight = GATED.with_shards(8);
     let profiled = Profiler::new(ProfilerConfig::default());
@@ -517,6 +574,7 @@ fn main() {
             })
             .collect(),
         comparisons,
+        inline_layers,
         checks: c,
         failures,
     };
@@ -548,6 +606,11 @@ fn print_table(r: &Report) {
             c.name, v.overhead_pct, v.allowance_pct
         );
     }
+    let l = &r.inline_layers;
+    eprintln!(
+        "inline layers: low {:.1} ns/tuple, high {:.1} ns/tuple",
+        l.low_ns_per_tuple, l.high_ns_per_tuple
+    );
     eprintln!("checks: {}", serde_json::to_string(&r.checks).expect("checks serialize"));
     for f in &r.failures {
         eprintln!("FAILED: {f}");

@@ -49,7 +49,7 @@ pub use groups::{PagedBackend, SpillStats};
 pub use merge::{shard_plan, ColumnRule, MergeRule, NotMergeable, ShardPlan};
 pub use metrics::OperatorMetrics;
 pub use operator::{
-    Degradation, OperatorSpec, OperatorStats, SamplingOperator, SizingHints, WindowOutput,
+    Degradation, OperatorSpec, OperatorStats, Record, SamplingOperator, SizingHints, WindowOutput,
     WindowStats,
 };
 pub use program::Predicate;

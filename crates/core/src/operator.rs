@@ -25,7 +25,8 @@
 //!    false (updating superaggregates).
 //!
 //! Where the spec has a run path (`RunPath`), `process_batch` takes
-//! step 4 for a run of tuples in one call.
+//! step 4 for a run of tuples in one call, and over a batch of
+//! [`Packet`]s it builds a row only for a tuple that enters the body.
 //!
 //! The clauses are lowered once, at [`SamplingOperator::new`], into the
 //! two programs of `crate::program`: the steps above are stages of the
@@ -51,7 +52,7 @@ use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 use sso_types::wire::{put_bytes, put_tuple, put_u32, take_tuple, Reader};
-use sso_types::{Tuple, Value};
+use sso_types::{Packet, Tuple, Value};
 
 use crate::agg::{AggSpec, AggState};
 use crate::error::OpError;
@@ -548,6 +549,44 @@ impl TuplePhase {
     }
 }
 
+/// What [`SamplingOperator::process_batch`] runs over: [`Tuple`]s, or
+/// [`Packet`]s, whose columns the run path reads in place and whose row
+/// is built only for a tuple that enters the §6.4 body.
+pub trait Record {
+    /// Column `c`, if it is a `u64`.
+    fn u64_at(&self, c: usize) -> Option<u64>;
+    /// The record as a row: itself, or built into `out`.
+    fn row<'a>(&'a self, out: &'a mut Tuple) -> &'a Tuple;
+}
+
+impl Record for Tuple {
+    #[inline(always)]
+    fn u64_at(&self, c: usize) -> Option<u64> {
+        match self.get(c) {
+            Value::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn row<'a>(&'a self, _: &'a mut Tuple) -> &'a Tuple {
+        self
+    }
+}
+
+impl Record for Packet {
+    #[inline(always)]
+    fn u64_at(&self, c: usize) -> Option<u64> {
+        self.column(c)
+    }
+
+    #[inline(always)]
+    fn row<'a>(&'a self, out: &'a mut Tuple) -> &'a Tuple {
+        self.write_tuple(out);
+        out
+    }
+}
+
 /// WHERE as a run form decides it: `process_batch` gathers the tuples of
 /// the open window at the head of a batch, while their argument is a
 /// `u64`, and has the kernel decide them all in one call.
@@ -568,10 +607,10 @@ struct RunPath {
 
 impl RunPath {
     /// The run path of `spec`, if it has one: WHERE is a call with a run
-    /// form, bare or `= TRUE`, of the column the form reads (if any) and
-    /// literals; the one window key is a column, or a column divided by a
-    /// non-zero `u64` literal; the supergroup is `ALL`; and no group-by
-    /// value is computed before WHERE.
+    /// form, bare or `= TRUE`, of the column the form reads (if any; a
+    /// group-by variable that is a bare column counts as that column)
+    /// and literals; the one window key is a column, or a column divided
+    /// by a non-zero `u64` literal; and the supergroup is `ALL`.
     fn of(spec: &OperatorSpec) -> Option<Self> {
         let call = match spec.where_clause.as_ref()? {
             Expr::Binary { op: BinOp::Eq, lhs, rhs }
@@ -583,9 +622,17 @@ impl RunPath {
         };
         let Expr::Sfun { lib, name, fun, args } = call else { return None };
         let (kernel, reads_column) = spec.sfun_libs[*lib].run_form(name, fun)?;
+        let column = |arg: &Expr| match arg {
+            Expr::GroupVar(i) => match &spec.group_by.get(*i)?.1 {
+                Expr::Column(c) => Some(*c),
+                _ => None,
+            },
+            Expr::Column(c) => Some(*c),
+            _ => None,
+        };
         let (column, literals) = match (reads_column, args.split_first()) {
-            (true, Some((Expr::Column(c), rest))) => (Some(*c), rest),
-            (true, _) => return None,
+            (true, Some((arg, rest))) => (Some(column(arg)?), rest),
+            (true, None) => return None,
             (false, _) => (None, &args[..]),
         };
         let mut argv: Vec<Value> = column.map(|_| Value::Null).into_iter().collect();
@@ -602,8 +649,9 @@ impl RunPath {
             },
             _ => return None,
         };
-        // With the `ALL` supergroup and WHERE reading no group-by value,
-        // no group-by value is computed before WHERE.
+        // With the `ALL` supergroup, the only group-by values computed
+        // before WHERE are copies of the column the kernel reads: they
+        // cannot fail, and the admitted tuple's body computes them.
         spec.supergroup_indices.is_empty().then_some(())?;
         Some(RunPath { lib: *lib, name, kernel, argv, column, time, divisor, scratch: Vec::new() })
     }
@@ -671,6 +719,8 @@ pub struct SamplingOperator {
     /// Tuples of the current `process_batch` slice handed to `admit`,
     /// the one in hand included.
     batch_entered: usize,
+    /// The row a packet of a `process_batch` slice is built into.
+    row: Tuple,
 }
 
 impl std::fmt::Debug for SamplingOperator {
@@ -705,6 +755,7 @@ impl SamplingOperator {
             capture_flush: false,
             flush_state: VecDeque::new(),
             batch_entered: 0,
+            row: Tuple::empty(),
         })
     }
 
@@ -803,6 +854,13 @@ impl SamplingOperator {
         self.batch_entered
     }
 
+    /// Does [`Self::process_batch`] decide WHERE a run of tuples at a
+    /// time? Then, over [`Packet`]s, it builds a row only for a tuple
+    /// that enters the §6.4 body.
+    pub fn has_run_path(&self) -> bool {
+        self.run.is_some()
+    }
+
     /// Process one tuple. If the tuple opens a new window, the previous
     /// window's output is returned (the tuple itself is processed into
     /// the new window).
@@ -812,37 +870,53 @@ impl SamplingOperator {
         Ok(closed)
     }
 
-    /// [`Self::process`] each tuple of `tuples` in order, handing every
+    /// [`Self::process`] each tuple of `batch` in order, handing every
     /// window to `sink` as it closes. The first error ends the batch
     /// after the windows closed before the failing tuple were handed
     /// over — a window that tuple closed is lost with it, as it is from
     /// `process`. Where the spec has a run path, WHERE is decided a run
-    /// of tuples at a time, the same calls in the same order.
-    pub fn process_batch(
+    /// of tuples at a time, the same calls in the same order. A packet
+    /// is made a row ([`Packet::to_tuple`]) only where it enters the
+    /// body: admitted, turning the window over, or outside a run.
+    pub fn process_batch<R: Record>(
         &mut self,
-        tuples: &[Tuple],
+        batch: &[R],
         mut sink: impl FnMut(WindowOutput),
     ) -> Result<(), OpError> {
         self.batch_entered = 0;
+        let mut row = std::mem::take(&mut self.row);
+        let done = self.enter_batch(batch, &mut row, &mut sink);
+        self.row = row;
+        done
+    }
+
+    /// [`Self::process_batch`]'s loop; a packet's row is built in `row`.
+    #[inline(always)]
+    fn enter_batch<R: Record>(
+        &mut self,
+        batch: &[R],
+        row: &mut Tuple,
+        sink: &mut impl FnMut(WindowOutput),
+    ) -> Result<(), OpError> {
         // Without a run path, the plain loop: a gather attempt per tuple
         // costs a four-operator fan-out (`mq_shared`) ~3 %.
         if self.run.is_none() {
-            for tuple in tuples {
+            for record in batch {
                 self.batch_entered += 1;
-                self.admit(tuple, &mut sink, false)?;
+                self.admit(record.row(row), sink, false)?;
             }
             return Ok(());
         }
-        while let Some(tuple) = tuples.get(self.batch_entered) {
-            let (start, run) = (self.batch_entered, self.gather(&tuples[self.batch_entered..]));
+        while let Some(record) = batch.get(self.batch_entered) {
+            let (start, run) = (self.batch_entered, self.gather(&batch[self.batch_entered..]));
             if run == 0 {
                 self.batch_entered += 1;
-                self.admit(tuple, &mut sink, false)?;
+                self.admit(record.row(row), sink, false)?;
                 continue;
             }
             while self.batch_entered < start + run {
                 if let Some(i) = self.decide_run(self.batch_entered - start)? {
-                    self.admit(&tuples[start + i], &mut sink, true)?;
+                    self.admit(batch[start + i].row(row), sink, true)?;
                 }
             }
         }
@@ -850,10 +924,10 @@ impl SamplingOperator {
     }
 
     /// Gather into the run path's scratch column the run at the head of
-    /// `tuples` it can decide — tuples of the open window whose argument
-    /// is a `u64` — and say how long it is.
+    /// `records` it can decide — tuples of the open window whose
+    /// argument is a `u64` — and say how long it is.
     #[inline(always)]
-    fn gather(&mut self, tuples: &[Tuple]) -> usize {
+    fn gather<R: Record>(&mut self, records: &[R]) -> usize {
         let (Some(run), Some([Value::U64(key)]), false) =
             (&mut self.run, self.window.as_deref(), self.sgs.is_empty())
         else {
@@ -863,14 +937,16 @@ impl SamplingOperator {
         let Some(start) = key.checked_mul(run.divisor) else { return 0 };
         let end = start.saturating_add(run.divisor - 1);
         run.scratch.clear();
-        for tuple in tuples {
-            let Value::U64(time) = tuple.get(run.time) else { break };
-            let arg = match run.column.map(|c| tuple.get(c)) {
+        for record in records {
+            let Some(time) = record.u64_at(run.time) else { break };
+            let arg = match run.column {
                 None => 0,
-                Some(Value::U64(arg)) => *arg,
-                Some(_) => break,
+                Some(c) => match record.u64_at(c) {
+                    Some(arg) => arg,
+                    None => break,
+                },
             };
-            if *time < start || *time > end {
+            if time < start || time > end {
                 break;
             }
             run.scratch.push(arg);
@@ -1647,11 +1723,24 @@ mod tests {
             let bare = SamplingOperator::new(spec).unwrap().run.is_some();
             (bare, SamplingOperator::new(as_true).unwrap().run.is_some())
         };
+        // The text form: `dsample(srcIP, 256)` reads the group-by
+        // variable `srcIP`, which is the column `srcIP`.
+        let distinct_text = crate::queries::distinct_sample_query(60, ds).map(|mut spec| {
+            let Some(Expr::Sfun { args, .. }) = &mut spec.where_clause else { panic!("a call") };
+            args[0] = Expr::GroupVar(1);
+            spec
+        });
+        // A computed group-by variable is not a column.
+        let distinct_computed = distinct_text.clone().map(|mut spec| {
+            spec.group_by[1].1 = spec.group_by[1].1.clone().div(Expr::lit(2u64));
+            spec
+        });
         for (name, spec) in [
             ("subset_sum_query", crate::queries::subset_sum_query(60, ss, false)),
             ("basic_subset_sum_query", crate::queries::basic_subset_sum_query(60, 600.0)),
             ("reservoir_query", crate::queries::reservoir_query(60, rs)),
             ("distinct_sample_query", crate::queries::distinct_sample_query(60, ds)),
+            ("distinct_sample_query text", distinct_text),
         ] {
             assert_eq!(run_path(spec), (true, true), "{name}");
         }
@@ -1659,6 +1748,7 @@ mod tests {
             ("minhash_query", crate::queries::minhash_query(60, 10)),
             ("heavy_hitters_query", crate::queries::heavy_hitters_query(60, 100, Some(50))),
             ("total_sum_query", Ok(crate::queries::total_sum_query(60))),
+            ("dsample of a computed group-by variable", distinct_computed),
         ] {
             assert_eq!(run_path(spec), (false, false), "{name}");
         }

@@ -14,7 +14,7 @@ use sso_core::libs::distinct::DistinctOpConfig;
 use sso_core::libs::reservoir::ReservoirOpConfig;
 use sso_core::libs::subset_sum::SubsetSumOpConfig;
 use sso_core::queries::{self, EXAMPLE_QUERIES};
-use sso_core::{AggSpec, Expr, OperatorSpec, SamplingOperator, WindowOutput};
+use sso_core::{AggSpec, Expr, OperatorSpec, Record, SamplingOperator, WindowOutput};
 use sso_netgen::research_feed;
 use sso_types::wire::{checksum, put_tuple, put_u32, put_u64};
 use sso_types::{Packet, Tuple, Value};
@@ -23,8 +23,12 @@ const SEED: u64 = 7;
 const FEED_SECONDS: u64 = 8;
 const WINDOW_SECS: u64 = 2;
 
+fn packets() -> Vec<Packet> {
+    research_feed(SEED).take_seconds(FEED_SECONDS)
+}
+
 fn feed() -> Vec<Tuple> {
-    research_feed(SEED).take_seconds(FEED_SECONDS).iter().map(Packet::to_tuple).collect()
+    packets().iter().map(Packet::to_tuple).collect()
 }
 
 /// The digest of a run through `process`, a tuple at a time.
@@ -33,11 +37,11 @@ fn digest(spec: OperatorSpec, tuples: &[Tuple]) -> u64 {
     digest_of(&op.run(tuples).expect("run"))
 }
 
-/// The digest of a run through `process_batch`, `batch` tuples a call.
-fn digest_batched(spec: OperatorSpec, tuples: &[Tuple], batch: usize) -> u64 {
+/// The digest of a run through `process_batch`, `batch` records a call.
+fn digest_batched(spec: OperatorSpec, records: &[impl Record], batch: usize) -> u64 {
     let mut op = SamplingOperator::new(spec).expect("valid spec");
     let mut outs = Vec::new();
-    for chunk in tuples.chunks(batch) {
+    for chunk in records.chunks(batch) {
         op.process_batch(chunk, |w| outs.push(w)).expect("process_batch");
     }
     outs.extend(op.finish().expect("finish"));
@@ -98,9 +102,10 @@ const GOLDEN: &[(&str, u64)] = &[
 
 #[test]
 fn example_queries_keep_their_output() {
-    let tuples = feed();
+    let (tuples, packets) = (feed(), packets());
     assert!(tuples.len() > 20_000, "feed too small to exercise cleaning: {}", tuples.len());
     assert_eq!(GOLDEN.len(), EXAMPLE_QUERIES.len());
+    let mut over_packets = Vec::new();
     for ((name, _), (golden_name, want)) in EXAMPLE_QUERIES.iter().zip(GOLDEN) {
         assert_eq!(name, golden_name);
         let got = digest(builder(name), &tuples);
@@ -111,7 +116,20 @@ fn example_queries_keep_their_output() {
             let got = digest_batched(builder(name), &tuples, batch);
             assert_eq!(got, *want, "{name} in batches of {batch}: digest moved ({got:#018x})");
         }
+        // Where it has a run path, over packets: a row is built only for
+        // a tuple that enters the §6.4 body.
+        if !SamplingOperator::new(builder(name)).expect("valid spec").has_run_path() {
+            continue;
+        }
+        for batch in [1, 7, 4096] {
+            let got = digest_batched(builder(name), &packets, batch);
+            assert_eq!(got, *want, "{name} over packets, {batch} a call: ({got:#018x})");
+        }
+        over_packets.push(*name);
     }
+    let run_path =
+        ["subset_sum_query", "basic_subset_sum_query", "distinct_sample_query", "reservoir_query"];
+    assert_eq!(over_packets, run_path, "the queries with a run path");
 }
 
 /// The one visible change of staging: a group-by expression WHERE does

@@ -10,6 +10,9 @@
 //! file the windows; [`crate::run_plan_sharded_with`] feeds the same
 //! source to `sso-runtime`'s pump instead.
 //!
+//! Where [`run_inline`] can, the batch holds the packets themselves and
+//! each operator pays the copy only for what enters its §6.4 body.
+//!
 //! The paper's performance figures report "% of a CPU" while keeping up
 //! with a live feed. Our equivalent: each node's accumulated busy time
 //! divided by the *stream's own span* (the time the live feed would
@@ -20,12 +23,12 @@
 
 use std::time::Duration;
 
-use sso_core::{OpError, OperatorMetrics, Predicate, SamplingOperator, WindowOutput};
+use sso_core::{OpError, OperatorMetrics, Predicate, Record, SamplingOperator, WindowOutput};
 use sso_obs::{Registry, Stopwatch};
 use sso_types::{Packet, Tuple};
 
 use crate::nodes::LowLevelQuery;
-use crate::shared::SharedQueryPlan;
+use crate::shared::{SharedGroup, SharedQueryPlan};
 
 /// Tuples per inline batch: the bounded buffer between the two levels.
 pub const BATCH: usize = 4096;
@@ -80,18 +83,38 @@ impl NodeStats {
     }
 }
 
+/// The packet iterator, counting the packets pulled and the span of
+/// capture time they cover.
+struct Feed<I> {
+    packets: I,
+    pulled: u64,
+    first_uts: Option<u64>,
+    last_uts: u64,
+}
+
+impl<I: Iterator<Item = Packet>> Iterator for Feed<I> {
+    type Item = Packet;
+
+    #[inline]
+    fn next(&mut self) -> Option<Packet> {
+        let pkt = self.packets.next()?;
+        self.first_uts.get_or_insert(pkt.uts);
+        self.last_uts = pkt.uts;
+        self.pulled += 1;
+        Some(pkt)
+    }
+}
+
 /// The low half of every execution mode: a packet iterator read in
 /// place by one low-level node. The source never reads the clock: the
 /// caller times `next` as its loop can afford (per batch inline, a
 /// sampled span on the sharded pump) and fills in `busy`.
 pub(crate) struct LowSource<I> {
     low: Box<dyn LowLevelQuery>,
-    packets: I,
+    packets: Feed<I>,
     /// The node's `finish()` output, once the packets have run out.
     tail: Option<std::vec::IntoIter<Tuple>>,
     stats: NodeStats,
-    first_uts: Option<u64>,
-    last_uts: u64,
 }
 
 impl<I: Iterator<Item = Packet>> LowSource<I> {
@@ -101,14 +124,9 @@ impl<I: Iterator<Item = Packet>> LowSource<I> {
         packets: impl IntoIterator<IntoIter = I>,
     ) -> Self {
         let stats = NodeStats { name: low.name().to_string(), ..Default::default() };
-        LowSource {
-            low,
-            packets: packets.into_iter(),
-            tail: None,
-            stats,
-            first_uts: None,
-            last_uts: 0,
-        }
+        let packets = packets.into_iter();
+        let packets = Feed { packets, pulled: 0, first_uts: None, last_uts: 0 };
+        LowSource { low, packets, tail: None, stats }
     }
 
     /// Write the next forwarded tuple into `slot`, the pull
@@ -126,9 +144,6 @@ impl<I: Iterator<Item = Packet>> LowSource<I> {
             }
             match self.packets.next() {
                 Some(pkt) => {
-                    self.first_uts.get_or_insert(pkt.uts);
-                    self.last_uts = pkt.uts;
-                    self.stats.tuples_in += 1;
                     if self.low.process_into(&pkt, slot) {
                         self.stats.tuples_out += 1;
                         return true;
@@ -139,12 +154,28 @@ impl<I: Iterator<Item = Packet>> LowSource<I> {
         }
     }
 
+    /// Fill `batch` with the next [`BATCH`] packets the node forwards,
+    /// read in place by its pass test; `false` at end of stream.
+    fn next_packets(&mut self, batch: &mut Vec<Packet>) -> bool {
+        let pass = self.low.pass_test().expect("a node that forwards packets");
+        batch.clear();
+        while batch.len() < BATCH {
+            let Some(pkt) = self.packets.next() else { return false };
+            if pass(&pkt) {
+                self.stats.tuples_out += 1;
+                batch.push(pkt);
+            }
+        }
+        true
+    }
+
     /// The node's accounting (`busy` is the caller's to fill) and the
     /// span the live feed would have taken to deliver the packets
     /// (last uts − first uts).
     pub(crate) fn finish(self) -> (NodeStats, Duration) {
-        let span = self.last_uts.saturating_sub(self.first_uts.unwrap_or(0));
-        (self.stats, Duration::from_nanos(span))
+        let Feed { pulled, first_uts, last_uts, .. } = self.packets;
+        let span = last_uts.saturating_sub(first_uts.unwrap_or(0));
+        (NodeStats { tuples_in: pulled, ..self.stats }, Duration::from_nanos(span))
     }
 }
 
@@ -190,6 +221,13 @@ impl InlineRun {
 /// first error ends the run: within a batch that is the first failing
 /// group in plan order, not the earliest failing tuple.
 ///
+/// The batch holds the packets themselves when the low node forwards
+/// packets unchanged ([`LowLevelQuery::pass_test`]), there is no shared
+/// prefilter, and every operator has a run path
+/// ([`SamplingOperator::has_run_path`]): each operator then builds a
+/// tuple only for what enters its §6.4 body, and that copy is timed as
+/// the group's, not the low node's.
+///
 /// The clock is read once per batch for the fill and once per batch per
 /// group: at 100k+ pkt/s a per-tuple pair costs as much as the work it
 /// measures and would wash out the Figure 6 comparison.
@@ -200,34 +238,62 @@ pub fn run_inline(
     mut sink: impl FnMut(usize, WindowOutput, bool),
 ) -> Result<InlineRun, OpError> {
     let mut source = LowSource::new(low, packets);
-    let mut prefilter = plan.prefilter.as_ref().map(Predicate::new);
     let mut groups: Vec<NodeStats> = (0..plan.groups.len())
         .map(|i| NodeStats { name: format!("share-group-{i}"), ..Default::default() })
         .collect();
-    let mut low_busy = Duration::ZERO;
-    // Scratch, not a queue: the tuples are overwritten in place batch
-    // after batch, so the steady state allocates nothing.
-    let mut batch: Vec<Tuple> = Vec::new();
-    let mut more = true;
+    let (ops, nodes) = (&mut plan.groups[..], &mut groups[..]);
+    let low_busy = if plan.prefilter.is_none()
+        && ops.iter().all(|g| g.op.has_run_path())
+        && source.low.pass_test().is_some()
+    {
+        drive(ops, nodes, &mut sink, |batch: &mut Vec<Packet>| {
+            let more = source.next_packets(batch);
+            (batch.len(), more)
+        })?
+    } else {
+        let mut prefilter = plan.prefilter.as_ref().map(Predicate::new);
+        // Scratch, not a queue: the tuples are overwritten in place
+        // batch after batch, so the steady state allocates nothing.
+        drive(ops, nodes, &mut sink, |batch: &mut Vec<Tuple>| {
+            let mut live = 0usize;
+            while live < BATCH {
+                if live == batch.len() {
+                    batch.push(Tuple::empty());
+                }
+                if !source.next(&mut batch[live]) {
+                    return (live, false);
+                }
+                let keep = match &mut prefilter {
+                    Some(pred) => pred.test(&batch[live]).unwrap_or(true),
+                    None => true,
+                };
+                live += usize::from(keep);
+            }
+            (live, true)
+        })?
+    };
+    let (mut low, stream_span) = source.finish();
+    low.busy = low_busy;
+    Ok(InlineRun { low, groups, stream_span })
+}
+
+/// [`run_inline`]'s loop over one kind of batch: `fill` writes the next
+/// batch's records and says how many there are and whether more follow;
+/// each group then runs over them, timed into its entry of `nodes`.
+/// Returns the time spent filling.
+fn drive<R: Record>(
+    groups: &mut [SharedGroup],
+    nodes: &mut [NodeStats],
+    sink: &mut impl FnMut(usize, WindowOutput, bool),
+    mut fill: impl FnMut(&mut Vec<R>) -> (usize, bool),
+) -> Result<Duration, OpError> {
+    let (mut batch, mut low_busy, mut more) = (Vec::new(), Duration::ZERO, true);
     while more {
         let sw = Stopwatch::start();
-        let mut live = 0usize;
-        while live < BATCH {
-            if live == batch.len() {
-                batch.push(Tuple::empty());
-            }
-            more = source.next(&mut batch[live]);
-            if !more {
-                break;
-            }
-            let keep = match &mut prefilter {
-                Some(pred) => pred.test(&batch[live]).unwrap_or(true),
-                None => true,
-            };
-            live += usize::from(keep);
-        }
+        let live;
+        (live, more) = fill(&mut batch);
         low_busy += sw.elapsed();
-        for (gi, (group, stats)) in plan.groups.iter_mut().zip(&mut groups).enumerate() {
+        for (gi, (group, stats)) in groups.iter_mut().zip(&mut *nodes).enumerate() {
             let sw = Stopwatch::start();
             stats.tuples_in += live as u64;
             let rows_out = &mut stats.tuples_out;
@@ -244,9 +310,7 @@ pub fn run_inline(
             stats.busy += sw.elapsed();
         }
     }
-    let (mut low, stream_span) = source.finish();
-    low.busy = low_busy;
-    Ok(InlineRun { low, groups, stream_span })
+    Ok(low_busy)
 }
 
 /// The result of running a plan over a packet stream.

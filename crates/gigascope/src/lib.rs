@@ -14,10 +14,11 @@
 //! * **high-level nodes**: a [`sso_core::SamplingOperator`] consuming
 //!   the low-level node's tuple stream;
 //! * an [`engine`] with the one inline driver, [`run_inline`]: a
-//!   recycled batch of tuples is the bounded buffer between the levels,
-//!   every operator of the plan runs over it, and each node's busy time
-//!   is accounted so the benchmark harness can report the paper's "%CPU
-//!   at line rate" figures. [`run_plan`] (one query) and
+//!   recycled batch of tuples is the bounded buffer between the levels
+//!   (of packets, where the operators build a tuple only for what they
+//!   admit), every operator of the plan runs over it, and each node's
+//!   busy time is accounted so the benchmark harness can report the
+//!   paper's "%CPU at line rate" figures. [`run_plan`] (one query) and
 //!   [`run_fanout_shared`] (many, optionally sharing work) wrap it;
 //!   [`run_plan_sharded`] hands the same low-level source to
 //!   `sso-runtime`'s shards instead.

@@ -40,6 +40,15 @@ pub trait LowLevelQuery: Send {
     fn finish(&mut self) -> Vec<Tuple> {
         Vec::new()
     }
+
+    /// The pass test of a node that forwards each packet unchanged or not
+    /// at all and holds nothing back for `finish`: `pass(pkt)` is what
+    /// [`LowLevelQuery::process_into`] returns, with the same effect on
+    /// the node. `None` (the default): the node changes or holds back
+    /// what it forwards.
+    fn pass_test(&mut self) -> Option<&mut dyn FnMut(&Packet) -> bool> {
+        None
+    }
 }
 
 /// A cheap native predicate over packet fields.
@@ -47,27 +56,18 @@ pub type PacketPredicate = Box<dyn FnMut(&Packet) -> bool + Send>;
 
 /// A selection node with a cheap native predicate over packet fields.
 pub struct SelectionNode {
-    predicate: Option<PacketPredicate>,
+    predicate: PacketPredicate,
 }
 
 impl SelectionNode {
     /// Forward every packet (the paper's baseline low-level query).
     pub fn pass_all() -> Self {
-        SelectionNode { predicate: None }
+        Self::with_predicate(|_| true)
     }
 
     /// Forward packets matching the predicate.
     pub fn with_predicate(pred: impl FnMut(&Packet) -> bool + Send + 'static) -> Self {
-        SelectionNode { predicate: Some(Box::new(pred)) }
-    }
-}
-
-impl SelectionNode {
-    fn passes(&mut self, pkt: &Packet) -> bool {
-        match &mut self.predicate {
-            Some(p) => p(pkt),
-            None => true,
-        }
+        SelectionNode { predicate: Box::new(pred) }
     }
 }
 
@@ -79,15 +79,19 @@ impl LowLevelQuery for SelectionNode {
     }
 
     fn process(&mut self, pkt: &Packet) -> Option<Tuple> {
-        self.passes(pkt).then(|| pkt.to_tuple())
+        (self.predicate)(pkt).then(|| pkt.to_tuple())
     }
 
     fn process_into(&mut self, pkt: &Packet, out: &mut Tuple) -> bool {
-        let pass = self.passes(pkt);
+        let pass = (self.predicate)(pkt);
         if pass {
             pkt.write_tuple(out);
         }
         pass
+    }
+
+    fn pass_test(&mut self) -> Option<&mut dyn FnMut(&Packet) -> bool> {
+        Some(&mut *self.predicate)
     }
 }
 

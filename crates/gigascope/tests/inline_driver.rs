@@ -1,19 +1,24 @@
 //! The edges of the one inline driver that its predecessors each
 //! handled differently: a low node's `finish()` tail, a prefilter that
 //! cannot be evaluated, operator errors and their order, per-group
-//! timing, and the order in which the sink sees windows.
+//! timing, and the order in which the sink sees windows; and when it
+//! hands the operators packets instead of rows.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sso_core::{queries, Expr, OpError, SamplingOperator};
+use sso_core::libs::subset_sum::SubsetSumOpConfig;
+use sso_core::{
+    queries, AggSpec, Expr, OpError, SamplingOperator, SfunLibrary, Signature, WindowOutput,
+    WindowStats,
+};
 use sso_gigascope::{
-    run_fanout_shared, run_inline, run_plan, NodeStats, PartialAggNode, SelectionNode,
-    SharedQueryPlan, TwoLevelPlan,
+    run_fanout_shared, run_inline, run_plan, LowLevelQuery, NodeStats, PartialAggNode, RunReport,
+    SelectionNode, SharedQueryPlan, TwoLevelPlan,
 };
 use sso_netgen::{datacenter_feed, research_feed};
-use sso_types::{Packet, Value};
+use sso_types::{Packet, Tuple, Value, ValueKind};
 
 fn total_sum(window_secs: u64) -> SamplingOperator {
     SamplingOperator::new(queries::total_sum_query(window_secs)).unwrap()
@@ -147,4 +152,145 @@ fn sink_sees_each_groups_windows_in_window_order() {
         assert_eq!(flushed.iter().filter(|&&f| f).count(), 1);
         assert!(flushed[flushed.len() - 1], "only the last window is the flush");
     }
+}
+
+/// `node` without its pass test: `run_inline` hands the operators rows.
+struct Rows<N>(N);
+
+impl<N: LowLevelQuery> LowLevelQuery for Rows<N> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn process(&mut self, pkt: &Packet) -> Option<Tuple> {
+        self.0.process(pkt)
+    }
+
+    fn process_into(&mut self, pkt: &Packet, out: &mut Tuple) -> bool {
+        self.0.process_into(pkt, out)
+    }
+}
+
+/// A pass-all node that counts the packets it is asked about as rows
+/// (`process_into`) and through its pass test.
+struct Probe {
+    rows: Arc<AtomicUsize>,
+    pass: Box<dyn FnMut(&Packet) -> bool + Send>,
+}
+
+impl Probe {
+    /// The node, and its (rows, pass test) counters.
+    fn new() -> (Box<Probe>, [Arc<AtomicUsize>; 2]) {
+        let (rows, tested) = (Arc::default(), Arc::new(AtomicUsize::new(0)));
+        let counted = Arc::clone(&tested);
+        let pass = Box::new(move |_: &Packet| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            true
+        });
+        (Box::new(Probe { rows: Arc::clone(&rows), pass }), [rows, tested])
+    }
+}
+
+impl LowLevelQuery for Probe {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+
+    fn process(&mut self, pkt: &Packet) -> Option<Tuple> {
+        self.rows.fetch_add(1, Ordering::Relaxed);
+        Some(pkt.to_tuple())
+    }
+
+    fn pass_test(&mut self) -> Option<&mut dyn FnMut(&Packet) -> bool> {
+        Some(&mut *self.pass)
+    }
+}
+
+/// The dynamic subset-sum query (a run path) with 1 s windows.
+fn subset_sum() -> SamplingOperator {
+    let cfg = SubsetSumOpConfig { target: 100, initial_z: 1.0, ..Default::default() };
+    SamplingOperator::new(queries::subset_sum_query(1, cfg, false).unwrap()).unwrap()
+}
+
+/// What a window says, for comparing runs.
+fn facts(w: &WindowOutput) -> (Tuple, Vec<Tuple>, WindowStats) {
+    (w.window.clone(), w.rows.clone(), w.stats.clone())
+}
+
+#[test]
+fn packet_batches_keep_the_row_paths_windows_and_counters() {
+    let pkts = datacenter_feed(14).take_seconds(3);
+    let selection = || SelectionNode::with_predicate(|p| p.len >= 200);
+    let packets = run_plan(TwoLevelPlan::new(Box::new(selection()), subset_sum()), pkts.clone());
+    let rows = run_plan(TwoLevelPlan::new(Box::new(Rows(selection())), subset_sum()), pkts);
+    let (packets, rows) = (packets.unwrap(), rows.unwrap());
+    assert!(packets.low.tuples_out < packets.low.tuples_in, "the predicate must bite");
+    let counters = |r: &RunReport| {
+        let (low, high) = (&r.low, &r.high);
+        [low.tuples_in, low.tuples_out, high.tuples_in, high.tuples_out]
+    };
+    assert_eq!(counters(&packets), counters(&rows));
+    assert_eq!(packets.stream_span, rows.stream_span);
+    assert_eq!(packets.windows.len(), 3);
+    let facts = |r: &RunReport| r.windows.iter().map(facts).collect::<Vec<_>>();
+    assert_eq!(facts(&packets), facts(&rows));
+}
+
+/// `keep(len)` admits `len >= 1000`, decided a run at a time; `boom()`,
+/// an aggregate argument, fails on the hundredth admitted tuple of a
+/// window.
+fn failing_on_admission() -> SamplingOperator {
+    let lib = SfunLibrary::new("flaky", |_| Box::new(0u64))
+        .register_run("keep", Signature::exact(1, ValueKind::Bool), |_: &mut u64, len: u64, _| {
+            Ok(len >= 1000)
+        })
+        .register("boom", Signature::exact(0, ValueKind::UInt), |state, _| {
+            let n = state.downcast_mut::<u64>().expect("u64 state");
+            *n += 1;
+            match *n {
+                100 => Err("deliberate failure".to_string()),
+                n => Ok(Value::U64(n)),
+            }
+        });
+    let lib = Arc::new(lib);
+    let len = Expr::Column(Packet::schema().index_of("len").unwrap());
+    let mut spec = queries::total_sum_query(1);
+    spec.where_clause = Some(queries::sfun_expr(0, &lib, "keep", vec![len]).unwrap());
+    spec.aggregates.push(AggSpec::Sum(queries::sfun_expr(0, &lib, "boom", vec![]).unwrap()));
+    spec.sfun_libs = vec![lib];
+    SamplingOperator::new(spec).unwrap()
+}
+
+#[test]
+fn an_sfun_error_on_an_admitted_packet_ends_the_run_unchanged() {
+    let pkts = datacenter_feed(15).take_seconds(2);
+    assert!(failing_on_admission().has_run_path());
+    let run = |low: Box<dyn LowLevelQuery>| {
+        let (mut plan, mut seen) = (plan(None, vec![failing_on_admission()]), Vec::new());
+        let outcome = run_inline(low, &mut plan, pkts.clone(), |_, w, _| seen.push(facts(&w)));
+        (outcome.map(|_| ()), seen)
+    };
+    let (packets, rows) = (run(pass_all()), run(Box::new(Rows(SelectionNode::pass_all()))));
+    let failure = OpError::BadSfunCall {
+        function: "boom".to_string(),
+        reason: "deliberate failure".to_string(),
+    };
+    assert_eq!(packets.0, Err(failure));
+    assert_eq!(packets, rows);
+}
+
+#[test]
+fn a_prefilter_or_an_operator_without_a_run_path_keeps_the_row_path() {
+    let pkts = research_feed(16).take_seconds(1);
+    let n = pkts.len();
+    let reached = |prefilter: Option<Expr>, op: SamplingOperator| {
+        let (low, [rows, tested]) = Probe::new();
+        run_inline(low, &mut plan(prefilter, vec![op]), pkts.clone(), |_, _, _| {}).unwrap();
+        [rows.load(Ordering::Relaxed), tested.load(Ordering::Relaxed)]
+    };
+    assert_eq!(reached(None, subset_sum()), [0, n], "a run path over packets");
+    let prefilter = Expr::Column(Packet::schema().index_of("len").unwrap()).ge(Expr::lit(1u64));
+    assert_eq!(reached(Some(prefilter), subset_sum()), [n, 0], "a shared prefilter");
+    let hh = SamplingOperator::new(queries::heavy_hitters_query(1, 100, Some(50)).unwrap());
+    assert_eq!(reached(None, hh.unwrap()), [n, 0], "no run path");
 }

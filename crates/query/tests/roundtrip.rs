@@ -29,6 +29,23 @@ fn pretty_printing_is_a_fixpoint() {
     }
 }
 
+/// The compiled text forms take the run path where the programmatic
+/// forms do: `dsample(srcIP, 256)` reads the group-by variable `srcIP`,
+/// which is the column.
+#[test]
+fn decide_on_arrival_text_forms_take_the_run_path() {
+    let config = sso_query::PlannerConfig::standard();
+    let run_path = |name: &str| {
+        let schema = sso_query::base_stream_schema("PKT").unwrap();
+        let text = EXAMPLE_QUERIES.iter().find(|(n, _)| *n == name).unwrap().1;
+        sso_query::compile(text, &schema, &config).unwrap().has_run_path()
+    };
+    for name in ["subset_sum_query", "basic_subset_sum_query", "distinct_sample_query"] {
+        assert!(run_path(name), "{name}");
+    }
+    assert!(!run_path("total_sum_query"));
+}
+
 proptest! {
     /// Whitespace between tokens never changes the parsed AST.
     #[test]

@@ -104,19 +104,29 @@ impl Packet {
         )
     }
 
+    /// Column `c` of [`Packet::schema`] (`None` past its end), read
+    /// without building the tuple. The one statement of the column
+    /// order: [`Packet::to_tuple`] and [`Packet::write_tuple`] read
+    /// every column through it.
+    #[inline]
+    pub fn column(&self, c: usize) -> Option<u64> {
+        Some(match c {
+            0 => self.time(),
+            1 => self.uts,
+            2 => self.src_ip as u64,
+            3 => self.dest_ip as u64,
+            4 => self.src_port as u64,
+            5 => self.dest_port as u64,
+            6 => self.proto.number() as u64,
+            7 => self.len as u64,
+            _ => return None,
+        })
+    }
+
     /// The values of [`Packet::schema`]'s fields, in order.
     #[inline]
     fn values(&self) -> [u64; 8] {
-        [
-            self.time(),
-            self.uts,
-            self.src_ip as u64,
-            self.dest_ip as u64,
-            self.src_port as u64,
-            self.dest_port as u64,
-            self.proto.number() as u64,
-            self.len as u64,
-        ]
+        std::array::from_fn(|c| self.column(c).expect("PKT has eight columns"))
     }
 
     /// Convert to a positional tuple matching [`Packet::schema`].
@@ -220,6 +230,29 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// A column read from the packet is the tuple's column.
+        #[test]
+        fn column_is_the_tuples_column(
+            uts in proptest::prelude::any::<u64>(),
+            src_ip in proptest::prelude::any::<u32>(),
+            dest_ip in proptest::prelude::any::<u32>(),
+            src_port in proptest::prelude::any::<u16>(),
+            dest_port in proptest::prelude::any::<u16>(),
+            proto in proptest::prelude::any::<u8>(),
+            len in proptest::prelude::any::<u32>(),
+        ) {
+            let proto = Protocol::from_number(proto);
+            let p = Packet { uts, src_ip, dest_ip, src_port, dest_port, proto, len };
+            let tuple = p.to_tuple();
+            for c in 0..Packet::schema().arity() + 2 {
+                let want = match tuple.get(c) {
+                    Value::U64(v) => Some(*v),
+                    _ => None,
+                };
+                proptest::prop_assert_eq!(p.column(c), want, "column {}", c);
+            }
+        }
+
         /// Overwriting a recycled tuple — any arity, any value kinds —
         /// is indistinguishable from building a fresh one, and releases
         /// whatever the dead tuple still referenced.
