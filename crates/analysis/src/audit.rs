@@ -106,53 +106,60 @@ pub fn split_statements(text: &str) -> Vec<(usize, &str)> {
     out
 }
 
-/// What one audited statement hands to the next level of a cascade.
-struct PrevLevel {
-    query: Query,
-    spec: OperatorSpec,
-    /// Certified live-group ceiling (drives the high level's rate).
-    groups_bound: Card,
-    window_secs: Option<u64>,
-    /// Per-output-column cardinality bounds.
-    out_columns: Vec<(String, Card)>,
-    /// `(column, seconds per distinct value)` for the passed-through
-    /// window variable, so the high level can window on it.
-    ordered_periods: Vec<(String, u64)>,
+/// A statement [`walk_cascade`] planned.
+pub struct Planned<'a> {
+    /// Position in the file, from 0.
+    pub index: usize,
+    /// The parsed statement.
+    pub query: &'a Query,
+    /// Its plan.
+    pub spec: &'a OperatorSpec,
+    /// The schema it was planned against.
+    pub schema: &'a Schema,
+    /// Whether FROM names a base stream; if not, the statement reads
+    /// the previous statement's output rows.
+    pub is_base: bool,
 }
 
-/// Audit a whole query file. Never executes anything.
-pub fn audit_file(text: &str, opts: &AuditOptions) -> AuditOutcome {
+/// The statement walk `sso check` and [`audit_file`] share. Each
+/// statement of `text` is parsed and analyzed against its input schema:
+/// a base stream's, or, for any other FROM name, the previous
+/// statement's output (a cascade, whose pair also gets the W101
+/// push-down lint). A statement free of errors is planned and handed to
+/// `step`, with what `step` returned for the previous statement when
+/// this one reads it; the diagnostics `step` returns are the
+/// statement's too. Returns every diagnostic, spans rebased onto the
+/// whole file.
+pub fn walk_cascade<L>(
+    text: &str,
+    mut step: impl FnMut(&Planned<'_>, Option<&L>) -> (L, Vec<Diagnostic>),
+) -> Vec<Diagnostic> {
     let config = PlannerConfig::standard();
     let mut diagnostics = Vec::new();
-    let mut statements = Vec::new();
-    let mut prev: Option<PrevLevel> = None;
-
-    for (idx, (base, stmt)) in split_statements(text).into_iter().enumerate() {
-        let name = format!("stmt{idx}");
+    let mut prev: Option<(Query, OperatorSpec, L)> = None;
+    for (index, (base, stmt)) in split_statements(text).into_iter().enumerate() {
         let mut next = None;
         let mut diags = match parse_query(stmt) {
-            Ok(q) => {
-                let base_schema = sso_query::base_stream_schema(&q.from.text);
+            Ok(query) => {
+                let base_schema = sso_query::base_stream_schema(&query.from.text);
                 let is_base = base_schema.is_some();
-                let schema = match (&prev, base_schema) {
-                    (Some(p), None) => p.spec.output_schema(&q.from.text),
+                let low = prev.as_ref().filter(|_| !is_base);
+                let schema = match (low, base_schema) {
                     (_, Some(s)) => s,
+                    (Some((_, spec, _)), None) => spec.output_schema(&query.from.text),
                     (None, None) => sso_types::Packet::schema(),
                 };
-                let mut diags = analyze(&q, &schema, &config);
-                if let Some(p) = &prev {
-                    if !is_base {
-                        diags.extend(sso_gigascope::check_pushdown(&p.query, &q));
-                    }
+                let mut diags = analyze(&query, &schema, &config);
+                if let Some((low_query, _, _)) = low {
+                    diags.extend(sso_gigascope::check_pushdown(low_query, &query));
                 }
                 if !diag::has_errors(&diags) {
-                    if let Ok(spec) = plan(&q, &schema, &config) {
-                        let input = input_state(&q, is_base, &prev, opts);
-                        let (bounds, level, audit_diags) =
-                            audit_statement(name.clone(), &q, &spec, &schema, &input, opts);
-                        diags.extend(audit_diags);
-                        statements.push(bounds);
-                        next = Some(level);
+                    if let Ok(spec) = plan(&query, &schema, &config) {
+                        let planned =
+                            Planned { index, query: &query, spec: &spec, schema: &schema, is_base };
+                        let (level, step_diags) = step(&planned, low.map(|(_, _, l)| l));
+                        diags.extend(step_diags);
+                        next = Some((query, spec, level));
                     }
                 }
                 diags
@@ -170,6 +177,31 @@ pub fn audit_file(text: &str, opts: &AuditOptions) -> AuditOutcome {
         diagnostics.extend(diags);
         prev = next;
     }
+    diagnostics
+}
+
+/// What one audited statement hands to the next level of a cascade.
+struct Level {
+    /// Certified live-group ceiling (drives the high level's rate).
+    groups_bound: Card,
+    window_secs: Option<u64>,
+    /// Per-output-column cardinality bounds.
+    out_columns: Vec<(String, Card)>,
+    /// `(column, seconds per distinct value)` for the passed-through
+    /// window variable, so the high level can window on it.
+    ordered_periods: Vec<(String, u64)>,
+}
+
+/// Audit a whole query file. Never executes anything.
+pub fn audit_file(text: &str, opts: &AuditOptions) -> AuditOutcome {
+    let mut statements = Vec::new();
+    let mut diagnostics = walk_cascade(text, |p, low: Option<&Level>| {
+        let input = input_state(p.query, p.is_base, low, opts);
+        let name = format!("stmt{}", p.index);
+        let (bounds, level, diags) = audit_statement(name, p.query, p.spec, p.schema, &input, opts);
+        statements.push(bounds);
+        (level, diags)
+    });
 
     // W206: --state-budget below the spill pager's working-set floor.
     if let Some(budget) = opts.state_budget {
@@ -207,13 +239,8 @@ pub fn audit_file(text: &str, opts: &AuditOptions) -> AuditOutcome {
 /// The abstract state on the statement's input edge: the declared feed
 /// envelope for a base stream, the previous level's certified output
 /// for a cascade high.
-fn input_state(
-    q: &Query,
-    is_base: bool,
-    prev: &Option<PrevLevel>,
-    opts: &AuditOptions,
-) -> InputState {
-    if let (false, Some(p)) = (is_base, prev) {
+fn input_state(q: &Query, is_base: bool, low: Option<&Level>, opts: &AuditOptions) -> InputState {
+    if let Some(p) = low {
         // A closed low level emits at most its group ceiling per
         // window; amortized over the window that is the high level's
         // peak input rate.
@@ -262,7 +289,7 @@ fn audit_statement(
     schema: &Schema,
     input: &InputState,
     opts: &AuditOptions,
-) -> (StatementBounds, PrevLevel, Vec<Diagnostic>) {
+) -> (StatementBounds, Level, Vec<Diagnostic>) {
     let mut diags = Vec::new();
     let env = |col: &str| input.state.column_card(col);
     let period = |col: &str| input.ordered_periods.iter().find(|(n, _)| n == col).map(|&(_, p)| p);
@@ -448,14 +475,7 @@ fn audit_statement(
             }
         }
     }
-    let level = PrevLevel {
-        query: q.clone(),
-        spec: spec.clone(),
-        groups_bound,
-        window_secs,
-        out_columns,
-        ordered_periods,
-    };
+    let level = Level { groups_bound, window_secs, out_columns, ordered_periods };
     (bounds, level, diags)
 }
 

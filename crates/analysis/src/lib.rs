@@ -35,7 +35,7 @@ pub mod bounds;
 pub mod domain;
 pub mod report;
 
-pub use audit::{audit_file, split_statements, AuditOptions, AuditOutcome};
+pub use audit::{audit_file, split_statements, walk_cascade, AuditOptions, AuditOutcome, Planned};
 pub use bounds::{detect_sampler, SamplerInfo, SamplerKind};
 pub use domain::{AbstractState, Card, SkewClass};
 pub use report::{BoundsReport, StatementBounds};

@@ -19,14 +19,14 @@
 //!   admit), every operator of the plan runs over it, and each node's
 //!   busy time is accounted so the benchmark harness can report the
 //!   paper's "%CPU at line rate" figures. [`run_plan`] (one query) and
-//!   [`run_fanout_shared`] (many, optionally sharing work) wrap it;
+//!   [`run_fanout_shared`] (many, optionally sharing work) wrap it, a
+//!   §8 [`Cascade`] runs its first stage under it;
 //!   [`run_plan_sharded`] hands the same low-level source to
 //!   `sso-runtime`'s shards instead.
 
 pub mod cascade;
 pub mod engine;
 pub mod lint;
-pub mod network;
 pub mod nodes;
 pub mod partial;
 pub mod sharded;
@@ -34,8 +34,7 @@ pub mod shared;
 
 pub use cascade::Cascade;
 pub use engine::{run_inline, run_plan, InlineRun, NodeStats, RunReport, TwoLevelPlan, BATCH};
-pub use lint::{cascade_output_rate, check_pushdown, check_reaggregation};
-pub use network::{Input, NetworkReport, QueryNetwork};
+pub use lint::{cascade_output_rate, check_pushdown};
 pub use nodes::{LowLevelQuery, PrefilterNode, SelectionNode};
 pub use partial::PartialAggNode;
 pub use sharded::{run_plan_sharded, run_plan_sharded_with, ShardedRunError, ShardedRunReport};

@@ -11,9 +11,6 @@
 //! [`check_pushdown`] takes the low and high queries of a cascade pair
 //! and reports every aggregate in the high query that is not
 //! partial-aggregation-safe over the low query's outputs.
-//! [`check_reaggregation`] is the same check against the fixed
-//! [`crate::PartialAggNode`] stream `PKTAGG(time, srcIP, destIP, len,
-//! cnt)`.
 
 use sso_query::ast::{AstExpr, ExprKind};
 use sso_query::diag::{Code, Diagnostic};
@@ -96,22 +93,6 @@ pub fn check_pushdown(low: &Query, high: &Query) -> Vec<Diagnostic> {
         Some(outputs) => check_high(high, &outputs),
         None => Vec::new(),
     }
-}
-
-/// Lint a high query that re-aggregates the [`crate::PartialAggNode`]
-/// stream `PKTAGG(time, srcIP, destIP, len, cnt)`, where `len` is a
-/// partial byte sum and `cnt` a partial packet count.
-pub fn check_reaggregation(high: &Query) -> Vec<Diagnostic> {
-    let outputs = LowOutputs {
-        columns: vec![
-            ("time".into(), PartialKind::Key),
-            ("srcIP".into(), PartialKind::Key),
-            ("destIP".into(), PartialKind::Key),
-            ("len".into(), PartialKind::Sum),
-            ("cnt".into(), PartialKind::Count),
-        ],
-    };
-    check_high(high, &outputs)
 }
 
 fn check_high(high: &Query, low: &LowOutputs) -> Vec<Diagnostic> {
@@ -367,18 +348,5 @@ mod tests {
              CLEANING BY sum(cnt) > 10",
         );
         assert!(d.iter().any(|d| d.message.contains("distinct")), "{d:?}");
-    }
-
-    #[test]
-    fn fixed_pktagg_reaggregation_check() {
-        let good = parse_query(
-            "SELECT tb, destIP, sum(len), sum(cnt) FROM PKTAGG GROUP BY time/60 as tb, destIP",
-        )
-        .unwrap();
-        assert_eq!(check_reaggregation(&good), vec![]);
-        let bad =
-            parse_query("SELECT tb, destIP, count(*) FROM PKTAGG GROUP BY time/60 as tb, destIP")
-                .unwrap();
-        assert_eq!(check_reaggregation(&bad).len(), 1);
     }
 }

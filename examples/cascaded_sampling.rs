@@ -1,13 +1,13 @@
 //! Cascaded sampling (§8: "cascading one type of stream sampling inside
 //! a different type"): aggregate packets into flows, subset-sum-sample
 //! the flows by byte volume, then run a report query over the sampled
-//! flows — three operators in a [`QueryNetwork`].
+//! flows — three operators in a [`Cascade`] over the packet feed.
 //!
 //! ```sh
 //! cargo run --release --example cascaded_sampling
 //! ```
 
-use stream_sampler::gigascope::{Input, QueryNetwork, SelectionNode};
+use stream_sampler::gigascope::{Cascade, SelectionNode};
 use stream_sampler::prelude::*;
 
 fn main() {
@@ -49,29 +49,22 @@ fn main() {
     )
     .expect("report operator");
 
-    // Wire the cascade.
-    let mut net = QueryNetwork::new();
-    let low = net.add_low("all", Box::new(SelectionNode::pass_all()));
-    let f = net.add_high("flows", flows, Input::Low(low)).expect("edge");
-    let s = net.add_high("sampled-flows", sampled, Input::High(f)).expect("edge");
-    net.add_high("report", report_op, Input::High(s)).expect("edge");
-
     // Ground truth per window.
     let mut truth = std::collections::BTreeMap::<u64, u64>::new();
     for p in &packets {
         *truth.entry(p.time() / 20).or_default() += p.len as u64;
     }
 
-    let result = net.run(packets).expect("network runs");
-    println!(
-        "\nflows node saw {} tuples; sampling node saw {} flow records",
-        result.highs[0].0.tuples_in, result.highs[1].0.tuples_in
-    );
+    let n = packets.len();
+    let cascade = Cascade::new(vec![flows, sampled, report_op]).expect("three stages");
+    let windows = cascade.run(Box::new(SelectionNode::pass_all()), packets).expect("cascade runs");
+    let flow_records: usize = windows[0].iter().map(|w| w.rows.len()).sum();
+    println!("\nflows node saw {n} tuples; sampling node saw {flow_records} flow records");
     println!(
         "\n{:>7} {:>10} {:>16} {:>16} {:>7}",
         "window", "samples", "estimate", "actual", "err%"
     );
-    for w in result.windows("report").expect("report windows") {
+    for w in &windows[2] {
         // report rows: (tb3, count, sum of adjusted flow bytes)
         for row in &w.rows {
             let tb = row.get(0).as_u64().unwrap();

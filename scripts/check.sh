@@ -195,6 +195,15 @@ HAVING ssfinal_clean(sum(len), count_distinct\$(*)) = TRUE \
 CLEANING WHEN ssdo_clean(count_distinct\$(*)) = TRUE \
 CLEANING BY ssclean_with(sum(len)) = TRUE"
 
+echo "== examples (each once, release; a non-zero exit fails) =="
+# `cargo test` compiles examples/ but runs none of them. ~30 s on the
+# 2-core reference host, building them included.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "$name"
+    cargo run -q --release --example "$name" > /dev/null
+done
+
 echo "== overhead driver (each mechanism against its baseline, scaling, sharing) =="
 # One driver and one rule: every arm is the median of round-robin
 # repetitions, and an arm fails when it loses more than 5 % of its

@@ -121,8 +121,8 @@ use stream_sampler::json;
 use stream_sampler::obs::{export, metrics_schema, snapshot_tuples, Registry, Snapshot};
 use stream_sampler::operator::{OperatorMetrics, OperatorSpec, WindowOutput};
 use stream_sampler::prelude::*;
+use stream_sampler::query::diag;
 use stream_sampler::query::explain::explain;
-use stream_sampler::query::{diag, Span};
 
 struct Options {
     feed: String,
@@ -176,80 +176,36 @@ use stream_sampler::analysis::split_statements;
 /// editors and CI. Exits 0 when clean (warnings allowed), 1 when any
 /// query has errors, 2 on usage or I/O problems.
 fn run_check(args: &[String]) -> ! {
+    let usage = || -> ! {
+        eprintln!("usage: sso check [--json] [--deny-warnings] QUERY-FILE");
+        std::process::exit(2);
+    };
     let mut json = false;
     let mut deny_warnings = false;
-    let mut paths = Vec::new();
+    let mut path = None;
     for a in args {
         match a.as_str() {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            _ => paths.push(a),
+            "--help" | "-h" => usage(),
+            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
+            _ => usage(),
         }
     }
-    let [path] = paths[..] else {
-        eprintln!("usage: sso check [--json] [--deny-warnings] QUERY-FILE");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let Some(path) = path else { usage() };
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("error: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let statements = split_statements(&text);
-    if statements.is_empty() {
+    if split_statements(&text).is_empty() {
         eprintln!("error: {path} contains no queries");
         std::process::exit(2);
     }
 
-    let config = PlannerConfig::standard();
     // Collect every diagnostic (spans rebased onto the file) before
     // printing, so the cross-statement W103 lint can be appended and
     // duplicates collapsed once over the whole batch.
-    let mut all: Vec<stream_sampler::query::Diagnostic> = Vec::new();
-    // Consecutive queries form a cascade: each one runs over the
-    // previous operator's output rows.
-    let mut prev: Option<(stream_sampler::query::Query, OperatorSpec)> = None;
-    for (base, stmt) in statements {
-        let mut diags;
-        let mut next = None;
-        match parse_query(stmt) {
-            Ok(q) => {
-                // A base-stream name (PKT-family or the METRICS
-                // meta-stream) starts a fresh pipeline; any other FROM
-                // name reads the previous query's output (Gigascope
-                // highs read a named low).
-                let base_schema = base_stream_schema(&q.from.text);
-                let base_stream = base_schema.is_some();
-                let schema = match (&prev, base_schema) {
-                    (Some((_, spec)), None) => spec.output_schema(&q.from.text),
-                    (_, Some(s)) => s,
-                    (None, None) => Packet::schema(),
-                };
-                diags = stream_sampler::query::analyze(&q, &schema, &config);
-                if let Some((prev_q, _)) = &prev {
-                    if !base_stream {
-                        diags.extend(stream_sampler::gigascope::check_pushdown(prev_q, &q));
-                    }
-                }
-                if !diag::has_errors(&diags) {
-                    if let Ok(spec) = stream_sampler::query::plan(&q, &schema, &config) {
-                        next = Some((q, spec));
-                    }
-                }
-            }
-            // Re-run through check() to get the E100/E101 diagnostic
-            // form of lex/parse failures.
-            Err(_) => diags = stream_sampler::query::check(stmt, &Packet::schema(), &config),
-        }
-        // Re-base spans from the statement onto the whole file so line
-        // numbers match the file the user is editing.
-        for d in &mut diags {
-            if !d.span.is_dummy() {
-                d.span = Span::new(d.span.start + base, d.span.end + base);
-            }
-        }
-        all.extend(diags);
-        prev = next;
-    }
+    let mut all = stream_sampler::analysis::walk_cascade(&text, |_, _: Option<&()>| ((), vec![]));
     // Cross-statement lint: identical normalized prefilters over the
     // same base stream (W103; spans already file-based).
     all.extend(stream_sampler::rewrite::check_file_prefilters(&text));
@@ -266,7 +222,7 @@ fn run_check(args: &[String]) -> ! {
         let _ = if json {
             writeln!(out, "{}", line(&json::diagnostic(d)))
         } else {
-            writeln!(out, "{}", diag::render_one(&text, path, d))
+            writeln!(out, "{}", diag::render_one(&text, &path, d))
         };
     }
     drop(out);
@@ -468,44 +424,77 @@ fn run_optimize(args: &[String]) -> ! {
     std::process::exit(if fail { 1 } else { 0 });
 }
 
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            feed: "research".to_string(),
+            trace: None,
+            dump: None,
+            seconds: 60,
+            seed: 1,
+            limit: 20,
+            shards: 1,
+            fault_plan: None,
+            fault_seed: None,
+            durable: None,
+            state_budget: None,
+            fsync: "never".to_string(),
+            resume: false,
+            metrics: None,
+            profile: None,
+            meta: None,
+            top: false,
+            explain: false,
+            json: false,
+            query: None,
+        }
+    }
+}
+
+/// The output flags `run` and `recover` share, `--json`, `--limit R`
+/// and `--metrics[=FILE]`: parse `argv[*i - 1]` into `opts` if it is
+/// one, moving `*i` past any value it takes.
+fn output_flag(argv: &[String], i: &mut usize, opts: &mut Options, usage: fn() -> !) -> bool {
+    match argv[*i - 1].as_str() {
+        "--json" => opts.json = true,
+        "--limit" => {
+            *i += 1;
+            opts.limit = argv.get(*i - 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
+        }
+        "--metrics" => {
+            // Optional target: a following bare `-` selects stdout
+            // explicitly (also the default); files use `--metrics=FILE`.
+            if argv.get(*i).map(String::as_str) == Some("-") {
+                *i += 1;
+            }
+            opts.metrics = Some("-".to_string());
+        }
+        s if s.starts_with("--metrics=") => {
+            opts.metrics = Some(s["--metrics=".len()..].to_string())
+        }
+        _ => return false,
+    }
+    true
+}
+
 fn parse_args(argv: &[String], top: bool) -> Options {
-    let mut opts = Options {
-        feed: "research".to_string(),
-        trace: None,
-        dump: None,
-        seconds: 60,
-        seed: 1,
-        limit: 20,
-        shards: 1,
-        fault_plan: None,
-        fault_seed: None,
-        durable: None,
-        state_budget: None,
-        fsync: "never".to_string(),
-        resume: false,
-        metrics: None,
-        profile: None,
-        meta: None,
-        top,
-        explain: false,
-        json: false,
-        query: None,
-    };
+    let mut opts = Options { top, ..Options::default() };
     let mut i = 0usize;
     let value = |i: &mut usize| -> String {
         *i += 1;
         argv.get(*i - 1).cloned().unwrap_or_else(|| usage())
     };
     while i < argv.len() {
-        let a = argv[i].clone();
         i += 1;
-        match a.as_str() {
+        if output_flag(argv, &mut i, &mut opts, usage) {
+            continue;
+        }
+        match argv[i - 1].as_str() {
             "--feed" => opts.feed = value(&mut i),
             "--trace" => opts.trace = Some(value(&mut i)),
             "--dump" => opts.dump = Some(value(&mut i)),
             "--seconds" => opts.seconds = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--limit" => opts.limit = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--shards" => {
                 opts.shards = value(&mut i)
                     .parse::<usize>()
@@ -522,24 +511,12 @@ fn parse_args(argv: &[String], top: bool) -> Options {
                 opts.state_budget = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
             "--fsync" => opts.fsync = value(&mut i),
-            "--metrics" => {
-                // Optional target: a following bare `-` selects stdout
-                // explicitly (also the default); files use `--metrics=FILE`.
-                if argv.get(i).map(String::as_str) == Some("-") {
-                    i += 1;
-                }
-                opts.metrics = Some("-".to_string());
-            }
-            s if s.starts_with("--metrics=") => {
-                opts.metrics = Some(s["--metrics=".len()..].to_string())
-            }
             "--profile" => opts.profile = Some("-".to_string()),
             s if s.starts_with("--profile=") => {
                 opts.profile = Some(s["--profile=".len()..].to_string())
             }
             "--meta" => opts.meta = Some(value(&mut i)),
             "--explain" => opts.explain = true,
-            "--json" => opts.json = true,
             "--help" | "-h" => usage(),
             q if !q.starts_with("--") && opts.query.is_none() => opts.query = Some(q.to_string()),
             _ => usage(),
@@ -568,23 +545,15 @@ fn recover_options(args: &[String]) -> Options {
         eprintln!("usage: sso recover [--json] [--limit R] [--metrics[=FILE]] STORE-DIR");
         std::process::exit(2);
     };
-    let mut json = false;
-    let mut limit = 20usize;
-    let mut metrics = None;
+    let mut opts = Options::default();
     let mut dir: Option<String> = None;
     let mut i = 0usize;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i - 1).cloned().unwrap_or_else(|| usage())
-    };
     while i < args.len() {
-        let a = args[i].clone();
         i += 1;
-        match a.as_str() {
-            "--json" => json = true,
-            "--limit" => limit = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--metrics" => metrics = Some("-".to_string()),
-            s if s.starts_with("--metrics=") => metrics = Some(s["--metrics=".len()..].to_string()),
+        if output_flag(args, &mut i, &mut opts, usage) {
+            continue;
+        }
+        match args[i - 1].as_str() {
             "--help" | "-h" => usage(),
             p if !p.starts_with("--") && dir.is_none() => dir = Some(p.to_string()),
             _ => usage(),
@@ -618,31 +587,22 @@ fn recover_options(args: &[String]) -> Options {
     let state_budget = get("state_budget").map(|v| parse_num("state_budget", v));
     // Routing is a pure function of the tuples and the shard count, so
     // nothing else about it needs recording: the `routers` and
-    // `router_cursors` keys older builds wrote are ignored.
+    // `router_cursors` keys older builds wrote are ignored. Fault plans
+    // are deliberately not replayed (the defaults have none): recovery
+    // must converge on the fault-free output, and re-arming the crash
+    // event would kill the resumed run at the same tuple again.
     Options {
         feed: get("feed").unwrap_or_else(|| "research".to_string()),
         trace: get("trace"),
-        dump: None,
         seconds,
         seed,
-        limit,
         shards,
-        // Fault plans are deliberately not replayed: recovery must
-        // converge on the fault-free output, and re-arming the crash
-        // event would kill the resumed run at the same tuple again.
-        fault_plan: None,
-        fault_seed: None,
         durable: Some(dir),
         state_budget,
         fsync: get("fsync").unwrap_or_else(|| "never".to_string()),
         resume: true,
-        metrics,
-        profile: None,
-        meta: None,
-        top: false,
-        explain: false,
-        json,
         query: Some(query),
+        ..opts
     }
 }
 

@@ -266,3 +266,80 @@ fn observed_log_bytes_per_window_stay_under_certified_ceiling() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A two-level cascade (W101 on its high level), then a statement the
+/// analyzer rejects, a cascade statement that must fall back to the
+/// packet schema because its low level did not plan, and one that does
+/// not parse.
+const CASCADE_FILE: &str = "\
+-- A two-level cascade, then a statement that does not plan and one
+-- that does not parse.
+SELECT tb, srcIP, sum(len), count(*) FROM PKT GROUP BY time/60 as tb, srcIP;
+SELECT tb, count(*) FROM PKTAGG GROUP BY tb;
+SELECT tb, nosuch FROM PKT GROUP BY time/60 as tb;
+SELECT tb, count(*) FROM AGG GROUP BY tb;
+SELECT FROM WHERE;
+";
+
+const CASCADE_CHECK: &str = r#"warning[W101]: count(*) over a partial-aggregate stream counts partial tuples, not raw tuples
+  --> cascade.sql:4:12
+   |
+ 4 | SELECT tb, count(*) FROM PKTAGG GROUP BY tb;
+   |            ^^^^^^^^
+   = help: re-aggregate the low level's partial count: `sum(count)`
+
+error[E003]: `nosuch` referenced in a group-phase clause but is not a group-by variable or aggregate
+  --> cascade.sql:5:12
+   |
+ 5 | SELECT tb, nosuch FROM PKT GROUP BY time/60 as tb;
+   |            ^^^^^^
+   = help: group-phase clauses see group results, not raw tuples; add `nosuch` to GROUP BY or wrap it in an aggregate
+
+error[E002]: unknown name `tb` (not a column of PKT or a group-by variable)
+  --> cascade.sql:6:39
+   |
+ 6 | SELECT tb, count(*) FROM AGG GROUP BY tb;
+   |                                       ^^
+   = help: columns of PKT: time, uts, srcIP, destIP, srcPort, destPort, proto, len
+
+error[E101]: syntax error: expected expression, found From
+  --> cascade.sql:7:8
+   |
+ 7 | SELECT FROM WHERE;
+   |        ^
+
+cascade.sql: 3 error(s), 1 warning(s)
+"#;
+
+const CASCADE_CHECK_JSON: &str = r#"{"code":"W101","help":"re-aggregate the low level's partial count: `sum(count)`","message":"count(*) over a partial-aggregate stream counts partial tuples, not raw tuples","severity":"warning","span":{"end":188,"start":180}}
+{"code":"E003","help":"group-phase clauses see group results, not raw tuples; add `nosuch` to GROUP BY or wrap it in an aggregate","message":"`nosuch` referenced in a group-phase clause but is not a group-by variable or aggregate","severity":"error","span":{"end":231,"start":225}}
+{"code":"E002","help":"columns of PKT: time, uts, srcIP, destIP, srcPort, destPort, proto, len","message":"unknown name `tb` (not a column of PKT or a group-by variable)","severity":"error","span":{"end":305,"start":303}}
+{"code":"E101","help":null,"message":"syntax error: expected expression, found From","severity":"error","span":{"end":315,"start":314}}
+"#;
+
+/// `sso check`'s stdout and exit code, human and `--json`, pinned on
+/// the example corpus and on a cascade file that exercises every branch
+/// of the statement walk.
+#[test]
+fn check_cli_output_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("sso-check-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("cascade.sql"), CASCADE_FILE).unwrap();
+    let check = |cwd: &std::path::Path, args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_sso"))
+            .arg("check")
+            .args(args)
+            .current_dir(cwd)
+            .output()
+            .expect("run sso check");
+        (out.status.code(), String::from_utf8(out.stdout).expect("UTF-8"))
+    };
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let corpus = "examples/queries.sql";
+    let clean = format!("{corpus}: no problems found\n");
+    assert_eq!(check(root, &[corpus]), (Some(0), clean));
+    assert_eq!(check(root, &["--json", corpus]), (Some(0), String::new()));
+    assert_eq!(check(&dir, &["cascade.sql"]), (Some(1), CASCADE_CHECK.to_string()));
+    assert_eq!(check(&dir, &["--json", "cascade.sql"]), (Some(1), CASCADE_CHECK_JSON.to_string()));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -213,6 +213,50 @@ fn cli_recover_ignores_stale_router_keys() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `sso recover --metrics - DIR` reads the bare `-` as stdout, as
+/// `sso run --metrics - QUERY` does: it prints what `--metrics DIR`
+/// prints, the same windows and the same metrics, whose timings alone
+/// may differ from run to run.
+#[test]
+fn cli_recover_reads_a_bare_dash_after_metrics_as_stdout() {
+    let sso = env!("CARGO_BIN_EXE_sso");
+    let dir = tmpdir("cli-metrics-dash");
+    let dir_s = dir.to_str().expect("utf-8 tempdir");
+    let query = "SELECT tb, srcIP, sum(len) FROM PKT GROUP BY time/1 as tb, srcIP";
+    let run = std::process::Command::new(sso)
+        .args(["run", "--seconds", "2", "--shards", "2", "--durable", dir_s, query])
+        .output()
+        .expect("sso runs");
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+
+    // Each stdout line, a metrics document reduced to its metrics'
+    // names and labels.
+    let recover = |args: &[&str]| -> Vec<String> {
+        let out = std::process::Command::new(sso)
+            .arg("recover")
+            .args(args)
+            .output()
+            .expect("sso recover runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8");
+        let line = |l: &str| match serde_json::from_str(l) {
+            Ok(doc) => {
+                let snapshots = doc["snapshots"].as_array().expect("a metrics document");
+                let metrics = snapshots.iter().flat_map(|s| s["metrics"].as_array().unwrap());
+                let names = metrics.map(|m| format!("{:?}{{{:?}}}", m["metric"], m["label"]));
+                names.collect::<Vec<_>>().join(" ")
+            }
+            Err(_) => l.to_string(),
+        };
+        stdout.lines().map(line).collect()
+    };
+    let dash = recover(&["--metrics", "-", dir_s]);
+    assert!(dash.iter().any(|l| l.contains("rt.tuples")), "no metrics printed");
+    assert!(dash.iter().any(|l| l.starts_with("== window")), "no windows printed");
+    assert_eq!(dash, recover(&["--metrics", dir_s]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The spill pager acceptance: a lossy-counting query whose certified
 /// in-RAM ceiling is megabytes completes under a state budget of three
 /// pages per shard, pages cold groups through the spill file, and never
