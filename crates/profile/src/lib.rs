@@ -5,7 +5,8 @@
 //!
 //! Every batch crossing the pipeline leaves a compact **lineage
 //! stamp** — ingest tick → router hash/push → ring wait → shard
-//! process → barrier wait → merge → emit — in a per-thread
+//! process → join (the pump waiting on the workers' partials; the
+//! stage keeps its old `barrier_wait` name) → merge → emit — in a per-thread
 //! fixed-capacity event ring ([`LaneWriter`]). Recording is four
 //! `Relaxed` stores; visibility costs **one `Release` store per
 //! batch**, so the enabled path stays within the same budget as

@@ -175,7 +175,9 @@ pub struct RuntimeConfig {
     /// directory and (optionally) bounds resident group state.
     pub durability: Option<DurabilityConfig>,
     /// Causal stage tracing: every batch leaves lineage stamps (ingest →
-    /// route → ring wait → process → barrier wait → merge → emit) in
+    /// route → ring wait → process → join → merge → emit; the join,
+    /// the pump waiting on the workers' partials, is the stage named
+    /// `barrier_wait`) in
     /// per-thread event rings, and panic/shed/crash triggers
     /// dump them as a flight recording. `None` costs one branch per
     /// batch.

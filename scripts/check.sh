@@ -18,6 +18,14 @@ echo "== cargo test (root package and every crate's unit tests) =="
 # one snapshot per window, `--profile` dumps as Chrome traces).
 cargo test -q
 
+echo "== benchmark lock file is current (no dependency change rewrites it) =="
+# The benchmark builds the library crates against its own
+# benchmark/Cargo.lock, and benchmark/run.sh would rewrite that file
+# silently when any crate's dependency list changes. --locked makes
+# such a change fail here (exit 101) instead.
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml >/dev/null
+
 echo "== benchmark smoke (every workload's oracle; traced replay == entry point) =="
 # ~15 s once built: a 4 s feed through all five workloads, untraced and
 # traced. An engine change that moves any workload's output fails here,

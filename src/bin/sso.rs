@@ -17,55 +17,19 @@
 //! sso top 'QUERY'              # live metrics view while the query runs
 //! ```
 //!
-//! Options:
-//!   --feed research|datacenter|ddos|burst  packet source (default research)
-//!   --trace FILE                      read packets from a CSV trace instead
-//!   --dump FILE                       also write the packets to a CSV trace
-//!   --seconds N                       trace length (default 60)
-//!   --seed S                          feed seed (default 1)
-//!   --limit R                         print at most R rows per window (default 20)
-//!   --shards N                        run N partitioned operator shards (default 1);
-//!                                     refuses non-shard-mergeable queries with W102.
-//!                                     The calling thread routes under supervision:
-//!                                     a routing panic degrades one window instead
-//!                                     of killing the run
-//!   --fault-plan FILE                 inject faults from a fault-plan file (see
-//!                                     `sso-faults`); feed-level events perturb the
-//!                                     packets, worker/router events need the
-//!                                     sharded runtime (--shards); a worker event
-//!                                     naming a shard the run lacks is an error
-//!   --fault-seed S                    generate a seeded fault plan instead of
-//!                                     reading one (same replayable format)
-//!   --durable DIR                     persist operator state to DIR: one append-only
-//!                                     log of closed windows per shard, so
-//!                                     `sso recover DIR` resumes a killed run
-//!                                     with loss bounded to the crash window
-//!   --state-budget BYTES              cap live group-table state; shards over
-//!                                     budget page cold groups to a spill file
-//!                                     under DIR (requires --durable)
-//!   --fsync always|never|every=N      when a logged window is synced (default never:
-//!                                     survives process crashes, not power loss)
-//!   --metrics[=FILE]                  collect telemetry; write JSON snapshots to
-//!                                     FILE (`-`/omitted = stdout, `*.prom` =
-//!                                     Prometheus text of the final snapshot)
-//!   --profile[=FILE]                  causal stage tracing: run through the
-//!                                     sharded runtime with lineage stamps and
-//!                                     print the stage-attribution report; an
-//!                                     explicit FILE always gets a flight-recorder
-//!                                     dump, bare `--profile` dumps only when a
-//!                                     fault trigger fires (panic / shed /
-//!                                     crash; default flight.ssoprof, or
-//!                                     under --durable DIR when set)
-//!   --meta QUERY                      run a second sampling query over the
-//!                                     telemetry snapshots (FROM METRICS)
-//!   --explain                         print the plan instead of running
-//!   --json                            machine-readable window output
+//! Every flag, with its value, default and help, is one row of
+//! [`FLAGS`]: `sso --help` (or `sso SUBCOMMAND --help`) prints them,
+//! one parser reads them for every subcommand, and a durable run's
+//! `MANIFEST` records the rows that name a key. Exit status: 0 clean,
+//! 1 for a query, run or analysis error, 2 for a usage error.
 //!
 //! `sso run` is an explicit alias for the default run mode. `sso top`
 //! runs the query on a background thread and refreshes a metrics table
 //! in place until it finishes (windows are counted, not printed); with
 //! `--profile` the table gains end-to-end window latency (p50/p99) and
-//! the hottest pipeline stage, live from the collector.
+//! the hottest pipeline stage, live from the collector. `--shards`,
+//! `--durable` and `--profile` run the query through the sharded
+//! runtime, which refuses a non-shard-mergeable query with W102.
 //!
 //! `sso trace DUMP|DIR` renders a flight-recorder dump written by
 //! `--profile` as a human-readable causal timeline, or — with
@@ -92,16 +56,14 @@
 //!
 //! `sso audit FILE` goes further: it runs the `sso-analysis` abstract
 //! interpretation over the same cascade, certifying a memory ceiling
-//! per query against a declared feed envelope (`--feed`, default
-//! research), a router-skew verdict at `--shards N`, and degradation
-//! behavior (W201–W204, W206). `--budget BYTES` makes the command fail when
-//! the certified total exceeds the budget (or cannot be bounded);
-//! `--state-budget BYTES` audits a durable run's spill budget (W206
-//! fires when it is under the pager's two-page-per-shard floor);
-//! `--json` emits the machine-readable `BoundsReport` — including the
-//! `durable` section with certified snapshot/WAL bytes per window —
-//! plus diagnostics. Nothing is executed: the verdict comes from the
-//! paper's closed-form state bounds evaluated symbolically.
+//! per query against a declared feed envelope (`--feed`), a
+//! router-skew verdict at `--shards N`, and degradation behavior
+//! (W201–W204, W206; W206 fires when `--state-budget` is under the
+//! pager's two-page-per-shard floor). `--json` emits the
+//! machine-readable `BoundsReport` — including the `durable` section
+//! with certified snapshot/WAL bytes per window — plus diagnostics.
+//! Nothing is executed: the verdict comes from the paper's closed-form
+//! state bounds evaluated symbolically.
 //!
 //! `sso optimize FILE` runs the certified plan-rewrite optimizer
 //! (`sso-rewrite`) over the file's simultaneous query set: plans are
@@ -116,91 +78,316 @@
 //! and W304 spots window periods differing by an integer multiple.
 
 use std::io::Write;
+use std::path::Path;
 
 use stream_sampler::json;
+use stream_sampler::netgen::{feed_profile, FEED_PROFILES};
 use stream_sampler::obs::{export, metrics_schema, snapshot_tuples, Registry, Snapshot};
 use stream_sampler::operator::{OperatorMetrics, OperatorSpec, WindowOutput};
 use stream_sampler::prelude::*;
 use stream_sampler::query::diag;
 use stream_sampler::query::explain::explain;
+use stream_sampler::store::FsyncPolicy;
 
-struct Options {
-    feed: String,
-    trace: Option<String>,
-    dump: Option<String>,
-    seconds: u64,
-    seed: u64,
-    limit: usize,
-    shards: usize,
-    fault_plan: Option<String>,
-    fault_seed: Option<u64>,
-    durable: Option<String>,
-    state_budget: Option<u64>,
-    fsync: String,
-    /// Resume from an existing store (`sso recover`) instead of
-    /// starting it fresh.
-    resume: bool,
-    metrics: Option<String>,
-    /// `--profile[=FILE]`: `-` for report-only (triggered dumps land at
-    /// the default path), anything else is an explicit dump target.
-    profile: Option<String>,
-    meta: Option<String>,
-    top: bool,
-    explain: bool,
-    json: bool,
-    query: Option<String>,
+/// The subcommands a flag applies to, as a bit set.
+type Cmds = u8;
+/// `run`, `top`, or no subcommand at all.
+const RUN: Cmds = 1;
+const RECOVER: Cmds = 2;
+const TRACE: Cmds = 4;
+const CHECK: Cmds = 8;
+const AUDIT: Cmds = 16;
+const OPTIMIZE: Cmds = 32;
+/// The subcommands that read a query file.
+const FILES: Cmds = CHECK | AUDIT | OPTIMIZE;
+
+/// Each subcommand's name, flag bit and operand.
+const COMMANDS: [(&str, Cmds, &str); 7] = [
+    ("run", RUN, "'QUERY'"),
+    ("top", RUN, "'QUERY'"),
+    ("recover", RECOVER, "STORE-DIR"),
+    ("trace", TRACE, "DUMP-FILE|DIR"),
+    ("check", CHECK, "QUERY-FILE"),
+    ("audit", AUDIT, "QUERY-FILE"),
+    ("optimize", OPTIMIZE, "QUERY-FILE"),
+];
+
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// `--flag`.
+    Switch,
+    /// `--flag VALUE`.
+    Value(&'static str),
+    /// `--flag` or `--flag=FILE`; the bare flag holds `-`.
+    Optional,
+    /// `--flag`, `--flag -` or `--flag=FILE`; bare or `-` is stdout.
+    Output,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: sso [run|top] [--feed research|datacenter|ddos|burst] [--trace FILE] \
-         [--dump FILE] [--seconds N] [--seed S] [--limit R] [--shards N] \
-         [--fault-plan FILE] [--fault-seed S] \
-         [--durable DIR] [--state-budget BYTES] [--fsync always|never|every=N] \
-         [--metrics[=FILE]] [--profile[=FILE]] [--meta QUERY] [--explain] [--json] 'QUERY'\n\
-         \x20      sso recover [--json] [--limit R] [--metrics[=FILE]] STORE-DIR\n\
-         \x20      sso trace [--chrome FILE] [--limit N] DUMP-FILE|DIR\n\
-         \x20      sso check [--json] [--deny-warnings] QUERY-FILE\n\
-         \x20      sso audit [--json] [--deny-warnings] [--feed NAME] [--shards N] \
-         [--budget BYTES] [--state-budget BYTES] QUERY-FILE\n\
-         \x20      sso optimize [--json] [--deny-warnings] [--explain] QUERY-FILE"
-    );
+/// What a flag's value must be. A malformed number is a usage error; a
+/// well-formed value that names nothing `sso` knows is an `error:`.
+#[derive(Clone, Copy)]
+enum Check {
+    Any,
+    U64,
+    Usize,
+    Positive,
+    Feed,
+    Fsync,
+}
+
+impl Check {
+    /// `Err(None)` for a usage error, `Err(Some(message))` otherwise.
+    fn run(self, v: &str) -> Result<(), Option<String>> {
+        let ok = match self {
+            Check::Any => true,
+            Check::U64 => v.parse::<u64>().is_ok(),
+            Check::Usize => v.parse::<usize>().is_ok(),
+            Check::Positive => v.parse::<usize>().is_ok_and(|n| n > 0),
+            Check::Feed => {
+                let unknown = || Some(format!("unknown feed `{v}` ({})", feed_names()));
+                return feed_profile(v).map(drop).ok_or_else(unknown);
+            }
+            Check::Fsync => return FsyncPolicy::parse(v).map(drop).map_err(Some),
+        };
+        ok.then_some(()).ok_or(None)
+    }
+}
+
+fn feed_names() -> String {
+    FEED_PROFILES.iter().map(|p| p.name).collect::<Vec<_>>().join(" | ")
+}
+
+/// One flag: what parsing, `--help`, defaults and the durable MANIFEST
+/// know of it.
+struct Flag {
+    name: &'static str,
+    shape: Shape,
+    /// The subcommands that accept it.
+    cmds: Cmds,
+    /// Its value when it is not given.
+    default: Option<&'static str>,
+    check: Check,
+    /// The MANIFEST key a durable run records it under. A recorded flag
+    /// with a default is always written, so `sso recover` requires it.
+    key: Option<&'static str>,
+    help: &'static str,
+}
+
+const fn flag(name: &'static str, shape: Shape, cmds: Cmds, help: &'static str) -> Flag {
+    Flag { name, shape, cmds, default: None, check: Check::Any, key: None, help }
+}
+
+impl Flag {
+    const fn or(self, value: &'static str) -> Flag {
+        Flag { default: Some(value), ..self }
+    }
+
+    const fn is(self, check: Check) -> Flag {
+        Flag { check, ..self }
+    }
+
+    const fn key(self, key: &'static str) -> Flag {
+        Flag { key: Some(key), ..self }
+    }
+
+    /// The flag as a synopsis spells it: `--feed NAME`, `--profile[=FILE]`.
+    fn spelled(&self) -> String {
+        match self.shape {
+            Shape::Switch => self.name.to_string(),
+            Shape::Value(v) => format!("{} {v}", self.name),
+            Shape::Optional | Shape::Output => format!("{}[=FILE]", self.name),
+        }
+    }
+}
+
+use Check::{Feed, Fsync, Positive, Usize, U64};
+use Shape::{Optional, Output, Switch, Value};
+
+/// Every flag of every subcommand. The recorded ones come first, in the
+/// order a MANIFEST lists them.
+static FLAGS: &[Flag] = &[
+    flag("--feed", Value("NAME"), RUN | AUDIT, "packet source, or the envelope audit declares")
+        .or("research")
+        .is(Feed)
+        .key("feed"),
+    flag("--seed", Value("S"), RUN, "feed seed").or("1").is(U64).key("seed"),
+    flag("--seconds", Value("N"), RUN, "trace length").or("60").is(U64).key("seconds"),
+    // A run refuses a non-shard-mergeable query with W102. The calling
+    // thread routes under supervision: a routing panic degrades one
+    // window instead of killing the run.
+    flag("--shards", Value("N"), RUN | AUDIT, "operator shards; audit: skew verdict at N")
+        .or("1")
+        .is(Positive)
+        .key("shards"),
+    // `never` survives process crashes, not power loss.
+    flag("--fsync", Value("POLICY"), RUN, "when a logged window is synced: always|never|every=N")
+        .or("never")
+        .is(Fsync)
+        .key("fsync"),
+    flag("--trace", Value("FILE"), RUN, "read packets from a CSV trace instead").key("trace"),
+    // Shards over budget page cold groups to a spill file under the
+    // --durable DIR. For audit: W206 fires when it is under the pager's
+    // two-page-per-shard floor.
+    flag("--state-budget", Value("BYTES"), RUN | AUDIT, "cap live group-table state (spill)")
+        .is(U64)
+        .key("state_budget"),
+    flag("--dump", Value("FILE"), RUN, "also write the packets to a CSV trace"),
+    flag("--limit", Value("R"), RUN | RECOVER, "print at most R rows per window")
+        .or("20")
+        .is(Usize),
+    flag("--limit", Value("N"), TRACE, "show the last N events (0: all)").or("64").is(Usize),
+    // Feed-level events perturb the packets; worker and router events
+    // need the sharded runtime, and a worker event naming a shard the
+    // run lacks is an error. Not replayed by `sso recover`.
+    flag("--fault-plan", Value("FILE"), RUN, "inject faults from a fault-plan file"),
+    flag("--fault-seed", Value("S"), RUN, "generate a seeded fault plan instead").is(U64),
+    flag("--durable", Value("DIR"), RUN, "log closed windows to DIR for `sso recover DIR`"),
+    // FILE `-` (or none) is stdout; `*.prom` gets Prometheus text of the
+    // final snapshot.
+    flag("--metrics", Output, RUN | RECOVER, "telemetry snapshots as JSON (*.prom: Prometheus)"),
+    // Runs through the sharded runtime with lineage stamps. An explicit
+    // FILE always gets a flight-recorder dump; the bare flag dumps only
+    // when a fault trigger fires (panic, shed, crash), to flight.ssoprof
+    // or under the --durable DIR.
+    flag("--profile", Optional, RUN, "stage attribution report + flight recorder"),
+    flag("--meta", Value("QUERY"), RUN, "a second query over the snapshots (FROM METRICS)"),
+    flag("--explain", Switch, RUN, "print the plan instead of running"),
+    flag("--explain", Switch, OPTIMIZE, "report rewrites as W301 instead of applying them"),
+    flag("--chrome", Value("FILE"), TRACE, "write Chrome trace-event JSON (- for stdout)"),
+    flag("--budget", Value("BYTES"), AUDIT, "fail when certified state exceeds BYTES").is(U64),
+    flag("--json", Switch, RUN | RECOVER | FILES, "machine-readable output"),
+    flag("--deny-warnings", Switch, FILES, "fail on warnings too"),
+];
+
+/// Print the usage of `cmd` — every subcommand's synopsis for the run
+/// mode — with its flags' help, and exit 2.
+fn usage(cmd: Cmds) -> ! {
+    let synopsis = |&(name, c, operand): &(&str, Cmds, &str)| {
+        let name = if c == RUN { "[run|top]" } else { name };
+        let flags = FLAGS.iter().filter(|f| f.cmds & c != 0).map(|f| format!(" [{}]", f.spelled()));
+        format!("sso {name}{} {operand}", flags.collect::<String>())
+    };
+    let shown = COMMANDS.iter().filter(|&&(name, c, _)| name != "top" && (cmd == RUN || c == cmd));
+    let mut text = shown.map(synopsis).collect::<Vec<_>>().join("\n       ");
+    text.push_str("\n\noptions:\n");
+    for f in FLAGS.iter().filter(|f| f.cmds & cmd != 0) {
+        let feeds = matches!(f.check, Feed).then(|| format!(": {}", feed_names()));
+        let default = f.default.map(|d| format!(" (default {d})"));
+        let (feeds, default) = (feeds.unwrap_or_default(), default.unwrap_or_default());
+        text.push_str(&format!("  {:<24} {}{feeds}{default}\n", f.spelled(), f.help));
+    }
+    eprintln!("usage: {text}\nexit status: 0 clean; 1 query, run or analysis error; 2 usage error");
     std::process::exit(2);
 }
 
-use stream_sampler::analysis::split_statements;
+/// Print `error: {message}` and exit with `code`.
+fn fail(code: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(code);
+}
 
-/// `sso check [--json] FILE`: statically analyze every query in FILE,
-/// printing rustc-style diagnostics — or, with `--json`, one JSON
-/// object per diagnostic per line (code, span, message, severity) for
-/// editors and CI. Exits 0 when clean (warnings allowed), 1 when any
-/// query has errors, 2 on usage or I/O problems.
-fn run_check(args: &[String]) -> ! {
-    let usage = || -> ! {
-        eprintln!("usage: sso check [--json] [--deny-warnings] QUERY-FILE");
-        std::process::exit(2);
+/// A parsed command line: the subcommand, every flag's value (defaults
+/// first, then the flags as given) and the one operand.
+struct Args {
+    name: &'static str,
+    values: Vec<(&'static str, String)>,
+    operand: String,
+}
+
+impl Args {
+    /// A flag's value: the last one given, else its default. A switch
+    /// that is on holds the empty string.
+    fn get(&self, name: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// The value of a flag with a default, which always holds one.
+    fn value(&self, name: &str) -> &str {
+        self.get(name).expect("a flag with a default")
+    }
+
+    /// A number flag's value, checked when it was parsed.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> T {
+        self.value(name).parse().ok().expect("checked when parsed")
+    }
+
+    /// Durable and profiled runs go through the sharded runtime — that
+    /// is where the per-shard store and the lineage-stamped stage
+    /// pipeline live — even at `--shards 1`.
+    fn sharded(&self) -> bool {
+        self.num::<usize>("--shards") > 1 || self.on("--durable") || self.on("--profile")
+    }
+}
+
+/// Read `argv` against [`FLAGS`]. Anything wrong with it — an unknown
+/// flag, a missing value or operand, a malformed number, `--help` — is
+/// a usage error.
+fn parse(argv: &[String]) -> Args {
+    let first = argv.first().map(String::as_str);
+    let (name, cmd, rest) = match COMMANDS.iter().find(|c| Some(c.0) == first) {
+        Some(&(name, cmd, _)) => (name, cmd, &argv[1..]),
+        None => ("run", RUN, argv),
     };
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut path = None;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--help" | "-h" => usage(),
-            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
-            _ => usage(),
+    let flags = || FLAGS.iter().filter(move |f| f.cmds & cmd != 0);
+    let defaults = flags().filter_map(|f| Some((f.name, f.default?.to_string())));
+    let mut args = Args { name, values: defaults.collect(), operand: String::new() };
+    let mut operand = None;
+    let mut rest = rest.iter().map(String::as_str).peekable();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") && arg != "-h" {
+            if operand.replace(arg).is_some() {
+                usage(cmd);
+            }
+            continue;
+        }
+        let (given, inline) = arg.split_once('=').map_or((arg, None), |(f, v)| (f, Some(v)));
+        let Some(flag) = flags().find(|f| f.name == given) else { usage(cmd) };
+        let value = match (flag.shape, inline) {
+            (Switch, None) => "",
+            (Value(_), None) => rest.next().unwrap_or_else(|| usage(cmd)),
+            (Output, None) => rest.next_if_eq(&"-").unwrap_or("-"),
+            (Optional, None) => "-",
+            (Optional | Output, Some(v)) => v,
+            _ => usage(cmd),
+        };
+        match flag.check.run(value) {
+            Ok(()) => args.values.push((flag.name, value.to_string())),
+            Err(Some(message)) => fail(2, message),
+            Err(None) => usage(cmd),
         }
     }
-    let Some(path) = path else { usage() };
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    if split_statements(&text).is_empty() {
-        eprintln!("error: {path} contains no queries");
-        std::process::exit(2);
+    args.operand = operand.unwrap_or_else(|| usage(cmd)).to_string();
+    if cmd == RUN && args.on("--state-budget") && !args.on("--durable") {
+        fail(2, "--state-budget requires --durable DIR (the spill file lives there)");
     }
+    args
+}
+
+/// The query file a `check`, `audit` or `optimize` call names; an
+/// unreadable or empty file exits 2.
+fn read_queries(path: &str) -> String {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(2, format!("cannot read {path}: {e}")));
+    if stream_sampler::analysis::split_statements(&text).is_empty() {
+        fail(2, format!("{path} contains no queries"));
+    }
+    text
+}
+
+/// `sso check`: statically analyze every query in the file, printing
+/// rustc-style diagnostics — or, with `--json`, one JSON object per
+/// diagnostic per line (code, span, message, severity) for editors and
+/// CI. Exits 0 when clean (warnings allowed), 1 when any query has
+/// errors.
+fn run_check(args: &Args) -> ! {
+    let (path, json) = (&args.operand, args.on("--json"));
+    let text = read_queries(path);
 
     // Collect every diagnostic (spans rebased onto the file) before
     // printing, so the cross-statement W103 lint can be appended and
@@ -222,89 +409,35 @@ fn run_check(args: &[String]) -> ! {
         let _ = if json {
             writeln!(out, "{}", line(&json::diagnostic(d)))
         } else {
-            writeln!(out, "{}", diag::render_one(&text, &path, d))
+            writeln!(out, "{}", diag::render_one(&text, path, d))
         };
     }
-    drop(out);
     // The human summary line would corrupt a JSON stream; consumers
     // count objects (and read the exit code) instead.
     if !json {
-        let mut out = std::io::stdout().lock();
         let _ = match (errors, warnings) {
             (0, 0) => writeln!(out, "{path}: no problems found"),
             (e, w) => writeln!(out, "{path}: {e} error(s), {w} warning(s)"),
         };
     }
-    std::process::exit(if errors > 0 || (deny_warnings && warnings > 0) { 1 } else { 0 });
+    let deny = args.on("--deny-warnings");
+    std::process::exit(if errors > 0 || (deny && warnings > 0) { 1 } else { 0 });
 }
 
-/// `sso audit [--json] [--deny-warnings] [--feed NAME] [--shards N]
-/// [--budget BYTES] FILE`: run the static
-/// abstract-interpretation pass over every query in FILE, printing the
-/// certified bounds (or the JSON `BoundsReport`) plus any W2xx
-/// diagnostics. Exits 0 when the file certifies cleanly, 1 on errors,
-/// budget violations, or (with `--deny-warnings`) any warning, 2 on
-/// usage or I/O problems.
-fn run_audit(args: &[String]) -> ! {
-    use stream_sampler::analysis::AuditOptions;
-
-    let usage = || -> ! {
-        eprintln!(
-            "usage: sso audit [--json] [--deny-warnings] [--feed NAME] [--shards N] \
-             [--budget BYTES] [--state-budget BYTES] QUERY-FILE"
-        );
-        std::process::exit(2);
+/// `sso audit`: run the static abstract-interpretation pass over every
+/// query in the file, printing the certified bounds (or the JSON
+/// `BoundsReport`) plus any W2xx diagnostics. Exits 0 when the file
+/// certifies cleanly, 1 on errors, budget violations, or (with
+/// `--deny-warnings`) any warning.
+fn run_audit(args: &Args) -> ! {
+    let path = &args.operand;
+    let opts = stream_sampler::analysis::AuditOptions {
+        feed: args.value("--feed").to_string(),
+        shards: args.num("--shards"),
+        budget: args.on("--budget").then(|| args.num("--budget")),
+        state_budget: args.on("--state-budget").then(|| args.num("--state-budget")),
     };
-    let mut opts = AuditOptions::default();
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut path = None;
-    let mut i = 0usize;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i - 1).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        let a = args[i].clone();
-        i += 1;
-        match a.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--feed" => opts.feed = value(&mut i),
-            "--shards" => {
-                opts.shards = value(&mut i)
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--budget" => {
-                opts.budget = Some(value(&mut i).parse::<u64>().unwrap_or_else(|_| usage()))
-            }
-            "--state-budget" => {
-                opts.state_budget = Some(value(&mut i).parse::<u64>().unwrap_or_else(|_| usage()))
-            }
-            "--help" | "-h" => usage(),
-            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
-            _ => usage(),
-        }
-    }
-    let Some(path) = path else { usage() };
-    if stream_sampler::netgen::feed_profile(&opts.feed).is_none() {
-        eprintln!(
-            "error: no feed envelope named `{}` (research | datacenter | ddos | burst)",
-            opts.feed
-        );
-        std::process::exit(2);
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    if stream_sampler::analysis::split_statements(&text).is_empty() {
-        eprintln!("error: {path} contains no queries");
-        std::process::exit(2);
-    }
+    let text = read_queries(path);
 
     let outcome = stream_sampler::analysis::audit_file(&text, &opts);
     // Identical `(code, span)` findings from different statements (e.g.
@@ -315,13 +448,13 @@ fn run_audit(args: &[String]) -> ! {
     let warnings = diags.len() - errors;
 
     let mut out = std::io::stdout().lock();
-    if json {
+    if args.on("--json") {
         // One object: the bounds certificate plus every diagnostic, so
         // CI consumes a single line per audited file.
         let _ = writeln!(out, "{}", line(&json::audit(&outcome.report, &diags)));
     } else {
         for d in &diags {
-            let _ = writeln!(out, "{}", diag::render_one(&text, &path, d));
+            let _ = writeln!(out, "{}", diag::render_one(&text, path, d));
         }
         for s in &outcome.report.statements {
             let _ = writeln!(
@@ -361,298 +494,98 @@ fn run_audit(args: &[String]) -> ! {
             None => writeln!(out, "{path}: certified total state <= {total} bytes"),
         };
     }
-    let fail = errors > 0 || outcome.budget_exceeded() || (deny_warnings && warnings > 0);
+    let deny = args.on("--deny-warnings");
+    let fail = errors > 0 || outcome.budget_exceeded() || (deny && warnings > 0);
     std::process::exit(if fail { 1 } else { 0 });
 }
 
-/// `sso optimize [--json] [--deny-warnings] [--explain] FILE`: run the
-/// certified plan-rewrite optimizer (`sso-rewrite`) over every query in
-/// FILE. The default mode applies the sharing rewrites — deduplicating
-/// identical normalized plans and hoisting a shared prefilter — and
-/// prints the rewrite certificate plus the re-audit verdict; `--explain`
-/// reports the same opportunities as W301 lints without applying
-/// anything. Exits 0 when clean, 1 on errors, a failed re-audit, or
-/// (with `--deny-warnings`) any warning, 2 on usage or I/O problems.
-fn run_optimize(args: &[String]) -> ! {
+/// `sso optimize`: run the certified plan-rewrite optimizer
+/// (`sso-rewrite`) over every query in the file. The default mode
+/// applies the sharing rewrites — deduplicating identical normalized
+/// plans and hoisting a shared prefilter — and prints the rewrite
+/// certificate plus the re-audit verdict; `--explain` reports the same
+/// opportunities as W301 lints without applying anything. Exits 0 when
+/// clean, 1 on errors, a failed re-audit, or (with `--deny-warnings`)
+/// any warning.
+fn run_optimize(args: &Args) -> ! {
     use stream_sampler::rewrite::{optimize_file, render_summary, OptimizeOptions};
 
-    let usage = || -> ! {
-        eprintln!("usage: sso optimize [--json] [--deny-warnings] [--explain] QUERY-FILE");
-        std::process::exit(2);
-    };
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut explain_only = false;
-    let mut path = None;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--explain" => explain_only = true,
-            "--help" | "-h" => usage(),
-            p if !p.starts_with("--") && path.is_none() => path = Some(p.to_string()),
-            _ => usage(),
-        }
-    }
-    let Some(path) = path else { usage() };
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    if stream_sampler::analysis::split_statements(&text).is_empty() {
-        eprintln!("error: {path} contains no queries");
-        std::process::exit(2);
-    }
-
-    let opts = OptimizeOptions { apply: !explain_only, ..OptimizeOptions::default() };
+    let path = &args.operand;
+    let text = read_queries(path);
+    let opts = OptimizeOptions { apply: !args.on("--explain"), ..OptimizeOptions::default() };
     let outcome = optimize_file(&text, &opts);
     let errors = outcome.diagnostics.iter().filter(|d| d.is_error()).count();
     let warnings = outcome.diagnostics.len() - errors;
 
     let mut out = std::io::stdout().lock();
-    if json {
+    if args.on("--json") {
         // One object per file: the rewrite report (clusters, certificate,
         // shared plans, re-audit) plus every diagnostic.
         let _ = writeln!(out, "{}", line(&json::optimize(&outcome)));
     } else {
         for d in &outcome.diagnostics {
-            let _ = writeln!(out, "{}", diag::render_one(&text, &path, d));
+            let _ = writeln!(out, "{}", diag::render_one(&text, path, d));
         }
         let _ = write!(out, "{}", render_summary(&outcome));
     }
-    let fail = errors > 0 || !outcome.reaudit.ok || (deny_warnings && warnings > 0);
+    let deny = args.on("--deny-warnings");
+    let fail = errors > 0 || !outcome.reaudit.ok || (deny && warnings > 0);
     std::process::exit(if fail { 1 } else { 0 });
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            feed: "research".to_string(),
-            trace: None,
-            dump: None,
-            seconds: 60,
-            seed: 1,
-            limit: 20,
-            shards: 1,
-            fault_plan: None,
-            fault_seed: None,
-            durable: None,
-            state_budget: None,
-            fsync: "never".to_string(),
-            resume: false,
-            metrics: None,
-            profile: None,
-            meta: None,
-            top: false,
-            explain: false,
-            json: false,
-            query: None,
-        }
-    }
-}
-
-/// The output flags `run` and `recover` share, `--json`, `--limit R`
-/// and `--metrics[=FILE]`: parse `argv[*i - 1]` into `opts` if it is
-/// one, moving `*i` past any value it takes.
-fn output_flag(argv: &[String], i: &mut usize, opts: &mut Options, usage: fn() -> !) -> bool {
-    match argv[*i - 1].as_str() {
-        "--json" => opts.json = true,
-        "--limit" => {
-            *i += 1;
-            opts.limit = argv.get(*i - 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-        }
-        "--metrics" => {
-            // Optional target: a following bare `-` selects stdout
-            // explicitly (also the default); files use `--metrics=FILE`.
-            if argv.get(*i).map(String::as_str) == Some("-") {
-                *i += 1;
-            }
-            opts.metrics = Some("-".to_string());
-        }
-        s if s.starts_with("--metrics=") => {
-            opts.metrics = Some(s["--metrics=".len()..].to_string())
-        }
-        _ => return false,
-    }
-    true
-}
-
-fn parse_args(argv: &[String], top: bool) -> Options {
-    let mut opts = Options { top, ..Options::default() };
-    let mut i = 0usize;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i - 1).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        i += 1;
-        if output_flag(argv, &mut i, &mut opts, usage) {
-            continue;
-        }
-        match argv[i - 1].as_str() {
-            "--feed" => opts.feed = value(&mut i),
-            "--trace" => opts.trace = Some(value(&mut i)),
-            "--dump" => opts.dump = Some(value(&mut i)),
-            "--seconds" => opts.seconds = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => {
-                opts.shards = value(&mut i)
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--fault-plan" => opts.fault_plan = Some(value(&mut i)),
-            "--fault-seed" => {
-                opts.fault_seed = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--durable" => opts.durable = Some(value(&mut i)),
-            "--state-budget" => {
-                opts.state_budget = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--fsync" => opts.fsync = value(&mut i),
-            "--profile" => opts.profile = Some("-".to_string()),
-            s if s.starts_with("--profile=") => {
-                opts.profile = Some(s["--profile=".len()..].to_string())
-            }
-            "--meta" => opts.meta = Some(value(&mut i)),
-            "--explain" => opts.explain = true,
-            "--help" | "-h" => usage(),
-            q if !q.starts_with("--") && opts.query.is_none() => opts.query = Some(q.to_string()),
-            _ => usage(),
-        }
-    }
-    if opts.query.is_none() {
-        usage();
-    }
-    if opts.state_budget.is_some() && opts.durable.is_none() {
-        eprintln!("error: --state-budget requires --durable DIR (the spill file lives there)");
-        std::process::exit(2);
-    }
-    if let Err(e) = stream_sampler::store::FsyncPolicy::parse(&opts.fsync) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    opts
-}
-
-/// `sso recover [--json] [--limit R] [--metrics[=FILE]] STORE-DIR`:
-/// rebuild the run configuration from the store's `MANIFEST` and re-run
-/// it with `resume = true` — recorded windows are served back from the
-/// store, and execution picks up at the first unrecorded window.
-fn recover_options(args: &[String]) -> Options {
-    let usage = || -> ! {
-        eprintln!("usage: sso recover [--json] [--limit R] [--metrics[=FILE]] STORE-DIR");
-        std::process::exit(2);
-    };
-    let mut opts = Options::default();
-    let mut dir: Option<String> = None;
-    let mut i = 0usize;
-    while i < args.len() {
-        i += 1;
-        if output_flag(args, &mut i, &mut opts, usage) {
-            continue;
-        }
-        match args[i - 1].as_str() {
-            "--help" | "-h" => usage(),
-            p if !p.starts_with("--") && dir.is_none() => dir = Some(p.to_string()),
-            _ => usage(),
-        }
-    }
-    let Some(dir) = dir else { usage() };
-    let manifest =
-        stream_sampler::store::read_manifest(std::path::Path::new(&dir)).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {dir}/MANIFEST: {e}");
-            std::process::exit(1);
-        });
+/// `sso recover STORE-DIR`: the run the store's `MANIFEST` records, each
+/// recorded value read back through its flag's check, resumed from the
+/// store — recorded windows are served back, and execution picks up at
+/// the first unrecorded window.
+fn recover(mut args: Args) -> Args {
+    let dir = std::mem::take(&mut args.operand);
+    let manifest = stream_sampler::store::read_manifest(Path::new(&dir))
+        .unwrap_or_else(|e| fail(1, format!("cannot read {dir}/MANIFEST: {e}")));
     let get = |k: &str| manifest.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
-    let require = |k: &str| {
-        get(k).unwrap_or_else(|| {
-            eprintln!(
-                "error: {dir}/MANIFEST has no `{k}` entry; was the run started with --durable?"
-            );
-            std::process::exit(1);
-        })
+    let missing = |k: &str| -> ! {
+        let why = "was the run started with --durable?";
+        fail(1, format!("{dir}/MANIFEST has no `{k}` entry; {why}"))
     };
-    let parse_num = |k: &str, v: String| -> u64 {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: {dir}/MANIFEST: bad `{k}` value `{v}`");
-            std::process::exit(1);
-        })
-    };
-    let query = require("query");
-    let seconds = parse_num("seconds", require("seconds"));
-    let seed = parse_num("seed", require("seed"));
-    let shards = parse_num("shards", require("shards")) as usize;
-    let state_budget = get("state_budget").map(|v| parse_num("state_budget", v));
+    args.operand = get("query").unwrap_or_else(|| missing("query"));
     // Routing is a pure function of the tuples and the shard count, so
     // nothing else about it needs recording: the `routers` and
     // `router_cursors` keys older builds wrote are ignored. Fault plans
-    // are deliberately not replayed (the defaults have none): recovery
-    // must converge on the fault-free output, and re-arming the crash
-    // event would kill the resumed run at the same tuple again.
-    Options {
-        feed: get("feed").unwrap_or_else(|| "research".to_string()),
-        trace: get("trace"),
-        seconds,
-        seed,
-        shards,
-        durable: Some(dir),
-        state_budget,
-        fsync: get("fsync").unwrap_or_else(|| "never".to_string()),
-        resume: true,
-        query: Some(query),
-        ..opts
+    // are deliberately not replayed: recovery must converge on the
+    // fault-free output, and re-arming the crash event would kill the
+    // resumed run at the same tuple again.
+    for f in FLAGS {
+        let Some(key) = f.key else { continue };
+        let v = match (get(key), f.default) {
+            (Some(v), _) => v,
+            (None, Some(_)) => missing(key),
+            (None, None) => continue,
+        };
+        if f.check.run(&v).is_err() {
+            fail(1, format!("{dir}/MANIFEST: bad `{key}` value `{v}`"));
+        }
+        args.values.push((f.name, v));
     }
+    args.values.push(("--durable", dir));
+    args
 }
 
-/// `sso trace [--chrome FILE] [--limit N] DUMP-FILE|DIR`: render a
-/// flight-recorder dump as a human-readable causal timeline, or as
-/// Chrome trace-event JSON (`--chrome`, `-` for stdout) that
-/// chrome://tracing and Perfetto load directly. A directory argument
-/// resolves to its `flight.ssoprof`, falling back to the newest
-/// `*.ssoprof` file inside (crash dumps under `--durable DIR`).
-fn run_trace(args: &[String]) -> ! {
-    let usage = || -> ! {
-        eprintln!("usage: sso trace [--chrome FILE] [--limit N] DUMP-FILE|DIR");
-        std::process::exit(2);
-    };
-    let mut chrome: Option<String> = None;
-    let mut limit = 64usize;
-    let mut target: Option<String> = None;
-    let mut i = 0usize;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i - 1).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        let a = args[i].clone();
-        i += 1;
-        match a.as_str() {
-            "--chrome" => chrome = Some(value(&mut i)),
-            "--limit" => limit = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--help" | "-h" => usage(),
-            p if !p.starts_with("--") && target.is_none() => target = Some(p.to_string()),
-            _ => usage(),
-        }
-    }
-    let Some(target) = target else { usage() };
-    let path = resolve_dump_path(std::path::Path::new(&target)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let dump = stream_sampler::profile::read_dump_file(&path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    match chrome {
+/// `sso trace`: render a flight-recorder dump as a human-readable
+/// causal timeline, or as Chrome trace-event JSON (`--chrome`, `-` for
+/// stdout) that chrome://tracing and Perfetto load directly. A
+/// directory argument resolves to its `flight.ssoprof`, falling back to
+/// the newest `*.ssoprof` file inside (crash dumps under `--durable
+/// DIR`).
+fn run_trace(args: &Args) -> ! {
+    let path = resolve_dump_path(Path::new(&args.operand)).unwrap_or_else(|e| fail(1, e));
+    let dump = stream_sampler::profile::read_dump_file(&path)
+        .unwrap_or_else(|e| fail(1, format!("cannot read {}: {e}", path.display())));
+    match args.get("--chrome") {
         Some(out) => {
             let body = line(&json::chrome_trace(&dump));
             if out == "-" {
                 print!("{body}");
-            } else if let Err(e) = std::fs::write(&out, body) {
-                eprintln!("error: cannot write {out}: {e}");
-                std::process::exit(1);
+            } else if let Err(e) = std::fs::write(out, body) {
+                fail(1, format!("cannot write {out}: {e}"));
             } else {
                 eprintln!(
                     "# wrote {} trace events to {out} — open chrome://tracing and load it",
@@ -660,14 +593,14 @@ fn run_trace(args: &[String]) -> ! {
                 );
             }
         }
-        None => print!("{}", stream_sampler::profile::render_timeline(&dump, limit)),
+        None => print!("{}", stream_sampler::profile::render_timeline(&dump, args.num("--limit"))),
     }
     std::process::exit(0);
 }
 
 /// A file argument is used as-is; a directory resolves to its
 /// `flight.ssoprof` or, failing that, the newest `*.ssoprof` inside.
-fn resolve_dump_path(target: &std::path::Path) -> Result<std::path::PathBuf, String> {
+fn resolve_dump_path(target: &Path) -> Result<std::path::PathBuf, String> {
     if !target.is_dir() {
         return Ok(target.to_path_buf());
     }
@@ -717,7 +650,7 @@ struct Attachments<'a> {
 /// registry is attached the run is fully instrumented and a snapshot is
 /// pushed per closed window (single-instance) plus one final snapshot.
 fn execute_query(
-    opts: &Options,
+    opts: &Args,
     parsed: &stream_sampler::query::Query,
     spec: OperatorSpec,
     packets: &[Packet],
@@ -728,31 +661,27 @@ fn execute_query(
     let schema = Packet::schema();
     let config = PlannerConfig::standard();
     let mut result = ExecResult { windows: Vec::new(), shard_lines: Vec::new(), coverage: 1.0 };
-    // Durable and profiled runs always go through the sharded runtime —
-    // that is where the per-shard store and the lineage-stamped stage
-    // pipeline live — even at --shards 1.
-    if opts.shards > 1 || opts.durable.is_some() || profiler.is_some() {
+    if opts.sharded() {
         let make = |_shard: usize| {
             stream_sampler::query::plan(parsed, &schema, &config)
                 .map_err(|e| stream_sampler::operator::OpError::InvalidSpec(e.to_string()))
         };
-        let mut cfg = RuntimeConfig::new(opts.shards);
+        let shards = opts.num("--shards");
+        let mut cfg = RuntimeConfig::new(shards);
         // Pre-size group tables and rings from the static audit's
         // certified ceilings. With --trace the declared envelope may
         // not describe the input, but the hints stay sound: reserve()
         // caps at MAX_RESERVE and the certified bounds are upper
         // bounds under any rate for the sampler-capped dimensions.
-        if let Some(text) = opts.query.as_deref() {
-            let audit_opts = stream_sampler::analysis::AuditOptions {
-                feed: opts.feed.clone(),
-                shards: opts.shards,
-                ..Default::default()
-            };
-            let outcome = stream_sampler::analysis::audit_file(text, &audit_opts);
-            if let Some(s) = outcome.report.statements.first() {
-                let hints = s.sizing_hints(opts.shards, cfg.batch_size);
-                cfg = cfg.with_sizing(hints);
-            }
+        let audit_opts = stream_sampler::analysis::AuditOptions {
+            feed: opts.value("--feed").to_string(),
+            shards,
+            ..Default::default()
+        };
+        let outcome = stream_sampler::analysis::audit_file(&opts.operand, &audit_opts);
+        if let Some(s) = outcome.report.statements.first() {
+            let hints = s.sizing_hints(shards, cfg.batch_size);
+            cfg = cfg.with_sizing(hints);
         }
         if let Some(reg) = registry {
             cfg = cfg.with_registry(reg.clone());
@@ -763,12 +692,12 @@ fn execute_query(
         if let Some(plan) = faults {
             cfg = cfg.with_faults(plan.clone());
         }
-        if let Some(dir) = &opts.durable {
+        if let Some(dir) = opts.get("--durable") {
             let mut durability =
                 stream_sampler::runtime::DurabilityConfig::new(std::path::PathBuf::from(dir));
-            durability.fsync = stream_sampler::store::FsyncPolicy::parse(&opts.fsync)?;
-            durability.state_budget = opts.state_budget;
-            durability.resume = opts.resume;
+            durability.fsync = FsyncPolicy::parse(opts.value("--fsync"))?;
+            durability.state_budget = opts.on("--state-budget").then(|| opts.num("--state-budget"));
+            durability.resume = opts.name == "recover";
             cfg = cfg.with_durability(durability);
         }
         let report = match stream_sampler::gigascope::run_plan_sharded(
@@ -782,8 +711,7 @@ fn execute_query(
                 stream_sampler::runtime::RuntimeError::Crashed { at_tuple },
             )) => {
                 let hint = opts
-                    .durable
-                    .as_deref()
+                    .get("--durable")
                     .map(|d| format!("; resume with `sso recover {d}`"))
                     .unwrap_or_default();
                 // The runtime wrote the flight recorder after joining
@@ -1011,37 +939,18 @@ fn write_metrics(target: &str, snapshots: &[Snapshot]) {
         return;
     }
     if let Err(e) = std::fs::write(target, body) {
-        eprintln!("error: cannot write {target}: {e}");
-        std::process::exit(1);
+        fail(1, format!("cannot write {target}: {e}"));
     }
 }
 
-/// Run the `--meta` query over the collected snapshots: snapshots are
-/// rendered as METRICS tuples (ordered by snapshot `seq`) and fed to a
-/// second sampling operator — the DSMS monitoring the DSMS.
-fn run_meta_query(meta_text: &str, snapshots: &[Snapshot], opts: &Options) {
-    let config = PlannerConfig::standard();
-    let schema = metrics_schema();
-    let mut op = match compile(meta_text, &schema, &config) {
-        Ok(op) => op,
-        Err(e) => {
-            eprintln!("error: meta query: {e}");
-            std::process::exit(1);
-        }
-    };
+/// Run the compiled `--meta` query over the collected snapshots:
+/// snapshots are rendered as METRICS tuples (ordered by snapshot `seq`)
+/// and fed to a second sampling operator — the DSMS monitoring the DSMS.
+fn run_meta_query(mut op: SamplingOperator, snapshots: &[Snapshot], opts: &Args) {
     let tuples: Vec<Tuple> = snapshots.iter().flat_map(snapshot_tuples).collect();
-    let windows = match op.run(tuples.iter()) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: meta query: {e}");
-            std::process::exit(1);
-        }
-    };
-    let meta_parsed = parse_query(meta_text).expect("meta query parsed by compile");
-    let meta_spec =
-        stream_sampler::query::plan(&meta_parsed, &schema, &config).expect("meta query planned");
-    let columns: Vec<String> = meta_spec.select.iter().map(|(n, _)| n.clone()).collect();
-    if !opts.json {
+    let windows = op.run(tuples.iter()).unwrap_or_else(|e| fail(1, format!("meta query: {e}")));
+    let columns: Vec<String> = op.spec().select.iter().map(|(n, _)| n.clone()).collect();
+    if !opts.on("--json") {
         eprintln!("# meta query over {} snapshots ({} tuples)", snapshots.len(), tuples.len());
     }
     for w in &windows {
@@ -1050,105 +959,80 @@ fn run_meta_query(meta_text: &str, snapshots: &[Snapshot], opts: &Options) {
 }
 
 fn main() {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut top = false;
-    let mut recovered: Option<Options> = None;
-    match argv.first().map(String::as_str) {
-        Some("check") => run_check(&argv[1..]),
-        Some("audit") => run_audit(&argv[1..]),
-        Some("optimize") => run_optimize(&argv[1..]),
-        Some("trace") => run_trace(&argv[1..]),
-        Some("recover") => recovered = Some(recover_options(&argv[1..])),
-        Some("run") => {
-            argv.remove(0);
-        }
-        Some("top") => {
-            argv.remove(0);
-            top = true;
-        }
-        _ => {}
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv);
+    match args.name {
+        "check" => run_check(&args),
+        "audit" => run_audit(&args),
+        "optimize" => run_optimize(&args),
+        "trace" => run_trace(&args),
+        "recover" => run(recover(args)),
+        _ => run(args),
     }
-    let opts = recovered.unwrap_or_else(|| parse_args(&argv, top));
-    let query_text = opts.query.as_deref().expect("query checked in parse_args");
+}
+
+/// `sso run`, `sso top` and `sso recover`: plan the query, build the
+/// feed, execute and print.
+fn run(opts: Args) {
+    let query_text = opts.operand.as_str();
+    let (seconds, seed, shards): (u64, u64, usize) =
+        (opts.num("--seconds"), opts.num("--seed"), opts.num("--shards"));
+    let (top, json) = (opts.name == "top", opts.on("--json"));
 
     let schema = Packet::schema();
     let config = PlannerConfig::standard();
-    let parsed = match parse_query(query_text) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let spec = match stream_sampler::query::plan(&parsed, &schema, &config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    if opts.explain {
+    let parsed = parse_query(query_text).unwrap_or_else(|e| fail(1, e));
+    let spec =
+        stream_sampler::query::plan(&parsed, &schema, &config).unwrap_or_else(|e| fail(1, e));
+    if opts.on("--explain") {
         print!("{}", explain(&spec));
         return;
     }
+    // The meta query is compiled before anything runs, so a bad one
+    // costs no feed, no output and no store.
+    let meta = opts.get("--meta").map(|text| {
+        compile(text, &metrics_schema(), &config)
+            .unwrap_or_else(|e| fail(1, format!("meta query: {e}")))
+    });
 
     // Resolve the fault plan before the feed so its feed-level events
     // can perturb the packets. A file wins over --fault-seed; a bare
     // --fault-seed generates the seeded plan (replayable: the same seed
     // and shard count always produce the same plan).
-    let fault_plan: Option<std::sync::Arc<FaultPlan>> = match (&opts.fault_plan, opts.fault_seed) {
-        (Some(path), _) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            match FaultPlan::parse(&text) {
-                Ok(plan) => Some(plan.into_shared()),
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let fault_plan: Option<std::sync::Arc<FaultPlan>> = match opts.get("--fault-plan") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(1, format!("cannot read {path}: {e}")));
+            let plan = FaultPlan::parse(&text).unwrap_or_else(|e| fail(1, format!("{path}: {e}")));
+            Some(plan.into_shared())
         }
-        (None, Some(seed)) => Some(FaultPlan::from_seed(seed, opts.shards).into_shared()),
-        (None, None) => None,
+        None if opts.on("--fault-seed") => {
+            Some(FaultPlan::from_seed(opts.num("--fault-seed"), shards).into_shared())
+        }
+        None => None,
     };
 
-    let packets = if let Some(path) = &opts.trace {
-        match std::fs::File::open(path)
+    let packets = match opts.get("--trace") {
+        Some(path) => std::fs::File::open(path)
             .map_err(Into::into)
             .and_then(stream_sampler::netgen::read_trace)
-        {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        match opts.feed.as_str() {
-            "research" => research_feed(opts.seed).take_seconds(opts.seconds),
-            "datacenter" => datacenter_feed(opts.seed).take_seconds(opts.seconds),
-            "burst" => burst_feed(opts.seed).take_seconds(opts.seconds),
-            "ddos" => ddos_feed(opts.seed, opts.seconds / 3, 2 * opts.seconds / 3)
-                .take_seconds(opts.seconds),
-            other => {
-                eprintln!("error: unknown feed `{other}` (research | datacenter | ddos | burst)");
-                std::process::exit(1);
-            }
-        }
+            .unwrap_or_else(|e| fail(1, e)),
+        None => match opts.value("--feed") {
+            "research" => research_feed(seed).take_seconds(seconds),
+            "datacenter" => datacenter_feed(seed).take_seconds(seconds),
+            "burst" => burst_feed(seed).take_seconds(seconds),
+            "ddos" => ddos_feed(seed, seconds / 3, 2 * seconds / 3).take_seconds(seconds),
+            other => unreachable!("--feed {other} has a profile but no generator"),
+        },
     };
-    if let Some(path) = &opts.dump {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot create {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = opts.get("--dump") {
+        let file = std::fs::File::create(path)
+            .unwrap_or_else(|e| fail(1, format!("cannot create {path}: {e}")));
         if let Err(e) = stream_sampler::netgen::write_trace(&packets, std::io::BufWriter::new(file))
         {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(1);
+            fail(1, format!("writing {path}: {e}"));
         }
-        if !opts.json {
+        if !json {
             eprintln!("# wrote {} packets to {path}", packets.len());
         }
     }
@@ -1157,12 +1041,12 @@ fn main() {
     // a saved trace replays without the plan.
     let packets = match &fault_plan {
         Some(plan) => {
-            if plan.has_worker_faults() && opts.shards <= 1 {
+            if plan.has_worker_faults() && shards <= 1 {
                 eprintln!(
                     "warning: fault plan has worker events; they only fire with --shards > 1"
                 );
             }
-            if !opts.json {
+            if !json {
                 for ev in &plan.events {
                     eprintln!("# fault: {ev}");
                 }
@@ -1171,75 +1055,53 @@ fn main() {
         }
         None => packets,
     };
-    if !opts.json {
+    if !json {
         eprintln!(
-            "# feed={} seed={} seconds={} packets={}",
-            opts.feed,
-            opts.seed,
-            opts.seconds,
+            "# feed={} seed={seed} seconds={seconds} packets={}",
+            opts.value("--feed"),
             packets.len()
         );
     }
 
     // Gate on shard-mergeability first so the refusal renders as a
-    // proper W102 diagnostic instead of a runtime error. Durable runs
-    // go through the sharded runtime even at --shards 1, so they gate
-    // too.
-    if (opts.shards > 1 || opts.durable.is_some() || opts.profile.is_some())
-        && stream_sampler::operator::shard_plan(&spec).is_err()
-    {
+    // proper W102 diagnostic instead of a runtime error.
+    if opts.sharded() && stream_sampler::operator::shard_plan(&spec).is_err() {
         let diags = stream_sampler::query::check_shard_mergeable(query_text, &schema, &config);
         eprint!("{}", diag::render(query_text, "query", &diags));
-        if opts.shards > 1 {
-            eprintln!("error: --shards {} requires a shard-mergeable query", opts.shards);
-        } else if opts.durable.is_some() {
-            eprintln!("error: --durable requires a shard-mergeable query");
+        let why = if shards > 1 {
+            format!("--shards {shards}")
+        } else if opts.on("--durable") {
+            "--durable".to_string()
         } else {
-            eprintln!(
-                "error: --profile runs through the sharded runtime and requires a \
-                 shard-mergeable query"
-            );
-        }
-        std::process::exit(1);
+            "--profile runs through the sharded runtime and".to_string()
+        };
+        fail(1, format!("{why} requires a shard-mergeable query"));
     }
 
-    // A fresh durable run records its configuration so `sso recover`
-    // can rebuild the identical input stream. Written before execution:
-    // the manifest must survive the crash it exists to recover from.
-    if let (Some(dir), false) = (&opts.durable, opts.resume) {
-        let path = std::path::Path::new(dir);
-        let mut entries: Vec<(String, String)> = vec![
-            ("query".into(), query_text.replace(['\n', '\r'], " ")),
-            ("feed".into(), opts.feed.clone()),
-            ("seed".into(), opts.seed.to_string()),
-            ("seconds".into(), opts.seconds.to_string()),
-            ("shards".into(), opts.shards.to_string()),
-            ("fsync".into(), opts.fsync.clone()),
-        ];
-        if let Some(trace) = &opts.trace {
-            entries.push(("trace".into(), trace.clone()));
-        }
-        if let Some(budget) = opts.state_budget {
-            entries.push(("state_budget".into(), budget.to_string()));
-        }
-        let written = std::fs::create_dir_all(path)
-            .and_then(|()| stream_sampler::store::write_manifest(path, &entries));
-        if let Err(e) = written {
-            eprintln!("error: cannot write {dir}/MANIFEST: {e}");
-            std::process::exit(1);
+    // A fresh durable run records the query and every recorded flag so
+    // `sso recover` can rebuild the identical input stream. Written
+    // before execution: the manifest must survive the crash it exists
+    // to recover from.
+    if let (Some(dir), false) = (opts.get("--durable"), opts.name == "recover") {
+        let query = ("query".to_string(), query_text.replace(['\n', '\r'], " "));
+        let recorded =
+            FLAGS.iter().filter_map(|f| Some((f.key?.to_string(), opts.get(f.name)?.to_string())));
+        let entries: Vec<_> = std::iter::once(query).chain(recorded).collect();
+        if let Err(e) = stream_sampler::store::write_manifest(Path::new(dir), &entries) {
+            fail(1, format!("cannot write {dir}/MANIFEST: {e}"));
         }
     }
 
-    let wants_metrics = opts.metrics.is_some() || opts.meta.is_some() || opts.top;
+    let wants_metrics = opts.on("--metrics") || meta.is_some() || top;
     let registry = wants_metrics.then(Registry::new);
     // The profiler's dump target: an explicit `--profile=FILE` wins,
     // else triggered dumps land next to the durable store (when one
     // exists) or in the working directory.
-    let profiler = opts.profile.as_ref().map(|target| {
+    let profiler = opts.get("--profile").map(|target| {
         let dump_path = if target != "-" {
             std::path::PathBuf::from(target)
-        } else if let Some(dir) = &opts.durable {
-            std::path::Path::new(dir).join(stream_sampler::profile::DUMP_FILE)
+        } else if let Some(dir) = opts.get("--durable") {
+            Path::new(dir).join(stream_sampler::profile::DUMP_FILE)
         } else {
             std::path::PathBuf::from(stream_sampler::profile::DUMP_FILE)
         };
@@ -1250,56 +1112,35 @@ fn main() {
     });
     let mut snapshots: Vec<Snapshot> = Vec::new();
     let columns: Vec<String> = spec.select.iter().map(|(n, _)| n.clone()).collect();
+    let att = Attachments {
+        faults: fault_plan.as_ref(),
+        registry: registry.as_ref(),
+        profiler: profiler.as_ref(),
+    };
 
-    let result = if opts.top {
+    let result = if top {
         let reg = registry.clone().expect("top always collects metrics");
         // The query runs on a background thread; the foreground redraws
         // the metrics table in place until it finishes.
         std::thread::scope(|s| {
-            let opts = &opts;
-            let parsed = &parsed;
-            let packets = &packets;
-            let att = Attachments {
-                faults: fault_plan.as_ref(),
-                registry: registry.as_ref(),
-                profiler: profiler.as_ref(),
-            };
-            let prof = att.profiler;
-            let snapshots = &mut snapshots;
+            let (opts, parsed, packets, snapshots) = (&opts, &parsed, &packets, &mut snapshots);
             let handle =
                 s.spawn(move || execute_query(opts, parsed, spec, packets, att, snapshots));
             while !handle.is_finished() {
                 std::thread::sleep(std::time::Duration::from_millis(250));
                 // \x1b[2J\x1b[H = clear screen + home.
-                print!("\x1b[2J\x1b[H{}", render_top(&reg.snapshot(), prof));
+                print!("\x1b[2J\x1b[H{}", render_top(&reg.snapshot(), att.profiler));
                 let _ = std::io::stdout().flush();
             }
             handle.join().expect("top worker panicked")
         })
     } else {
-        execute_query(
-            &opts,
-            &parsed,
-            spec,
-            &packets,
-            Attachments {
-                faults: fault_plan.as_ref(),
-                registry: registry.as_ref(),
-                profiler: profiler.as_ref(),
-            },
-            &mut snapshots,
-        )
+        execute_query(&opts, &parsed, spec, &packets, att, &mut snapshots)
     };
-    let result = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let result = result.unwrap_or_else(|e| fail(1, e));
 
     let mut total_rows = 0u64;
-    if opts.top {
+    if top {
         // Final state of the table, then a run summary instead of rows.
         println!(
             "{}",
@@ -1314,7 +1155,7 @@ fn main() {
         for w in &result.windows {
             total_rows += print_window(w, &columns, &opts);
         }
-        if !opts.json {
+        if !json {
             for line in &result.shard_lines {
                 eprintln!("{line}");
             }
@@ -1338,7 +1179,7 @@ fn main() {
                     );
                 }
             }
-            None if opts.profile.as_deref() != Some("-") => {
+            None if opts.get("--profile") != Some("-") => {
                 // An explicit FILE target gets a dump even on a clean
                 // run — that is how a chrome trace of a healthy run is
                 // produced.
@@ -1346,8 +1187,7 @@ fn main() {
                     match p.write_dump(path, stream_sampler::profile::DumpReason::Manual) {
                         Ok(()) => eprintln!("# profile dump: sso trace {}", path.display()),
                         Err(e) => {
-                            eprintln!("error: cannot write profile dump {}: {e}", path.display());
-                            std::process::exit(1);
+                            fail(1, format!("cannot write profile dump {}: {e}", path.display()))
                         }
                     }
                 }
@@ -1355,16 +1195,16 @@ fn main() {
             None => {}
         }
     }
-    if let Some(target) = &opts.metrics {
+    if let Some(target) = opts.get("--metrics") {
         write_metrics(target, &snapshots);
     }
-    if let Some(meta_text) = &opts.meta {
-        run_meta_query(meta_text, &snapshots, &opts);
+    if let Some(op) = meta {
+        run_meta_query(op, &snapshots, &opts);
     }
 }
 
-fn print_window(w: &WindowOutput, columns: &[String], opts: &Options) -> u64 {
-    if opts.json {
+fn print_window(w: &WindowOutput, columns: &[String], opts: &Args) -> u64 {
+    if opts.on("--json") {
         println!("{}", line(&json::window(w, columns)));
         return w.rows.len() as u64;
     }
@@ -1382,12 +1222,13 @@ fn print_window(w: &WindowOutput, columns: &[String], opts: &Options) -> u64 {
         w.rows.len()
     );
     println!("{}", columns.join("\t"));
-    for row in w.rows.iter().take(opts.limit) {
+    let limit: usize = opts.num("--limit");
+    for row in w.rows.iter().take(limit) {
         let cells: Vec<String> = row.values().iter().map(|v| v.to_string()).collect();
         println!("{}", cells.join("\t"));
     }
-    if w.rows.len() > opts.limit {
-        println!("... ({} more rows)", w.rows.len() - opts.limit);
+    if w.rows.len() > limit {
+        println!("... ({} more rows)", w.rows.len() - limit);
     }
     w.rows.len() as u64
 }
