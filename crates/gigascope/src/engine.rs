@@ -107,8 +107,8 @@ impl<I: Iterator<Item = Packet>> Iterator for Feed<I> {
 
 /// The low half of every execution mode: a packet iterator read in
 /// place by one low-level node. The source never reads the clock: the
-/// caller times `next` as its loop can afford (per batch inline, a
-/// sampled span on the sharded pump) and fills in `busy`.
+/// caller times `next` as its loop can afford (per batch inline, once
+/// a piece on the sharded pump) and fills in `busy`.
 pub(crate) struct LowSource<I> {
     low: Box<dyn LowLevelQuery>,
     packets: Feed<I>,

@@ -5,7 +5,6 @@
 use std::time::Duration;
 
 use sso_core::{shard_plan, NotMergeable, OpError, OperatorSpec, WindowOutput};
-use sso_obs::SampledSpan;
 use sso_runtime::{run_sharded, Refill, RouterStats, RuntimeConfig, RuntimeError, ShardStats};
 use sso_types::Packet;
 
@@ -145,34 +144,20 @@ pub fn run_plan_sharded_with<F>(
 where
     F: Fn(usize) -> Result<OperatorSpec, OpError> + Sync,
 {
-    // The pump times the low-level node through a sampled span (1 in
-    // 64, scaled back up): a per-packet clock pair costs as much as a
-    // cheap low-level node and would throttle the pump, which bounds
-    // the whole sharded pipeline. The span is around the whole pull:
-    // the packet iterator, the node and — on the one call that runs out
-    // of packets — the node's `finish()` pass, sampled like any other
-    // call. When the caller supplies no registry, an ephemeral enabled
-    // one keeps the NodeStats busy accounting live without publishing
-    // anything.
-    let registry = cfg.registry.clone().unwrap_or_default();
-    let low_span = SampledSpan::register(&registry, "low.process_ns", "low.busy_ns", "", 6);
-
     // Drive the low-level node lazily from inside the runtime's pump:
     // the pull runs on the calling thread, so the node needs no Sync,
     // and every forwarded packet is written into the recycled tuple the
-    // pump hands in.
+    // pump hands in. The pump times each piece's pull — the packet
+    // iterator and the node, and on the piece that runs out of packets
+    // the node's `finish()` pass — and that time is the node's busy time.
     let mut source = LowSource::new(low, packets);
-    let tuples = Refill(|slot: &mut sso_types::Tuple| {
-        let _span = low_span.start();
-        source.next(slot)
-    });
-
-    let report = run_sharded(plan, make_spec, cfg, tuples)?;
+    let report = run_sharded(plan, make_spec, cfg, Refill(|slot: &mut _| source.next(slot)))?;
     let (mut low_stats, stream_span) = source.finish();
-    low_stats.busy = Duration::from_nanos(low_span.busy_counter().get());
-    if cfg.registry.is_some() {
+    low_stats.busy = report.pull;
+    if let Some(registry) = &cfg.registry {
         registry.counter("low.tuples_in").add(low_stats.tuples_in);
         registry.counter("low.tuples_out").add(low_stats.tuples_out);
+        registry.counter("low.busy_ns").add(report.pull.as_nanos() as u64);
     }
     Ok(ShardedRunReport {
         low: low_stats,
@@ -219,6 +204,28 @@ mod tests {
             assert_eq!(sharded.low.tuples_in, pkts.len() as u64);
             assert_eq!(sharded.tuples_processed(), pkts.len() as u64);
         }
+    }
+
+    #[test]
+    fn low_busy_is_timed_whatever_the_registry() {
+        use sso_obs::Registry;
+        let pkts = research_feed(23).take_seconds(1);
+        let enabled = Registry::new();
+        let registries = [None, Some(Registry::disabled()), Some(enabled.clone())];
+        for (registry, what) in registries.into_iter().zip(["none", "disabled", "enabled"]) {
+            let mut cfg = RuntimeConfig::new(2);
+            cfg.registry = registry;
+            let report = run_plan_sharded(
+                Box::new(SelectionNode::pass_all()),
+                |_| Ok(queries::total_sum_query(1)),
+                &cfg,
+                pkts.clone(),
+            )
+            .unwrap();
+            assert!(report.low.busy > Duration::ZERO, "{what} registry: low.busy is 0");
+        }
+        let busy = enabled.snapshot().get("low.busy_ns").map(|m| m.scalar()).unwrap_or(0.0);
+        assert!(busy > 0.0, "the supplied registry's low.busy_ns is 0");
     }
 
     #[test]

@@ -1,78 +1,40 @@
-//! The sharded runtime: the calling thread pumps the source and
-//! hash-partitions each tuple by the plan's partition key into one
-//! batched bounded ring per shard; each shard runs its own operator
-//! instance on a thread of its own, draining its ring; each worker's
-//! window outputs are its thread's result, and the pump merges them by
-//! the plan's rule once it has joined every worker.
+//! The sharded runtime's entry point, [`run_sharded`], with its
+//! configuration ([`RuntimeConfig`]), its report ([`ShardedReport`],
+//! [`ShardStats`], [`RouterStats`]) and its errors ([`RuntimeError`]).
 //!
-//! ## Pump, rings, and recycled batches
+//! `run_sharded` wires the stages together and runs them; each lives
+//! in a module of its own:
 //!
-//! The calling thread *pumps* the source into a fixed-length chunk (see
-//! [`crate::pump`]), routes it into the shards' SPSC rings a piece at a
-//! time as it fills, and flushes every partial batch at the chunk's
-//! end, which bounds how long a lightly loaded shard's tuples wait. One thread routes, and
-//! each shard reads one ring, so a shard consumes its tuples in global
-//! stream order. Keyed routing is a pure content hash and round-robin
-//! routing a pure function of the tuple's global stream position.
-//!
-//! Nothing is materialized: the pump runs at most
-//! [`RuntimeConfig::max_look_ahead`] tuples ahead of the operators.
-//! And every buffer is reused. Spent batches travel back (worker →
-//! pump) on return rings that are never waited on — a full or closed
-//! return ring drops the buffer, and the next taker allocates one
-//! (`rt.tuple_buffers_fresh`) — while routing *swaps* each tuple with a
-//! dead one, so the one chunk buffer stays full of tuples for the
-//! source to overwrite in place.
-//!
-//! ## Fault tolerance
-//!
-//! Degradation mechanisms keep a run alive — and its samples
-//! honest — when a shard *or the router* misbehaves (see `DESIGN.md`
-//! §"Fault model"):
-//!
-//! * **Quarantine supervision**: a worker panic is caught with the
-//!   poisoned operator's current window key; the shard discards (and
-//!   counts) that window's remaining tuples, then respawns a fresh
-//!   operator instance at the next window boundary. Merge-finalize
-//!   re-thresholds the surviving shards' samples and tags the window's
-//!   output with its coverage.
-//! * **Principled shedding** ([`Backpressure::Shed`]): ring pressure
-//!   raises a per-shard threshold z (the §7.1 mechanism driven in
-//!   reverse), so overload sheds *below-threshold* tuples with exact
-//!   Horvitz–Thompson accounting instead of dropping whole batches.
-//! * **Router supervision**: the pump routes under a per-stretch
-//!   `catch_unwind`; a routing panic quarantines the router for the
-//!   current window (its unrouted tuples counted as
-//!   `rt.router_uncovered` mass, degrading that window exactly like a
-//!   quarantined shard) and routing resumes at the next window
-//!   boundary. Router death is a degraded window, not a dead process.
+//! * [`crate::pump`]: the calling thread pulls the source a piece at a
+//!   time into one reused chunk.
+//! * `route`: the same thread partitions each piece into one batched
+//!   bounded ring per shard.
+//! * `worker`: one thread per shard runs its own operator instance.
+//! * `supervise`: the fault contract the router and the workers share.
+//! * [`crate::merge`]: once every worker is joined, the calling thread
+//!   merges their partials by the plan's rule.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rustc_hash::FxHasher;
 use sso_core::{
-    panic_message, EvalCtx, Expr, OpError, OperatorMetrics, OperatorSpec, Predicate,
-    SamplingOperator, ShardPlan, SizingHints, SpillStats, WindowOutput,
+    panic_message, Degradation, Expr, OpError, OperatorSpec, SamplingOperator, ShardPlan,
+    SizingHints, SpillStats, WindowOutput,
 };
-use sso_faults::{FaultEvent, FaultPlan, WorkerFaultSchedule};
-use sso_obs::{Counter, Gauge, Histogram, Registry, UndersampleConfig, UndersampleDetector};
-use sso_profile::{
-    DumpReason, Event as ProfEvent, LaneKind, LaneWriter, Profiler, Stage as ProfStage,
-};
-use sso_store::{FsyncPolicy, PagedGroupTable, ShardStore, StoreConfig};
+use sso_faults::{FaultEvent, FaultPlan};
+use sso_obs::{Counter, Gauge, Registry, Stopwatch, UndersampleConfig, UndersampleDetector};
+use sso_profile::{Event as ProfEvent, LaneKind, Profiler, Stage as ProfStage};
+use sso_store::{FsyncPolicy, ShardStore, StoreConfig};
 use sso_sync::SyncBool;
 use sso_types::Tuple;
 
 use crate::merge::ShardPartial;
-use crate::pump::{prefetch, pump, TupleSource, CHUNK_BATCHES, PREFETCH_AHEAD};
-use crate::ring::{ring, Consumer, Producer, PushError};
-use crate::worker::{window_key, Worker};
+use crate::pump::{pump, stamp, TupleSource, CHUNK_BATCHES};
+use crate::route::{route_piece, Router, Sender};
+use crate::supervise::Quarantine;
+use crate::worker::{operator, Worker};
 
 /// What the router does when a shard's ring is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,7 +229,7 @@ impl RuntimeConfig {
 
     /// The effective ring depth: the sizing hint's override when
     /// present, the configured default otherwise.
-    fn effective_ring_capacity(&self) -> usize {
+    pub(crate) fn effective_ring_capacity(&self) -> usize {
         self.sizing.and_then(|h| h.ring_batches).unwrap_or(self.ring_capacity)
     }
 
@@ -297,14 +259,14 @@ pub struct ShardStats {
     pub shard: usize,
     pub(crate) tuples: Counter,
     pub(crate) windows: Counter,
-    stalls: Counter,
-    dropped: Counter,
+    pub(crate) stalls: Counter,
+    pub(crate) dropped: Counter,
     pub(crate) busy_ns: Counter,
     pub(crate) quarantines: Counter,
     pub(crate) uncovered: Counter,
-    shed_tuples: Counter,
-    shed_weight: Gauge,
-    shed_z: Gauge,
+    pub(crate) shed_tuples: Counter,
+    pub(crate) shed_weight: Gauge,
+    pub(crate) shed_z: Gauge,
 }
 
 impl ShardStats {
@@ -534,6 +496,10 @@ pub struct ShardedReport {
     /// Run-level coverage: fraction of offered tuples (worker-delivered
     /// plus lost to router quarantine) represented by the merged output.
     pub coverage: f64,
+    /// Time the calling thread spent pulling the source, read once per
+    /// pulled piece: with a low-level query node as the source, that
+    /// node's busy time.
+    pub pull: Duration,
 }
 
 impl ShardedReport {
@@ -573,577 +539,10 @@ impl ShardedReport {
     }
 }
 
-/// Map a partition-key hash to a shard; hot enough on the router thread
-/// that the power-of-two mask (vs a 64-bit division) is measurable.
-#[inline]
-fn pick_shard(hash: u64, shards: usize) -> usize {
-    if shards.is_power_of_two() {
-        (hash as usize) & (shards - 1)
-    } else {
-        (hash % shards as u64) as usize
-    }
-}
-
-/// How the router picks a shard for a tuple. Stateless — a routing
-/// decision depends only on the tuple's content (keyed routing) or its
-/// global stream position (round-robin), never on what was routed
-/// before, so [`route_stream`] replays it from the tuples alone.
-enum Router {
-    /// No partition key: deal tuples out cyclically by global stream
-    /// position (valid only with a key-free merge rule).
-    RoundRobin,
-    /// Every partition expression is a plain input column.
-    Columns(Vec<usize>),
-    /// General tuple-phase expressions.
-    Exprs(Vec<Expr>),
-}
-
-impl Router {
-    fn new(plan: &ShardPlan) -> Router {
-        if plan.partition_exprs.is_empty() {
-            return Router::RoundRobin;
-        }
-        let cols: Option<Vec<usize>> = plan
-            .partition_exprs
-            .iter()
-            .map(|e| match e {
-                Expr::Column(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        match cols {
-            Some(cols) => Router::Columns(cols),
-            None => Router::Exprs(plan.partition_exprs.clone()),
-        }
-    }
-
-    /// The columns [`Self::route`] reads, as one span: none for
-    /// round-robin, from the first to the last key column, or every
-    /// column (`0..usize::MAX`) for general expressions.
-    fn reads(&self) -> Range<usize> {
-        match self {
-            Router::RoundRobin => 0..0,
-            Router::Columns(cols) => {
-                let (lo, hi) = (cols.iter().min(), cols.iter().max());
-                lo.map_or(0, |&c| c)..hi.map_or(0, |&c| c + 1)
-            }
-            Router::Exprs(_) => 0..usize::MAX,
-        }
-    }
-
-    /// The shard for the tuple at 0-based global stream position
-    /// `index`.
-    fn route(&self, tuple: &Tuple, index: u64, shards: usize) -> usize {
-        match self {
-            Router::RoundRobin => (index % shards as u64) as usize,
-            Router::Columns(cols) => {
-                let mut h = FxHasher::default();
-                for &c in cols.iter() {
-                    tuple.get(c).hash(&mut h);
-                }
-                pick_shard(h.finish(), shards)
-            }
-            Router::Exprs(exprs) => {
-                let mut h = FxHasher::default();
-                for e in exprs.iter() {
-                    let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
-                    match e.eval(&mut ctx) {
-                        Ok(v) => v.hash(&mut h),
-                        // The worker evaluates the same expression in its
-                        // GROUP BY and will surface the error; any shard
-                        // will do for the faulty tuple.
-                        Err(_) => return 0,
-                    }
-                }
-                pick_shard(h.finish(), shards)
-            }
-        }
-    }
-}
-
-/// Replay the router's shard decisions for a tuple sequence — the shard
-/// each tuple would land on in a run with `shards` workers. Tests (and
-/// fault-plan authors) use this to find which window a planned
-/// `(shard, tuple-count)` panic lands in.
-pub fn route_stream<'a>(
-    plan: &ShardPlan,
-    shards: usize,
-    tuples: impl IntoIterator<Item = &'a Tuple>,
-) -> Vec<usize> {
-    let router = Router::new(plan);
-    tuples.into_iter().enumerate().map(|(i, t)| router.route(t, i as u64, shards)).collect()
-}
-
 /// Per-shard setup built before the workers spawn: the operator, its
 /// durable writer (if any), its resume watermark, and the recovered
 /// window outputs that seed its partial.
 type ShardSetup = (SamplingOperator, Option<ShardStore>, Option<Tuple>, Vec<WindowOutput>);
-
-thread_local! {
-    /// Set on worker threads, and on the pump while it routes under
-    /// supervision: a caught supervised panic is part of the fault
-    /// model, not a crash, so the hook reduces it to one stderr line —
-    /// the quarantine accounting is the real report. Everywhere else
-    /// the previously installed hook runs.
-    static QUIET_WORKER_PANICS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Install — once per process — a panic hook that quiets supervised
-/// worker panics, chaining to the prior hook for all other threads.
-fn install_supervised_panic_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if QUIET_WORKER_PANICS.with(std::cell::Cell::get) {
-                let payload = info.payload();
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("<non-string panic payload>");
-                eprintln!("sso-runtime: supervised panic (quarantined for this window): {msg}");
-            } else {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Run `f` under `catch_unwind` with the supervised-panic hook quieted
-/// for this thread, restoring the thread's previous setting after: the
-/// pump routes on the caller's thread, whose other panics keep their
-/// hook.
-fn supervised<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
-    let was = QUIET_WORKER_PANICS.with(|q| q.replace(true));
-    let outcome = catch_unwind(AssertUnwindSafe(f));
-    QUIET_WORKER_PANICS.with(|q| q.set(was));
-    outcome
-}
-
-/// Per-shard shed state: the threshold z and the small-tuple meter (the
-/// deterministic metering rule of the operator's threshold pass, applied
-/// at the ring instead).
-struct ShedState {
-    z: f64,
-    /// The z the current pressure episode started at; decaying below it
-    /// switches shedding off.
-    z0: f64,
-    meter: f64,
-}
-
-#[inline]
-fn tuple_weight(t: &Tuple, weight_col: Option<usize>) -> f64 {
-    match weight_col {
-        Some(c) => t.values().get(c).and_then(|v| v.as_f64().ok()).unwrap_or(1.0),
-        None => 1.0,
-    }
-}
-
-/// The router's tracing state: its event lane (`router/0`, written by
-/// the pump) plus the end of the previous send, which anchors the next
-/// `Ingest` stamp (everything the router did between two sends —
-/// hashing, batch accumulation — is ingest time). The pump pulls a
-/// piece between two routing calls; that fill is its `Low` stamp, not
-/// ingest, so each call moves the mark forward by the time since the
-/// last one ended (`paused_ns`).
-struct RouterTrace {
-    p: Profiler,
-    lane: LaneWriter,
-    mark_ns: u64,
-    paused_ns: u64,
-}
-
-/// Stamp one completed send: `Ingest` since the previous send,
-/// `RingWait` if the push had to wait (`wait_from`), and `Route` for
-/// the push itself net of the wait. One `Release` publish for the lot.
-fn record_router_send(
-    t: &mut RouterTrace,
-    shard: usize,
-    batch_id: u32,
-    len: u64,
-    t0: u64,
-    end: u64,
-    wait_from: Option<u64>,
-) {
-    t.lane.record(
-        ProfEvent::new(ProfStage::Ingest, t.mark_ns, t0.saturating_sub(t.mark_ns)).aux(len),
-    );
-    let mut wait_ns = 0;
-    if let Some(w) = wait_from {
-        wait_ns = end.saturating_sub(w);
-        t.lane.record(
-            ProfEvent::new(ProfStage::RingWait, w, wait_ns).shard(shard as u16).batch(batch_id),
-        );
-    }
-    t.lane.record(
-        ProfEvent::new(ProfStage::Route, t0, end.saturating_sub(t0).saturating_sub(wait_ns))
-            .shard(shard as u16)
-            .batch(batch_id)
-            .aux(len),
-    );
-    t.mark_ns = end;
-    t.lane.publish();
-}
-
-/// What crosses a shard ring: routed tuples. Only `tuples[..live]`
-/// are this batch; anything past `live` is dead weight from the
-/// buffer's previous trip, riding along so its allocation stays in
-/// circulation. `id` threads lineage stamps from route to process.
-pub(crate) struct Batch {
-    pub(crate) id: u32,
-    pub(crate) live: usize,
-    pub(crate) tuples: Vec<Tuple>,
-}
-
-/// The router's sending state: the per-shard rings, batch accumulators
-/// and shed state, and its accounting cells.
-struct Sender<'a> {
-    shards: usize,
-    batch_size: usize,
-    backpressure: Backpressure,
-    txs: Vec<Producer<Batch>>,
-    /// Spent batches coming home from each shard's worker.
-    homes: Vec<Consumer<Vec<Tuple>>>,
-    /// Per shard: the batch being filled and how many of its tuples are
-    /// live (the rest are dead tuples waiting to be traded).
-    batches: Vec<(Vec<Tuple>, usize)>,
-    shed: Vec<ShedState>,
-    next_batch_id: u32,
-    stats: &'a [ShardStats],
-    ring_depths: &'a [Gauge],
-    batch_hist: Histogram,
-    router_stats: RouterStats,
-    fresh: Counter,
-    /// A batch ring turned out closed: its worker is gone, and the run
-    /// with it (workers outlive the pump's routing unless they fail).
-    worker_gone: bool,
-    trace: Option<RouterTrace>,
-    /// The lowered [`RuntimeConfig::shared_prefilter`].
-    prefilter: Option<Predicate>,
-}
-
-impl Sender<'_> {
-    /// Is `tuple` routed at all? A tuple the shared prefilter cannot be
-    /// evaluated on is: the operator behind the router keeps its full
-    /// WHERE and raises the error, or rejects the tuple, as it would
-    /// without a prefilter.
-    #[inline]
-    fn passes_prefilter(&mut self, tuple: &Tuple) -> bool {
-        match &mut self.prefilter {
-            None => true,
-            Some(pred) => pred.test(tuple).unwrap_or(true),
-        }
-    }
-
-    /// Route `tuple` to `shard` by trading it for a dead tuple of the
-    /// batch being filled: the chunk it came from goes home with a
-    /// buffer the source can overwrite.
-    fn push_tuple(&mut self, shard: usize, tuple: &mut Tuple) {
-        let (slots, live) = &mut self.batches[shard];
-        // The slots came home from the worker's core: ask for the one
-        // this shard fills a few tuples from now.
-        if let Some(ahead) = slots.get(*live + PREFETCH_AHEAD..=*live + PREFETCH_AHEAD) {
-            prefetch(ahead, true);
-        }
-        match slots.get_mut(*live) {
-            Some(dead) => std::mem::swap(dead, tuple),
-            None => slots.push(std::mem::take(tuple)),
-        }
-        *live += 1;
-        if *live >= self.batch_size {
-            self.send_batch(shard);
-        }
-    }
-
-    /// End of chunk: send every partial batch still buffered, so a
-    /// lightly loaded shard's tuples wait at most one chunk.
-    fn end_chunk(&mut self) {
-        for shard in 0..self.shards {
-            if self.batches[shard].1 > 0 {
-                self.send_batch(shard);
-            }
-        }
-    }
-
-    /// A spent batch from `shard`'s worker, or — when none has come
-    /// home — a new one.
-    fn recycled(&mut self, shard: usize) -> Vec<Tuple> {
-        match self.homes[shard].try_pop() {
-            Ok(Some(spent)) => spent,
-            _ => {
-                self.fresh.inc();
-                Vec::with_capacity(self.batch_size)
-            }
-        }
-    }
-
-    /// Account one batch that reached the shard's ring.
-    fn delivered(&mut self, shard: usize, id: u32, len: u64, t0: Option<u64>, wait: Option<u64>) {
-        self.batch_hist.record(len);
-        if let Some(t) = self.trace.as_mut() {
-            let end = t.p.now_ns();
-            record_router_send(t, shard, id, len, t0.unwrap_or(end), end, wait);
-        }
-    }
-
-    /// Push one batch into a ring found full, waiting for room: one
-    /// stall, however long the wait. A closed ring hands the buffer
-    /// back.
-    fn push_blocking(
-        &mut self,
-        shard: usize,
-        id: u32,
-        live: usize,
-        tuples: Vec<Tuple>,
-        t0: Option<u64>,
-    ) -> Option<Vec<Tuple>> {
-        // The waiting batch counts toward ring depth from wait *entry*:
-        // a full-ring stall shorter than one batch is visible to a
-        // mid-run snapshot, not only at the next batch boundary.
-        self.ring_depths[shard].add(1.0);
-        self.stats[shard].stalls.inc();
-        let wait_from = self.trace.as_ref().map(|t| t.p.now_ns());
-        match self.txs[shard].push(Batch { id, live, tuples }) {
-            Ok(()) => {
-                self.delivered(shard, id, live as u64, t0, wait_from);
-                None
-            }
-            // Closed ring: the batch counted above never arrived.
-            Err(batch) => {
-                self.ring_depths[shard].add(-1.0);
-                self.worker_gone = true;
-                Some(batch.tuples)
-            }
-        }
-    }
-
-    /// Deliver `shard`'s accumulated batch into its ring under the
-    /// configured backpressure policy, and start the next one in a
-    /// recycled buffer.
-    fn send_batch(&mut self, shard: usize) {
-        let (tuples, live) = std::mem::take(&mut self.batches[shard]);
-        let id = self.next_batch_id;
-        self.next_batch_id = id.wrapping_add(1);
-        let t0 = self.trace.as_ref().map(|t| t.p.now_ns());
-        let unsent = match (self.txs[shard].try_push(Batch { id, live, tuples }), self.backpressure)
-        {
-            (Ok(()), policy) => {
-                self.ring_depths[shard].add(1.0);
-                self.delivered(shard, id, live as u64, t0, None);
-                let state = &mut self.shed[shard];
-                if matches!(policy, Backpressure::Shed { .. }) && state.z > 0.0 {
-                    // Pressure easing: decay toward off.
-                    state.z *= 0.5;
-                    if state.z < state.z0 {
-                        state.z = 0.0;
-                        state.meter = 0.0;
-                    }
-                    self.stats[shard].shed_z.set(state.z);
-                }
-                None
-            }
-            // Worker death closes the ring: the pump stops at the end
-            // of the chunk, and the join in `run_sharded` surfaces the
-            // reason.
-            (Err(PushError::Closed(batch)), _) => {
-                self.worker_gone = true;
-                Some(batch.tuples)
-            }
-            (Err(PushError::Full(batch)), Backpressure::Block) => {
-                self.push_blocking(shard, id, live, batch.tuples, t0)
-            }
-            (Err(PushError::Full(batch)), Backpressure::DropNewest) => {
-                self.stats[shard].dropped.add(live as u64);
-                Some(batch.tuples)
-            }
-            (Err(PushError::Full(batch)), Backpressure::Shed { weight_col }) => {
-                // Ring pressure raises the threshold (the §7.1 mechanism
-                // in reverse): the batch shrinks by below-threshold
-                // rejection with exact HT accounting, then the survivors
-                // are delivered losslessly.
-                let mut tuples = batch.tuples;
-                let state = &mut self.shed[shard];
-                let mean: f64 =
-                    tuples[..live].iter().map(|t| tuple_weight(t, weight_col)).sum::<f64>()
-                        / live.max(1) as f64;
-                if state.z == 0.0 {
-                    state.z0 = if mean.is_finite() && mean > 0.0 { 2.0 * mean } else { 2.0 };
-                    state.z = state.z0;
-                    // Shedding switched on: arm the flight recorder so
-                    // the pressure build-up is preserved.
-                    if let Some(t) = self.trace.as_ref() {
-                        t.p.trigger(DumpReason::Shed);
-                    }
-                } else {
-                    state.z *= 2.0;
-                }
-                self.stats[shard].shed_z.set(state.z);
-                // Survivors are compacted to the front in stream order;
-                // the shed tuples stay behind them as dead weight.
-                let mut kept = 0usize;
-                let mut shed_w = 0.0;
-                for i in 0..live {
-                    let w = tuple_weight(&tuples[i], weight_col);
-                    let keep = w > state.z || {
-                        state.meter += w;
-                        let metered = state.meter >= state.z;
-                        if metered {
-                            state.meter -= state.z;
-                        }
-                        metered
-                    };
-                    if keep {
-                        tuples.swap(kept, i);
-                        kept += 1;
-                    } else {
-                        shed_w += w;
-                    }
-                }
-                self.stats[shard].shed_tuples.add((live - kept) as u64);
-                self.stats[shard].shed_weight.add(shed_w);
-                if kept == 0 {
-                    Some(tuples)
-                } else {
-                    self.push_blocking(shard, id, kept, tuples, t0)
-                }
-            }
-        };
-        // A batch that never left is the next accumulator as it stands.
-        let next = unsent.unwrap_or_else(|| self.recycled(shard));
-        self.batches[shard] = (next, 0);
-    }
-}
-
-/// A return ring that starts out full: a pool of `buffers` empty
-/// buffers with room for `len` tuples each, counted as fresh. With the
-/// whole pool in circulation a taker always finds one at home and a
-/// return always finds room.
-fn buffer_pool(
-    buffers: usize,
-    len: usize,
-    fresh: &Counter,
-) -> (Producer<Vec<Tuple>>, Consumer<Vec<Tuple>>) {
-    let (mut tx, rx) = ring(buffers);
-    for _ in 0..buffers {
-        let _ = tx.try_push(Vec::with_capacity(len));
-    }
-    fresh.add(buffers as u64);
-    (tx, rx)
-}
-
-fn add_uncovered(uncovered: &mut Vec<(Tuple, u64)>, key: Tuple, n: u64) {
-    match uncovered.iter_mut().find(|(k, _)| *k == key) {
-        Some((_, c)) => *c += n,
-        None => uncovered.push((key, n)),
-    }
-}
-
-/// What routing supervision carries from chunk to chunk: a quarantine
-/// opened in one chunk closes at the next window boundary, wherever
-/// that falls.
-#[derive(Default)]
-struct RouteGuard {
-    /// `Some(key)` while quarantined: tuples of window `key` are counted
-    /// as uncovered, never routed.
-    quarantined: Option<Tuple>,
-    uncovered: Vec<(Tuple, u64)>,
-    /// 1-based stream ordinal of the tuple being routed: router fault
-    /// triggers (`panic router=0 at=N`) key on it, quarantined tuples
-    /// included — the same counting workers use.
-    count: u64,
-    faults: WorkerFaultSchedule,
-}
-
-/// Route one piece of a chunk — stream positions `start ..` — under
-/// the workers' supervision contract: per-stretch `catch_unwind`, a
-/// panicked router quarantined for the current window (its unrouted
-/// tuples counted, never sent), live again at the next window boundary.
-fn route_piece(
-    sender: &mut Sender<'_>,
-    sup: &mut RouteGuard,
-    router_def: &Router,
-    wexprs: &[Expr],
-    profiler: Option<&Profiler>,
-    chunk: &mut [Tuple],
-    start: u64,
-) {
-    // The router prefetches only the values it reads: the lines the
-    // worker alone reads then travel from the pump's cache once.
-    let reads = if sender.prefilter.is_some() { 0..usize::MAX } else { router_def.reads() };
-    let mut local = 0usize;
-    while local < chunk.len() {
-        if let Some(qkey) = sup.quarantined.clone() {
-            while local < chunk.len() {
-                let t = &chunk[local];
-                if window_key(wexprs, t).as_ref() == Some(&qkey) {
-                    sup.count += 1;
-                    if sender.passes_prefilter(t) {
-                        add_uncovered(&mut sup.uncovered, qkey.clone(), 1);
-                        sender.router_stats.uncovered.inc();
-                    }
-                    local += 1;
-                } else {
-                    // Window boundary: routing is stateless, so going
-                    // live again *is* the respawn.
-                    sup.quarantined = None;
-                    break;
-                }
-            }
-            if sup.quarantined.is_some() {
-                break;
-            }
-        }
-        // Live stretch: one catch_unwind per stretch, not per tuple.
-        // `local` lives outside the closure: after a panic it names the
-        // tuple that tripped it (the injected trip fires before the
-        // tuple is traded out of the chunk, so it is still intact for
-        // window-key attribution).
-        let outcome = {
-            let local = &mut local;
-            let count = &mut sup.count;
-            let faults = &mut sup.faults;
-            let chunk = &mut *chunk;
-            let sender = &mut *sender;
-            let reads = &reads;
-            supervised(move || {
-                while *local < chunk.len() {
-                    if let Some(ahead) = chunk.get(*local + PREFETCH_AHEAD) {
-                        let values = ahead.values();
-                        prefetch(values.get(reads.clone()).unwrap_or(values), false);
-                    }
-                    *count += 1;
-                    if let Some(f) = faults.check(*count) {
-                        f.trip_router(*count);
-                    }
-                    let tuple = &mut chunk[*local];
-                    if sender.passes_prefilter(tuple) {
-                        let shard = router_def.route(tuple, start + *local as u64, sender.shards);
-                        sender.push_tuple(shard, tuple);
-                    }
-                    *local += 1;
-                }
-            })
-        };
-        if outcome.is_err() {
-            // The tripping tuple's window is poisoned for the router:
-            // the tuple itself (if it would have been routed) and every
-            // following same-window tuple are lost.
-            let t = &chunk[local];
-            let key = window_key(wexprs, t).unwrap_or_else(|| Tuple::new(Vec::new()));
-            if sender.passes_prefilter(t) {
-                add_uncovered(&mut sup.uncovered, key.clone(), 1);
-                sender.router_stats.uncovered.inc();
-            }
-            sender.router_stats.quarantines.inc();
-            if let Some(p) = profiler {
-                p.trigger(DumpReason::Panic);
-            }
-            sup.quarantined = Some(key);
-            local += 1;
-        }
-    }
-}
 
 /// Run `tuples` through `cfg.shards` operator instances partitioned and
 /// merged per `plan`, returning the merged windows.
@@ -1202,39 +601,14 @@ where
         )));
     }
 
-    let chunk_len = cfg.chunk_tuples();
-
     // A run without a caller-supplied registry records into a private
     // disabled one: ShardStats cells still work, spans stay off.
     let registry = cfg.registry.clone().unwrap_or_else(Registry::disabled);
+    let build = |shard, respawn| operator(&make_spec, shard, cfg, &registry, respawn);
     let mut shard_setups: Vec<ShardSetup> = Vec::with_capacity(cfg.shards);
     for shard in 0..cfg.shards {
-        let spec = make_spec(shard).map_err(|source| RuntimeError::Op { shard, source })?;
-        let entry_bytes = spec.group_entry_bytes() as u64;
-        let mut op =
-            SamplingOperator::new(spec).map_err(|source| RuntimeError::Op { shard, source })?;
-        op.set_metrics(OperatorMetrics::register(&registry, format!("shard={shard}")));
+        let mut op = build(shard, false)?;
         let store_err = |message: String| RuntimeError::Store { shard, message };
-        if let Some(d) = &cfg.durability {
-            if !op.can_persist() {
-                return Err(RuntimeError::BadConfig(
-                    "query uses a stateful function without persistence support".into(),
-                ));
-            }
-            // The operator snapshots carry/aux at each window flush; the
-            // worker records those bytes when `process` hands it the
-            // closed window. Per-tuple cost on the durable path: none.
-            op.set_capture_flush(true);
-            if let Some(total) = d.state_budget {
-                let per_shard = (total / cfg.shards as u64).max(1);
-                let table = PagedGroupTable::for_shard(&d.dir, shard, per_shard, entry_bytes)
-                    .map_err(|e| store_err(e.to_string()))?;
-                op.set_group_backend(Box::new(table));
-            }
-        }
-        if let Some(hints) = &cfg.sizing {
-            op.reserve(hints);
-        }
         let (store, watermark, recovered_windows) = match &cfg.durability {
             None => (None, None, Vec::new()),
             Some(d) => {
@@ -1269,19 +643,16 @@ where
         .map(|shard| registry.gauge_labeled("rt.ring_depth", format!("shard={shard}")))
         .collect();
     // Batch and chunk buffers allocated because no recycled one was at
-    // hand: the chunk, the seeded pools below, plus one per lost
-    // return. A function of the configuration, not of the stream's
-    // length.
+    // hand: the chunk, the seeded pools, plus one per lost return. A
+    // function of the configuration, not of the stream's length.
     let fresh = registry.counter("rt.tuple_buffers_fresh");
 
-    install_supervised_panic_hook();
     // The process-crash fault: when the pump's global stream position
     // reaches the trigger, this flag flips and the run dies like a
     // kill — no flushes, no merge, no final checkpoints. (`at=0` is
     // clamped to the first tuple.)
     let crash_at = cfg.faults.as_ref().and_then(|p| p.crash_at()).map(|n| n.max(1));
     let crashed = SyncBool::new(false);
-    let make_spec = &make_spec;
     // Router quarantine attributes unrouted tuples to the window they
     // would have landed in; every shard shares the same window shape,
     // so shard 0's expressions serve.
@@ -1293,31 +664,26 @@ where
     // (one branch per batch) when profiling is off.
     let mut merge_trace = cfg.profile.as_ref().map(|p| (p.clone(), p.lane(LaneKind::Merge, 0)));
     let next_tuple = tuples.into_refill();
-    type ScopeOut = (Vec<ShardPartial>, Vec<(Tuple, u64)>);
-    let (mut parts, router_uncovered) =
+    type ScopeOut = (Vec<ShardPartial>, Vec<(Tuple, u64)>, Duration);
+    let (mut parts, router_uncovered, pull) =
         std::thread::scope(|s| -> Result<ScopeOut, RuntimeError> {
             // One SPSC ring per shard, the pump producing and the shard's
-            // worker consuming. Batches carry the router-assigned batch id
+            // worker consuming, and beside it a return ring taking spent
+            // batches home. Batches carry the router-assigned batch id
             // so worker-side stamps share lineage with the route stamp.
-            // Beside every ring runs a return ring taking spent batches
-            // home, holding the shard's whole pool — the ring's depth, the
-            // batch being filled, the batch being processed — so the pump
-            // never allocates a batch and a return never finds its ring
-            // full.
-            let ring_cap = cfg.effective_ring_capacity();
-            let mut txs = Vec::with_capacity(cfg.shards);
-            let mut homes = Vec::with_capacity(cfg.shards);
+            let (mut sender, rings) = Sender::new(cfg, &stats, &ring_depths, &registry, &fresh);
             // One worker thread per shard; `handles[k]` is shard k's.
             let mut handles = Vec::with_capacity(cfg.shards);
-            for (shard, (op, store, watermark, recovered)) in shard_setups.into_iter().enumerate() {
-                let (tx, rx) = ring::<Batch>(ring_cap);
-                let (home, home_rx) = buffer_pool(ring_cap + 2, cfg.batch_size, &fresh);
-                txs.push(tx);
-                homes.push(home_rx);
+            let setups = shard_setups.into_iter().zip(rings).enumerate();
+            for (shard, ((op, store, watermark, recovered), (rx, home))) in setups {
                 let (stats, depth) = (stats[shard].clone(), ring_depths[shard].clone());
                 let (crashed, registry) = (&crashed, &registry);
                 handles.push(s.spawn(move || {
-                    QUIET_WORKER_PANICS.with(|q| q.set(true));
+                    let quarantine = Quarantine::new(
+                        stats.uncovered.clone(),
+                        stats.quarantines.clone(),
+                        cfg.profile.clone(),
+                    );
                     let worker = Worker {
                         shard,
                         rx,
@@ -1325,68 +691,45 @@ where
                         depth,
                         wexprs: op.spec().window_exprs(),
                         op: Some(op),
-                        quarantined: None,
+                        quarantine,
                         window_tuples: 0,
                         tuple_count: 0,
                         // Recovered windows seed the partial so the
                         // merge sees them exactly as a fault-free run
                         // would have produced them.
                         windows: recovered,
-                        uncovered: Vec::new(),
                         faults: cfg
                             .faults
                             .as_ref()
                             .map(|p| p.worker_schedule(shard))
                             .unwrap_or_default(),
                         stats,
-                        registry: registry.clone(),
-                        make_spec,
+                        build: &build,
                         store_stats: store.as_ref().map(|_| StoreStats::register(registry, shard)),
                         store,
                         watermark,
-                        profiler: cfg.profile.clone(),
-                        trace: cfg.profile.as_ref().map(|p| p.lane(LaneKind::Worker, shard as u32)),
+                        trace: cfg
+                            .profile
+                            .as_ref()
+                            .map(|p| (p.clone(), p.lane(LaneKind::Worker, shard as u32))),
                     };
                     worker.drain(crashed)
                 }));
             }
 
             // The calling thread routes: it pulls a chunk a piece at a
-            // time, routes each piece under the workers' supervision
-            // contract, and flushes every partial batch before pulling the
-            // next chunk.
-            let shards = cfg.shards;
-            let mut sender = Sender {
-                shards,
-                batch_size: cfg.batch_size,
-                backpressure: cfg.backpressure,
-                txs,
-                homes,
-                batches: (0..shards).map(|_| Default::default()).collect(),
-                shed: (0..shards).map(|_| ShedState { z: 0.0, z0: 0.0, meter: 0.0 }).collect(),
-                next_batch_id: 0,
-                stats: &stats,
-                ring_depths: &ring_depths,
-                batch_hist: registry.histogram("rt.batch_tuples"),
-                router_stats: router_stats.clone(),
-                fresh: fresh.clone(),
-                worker_gone: false,
-                trace: cfg.profile.as_ref().map(|p| RouterTrace {
-                    p: p.clone(),
-                    lane: p.lane(LaneKind::Router, 0),
-                    mark_ns: 0,
-                    paused_ns: 0,
-                }),
-                prefilter: cfg.shared_prefilter.as_deref().map(Predicate::new),
-            };
-            for shard in 0..shards {
-                sender.batches[shard].0 = sender.recycled(shard);
-            }
-            let faults = cfg.faults.as_ref().map(|p| p.router_schedule()).unwrap_or_default();
-            let mut sup = RouteGuard { faults, ..Default::default() };
-            let crash_fired = pump(
+            // time, routes each piece under the workers' fault
+            // contract, and flushes every partial batch before pulling
+            // the next chunk.
+            let mut quarantine = Quarantine::new(
+                router_stats.uncovered.clone(),
+                router_stats.quarantines.clone(),
+                cfg.profile.clone(),
+            );
+            let mut faults = cfg.faults.as_ref().map(|p| p.router_schedule()).unwrap_or_default();
+            let (crash_fired, pull) = pump(
                 next_tuple,
-                chunk_len,
+                cfg.chunk_tuples(),
                 crash_at,
                 &crashed,
                 &fresh,
@@ -1395,17 +738,17 @@ where
                     if let Some(t) = sender.trace.as_mut() {
                         t.mark_ns += t.p.now_ns().saturating_sub(t.paused_ns);
                     }
-                    let counted = sup.count;
+                    let (wexprs, router) = (&route_wexprs, &router_def);
                     route_piece(
                         &mut sender,
-                        &mut sup,
-                        &router_def,
-                        &route_wexprs,
-                        cfg.profile.as_ref(),
+                        &mut quarantine,
+                        &mut faults,
+                        router,
+                        wexprs,
                         piece,
                         start,
                     );
-                    sender.router_stats.tuples.add(sup.count - counted);
+                    router_stats.tuples.add(piece.len() as u64);
                     // The crash trigger sat right behind this piece: the
                     // partial batches die unsent. A closed batch ring is a
                     // worker that died of an error: the run stops at the
@@ -1425,8 +768,7 @@ where
             // Dropping the sender closes every ring, so the workers drain
             // and exit.
             drop(sender);
-            let router_uncovered = sup.uncovered;
-            let bw_start = merge_trace.as_ref().map(|(p, _)| p.now_ns());
+            let barrier = Stopwatch::start();
             // Each worker's partial is its thread's result: the join is
             // the happens-before edge from the shard's last write to the
             // merge. Partials come out in shard order; a crashed run's
@@ -1447,46 +789,29 @@ where
                 // Nothing merges. The joins above give the flight
                 // recorder's dump its happens-before edge: every worker is
                 // quiescent when the last events are read.
-                if let Some(p) = &cfg.profile {
-                    if let Err(e) = p.write_dump_if_triggered() {
-                        eprintln!("sso-profile: flight-recorder dump failed: {e}");
-                    }
-                }
+                write_dump(cfg);
                 return Err(RuntimeError::Crashed { at_tuple });
             }
             if let Some((p, lane)) = merge_trace.as_mut() {
-                let end = p.now_ns();
-                let start = bw_start.unwrap_or(end);
-                lane.record(ProfEvent::new(
-                    ProfStage::BarrierWait,
-                    start,
-                    end.saturating_sub(start),
-                ));
-                lane.publish();
+                stamp(p, lane, ProfStage::BarrierWait, barrier.elapsed_ns(), |e| e);
             }
-            Ok((partials, router_uncovered))
+            Ok((partials, quarantine.uncovered, pull))
         })?;
 
-    let router_uncovered_total: u64 = router_uncovered.iter().map(|(_, n)| *n).sum();
-    if !router_uncovered.is_empty() {
-        // Router-quarantine losses enter the merge as one windows-free
-        // partial: merge-finalize folds the per-window counts into each
-        // window's Degradation verdict exactly as it does a quarantined
-        // shard's.
-        parts.push(ShardPartial { windows: Vec::new(), uncovered: router_uncovered });
-    }
-    let merge_start = merge_trace.as_ref().map(|(p, _)| p.now_ns());
+    // Router-quarantine losses enter the merge as one windows-free
+    // partial: merge-finalize folds the per-window counts into each
+    // window's Degradation verdict exactly as it does a quarantined
+    // shard's.
+    parts.push(ShardPartial { windows: Vec::new(), uncovered: router_uncovered });
+    let merging = Stopwatch::start();
     let windows = crate::merge::merge_shard_partials(parts, &plan.rule, cfg.seed);
     if let Some((p, lane)) = merge_trace.as_mut() {
-        let end = p.now_ns();
-        let start = merge_start.unwrap_or(end);
-        lane.record(
-            ProfEvent::new(ProfStage::Merge, start, end.saturating_sub(start))
-                .aux(windows.len() as u64),
-        );
+        let n = windows.len() as u64;
+        stamp(p, lane, ProfStage::Merge, merging.elapsed_ns(), |e| e.aux(n));
         // One Emit stamp per merged window: its end minus the window's
         // earliest Process stamp is the end-to-end latency the collector
         // reports.
+        let end = p.now_ns();
         for (i, w) in windows.iter().enumerate() {
             lane.record(
                 ProfEvent::new(ProfStage::Emit, end, 0).window(i as u32).aux(w.rows.len() as u64),
@@ -1499,18 +824,14 @@ where
     // over everything delivered or lost before delivery (router
     // quarantine contributes only loss).
     let mut covered = 0u64;
-    let mut uncovered_total = router_uncovered_total;
+    let mut uncovered_total = router_stats.uncovered();
     for st in &stats {
         covered += st.tuples().saturating_sub(st.uncovered());
         uncovered_total += st.uncovered();
     }
-    let coverage = if uncovered_total == 0 {
-        1.0
-    } else {
-        covered as f64 / (covered + uncovered_total) as f64
-    };
+    let coverage = Degradation::from_counts(covered, uncovered_total).coverage;
     registry.gauge("rt.coverage").set(coverage);
-    if router_uncovered_total > 0 {
+    if router_stats.uncovered() > 0 {
         // Router quarantine cut real traffic out of the result: fire the
         // undersample path so the degradation shows up on the same
         // alert channel as the §7.1 pathology.
@@ -1521,17 +842,22 @@ where
     // A triggered flight recording (panic, shed) lands on
     // disk even when the run completes; crash dumps were written on the
     // early-return path above.
-    if let Some(p) = &cfg.profile {
-        if let Err(e) = p.write_dump_if_triggered() {
-            eprintln!("sso-profile: flight-recorder dump failed: {e}");
-        }
+    write_dump(cfg);
+    Ok(ShardedReport { windows, shards: stats, router: router_stats, coverage, pull })
+}
+
+/// Write the flight recording to disk if a panic, shed or crash
+/// triggered it.
+fn write_dump(cfg: &RuntimeConfig) {
+    if let Some(Err(e)) = cfg.profile.as_ref().map(Profiler::write_dump_if_triggered) {
+        eprintln!("sso-profile: flight-recorder dump failed: {e}");
     }
-    Ok(ShardedReport { windows, shards: stats, router: router_stats, coverage })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::route_stream;
     use sso_core::{queries, shard_plan};
     use sso_sync::SyncUsize;
     use sso_types::{Packet, Protocol, Value};

@@ -30,21 +30,25 @@
 //! drop the newest batch (counting drops), or shed below-threshold
 //! tuples with exact Horvitz–Thompson accounting
 //! ([`engine::Backpressure::Shed`]) — overload is observable instead of
-//! silent either way. Worker panics are supervised: the shard is
-//! quarantined for the poisoned window, a fresh operator respawns at the
-//! next window boundary, and the merged output is tagged with
-//! per-window coverage.
+//! silent either way. The router and every shard keep one fault
+//! contract: a panic quarantines the stage for the poisoned window, the
+//! stage is live again at the next window boundary (a shard with a
+//! fresh operator), and the merged output is tagged with per-window
+//! coverage. [`engine`] maps the modules.
 
 pub mod engine;
 pub mod merge;
 pub mod pump;
 pub mod ring;
+mod route;
+mod supervise;
 mod worker;
 
 pub use engine::{
-    route_stream, run_sharded, Backpressure, DurabilityConfig, RouterStats, RuntimeConfig,
-    RuntimeError, ShardStats, ShardedReport,
+    run_sharded, Backpressure, DurabilityConfig, RouterStats, RuntimeConfig, RuntimeError,
+    ShardStats, ShardedReport,
 };
 pub use merge::{merge_shard_partials, merge_windows, ShardPartial};
 pub use pump::{Refill, TupleSource};
 pub use ring::{ring, Consumer, Producer, PushError};
+pub use route::route_stream;

@@ -15,7 +15,7 @@ use sso_types::{Tuple, Value};
 
 /// Total order on tuples by pairwise value comparison (type-mismatched
 /// pairs compare equal; they do not occur within one query's output).
-fn tuple_cmp(a: &Tuple, b: &Tuple) -> Ordering {
+pub(crate) fn tuple_cmp(a: &Tuple, b: &Tuple) -> Ordering {
     for (x, y) in a.values().iter().zip(b.values()) {
         match x.compare(y).unwrap_or(Ordering::Equal) {
             Ordering::Equal => continue,

@@ -1,7 +1,7 @@
 //! The pump: the calling thread's end of the sharded pipeline.
 //!
 //! The source is pulled into one fixed-length *chunk*, which the same
-//! thread routes into the shards' rings (see [`crate::engine`]) before
+//! thread routes into the shards' rings (see `route`) before
 //! pulling the next. Chunk `c` holds stream positions
 //! `c * chunk_len ..`, so routing knows every tuple's global position
 //! without counting, and an unbounded source runs in bounded memory.
@@ -17,8 +17,12 @@
 //! the dead tuples ([`TupleSource`]). In steady state the pump allocates
 //! neither chunks nor tuples.
 
-use sso_obs::Counter;
-use sso_profile::{DumpReason, Event as ProfEvent, LaneKind, Profiler, Stage as ProfStage};
+use std::time::Duration;
+
+use sso_obs::{Counter, Stopwatch};
+use sso_profile::{
+    DumpReason, Event as ProfEvent, LaneKind, LaneWriter, Profiler, Stage as ProfStage,
+};
 use sso_sync::Ordering::Release;
 use sso_sync::SyncBool;
 use sso_types::Tuple;
@@ -83,6 +87,20 @@ pub(crate) fn prefetch<T>(values: &[T], write: bool) {
     let _ = (values, write);
 }
 
+/// Record one `stage` lineage event of `busy` ns ending now on `lane`,
+/// shaped by `detail`, and publish it.
+pub(crate) fn stamp(
+    p: &Profiler,
+    lane: &mut LaneWriter,
+    stage: ProfStage,
+    busy: u64,
+    detail: impl FnOnce(ProfEvent) -> ProfEvent,
+) {
+    let end = p.now_ns();
+    lane.record(detail(ProfEvent::new(stage, end.saturating_sub(busy), busy)));
+    lane.publish();
+}
+
 /// Where [`crate::run_sharded`] pulls its tuples from.
 ///
 /// Any `IntoIterator<Item = Tuple>` is a source (each yielded tuple
@@ -117,7 +135,8 @@ impl<F: FnMut(&mut Tuple) -> bool> TupleSource for Refill<F> {
 /// its chunk, and whether the injected crash fired inside it (the piece
 /// then ends just before the trigger and the pump stops). `route`
 /// returns `false` to stop the pump. Returns the trigger position if
-/// the injected crash fired.
+/// the injected crash fired, and the time spent pulling: one clock
+/// reading per piece, which is also the piece's `Low` stamp.
 pub(crate) fn pump(
     mut next: impl FnMut(&mut Tuple) -> bool,
     chunk_len: usize,
@@ -126,15 +145,15 @@ pub(crate) fn pump(
     fresh: &Counter,
     profile: Option<&Profiler>,
     mut route: impl FnMut(&mut [Tuple], u64, bool, bool) -> bool,
-) -> Option<u64> {
+) -> (Option<u64>, Duration) {
     let mut trace = profile.map(|p| (p, p.lane(LaneKind::Low, 0)));
-    let mut pulled = 0u64;
+    let (mut pulled, mut pull_ns) = (0u64, 0u64);
     fresh.inc();
     let mut tuples = Vec::with_capacity(chunk_len);
     for seq in 0u64.. {
         let (mut live, mut ended, mut crash) = (0usize, false, false);
         while !ended && !crash && live < chunk_len {
-            let t0 = trace.as_ref().map(|(p, _)| p.now_ns());
+            let sw = Stopwatch::start();
             let from = live;
             let end = (live + PIECE_TUPLES).min(chunk_len);
             while live < end {
@@ -157,6 +176,8 @@ pub(crate) fn pump(
                 }
                 live += 1;
             }
+            let ns = sw.elapsed_ns();
+            pull_ns += ns;
             if crash {
                 // Raised before routing ends and the rings close, so a
                 // worker that finds its ring closed sees it.
@@ -166,26 +187,22 @@ pub(crate) fn pump(
                 }
             }
             if live == 0 && !crash {
-                return None;
+                break;
             }
-            if let (Some((p, events)), Some(t0)) = (trace.as_mut(), t0) {
-                let piece = (live - from) as u64;
-                events.record(
-                    ProfEvent::new(ProfStage::Low, t0, p.now_ns().saturating_sub(t0)).aux(piece),
-                );
-                events.publish();
+            if let Some((p, lane)) = trace.as_mut() {
+                stamp(p, lane, ProfStage::Low, ns, |e| e.aux((live - from) as u64));
             }
             let chunk_done = ended || crash || live == chunk_len;
             let start = seq * chunk_len as u64 + from as u64;
             if !route(&mut tuples[from..live], start, chunk_done, crash) || crash {
-                return crash.then_some(pulled);
+                return (crash.then_some(pulled), Duration::from_nanos(pull_ns));
             }
         }
         if ended {
             break;
         }
     }
-    None
+    (None, Duration::from_nanos(pull_ns))
 }
 
 #[cfg(test)]
@@ -204,7 +221,7 @@ mod tests {
         let mut source = 0..n;
         let mut calls = Vec::new();
         let fresh = Registry::new().counter("fresh");
-        let fired = pump(
+        let (fired, _) = pump(
             |t: &mut Tuple| source.next().map(|v| *t = Tuple::new(vec![Value::U64(v)])).is_some(),
             chunk,
             crash_at,

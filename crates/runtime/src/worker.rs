@@ -1,71 +1,99 @@
 //! The shard worker: one thread per shard drains the shard's one ring
 //! and runs its supervised operator instance over each batch (see
-//! [`crate::engine`] for the pump that routes into it).
+//! [`crate::route`] for the router that fills the ring, and
+//! [`crate::supervise`] for the fault contract both keep).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering as AtomicOrdering;
 
-use sso_core::{
-    EvalCtx, Expr, OpError, OperatorMetrics, OperatorSpec, SamplingOperator, WindowOutput,
-};
+use sso_core::{Expr, OpError, OperatorMetrics, OperatorSpec, SamplingOperator, WindowOutput};
 use sso_faults::WorkerFaultSchedule;
 use sso_obs::{Gauge, Registry, Stopwatch};
-use sso_profile::{DumpReason, Event as ProfEvent, LaneWriter, Profiler, Stage as ProfStage};
-use sso_store::{ShardStore, WindowRecord};
+use sso_profile::{Event as ProfEvent, LaneWriter, Profiler, Stage as ProfStage};
+use sso_store::{PagedGroupTable, ShardStore, WindowRecord};
 use sso_sync::SyncBool;
 use sso_types::Tuple;
 
-use crate::engine::{Batch, RuntimeError, ShardStats, StoreStats};
-use crate::merge::ShardPartial;
-use crate::pump::prefetch;
+use crate::engine::{RuntimeConfig, RuntimeError, ShardStats, StoreStats};
+use crate::merge::{tuple_cmp, ShardPartial};
+use crate::pump::{prefetch, stamp};
 use crate::ring::{Consumer, Producer};
+use crate::route::Batch;
+use crate::supervise::{stretch, supervised, window_key, Quarantine};
 
-/// Evaluate the window-defining expressions against a raw tuple. `None`
-/// on evaluation error (the operator will surface the error itself when
-/// the tuple is processed live).
-pub(crate) fn window_key(wexprs: &[Expr], tuple: &Tuple) -> Option<Tuple> {
-    let mut vals = Vec::with_capacity(wexprs.len());
-    for e in wexprs {
-        let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
-        vals.push(e.eval(&mut ctx).ok()?);
-    }
-    Some(Tuple::new(vals))
-}
-
-/// `a <= b` under pairwise value comparison — the resume-time
-/// watermark-skip test. Windows are assumed monotone in stream order
-/// (the same assumption the operator's key-change turnover makes).
-fn window_le(a: &Tuple, b: &Tuple) -> bool {
-    for (x, y) in a.values().iter().zip(b.values()) {
-        match x.compare(y).unwrap_or(std::cmp::Ordering::Equal) {
-            std::cmp::Ordering::Equal => continue,
-            std::cmp::Ordering::Less => return true,
-            std::cmp::Ordering::Greater => return false,
-        }
-    }
-    a.arity() <= b.arity()
-}
-/// Durably record one closed window: the output plus the carry-over and
-/// library-auxiliary bytes the operator captured *at the flush boundary*
-/// (see `SamplingOperator::set_capture_flush`) — exactly the restart
-/// state, with no per-tuple work in the worker loop.
+/// Durably record one closed window, on a durable run: the output plus
+/// the carry-over and library-auxiliary bytes the operator captured *at
+/// the flush boundary* (see `SamplingOperator::set_capture_flush`),
+/// before the tuple that closed the window touched the new window's
+/// state — exactly the restart state, with no per-tuple work in the
+/// worker loop.
 fn record_window(
-    store: &mut ShardStore,
+    store: Option<&mut ShardStore>,
+    op: &mut SamplingOperator,
     output: &WindowOutput,
-    carry: &[u8],
-    aux: &[u8],
     shard: usize,
 ) -> Result<(), RuntimeError> {
-    store
-        .record_window(&WindowRecord { output, carry, aux })
-        .map_err(|e| RuntimeError::Store { shard, message: e.to_string() })
+    let Some(store) = store else { return Ok(()) };
+    let store_err = |message| RuntimeError::Store { shard, message };
+    let (carry, aux) = op
+        .take_flush_state()
+        .ok_or_else(|| store_err("window closed without a boundary snapshot".into()))?;
+    let record = WindowRecord { output, carry: &carry, aux: &aux };
+    store.record_window(&record).map_err(|e| store_err(e.to_string()))
 }
 
+/// Build shard `shard`'s operator from the spec factory, wired for the
+/// run: its metrics on the shard's label, pre-sized from `cfg.sizing`
+/// and, on a durable run, capturing its boundary snapshots at every
+/// window flush. The first instance of a run with a state budget keeps
+/// its groups in the spill pager; a `respawn` after a quarantine runs
+/// in RAM, so budget enforcement covers the fault-free path only.
+pub(crate) fn operator<F>(
+    make_spec: &F,
+    shard: usize,
+    cfg: &RuntimeConfig,
+    registry: &Registry,
+    respawn: bool,
+) -> Result<SamplingOperator, RuntimeError>
+where
+    F: Fn(usize) -> Result<OperatorSpec, OpError>,
+{
+    let op_err = |source| RuntimeError::Op { shard, source };
+    let spec = make_spec(shard).map_err(op_err)?;
+    let entry_bytes = spec.group_entry_bytes() as u64;
+    let mut op = SamplingOperator::new(spec).map_err(op_err)?;
+    op.set_metrics(OperatorMetrics::register(registry, format!("shard={shard}")));
+    if let Some(d) = &cfg.durability {
+        if !op.can_persist() {
+            return Err(RuntimeError::BadConfig(
+                "query uses a stateful function without persistence support".into(),
+            ));
+        }
+        // The operator snapshots carry/aux at each window flush; the
+        // worker records those bytes when `process` hands it the closed
+        // window. Per-tuple cost on the durable path: none.
+        op.set_capture_flush(true);
+        if let Some(total) = d.state_budget.filter(|_| !respawn) {
+            let per_shard = (total / cfg.shards as u64).max(1);
+            let table = PagedGroupTable::for_shard(&d.dir, shard, per_shard, entry_bytes)
+                .map_err(|e| RuntimeError::Store { shard, message: e.to_string() })?;
+            op.set_group_backend(Box::new(table));
+        }
+    }
+    if let Some(hints) = &cfg.sizing {
+        op.reserve(hints);
+    }
+    Ok(op)
+}
+
+/// A run's operator builder, shared by the first spawn and every respawn.
+pub(crate) type Build<'a> =
+    dyn Fn(usize, bool) -> Result<SamplingOperator, RuntimeError> + Sync + 'a;
+
 /// One shard's supervised worker: its forward ring and return ring, the
-/// live operator (or the window key it is quarantined for),
-/// the window outputs accumulated so far, and the per-window uncovered
-/// counts. Each shard runs one on a thread of its own ([`Worker::drain`]).
-pub(crate) struct Worker<'a, F> {
+/// live operator (`None` while quarantined), the window outputs
+/// accumulated so far, and its quarantine. Each shard runs one on a
+/// thread of its own ([`Worker::drain`]).
+pub(crate) struct Worker<'a> {
     pub(crate) shard: usize,
     /// The shard's ring from the pump.
     pub(crate) rx: Consumer<Batch>,
@@ -74,22 +102,18 @@ pub(crate) struct Worker<'a, F> {
     /// This shard's `rt.ring_depth` cell: one down per batch taken.
     pub(crate) depth: Gauge,
     pub(crate) op: Option<SamplingOperator>,
-    /// `Some(key)` while quarantined: tuples of window `key` are
-    /// discarded (and counted); the first tuple of a different window
-    /// triggers the respawn.
-    pub(crate) quarantined: Option<Tuple>,
+    pub(crate) quarantine: Quarantine,
     /// Tuples fed into the live operator's current window (the loss if
     /// it panics now).
     pub(crate) window_tuples: u64,
     /// Tuples handed to this worker so far (fault triggers key on this).
     pub(crate) tuple_count: u64,
     pub(crate) windows: Vec<WindowOutput>,
-    pub(crate) uncovered: Vec<(Tuple, u64)>,
     pub(crate) wexprs: Vec<Expr>,
     pub(crate) faults: WorkerFaultSchedule,
     pub(crate) stats: ShardStats,
-    pub(crate) registry: Registry,
-    pub(crate) make_spec: &'a F,
+    /// The run's [`operator`] builder: `build(shard, respawn)`.
+    pub(crate) build: &'a Build<'a>,
     /// Durable writer for this shard (`None` = in-memory run).
     pub(crate) store: Option<ShardStore>,
     /// Resume watermark: tuples whose window key is `<=` this are
@@ -97,29 +121,12 @@ pub(crate) struct Worker<'a, F> {
     /// at the first tuple past it.
     pub(crate) watermark: Option<Tuple>,
     pub(crate) store_stats: Option<StoreStats>,
-    /// Flight-recorder handle: a caught panic arms the dump trigger so
-    /// the last events before the quarantine survive the run.
-    pub(crate) profiler: Option<Profiler>,
     /// The worker's lineage lane, opened on its own thread (`Some`
-    /// exactly when `profiler` is).
-    pub(crate) trace: Option<LaneWriter>,
+    /// exactly when the run is profiled).
+    pub(crate) trace: Option<(Profiler, LaneWriter)>,
 }
 
-impl<F> Worker<'_, F>
-where
-    F: Fn(usize) -> Result<OperatorSpec, OpError>,
-{
-    fn add_uncovered(&mut self, key: Tuple, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.stats.uncovered.add(n);
-        match self.uncovered.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, c)) => *c += n,
-            None => self.uncovered.push((key, n)),
-        }
-    }
-
+impl Worker<'_> {
     /// Catch the aftermath of a panic: take the poisoned operator, mark
     /// its in-flight window (everything fed into it, plus the tuple
     /// that tripped the panic, if any) as uncovered, and quarantine.
@@ -133,57 +140,27 @@ where
             .op
             .take()
             .and_then(|o| o.current_window())
-            .or_else(|| tripped_by.and_then(|t| window_key(&self.wexprs, t)))
-            .unwrap_or_else(|| Tuple::new(Vec::new()));
-        let lost = self.window_tuples + u64::from(tripped_by.is_some());
-        self.add_uncovered(key.clone(), lost);
-        self.stats.quarantines.inc();
+            .or_else(|| tripped_by.and_then(|t| window_key(&self.wexprs, t)));
+        self.quarantine.enter(key, self.window_tuples + u64::from(tripped_by.is_some()));
         self.window_tuples = 0;
-        self.quarantined = Some(key);
-        if let Some(p) = &self.profiler {
-            p.trigger(DumpReason::Panic);
-        }
-    }
-
-    /// Leave quarantine: build a fresh operator instance from the spec
-    /// factory. Its sampler state starts clean — cross-window threshold
-    /// carry-over is lost for this shard, which only makes the next
-    /// window's sample *larger* (lower z), never biased.
-    fn revive(&mut self) -> Result<(), OpError> {
-        let mut op = SamplingOperator::new((self.make_spec)(self.shard)?)?;
-        op.set_metrics(OperatorMetrics::register(&self.registry, format!("shard={}", self.shard)));
-        // A durable worker needs the respawned operator capturing
-        // boundary snapshots too, or its next window close has nothing
-        // to record.
-        if self.store.is_some() {
-            op.set_capture_flush(true);
-        }
-        self.op = Some(op);
-        self.quarantined = None;
-        self.window_tuples = 0;
-        Ok(())
     }
 
     fn run_batch(&mut self, batch: &[Tuple]) -> Result<(), RuntimeError> {
         let mut cursor = 0usize;
         while cursor < batch.len() {
-            if let Some(qkey) = self.quarantined.clone() {
-                while cursor < batch.len() {
-                    let t = &batch[cursor];
-                    if window_key(&self.wexprs, t).as_ref() == Some(&qkey) {
-                        self.tuple_count += 1;
-                        self.add_uncovered(qkey.clone(), 1);
-                        cursor += 1;
-                    } else {
-                        // Window boundary: respawn and resume live.
-                        let shard = self.shard;
-                        self.revive().map_err(|source| RuntimeError::Op { shard, source })?;
-                        break;
-                    }
-                }
-                if self.quarantined.is_some() {
+            if self.quarantine.active() {
+                let skipped = self.quarantine.skip(&batch[cursor..], &self.wexprs, |_| true);
+                self.tuple_count += skipped as u64;
+                cursor += skipped;
+                if self.quarantine.active() {
                     return Ok(());
                 }
+                // Window boundary: respawn a fresh operator and resume
+                // live. Its sampler state starts clean — cross-window
+                // threshold carry-over is lost for this shard, which
+                // only makes the next window's sample *larger* (lower
+                // z), never biased.
+                self.op = Some((self.build)(self.shard, true)?);
             }
             cursor = self.skip_recovered(batch, cursor);
             if cursor < batch.len() {
@@ -202,7 +179,7 @@ where
     fn skip_recovered(&mut self, batch: &[Tuple], mut cursor: usize) -> usize {
         while let (Some(wm), Some(t)) = (&self.watermark, batch.get(cursor)) {
             match window_key(&self.wexprs, t) {
-                Some(k) if window_le(&k, wm) => {
+                Some(k) if tuple_cmp(&k, wm).is_le() => {
                     self.tuple_count += 1;
                     cursor += 1;
                 }
@@ -215,35 +192,31 @@ where
         cursor
     }
 
-    /// Hand the live operator one stretch from the front of `tuples` in
-    /// one `process_batch` call, under one `catch_unwind`, and return
-    /// how many tuples it consumed. A stretch ends just before the
-    /// tuple the shard's next fault is due at, so a fault trips first
-    /// thing in a stretch, before the operator sees its tuple; while a
-    /// resume watermark is still up (its tuple had no window key) the
-    /// stretch is that one tuple. After a panic the operator's
-    /// [`SamplingOperator::batch_entered`] names the tuple that raised
-    /// it, and that tuple is the last one consumed.
+    /// Hand the live operator one [`stretch`] from the front of
+    /// `tuples` in one `process_batch` call, [`supervised`], and return
+    /// how many tuples it consumed. While a resume watermark is still up
+    /// (its tuple had no window key) the stretch is that one tuple.
+    /// After a panic the operator's [`SamplingOperator::batch_entered`]
+    /// names the tuple that raised it, and that tuple is the last one
+    /// consumed.
     fn run_stretch(&mut self, tuples: &[Tuple]) -> Result<usize, RuntimeError> {
         let shard = self.shard;
         let first = self.tuple_count + 1;
-        let fault = self.faults.check(first);
-        let len = match (&self.watermark, self.faults.peek()) {
-            (Some(_), _) => 1,
-            (None, Some(at)) => at.saturating_sub(first).max(1).min(tuples.len() as u64) as usize,
-            (None, None) => tuples.len(),
-        };
+        let (fault, mut len) = stretch(&mut self.faults, first, tuples.len());
+        if self.watermark.is_some() {
+            len = 1;
+        }
         let op = self.op.as_mut().expect("live worker has an operator");
         let windows = &mut self.windows;
         let before = windows.len();
         let mut in_op = false;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = supervised(|| {
             if let Some(f) = fault {
                 f.trip(shard, first);
             }
             in_op = true;
             op.process_batch(&tuples[..len], |w| windows.push(w))
-        }));
+        });
         let (entered, panicked) = match &outcome {
             Ok(Ok(())) => (len, false),
             Ok(Err(_)) => (op.batch_entered(), false),
@@ -258,17 +231,7 @@ where
         for w in &self.windows[before..] {
             self.stats.windows.inc();
             closed_tuples += w.stats.tuples;
-            if let Some(store) = self.store.as_mut() {
-                // The operator captured carry/aux at each flush
-                // boundary, before the tuple that closed the window
-                // touched the new window's state: exactly the restart
-                // state.
-                let (carry, aux) = op.take_flush_state().ok_or_else(|| RuntimeError::Store {
-                    shard,
-                    message: "window closed without a boundary snapshot".into(),
-                })?;
-                record_window(store, w, &carry, &aux, shard)?;
-            }
+            record_window(self.store.as_mut(), op, w, shard)?;
         }
         // Tuples fed into the window still open: those already in it,
         // plus the stretch's tuples before a panicking one, less every
@@ -291,24 +254,12 @@ where
     fn finish(&mut self) -> Result<(), RuntimeError> {
         let shard = self.shard;
         if let Some(op) = self.op.as_mut() {
-            match catch_unwind(AssertUnwindSafe(|| op.finish())) {
+            match supervised(|| op.finish()) {
                 Ok(Ok(Some(w))) => {
                     self.stats.windows.inc();
-                    if let Some(store) = self.store.as_mut() {
-                        // The final flush captured its boundary
-                        // snapshot like any other; fall back to a
-                        // direct export if capture was somehow off.
-                        let (carry, aux) = match op.take_flush_state() {
-                            Some(s) => s,
-                            None => {
-                                let carry = op
-                                    .export_carry()
-                                    .map_err(|message| RuntimeError::Store { shard, message })?;
-                                (carry, op.export_aux())
-                            }
-                        };
-                        record_window(store, &w, &carry, &aux, shard)?;
-                    }
+                    // The final flush captured its boundary snapshot
+                    // like any other.
+                    record_window(self.store.as_mut(), op, &w, shard)?;
                     self.windows.push(w);
                 }
                 Ok(Ok(None)) => {}
@@ -369,17 +320,15 @@ where
         self.stats.busy_ns.add(busy);
         let win = self.windows.len().saturating_sub(1) as u32;
         self.stamp(ProfStage::Flush, busy, |e| e.window(win));
-        Ok(Some(ShardPartial { windows: self.windows, uncovered: self.uncovered }))
+        Ok(Some(ShardPartial { windows: self.windows, uncovered: self.quarantine.uncovered }))
     }
 
     /// Stamp one `stage` event of `busy` ns ending now on the worker's
     /// lineage lane.
     fn stamp(&mut self, stage: ProfStage, busy: u64, detail: impl FnOnce(ProfEvent) -> ProfEvent) {
-        if let (Some(p), Some(lane)) = (&self.profiler, self.trace.as_mut()) {
-            let end = p.now_ns();
-            let event = ProfEvent::new(stage, end.saturating_sub(busy), busy);
-            lane.record(detail(event.shard(self.shard as u16)));
-            lane.publish();
+        let shard = self.shard as u16;
+        if let Some((p, lane)) = self.trace.as_mut() {
+            stamp(p, lane, stage, busy, |e| detail(e.shard(shard)));
         }
     }
 }
