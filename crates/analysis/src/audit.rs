@@ -418,8 +418,8 @@ fn audit_statement(
         }
     };
 
-    // W204: a shed-path re-weighting needs a provably non-negative
-    // subset-sum weight.
+    // W204: the operator's subset-sum threshold pass needs a provably
+    // non-negative weight.
     if let Some(w) = &sampler.weight_expr {
         if !provably_non_negative(w, schema) {
             diags.push(
@@ -429,8 +429,8 @@ fn audit_statement(
                     "subset-sum weight is not provably non-negative",
                 )
                 .with_help(
-                    "load shedding re-weights surviving tuples by the inverse sampling rate; \
-                     a weight that can be negative (or wrap) makes the shed estimate unsound",
+                    "the subset-sum threshold pass meters tuples lighter than z by their summed \
+                     weight; a weight that can be negative (or wrap) breaks the meter's estimate",
                 ),
             );
         }

@@ -16,7 +16,7 @@
 //! * **lossy counting / heavy hitters** (§6.6): with bucket width `w`
 //!   over `N` rows, surviving entries obey the classic
 //!   `w·(ln(N/w) + 1)` bound (ε = 1/w ⇒ (1/ε)·log εN).
-//! * **distinct sampling** (Gibbons, the paper's ref [19]): `ddo_clean` raises the
+//! * **distinct sampling** (Gibbons, the paper's ref \[19\]): `ddo_clean` raises the
 //!   hash level once the distinct count passes the capacity `c`,
 //!   bounding the table at `c + 1`.
 //! * **min-hash / KMV** (the §6.6 min-hash query): the k smallest hash values survive
@@ -119,7 +119,7 @@ impl SamplerKind {
 }
 
 /// What sampler a query's clauses select, plus the subset-sum weight
-/// expression (for the shed-safety check, W204).
+/// expression (for the weight check, W204).
 #[derive(Debug, Clone)]
 pub struct SamplerInfo {
     /// The classified sampling family.
@@ -199,9 +199,9 @@ pub fn detect_sampler(q: &Query) -> SamplerInfo {
 }
 
 /// Can this tuple-phase expression be proven numeric and non-negative
-/// over the schema's column types? Used for the shed-safety check: a
-/// weight the shed path cannot trust makes `Backpressure::Shed`
-/// re-weighting unsound (W204).
+/// over the schema's column types? Used for the weight check (W204): the
+/// operator's subset-sum threshold pass meters tuples lighter than its
+/// threshold z by their summed weight, which a negative weight breaks.
 pub fn provably_non_negative(e: &AstExpr, schema: &Schema) -> bool {
     match &e.kind {
         // Integer literals are unsigned at the AST level.

@@ -9,8 +9,8 @@
 //!   declared feed envelopes ([`sso_netgen::profile`]),
 //! * a **router-skew verdict** — whether the sharded runtime's
 //!   partition key can actually reach the requested shard count,
-//! * **degradation behavior** — whether load-shed re-weighting is sound
-//!   (W204).
+//! * **weight soundness** — whether a subset-sum weight is provably
+//!   non-negative, as the operator's threshold pass needs (W204).
 //!
 //! The pass walks a query file the way the runtime wires it
 //! (consecutive statements cascade), carries an abstract state along

@@ -22,7 +22,7 @@
 //!   table every bucket, and tombstones would turn every later probe
 //!   into a scan of the dead.
 //!
-//! Nothing is freed at a window close: [`GroupTable::clear`] resets the
+//! Nothing is freed at a window close: `GroupTable::clear` resets the
 //! arenas and the index and keeps their capacity for the next window.
 
 use std::hash::{Hash, Hasher};

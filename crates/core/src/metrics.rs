@@ -2,7 +2,7 @@
 //! [`SamplingOperator`](crate::SamplingOperator) writes to.
 //!
 //! Per-tuple counters are *not* updated per tuple — they stay in the
-//! operator's existing [`WindowStats`](crate::WindowStats) accumulator
+//! operator's existing [`crate::WindowStats`] accumulator
 //! and are flushed here once per window close, so instrumentation adds
 //! no per-tuple atomics beyond the (sampled) phase spans. The sampling
 //! telemetry probed from SFUN states feeds the under-sampling detector,

@@ -469,7 +469,7 @@ impl<'a> Lowering<'a> {
 }
 
 /// A predicate over one input tuple — a shared prefilter hoisted out of
-/// the queries behind it — lowered once and run as a [`Program`], the
+/// the queries behind it — lowered once and run as a `Program`, the
 /// way the operator runs its own clauses. [`Expr::eval_bool`] with only
 /// a tuple in scope is its meaning.
 ///

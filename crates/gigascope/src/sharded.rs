@@ -2,68 +2,16 @@
 //! feeding `N` high-level sampling-operator shards via `sso-runtime`'s
 //! hash-partitioned rings, with window-aligned merge-finalize.
 
-use std::time::Duration;
-
-use sso_core::{shard_plan, NotMergeable, OpError, OperatorSpec, WindowOutput};
-use sso_runtime::{run_sharded, Refill, RouterStats, RuntimeConfig, RuntimeError, ShardStats};
+use sso_core::{shard_plan, NotMergeable, OpError, OperatorSpec};
+use sso_runtime::{run_sharded, Refill, RuntimeConfig, RuntimeError, ShardedReport};
 use sso_types::Packet;
 
-use crate::engine::{LowSource, NodeStats};
+use crate::engine::LowSource;
 use crate::nodes::LowLevelQuery;
 
-/// The result of a sharded plan run.
-#[derive(Debug)]
-pub struct ShardedRunReport {
-    /// Low-level node accounting (runs on the pump, the calling thread).
-    pub low: NodeStats,
-    /// Merged window outputs, in window order.
-    pub windows: Vec<WindowOutput>,
-    /// Per-shard worker accounting.
-    pub shards: Vec<ShardStats>,
-    /// The router's accounting.
-    pub router: RouterStats,
-    /// The span the live feed would have taken to deliver the packets.
-    pub stream_span: Duration,
-    /// Run-level coverage (1.0 = no faults degraded the output).
-    pub coverage: f64,
-}
-
-impl ShardedRunReport {
-    /// Tuples the shard workers processed, total.
-    pub fn tuples_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.tuples()).sum()
-    }
-
-    /// Tuples dropped at full shard rings.
-    pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped()).sum()
-    }
-
-    /// Tuples shed below the backpressure threshold at full rings.
-    pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed()).sum()
-    }
-
-    /// Worker panics caught and quarantined.
-    pub fn quarantines(&self) -> u64 {
-        self.shards.iter().map(|s| s.quarantines()).sum()
-    }
-
-    /// Routing panics caught and quarantined.
-    pub fn router_quarantines(&self) -> u64 {
-        self.router.quarantines()
-    }
-
-    /// Tuples lost to router quarantine (never routed).
-    pub fn router_uncovered(&self) -> u64 {
-        self.router.uncovered()
-    }
-
-    /// Whether any fault degraded the output.
-    pub fn degraded(&self) -> bool {
-        self.coverage < 1.0
-    }
-}
+/// The result of a sharded plan run: the runtime's own report, whose
+/// [`ShardedReport::pull`] is the low-level node's busy time.
+pub type ShardedRunReport = ShardedReport;
 
 /// Why a sharded plan run failed.
 #[derive(Debug)]
@@ -123,8 +71,8 @@ where
     run_plan_sharded_with(low, &plan, make_spec, cfg, packets)
 }
 
-/// [`run_plan_sharded`] with an explicit, pre-classified [`ShardPlan`]
-/// instead of one probed from `make_spec(0)`.
+/// [`run_plan_sharded`] with an explicit, pre-classified
+/// [`sso_core::ShardPlan`] instead of one probed from `make_spec(0)`.
 ///
 /// This is the entry point for **sampling-budget splitting**: a caller
 /// can classify the full-budget query (so the merge rule keeps the
@@ -152,21 +100,13 @@ where
     // the node's `finish()` pass — and that time is the node's busy time.
     let mut source = LowSource::new(low, packets);
     let report = run_sharded(plan, make_spec, cfg, Refill(|slot: &mut _| source.next(slot)))?;
-    let (mut low_stats, stream_span) = source.finish();
-    low_stats.busy = report.pull;
     if let Some(registry) = &cfg.registry {
-        registry.counter("low.tuples_in").add(low_stats.tuples_in);
-        registry.counter("low.tuples_out").add(low_stats.tuples_out);
+        let (low, _) = source.finish();
+        registry.counter("low.tuples_in").add(low.tuples_in);
+        registry.counter("low.tuples_out").add(low.tuples_out);
         registry.counter("low.busy_ns").add(report.pull.as_nanos() as u64);
     }
-    Ok(ShardedRunReport {
-        low: low_stats,
-        windows: report.windows,
-        shards: report.shards,
-        router: report.router,
-        stream_span,
-        coverage: report.coverage,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -176,6 +116,7 @@ mod tests {
     use crate::nodes::SelectionNode;
     use sso_core::{queries, SamplingOperator};
     use sso_netgen::research_feed;
+    use std::time::Duration;
 
     #[test]
     fn sharded_total_sum_matches_single_instance_exactly() {
@@ -201,7 +142,7 @@ mod tests {
                 assert_eq!(a.window, b.window);
                 assert_eq!(a.rows, b.rows, "{shards} shards drifted");
             }
-            assert_eq!(sharded.low.tuples_in, pkts.len() as u64);
+            assert_eq!(sharded.router.tuples(), pkts.len() as u64);
             assert_eq!(sharded.tuples_processed(), pkts.len() as u64);
         }
     }
@@ -222,7 +163,7 @@ mod tests {
                 pkts.clone(),
             )
             .unwrap();
-            assert!(report.low.busy > Duration::ZERO, "{what} registry: low.busy is 0");
+            assert!(report.pull > Duration::ZERO, "{what} registry: the pull time is 0");
         }
         let busy = enabled.snapshot().get("low.busy_ns").map(|m| m.scalar()).unwrap_or(0.0);
         assert!(busy > 0.0, "the supplied registry's low.busy_ns is 0");

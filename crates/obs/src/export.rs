@@ -58,8 +58,6 @@ fn prom_help(name: &str) -> &'static str {
         "rt.tuples" => "Tuples processed by the shard worker",
         "rt.windows" => "Windows closed by the shard worker",
         "rt.stalls" => "Full-ring waits the router observed pushing to this shard",
-        "rt.dropped" => "Tuples dropped at a full shard ring (drop-newest backpressure)",
-        "rt.shed_tuples" => "Tuples shed below the backpressure threshold at a full ring",
         "rt.ring_depth" => {
             "Batches resident in the shard ring (sampled at push, including wait entry)"
         }

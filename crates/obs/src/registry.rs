@@ -1,7 +1,7 @@
 //! The lock-free metrics registry.
 //!
 //! A [`Registry`] hands out writer handles — [`Counter`], [`Gauge`],
-//! [`Histogram`](crate::Histogram) — each backed by its own *cell* of
+//! [`crate::Histogram`] — each backed by its own *cell* of
 //! atomics. Handles are cheap `Arc` clones; writers update their cell
 //! with `Relaxed` operations and never contend with other shards.
 //! [`Registry::snapshot`] walks the cell table and merges cells sharing

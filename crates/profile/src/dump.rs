@@ -220,6 +220,19 @@ mod tests {
     }
 
     #[test]
+    fn unassigned_reason_bytes_are_errors() {
+        for reason in [2u8, 3, 5, u8::MAX] {
+            let mut bytes = MAGIC.to_vec();
+            put_u32(&mut bytes, VERSION);
+            let mut header = vec![reason];
+            put_u32(&mut header, 0);
+            put_frame(&mut bytes, &header).unwrap();
+            let err = decode_dump(&bytes).unwrap_err();
+            assert!(err.contains("unknown dump reason"), "byte {reason}: {err}");
+        }
+    }
+
+    #[test]
     fn huge_declared_counts_are_errors_not_allocations() {
         let mut bytes = MAGIC.to_vec();
         put_u32(&mut bytes, VERSION);

@@ -18,8 +18,8 @@
 //! `sso-obs` power-of-two buckets.
 //!
 //! The same rings double as a **flight recorder**: on a worker or
-//! router panic, shed activation, or a `crash` fault, the
-//! last N events per lane are dumped (checksummed `sso-store`-style
+//! router panic or a `crash` fault, the last N events per lane are
+//! dumped (checksummed `sso-store`-style
 //! frames, atomic rename) and `sso trace` renders them as a human
 //! timeline or Chrome trace-event JSON.
 //!

@@ -6,8 +6,8 @@
 //! mutex touched at lane *creation*, never on the record path), the
 //! epoch stopwatch, the dump trigger, and the dump destination.
 //!
-//! Dump triggers are first-CAS-wins: the first of panic / shed / crash
-//! to fire names the dump's reason; later triggers are
+//! Dump triggers are first-CAS-wins: the first of panic / crash to
+//! fire names the dump's reason; later triggers are
 //! no-ops. Triggering only raises a flag — the dump itself is written
 //! by the runtime **after** worker joins, when every lane is quiescent
 //! and the `Release`-published heads are authoritative.
@@ -31,10 +31,9 @@ pub enum DumpReason {
     Manual = 0,
     /// A worker shard panicked into quarantine.
     Panic = 1,
-    // Byte 2 stays unassigned: a dump carrying it must not decode as
-    // another reason.
-    /// Shed backpressure activated (threshold left zero).
-    Shed = 3,
+    // Bytes 2 and 3 stay unassigned (3 named a full-ring shed trigger
+    // the runtime no longer has): a dump carrying either must not
+    // decode as another reason.
     /// A `crash at=N` fault fired.
     Crash = 4,
 }
@@ -44,7 +43,6 @@ impl DumpReason {
         match self {
             DumpReason::Manual => "manual",
             DumpReason::Panic => "panic",
-            DumpReason::Shed => "shed",
             DumpReason::Crash => "crash",
         }
     }
@@ -53,7 +51,6 @@ impl DumpReason {
         match v {
             0 => Some(DumpReason::Manual),
             1 => Some(DumpReason::Panic),
-            3 => Some(DumpReason::Shed),
             4 => Some(DumpReason::Crash),
             _ => None,
         }
@@ -205,9 +202,9 @@ mod tests {
     fn first_trigger_wins() {
         let p = Profiler::new(ProfilerConfig::default());
         assert_eq!(p.triggered(), None);
-        p.trigger(DumpReason::Shed);
+        p.trigger(DumpReason::Panic);
         p.trigger(DumpReason::Crash);
-        assert_eq!(p.triggered(), Some(DumpReason::Shed));
+        assert_eq!(p.triggered(), Some(DumpReason::Panic));
     }
 
     #[test]

@@ -57,12 +57,7 @@ fn lane_strategy() -> impl Strategy<Value = LaneDump> {
 
 fn dump_strategy() -> impl Strategy<Value = Dump> {
     (
-        prop_oneof![
-            Just(DumpReason::Manual),
-            Just(DumpReason::Panic),
-            Just(DumpReason::Shed),
-            Just(DumpReason::Crash)
-        ],
+        prop_oneof![Just(DumpReason::Manual), Just(DumpReason::Panic), Just(DumpReason::Crash)],
         proptest::collection::vec(lane_strategy(), 0..6),
     )
         .prop_map(|(reason, lanes)| Dump { reason, lanes })

@@ -97,8 +97,8 @@ pub enum Code {
     /// Non-mergeable plan requested with `--shards > 1`; the static
     /// upgrade of the runtime-discovered [`W102`](Code::W102).
     W203,
-    /// Shed-unsafe: `Backpressure::Shed` weights by a column the plan
-    /// cannot prove numeric and non-negative.
+    /// Unsound weight: the subset-sum threshold pass weights by an
+    /// expression the plan cannot prove numeric and non-negative.
     W204,
     /// State budget below the spill pager's working-set floor: the
     /// paged group table pins two pages (the open page and the touched

@@ -36,30 +36,6 @@ use crate::route::{route_piece, Router, Sender};
 use crate::supervise::Quarantine;
 use crate::worker::{operator, Worker};
 
-/// What the router does when a shard's ring is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Wait for the worker (lossless; counts a stall per wait).
-    Block,
-    /// Discard the newest batch (lossy; counts every dropped tuple) —
-    /// the behaviour of a real NIC ring under overload. Biases every
-    /// downstream estimate; kept for comparison and for workloads where
-    /// bias is acceptable.
-    DropNewest,
-    /// Shed below-threshold tuples (lossy but *principled*): a full ring
-    /// raises the shard's shed threshold z, and a tuple of weight `w`
-    /// survives if `w > z` or by the deterministic metering rule (one
-    /// survivor per z of accumulated small weight — the same rule as the
-    /// operator's threshold pass). Every shed tuple and its weight is
-    /// counted, so `offered == delivered + shed` exactly, and the kept
-    /// stream is an unbiased threshold sample of the offered stream.
-    Shed {
-        /// Input column holding the tuple's weight. `None` weights every
-        /// tuple 1 (count semantics).
-        weight_col: Option<usize>,
-    },
-}
-
 /// Durable-state configuration (the `sso-store` subsystem): one
 /// append-only log of closed windows per shard under [`Self::dir`], and
 /// an optional resident-state budget that swaps the in-RAM group table
@@ -114,8 +90,6 @@ pub struct RuntimeConfig {
     pub ring_capacity: usize,
     /// Tuples per batch.
     pub batch_size: usize,
-    /// Full-ring policy.
-    pub backpressure: Backpressure,
     /// Seed for randomized window merges (reservoir); per-shard sampler
     /// seeds come from the spec factory instead.
     pub seed: u64,
@@ -139,40 +113,28 @@ pub struct RuntimeConfig {
     /// Causal stage tracing: every batch leaves lineage stamps (ingest →
     /// route → ring wait → process → join → merge → emit; the join,
     /// the pump waiting on the workers' partials, is the stage named
-    /// `barrier_wait`) in
-    /// per-thread event rings, and panic/shed/crash triggers
-    /// dump them as a flight recording. `None` costs one branch per
-    /// batch.
+    /// `barrier_wait`) in per-thread event rings, and panic and crash
+    /// triggers dump them as a flight recording. `None` costs one
+    /// branch per batch.
     pub profile: Option<Profiler>,
-    /// A shared prefilter from a certified plan rewrite
-    /// (`sso-rewrite`): a pure tuple predicate every registered query
-    /// implies, evaluated once per tuple *ahead of the router*. Tuples
-    /// failing it are dropped before routing; because every consumer
-    /// keeps its full residual predicate, window output is unchanged —
-    /// only routing and operator work shrinks. An evaluation error
-    /// passes the tuple through (hoisted clauses are proven total, so
-    /// this is belt-and-braces, never a correctness lever).
-    pub shared_prefilter: Option<Arc<Expr>>,
 }
 
 impl RuntimeConfig {
     /// A config with `shards` workers and the default ring shape:
-    /// 16 batches of 1024 tuples, blocking backpressure. (Same 16K-tuple
-    /// ring depth as 64x256, but fewer handoffs per tuple; larger
-    /// batches start thrashing cache.)
+    /// 16 batches of 1024 tuples. (Same 16K-tuple ring depth as 64x256,
+    /// but fewer handoffs per tuple; larger batches start thrashing
+    /// cache.)
     pub fn new(shards: usize) -> Self {
         RuntimeConfig {
             shards,
             ring_capacity: 16,
             batch_size: 1024,
-            backpressure: Backpressure::Block,
             seed: 0x5eed_00d5,
             registry: None,
             faults: None,
             sizing: None,
             durability: None,
             profile: None,
-            shared_prefilter: None,
         }
     }
 
@@ -209,14 +171,6 @@ impl RuntimeConfig {
     /// Persist operator state under `durability`'s store directory.
     pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
         self.durability = Some(durability);
-        self
-    }
-
-    /// Evaluate `prefilter` once per tuple ahead of the router,
-    /// dropping tuples that fail it (see
-    /// [`RuntimeConfig::shared_prefilter`]).
-    pub fn with_shared_prefilter(mut self, prefilter: Arc<Expr>) -> Self {
-        self.shared_prefilter = Some(prefilter);
         self
     }
 
@@ -260,13 +214,9 @@ pub struct ShardStats {
     pub(crate) tuples: Counter,
     pub(crate) windows: Counter,
     pub(crate) stalls: Counter,
-    pub(crate) dropped: Counter,
     pub(crate) busy_ns: Counter,
     pub(crate) quarantines: Counter,
     pub(crate) uncovered: Counter,
-    pub(crate) shed_tuples: Counter,
-    pub(crate) shed_weight: Gauge,
-    pub(crate) shed_z: Gauge,
 }
 
 impl ShardStats {
@@ -277,13 +227,9 @@ impl ShardStats {
             tuples: registry.counter_labeled("rt.tuples", label.clone()),
             windows: registry.counter_labeled("rt.windows", label.clone()),
             stalls: registry.counter_labeled("rt.stalls", label.clone()),
-            dropped: registry.counter_labeled("rt.dropped", label.clone()),
             busy_ns: registry.counter_labeled("rt.busy_ns", label.clone()),
             quarantines: registry.counter_labeled("rt.quarantines", label.clone()),
-            uncovered: registry.counter_labeled("rt.uncovered", label.clone()),
-            shed_tuples: registry.counter_labeled("rt.shed_tuples", label.clone()),
-            shed_weight: registry.gauge_labeled("rt.shed_weight", label.clone()),
-            shed_z: registry.gauge_labeled("rt.shed_z", label),
+            uncovered: registry.counter_labeled("rt.uncovered", label),
         }
     }
 
@@ -304,10 +250,10 @@ impl ShardStats {
         self.stalls.get()
     }
 
-    /// Tuples dropped at this shard's full ring
-    /// ([`Backpressure::DropNewest`] only).
+    /// Always 0: a full ring blocks the router and loses nothing. Kept
+    /// for the benchmark harness, which still reads it.
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        0
     }
 
     /// Worker busy time, updated per batch (not only at worker join).
@@ -323,22 +269,6 @@ impl ShardStats {
     /// Tuples lost to quarantined windows on this shard.
     pub fn uncovered(&self) -> u64 {
         self.uncovered.get()
-    }
-
-    /// Tuples shed below the threshold at this shard's full ring
-    /// ([`Backpressure::Shed`] only).
-    pub fn shed(&self) -> u64 {
-        self.shed_tuples.get()
-    }
-
-    /// Total weight shed at this shard's full ring.
-    pub fn shed_weight(&self) -> f64 {
-        self.shed_weight.get()
-    }
-
-    /// The shard's current shed threshold z (0 = not shedding).
-    pub fn shed_z(&self) -> f64 {
-        self.shed_z.get()
     }
 }
 
@@ -362,8 +292,8 @@ impl RouterStats {
         }
     }
 
-    /// Tuples of the finished chunks (routed, prefiltered away, or
-    /// uncovered); advances chunk by chunk while the run is live.
+    /// Tuples of the finished chunks (routed or uncovered); advances
+    /// chunk by chunk while the run is live.
     pub fn tuples(&self) -> u64 {
         self.tuples.get()
     }
@@ -503,19 +433,25 @@ pub struct ShardedReport {
 }
 
 impl ShardedReport {
-    /// Total tuples dropped at full rings.
+    /// Tuples the shard workers were delivered, total.
+    pub fn tuples_processed(&self) -> u64 {
+        self.shards.iter().map(|s| s.tuples()).sum()
+    }
+
+    /// Always 0, like [`ShardStats::dropped`].
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.dropped()).sum()
+        0
+    }
+
+    /// Always 0: nothing is shed at a full ring. Kept for the benchmark
+    /// harness, which still reads it.
+    pub fn shed(&self) -> u64 {
+        0
     }
 
     /// Total router stalls on full rings.
     pub fn stalls(&self) -> u64 {
         self.shards.iter().map(|s| s.stalls()).sum()
-    }
-
-    /// Total tuples shed below the backpressure threshold.
-    pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed()).sum()
     }
 
     /// Total worker panics caught and quarantined.
@@ -839,15 +775,15 @@ where
         UndersampleDetector::register(&registry, "rt", UndersampleConfig { ratio: 1.0 })
             .observe(covered, offered, offered);
     }
-    // A triggered flight recording (panic, shed) lands on
-    // disk even when the run completes; crash dumps were written on the
-    // early-return path above.
+    // A triggered flight recording (a panic) lands on disk even when
+    // the run completes; crash dumps were written on the early-return
+    // path above.
     write_dump(cfg);
     Ok(ShardedReport { windows, shards: stats, router: router_stats, coverage, pull })
 }
 
-/// Write the flight recording to disk if a panic, shed or crash
-/// triggered it.
+/// Write the flight recording to disk if a panic or a crash triggered
+/// it.
 fn write_dump(cfg: &RuntimeConfig) {
     if let Some(Err(e)) = cfg.profile.as_ref().map(Profiler::write_dump_if_triggered) {
         eprintln!("sso-profile: flight-recorder dump failed: {e}");
@@ -1143,69 +1079,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
-    fn drop_newest_accounts_every_lost_tuple() {
-        let spec = queries::total_sum_query(1);
-        let plan = shard_plan(&spec).unwrap();
-        let mut cfg = RuntimeConfig::new(1);
-        cfg.ring_capacity = 1;
-        cfg.batch_size = 16;
-        cfg.backpressure = Backpressure::DropNewest;
-        // A worker that can't keep up: every tuple takes a busy-loop hit.
-        let make = |_| {
-            let mut spec = queries::total_sum_query(1);
-            spec.where_clause = Some(Expr::Scalar {
-                name: "SLOW",
-                fun: std::sync::Arc::new(|_: &[Value]| {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    Ok(Value::Bool(true))
-                }),
-                args: vec![],
-            });
-            Ok(spec)
-        };
-        let tuples = stream(1, 5000, 4);
-        let n = tuples.len() as u64;
-        let report = run_sharded(&plan, make, &cfg, tuples).unwrap();
-        let processed: u64 = report.shards.iter().map(|s| s.tuples()).sum();
-        assert!(report.dropped() > 0, "1-deep ring must overflow");
-        assert_eq!(processed + report.dropped(), n, "drops must be fully accounted");
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)] // the sleep simulates a slow shard
-    fn shed_backpressure_accounts_every_lost_tuple() {
-        let spec = queries::total_sum_query(1);
-        let plan = shard_plan(&spec).unwrap();
-        let mut cfg = RuntimeConfig::new(1);
-        cfg.ring_capacity = 1;
-        cfg.batch_size = 16;
-        cfg.backpressure = Backpressure::Shed { weight_col: None };
-        let make = |_| {
-            let mut spec = queries::total_sum_query(1);
-            spec.where_clause = Some(Expr::Scalar {
-                name: "SLOW",
-                fun: std::sync::Arc::new(|_: &[Value]| {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    Ok(Value::Bool(true))
-                }),
-                args: vec![],
-            });
-            Ok(spec)
-        };
-        let tuples = stream(1, 5000, 4);
-        let n = tuples.len() as u64;
-        let report = run_sharded(&plan, make, &cfg, tuples).unwrap();
-        let processed: u64 = report.shards.iter().map(|s| s.tuples()).sum();
-        assert!(report.shed() > 0, "1-deep ring must force shedding");
-        assert_eq!(report.dropped(), 0, "shed mode never whole-batch drops");
-        assert_eq!(processed + report.shed(), n, "sheds must be fully accounted");
-        // Count-weight shedding with the metering rule keeps 1-in-z:
-        // some of every overloaded batch must still get through.
-        assert!(processed > 0);
-    }
-
-    #[test]
     fn blocking_backpressure_is_lossless_and_counts_stalls() {
         let spec = queries::total_sum_query(1);
         let plan = shard_plan(&spec).unwrap();
@@ -1217,7 +1090,6 @@ mod tests {
         let report = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, tuples).unwrap();
         let processed: u64 = report.shards.iter().map(|s| s.tuples()).sum();
         assert_eq!(processed, n, "blocking mode must be lossless");
-        assert_eq!(report.dropped(), 0);
     }
 
     #[test]

@@ -26,11 +26,10 @@
 //!   ([`sso_core::MergeRule::KmvTruncate`], the row-level form of
 //!   [`sso_sampling::KmvSketch::merge`]).
 //!
-//! The router applies backpressure per shard: block (counting stalls),
-//! drop the newest batch (counting drops), or shed below-threshold
-//! tuples with exact Horvitz–Thompson accounting
-//! ([`engine::Backpressure::Shed`]) — overload is observable instead of
-//! silent either way. The router and every shard keep one fault
+//! A full shard ring blocks the router until the worker makes room,
+//! counting one stall per wait: overload slows the feed and loses
+//! nothing, and the operators absorb load by their own thresholds
+//! (paper §7.1). The router and every shard keep one fault
 //! contract: a panic quarantines the stage for the poisoned window, the
 //! stage is live again at the next window boundary (a shard with a
 //! fresh operator), and the merged output is tagged with per-window
@@ -45,8 +44,8 @@ mod supervise;
 mod worker;
 
 pub use engine::{
-    run_sharded, Backpressure, DurabilityConfig, RouterStats, RuntimeConfig, RuntimeError,
-    ShardStats, ShardedReport,
+    run_sharded, DurabilityConfig, RouterStats, RuntimeConfig, RuntimeError, ShardStats,
+    ShardedReport,
 };
 pub use merge::{merge_shard_partials, merge_windows, ShardPartial};
 pub use pump::{Refill, TupleSource};

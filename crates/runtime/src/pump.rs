@@ -5,7 +5,7 @@
 //! pulling the next. Chunk `c` holds stream positions
 //! `c * chunk_len ..`, so routing knows every tuple's global position
 //! without counting, and an unbounded source runs in bounded memory.
-//! A chunk is pulled and routed a *piece* of [`PIECE_TUPLES`] at a
+//! A chunk is pulled and routed a *piece* of `PIECE_TUPLES` at a
 //! time: routing reads each tuple's key columns and trades it out of
 //! the chunk while the pull that wrote it is still in cache. A whole
 //! chunk (16 batches of packet tuples, some 4 MB) outgrows a core's

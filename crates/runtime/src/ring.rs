@@ -63,8 +63,8 @@ struct Shared<T> {
 /// Why a push did not enqueue.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The ring is full; the value is handed back (drop-newest callers
-    /// count it, blocking callers retry).
+    /// The ring is full; the value is handed back (the router then
+    /// waits in [`Producer::push`]).
     Full(T),
     /// The consumer is gone; the value is handed back.
     Closed(T),

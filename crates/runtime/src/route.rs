@@ -1,8 +1,8 @@
 //! The router: the pump's second half (see [`crate::pump`]). Each
 //! pulled piece is routed on the calling thread, tuple by tuple, into
-//! one batch per shard; a full batch goes into the shard's ring under
-//! the configured [`Backpressure`] policy, and every partial batch is
-//! flushed at the chunk's end. Keyed routing is a pure content hash and
+//! one batch per shard; a full batch goes into the shard's ring, waiting
+//! for room when the ring is full, and every partial batch is flushed at
+//! the chunk's end. Keyed routing is a pure content hash and
 //! round-robin routing a pure function of the tuple's global stream
 //! position, so [`route_stream`] replays it from the tuples alone.
 //! Routing runs under the fault contract the shard workers share
@@ -19,15 +19,13 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use rustc_hash::FxHasher;
-use sso_core::{EvalCtx, Expr, Predicate, ShardPlan};
+use sso_core::{EvalCtx, Expr, ShardPlan};
 use sso_faults::WorkerFaultSchedule;
 use sso_obs::{Counter, Gauge, Histogram, Registry};
-use sso_profile::{
-    DumpReason, Event as ProfEvent, LaneKind, LaneWriter, Profiler, Stage as ProfStage,
-};
+use sso_profile::{Event as ProfEvent, LaneKind, LaneWriter, Profiler, Stage as ProfStage};
 use sso_types::Tuple;
 
-use crate::engine::{Backpressure, RuntimeConfig, ShardStats};
+use crate::engine::{RuntimeConfig, ShardStats};
 use crate::pump::{prefetch, PREFETCH_AHEAD};
 use crate::ring::{ring, Consumer, Producer, PushError};
 use crate::supervise::{stretch, supervised, window_key, Quarantine};
@@ -133,25 +131,6 @@ pub fn route_stream<'a>(
     tuples.into_iter().enumerate().map(|(i, t)| router.route(t, i as u64, shards)).collect()
 }
 
-/// Per-shard shed state: the threshold z and the small-tuple meter (the
-/// deterministic metering rule of the operator's threshold pass, applied
-/// at the ring instead).
-struct ShedState {
-    z: f64,
-    /// The z the current pressure episode started at; decaying below it
-    /// switches shedding off.
-    z0: f64,
-    meter: f64,
-}
-
-#[inline]
-fn tuple_weight(t: &Tuple, weight_col: Option<usize>) -> f64 {
-    match weight_col {
-        Some(c) => t.values().get(c).and_then(|v| v.as_f64().ok()).unwrap_or(1.0),
-        None => 1.0,
-    }
-}
-
 /// The router's tracing state: its event lane (`router/0`, written by
 /// the pump) plus the end of the previous send, which anchors the next
 /// `Ingest` stamp (everything the router did between two sends —
@@ -208,19 +187,17 @@ pub(crate) struct Batch {
     pub(crate) tuples: Vec<Tuple>,
 }
 
-/// The router's sending state: the per-shard rings, batch accumulators
-/// and shed state, and its accounting cells.
+/// The router's sending state: the per-shard rings and batch
+/// accumulators, and its accounting cells.
 pub(crate) struct Sender<'a> {
     shards: usize,
     batch_size: usize,
-    backpressure: Backpressure,
     txs: Vec<Producer<Batch>>,
     /// Spent batches coming home from each shard's worker.
     homes: Vec<Consumer<Vec<Tuple>>>,
     /// Per shard: the batch being filled and how many of its tuples are
     /// live (the rest are dead tuples waiting to be traded).
     batches: Vec<(Vec<Tuple>, usize)>,
-    shed: Vec<ShedState>,
     next_batch_id: u32,
     stats: &'a [ShardStats],
     ring_depths: &'a [Gauge],
@@ -230,8 +207,6 @@ pub(crate) struct Sender<'a> {
     /// with it (workers outlive the pump's routing unless they fail).
     pub(crate) worker_gone: bool,
     pub(crate) trace: Option<RouterTrace>,
-    /// The lowered [`RuntimeConfig::shared_prefilter`].
-    prefilter: Option<Predicate>,
 }
 
 /// A shard worker's ends of its rings: batches from the router, and
@@ -270,11 +245,9 @@ impl<'a> Sender<'a> {
         let mut sender = Sender {
             shards: cfg.shards,
             batch_size: cfg.batch_size,
-            backpressure: cfg.backpressure,
             txs,
             homes,
             batches: (0..cfg.shards).map(|_| Default::default()).collect(),
-            shed: (0..cfg.shards).map(|_| ShedState { z: 0.0, z0: 0.0, meter: 0.0 }).collect(),
             next_batch_id: 0,
             stats,
             ring_depths,
@@ -287,24 +260,11 @@ impl<'a> Sender<'a> {
                 mark_ns: 0,
                 paused_ns: 0,
             }),
-            prefilter: cfg.shared_prefilter.as_deref().map(Predicate::new),
         };
         for shard in 0..cfg.shards {
             sender.batches[shard].0 = sender.recycled(shard);
         }
         (sender, ends)
-    }
-
-    /// Is `tuple` routed at all? A tuple the shared prefilter cannot be
-    /// evaluated on is: the operator behind the router keeps its full
-    /// WHERE and raises the error, or rejects the tuple, as it would
-    /// without a prefilter.
-    #[inline]
-    fn passes_prefilter(&mut self, tuple: &Tuple) -> bool {
-        match &mut self.prefilter {
-            None => true,
-            Some(pred) => pred.test(tuple).unwrap_or(true),
-        }
     }
 
     /// Route `tuple` to `shard` by trading it for a dead tuple of the
@@ -389,95 +349,27 @@ impl<'a> Sender<'a> {
         }
     }
 
-    /// Deliver `shard`'s accumulated batch into its ring under the
-    /// configured backpressure policy, and start the next one in a
-    /// recycled buffer.
+    /// Deliver `shard`'s accumulated batch into its ring, waiting for
+    /// room when it is full, and start the next one in a recycled
+    /// buffer.
     fn send_batch(&mut self, shard: usize) {
         let (tuples, live) = std::mem::take(&mut self.batches[shard]);
         let id = self.next_batch_id;
         self.next_batch_id = id.wrapping_add(1);
         let t0 = self.trace.as_ref().map(|t| t.p.now_ns());
-        let unsent = match (self.txs[shard].try_push(Batch { id, live, tuples }), self.backpressure)
-        {
-            (Ok(()), policy) => {
+        let unsent = match self.txs[shard].try_push(Batch { id, live, tuples }) {
+            Ok(()) => {
                 self.ring_depths[shard].add(1.0);
                 self.delivered(shard, id, live as u64, t0, None);
-                let state = &mut self.shed[shard];
-                if matches!(policy, Backpressure::Shed { .. }) && state.z > 0.0 {
-                    // Pressure easing: decay toward off.
-                    state.z *= 0.5;
-                    if state.z < state.z0 {
-                        state.z = 0.0;
-                        state.meter = 0.0;
-                    }
-                    self.stats[shard].shed_z.set(state.z);
-                }
                 None
             }
+            Err(PushError::Full(batch)) => self.push_blocking(shard, id, live, batch.tuples, t0),
             // Worker death closes the ring: the pump stops at the end
             // of the chunk, and the join in `run_sharded` surfaces the
             // reason.
-            (Err(PushError::Closed(batch)), _) => {
+            Err(PushError::Closed(batch)) => {
                 self.worker_gone = true;
                 Some(batch.tuples)
-            }
-            (Err(PushError::Full(batch)), Backpressure::Block) => {
-                self.push_blocking(shard, id, live, batch.tuples, t0)
-            }
-            (Err(PushError::Full(batch)), Backpressure::DropNewest) => {
-                self.stats[shard].dropped.add(live as u64);
-                Some(batch.tuples)
-            }
-            (Err(PushError::Full(batch)), Backpressure::Shed { weight_col }) => {
-                // Ring pressure raises the threshold (the §7.1 mechanism
-                // in reverse): the batch shrinks by below-threshold
-                // rejection with exact HT accounting, then the survivors
-                // are delivered losslessly.
-                let mut tuples = batch.tuples;
-                let state = &mut self.shed[shard];
-                let mean: f64 =
-                    tuples[..live].iter().map(|t| tuple_weight(t, weight_col)).sum::<f64>()
-                        / live.max(1) as f64;
-                if state.z == 0.0 {
-                    state.z0 = if mean.is_finite() && mean > 0.0 { 2.0 * mean } else { 2.0 };
-                    state.z = state.z0;
-                    // Shedding switched on: arm the flight recorder so
-                    // the pressure build-up is preserved.
-                    if let Some(t) = self.trace.as_ref() {
-                        t.p.trigger(DumpReason::Shed);
-                    }
-                } else {
-                    state.z *= 2.0;
-                }
-                self.stats[shard].shed_z.set(state.z);
-                // Survivors are compacted to the front in stream order;
-                // the shed tuples stay behind them as dead weight.
-                let mut kept = 0usize;
-                let mut shed_w = 0.0;
-                for i in 0..live {
-                    let w = tuple_weight(&tuples[i], weight_col);
-                    let keep = w > state.z || {
-                        state.meter += w;
-                        let metered = state.meter >= state.z;
-                        if metered {
-                            state.meter -= state.z;
-                        }
-                        metered
-                    };
-                    if keep {
-                        tuples.swap(kept, i);
-                        kept += 1;
-                    } else {
-                        shed_w += w;
-                    }
-                }
-                self.stats[shard].shed_tuples.add((live - kept) as u64);
-                self.stats[shard].shed_weight.add(shed_w);
-                if kept == 0 {
-                    Some(tuples)
-                } else {
-                    self.push_blocking(shard, id, kept, tuples, t0)
-                }
             }
         };
         // A batch that never left is the next accumulator as it stands.
@@ -503,10 +395,10 @@ pub(crate) fn route_piece(
 ) {
     // The router prefetches only the values it reads: the lines the
     // worker alone reads then travel from the pump's cache once.
-    let reads = if sender.prefilter.is_some() { 0..usize::MAX } else { router.reads() };
+    let reads = router.reads();
     let mut local = 0usize;
     while local < chunk.len() {
-        local += quarantine.skip(&chunk[local..], wexprs, |t| sender.passes_prefilter(t));
+        local += quarantine.skip(&chunk[local..], wexprs);
         if quarantine.active() {
             break;
         }
@@ -529,20 +421,16 @@ pub(crate) fn route_piece(
                         prefetch(values.get(reads.clone()).unwrap_or(values), false);
                     }
                     let tuple = &mut chunk[*local];
-                    if sender.passes_prefilter(tuple) {
-                        let shard = router.route(tuple, start + *local as u64, sender.shards);
-                        sender.push_tuple(shard, tuple);
-                    }
+                    let shard = router.route(tuple, start + *local as u64, sender.shards);
+                    sender.push_tuple(shard, tuple);
                     *local += 1;
                 }
             })
         };
         if outcome.is_err() {
-            // The tripping tuple (if it would have been routed) is the
-            // first of its window's tuples the router loses.
-            let t = &chunk[local];
-            let lost = u64::from(sender.passes_prefilter(t));
-            quarantine.enter(window_key(wexprs, t), lost);
+            // The tripping tuple is the first of its window's tuples the
+            // router loses.
+            quarantine.enter(window_key(wexprs, &chunk[local]), 1);
             local += 1;
         }
     }

@@ -110,23 +110,25 @@ impl Quarantine {
         self.window.is_some()
     }
 
-    fn add_uncovered(&mut self, key: &Tuple, n: u64) {
+    /// Count `n` tuples of window `key` as uncovered (`None`: a window
+    /// with no key, e.g. one whose evaluation failed).
+    pub(crate) fn charge(&mut self, key: Option<&Tuple>, n: u64) {
         if n == 0 {
             return;
         }
+        let key = key.cloned().unwrap_or_else(|| Tuple::new(Vec::new()));
         self.lost.add(n);
-        match self.uncovered.iter_mut().find(|(k, _)| k == key) {
+        match self.uncovered.iter_mut().find(|(k, _)| *k == key) {
             Some((_, c)) => *c += n,
-            None => self.uncovered.push((key.clone(), n)),
+            None => self.uncovered.push((key, n)),
         }
     }
 
-    /// A panic struck window `key` (`None`: the window it struck has no
-    /// key, e.g. one whose evaluation failed) after `lost` of its tuples
-    /// entered the stage: count them, and quarantine the window.
+    /// A panic struck window `key` after `lost` of its tuples entered
+    /// the stage: [`Self::charge`] them, and quarantine the window.
     pub(crate) fn enter(&mut self, key: Option<Tuple>, lost: u64) {
+        self.charge(key.as_ref(), lost);
         let key = key.unwrap_or_else(|| Tuple::new(Vec::new()));
-        self.add_uncovered(&key, lost);
         self.entered.inc();
         self.window = Some(key);
         if let Some(p) = &self.profiler {
@@ -135,19 +137,13 @@ impl Quarantine {
     }
 
     /// Pass over the quarantined window's tuples at the front of
-    /// `tuples`, counting as uncovered those `counts` admits, and return
-    /// how many were passed over. The first tuple of any other window
-    /// lifts the quarantine; it is not passed over.
-    pub(crate) fn skip(
-        &mut self,
-        tuples: &[Tuple],
-        wexprs: &[Expr],
-        mut counts: impl FnMut(&Tuple) -> bool,
-    ) -> usize {
+    /// `tuples`, counting them as uncovered, and return how many were
+    /// passed over. The first tuple of any other window lifts the
+    /// quarantine; it is not passed over.
+    pub(crate) fn skip(&mut self, tuples: &[Tuple], wexprs: &[Expr]) -> usize {
         let Some(key) = self.window.take() else { return 0 };
         let n = tuples.iter().take_while(|t| window_key(wexprs, t).as_ref() == Some(&key)).count();
-        let lost = tuples[..n].iter().filter(|t| counts(t)).count();
-        self.add_uncovered(&key, lost as u64);
+        self.charge(Some(&key), n as u64);
         if n == tuples.len() {
             self.window = Some(key);
         }

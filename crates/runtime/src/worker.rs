@@ -127,21 +127,23 @@ pub(crate) struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    /// Catch the aftermath of a panic: take the poisoned operator, mark
-    /// its in-flight window (everything fed into it, plus the tuple
-    /// that tripped the panic, if any) as uncovered, and quarantine.
-    ///
-    /// If the panic struck *while flushing* the previous window (the
-    /// tripping tuple opened a new one), the operator's current window
-    /// is still the old key, so the tripping tuple is attributed there —
-    /// a one-tuple misattribution; the totals stay exact.
+    /// Catch the aftermath of a panic: take the poisoned operator,
+    /// charge the tuples fed into it to its current window and the tuple
+    /// that tripped the panic (if any) to the window its own key names,
+    /// and quarantine the operator's window — the tripping tuple's when
+    /// the operator had none. A trip on the first tuple of a new window
+    /// thus quarantines the old one, which the next tuple lifts: the new
+    /// window loses the tripping tuple only.
     fn enter_quarantine(&mut self, tripped_by: Option<&Tuple>) {
-        let key = self
-            .op
-            .take()
-            .and_then(|o| o.current_window())
-            .or_else(|| tripped_by.and_then(|t| window_key(&self.wexprs, t)));
-        self.quarantine.enter(key, self.window_tuples + u64::from(tripped_by.is_some()));
+        let current = self.op.take().and_then(|o| o.current_window());
+        let tripped = tripped_by.and_then(|t| window_key(&self.wexprs, t));
+        let key = current.or_else(|| tripped.clone());
+        self.quarantine.enter(key.clone(), self.window_tuples);
+        if tripped_by.is_some() {
+            // A tripping tuple with no key of its own goes to the
+            // quarantined window.
+            self.quarantine.charge(tripped.or(key).as_ref(), 1);
+        }
         self.window_tuples = 0;
     }
 
@@ -149,7 +151,7 @@ impl Worker<'_> {
         let mut cursor = 0usize;
         while cursor < batch.len() {
             if self.quarantine.active() {
-                let skipped = self.quarantine.skip(&batch[cursor..], &self.wexprs, |_| true);
+                let skipped = self.quarantine.skip(&batch[cursor..], &self.wexprs);
                 self.tuple_count += skipped as u64;
                 cursor += skipped;
                 if self.quarantine.active() {

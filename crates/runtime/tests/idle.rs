@@ -1,15 +1,15 @@
 //! An idle sharded run costs (almost) no CPU: workers with nothing to
-//! do park until a push or a close wakes them, instead of polling. Its own test binary with one test, so no other test's
-//! threads share the process CPU clock it reads.
+//! do park until a push or a close wakes them, instead of polling. Its
+//! own test binary with one test, so no other test's threads share the
+//! process CPU clock it reads.
 #![cfg(target_os = "linux")]
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use sso_core::{queries, shard_plan, Expr};
+use sso_core::{queries, shard_plan};
 use sso_obs::Stopwatch;
 use sso_runtime::{run_sharded, Refill, RuntimeConfig};
-use sso_types::{Packet, Protocol, Tuple, Value};
+use sso_types::{Packet, Protocol, Tuple};
 
 /// Clock ticks per second of `/proc/<pid>/stat`'s time fields: the
 /// kernel's `USER_HZ`, fixed at 100 in its user-space ABI.
@@ -26,37 +26,30 @@ fn process_cpu() -> Duration {
     Duration::from_millis(ticks * 1000 / USER_HZ)
 }
 
-/// A source that sleeps 2 ms before every chunk, behind a shared
-/// prefilter no tuple passes: every 2 ms the pump routes a chunk and
-/// sends nothing, and in between nobody has anything to do. Parked threads cost nothing
-/// in between; threads that poll (yield, sleep, re-check) burn CPU for
-/// the whole nap. The bound leaves room for the hand-offs themselves,
-/// which cost tens of microseconds each in an unoptimised build.
+/// A source that sleeps 2 ms before every tuple, with one-tuple
+/// batches: each tuple the pump routes is a batch of its own for one
+/// worker, and in between nobody has anything to do. Parked threads
+/// cost nothing in between; threads that poll (yield, sleep, re-check)
+/// burn CPU for the whole nap. The bound leaves room for the hand-offs
+/// themselves, which cost tens of microseconds each in an unoptimised
+/// build.
 #[test]
 fn a_waiting_run_parks_instead_of_polling() {
-    const CHUNKS: u64 = 500;
+    const TUPLES: u64 = 500;
     const NAP: Duration = Duration::from_millis(2);
     let plan = shard_plan(&queries::total_sum_query(1)).unwrap();
-    let nothing = Expr::Scalar {
-        name: "NOTHING",
-        fun: Arc::new(|_: &[Value]| Ok(Value::Bool(false))),
-        args: vec![],
-    };
-    let mut cfg = RuntimeConfig::new(2).with_shared_prefilter(Arc::new(nothing));
+    let mut cfg = RuntimeConfig::new(2);
     cfg.batch_size = 1;
-    let chunk = cfg.chunk_tuples() as u64;
     let mut slept = Duration::ZERO;
     let mut i = 0u64;
     let source = Refill(|slot: &mut Tuple| {
-        if i == CHUNKS * chunk {
+        if i == TUPLES {
             return false;
         }
-        if i.is_multiple_of(chunk) {
-            let nap = Stopwatch::start();
-            #[allow(clippy::disallowed_methods)] // the slow source under test
-            std::thread::sleep(NAP);
-            slept += nap.elapsed();
-        }
+        let nap = Stopwatch::start();
+        #[allow(clippy::disallowed_methods)] // the slow source under test
+        std::thread::sleep(NAP);
+        slept += nap.elapsed();
         *slot = Packet {
             uts: i * 1_000_000 + 1,
             src_ip: (i % 16) as u32,
@@ -73,8 +66,7 @@ fn a_waiting_run_parks_instead_of_polling() {
     let before = process_cpu();
     let report = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, source).unwrap();
     let cpu = process_cpu() - before;
-    let routed = report.router.tuples();
-    assert_eq!(routed, CHUNKS * chunk, "every chunk reached the router");
+    assert_eq!(report.tuples_processed(), TUPLES, "every tuple reached a worker");
     assert!(slept >= Duration::from_millis(500), "the source slept {slept:?}");
     assert!(
         cpu.as_secs_f64() <= 0.10 * slept.as_secs_f64(),

@@ -164,3 +164,15 @@ fn shard_trips_on_the_first_tuple_of_a_batch() {
     let want = Want { lost: &[(1, 500)], shards: [(0, 0), (1, 500)], router: (0, 0) };
     check("first tuple of a batch", &feed(4000), &events, want);
 }
+
+#[test]
+fn shard_trips_on_the_first_tuple_of_a_window() {
+    // Shard 1's 501st tuple is position 1001, the first of window 1: the
+    // trip fires before the operator sees it, while the operator still
+    // holds the shard's 500 window-0 tuples. Those go to window 0, the
+    // tripping tuple to window 1, and the rest of window 1 is covered by
+    // the respawned operator.
+    let events = [shard_panic(1, 501)];
+    let want = Want { lost: &[(0, 500), (1, 1)], shards: [(0, 0), (1, 501)], router: (0, 0) };
+    check("first tuple of a window", &feed(4000), &events, want);
+}

@@ -11,7 +11,7 @@
 //! In a normal build every facade call is an `#[inline]` passthrough to
 //! the `std` primitive — zero cost, identical codegen. With the `model`
 //! feature enabled, the same types additionally check a thread-local:
-//! inside a [`model::Model::check`] run they become *visible operations*
+//! inside a `model::Model::check` run they become *visible operations*
 //! of a deterministic scheduler that
 //!
 //! - enumerates thread interleavings up to bounded depth, pruning

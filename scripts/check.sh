@@ -9,6 +9,13 @@ cargo fmt --check
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== cargo doc (workspace crates, warnings are errors) =="
+# Broken, private and redundant intra-doc links fail here. The vendored
+# crates under vendor/ are excluded: their docs are not this project's.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps \
+    --exclude proptest --exclude rand --exclude rustc-hash \
+    --exclude serde --exclude serde_derive --exclude serde_json
+
 echo "== cargo test (root package and every crate's unit tests) =="
 # Among the root package's suites: the sharded runtime determinism suite
 # (tests/sharded.rs), the exhaustive concurrency model check under the

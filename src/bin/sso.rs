@@ -249,7 +249,7 @@ static FLAGS: &[Flag] = &[
     flag("--metrics", Output, RUN | RECOVER, "telemetry snapshots as JSON (*.prom: Prometheus)"),
     // Runs through the sharded runtime with lineage stamps. An explicit
     // FILE always gets a flight-recorder dump; the bare flag dumps only
-    // when a fault trigger fires (panic, shed, crash), to flight.ssoprof
+    // when a fault trigger fires (panic, crash), to flight.ssoprof
     // or under the --durable DIR.
     flag("--profile", Optional, RUN, "stage attribution report + flight recorder"),
     flag("--meta", Value("QUERY"), RUN, "a second query over the snapshots (FROM METRICS)"),
@@ -729,14 +729,11 @@ fn execute_query(
         result.coverage = report.coverage;
         for s in &report.shards {
             result.shard_lines.push(format!(
-                "# shard {}: {} tuples, {} windows, {} stalls, {} dropped, {} shed, \
-                 {} quarantined",
+                "# shard {}: {} tuples, {} windows, {} stalls, {} quarantined",
                 s.shard,
                 s.tuples(),
                 s.windows(),
                 s.stalls(),
-                s.dropped(),
-                s.shed(),
                 s.quarantines()
             ));
         }
@@ -834,22 +831,20 @@ fn render_top_profile(p: &stream_sampler::profile::Profiler) -> String {
 /// coverage gauge. Empty for single-instance runs (no `rt.*` shard
 /// metrics in the snapshot).
 fn render_shard_health(snap: &Snapshot) -> String {
-    // label "shard=N" → [tuples, windows, stalls, dropped, shed,
-    // quarantines, ckpt age (windows logged since the shard's log was
-    // last synced: what power loss would cost now), resident spill
-    // bytes]. The last two only appear on durable runs (`store.*`
-    // gauges); the columns render anyway so the table shape is stable.
-    const COLS: [&str; 8] = [
+    // label "shard=N" → [tuples, windows, stalls, quarantines, ckpt age
+    // (windows logged since the shard's log was last synced: what power
+    // loss would cost now), resident spill bytes]. The last two only
+    // appear on durable runs (`store.*` gauges); the columns render
+    // anyway so the table shape is stable.
+    const COLS: [&str; 6] = [
         "rt.tuples",
         "rt.windows",
         "rt.stalls",
-        "rt.dropped",
-        "rt.shed_tuples",
         "rt.quarantines",
         "store.ckpt_age",
         "store.resident_bytes",
     ];
-    let mut shards: Vec<(usize, [f64; 8])> = Vec::new();
+    let mut shards: Vec<(usize, [f64; 6])> = Vec::new();
     for m in &snap.metrics {
         let Some(col) = COLS.iter().position(|&c| c == m.name) else { continue };
         let Some(shard) = m.label.strip_prefix("shard=").and_then(|s| s.parse::<usize>().ok())
@@ -859,7 +854,7 @@ fn render_shard_health(snap: &Snapshot) -> String {
         let row = match shards.iter_mut().find(|(s, _)| *s == shard) {
             Some((_, row)) => row,
             None => {
-                shards.push((shard, [0.0; 8]));
+                shards.push((shard, [0.0; 6]));
                 &mut shards.last_mut().expect("just pushed").1
             }
         };
@@ -871,21 +866,13 @@ fn render_shard_health(snap: &Snapshot) -> String {
     shards.sort_by_key(|(s, _)| *s);
     let mut out = String::new();
     out.push_str(&format!(
-        "\n{:<6} {:>12} {:>9} {:>8} {:>9} {:>9} {:>12} {:>9} {:>12}\n",
-        "SHARD",
-        "TUPLES",
-        "WINDOWS",
-        "STALLS",
-        "DROPPED",
-        "SHED",
-        "QUARANTINED",
-        "CKPT_AGE",
-        "SPILL_RES"
+        "\n{:<6} {:>12} {:>9} {:>8} {:>12} {:>9} {:>12}\n",
+        "SHARD", "TUPLES", "WINDOWS", "STALLS", "QUARANTINED", "CKPT_AGE", "SPILL_RES"
     ));
     for (shard, row) in &shards {
         out.push_str(&format!(
-            "{:<6} {:>12} {:>9} {:>8} {:>9} {:>9} {:>12} {:>9} {:>12}\n",
-            shard, row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7]
+            "{:<6} {:>12} {:>9} {:>8} {:>12} {:>9} {:>12}\n",
+            shard, row[0], row[1], row[2], row[3], row[4], row[5]
         ));
     }
     out.push_str(&render_router_health(snap));

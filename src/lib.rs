@@ -83,6 +83,6 @@ pub mod prelude {
     pub use sso_query::{
         base_stream_schema, check_shard_mergeable, compile, parse_query, PlannerConfig,
     };
-    pub use sso_runtime::{run_sharded, Backpressure, RuntimeConfig};
+    pub use sso_runtime::{run_sharded, RuntimeConfig};
     pub use sso_types::{format_ipv4, Packet, Schema, Tuple, Value};
 }

@@ -3,8 +3,8 @@
 //! tagged `degraded` with `coverage < 1`, the re-thresholded estimates
 //! over the surviving shards *exactly* equal to a fault-free run fed
 //! the same surviving tuples, and a same-seed replay byte-identical.
-//! Plus the loss-accounting ledger: for every seeded plan and every
-//! backpressure mode, `offered == delivered + accounted losses` and
+//! Plus the loss-accounting ledger: for every seeded plan,
+//! `offered == delivered + accounted losses` and
 //! `delivered == covered + uncovered`, exactly.
 
 use std::sync::Arc;
@@ -303,9 +303,8 @@ fn router_stalls_change_timing_not_results() {
     assert_reports_byte_identical(&faulted, &clean, "router stalls vs clean");
 }
 
-/// The loss ledger with router faults in the mix, across all three
-/// backpressure modes: unrouted quarantine mass joins drops and sheds
-/// as accounted loss — offered == delivered + dropped + shed +
+/// The loss ledger with router faults in the mix: unrouted quarantine
+/// mass is the one loss before delivery — offered == delivered +
 /// router-uncovered, and delivered == covered + worker-uncovered.
 #[test]
 fn router_faults_keep_the_ledger_exact() {
@@ -314,80 +313,47 @@ fn router_faults_keep_the_ledger_exact() {
         .into_shared();
     let pkts = research_feed(11).take_seconds(4);
     let offered = pkts.len() as u64;
-    for (name, backpressure, ring_capacity) in [
-        ("block", Backpressure::Block, 16usize),
-        ("drop", Backpressure::DropNewest, 1),
-        ("shed", Backpressure::Shed { weight_col: None }, 1),
-    ] {
-        let mut cfg = RuntimeConfig::new(8).with_faults(plan.clone());
-        cfg.backpressure = backpressure;
-        cfg.ring_capacity = ring_capacity;
-        cfg.batch_size = 64;
-        let report = run(|_| Ok(queries::total_sum_query(WINDOW)), &cfg, pkts.clone());
+    let mut cfg = RuntimeConfig::new(8).with_faults(plan);
+    cfg.batch_size = 64;
+    let report = run(|_| Ok(queries::total_sum_query(WINDOW)), &cfg, pkts);
 
-        let delivered: u64 = report.shards.iter().map(|s| s.tuples()).sum();
-        let lost = report.dropped() + report.shed() + report.router_uncovered();
-        assert_eq!(
-            delivered + lost,
-            offered,
-            "{name}: offered must equal delivered + accounted losses"
-        );
-        let covered: u64 = report.windows.iter().map(|w| w.stats.tuples).sum();
-        let uncovered: u64 = report.shards.iter().map(|s| s.uncovered()).sum();
-        assert_eq!(
-            covered + uncovered,
-            delivered,
-            "{name}: delivered must equal covered + worker-uncovered"
-        );
-        // The router panic fires at a fixed stream ordinal, before any
-        // backpressure can intervene: it must be caught in every mode.
-        assert_eq!(report.router_quarantines(), 1, "{name}: router panic must be caught");
-        assert!(report.router_uncovered() > 0, "{name}: quarantine mass is accounted");
-    }
+    let delivered: u64 = report.shards.iter().map(|s| s.tuples()).sum();
+    assert_eq!(
+        delivered + report.router_uncovered(),
+        offered,
+        "offered must equal delivered + accounted losses"
+    );
+    let covered: u64 = report.windows.iter().map(|w| w.stats.tuples).sum();
+    let uncovered: u64 = report.shards.iter().map(|s| s.uncovered()).sum();
+    assert_eq!(covered + uncovered, delivered, "delivered must equal covered + worker-uncovered");
+    assert_eq!(report.router_quarantines(), 1, "router panic must be caught");
+    assert!(report.router_uncovered() > 0, "quarantine mass is accounted");
 }
 
-/// The loss ledger, over every event type a seeded plan generates and
-/// all three backpressure modes: offered == delivered + dropped + shed,
-/// and delivered == covered + uncovered. Exact, for every seed.
+/// The loss ledger, over every event type a seeded plan generates:
+/// offered == delivered, and delivered == covered + uncovered. Exact,
+/// for every seed.
 #[test]
 fn seeded_plans_account_for_every_tuple() {
     for seed in [1u64, 7, 13] {
         let plan = Arc::new(FaultPlan::from_seed(seed, 8));
         let pkts = plan.perturb_packets(research_feed(seed).take_seconds(4));
         let offered = pkts.len() as u64;
-        for (name, backpressure, ring_capacity) in [
-            ("block", Backpressure::Block, 16usize),
-            ("drop", Backpressure::DropNewest, 1),
-            ("shed", Backpressure::Shed { weight_col: None }, 1),
-        ] {
-            let mut cfg = RuntimeConfig::new(8).with_faults(plan.clone());
-            cfg.backpressure = backpressure;
-            cfg.ring_capacity = ring_capacity;
-            cfg.batch_size = 64;
-            let report = run(|_| Ok(queries::total_sum_query(WINDOW)), &cfg, pkts.clone());
+        let mut cfg = RuntimeConfig::new(8).with_faults(plan.clone());
+        cfg.batch_size = 64;
+        let report = run(|_| Ok(queries::total_sum_query(WINDOW)), &cfg, pkts);
 
-            let delivered: u64 = report.shards.iter().map(|s| s.tuples()).sum();
-            let lost = report.dropped() + report.shed();
-            assert_eq!(
-                delivered + lost,
-                offered,
-                "seed {seed} {name}: offered must equal delivered + accounted losses"
-            );
-            let covered: u64 = report.windows.iter().map(|w| w.stats.tuples).sum();
-            let uncovered: u64 = report.shards.iter().map(|s| s.uncovered()).sum();
-            assert_eq!(
-                covered + uncovered,
-                delivered,
-                "seed {seed} {name}: delivered must equal covered + uncovered"
-            );
-            // The seeded plan always panics one shard somewhere; under
-            // lossy backpressure the victim may never be delivered
-            // enough tuples to reach the trigger, so only the lossless
-            // mode is guaranteed to trip it.
-            if name == "block" {
-                assert!(report.quarantines() >= 1, "seed {seed} {name}: panic must be caught");
-            }
-        }
+        let delivered: u64 = report.shards.iter().map(|s| s.tuples()).sum();
+        assert_eq!(delivered, offered, "seed {seed}: offered must equal delivered");
+        let covered: u64 = report.windows.iter().map(|w| w.stats.tuples).sum();
+        let uncovered: u64 = report.shards.iter().map(|s| s.uncovered()).sum();
+        assert_eq!(
+            covered + uncovered,
+            delivered,
+            "seed {seed}: delivered must equal covered + uncovered"
+        );
+        // The seeded plan always panics one shard somewhere.
+        assert!(report.quarantines() >= 1, "seed {seed}: panic must be caught");
     }
 }
 

@@ -140,10 +140,10 @@ fn ring_consumer_park_never_misses_a_push() {
     assert!(explored.schedules > 1, "interleavings explored: {explored:?}");
 }
 
-/// DropNewest policy: whatever interleaving the router and worker land
-/// in, attempted == delivered + dropped, delivered values keep stream
-/// order, and the drop counter (an obs counter, like `rt.dropped`)
-/// agrees with the handed-back values.
+/// `try_push`, the router's first attempt at every batch: whatever
+/// interleaving the router and worker land in, attempted == delivered +
+/// refused, delivered values keep stream order, and a counter of the
+/// refusals (an obs counter) agrees with the handed-back values.
 #[test]
 fn ring_drop_newest_accounts_attempted_minus_delivered() {
     let explored = check(|| {

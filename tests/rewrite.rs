@@ -12,11 +12,9 @@
 //!   W301–W304 each fire on a minimal witness, with spans on every
 //!   involved statement.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 use stream_sampler::gigascope::{
-    run_fanout_shared, run_plan_sharded, FanoutReport, SelectionNode, SharedGroup, SharedQueryPlan,
+    run_fanout_shared, FanoutReport, SelectionNode, SharedGroup, SharedQueryPlan,
 };
 use stream_sampler::netgen::research_feed;
 use stream_sampler::prelude::*;
@@ -254,52 +252,11 @@ fn shared_execution_matches_unshared_on_witness() {
     assert!(s.query("q1").unwrap().stats.tuples_in <= u.query("q1").unwrap().stats.tuples_in);
 }
 
-/// The sharded runtime honors a hoisted shared prefilter: because the
-/// prefilter is implied by the query's own WHERE, pre-router filtering
-/// must not change any window.
-#[test]
-fn sharded_runtime_shared_prefilter_is_transparent() {
-    let text = "SELECT tb, sum(len), count(*) FROM PKT WHERE len >= 100 GROUP BY time/2 as tb";
-    let schema = stream_sampler::query::base_stream_schema("PKT").unwrap();
-    let config = PlannerConfig::standard();
-    let spec = || {
-        let q = stream_sampler::query::parse_query(text).unwrap();
-        stream_sampler::query::plan(&q, &schema, &config).map_err(|e| match e {
-            stream_sampler::query::QueryError::Plan(op) => op,
-            other => panic!("unexpected: {other}"),
-        })
-    };
-    let packets = research_feed(0xfade).take_seconds(6);
-
-    let pred = stream_sampler::query::parse_query(text).unwrap().where_clause.unwrap();
-    let prefilter = Arc::new(compile_packet_predicate(&pred, &schema).unwrap());
-
-    let plain = run_plan_sharded(
-        Box::new(SelectionNode::pass_all()),
-        |_| spec(),
-        &RuntimeConfig::new(4),
-        packets.clone(),
-    )
-    .expect("plain sharded run");
-    let filtered = run_plan_sharded(
-        Box::new(SelectionNode::pass_all()),
-        |_| spec(),
-        &RuntimeConfig::new(4).with_shared_prefilter(prefilter),
-        packets,
-    )
-    .expect("prefiltered sharded run");
-
-    assert_eq!(plain.windows.len(), filtered.windows.len());
-    for (a, b) in plain.windows.iter().zip(&filtered.windows) {
-        assert_eq!(a.window, b.window);
-        assert_eq!(a.rows, b.rows);
-    }
-}
-
 /// One lowered prefilter with one error policy: a tuple the prefilter
-/// cannot be evaluated on is passed through, inline and sharded alike,
-/// so the operators behind it decide — the same `Ok`/`Err` and the same
-/// windows as without the prefilter.
+/// cannot be evaluated on is passed through, so the operators behind it
+/// decide — the same `Ok`/`Err` and the same windows as without the
+/// prefilter. (The sharded runtime has no prefilter of its own; a
+/// sharded run's only WHERE is each operator's.)
 #[test]
 fn erroring_prefilter_is_transparent_inline_and_sharded() {
     // `7 / (len % 2)` divides by zero on every even length. The first
@@ -339,31 +296,6 @@ fn erroring_prefilter_is_transparent_inline_and_sharded() {
             (Err(u), Err(s)) => assert_eq!(u.to_string(), s.to_string()),
             _ => {
                 panic!("inline: unshared ok = {}, shared ok = {}", plain.is_ok(), filtered.is_ok())
-            }
-        }
-
-        let spec = |_| {
-            let q = stream_sampler::query::parse_query(text).unwrap();
-            stream_sampler::query::plan(&q, &schema, &config).map_err(|e| match e {
-                stream_sampler::query::QueryError::Plan(op) => op,
-                other => panic!("unexpected: {other}"),
-            })
-        };
-        let cfg = RuntimeConfig::new(2);
-        let plain = run_plan_sharded(low(), spec, &cfg, packets.clone());
-        let cfg = cfg.with_shared_prefilter(Arc::new(prefilter.clone()));
-        let filtered = run_plan_sharded(low(), spec, &cfg, packets.clone());
-        assert_eq!(plain.is_ok(), runs, "{text}, sharded");
-        match (&plain, &filtered) {
-            (Ok(u), Ok(s)) => {
-                assert_eq!(u.windows.len(), s.windows.len());
-                for (a, b) in u.windows.iter().zip(&s.windows) {
-                    assert_eq!((&a.window, &a.rows), (&b.window, &b.rows));
-                }
-            }
-            (Err(_), Err(_)) => {}
-            _ => {
-                panic!("sharded: plain ok = {}, filtered ok = {}", plain.is_ok(), filtered.is_ok())
             }
         }
     }

@@ -348,33 +348,6 @@ proptest! {
     }
 }
 
-#[test]
-fn router_count_is_invisible_under_a_shared_prefilter() {
-    use std::sync::Arc;
-
-    let text = "SELECT tb, sum(len), count(*) FROM PKT WHERE len >= 100 GROUP BY time/2 as tb";
-    let schema = stream_sampler::query::base_stream_schema("PKT").unwrap();
-    let spec = || planned(text);
-    let pred = stream_sampler::query::parse_query(text).unwrap().where_clause.unwrap();
-    let prefilter =
-        Arc::new(stream_sampler::query::compile_packet_predicate(&pred, &schema).unwrap());
-    let pkts = packets();
-
-    // The prefilter runs in the router, ahead of routing; it must not
-    // change the output, only which tuples reach the shards.
-    let run_with = |filtered: bool| {
-        let mut cfg = RuntimeConfig::new(4);
-        if filtered {
-            cfg = cfg.with_shared_prefilter(prefilter.clone());
-        }
-        run_plan_sharded(Box::new(SelectionNode::pass_all()), |_| spec(), &cfg, pkts.clone())
-            .expect("sharded run")
-    };
-    let plain = run_with(false);
-    let filtered = run_with(true);
-    assert_windows_equal(&plain.windows, &filtered.windows, "shared prefilter");
-}
-
 // ---------------------------------------------------------------------
 // Chunk edges: the pump pulls the stream in fixed-length chunks and
 // flushes every shard's partial batch at every chunk end. None of that

@@ -124,7 +124,7 @@ fn per_shard_fault_accounting_reaches_the_metrics_stream() {
     // Every shard publishes its own labeled series.
     for shard in 0..4 {
         let label = format!("shard={shard}");
-        for name in ["rt.tuples", "rt.stalls", "rt.dropped", "rt.quarantines", "rt.uncovered"] {
+        for name in ["rt.tuples", "rt.stalls", "rt.quarantines", "rt.uncovered"] {
             assert!(
                 snap.metrics.iter().any(|m| m.name == name && m.label == label),
                 "missing {name}{{{label}}} in snapshot"
