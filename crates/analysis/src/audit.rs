@@ -14,11 +14,12 @@ use sso_core::{shard_plan, Expr, OperatorSpec};
 use sso_netgen::profile::feed_profile;
 use sso_query::ast::Query;
 use sso_query::diag::{self, Code, Diagnostic};
-use sso_query::{analyze, parse_query, plan, PlannerConfig, Span};
+use sso_query::{parse_query, resolve, PlannerConfig, Span};
 use sso_types::Schema;
 
 use crate::bounds::{detect_sampler, expr_cardinality, provably_non_negative, window_seconds};
 use crate::domain::{AbstractState, Card, SkewClass};
+use crate::lint::{cascade_output_rate, check_pushdown};
 use crate::report::{BoundsReport, StatementBounds};
 
 /// What to audit against.
@@ -122,13 +123,13 @@ pub struct Planned<'a> {
 }
 
 /// The statement walk `sso check` and [`audit_file`] share. Each
-/// statement of `text` is parsed and analyzed against its input schema:
-/// a base stream's, or, for any other FROM name, the previous
-/// statement's output (a cascade, whose pair also gets the W101
-/// push-down lint). A statement free of errors is planned and handed to
-/// `step`, with what `step` returned for the previous statement when
-/// this one reads it; the diagnostics `step` returns are the
-/// statement's too. Returns every diagnostic, spans rebased onto the
+/// statement of `text` is parsed and resolved once
+/// ([`sso_query::resolve`]) against its input schema: a base stream's,
+/// or, for any other FROM name, the previous statement's output (a
+/// cascade, whose pair also gets the W101 push-down lint). A statement
+/// free of errors has a plan, which is handed to `step`, with what
+/// `step` returned for the previous statement when this one reads it;
+/// the diagnostics `step` returns are the statement's too. Returns every diagnostic, spans rebased onto the
 /// whole file.
 pub fn walk_cascade<L>(
     text: &str,
@@ -149,18 +150,16 @@ pub fn walk_cascade<L>(
                     (Some((_, spec, _)), None) => spec.output_schema(&query.from.text),
                     (None, None) => sso_types::Packet::schema(),
                 };
-                let mut diags = analyze(&query, &schema, &config);
+                let (mut diags, spec) = resolve(&query, &schema, &config);
                 if let Some((low_query, _, _)) = low {
-                    diags.extend(sso_gigascope::check_pushdown(low_query, &query));
+                    diags.extend(check_pushdown(low_query, &query));
                 }
-                if !diag::has_errors(&diags) {
-                    if let Ok(spec) = plan(&query, &schema, &config) {
-                        let planned =
-                            Planned { index, query: &query, spec: &spec, schema: &schema, is_base };
-                        let (level, step_diags) = step(&planned, low.map(|(_, _, l)| l));
-                        diags.extend(step_diags);
-                        next = Some((query, spec, level));
-                    }
+                if let Ok(spec) = spec {
+                    let planned =
+                        Planned { index, query: &query, spec: &spec, schema: &schema, is_base };
+                    let (level, step_diags) = step(&planned, low.map(|(_, _, l)| l));
+                    diags.extend(step_diags);
+                    next = Some((query, spec, level));
                 }
                 diags
             }
@@ -245,7 +244,7 @@ fn input_state(q: &Query, is_base: bool, low: Option<&Level>, opts: &AuditOption
         // window; amortized over the window that is the high level's
         // peak input rate.
         let rows_per_sec = match (p.groups_bound, p.window_secs) {
-            (Card::Finite(g), Some(w)) => Card::Finite(sso_gigascope::cascade_output_rate(g, w)),
+            (Card::Finite(g), Some(w)) => Card::Finite(cascade_output_rate(g, w)),
             _ => Card::Unbounded,
         };
         return InputState {

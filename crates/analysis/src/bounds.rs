@@ -136,7 +136,7 @@ pub fn detect_sampler(q: &Query) -> SamplerInfo {
     let cleaning_calls = collect_call_names(q.cleaning_when.as_ref());
     if let Some(w) = &q.where_clause {
         let mut kind = None;
-        walk(w, &mut |e| {
+        w.walk(&mut |e| {
             if kind.is_some() {
                 return;
             }
@@ -179,7 +179,7 @@ pub fn detect_sampler(q: &Query) -> SamplerInfo {
     // Cleaning-only families (no WHERE prefilter): lossy counting.
     if let Some(cw) = &q.cleaning_when {
         let mut kind = None;
-        walk(cw, &mut |e| {
+        cw.walk(&mut |e| {
             if kind.is_some() {
                 return;
             }
@@ -284,31 +284,13 @@ fn int_arg(args: &[AstExpr], idx: usize) -> Option<u64> {
 fn collect_call_names(e: Option<&AstExpr>) -> Vec<String> {
     let mut names = Vec::new();
     if let Some(e) = e {
-        walk(e, &mut |node| {
+        e.walk(&mut |node| {
             if let ExprKind::Call { name, superagg: false, .. } = &node.kind {
                 names.push(name.to_ascii_lowercase());
             }
         });
     }
     names
-}
-
-/// Depth-first visit of every node in an expression.
-fn walk<'e>(e: &'e AstExpr, f: &mut impl FnMut(&'e AstExpr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Binary { lhs, rhs, .. } => {
-            walk(lhs, f);
-            walk(rhs, f);
-        }
-        ExprKind::Not(inner) | ExprKind::Neg(inner) => walk(inner, f),
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                walk(a, f);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@
 pub mod audit;
 pub mod bounds;
 pub mod domain;
+pub mod lint;
 pub mod report;
 
 pub use audit::{audit_file, split_statements, walk_cascade, AuditOptions, AuditOutcome, Planned};

@@ -26,7 +26,6 @@
 
 pub mod cascade;
 pub mod engine;
-pub mod lint;
 pub mod nodes;
 pub mod partial;
 pub mod sharded;
@@ -34,7 +33,6 @@ pub mod shared;
 
 pub use cascade::Cascade;
 pub use engine::{run_inline, run_plan, InlineRun, NodeStats, RunReport, TwoLevelPlan, BATCH};
-pub use lint::{cascade_output_rate, check_pushdown};
 pub use nodes::{LowLevelQuery, PrefilterNode, SelectionNode};
 pub use partial::PartialAggNode;
 pub use sharded::{run_plan_sharded, run_plan_sharded_with, ShardedRunError, ShardedRunReport};

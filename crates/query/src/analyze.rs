@@ -1,63 +1,96 @@
-//! Static semantic analysis: scope resolution, type inference, arity
-//! checking, window-safety, and paper-specific lints — all before
-//! planning, and without stopping at the first problem.
+//! The resolver: one pass over a parsed query that resolves every name
+//! against its clause scope, infers every [`ValueKind`], reports every
+//! problem as a [`Diagnostic`] with a stable code and a byte-offset
+//! span — without stopping at the first — and, when none of them is an
+//! error, builds the executable [`OperatorSpec`].
 //!
-//! [`analyze`] walks the whole query and returns every finding as a
-//! [`Diagnostic`] with a stable code and a byte-offset span:
-//!
-//! * **Scope resolution** mirrors the planner's clause scopes: GROUP BY
-//!   expressions see only columns and scalars; tuple-phase clauses
-//!   (WHERE, CLEANING WHEN, aggregate arguments) see columns, group-by
-//!   variables, SFUNs and superaggregates; group-phase clauses (SELECT,
-//!   HAVING, CLEANING BY) see group-by variables, aggregates,
-//!   superaggregates and SFUNs; superaggregate keys must be group-by
-//!   variables.
+//! * **Scopes** (§5): GROUP BY expressions see only columns and
+//!   scalars; tuple-phase clauses (WHERE, CLEANING WHEN, aggregate
+//!   arguments) see columns, group-by variables, SFUNs and
+//!   superaggregates; group-phase clauses (SELECT, HAVING, CLEANING BY)
+//!   see group-by variables, aggregates, superaggregates and SFUNs;
+//!   superaggregate keys must be group-by variables. A packet predicate
+//!   ([`crate::compile_packet_predicate`]) sees columns and scalars only.
 //! * **Type inference** runs over [`ValueKind`]s: column kinds come
 //!   from the schema, group-by variable kinds from their defining
 //!   expressions, function result kinds from registered
-//!   [`Signature`]s.
+//!   [`Signature`]s. A node with a problem resolves to a placeholder of
+//!   kind `Any`, so one mistake does not cascade.
 //! * **Window safety** (§3): a query with CLEANING clauses samples
 //!   within a window, so some GROUP BY expression must reference an
 //!   *ordered* schema attribute.
 //! * **Lints**: constant CLEANING WHEN predicates (W001), cleaning
 //!   that never advances its sampling threshold (W002), vacuous
 //!   heavy-hitter bounds (W003), truthiness-coerced predicates (W004),
-//!   duplicate output columns (W005).
+//!   duplicate output columns (W005). They read the kinds the pass
+//!   recorded and never resolve a node again.
+//!
+//! Two orders are fixed. Aggregate, superaggregate and SFUN-library
+//! slots are numbered as the clauses are resolved: GROUP BY, SUPERGROUP,
+//! WHERE, CLEANING WHEN, CLEANING BY, HAVING, SELECT (the library order
+//! is also the durable carry layout). Diagnostics come out per clause in
+//! the order WHERE, HAVING, CLEANING WHEN, CLEANING BY, SELECT, then the
+//! lints.
 
-use sso_core::sfun::Signature;
-use sso_types::{Schema, ValueKind};
+use std::sync::Arc;
+
+use sso_core::agg::AggSpec;
+use sso_core::expr::{BinOp, Expr};
+use sso_core::operator::OperatorSpec;
+use sso_core::sfun::{SfunLibrary, Signature};
+use sso_core::superagg::SuperAggSpec;
+use sso_types::{Schema, Value, ValueKind};
 
 use crate::ast::{AstExpr, BinAstOp, ExprKind, Query, Span};
-use crate::diag::{Code, Diagnostic};
-use crate::plan::{references_ordered_column, PlannerConfig};
+use crate::diag::{self, Code, Diagnostic};
+use crate::error::QueryError;
+use crate::plan::{bin_op, references_ordered_column, PlannerConfig};
 
 /// Analyze a parsed query against a schema and the registered SFUN
 /// libraries. Returns every diagnostic found, in source order per
 /// clause; an empty vector means the query is clean.
 pub fn analyze(query: &Query, schema: &Schema, config: &PlannerConfig) -> Vec<Diagnostic> {
-    let mut a = Analyzer { schema, config, gb: Vec::new(), diags: Vec::new() };
-    a.run(query);
-    dedupe(a.diags)
+    resolve(query, schema, config).0
+}
+
+/// Resolve a parsed query once: every diagnostic [`analyze`] reports,
+/// and the validated spec [`crate::plan()`] returns — or
+/// [`QueryError::Analysis`] carrying those diagnostics when one of them
+/// is an error.
+pub fn resolve(
+    query: &Query,
+    schema: &Schema,
+    config: &PlannerConfig,
+) -> (Vec<Diagnostic>, Result<OperatorSpec, QueryError>) {
+    let (diags, spec) = Resolver::new(schema, config).query(query);
+    let diags = dedupe(diags);
+    let spec = match spec {
+        Some(spec) => spec.validate().map(|()| spec).map_err(QueryError::Plan),
+        None => Err(QueryError::Analysis(diags.clone())),
+    };
+    (diags, spec)
+}
+
+/// [`crate::compile_packet_predicate`]: `e` resolved in the packet scope.
+pub(crate) fn packet_predicate(e: &AstExpr, schema: &Schema) -> Result<Expr, QueryError> {
+    let config = PlannerConfig::empty();
+    let mut r = Resolver::new(schema, &config);
+    let (expr, _) = r.resolve(e, Scope::Packet);
+    if diag::has_errors(&r.diags) {
+        return Err(QueryError::Analysis(r.diags));
+    }
+    Ok(expr)
 }
 
 /// Collapse duplicate `(code, span)` emissions, keeping first-found
 /// order. A clause visited by both the scope pass and a lint pass can
 /// report the same problem twice; one report is enough.
-pub(crate) fn dedupe(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
-    let mut seen: Vec<(Code, Span)> = Vec::with_capacity(diags.len());
-    let mut out = Vec::with_capacity(diags.len());
-    for d in diags {
-        let key = (d.code, d.span);
-        if !seen.contains(&key) {
-            seen.push(key);
-            out.push(d);
-        }
-    }
-    out
+fn dedupe(mut diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    diag::dedup_diagnostics(&mut diags);
+    diags
 }
 
 /// Which clause an expression appears in; controls name resolution.
-/// Mirrors the planner's scopes exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scope {
     /// A GROUP BY expression.
@@ -68,6 +101,8 @@ enum Scope {
     Group,
     /// The key expression of a superaggregate.
     SuperKey,
+    /// A packet predicate: columns and scalar functions only.
+    Packet,
 }
 
 impl Scope {
@@ -77,23 +112,48 @@ impl Scope {
             Scope::Tuple => "a tuple-phase clause",
             Scope::Group => "a group-phase clause",
             Scope::SuperKey => "a superaggregate key",
+            Scope::Packet => "a packet predicate",
         }
+    }
+
+    /// GROUP BY and packet predicates see no operator state: no SFUN,
+    /// no superaggregate.
+    fn stateless(self) -> bool {
+        matches!(self, Scope::GroupBy | Scope::Packet)
     }
 }
 
 /// A resolved group-by variable.
 struct GbVar {
     name: String,
+    expr: Expr,
     kind: ValueKind,
     /// Does its defining expression reference an ordered attribute?
     windowed: bool,
 }
 
-struct Analyzer<'a> {
+/// The lengths of the slot tables, so a repeated aggregate can drop
+/// whatever resolving its arguments again added.
+#[derive(Clone, Copy)]
+struct Mark {
+    aggregates: usize,
+    superaggs: usize,
+    libs: usize,
+}
+
+struct Resolver<'q, 'a> {
     schema: &'a Schema,
     config: &'a PlannerConfig,
     gb: Vec<GbVar>,
     diags: Vec<Diagnostic>,
+    /// The kind of every node resolved, for the lints.
+    kinds: Vec<(&'q AstExpr, ValueKind)>,
+    /// Aggregate slots with their dedup keys, in first-use order.
+    aggregates: Vec<(String, AggSpec)>,
+    /// Superaggregate slots with their dedup keys.
+    superaggs: Vec<(String, SuperAggSpec)>,
+    /// The libraries the query calls, in first-use order.
+    libs: Vec<Arc<SfunLibrary>>,
 }
 
 /// The `do_clean` SFUNs paired with the `clean_with` call that advances
@@ -102,19 +162,39 @@ struct Analyzer<'a> {
 const CLEAN_PAIRS: &[(&str, &str)] =
     &[("ssdo_clean", "ssclean_with"), ("rsdo_clean", "rsclean_with"), ("ddo_clean", "dclean_with")];
 
-impl<'a> Analyzer<'a> {
+/// What a node with a problem resolves to.
+fn placeholder() -> (Expr, ValueKind) {
+    (Expr::Literal(Value::Null), ValueKind::Any)
+}
+
+impl<'q, 'a> Resolver<'q, 'a> {
+    fn new(schema: &'a Schema, config: &'a PlannerConfig) -> Self {
+        Resolver {
+            schema,
+            config,
+            gb: Vec::new(),
+            diags: Vec::new(),
+            kinds: Vec::new(),
+            aggregates: Vec::new(),
+            superaggs: Vec::new(),
+            libs: Vec::new(),
+        }
+    }
+
     fn push(&mut self, d: Diagnostic) {
         self.diags.push(d);
     }
 
-    fn run(&mut self, query: &Query) {
+    /// Resolve every clause; the spec comes back only when no
+    /// diagnostic is an error.
+    fn query(mut self, query: &'q Query) -> (Vec<Diagnostic>, Option<OperatorSpec>) {
         // GROUP BY first: later clauses resolve against its variables.
         if query.group_by.is_empty() {
             self.push(Diagnostic::new(Code::E009, Span::DUMMY, "GROUP BY list is empty"));
         }
         for (i, item) in query.group_by.iter().enumerate() {
             let name = item.name(i);
-            if self.gb.iter().any(|v| v.name == name) {
+            if self.gb_index(&name).is_some() {
                 self.push(
                     Diagnostic::new(
                         Code::E001,
@@ -124,45 +204,48 @@ impl<'a> Analyzer<'a> {
                     .with_help("rename one of the expressions with `AS <other-name>`"),
                 );
             }
-            let kind = self.infer(&item.expr, Scope::GroupBy);
+            let (expr, kind) = self.resolve(&item.expr, Scope::GroupBy);
             let windowed = references_ordered_column(&item.expr, self.schema);
-            self.gb.push(GbVar { name, kind, windowed });
+            self.gb.push(GbVar { name, expr, kind, windowed });
         }
 
-        // SUPERGROUP names must be group-by variables.
+        // SUPERGROUP names group-by variables; the window variables are
+        // implicitly part of every supergroup.
+        let mut supergroup_indices = Vec::new();
         for name in &query.supergroup {
-            if !self.gb.iter().any(|v| v.name == name.text) {
-                self.push(
+            match self.gb_index(&name.text) {
+                None => self.push(
                     Diagnostic::new(
                         Code::E011,
                         name.span,
                         format!("SUPERGROUP variable `{name}` is not a group-by variable"),
                     )
                     .with_help("SUPERGROUP lists a subset of the GROUP BY variable names"),
-                );
+                ),
+                Some(i) if !self.gb[i].windowed && !supergroup_indices.contains(&i) => {
+                    supergroup_indices.push(i)
+                }
+                Some(_) => {}
             }
         }
 
-        // Predicates, each in its clause scope.
-        if let Some(e) = &query.where_clause {
-            self.check_predicate(e, "WHERE", Scope::Tuple);
-        }
-        if let Some(e) = &query.having {
-            self.check_predicate(e, "HAVING", Scope::Group);
-        }
-        if let Some(e) = &query.cleaning_when {
-            self.check_predicate(e, "CLEANING WHEN", Scope::Tuple);
-        }
-        if let Some(e) = &query.cleaning_by {
-            self.check_predicate(e, "CLEANING BY", Scope::Group);
-        }
+        // Predicates, each in its clause scope. HAVING is resolved
+        // after the cleaning clauses (slot order) but reported before
+        // them.
+        let where_clause = self.predicate(&query.where_clause, "WHERE", Scope::Tuple);
+        let cleaning_start = self.diags.len();
+        let cleaning_when = self.predicate(&query.cleaning_when, "CLEANING WHEN", Scope::Tuple);
+        let cleaning_by = self.predicate(&query.cleaning_by, "CLEANING BY", Scope::Group);
+        let cleaning_len = self.diags.len() - cleaning_start;
+        let having = self.predicate(&query.having, "HAVING", Scope::Group);
+        self.diags[cleaning_start..].rotate_left(cleaning_len);
 
         // SELECT expressions and duplicate output names.
-        let mut out_names: Vec<String> = Vec::new();
+        let mut select: Vec<(String, Expr)> = Vec::with_capacity(query.select.len());
         for (i, item) in query.select.iter().enumerate() {
-            self.infer(&item.expr, Scope::Group);
+            let (expr, _) = self.resolve(&item.expr, Scope::Group);
             let name = item.output_name(i);
-            if out_names.contains(&name) {
+            if select.iter().any(|(n, _)| *n == name) {
                 self.push(
                     Diagnostic::new(
                         Code::W005,
@@ -172,7 +255,7 @@ impl<'a> Analyzer<'a> {
                     .with_help("rename with `AS <other-name>` to keep both columns"),
                 );
             }
-            out_names.push(name);
+            select.push((name, expr));
         }
 
         self.check_cleaning_pairing(query);
@@ -180,6 +263,25 @@ impl<'a> Analyzer<'a> {
         self.lint_constant_cleaning(query);
         self.lint_threshold_update(query);
         self.lint_heavy_hitter(query);
+
+        if diag::has_errors(&self.diags) {
+            return (self.diags, None);
+        }
+        let window_indices = (0..self.gb.len()).filter(|&i| self.gb[i].windowed).collect();
+        let spec = OperatorSpec {
+            select,
+            where_clause,
+            group_by: self.gb.into_iter().map(|v| (v.name, v.expr)).collect(),
+            window_indices,
+            supergroup_indices,
+            having,
+            cleaning_when,
+            cleaning_by,
+            aggregates: self.aggregates.into_iter().map(|(_, a)| a).collect(),
+            superaggs: self.superaggs.into_iter().map(|(_, s)| s).collect(),
+            sfun_libs: self.libs,
+        };
+        (self.diags, Some(spec))
     }
 
     /// E012: CLEANING WHEN and CLEANING BY only make sense together.
@@ -202,7 +304,6 @@ impl<'a> Analyzer<'a> {
             _ => {}
         }
     }
-
     /// E010 (§3): a sampling query cleans within a window, so some
     /// GROUP BY expression must reference an ordered attribute.
     fn check_window_safety(&mut self, query: &Query) {
@@ -251,7 +352,7 @@ impl<'a> Analyzer<'a> {
     /// never fires or fires on every tuple.
     fn lint_constant_cleaning(&mut self, query: &Query) {
         let Some(when) = &query.cleaning_when else { return };
-        match self.pred_truth(when, Scope::Tuple) {
+        match self.pred_truth(when) {
             Some(false) => self.push(
                 Diagnostic::new(
                     Code::W001,
@@ -314,7 +415,7 @@ impl<'a> Analyzer<'a> {
         exprs.extend(query.cleaning_by.iter());
         exprs.extend(query.where_clause.iter());
         for e in exprs {
-            walk(e, &mut |node| {
+            e.walk(&mut |node| {
                 if let ExprKind::Call { name, superagg: false, args } = &node.kind {
                     if name == "local_count" && args.len() == 1 {
                         if let Some(Const::I(w)) = fold(&args[0]) {
@@ -382,10 +483,11 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Infer a clause predicate and warn (W004) if its type is not
+    /// Resolve a clause predicate and warn (W004) if its type is not
     /// boolean — the runtime coerces via C-style truthiness.
-    fn check_predicate(&mut self, e: &AstExpr, clause: &str, scope: Scope) {
-        let kind = self.infer(e, scope);
+    fn predicate(&mut self, e: &'q Option<AstExpr>, clause: &str, scope: Scope) -> Option<Expr> {
+        let e = e.as_ref()?;
+        let (expr, kind) = self.resolve(e, scope);
         if !matches!(kind, ValueKind::Bool | ValueKind::Any | ValueKind::Null) {
             self.push(
                 Diagnostic::new(
@@ -399,69 +501,69 @@ impl<'a> Analyzer<'a> {
                 .with_help("write an explicit comparison, e.g. `... <> 0`"),
             );
         }
+        Some(expr)
     }
 
-    fn gb_kind(&self, name: &str) -> Option<ValueKind> {
-        self.gb.iter().find(|v| v.name == name).map(|v| v.kind)
+    fn gb_index(&self, name: &str) -> Option<usize> {
+        self.gb.iter().position(|v| v.name == name)
     }
 
-    /// Infer the kind of an expression in a scope, pushing diagnostics
-    /// for every problem found on the way. Returns [`ValueKind::Any`]
-    /// where a problem makes the kind unknowable, so one mistake does
-    /// not cascade.
-    fn infer(&mut self, e: &AstExpr, scope: Scope) -> ValueKind {
-        match &e.kind {
-            ExprKind::Int(_) => ValueKind::UInt,
-            ExprKind::Float(_) => ValueKind::Float,
-            ExprKind::Str(_) => ValueKind::Str,
-            ExprKind::Bool(_) => ValueKind::Bool,
+    /// Resolve an expression in a scope: its [`Expr`] and its kind,
+    /// pushing a diagnostic for every problem found on the way.
+    fn resolve(&mut self, e: &'q AstExpr, scope: Scope) -> (Expr, ValueKind) {
+        let (expr, kind) = match &e.kind {
+            ExprKind::Int(v) => (Expr::lit(*v), ValueKind::UInt),
+            ExprKind::Float(v) => (Expr::lit(*v), ValueKind::Float),
+            ExprKind::Str(s) => (Expr::lit(s.as_str()), ValueKind::Str),
+            ExprKind::Bool(b) => (Expr::lit(*b), ValueKind::Bool),
             ExprKind::Star => {
                 self.push(Diagnostic::new(
                     Code::E007,
                     e.span,
                     "`*` is only valid as the argument of count(*) or count_distinct$(*)",
                 ));
-                ValueKind::Any
+                placeholder()
             }
             ExprKind::Neg(inner) => {
-                let k = self.infer(inner, scope);
-                if k == ValueKind::Str {
-                    self.push(Diagnostic::new(
-                        Code::E008,
-                        inner.span,
-                        "cannot negate a string value",
-                    ));
-                    return ValueKind::Any;
-                }
-                if k == ValueKind::Float {
-                    ValueKind::Float
-                } else {
-                    ValueKind::Int
-                }
+                let (x, k) = self.resolve(inner, scope);
+                let kind = match k {
+                    ValueKind::Str => {
+                        self.push(Diagnostic::new(
+                            Code::E008,
+                            inner.span,
+                            "cannot negate a string value",
+                        ));
+                        ValueKind::Any
+                    }
+                    ValueKind::Float => ValueKind::Float,
+                    _ => ValueKind::Int,
+                };
+                (Expr::lit(0i64).sub(x), kind)
             }
             ExprKind::Not(inner) => {
-                self.infer(inner, scope);
-                ValueKind::Bool
+                let (x, _) = self.resolve(inner, scope);
+                (Expr::Not(Box::new(x)), ValueKind::Bool)
             }
-            ExprKind::Binary { op, lhs, rhs } => self.infer_binary(e, *op, lhs, rhs, scope),
-            ExprKind::Ident(name) => self.infer_ident(e, name, scope),
-            ExprKind::Call { name, superagg: true, args } => {
-                self.infer_superagg(e, name, args, scope)
+            ExprKind::Binary { op, lhs, rhs } => {
+                let (l, lk) = self.resolve(lhs, scope);
+                let (r, rk) = self.resolve(rhs, scope);
+                (Expr::bin(bin_op(*op), l, r), self.binary_kind(e, *op, (lhs, lk), (rhs, rk)))
             }
-            ExprKind::Call { name, superagg: false, args } => self.infer_call(e, name, args, scope),
-        }
+            ExprKind::Ident(name) => self.ident(e, name, scope),
+            ExprKind::Call { name, superagg: true, args } => self.superagg(e, name, args, scope),
+            ExprKind::Call { name, superagg: false, args } => self.call(e, name, args, scope),
+        };
+        self.kinds.push((e, kind));
+        (expr, kind)
     }
 
-    fn infer_binary(
+    fn binary_kind(
         &mut self,
         whole: &AstExpr,
         op: BinAstOp,
-        lhs: &AstExpr,
-        rhs: &AstExpr,
-        scope: Scope,
+        (lhs, lk): (&AstExpr, ValueKind),
+        (rhs, rk): (&AstExpr, ValueKind),
     ) -> ValueKind {
-        let lk = self.infer(lhs, scope);
-        let rk = self.infer(rhs, scope);
         if op.is_logical() {
             return ValueKind::Bool;
         }
@@ -508,16 +610,16 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn infer_ident(&mut self, e: &AstExpr, name: &str, scope: Scope) -> ValueKind {
+    fn ident(&mut self, e: &AstExpr, name: &str, scope: Scope) -> (Expr, ValueKind) {
         // Group-by variables shadow columns outside GROUP BY.
         if scope != Scope::GroupBy {
-            if let Some(k) = self.gb_kind(name) {
-                return k;
+            if let Some(i) = self.gb_index(name) {
+                return (Expr::GroupVar(i), self.gb[i].kind);
             }
         }
         match scope {
-            Scope::GroupBy | Scope::Tuple => match self.schema.field(name) {
-                Ok(f) => f.ty.value_kind(),
+            Scope::GroupBy | Scope::Tuple | Scope::Packet => match self.schema.index_of(name) {
+                Ok(i) => (Expr::Column(i), self.schema.fields()[i].ty.value_kind()),
                 Err(_) => {
                     let columns: Vec<&str> =
                         self.schema.fields().iter().map(|f| f.name.as_str()).collect();
@@ -537,7 +639,7 @@ impl<'a> Analyzer<'a> {
                             columns.join(", ")
                         )),
                     );
-                    ValueKind::Any
+                    placeholder()
                 }
             },
             Scope::Group => {
@@ -556,7 +658,7 @@ impl<'a> Analyzer<'a> {
                          `{name}` to GROUP BY or wrap it in an aggregate"
                     )),
                 );
-                ValueKind::Any
+                placeholder()
             }
             Scope::SuperKey => {
                 self.push(Diagnostic::new(
@@ -564,26 +666,27 @@ impl<'a> Analyzer<'a> {
                     e.span,
                     format!("superaggregate key `{name}` must be a group-by variable"),
                 ));
-                ValueKind::Any
+                placeholder()
             }
         }
     }
 
-    fn infer_superagg(
+    fn superagg(
         &mut self,
         whole: &AstExpr,
         name: &str,
-        args: &[AstExpr],
+        args: &'q [AstExpr],
         scope: Scope,
-    ) -> ValueKind {
-        if scope == Scope::GroupBy {
+    ) -> (Expr, ValueKind) {
+        if scope.stateless() {
             self.push(Diagnostic::new(
                 Code::E003,
                 whole.span,
-                format!("superaggregate `{name}$` is not allowed in GROUP BY"),
+                format!("superaggregate `{name}$` is not allowed in {}", scope.name()),
             ));
         }
-        match name.to_ascii_lowercase().as_str() {
+        let mark = self.mark();
+        let (spec, kind) = match name.to_ascii_lowercase().as_str() {
             "count_distinct" => {
                 if !(args.is_empty() || is_star_arg(args)) {
                     self.push(Diagnostic::new(
@@ -592,7 +695,7 @@ impl<'a> Analyzer<'a> {
                         "count_distinct$ takes no argument or `*`",
                     ));
                 }
-                ValueKind::UInt
+                (SuperAggSpec::CountDistinct, ValueKind::UInt)
             }
             "kth_smallest_value" => {
                 if args.len() != 2 {
@@ -601,24 +704,28 @@ impl<'a> Analyzer<'a> {
                         whole.span,
                         "Kth_smallest_value$ expects (expr, k)",
                     ));
-                    return ValueKind::Any;
+                    return placeholder();
                 }
-                let kind = self.infer(&args[0], Scope::SuperKey);
-                match args[1].kind {
-                    ExprKind::Int(k) if k > 0 => {}
-                    _ => self.push(
-                        Diagnostic::new(
-                            Code::E013,
-                            args[1].span,
-                            "Kth_smallest_value$'s second argument must be a positive \
-                             integer literal",
-                        )
-                        .with_help(
-                            "k is the fixed sample-size bound, e.g. `Kth_smallest_value$(HX, 100)`",
-                        ),
-                    ),
-                }
-                kind
+                let (expr, kind) = self.resolve(&args[0], Scope::SuperKey);
+                let k = match args[1].kind {
+                    ExprKind::Int(k) if k > 0 => k as usize,
+                    _ => {
+                        self.push(
+                            Diagnostic::new(
+                                Code::E013,
+                                args[1].span,
+                                "Kth_smallest_value$'s second argument must be a positive \
+                                 integer literal",
+                            )
+                            .with_help(
+                                "k is the fixed sample-size bound, e.g. \
+                                 `Kth_smallest_value$(HX, 100)`",
+                            ),
+                        );
+                        0
+                    }
+                };
+                (SuperAggSpec::KthSmallest { expr, k }, kind)
             }
             "min" | "max" => {
                 if args.len() != 1 {
@@ -627,29 +734,29 @@ impl<'a> Analyzer<'a> {
                         whole.span,
                         format!("{name}$ expects one argument"),
                     ));
-                    return ValueKind::Any;
+                    return placeholder();
                 }
-                self.infer(&args[0], Scope::SuperKey)
+                let (expr, kind) = self.resolve(&args[0], Scope::SuperKey);
+                (SuperAggSpec::Extreme { expr, max: name.eq_ignore_ascii_case("max") }, kind)
             }
             "sum" => {
                 if args.len() != 1 {
                     self.push(Diagnostic::new(Code::E006, whole.span, "sum$ expects one argument"));
-                    return ValueKind::Num;
+                    return (placeholder().0, ValueKind::Num);
                 }
-                let k = self.infer(&args[0], Scope::Tuple);
+                let (expr, k) = self.resolve(&args[0], Scope::Tuple);
                 if k == ValueKind::Str {
                     self.push(Diagnostic::new(
                         Code::E008,
                         args[0].span,
                         "sum$ needs a numeric argument, got str",
                     ));
-                    return ValueKind::Num;
                 }
-                if k.is_numeric() && k != ValueKind::Any {
-                    k
-                } else {
-                    ValueKind::Num
-                }
+                // Pair with a group aggregate over the same expression so
+                // evictions can subtract the group's contribution.
+                let paired = AggSpec::Sum(expr.clone());
+                let agg_slot = self.aggregate(format!("sum({})", args[0]), self.mark(), paired);
+                (SuperAggSpec::Sum { expr, agg_slot }, sum_kind(k))
             }
             other => {
                 self.push(
@@ -663,18 +770,30 @@ impl<'a> Analyzer<'a> {
                          max$, sum$",
                     ),
                 );
-                ValueKind::Any
+                return placeholder();
             }
-        }
+        };
+        let key = format!("{name}$({})", join_args(args));
+        let slot = match self.superaggs.iter().position(|(k, _)| *k == key) {
+            Some(i) => {
+                self.rollback(mark);
+                i
+            }
+            None => {
+                self.superaggs.push((key, spec));
+                self.superaggs.len() - 1
+            }
+        };
+        (Expr::SuperAgg(slot), kind)
     }
 
-    fn infer_call(
+    fn call(
         &mut self,
         whole: &AstExpr,
         name: &str,
-        args: &[AstExpr],
+        args: &'q [AstExpr],
         scope: Scope,
-    ) -> ValueKind {
+    ) -> (Expr, ValueKind) {
         let lower = name.to_ascii_lowercase();
         // Aggregates (avg included: it rewrites to sum/count).
         if matches!(lower.as_str(), "avg" | "count" | "sum" | "min" | "max" | "first" | "last") {
@@ -691,6 +810,7 @@ impl<'a> Analyzer<'a> {
                     ),
                 );
             }
+            let key = whole.to_string().to_ascii_lowercase();
             if lower == "count" {
                 if !(args.is_empty() || is_star_arg(args)) {
                     self.push(Diagnostic::new(
@@ -699,7 +819,10 @@ impl<'a> Analyzer<'a> {
                         "count takes `*` or nothing",
                     ));
                 }
-                return ValueKind::UInt;
+                return (
+                    Expr::Aggregate(self.aggregate(key, self.mark(), AggSpec::Count)),
+                    ValueKind::UInt,
+                );
             }
             if args.len() != 1 {
                 self.push(Diagnostic::new(
@@ -707,10 +830,12 @@ impl<'a> Analyzer<'a> {
                     whole.span,
                     format!("aggregate `{name}` expects exactly one argument"),
                 ));
-                return if lower == "avg" { ValueKind::Float } else { ValueKind::Any };
+                let kind = if lower == "avg" { ValueKind::Float } else { ValueKind::Any };
+                return (placeholder().0, kind);
             }
             // Aggregate arguments are evaluated per tuple.
-            let k = self.infer(&args[0], Scope::Tuple);
+            let mark = self.mark();
+            let (arg, k) = self.resolve(&args[0], Scope::Tuple);
             if matches!(lower.as_str(), "avg" | "sum") && k == ValueKind::Str {
                 self.push(Diagnostic::new(
                     Code::E008,
@@ -718,59 +843,58 @@ impl<'a> Analyzer<'a> {
                     format!("{lower} needs a numeric argument, got str"),
                 ));
             }
-            return match lower.as_str() {
-                "avg" => ValueKind::Float,
-                "sum" => {
-                    if k.is_numeric() && k != ValueKind::Any {
-                        k
-                    } else {
-                        ValueKind::Num
-                    }
+            let (spec, kind) = match lower.as_str() {
+                "avg" => {
+                    // avg(x) is sum(x) * 1.0 / count(*), float-promoted so
+                    // integer division cannot truncate.
+                    let key = format!("sum({})", args[0]).to_ascii_lowercase();
+                    let sum = self.aggregate(key, mark, AggSpec::Sum(arg));
+                    let count = self.aggregate("count(*)".into(), self.mark(), AggSpec::Count);
+                    let expr = Expr::bin(BinOp::Mul, Expr::Aggregate(sum), Expr::lit(1.0f64))
+                        .div(Expr::Aggregate(count));
+                    return (expr, ValueKind::Float);
                 }
-                _ => k, // min / max / first / last carry the argument kind
+                "sum" => (AggSpec::Sum(arg), sum_kind(k)),
+                "min" => (AggSpec::Min(arg), k),
+                "max" => (AggSpec::Max(arg), k),
+                "first" => (AggSpec::First(arg), k),
+                _ => (AggSpec::Last(arg), k),
             };
+            return (Expr::Aggregate(self.aggregate(key, mark, spec)), kind);
         }
         // Scalar functions (allowed in every scope).
-        if let Some(sig) = sso_core::scalar::signature(name) {
+        if let Some(((sname, fun), sig)) =
+            sso_core::scalar::lookup(name).zip(sso_core::scalar::signature(name))
+        {
             self.check_arity(whole, name, &sig, args.len());
-            for a in args {
-                let k = self.infer(a, scope);
-                if k == ValueKind::Str {
-                    self.push(Diagnostic::new(
-                        Code::E008,
-                        a.span,
-                        format!("`{name}` needs numeric arguments, got str"),
-                    ));
-                }
-            }
-            return sig.returns;
+            let args = self.numeric_args(name, args, scope);
+            return (Expr::Scalar { name: sname, fun, args }, sig.returns);
         }
         // Stateful functions from the configured libraries.
-        for lib in &self.config.libraries {
-            if let Some(sig) = lib.signature(name) {
-                if scope == Scope::GroupBy {
+        let config = self.config;
+        for lib in &config.libraries {
+            if let Some(((fname, fun), sig)) = lib.function_entry(name).zip(lib.signature(name)) {
+                if scope.stateless() {
                     self.push(Diagnostic::new(
                         Code::E003,
                         whole.span,
-                        format!("stateful function `{name}` is not allowed in GROUP BY"),
+                        format!("stateful function `{name}` is not allowed in {}", scope.name()),
                     ));
                 }
                 self.check_arity(whole, name, &sig, args.len());
-                for a in args {
-                    let k = self.infer(a, scope);
-                    if k == ValueKind::Str {
-                        self.push(Diagnostic::new(
-                            Code::E008,
-                            a.span,
-                            format!("`{name}` needs numeric arguments, got str"),
-                        ));
+                let slot = match self.libs.iter().position(|l| Arc::ptr_eq(l, lib)) {
+                    Some(slot) => slot,
+                    None => {
+                        self.libs.push(Arc::clone(lib));
+                        self.libs.len() - 1
                     }
-                }
-                return sig.returns;
+                };
+                let args = self.numeric_args(name, args, scope);
+                return (Expr::Sfun { lib: slot, name: fname, fun, args }, sig.returns);
             }
         }
         let mut known: Vec<&str> = vec!["UMAX", "UMIN", "H", "prefix"];
-        for lib in &self.config.libraries {
+        for lib in &config.libraries {
             known.extend(lib.function_names());
         }
         known.sort_unstable();
@@ -778,7 +902,7 @@ impl<'a> Analyzer<'a> {
             Diagnostic::new(Code::E004, whole.span, format!("unknown function `{name}`"))
                 .with_help(format!("known functions: {}", known.join(", "))),
         );
-        ValueKind::Any
+        placeholder()
     }
 
     fn check_arity(&mut self, whole: &AstExpr, name: &str, sig: &Signature, n: usize) {
@@ -791,33 +915,78 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Infer without emitting diagnostics (for lint probes that must
-    /// not duplicate findings from the main pass).
-    fn kind_quiet(&mut self, e: &AstExpr, scope: Scope) -> ValueKind {
-        let saved = std::mem::take(&mut self.diags);
-        let k = self.infer(e, scope);
-        self.diags = saved;
-        k
+    /// Resolve a function's arguments, which must not be strings.
+    fn numeric_args(&mut self, name: &str, args: &'q [AstExpr], scope: Scope) -> Vec<Expr> {
+        let mut out = Vec::with_capacity(args.len());
+        for a in args {
+            let (x, k) = self.resolve(a, scope);
+            if k == ValueKind::Str {
+                self.push(Diagnostic::new(
+                    Code::E008,
+                    a.span,
+                    format!("`{name}` needs numeric arguments, got str"),
+                ));
+            }
+            out.push(x);
+        }
+        out
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            aggregates: self.aggregates.len(),
+            superaggs: self.superaggs.len(),
+            libs: self.libs.len(),
+        }
+    }
+
+    /// Drop every slot added since `mark`.
+    fn rollback(&mut self, mark: Mark) {
+        self.aggregates.truncate(mark.aggregates);
+        self.superaggs.truncate(mark.superaggs);
+        self.libs.truncate(mark.libs);
+    }
+
+    /// The aggregate slot of `key`, pushing `spec` when the key is new.
+    /// A repeated aggregate keeps its first slot and drops what
+    /// resolving its arguments again added since `mark`.
+    fn aggregate(&mut self, key: String, mark: Mark, spec: AggSpec) -> usize {
+        match self.aggregates.iter().position(|(k, _)| *k == key) {
+            Some(i) => {
+                self.rollback(mark);
+                i
+            }
+            None => {
+                self.aggregates.push((key, spec));
+                self.aggregates.len() - 1
+            }
+        }
+    }
+
+    /// The kind the pass recorded for `e` (`Any` for a node it never
+    /// resolved).
+    fn kind_of(&self, e: &AstExpr) -> ValueKind {
+        self.kinds.iter().find(|(n, _)| std::ptr::eq(*n, e)).map_or(ValueKind::Any, |(_, k)| *k)
     }
 
     /// Can this predicate's truth value be decided statically? Handles
     /// constant folding plus the unsigned-vs-negative-constant cases
     /// (`len < 0` over a `u64` column can never hold).
-    fn pred_truth(&mut self, e: &AstExpr, scope: Scope) -> Option<bool> {
+    fn pred_truth(&self, e: &AstExpr) -> Option<bool> {
         if let Some(c) = fold(e) {
             return Some(c.truthy());
         }
         match &e.kind {
-            ExprKind::Not(inner) => self.pred_truth(inner, scope).map(|b| !b),
+            ExprKind::Not(inner) => self.pred_truth(inner).map(|b| !b),
             ExprKind::Binary { op: BinAstOp::And, lhs, rhs } => {
-                match (self.pred_truth(lhs, scope), self.pred_truth(rhs, scope)) {
+                match (self.pred_truth(lhs), self.pred_truth(rhs)) {
                     (Some(false), _) | (_, Some(false)) => Some(false),
                     (Some(true), Some(true)) => Some(true),
                     _ => None,
                 }
             }
             ExprKind::Binary { op: BinAstOp::Or, lhs, rhs } => {
-                match (self.pred_truth(lhs, scope), self.pred_truth(rhs, scope)) {
+                match (self.pred_truth(lhs), self.pred_truth(rhs)) {
                     (Some(true), _) | (_, Some(true)) => Some(true),
                     (Some(false), Some(false)) => Some(false),
                     _ => None,
@@ -826,12 +995,12 @@ impl<'a> Analyzer<'a> {
             ExprKind::Binary { op, lhs, rhs } if op.is_comparison() => {
                 // u64 expression compared against a negative constant.
                 if let Some(Const::I(k)) = fold(rhs) {
-                    if k < 0 && self.kind_quiet(lhs, scope) == ValueKind::UInt {
+                    if k < 0 && self.kind_of(lhs) == ValueKind::UInt {
                         return Some(matches!(op, BinAstOp::Gt | BinAstOp::Ge | BinAstOp::Ne));
                     }
                 }
                 if let Some(Const::I(k)) = fold(lhs) {
-                    if k < 0 && self.kind_quiet(rhs, scope) == ValueKind::UInt {
+                    if k < 0 && self.kind_of(rhs) == ValueKind::UInt {
                         return Some(matches!(op, BinAstOp::Lt | BinAstOp::Le | BinAstOp::Ne));
                     }
                 }
@@ -842,9 +1011,22 @@ impl<'a> Analyzer<'a> {
     }
 }
 
+/// The kind of `sum` over an argument of kind `k`.
+fn sum_kind(k: ValueKind) -> ValueKind {
+    if k.is_numeric() && k != ValueKind::Any {
+        k
+    } else {
+        ValueKind::Num
+    }
+}
+
 /// Is the argument list the single `*` of `count(*)`?
 fn is_star_arg(args: &[AstExpr]) -> bool {
     matches!(args, [a] if matches!(a.kind, ExprKind::Star))
+}
+
+fn join_args(args: &[AstExpr]) -> String {
+    args.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(", ")
 }
 
 /// Is this expression a `count(*)` / `count()` aggregate call?
@@ -853,28 +1035,10 @@ fn is_count_call(e: &AstExpr) -> bool {
              if name.eq_ignore_ascii_case("count"))
 }
 
-/// Depth-first visit of every node in an expression.
-fn walk<'e>(e: &'e AstExpr, f: &mut impl FnMut(&'e AstExpr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Binary { lhs, rhs, .. } => {
-            walk(lhs, f);
-            walk(rhs, f);
-        }
-        ExprKind::Not(inner) | ExprKind::Neg(inner) => walk(inner, f),
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                walk(a, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Every non-superaggregate function called anywhere in an expression.
 fn called_functions(e: &AstExpr) -> Vec<(String, Span)> {
     let mut out = Vec::new();
-    walk(e, &mut |node| {
+    e.walk(&mut |node| {
         if let ExprKind::Call { name, superagg: false, .. } = &node.kind {
             out.push((name.clone(), node.span));
         }

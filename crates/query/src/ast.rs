@@ -211,6 +211,20 @@ impl AstExpr {
     pub fn new(kind: ExprKind, span: Span) -> Self {
         AstExpr { kind, span }
     }
+
+    /// Visit this node and then, depth first, every node under it.
+    pub fn walk<'e>(&'e self, f: &mut impl FnMut(&'e AstExpr)) {
+        f(self);
+        match &self.kind {
+            ExprKind::Binary { lhs, rhs, .. } => {
+                lhs.walk(f);
+                rhs.walk(f);
+            }
+            ExprKind::Not(inner) | ExprKind::Neg(inner) => inner.walk(f),
+            ExprKind::Call { args, .. } => args.iter().for_each(|a| a.walk(f)),
+            _ => {}
+        }
+    }
 }
 
 impl From<ExprKind> for AstExpr {

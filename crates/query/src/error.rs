@@ -7,7 +7,7 @@ use sso_core::OpError;
 use crate::ast::Span;
 use crate::diag::Diagnostic;
 
-/// Errors from lexing, parsing, or planning a query.
+/// Errors from lexing, parsing, analyzing or planning a query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
     /// A lexical error at a byte offset.
@@ -24,8 +24,6 @@ pub enum QueryError {
         /// Description.
         message: String,
     },
-    /// A semantic error (unknown name, clause misuse, ...).
-    Semantic(String),
     /// Semantic analysis failed; carries every diagnostic found (errors
     /// *and* warnings), not just the first. Use
     /// [`crate::diag::render`] against the query text for the full
@@ -54,7 +52,7 @@ impl QueryError {
                 .map(|d| d.span)
                 .filter(|s| !s.is_dummy())
                 .unwrap_or_else(|| statement_span(src)),
-            QueryError::Semantic(_) | QueryError::Plan(_) => statement_span(src),
+            QueryError::Plan(_) => statement_span(src),
         }
     }
 }
@@ -76,7 +74,6 @@ impl fmt::Display for QueryError {
             QueryError::Parse { position, message } => {
                 write!(f, "syntax error at byte {position}: {message}")
             }
-            QueryError::Semantic(m) => write!(f, "semantic error: {m}"),
             QueryError::Analysis(diags) => {
                 let joined = diags.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("; ");
                 write!(f, "semantic error: {joined}")
@@ -102,7 +99,7 @@ mod tests {
     fn display() {
         let e = QueryError::Lex { position: 3, message: "bad char".into() };
         assert_eq!(e.to_string(), "lexical error at byte 3: bad char");
-        let e = QueryError::Semantic("unknown column x".into());
+        let e = QueryError::Plan(OpError::InvalidSpec("unknown column x".into()));
         assert!(e.to_string().contains("unknown column x"));
     }
 
@@ -128,7 +125,7 @@ mod tests {
         assert_eq!(analysis.primary_span(src), Span::new(2, 19));
 
         // Positionless errors cover the trimmed statement.
-        let sem = QueryError::Semantic("no".into());
+        let sem = QueryError::Plan(OpError::InvalidSpec("no".into()));
         assert_eq!(sem.primary_span(src), Span::new(2, 19));
         assert!(!sem.primary_span("").is_dummy(), "even empty input gets a 1-byte span");
     }

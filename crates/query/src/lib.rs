@@ -14,9 +14,10 @@
 //! CLEANING BY <predicate>
 //! ```
 //!
-//! and a planner that resolves names against a stream [`Schema`] and a
-//! set of registered SFUN libraries, producing an executable
-//! [`sso_core::OperatorSpec`].
+//! and one resolution pass ([`resolve`]) that checks names, scopes and
+//! types against a stream [`Schema`] and a set of registered SFUN
+//! libraries, reporting every problem ([`analyze()`]) and producing an
+//! executable [`sso_core::OperatorSpec`] ([`plan()`]).
 //!
 //! ```
 //! use sso_query::{compile, PlannerConfig};
@@ -40,7 +41,7 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 
-pub use analyze::analyze;
+pub use analyze::{analyze, resolve};
 pub use ast::{AstExpr, BinAstOp, ExprKind, Query, SelectItem, Span};
 pub use diag::{dedup_diagnostics, Code, Diagnostic, Severity};
 pub use error::QueryError;
@@ -89,9 +90,10 @@ pub fn check_shard_mergeable(
     schema: &Schema,
     config: &PlannerConfig,
 ) -> Vec<Diagnostic> {
-    let spec = match parse_query(text).and_then(|q| plan(&q, schema, config)) {
-        Ok(spec) => spec,
-        Err(_) => return check(text, schema, config),
+    let Ok(q) = parse_query(text) else { return check(text, schema, config) };
+    let spec = match resolve(&q, schema, config) {
+        (_, Ok(spec)) => spec,
+        (diags, Err(_)) => return diags,
     };
     match sso_core::shard_plan(&spec) {
         Ok(_) => Vec::new(),
@@ -104,10 +106,10 @@ pub fn check_shard_mergeable(
     }
 }
 
-/// Statically check a query without planning it: parse, then run the
-/// semantic analyzer, returning every diagnostic found. Lexical and
-/// syntax errors come back as single `E100`/`E101` diagnostics so
-/// callers can render any failure the same way.
+/// Statically check a query: parse, then resolve it, returning every
+/// diagnostic found. Lexical and syntax errors come back as single
+/// `E100`/`E101` diagnostics so callers can render any failure the
+/// same way.
 pub fn check(text: &str, schema: &Schema, config: &PlannerConfig) -> Vec<Diagnostic> {
     match parse_query(text) {
         Ok(q) => analyze(&q, schema, config),

@@ -1,18 +1,8 @@
-//! The planner: resolve a parsed [`Query`] against a stream [`Schema`]
-//! and the registered SFUN libraries, producing an executable
-//! [`OperatorSpec`].
-//!
-//! Name resolution (per clause scope):
-//!
-//! * **GROUP BY expressions** see only input columns and scalar
-//!   functions.
-//! * **Tuple-phase clauses** (WHERE, CLEANING WHEN, aggregate arguments)
-//!   see input columns, group-by variables, stateful functions, and
-//!   superaggregates — but no aggregates.
-//! * **Group-phase clauses** (SELECT, HAVING, CLEANING BY) see group-by
-//!   variables, aggregates, superaggregates, and stateful functions —
-//!   but no raw input columns (a bare column must be a group-by
-//!   variable).
+//! The planner's entry points: [`plan`] lowers a parsed [`Query`] to an
+//! executable [`OperatorSpec`], and [`compile_packet_predicate`] lowers
+//! a bare predicate to an [`Expr`]. Both are views of the one
+//! resolution pass in [`mod@crate::analyze`], which resolves names per
+//! clause scope, reports every problem and builds the spec.
 //!
 //! Window variables are inferred: a group-by expression referencing an
 //! *ordered* schema attribute (e.g. `time/20 as tb` over
@@ -22,7 +12,6 @@
 
 use std::sync::Arc;
 
-use sso_core::agg::AggSpec;
 use sso_core::expr::{BinOp, Expr};
 use sso_core::libs::distinct::{self, DistinctOpConfig};
 use sso_core::libs::heavy_hitter;
@@ -30,11 +19,9 @@ use sso_core::libs::reservoir::{self, ReservoirOpConfig};
 use sso_core::libs::subset_sum::{self, SubsetSumOpConfig};
 use sso_core::operator::OperatorSpec;
 use sso_core::sfun::SfunLibrary;
-use sso_core::superagg::SuperAggSpec;
 use sso_types::Schema;
 
 use crate::ast::{AstExpr, BinAstOp, ExprKind, Query};
-use crate::diag;
 use crate::error::QueryError;
 
 /// The libraries (and thereby algorithm parameters) available to
@@ -72,396 +59,21 @@ impl PlannerConfig {
 
 /// Plan a parsed query into an operator spec.
 ///
-/// The semantic analyzer runs first and collects *all* problems; if any
-/// are errors the plan fails with [`QueryError::Analysis`] carrying the
-/// full batch. The planner's own checks below then act as a safety net
-/// (they should be unreachable for analyzer-approved queries).
+/// The query is resolved once ([`crate::analyze::resolve`]); if any
+/// diagnostic is an error the plan fails with [`QueryError::Analysis`]
+/// carrying the full batch, and a spec that fails
+/// [`OperatorSpec::validate`] with [`QueryError::Plan`].
+///
+/// The spec holds the config's own library objects, so every operator
+/// planned from one config shares their state factories (the reservoir
+/// library's instance counter, for one). Plan each independent operator
+/// — each shard of a sharded run — from a config of its own.
 pub fn plan(
     query: &Query,
     schema: &Schema,
     config: &PlannerConfig,
 ) -> Result<OperatorSpec, QueryError> {
-    let diags = crate::analyze::analyze(query, schema, config);
-    if diag::has_errors(&diags) {
-        return Err(QueryError::Analysis(diags));
-    }
-    Planner::new(query, schema, config)?.finish(query)
-}
-
-/// Where an expression is being compiled; controls name resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scope {
-    /// A GROUP BY expression.
-    GroupBy,
-    /// WHERE / CLEANING WHEN / aggregate arguments.
-    Tuple,
-    /// SELECT / HAVING / CLEANING BY.
-    Group,
-    /// The key expression of `Kth_smallest_value$`.
-    SuperKey,
-}
-
-impl Scope {
-    fn name(self) -> &'static str {
-        match self {
-            Scope::GroupBy => "GROUP BY",
-            Scope::Tuple => "a tuple-phase clause",
-            Scope::Group => "a group-phase clause",
-            Scope::SuperKey => "a superaggregate key",
-        }
-    }
-}
-
-struct Planner<'a> {
-    schema: &'a Schema,
-    config: &'a PlannerConfig,
-    gb_names: Vec<String>,
-    gb_exprs: Vec<Expr>,
-    window_indices: Vec<usize>,
-    aggregates: Vec<AggSpec>,
-    agg_keys: Vec<String>,
-    superaggs: Vec<SuperAggSpec>,
-    superagg_keys: Vec<String>,
-    /// config library index -> spec slot (first-use order).
-    lib_slots: Vec<Option<usize>>,
-    used_libs: Vec<Arc<SfunLibrary>>,
-}
-
-impl<'a> Planner<'a> {
-    fn new(
-        query: &Query,
-        schema: &'a Schema,
-        config: &'a PlannerConfig,
-    ) -> Result<Self, QueryError> {
-        let mut p = Planner {
-            schema,
-            config,
-            gb_names: Vec::new(),
-            gb_exprs: Vec::new(),
-            window_indices: Vec::new(),
-            aggregates: Vec::new(),
-            agg_keys: Vec::new(),
-            superaggs: Vec::new(),
-            superagg_keys: Vec::new(),
-            lib_slots: vec![None; config.libraries.len()],
-            used_libs: Vec::new(),
-        };
-        if query.group_by.is_empty() {
-            return Err(QueryError::Semantic("GROUP BY list is empty".into()));
-        }
-        for (i, item) in query.group_by.iter().enumerate() {
-            let name = item.name(i);
-            if p.gb_names.contains(&name) {
-                return Err(QueryError::Semantic(format!(
-                    "duplicate group-by variable name `{name}`"
-                )));
-            }
-            let compiled = p.compile(&item.expr, Scope::GroupBy)?;
-            if references_ordered_column(&item.expr, schema) {
-                p.window_indices.push(i);
-            }
-            p.gb_names.push(name);
-            p.gb_exprs.push(compiled);
-        }
-        Ok(p)
-    }
-
-    fn finish(mut self, query: &Query) -> Result<OperatorSpec, QueryError> {
-        // Supergroup: named group-by variables, minus the implicit
-        // window variables.
-        let mut supergroup_indices = Vec::new();
-        for name in &query.supergroup {
-            let idx = self.gb_names.iter().position(|n| n == &name.text).ok_or_else(|| {
-                QueryError::Semantic(format!(
-                    "SUPERGROUP variable `{name}` is not a group-by variable"
-                ))
-            })?;
-            if self.window_indices.contains(&idx) {
-                continue; // ordered vars are implicitly part of every supergroup
-            }
-            if !supergroup_indices.contains(&idx) {
-                supergroup_indices.push(idx);
-            }
-        }
-
-        let where_clause =
-            query.where_clause.as_ref().map(|e| self.compile(e, Scope::Tuple)).transpose()?;
-        let cleaning_when =
-            query.cleaning_when.as_ref().map(|e| self.compile(e, Scope::Tuple)).transpose()?;
-        let cleaning_by =
-            query.cleaning_by.as_ref().map(|e| self.compile(e, Scope::Group)).transpose()?;
-        let having = query.having.as_ref().map(|e| self.compile(e, Scope::Group)).transpose()?;
-        let mut select = Vec::with_capacity(query.select.len());
-        for (i, item) in query.select.iter().enumerate() {
-            let name = item.output_name(i);
-            let compiled = self.compile(&item.expr, Scope::Group)?;
-            select.push((name, compiled));
-        }
-
-        let spec = OperatorSpec {
-            select,
-            where_clause,
-            group_by: self.gb_names.iter().cloned().zip(self.gb_exprs.iter().cloned()).collect(),
-            window_indices: self.window_indices.clone(),
-            supergroup_indices,
-            having,
-            cleaning_when,
-            cleaning_by,
-            aggregates: self.aggregates,
-            superaggs: self.superaggs,
-            sfun_libs: self.used_libs,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    fn gb_index(&self, name: &str) -> Option<usize> {
-        self.gb_names.iter().position(|n| n == name)
-    }
-
-    fn compile(&mut self, e: &AstExpr, scope: Scope) -> Result<Expr, QueryError> {
-        match &e.kind {
-            ExprKind::Int(v) => Ok(Expr::lit(*v)),
-            ExprKind::Float(v) => Ok(Expr::lit(*v)),
-            ExprKind::Str(s) => Ok(Expr::lit(s.as_str())),
-            ExprKind::Bool(b) => Ok(Expr::lit(*b)),
-            ExprKind::Star => Err(QueryError::Semantic(
-                "`*` is only valid as the argument of count(*) or count_distinct$(*)".into(),
-            )),
-            ExprKind::Neg(inner) => {
-                let c = self.compile(inner, scope)?;
-                Ok(Expr::lit(0i64).sub(c))
-            }
-            ExprKind::Not(inner) => {
-                let c = self.compile(inner, scope)?;
-                Ok(Expr::Not(Box::new(c)))
-            }
-            ExprKind::Binary { op, lhs, rhs } => {
-                let l = self.compile(lhs, scope)?;
-                let r = self.compile(rhs, scope)?;
-                Ok(Expr::bin(bin_op(*op), l, r))
-            }
-            ExprKind::Ident(name) => {
-                // Group-by variables shadow columns outside GROUP BY.
-                if scope != Scope::GroupBy {
-                    if let Some(i) = self.gb_index(name) {
-                        return Ok(Expr::GroupVar(i));
-                    }
-                }
-                match scope {
-                    Scope::GroupBy | Scope::Tuple => {
-                        let idx = self.schema.index_of(name).map_err(|_| {
-                            QueryError::Semantic(format!(
-                                "unknown name `{name}` (not a column of {} or a group-by variable)",
-                                self.schema.name
-                            ))
-                        })?;
-                        Ok(Expr::Column(idx))
-                    }
-                    Scope::Group => Err(QueryError::Semantic(format!(
-                        "`{name}` referenced in {} but is not a group-by variable or aggregate",
-                        scope.name()
-                    ))),
-                    Scope::SuperKey => Err(QueryError::Semantic(format!(
-                        "superaggregate key `{name}` must be a group-by variable"
-                    ))),
-                }
-            }
-            ExprKind::Call { name, superagg: true, args } => {
-                self.compile_superagg(name, args, scope)
-            }
-            ExprKind::Call { name, superagg: false, args } => {
-                self.compile_call(name, args, scope, e)
-            }
-        }
-    }
-
-    fn compile_superagg(
-        &mut self,
-        name: &str,
-        args: &[AstExpr],
-        scope: Scope,
-    ) -> Result<Expr, QueryError> {
-        if scope == Scope::GroupBy {
-            return Err(QueryError::Semantic(format!(
-                "superaggregate `{name}$` is not allowed in GROUP BY"
-            )));
-        }
-        let key = format!("{name}$({})", join_args(args));
-        if let Some(i) = self.superagg_keys.iter().position(|k| *k == key) {
-            return Ok(Expr::SuperAgg(i));
-        }
-        let spec = match name.to_ascii_lowercase().as_str() {
-            "count_distinct" => {
-                if !(args.is_empty() || is_star_arg(args)) {
-                    return Err(QueryError::Semantic(
-                        "count_distinct$ takes no argument or `*`".into(),
-                    ));
-                }
-                SuperAggSpec::CountDistinct
-            }
-            "kth_smallest_value" => {
-                if args.len() != 2 {
-                    return Err(QueryError::Semantic(
-                        "Kth_smallest_value$ expects (expr, k)".into(),
-                    ));
-                }
-                let expr = self.compile(&args[0], Scope::SuperKey)?;
-                let k = match args[1].kind {
-                    ExprKind::Int(k) if k > 0 => k as usize,
-                    _ => {
-                        return Err(QueryError::Semantic(
-                            "Kth_smallest_value$'s second argument must be a positive \
-                             integer literal"
-                                .into(),
-                        ))
-                    }
-                };
-                SuperAggSpec::KthSmallest { expr, k }
-            }
-            "min" | "max" => {
-                if args.len() != 1 {
-                    return Err(QueryError::Semantic(format!("{name}$ expects one argument")));
-                }
-                let expr = self.compile(&args[0], Scope::SuperKey)?;
-                SuperAggSpec::Extreme { expr, max: name.eq_ignore_ascii_case("max") }
-            }
-            "sum" => {
-                if args.len() != 1 {
-                    return Err(QueryError::Semantic("sum$ expects one argument".into()));
-                }
-                let tuple_expr = self.compile(&args[0], Scope::Tuple)?;
-                // Pair with a group aggregate over the same expression so
-                // evictions can subtract the group's contribution.
-                let agg_slot = self.agg_slot(&format!("sum({})", args[0]), || {
-                    Ok(AggSpec::Sum(tuple_expr.clone()))
-                })?;
-                SuperAggSpec::Sum { expr: tuple_expr, agg_slot }
-            }
-            other => {
-                return Err(QueryError::Semantic(format!("unknown superaggregate `{other}$`")))
-            }
-        };
-        self.superaggs.push(spec);
-        self.superagg_keys.push(key);
-        Ok(Expr::SuperAgg(self.superaggs.len() - 1))
-    }
-
-    fn agg_slot(
-        &mut self,
-        key: &str,
-        make: impl FnOnce() -> Result<AggSpec, QueryError>,
-    ) -> Result<usize, QueryError> {
-        if let Some(i) = self.agg_keys.iter().position(|k| k == key) {
-            return Ok(i);
-        }
-        let spec = make()?;
-        self.aggregates.push(spec);
-        self.agg_keys.push(key.to_string());
-        Ok(self.aggregates.len() - 1)
-    }
-
-    fn compile_call(
-        &mut self,
-        name: &str,
-        args: &[AstExpr],
-        scope: Scope,
-        whole: &AstExpr,
-    ) -> Result<Expr, QueryError> {
-        let lower = name.to_ascii_lowercase();
-        // avg(x) rewrites to sum(x) * 1.0 / count(*) (float-promoted so
-        // integer division cannot truncate).
-        if lower == "avg" {
-            if scope != Scope::Group {
-                return Err(QueryError::Semantic(
-                    "aggregate `avg` is not allowed outside group-phase clauses".into(),
-                ));
-            }
-            if args.len() != 1 {
-                return Err(QueryError::Semantic("avg expects one argument".into()));
-            }
-            let sum_node: AstExpr =
-                ExprKind::Call { name: "sum".into(), superagg: false, args: args.to_vec() }.into();
-            let sum = self.compile_call("sum", args, scope, &sum_node)?;
-            let star: AstExpr = ExprKind::Star.into();
-            let count_node: AstExpr =
-                ExprKind::Call { name: "count".into(), superagg: false, args: vec![star.clone()] }
-                    .into();
-            let count =
-                self.compile_call("count", std::slice::from_ref(&star), scope, &count_node)?;
-            return Ok(Expr::bin(BinOp::Mul, sum, Expr::lit(1.0f64)).div(count));
-        }
-        // Aggregates.
-        if matches!(lower.as_str(), "count" | "sum" | "min" | "max" | "first" | "last") {
-            if scope != Scope::Group {
-                return Err(QueryError::Semantic(format!(
-                    "aggregate `{name}` is not allowed in {}",
-                    scope.name()
-                )));
-            }
-            let key = whole.to_string().to_ascii_lowercase();
-            if let Some(i) = self.agg_keys.iter().position(|k| *k == key) {
-                return Ok(Expr::Aggregate(i));
-            }
-            let spec = if lower == "count" {
-                if !(args.is_empty() || is_star_arg(args)) {
-                    return Err(QueryError::Semantic("count takes `*` or nothing".into()));
-                }
-                AggSpec::Count
-            } else {
-                if args.len() != 1 {
-                    return Err(QueryError::Semantic(format!(
-                        "aggregate `{name}` expects one argument"
-                    )));
-                }
-                let arg = self.compile(&args[0], Scope::Tuple)?;
-                match lower.as_str() {
-                    "sum" => AggSpec::Sum(arg),
-                    "min" => AggSpec::Min(arg),
-                    "max" => AggSpec::Max(arg),
-                    "first" => AggSpec::First(arg),
-                    "last" => AggSpec::Last(arg),
-                    _ => unreachable!("count handled above"),
-                }
-            };
-            self.aggregates.push(spec);
-            self.agg_keys.push(key);
-            return Ok(Expr::Aggregate(self.aggregates.len() - 1));
-        }
-        // Scalar functions.
-        if let Some((sname, fun)) = sso_core::scalar::lookup(name) {
-            let mut compiled = Vec::with_capacity(args.len());
-            for a in args {
-                compiled.push(self.compile(a, scope)?);
-            }
-            return Ok(Expr::Scalar { name: sname, fun, args: compiled });
-        }
-        // Stateful functions.
-        for (ci, lib) in self.config.libraries.iter().enumerate() {
-            if let Some((fname, fun)) = lib.function_entry(name) {
-                if scope == Scope::GroupBy {
-                    return Err(QueryError::Semantic(format!(
-                        "stateful function `{name}` is not allowed in GROUP BY"
-                    )));
-                }
-                let slot = match self.lib_slots[ci] {
-                    Some(s) => s,
-                    None => {
-                        let s = self.used_libs.len();
-                        self.used_libs.push(Arc::clone(lib));
-                        self.lib_slots[ci] = Some(s);
-                        s
-                    }
-                };
-                let mut compiled = Vec::with_capacity(args.len());
-                for a in args {
-                    compiled.push(self.compile(a, scope)?);
-                }
-                return Ok(Expr::Sfun { lib: slot, name: fname, fun, args: compiled });
-            }
-        }
-        Err(QueryError::Semantic(format!("unknown function `{name}`")))
-    }
+    crate::analyze::resolve(query, schema, config).1
 }
 
 /// Compile a *pure tuple predicate* against a stream schema, outside of
@@ -469,58 +81,13 @@ impl<'a> Planner<'a> {
 /// scalar functions are allowed — no aggregates, superaggregates, or
 /// stateful functions. This is the lowering used for shared prefilters
 /// hoisted by `sso-rewrite`: the resulting [`Expr`] can be evaluated
-/// against raw tuples ahead of the shard router with no operator state.
+/// against raw tuples with no operator state. Errors are
+/// [`QueryError::Analysis`].
 pub fn compile_packet_predicate(e: &AstExpr, schema: &Schema) -> Result<Expr, QueryError> {
-    match &e.kind {
-        ExprKind::Int(v) => Ok(Expr::lit(*v)),
-        ExprKind::Float(v) => Ok(Expr::lit(*v)),
-        ExprKind::Str(s) => Ok(Expr::lit(s.as_str())),
-        ExprKind::Bool(b) => Ok(Expr::lit(*b)),
-        ExprKind::Star => {
-            Err(QueryError::Semantic("`*` is not valid in a packet predicate".into()))
-        }
-        ExprKind::Ident(name) => {
-            let idx = schema.index_of(name).map_err(|_| {
-                QueryError::Semantic(format!(
-                    "unknown name `{name}` (not a column of {})",
-                    schema.name
-                ))
-            })?;
-            Ok(Expr::Column(idx))
-        }
-        ExprKind::Neg(inner) => {
-            let c = compile_packet_predicate(inner, schema)?;
-            Ok(Expr::lit(0i64).sub(c))
-        }
-        ExprKind::Not(inner) => {
-            let c = compile_packet_predicate(inner, schema)?;
-            Ok(Expr::Not(Box::new(c)))
-        }
-        ExprKind::Binary { op, lhs, rhs } => {
-            let l = compile_packet_predicate(lhs, schema)?;
-            let r = compile_packet_predicate(rhs, schema)?;
-            Ok(Expr::bin(bin_op(*op), l, r))
-        }
-        ExprKind::Call { name, superagg: true, .. } => Err(QueryError::Semantic(format!(
-            "superaggregate `{name}$` is not allowed in a packet predicate"
-        ))),
-        ExprKind::Call { name, superagg: false, args } => {
-            if let Some((sname, fun)) = sso_core::scalar::lookup(name) {
-                let mut compiled = Vec::with_capacity(args.len());
-                for a in args {
-                    compiled.push(compile_packet_predicate(a, schema)?);
-                }
-                return Ok(Expr::Scalar { name: sname, fun, args: compiled });
-            }
-            Err(QueryError::Semantic(format!(
-                "function `{name}` is not a pure scalar; packet predicates cannot hold \
-                 aggregates or stateful functions"
-            )))
-        }
-    }
+    crate::analyze::packet_predicate(e, schema)
 }
 
-fn bin_op(op: BinAstOp) -> BinOp {
+pub(crate) fn bin_op(op: BinAstOp) -> BinOp {
     match op {
         BinAstOp::Add => BinOp::Add,
         BinAstOp::Sub => BinOp::Sub,
@@ -540,24 +107,11 @@ fn bin_op(op: BinAstOp) -> BinOp {
 
 /// Does this (GROUP BY) expression reference an ordered schema column?
 pub(crate) fn references_ordered_column(e: &AstExpr, schema: &Schema) -> bool {
-    match &e.kind {
-        ExprKind::Ident(name) => schema.is_ordered(name),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            references_ordered_column(lhs, schema) || references_ordered_column(rhs, schema)
-        }
-        ExprKind::Not(inner) | ExprKind::Neg(inner) => references_ordered_column(inner, schema),
-        ExprKind::Call { args, .. } => args.iter().any(|a| references_ordered_column(a, schema)),
-        _ => false,
-    }
-}
-
-/// Is the argument list the single `*` of `count(*)`?
-fn is_star_arg(args: &[AstExpr]) -> bool {
-    matches!(args, [a] if matches!(a.kind, ExprKind::Star))
-}
-
-fn join_args(args: &[AstExpr]) -> String {
-    args.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(", ")
+    let mut ordered = false;
+    e.walk(&mut |node| {
+        ordered |= matches!(&node.kind, ExprKind::Ident(name) if schema.is_ordered(name));
+    });
+    ordered
 }
 
 #[cfg(test)]

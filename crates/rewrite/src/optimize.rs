@@ -234,7 +234,7 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
             skipped.push(idx);
             continue;
         };
-        let checked = sso_query::check(stmt, &schema, &config);
+        let checked = sso_query::analyze(&q, &schema, &config);
         let had_errors = sso_query::diag::has_errors(&checked);
         diagnostics.extend(checked.into_iter().map(|d| rebase(d, *base)));
         if had_errors {

@@ -87,6 +87,26 @@ echo "== sso --shards smoke run =="
 cargo run -q --bin sso -- --feed research --seconds 2 --shards 4 \
     "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb" >/dev/null
 
+echo "== sharded sampling run is repeatable (two runs, byte-identical) =="
+# A sharded run's output must not depend on thread timing. Each shard
+# plans from a config of its own, so its reservoir library seeds its
+# states from a counter no other shard advances. Two runs of the
+# reservoir statement of examples/queries.sql (with `time/1` windows)
+# at 4 shards must print the same JSON.
+REPEAT="$(mktemp -d)"
+RQUERY='SELECT tb, srcIP, destIP FROM TCP WHERE rsample(25) = TRUE
+GROUP BY time/1 as tb, srcIP, destIP
+HAVING rsfinal_clean(count_distinct$(*)) = TRUE
+CLEANING WHEN rsdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY rsclean_with() = TRUE'
+for run in 1 2; do
+    cargo run -q --bin sso -- run --feed research --seconds 20 --shards 4 --json "$RQUERY" \
+        > "$REPEAT/$run.json"
+done
+cmp "$REPEAT/1.json" "$REPEAT/2.json"
+echo "repeatability smoke OK: $(wc -l < "$REPEAT/1.json") windows, identical in both runs"
+rm -rf "$REPEAT"
+
 echo "== flat-memory smoke (sharded run on a 10x longer feed, <20 s) =="
 # ROADMAP item 2's gate: the sharded runtime streams its feed, so peak
 # RSS may grow with the feed only by what the CLI itself holds — its

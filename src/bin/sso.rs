@@ -659,11 +659,12 @@ fn execute_query(
 ) -> Result<ExecResult, String> {
     let Attachments { faults, registry, profiler } = att;
     let schema = Packet::schema();
-    let config = PlannerConfig::standard();
     let mut result = ExecResult { windows: Vec::new(), shard_lines: Vec::new(), coverage: 1.0 };
     if opts.sharded() {
+        // Each shard plans from a config of its own, so no two shards
+        // share a library's state factory (and its seed counter).
         let make = |_shard: usize| {
-            stream_sampler::query::plan(parsed, &schema, &config)
+            stream_sampler::query::plan(parsed, &schema, &PlannerConfig::standard())
                 .map_err(|e| stream_sampler::operator::OpError::InvalidSpec(e.to_string()))
         };
         let shards = opts.num("--shards");

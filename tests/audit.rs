@@ -192,19 +192,18 @@ fn example_corpus_cli_json_schemas_are_pinned() {
 
 #[test]
 fn sizing_hints_preserve_sharded_output() {
-    // Pre-sizing from the certificate is a pure capacity hint. Sharded
-    // reservoir output is not bit-identical run to run (worker timing
-    // interleaves the per-shard sample draws), so compare structure:
-    // same windows, full coverage, and every window within the
-    // certified ceiling.
+    // Pre-sizing from the certificate is a pure capacity hint: the same
+    // windows and rows, full coverage, and every window within the
+    // certified ceiling. Each shard plans from a fresh config, so its
+    // reservoir library seeds its states from a counter of its own and
+    // the rows do not depend on thread timing.
     let (_, text) = EXAMPLE_QUERIES.iter().find(|(n, _)| *n == "reservoir_query").unwrap();
     let packets = research_feed(11).take_seconds(130);
     let schema = Packet::schema();
-    let config = PlannerConfig::standard();
     let parsed = parse_query(text).unwrap();
     let run = |cfg: &RuntimeConfig| {
         let make = |_shard: usize| {
-            stream_sampler::query::plan(&parsed, &schema, &config)
+            stream_sampler::query::plan(&parsed, &schema, &PlannerConfig::standard())
                 .map_err(|e| OpError::InvalidSpec(e.to_string()))
         };
         run_plan_sharded(Box::new(SelectionNode::pass_all()), make, cfg, packets.clone()).unwrap()
@@ -222,6 +221,7 @@ fn sizing_hints_preserve_sharded_output() {
     let ceiling = bounds.groups_bound.finite().unwrap() as usize;
     for (a, b) in plain.windows.iter().zip(&sized.windows) {
         assert_eq!(a.window, b.window, "same window keys in the same order");
+        assert_eq!(a.rows, b.rows, "same rows");
         assert!(!b.rows.is_empty());
         assert!(b.rows.len() <= ceiling, "{} rows > certified {ceiling}", b.rows.len());
     }

@@ -249,3 +249,59 @@ fn bad_meta_query_fails_before_the_run() {
     assert!(!store.exists(), "a store was written for a run that cannot finish");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A sharded `run` plans each shard from a config of its own: its
+/// windows and rows are those of `run_plan_sharded` whose factory
+/// builds a fresh `PlannerConfig` per shard. The reservoir library
+/// seeds each state from its own instance counter, so shards sharing
+/// one library would draw from one counter in thread-timing order.
+#[test]
+fn sharded_run_plans_each_shard_from_fresh_libraries() {
+    use stream_sampler::operator::OpError;
+    use stream_sampler::prelude::*;
+
+    let query = "SELECT tb, srcIP, destIP FROM TCP WHERE rsample(25) = TRUE \
+                 GROUP BY time/1 as tb, srcIP, destIP \
+                 HAVING rsfinal_clean(count_distinct$(*)) = TRUE \
+                 CLEANING WHEN rsdo_clean(count_distinct$(*)) = TRUE \
+                 CLEANING BY rsclean_with() = TRUE";
+    let args = ["run", "--feed", "research", "--seconds", "20", "--shards", "2", "--json", query];
+    let out = sso(&args);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let cli: Vec<(String, serde_json::Value)> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| {
+            let w: serde_json::Value = serde_json::from_str(l).unwrap();
+            (w["window"].as_str().unwrap().to_string(), w["rows"].clone())
+        })
+        .collect();
+
+    let parsed = parse_query(query).unwrap();
+    let schema = Packet::schema();
+    let make = |_shard: usize| {
+        stream_sampler::query::plan(&parsed, &schema, &PlannerConfig::standard())
+            .map_err(|e| OpError::InvalidSpec(e.to_string()))
+    };
+    let packets = research_feed(1).take_seconds(20);
+    let report = run_plan_sharded(
+        Box::new(SelectionNode::pass_all()),
+        make,
+        &RuntimeConfig::new(2),
+        packets,
+    )
+    .unwrap();
+    let library: Vec<(String, serde_json::Value)> = report
+        .windows
+        .iter()
+        .map(|w| {
+            let rows: Vec<Vec<String>> = w
+                .rows
+                .iter()
+                .map(|r| r.values().iter().map(ToString::to_string).collect())
+                .collect();
+            (w.window.to_string(), serde_json::json!(rows))
+        })
+        .collect();
+    assert_eq!(cli.len(), 20, "one window per second");
+    assert_eq!(cli, library);
+}
