@@ -107,60 +107,62 @@ pub fn split_statements(text: &str) -> Vec<(usize, &str)> {
     out
 }
 
-/// A statement [`walk_cascade`] planned.
-pub struct Planned<'a> {
+/// A statement [`walk_cascade`] parsed and resolved.
+pub struct Statement {
     /// Position in the file, from 0.
     pub index: usize,
+    /// Byte offset of the statement in the file.
+    pub base: usize,
     /// The parsed statement.
-    pub query: &'a Query,
-    /// Its plan.
-    pub spec: &'a OperatorSpec,
-    /// The schema it was planned against.
-    pub schema: &'a Schema,
+    pub query: Query,
+    /// Its plan; `None` when the statement has errors.
+    pub spec: Option<OperatorSpec>,
+    /// The schema it was resolved against.
+    pub schema: Schema,
     /// Whether FROM names a base stream; if not, the statement reads
     /// the previous statement's output rows.
     pub is_base: bool,
 }
 
-/// The statement walk `sso check` and [`audit_file`] share. Each
-/// statement of `text` is parsed and resolved once
-/// ([`sso_query::resolve`]) against its input schema: a base stream's,
-/// or, for any other FROM name, the previous statement's output (a
-/// cascade, whose pair also gets the W101 push-down lint). A statement
-/// free of errors has a plan, which is handed to `step`, with what
-/// `step` returned for the previous statement when this one reads it;
-/// the diagnostics `step` returns are the statement's too. Returns every diagnostic, spans rebased onto the
-/// whole file.
+/// The one pass over a query file, which `sso check`
+/// (`sso_rewrite::check_file`), [`audit_file`] and
+/// `sso_rewrite::optimize_file` read through their `step`s. Each
+/// statement is parsed and resolved once ([`sso_query::resolve`])
+/// against its input schema: a base stream's, or, for any other FROM
+/// name, the previous statement's output (a cascade, whose pair also
+/// gets the W101 push-down lint). `step` sees every statement that
+/// parses, with what it returned for the previous one when this one
+/// reads it (a statement without a plan hands nothing on); its
+/// diagnostics are the statement's too. Returns every diagnostic, spans
+/// rebased onto the whole file, and the number of statements.
 pub fn walk_cascade<L>(
     text: &str,
-    mut step: impl FnMut(&Planned<'_>, Option<&L>) -> (L, Vec<Diagnostic>),
-) -> Vec<Diagnostic> {
+    mut step: impl FnMut(&Statement, Option<&L>) -> (Option<L>, Vec<Diagnostic>),
+) -> (Vec<Diagnostic>, usize) {
     let config = PlannerConfig::standard();
+    let statements = split_statements(text);
     let mut diagnostics = Vec::new();
-    let mut prev: Option<(Query, OperatorSpec, L)> = None;
-    for (index, (base, stmt)) in split_statements(text).into_iter().enumerate() {
+    let mut prev: Option<(Statement, L)> = None;
+    for (index, &(base, stmt)) in statements.iter().enumerate() {
         let mut next = None;
         let mut diags = match parse_query(stmt) {
             Ok(query) => {
                 let base_schema = sso_query::base_stream_schema(&query.from.text);
                 let is_base = base_schema.is_some();
                 let low = prev.as_ref().filter(|_| !is_base);
-                let schema = match (low, base_schema) {
+                let schema = match (low.and_then(|(s, _)| s.spec.as_ref()), base_schema) {
                     (_, Some(s)) => s,
-                    (Some((_, spec, _)), None) => spec.output_schema(&query.from.text),
+                    (Some(spec), None) => spec.output_schema(&query.from.text),
                     (None, None) => sso_types::Packet::schema(),
                 };
                 let (mut diags, spec) = resolve(&query, &schema, &config);
-                if let Some((low_query, _, _)) = low {
-                    diags.extend(check_pushdown(low_query, &query));
+                if let Some((low, _)) = low {
+                    diags.extend(check_pushdown(&low.query, &query));
                 }
-                if let Ok(spec) = spec {
-                    let planned =
-                        Planned { index, query: &query, spec: &spec, schema: &schema, is_base };
-                    let (level, step_diags) = step(&planned, low.map(|(_, _, l)| l));
-                    diags.extend(step_diags);
-                    next = Some((query, spec, level));
-                }
+                let statement = Statement { index, base, query, spec: spec.ok(), schema, is_base };
+                let (level, step_diags) = step(&statement, low.map(|(_, l)| l));
+                diags.extend(step_diags);
+                next = level.filter(|_| statement.spec.is_some()).map(|l| (statement, l));
                 diags
             }
             // Re-run through check() to get the E100/E101 diagnostic
@@ -176,11 +178,11 @@ pub fn walk_cascade<L>(
         diagnostics.extend(diags);
         prev = next;
     }
-    diagnostics
+    (diagnostics, statements.len())
 }
 
 /// What one audited statement hands to the next level of a cascade.
-struct Level {
+pub struct Level {
     /// Certified live-group ceiling (drives the high level's rate).
     groups_bound: Card,
     window_secs: Option<u64>,
@@ -193,14 +195,8 @@ struct Level {
 
 /// Audit a whole query file. Never executes anything.
 pub fn audit_file(text: &str, opts: &AuditOptions) -> AuditOutcome {
-    let mut statements = Vec::new();
-    let mut diagnostics = walk_cascade(text, |p, low: Option<&Level>| {
-        let input = input_state(p.query, p.is_base, low, opts);
-        let name = format!("stmt{}", p.index);
-        let (bounds, level, diags) = audit_statement(name, p.query, p.spec, p.schema, &input, opts);
-        statements.push(bounds);
-        (level, diags)
-    });
+    let mut auditor = Auditor::new(opts);
+    let (mut diagnostics, _) = walk_cascade(text, |s, low| auditor.step(s, low));
 
     // W206: --state-budget below the spill pager's working-set floor.
     if let Some(budget) = opts.state_budget {
@@ -225,14 +221,7 @@ pub fn audit_file(text: &str, opts: &AuditOptions) -> AuditOutcome {
         }
     }
 
-    let report = BoundsReport {
-        feed: opts.feed.clone(),
-        shards: opts.shards,
-        budget: opts.budget,
-        state_budget: opts.state_budget,
-        statements,
-    };
-    AuditOutcome { report, diagnostics }
+    auditor.finish(diagnostics)
 }
 
 /// The abstract state on the statement's input edge: the declared feed
@@ -280,202 +269,231 @@ struct InputState {
     ordered_periods: Vec<(String, u64)>,
 }
 
-/// Audit one planned statement against its input state.
-fn audit_statement(
-    name: String,
-    q: &Query,
-    spec: &OperatorSpec,
-    schema: &Schema,
-    input: &InputState,
-    opts: &AuditOptions,
-) -> (StatementBounds, Level, Vec<Diagnostic>) {
-    let mut diags = Vec::new();
-    let env = |col: &str| input.state.column_card(col);
-    let period = |col: &str| input.ordered_periods.iter().find(|(n, _)| n == col).map(|&(_, p)| p);
+/// The audit's step over one statement, which [`audit_file`],
+/// `sso_rewrite::optimize_file`'s re-audit and `sso run`'s sizing hints
+/// share.
+pub struct Auditor<'o> {
+    opts: &'o AuditOptions,
+    /// The bounds of every statement audited so far, in file order.
+    pub statements: Vec<StatementBounds>,
+}
 
-    // Window length: the first window-defining group item with a
-    // recognizable shape.
-    let window_secs = spec
-        .window_indices
-        .iter()
-        .filter_map(|&i| q.group_by.get(i))
-        .find_map(|item| window_seconds(&item.expr, schema, &period));
-    let rows_per_window = match window_secs {
-        Some(w) => input.state.rows_per_sec.times(w),
-        None => Card::Unbounded,
-    };
-
-    // Key-cardinality product over the non-window group items: within
-    // one tumbling window the window variables are constant, and the
-    // group table is flushed when the window closes.
-    let is_window = |i: usize| spec.window_indices.contains(&i);
-    let mut key_cardinality = Card::Finite(1);
-    let mut unbounded_key_span = None;
-    for (i, item) in q.group_by.iter().enumerate() {
-        if is_window(i) {
-            continue;
-        }
-        let card = expr_cardinality(&item.expr, &env);
-        if !card.is_finite() && unbounded_key_span.is_none() {
-            unbounded_key_span = Some(item.expr.span);
-        }
-        key_cardinality = key_cardinality * card;
+impl<'o> Auditor<'o> {
+    /// An auditor that has audited nothing yet.
+    pub fn new(opts: &'o AuditOptions) -> Self {
+        Auditor { opts, statements: Vec::new() }
     }
 
-    // Supergroup cardinality (window variables excluded by the spec).
-    let supergroup_cardinality = spec
-        .supergroup_indices
-        .iter()
-        .filter_map(|&i| q.group_by.get(i))
-        .fold(Card::Finite(1), |acc, item| acc * expr_cardinality(&item.expr, &env));
-    let supergroup_bound = supergroup_cardinality.min(rows_per_window);
+    /// Audit `s` against its input edge: the feed envelope, or `low`,
+    /// the level a cascade statement reads. A [`walk_cascade`] step: a
+    /// statement without a plan is not audited.
+    pub fn step(&mut self, s: &Statement, low: Option<&Level>) -> (Option<Level>, Vec<Diagnostic>) {
+        let Some(spec) = &s.spec else { return (None, Vec::new()) };
+        let (q, schema, opts) = (&s.query, &s.schema, self.opts);
+        let input = input_state(q, s.is_base, low, opts);
+        let mut diags = Vec::new();
+        let env = |col: &str| input.state.column_card(col);
+        let period =
+            |col: &str| input.ordered_periods.iter().find(|(n, _)| n == col).map(|&(_, p)| p);
 
-    // The sampler's per-supergroup cap, scaled by live supergroups.
-    let sampler = detect_sampler(q);
-    let per_supergroup_bound = sampler.kind.per_supergroup_bound(rows_per_window);
-    let groups_bound =
-        key_cardinality.min(rows_per_window).min(per_supergroup_bound * supergroup_bound);
+        // Window length: the first window-defining group item with a
+        // recognizable shape.
+        let window_secs = spec
+            .window_indices
+            .iter()
+            .filter_map(|&i| q.group_by.get(i))
+            .find_map(|item| window_seconds(&item.expr, schema, &period));
+        let rows_per_window = match window_secs {
+            Some(w) => input.state.rows_per_sec.times(w),
+            None => Card::Unbounded,
+        };
 
-    let group_entry_bytes = spec.group_entry_bytes() as u64;
-    let supergroup_entry_bytes = spec.supergroup_entry_bytes() as u64;
-    let state_bytes =
-        groups_bound.times(group_entry_bytes) + supergroup_bound.times(supergroup_entry_bytes);
-    // At most one output row per live group.
-    let output_wire_bytes = groups_bound.times(tuple_wire_bytes(spec.select.len()))
-        + Card::Finite(tuple_wire_bytes(spec.window_indices.len()) + WINDOW_OUTPUT_FIXED_BYTES);
-
-    // W201: no finite state ceiling.
-    if !groups_bound.is_finite() {
-        let span = unbounded_key_span.unwrap_or(Span::DUMMY);
-        let mut causes = Vec::new();
-        if window_secs.is_none() {
-            causes.push("the query has no tumbling window over an ordered column");
-        }
-        if !key_cardinality.is_finite() {
-            causes.push("a group-by key has unbounded cardinality under the feed envelope");
-        }
-        if !per_supergroup_bound.is_finite() {
-            causes.push("no sampling clause caps live groups per supergroup");
-        }
-        diags.push(
-            Diagnostic::new(
-                Code::W201,
-                span,
-                format!(
-                    "cannot certify a finite state bound for this query ({})",
-                    sampler.kind.label()
-                ),
-            )
-            .with_help(causes.join("; ")),
-        );
-    }
-
-    // Mergeability, skew (W202/W203).
-    let (mergeable, skew) = match shard_plan(spec) {
-        Ok(plan) => {
-            let skew = if plan.partition_exprs.is_empty() {
-                SkewClass::RoundRobin
-            } else {
-                let card = plan
-                    .partition_exprs
-                    .iter()
-                    .fold(Card::Finite(1), |acc, e| acc * core_expr_card(e, q, spec, schema, &env));
-                SkewClass::classify(card, opts.shards)
-            };
-            if opts.shards > 1 && skew.is_hazard() {
-                let routed = match skew {
-                    SkewClass::Constant => 1,
-                    SkewClass::Narrow { cardinality } => cardinality,
-                    _ => unreachable!("is_hazard() covers only Constant and Narrow"),
-                };
-                let message = format!(
-                    "partition key reaches at most {routed} of {} shards ({skew} skew class)",
-                    opts.shards
-                );
-                diags.push(Diagnostic::new(Code::W202, Span::DUMMY, message).with_help(
-                    "at least one shard is statically guaranteed to idle; partition on a \
-                     higher-cardinality key or lower --shards",
-                ));
-            }
-            (true, skew)
-        }
-        Err(not_mergeable) => {
-            if opts.shards > 1 {
-                diags.push(
-                    Diagnostic::new(
-                        Code::W203,
-                        Span::DUMMY,
-                        format!(
-                            "query is not shard-mergeable but the audit assumes --shards {}",
-                            opts.shards
-                        ),
-                    )
-                    .with_help(not_mergeable.reason),
-                );
-            }
-            (false, SkewClass::RoundRobin)
-        }
-    };
-
-    // W204: the operator's subset-sum threshold pass needs a provably
-    // non-negative weight.
-    if let Some(w) = &sampler.weight_expr {
-        if !provably_non_negative(w, schema) {
-            diags.push(
-                Diagnostic::new(
-                    Code::W204,
-                    w.span,
-                    "subset-sum weight is not provably non-negative",
-                )
-                .with_help(
-                    "the subset-sum threshold pass meters tuples lighter than z by their summed \
-                     weight; a weight that can be negative (or wrap) breaks the meter's estimate",
-                ),
-            );
-        }
-    }
-
-    let bounds = StatementBounds {
-        name,
-        stream: q.from.text.clone(),
-        sampler: sampler.kind.clone(),
-        window_secs,
-        rows_per_sec: input.state.rows_per_sec,
-        rows_per_window,
-        key_cardinality,
-        supergroup_cardinality,
-        per_supergroup_bound,
-        groups_bound,
-        group_entry_bytes,
-        supergroup_entry_bytes,
-        state_bytes,
-        output_wire_bytes,
-        skew,
-        mergeable,
-    };
-
-    // What the next cascade level sees: column cardinalities for
-    // group-variable passthroughs, the window variable's period.
-    let mut out_columns = Vec::new();
-    let mut ordered_periods = Vec::new();
-    for (col_name, expr) in &spec.select {
-        if let Expr::GroupVar(i) = expr {
-            if is_window(*i) {
-                if let Some(w) = window_secs {
-                    ordered_periods.push((col_name.clone(), w));
-                }
+        // Key-cardinality product over the non-window group items: within
+        // one tumbling window the window variables are constant, and the
+        // group table is flushed when the window closes.
+        let is_window = |i: usize| spec.window_indices.contains(&i);
+        let mut key_cardinality = Card::Finite(1);
+        let mut unbounded_key_span = None;
+        for (i, item) in q.group_by.iter().enumerate() {
+            if is_window(i) {
                 continue;
             }
-            if let Some(item) = q.group_by.get(*i) {
-                let card = expr_cardinality(&item.expr, &env);
-                if card.is_finite() {
-                    out_columns.push((col_name.clone(), card));
+            let card = expr_cardinality(&item.expr, &env);
+            if !card.is_finite() && unbounded_key_span.is_none() {
+                unbounded_key_span = Some(item.expr.span);
+            }
+            key_cardinality = key_cardinality * card;
+        }
+
+        // Supergroup cardinality (window variables excluded by the spec).
+        let supergroup_cardinality = spec
+            .supergroup_indices
+            .iter()
+            .filter_map(|&i| q.group_by.get(i))
+            .fold(Card::Finite(1), |acc, item| acc * expr_cardinality(&item.expr, &env));
+        let supergroup_bound = supergroup_cardinality.min(rows_per_window);
+
+        // The sampler's per-supergroup cap, scaled by live supergroups.
+        let sampler = detect_sampler(q);
+        let per_supergroup_bound = sampler.kind.per_supergroup_bound(rows_per_window);
+        let groups_bound =
+            key_cardinality.min(rows_per_window).min(per_supergroup_bound * supergroup_bound);
+
+        let group_entry_bytes = spec.group_entry_bytes() as u64;
+        let supergroup_entry_bytes = spec.supergroup_entry_bytes() as u64;
+        let state_bytes =
+            groups_bound.times(group_entry_bytes) + supergroup_bound.times(supergroup_entry_bytes);
+        // At most one output row per live group.
+        let output_wire_bytes = groups_bound.times(tuple_wire_bytes(spec.select.len()))
+            + Card::Finite(tuple_wire_bytes(spec.window_indices.len()) + WINDOW_OUTPUT_FIXED_BYTES);
+
+        // W201: no finite state ceiling.
+        if !groups_bound.is_finite() {
+            let span = unbounded_key_span.unwrap_or(Span::DUMMY);
+            let mut causes = Vec::new();
+            if window_secs.is_none() {
+                causes.push("the query has no tumbling window over an ordered column");
+            }
+            if !key_cardinality.is_finite() {
+                causes.push("a group-by key has unbounded cardinality under the feed envelope");
+            }
+            if !per_supergroup_bound.is_finite() {
+                causes.push("no sampling clause caps live groups per supergroup");
+            }
+            diags.push(
+                Diagnostic::new(
+                    Code::W201,
+                    span,
+                    format!(
+                        "cannot certify a finite state bound for this query ({})",
+                        sampler.kind.label()
+                    ),
+                )
+                .with_help(causes.join("; ")),
+            );
+        }
+
+        // Mergeability, skew (W202/W203).
+        let (mergeable, skew) = match shard_plan(spec) {
+            Ok(plan) => {
+                let skew = if plan.partition_exprs.is_empty() {
+                    SkewClass::RoundRobin
+                } else {
+                    let card = plan.partition_exprs.iter().fold(Card::Finite(1), |acc, e| {
+                        acc * core_expr_card(e, q, spec, schema, &env)
+                    });
+                    SkewClass::classify(card, opts.shards)
+                };
+                if opts.shards > 1 && skew.is_hazard() {
+                    let routed = match skew {
+                        SkewClass::Constant => 1,
+                        SkewClass::Narrow { cardinality } => cardinality,
+                        _ => unreachable!("is_hazard() covers only Constant and Narrow"),
+                    };
+                    let message = format!(
+                        "partition key reaches at most {routed} of {} shards ({skew} skew class)",
+                        opts.shards
+                    );
+                    diags.push(Diagnostic::new(Code::W202, Span::DUMMY, message).with_help(
+                        "at least one shard is statically guaranteed to idle; partition on a \
+                         higher-cardinality key or lower --shards",
+                    ));
+                }
+                (true, skew)
+            }
+            Err(not_mergeable) => {
+                if opts.shards > 1 {
+                    diags.push(
+                        Diagnostic::new(
+                            Code::W203,
+                            Span::DUMMY,
+                            format!(
+                                "query is not shard-mergeable but the audit assumes --shards {}",
+                                opts.shards
+                            ),
+                        )
+                        .with_help(not_mergeable.reason),
+                    );
+                }
+                (false, SkewClass::RoundRobin)
+            }
+        };
+
+        // W204: the operator's subset-sum threshold pass needs a provably
+        // non-negative weight.
+        if let Some(w) = &sampler.weight_expr {
+            if !provably_non_negative(w, schema) {
+                diags.push(
+                    Diagnostic::new(
+                        Code::W204,
+                        w.span,
+                        "subset-sum weight is not provably non-negative",
+                    )
+                    .with_help(
+                        "the subset-sum threshold pass meters tuples lighter than z by their summed \
+                         weight; a weight that can be negative (or wrap) breaks the meter's estimate",
+                    ),
+                );
+            }
+        }
+
+        let bounds = StatementBounds {
+            name: format!("stmt{}", s.index),
+            stream: q.from.text.clone(),
+            sampler: sampler.kind.clone(),
+            window_secs,
+            rows_per_sec: input.state.rows_per_sec,
+            rows_per_window,
+            key_cardinality,
+            supergroup_cardinality,
+            per_supergroup_bound,
+            groups_bound,
+            group_entry_bytes,
+            supergroup_entry_bytes,
+            state_bytes,
+            output_wire_bytes,
+            skew,
+            mergeable,
+        };
+
+        // What the next cascade level sees: column cardinalities for
+        // group-variable passthroughs, the window variable's period.
+        let mut out_columns = Vec::new();
+        let mut ordered_periods = Vec::new();
+        for (col_name, expr) in &spec.select {
+            if let Expr::GroupVar(i) = expr {
+                if is_window(*i) {
+                    if let Some(w) = window_secs {
+                        ordered_periods.push((col_name.clone(), w));
+                    }
+                    continue;
+                }
+                if let Some(item) = q.group_by.get(*i) {
+                    let card = expr_cardinality(&item.expr, &env);
+                    if card.is_finite() {
+                        out_columns.push((col_name.clone(), card));
+                    }
                 }
             }
         }
+        self.statements.push(bounds);
+        let level = Level { groups_bound, window_secs, out_columns, ordered_periods };
+        (Some(level), diags)
     }
-    let level = Level { groups_bound, window_secs, out_columns, ordered_periods };
-    (bounds, level, diags)
+
+    /// The outcome: the bounds report of every statement audited, and
+    /// `diagnostics`.
+    pub fn finish(self, diagnostics: Vec<Diagnostic>) -> AuditOutcome {
+        let opts = self.opts;
+        let report = BoundsReport {
+            feed: opts.feed.clone(),
+            shards: opts.shards,
+            budget: opts.budget,
+            state_budget: opts.state_budget,
+            statements: self.statements,
+        };
+        AuditOutcome { report, diagnostics }
+    }
 }
 
 /// Cardinality bound of a compiled (core) expression — used for the

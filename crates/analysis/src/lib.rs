@@ -36,7 +36,10 @@ pub mod domain;
 pub mod lint;
 pub mod report;
 
-pub use audit::{audit_file, split_statements, walk_cascade, AuditOptions, AuditOutcome, Planned};
+pub use audit::{
+    audit_file, split_statements, walk_cascade, AuditOptions, AuditOutcome, Auditor, Level,
+    Statement,
+};
 pub use bounds::{detect_sampler, SamplerInfo, SamplerKind};
 pub use domain::{AbstractState, Card, SkewClass};
 pub use report::{BoundsReport, StatementBounds};

@@ -51,7 +51,7 @@ pub use cert::{RewriteCertificate, RewriteStep};
 pub use equiv::{implies, shared_prefilter};
 pub use norm::{is_pure, is_total, normalize, normalize_statement, NormalizedStatement};
 pub use optimize::{
-    check_file_prefilters, optimize_file, ExecutableSharedPlan, OptimizeOptions, OptimizeOutcome,
+    check_file, optimize_file, ExecutableSharedPlan, OptimizeOptions, OptimizeOutcome,
     ReauditSummary, ShareCluster, ShareGroup, SharedGroupDesc, SharedPlanDesc,
 };
 pub use report::render_summary;

@@ -2,13 +2,13 @@
 //! provably shareable work, emit lints (W301–W304) and a sealed
 //! [`RewriteCertificate`], and describe the shared-execution plan.
 
-use sso_analysis::{audit_file, split_statements, AuditOptions, Card};
+use sso_analysis::{walk_cascade, AuditOptions, Auditor, Card};
 use sso_core::operator::OperatorSpec;
 use sso_core::Expr;
-use sso_query::ast::Span;
+use sso_query::ast::{Query, Span};
 use sso_query::{
-    base_stream_schema, compile_packet_predicate, dedup_diagnostics, parse_query, plan, AstExpr,
-    BinAstOp, Code, Diagnostic, ExprKind, PlannerConfig,
+    base_stream_schema, compile_packet_predicate, dedup_diagnostics, diag, plan, AstExpr, BinAstOp,
+    Code, Diagnostic, ExprKind, PlannerConfig,
 };
 use sso_types::wire::checksum;
 
@@ -66,10 +66,12 @@ pub struct ShareCluster {
 /// One deduplicated operator in the shared-execution plan description.
 #[derive(Debug, Clone)]
 pub struct SharedGroupDesc {
-    /// 0-based index of the statement whose text builds the operator.
+    /// 0-based index of the statement whose query builds the operator.
     pub representative: usize,
     /// Consumer query names (`q<n>`, 1-based statement numbers).
     pub consumers: Vec<String>,
+    /// The representative's parsed statement.
+    query: Query,
 }
 
 /// The shared-execution plan for one cluster, as pure data. Turn it
@@ -116,10 +118,10 @@ pub struct OptimizeOutcome {
     pub shared: Vec<SharedPlanDesc>,
     /// The post-rewrite re-audit.
     pub reaudit: ReauditSummary,
-    /// Analyzer diagnostics plus W301–W304, spans rebased onto the
-    /// file, deduplicated by `(code, span)`.
+    /// The statement walk's diagnostics (those of `sso check` but
+    /// W103) plus W301–W304, spans rebased onto the file, deduplicated
+    /// by `(code, span)`.
     pub diagnostics: Vec<Diagnostic>,
-    stmt_texts: Vec<String>,
 }
 
 /// One cluster's executable shared plan: the compiled prefilter plus
@@ -137,7 +139,9 @@ pub struct ExecutableSharedPlan {
 impl OptimizeOutcome {
     /// Build executable shared-plan components. **Verifies the
     /// certificate first** — a tampered trace yields an error, never a
-    /// runnable plan — and refuses when no rewrite was applied.
+    /// runnable plan — and refuses when no rewrite was applied. Each
+    /// call resolves every group's kept query against a fresh
+    /// [`PlannerConfig`], so the plans it returns own their libraries.
     pub fn build_shared(&self) -> Result<Vec<ExecutableSharedPlan>, String> {
         self.certificate.verify()?;
         if self.certificate.is_empty() && !self.shared.is_empty() {
@@ -158,9 +162,7 @@ impl OptimizeOutcome {
                     .groups
                     .iter()
                     .map(|g| {
-                        let q = parse_query(&self.stmt_texts[g.representative])
-                            .map_err(|e| e.to_string())?;
-                        let spec = plan(&q, &schema, &config).map_err(|e| e.to_string())?;
+                        let spec = plan(&g.query, &schema, &config).map_err(|e| e.to_string())?;
                         Ok((spec, g.consumers.clone()))
                     })
                     .collect::<Result<Vec<_>, String>>()?;
@@ -168,11 +170,6 @@ impl OptimizeOutcome {
             })
             .collect()
     }
-}
-
-fn rebase(mut d: Diagnostic, base: usize) -> Diagnostic {
-    d.span = Span::new(d.span.start + base, d.span.end + base);
-    d
 }
 
 /// The span a statement-level finding anchors to: the WHERE clause when
@@ -208,55 +205,36 @@ fn stmt_list(indices: &[usize]) -> String {
     }
 }
 
-/// Run the optimizer over a multi-statement file.
+/// Run the optimizer over a multi-statement file: one
+/// [`walk_cascade`], whose step normalizes each base statement that
+/// plans and re-audits every statement.
 pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
-    let stmts = split_statements(text);
-    let config = PlannerConfig::standard();
-    let fallback = sso_types::Packet::schema();
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut normalized: Vec<NormalizedStatement> = Vec::new();
-    let mut skipped: Vec<usize> = Vec::new();
-    let mut stmt_texts: Vec<String> = Vec::new();
-
-    for (idx, (base, stmt)) in stmts.iter().enumerate() {
-        stmt_texts.push((*stmt).to_string());
-        let parsed = parse_query(stmt);
-        let Ok(q) = parsed else {
-            diagnostics.extend(
-                sso_query::check(stmt, &fallback, &config).into_iter().map(|d| rebase(d, *base)),
-            );
-            skipped.push(idx);
-            continue;
-        };
-        let Some(schema) = base_stream_schema(&q.from.text) else {
-            // A cascade over a derived stream: out of scope for the
-            // sharing analysis (`sso check`/`sso audit` cover it).
-            skipped.push(idx);
-            continue;
-        };
-        let checked = sso_query::analyze(&q, &schema, &config);
-        let had_errors = sso_query::diag::has_errors(&checked);
-        diagnostics.extend(checked.into_iter().map(|d| rebase(d, *base)));
-        if had_errors {
-            skipped.push(idx);
-            continue;
+    let mut auditor = Auditor::new(&opts.audit);
+    let (mut normalized, mut specs) = (Vec::new(), Vec::new());
+    let (mut diagnostics, statements) = walk_cascade(text, |s, low| {
+        if let (true, Some(spec)) = (s.is_base, &s.spec) {
+            normalized.push(normalize_statement(s.index, s.base, &s.query, &s.schema));
+            specs.push(spec.clone());
         }
-        normalized.push(normalize_statement(idx, *base, &q, &schema));
-    }
+        // The re-audit's findings are `sso audit`'s to print.
+        (auditor.step(s, low).0, Vec::new())
+    });
+    // Cascades over derived streams and statements with errors are out
+    // of the sharing analysis.
+    let skipped = (0..statements).filter(|&i| normalized.iter().all(|n| n.index != i)).collect();
 
     // Cluster by base stream, first-appearance order.
     let mut clusters: Vec<ShareCluster> = Vec::new();
     for n in &normalized {
-        if !clusters.iter().any(|c| c.stream == n.stream) {
-            clusters.push(ShareCluster {
+        match clusters.iter_mut().find(|c| c.stream == n.stream) {
+            Some(cluster) => cluster.members.push(n.index),
+            None => clusters.push(ShareCluster {
                 stream: n.stream.clone(),
-                members: Vec::new(),
+                members: vec![n.index],
                 prefilter: Vec::new(),
                 groups: Vec::new(),
-            });
+            }),
         }
-        let cluster = clusters.iter_mut().find(|c| c.stream == n.stream).expect("just inserted");
-        cluster.members.push(n.index);
     }
 
     let mut steps: Vec<RewriteStep> = Vec::new();
@@ -288,14 +266,9 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
             if group.statements.len() < 2 {
                 continue;
             }
-            let rep = group.statements[0];
-            let schema = base_stream_schema(&cluster.stream).expect("cluster stream is base");
-            let merge_check = parse_query(&stmt_texts[rep])
-                .and_then(|q| plan(&q, &schema, &config))
-                .map_err(|e| e.to_string())
-                .and_then(|spec| sso_core::shard_plan(&spec).map(|_| ()).map_err(|nm| nm.reason));
-            match merge_check {
-                Ok(()) => {
+            let rep = normalized.iter().position(|n| n.index == group.statements[0]);
+            match sso_core::shard_plan(&specs[rep.expect("member")]).map_err(|nm| nm.reason) {
+                Ok(_) => {
                     if opts.apply {
                         steps.push(RewriteStep {
                             rule: "dedup-shared-subplan".to_string(),
@@ -323,8 +296,7 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
                                 )
                                 .with_help(
                                     "run `sso optimize` without --explain to deduplicate them \
-                                     into one shared operator"
-                                        .to_string(),
+                                     into one shared operator",
                                 ),
                             );
                         }
@@ -390,8 +362,7 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
                         )
                         .with_help(
                             "run `sso optimize` without --explain to evaluate it once ahead of \
-                             the fan-out"
-                                .to_string(),
+                             the fan-out",
                         ),
                     );
                 }
@@ -416,8 +387,7 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
                             )
                             .with_help(
                                 "parameterizing the constant would let one shared plan serve \
-                                 both queries"
-                                    .to_string(),
+                                 both queries",
                             ),
                         );
                     }
@@ -450,8 +420,7 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
                             )
                             .with_help(
                                 "the coarser window is derivable from the finer one's partial \
-                                 aggregates (shared partial aggregation, §7.2)"
-                                    .to_string(),
+                                 aggregates (shared partial aggregation, §7.2)",
                             ),
                         );
                     }
@@ -462,12 +431,14 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
         // Describe the shared-execution plan when a rewrite applied.
         let any_dedup = cluster.groups.iter().any(|g| g.statements.len() >= 2 && g.mergeable);
         if opts.apply && (any_dedup || !cluster.prefilter.is_empty()) {
+            let query_of = |i| members.iter().find(|n| n.index == i).expect("member").query.clone();
             let mut groups = Vec::new();
             for g in &cluster.groups {
                 if g.mergeable {
                     groups.push(SharedGroupDesc {
                         representative: g.statements[0],
                         consumers: g.statements.iter().map(|i| format!("q{}", i + 1)).collect(),
+                        query: query_of(g.statements[0]),
                     });
                 } else {
                     // A blocked group keeps one operator per member.
@@ -475,6 +446,7 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
                         groups.push(SharedGroupDesc {
                             representative: i,
                             consumers: vec![format!("q{}", i + 1)],
+                            query: query_of(i),
                         });
                     }
                 }
@@ -491,45 +463,45 @@ pub fn optimize_file(text: &str, opts: &OptimizeOptions) -> OptimizeOutcome {
 
     // Re-audit: the rewritten plan's bounds certificates must survive.
     // Consumer operator plans are unchanged and the hoisted prefilter
-    // is stateless, so auditing the source file audits the rewrite.
-    let audit = audit_file(text, &opts.audit);
+    // is stateless, so auditing the source file audits the rewrite. The
+    // audit's own findings are warnings: its errors are the walk's.
+    let audit = auditor.finish(Vec::new());
     let reaudit = ReauditSummary {
-        ok: !audit.has_errors() && !audit.budget_exceeded(),
+        ok: !diag::has_errors(&diagnostics) && !audit.budget_exceeded(),
         total_state_bytes: audit.report.total_state_bytes(),
         statements: audit.report.statements.len(),
     };
 
     OptimizeOutcome {
-        statements: stmts.len(),
+        statements,
         skipped,
         clusters,
         certificate: RewriteCertificate::seal(steps),
         shared,
         reaudit,
         diagnostics,
-        stmt_texts,
     }
 }
 
-/// The `sso check` W103 lint: identical normalized prefilters over the
-/// same base stream in one file. Cheap — parse and normalize only, no
-/// planning — and conservative: statements with an *empty* hoistable
-/// prefix never match (a vacuous `TRUE` prefilter is not a shared
-/// prefilter).
-pub fn check_file_prefilters(text: &str) -> Vec<Diagnostic> {
-    let stmts = split_statements(text);
+/// `sso check`: the diagnostics of the file's one [`walk_cascade`],
+/// plus the W103 lint: identical normalized prefilters over the same
+/// base stream, across every base statement that parses (errors or
+/// not). Conservative: statements with an *empty* hoistable prefix
+/// never match (a vacuous `TRUE` prefilter is not a shared prefilter).
+/// Deduplicated by `(code, span)`.
+pub fn check_file(text: &str) -> Vec<Diagnostic> {
     let mut normalized: Vec<NormalizedStatement> = Vec::new();
-    for (idx, (base, stmt)) in stmts.iter().enumerate() {
-        let Ok(q) = parse_query(stmt) else { continue };
-        let Some(schema) = base_stream_schema(&q.from.text) else { continue };
-        normalized.push(normalize_statement(idx, *base, &q, &schema));
-    }
+    let (mut diags, _) = walk_cascade(text, |s, _: Option<&()>| {
+        if s.is_base {
+            normalized.push(normalize_statement(s.index, s.base, &s.query, &s.schema));
+        }
+        (Some(()), Vec::new())
+    });
     let key = |n: &NormalizedStatement| -> Vec<String> {
         let mut texts: Vec<String> = n.hoistable.iter().map(|c| c.to_string()).collect();
         texts.sort();
         texts
     };
-    let mut diags = Vec::new();
     for (ai, a) in normalized.iter().enumerate() {
         for b in normalized.iter().skip(ai + 1) {
             if a.stream != b.stream || a.hoistable.is_empty() {
@@ -551,8 +523,7 @@ pub fn check_file_prefilters(text: &str) -> Vec<Diagnostic> {
                         )
                         .with_help(
                             "run `sso optimize` to evaluate the shared prefilter once ahead of \
-                             the fan-out"
-                                .to_string(),
+                             the fan-out",
                         ),
                     );
                 }

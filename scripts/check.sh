@@ -68,6 +68,11 @@ if [[ "${SSO_CHECK_SANITIZE:-0}" == "1" ]]; then
     fi
 fi
 
+echo "== static check over the example corpus (no diagnostics) =="
+# `sso check` reads the same statement walk as audit and optimize; the
+# corpus must raise no error and no warning (W103 included).
+time cargo run -q --bin sso -- check --deny-warnings examples/queries.sql >/dev/null
+
 echo "== static audit over the example corpus (bounds certified) =="
 # `sso audit` must certify a finite memory ceiling for every example
 # query with zero diagnostics (--deny-warnings), in well under 5s —
@@ -82,6 +87,9 @@ echo "== plan-rewrite optimizer over the example corpus (no rewrite, re-audit ok
 # re-audit, nothing executes. Its JSON schema is pinned by
 # tests/audit.rs.
 time cargo run -q --bin sso -- optimize --json --deny-warnings examples/queries.sql >/dev/null
+# The --explain mode reports what it would share as W301 lints: none.
+time cargo run -q --bin sso -- optimize --explain --json --deny-warnings examples/queries.sql \
+    >/dev/null
 
 echo "== sso --shards smoke run =="
 cargo run -q --bin sso -- --feed research --seconds 2 --shards 4 \

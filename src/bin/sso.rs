@@ -80,6 +80,7 @@
 use std::io::Write;
 use std::path::Path;
 
+use stream_sampler::analysis::{Auditor, Statement};
 use stream_sampler::json;
 use stream_sampler::netgen::{feed_profile, FEED_PROFILES};
 use stream_sampler::obs::{export, metrics_schema, snapshot_tuples, Registry, Snapshot};
@@ -389,16 +390,9 @@ fn run_check(args: &Args) -> ! {
     let (path, json) = (&args.operand, args.on("--json"));
     let text = read_queries(path);
 
-    // Collect every diagnostic (spans rebased onto the file) before
-    // printing, so the cross-statement W103 lint can be appended and
-    // duplicates collapsed once over the whole batch.
-    let mut all = stream_sampler::analysis::walk_cascade(&text, |_, _: Option<&()>| ((), vec![]));
-    // Cross-statement lint: identical normalized prefilters over the
-    // same base stream (W103; spans already file-based).
-    all.extend(stream_sampler::rewrite::check_file_prefilters(&text));
-    // Multi-statement files can repeat the same finding once per
-    // statement (dummy-span warnings especially); emit each once.
-    diag::dedup_diagnostics(&mut all);
+    // Every diagnostic (spans rebased onto the file, each finding
+    // once), the cross-statement W103 lint included, before printing.
+    let all = stream_sampler::rewrite::check_file(&text);
 
     let errors = all.iter().filter(|d| d.is_error()).count();
     let warnings = all.len() - errors;
@@ -646,13 +640,15 @@ struct Attachments<'a> {
     profiler: Option<&'a stream_sampler::profile::Profiler>,
 }
 
-/// Run the query over `packets`, single-instance or sharded. When a
-/// registry is attached the run is fully instrumented and a snapshot is
-/// pushed per closed window (single-instance) plus one final snapshot.
+/// Run the query over `packets`, single-instance or, given its shard
+/// plan, sharded. When a registry is attached the run is fully
+/// instrumented and a snapshot is pushed per closed window
+/// (single-instance) plus one final snapshot.
 fn execute_query(
     opts: &Args,
     parsed: &stream_sampler::query::Query,
     spec: OperatorSpec,
+    shard_plan: Option<&ShardPlan>,
     packets: &[Packet],
     att: Attachments<'_>,
     snapshots: &mut Vec<Snapshot>,
@@ -660,7 +656,7 @@ fn execute_query(
     let Attachments { faults, registry, profiler } = att;
     let schema = Packet::schema();
     let mut result = ExecResult { windows: Vec::new(), shard_lines: Vec::new(), coverage: 1.0 };
-    if opts.sharded() {
+    if let Some(shard_plan) = shard_plan {
         // Each shard plans from a config of its own, so no two shards
         // share a library's state factory (and its seed counter).
         let make = |_shard: usize| {
@@ -679,8 +675,11 @@ fn execute_query(
             shards,
             ..Default::default()
         };
-        let outcome = stream_sampler::analysis::audit_file(&opts.operand, &audit_opts);
-        if let Some(s) = outcome.report.statements.first() {
+        let mut auditor = Auditor::new(&audit_opts);
+        let (query, spec, schema) = (parsed.clone(), Some(spec), schema.clone());
+        let is_base = stream_sampler::query::base_stream_schema(&query.from.text).is_some();
+        auditor.step(&Statement { index: 0, base: 0, query, spec, schema, is_base }, None);
+        if let Some(s) = auditor.statements.first() {
             let hints = s.sizing_hints(shards, cfg.batch_size);
             cfg = cfg.with_sizing(hints);
         }
@@ -701,8 +700,9 @@ fn execute_query(
             durability.resume = opts.name == "recover";
             cfg = cfg.with_durability(durability);
         }
-        let report = match stream_sampler::gigascope::run_plan_sharded(
+        let report = match stream_sampler::gigascope::run_plan_sharded_with(
             Box::new(SelectionNode::pass_all()),
+            shard_plan,
             make,
             &cfg,
             packets.iter().copied(),
@@ -1051,9 +1051,11 @@ fn run(opts: Args) {
         );
     }
 
-    // Gate on shard-mergeability first so the refusal renders as a
-    // proper W102 diagnostic instead of a runtime error.
-    if opts.sharded() && stream_sampler::operator::shard_plan(&spec).is_err() {
+    // Classify the query for the sharded runtime once, here, so a
+    // refusal renders as a proper W102 diagnostic instead of a runtime
+    // error and the run reuses the plan.
+    let shard_plan = opts.sharded().then(|| shard_plan(&spec));
+    if let Some(Err(_)) = shard_plan {
         let diags = stream_sampler::query::check_shard_mergeable(query_text, &schema, &config);
         eprint!("{}", diag::render(query_text, "query", &diags));
         let why = if shards > 1 {
@@ -1065,6 +1067,7 @@ fn run(opts: Args) {
         };
         fail(1, format!("{why} requires a shard-mergeable query"));
     }
+    let shard_plan = shard_plan.and_then(Result::ok);
 
     // A fresh durable run records the query and every recorded flag so
     // `sso recover` can rebuild the identical input stream. Written
@@ -1112,8 +1115,9 @@ fn run(opts: Args) {
         // the metrics table in place until it finishes.
         std::thread::scope(|s| {
             let (opts, parsed, packets, snapshots) = (&opts, &parsed, &packets, &mut snapshots);
-            let handle =
-                s.spawn(move || execute_query(opts, parsed, spec, packets, att, snapshots));
+            let sharded = shard_plan.as_ref();
+            let handle = s
+                .spawn(move || execute_query(opts, parsed, spec, sharded, packets, att, snapshots));
             while !handle.is_finished() {
                 std::thread::sleep(std::time::Duration::from_millis(250));
                 // \x1b[2J\x1b[H = clear screen + home.
@@ -1123,7 +1127,7 @@ fn run(opts: Args) {
             handle.join().expect("top worker panicked")
         })
     } else {
-        execute_query(&opts, &parsed, spec, &packets, att, &mut snapshots)
+        execute_query(&opts, &parsed, spec, shard_plan.as_ref(), &packets, att, &mut snapshots)
     };
     let result = result.unwrap_or_else(|e| fail(1, e));
 

@@ -19,9 +19,7 @@ use stream_sampler::gigascope::{
 use stream_sampler::netgen::research_feed;
 use stream_sampler::prelude::*;
 use stream_sampler::query::{compile_packet_predicate, Code};
-use stream_sampler::rewrite::{
-    check_file_prefilters, optimize_file, OptimizeOptions, OptimizeOutcome,
-};
+use stream_sampler::rewrite::{check_file, optimize_file, OptimizeOptions, OptimizeOutcome};
 
 fn optimize(text: &str) -> OptimizeOutcome {
     optimize_file(text, &OptimizeOptions::default())
@@ -165,14 +163,14 @@ fn tampered_certificate_is_refused() {
     assert!(outcome.build_shared().is_err());
 }
 
-/// W103: `check_file_prefilters` flags duplicate normalized prefilters
+/// W103: `check_file` flags duplicate normalized prefilters
 /// across statements, with a span on each, and the JSON line round
 /// trips through the stable code.
 #[test]
 fn w103_duplicate_prefilter_across_statements() {
     let text = "SELECT tb, count(*) FROM PKT WHERE len >= 100 GROUP BY time/5 as tb;\n\
                 SELECT tb, sum(len) FROM PKT WHERE len >= 100 GROUP BY time/10 as tb";
-    let diags = check_file_prefilters(text);
+    let diags = check_file(text);
     assert_eq!(diags.len(), 2);
     let mut spans = Vec::new();
     for d in &diags {
@@ -188,7 +186,7 @@ fn w103_duplicate_prefilter_across_statements() {
     // Stateful prefilters are never flagged: nothing is hoistable.
     let stateful = "SELECT tb, count(*) FROM PKT WHERE ssample(len, 100) = TRUE GROUP BY time/5 as tb;\n\
                     SELECT tb, count(*) FROM PKT WHERE ssample(len, 100) = TRUE GROUP BY time/5 as tb";
-    assert!(check_file_prefilters(stateful).is_empty());
+    assert!(check_file(stateful).is_empty());
 }
 
 /// W302: same plan modulo constants — both statements flagged.
