@@ -3,7 +3,7 @@
 //! hash-partitioned rings, with window-aligned merge-finalize.
 
 use sso_core::{shard_plan, NotMergeable, OpError, OperatorSpec};
-use sso_runtime::{run_sharded, Refill, RuntimeConfig, RuntimeError, ShardedReport};
+use sso_runtime::{run_sharded, RuntimeConfig, RuntimeError, ShardedReport};
 use sso_types::Packet;
 
 use crate::engine::LowSource;
@@ -49,9 +49,12 @@ impl From<RuntimeError> for ShardedRunError {
 ///
 /// The low-level node runs inline on the calling thread (it reduces the
 /// packet stream before the fan-out, like the paper's low-level query
-/// below a stream operator); surviving tuples are hash-partitioned on
+/// below a stream operator); what it forwards is hash-partitioned on
 /// the query's partition key and processed by one operator instance per
-/// shard; window outputs merge per the query's merge rule.
+/// shard; window outputs merge per the query's merge rule. Behind a node
+/// with a pass test ([`LowLevelQuery::pass_test`]) the rings carry the
+/// packets themselves and each shard builds a row only for what its
+/// operator needs one for; behind any other node they carry its rows.
 ///
 /// `make_spec` builds a fresh spec per shard so stateful-function
 /// libraries (and their seeded RNG streams) are never shared across
@@ -93,13 +96,16 @@ where
     F: Fn(usize) -> Result<OperatorSpec, OpError> + Sync,
 {
     // Drive the low-level node lazily from inside the runtime's pump:
-    // the pull runs on the calling thread, so the node needs no Sync,
-    // and every forwarded packet is written into the recycled tuple the
-    // pump hands in. The pump times each piece's pull — the packet
-    // iterator and the node, and on the piece that runs out of packets
-    // the node's `finish()` pass — and that time is the node's busy time.
+    // the pull runs on the calling thread, so the node needs no Sync.
+    // The pump times each piece's pull — the packet iterator and the
+    // node, and on the piece that runs out of packets the node's
+    // `finish()` pass — and that time is the node's busy time.
     let mut source = LowSource::new(low, packets);
-    let report = run_sharded(plan, make_spec, cfg, Refill(|slot: &mut _| source.next(slot)))?;
+    let report = if source.forwards_packets() {
+        run_sharded(plan, make_spec, cfg, source.packets())
+    } else {
+        run_sharded(plan, make_spec, cfg, std::iter::from_fn(|| source.next_row()))
+    }?;
     if let Some(registry) = &cfg.registry {
         let (low, _) = source.finish();
         registry.counter("low.tuples_in").add(low.tuples_in);

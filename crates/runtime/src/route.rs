@@ -1,32 +1,30 @@
 //! The router: the pump's second half (see [`crate::pump`]). Each
-//! pulled piece is routed on the calling thread, tuple by tuple, into
+//! pulled piece is routed on the calling thread, record by record, into
 //! one batch per shard; a full batch goes into the shard's ring, waiting
 //! for room when the ring is full, and every partial batch is flushed at
-//! the chunk's end. Keyed routing is a pure content hash and
-//! round-robin routing a pure function of the tuple's global stream
-//! position, so [`route_stream`] replays it from the tuples alone.
-//! Routing runs under the fault contract the shard workers share
+//! the chunk's end. What crosses a ring is the record the pump pulled:
+//! a packet behind a low node with a pass test, a row otherwise. Keyed
+//! routing is a pure content hash and round-robin routing a pure
+//! function of the record's global stream position, so
+//! [`route_stream`] replays it from the records alone. Routing runs
+//! under the fault contract the shard workers share
 //! ([`crate::supervise`]).
 //!
 //! Every buffer is reused. Spent batches travel back (worker → router)
-//! on return rings that are never waited on — a full or closed return
-//! ring drops the buffer, and the next taker allocates one
-//! (`rt.tuple_buffers_fresh`) — while routing *swaps* each tuple with a
-//! dead one, so the pump's chunk stays full of tuples for the source to
-//! overwrite in place.
+//! emptied, on return rings that are never waited on — a full or closed
+//! return ring drops the buffer, and the next taker allocates one
+//! (`rt.tuple_buffers_fresh`).
 
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 
 use rustc_hash::FxHasher;
-use sso_core::{EvalCtx, Expr, ShardPlan};
+use sso_core::{EvalCtx, Expr, Record, ShardPlan};
 use sso_faults::WorkerFaultSchedule;
 use sso_obs::{Counter, Gauge, Histogram, Registry};
 use sso_profile::{Event as ProfEvent, LaneKind, LaneWriter, Profiler, Stage as ProfStage};
 use sso_types::Tuple;
 
 use crate::engine::{RuntimeConfig, ShardStats};
-use crate::pump::{prefetch, PREFETCH_AHEAD};
 use crate::ring::{ring, Consumer, Producer, PushError};
 use crate::supervise::{stretch, supervised, window_key, Quarantine};
 
@@ -41,12 +39,19 @@ fn pick_shard(hash: u64, shards: usize) -> usize {
     }
 }
 
-/// How the router picks a shard for a tuple. Stateless — a routing
-/// decision depends only on the tuple's content (keyed routing) or its
+/// How the router picks a shard for a record. Stateless — a routing
+/// decision depends only on the record's content (keyed routing) or its
 /// global stream position (round-robin), never on what was routed
-/// before, so [`route_stream`] replays it from the tuples alone.
-pub(crate) enum Router {
-    /// No partition key: deal tuples out cyclically by global stream
+/// before, so [`route_stream`] replays it from the records alone.
+pub(crate) struct Router {
+    key: Key,
+    /// Where a packet is made a row when its key needs one: a column
+    /// that is not a `u64`, or a general expression.
+    row: Tuple,
+}
+
+enum Key {
+    /// No partition key: deal records out cyclically by global stream
     /// position (valid only with a key-free merge rule).
     RoundRobin,
     /// Every partition expression is a plain input column.
@@ -57,9 +62,6 @@ pub(crate) enum Router {
 
 impl Router {
     pub(crate) fn new(plan: &ShardPlan) -> Router {
-        if plan.partition_exprs.is_empty() {
-            return Router::RoundRobin;
-        }
         let cols: Option<Vec<usize>> = plan
             .partition_exprs
             .iter()
@@ -68,39 +70,37 @@ impl Router {
                 _ => None,
             })
             .collect();
-        match cols {
-            Some(cols) => Router::Columns(cols),
-            None => Router::Exprs(plan.partition_exprs.clone()),
-        }
+        let key = match cols {
+            _ if plan.partition_exprs.is_empty() => Key::RoundRobin,
+            Some(cols) => Key::Columns(cols),
+            None => Key::Exprs(plan.partition_exprs.clone()),
+        };
+        Router { key, row: Tuple::empty() }
     }
 
-    /// The columns [`Self::route`] reads, as one span: none for
-    /// round-robin, from the first to the last key column, or every
-    /// column (`0..usize::MAX`) for general expressions.
-    fn reads(&self) -> Range<usize> {
-        match self {
-            Router::RoundRobin => 0..0,
-            Router::Columns(cols) => {
-                let (lo, hi) = (cols.iter().min(), cols.iter().max());
-                lo.map_or(0, |&c| c)..hi.map_or(0, |&c| c + 1)
-            }
-            Router::Exprs(_) => 0..usize::MAX,
-        }
-    }
-
-    /// The shard for the tuple at 0-based global stream position
-    /// `index`.
-    fn route(&self, tuple: &Tuple, index: u64, shards: usize) -> usize {
-        match self {
-            Router::RoundRobin => (index % shards as u64) as usize,
-            Router::Columns(cols) => {
+    /// The shard for the record at 0-based global stream position
+    /// `index`. A key column that is a `u64` is hashed as its
+    /// [`sso_types::Value::U64`] hashes, so a packet lands where its row
+    /// would.
+    #[inline]
+    fn route<R: Record>(&mut self, record: &R, index: u64, shards: usize) -> usize {
+        match &self.key {
+            Key::RoundRobin => (index % shards as u64) as usize,
+            Key::Columns(cols) => {
                 let mut h = FxHasher::default();
                 for &c in cols.iter() {
-                    tuple.get(c).hash(&mut h);
+                    match record.u64_at(c) {
+                        Some(v) => {
+                            h.write_u8(2);
+                            h.write_u64(v);
+                        }
+                        None => record.row(&mut self.row).get(c).hash(&mut h),
+                    }
                 }
                 pick_shard(h.finish(), shards)
             }
-            Router::Exprs(exprs) => {
+            Key::Exprs(exprs) => {
+                let tuple = record.row(&mut self.row);
                 let mut h = FxHasher::default();
                 for e in exprs.iter() {
                     let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
@@ -108,7 +108,7 @@ impl Router {
                         Ok(v) => v.hash(&mut h),
                         // The worker evaluates the same expression in its
                         // GROUP BY and will surface the error; any shard
-                        // will do for the faulty tuple.
+                        // will do for the faulty record.
                         Err(_) => return 0,
                     }
                 }
@@ -118,17 +118,17 @@ impl Router {
     }
 }
 
-/// Replay the router's shard decisions for a tuple sequence — the shard
-/// each tuple would land on in a run with `shards` workers. Tests (and
-/// fault-plan authors) use this to find which window a planned
-/// `(shard, tuple-count)` panic lands in.
-pub fn route_stream<'a>(
+/// Replay the router's shard decisions for a record sequence — the
+/// shard each record (a row or a packet) would land on in a run with
+/// `shards` workers. Tests (and fault-plan authors) use this to find
+/// which window a planned `(shard, tuple-count)` panic lands in.
+pub fn route_stream<'a, R: Record + 'a>(
     plan: &ShardPlan,
     shards: usize,
-    tuples: impl IntoIterator<Item = &'a Tuple>,
+    records: impl IntoIterator<Item = &'a R>,
 ) -> Vec<usize> {
-    let router = Router::new(plan);
-    tuples.into_iter().enumerate().map(|(i, t)| router.route(t, i as u64, shards)).collect()
+    let mut router = Router::new(plan);
+    records.into_iter().enumerate().map(|(i, r)| router.route(r, i as u64, shards)).collect()
 }
 
 /// The router's tracing state: its event lane (`router/0`, written by
@@ -177,27 +177,23 @@ fn record_router_send(
     t.lane.publish();
 }
 
-/// What crosses a shard ring: routed tuples. Only `tuples[..live]`
-/// are this batch; anything past `live` is dead weight from the
-/// buffer's previous trip, riding along so its allocation stays in
-/// circulation. `id` threads lineage stamps from route to process.
-pub(crate) struct Batch {
+/// What crosses a shard ring: a batch of routed records. `id` threads
+/// lineage stamps from route to process.
+pub(crate) struct Batch<R> {
     pub(crate) id: u32,
-    pub(crate) live: usize,
-    pub(crate) tuples: Vec<Tuple>,
+    pub(crate) records: Vec<R>,
 }
 
 /// The router's sending state: the per-shard rings and batch
 /// accumulators, and its accounting cells.
-pub(crate) struct Sender<'a> {
+pub(crate) struct Sender<'a, R> {
     shards: usize,
     batch_size: usize,
-    txs: Vec<Producer<Batch>>,
-    /// Spent batches coming home from each shard's worker.
-    homes: Vec<Consumer<Vec<Tuple>>>,
-    /// Per shard: the batch being filled and how many of its tuples are
-    /// live (the rest are dead tuples waiting to be traded).
-    batches: Vec<(Vec<Tuple>, usize)>,
+    txs: Vec<Producer<Batch<R>>>,
+    /// Spent batches coming home, emptied, from each shard's worker.
+    homes: Vec<Consumer<Vec<R>>>,
+    /// Per shard: the batch being filled.
+    batches: Vec<Vec<R>>,
     next_batch_id: u32,
     stats: &'a [ShardStats],
     ring_depths: &'a [Gauge],
@@ -211,9 +207,9 @@ pub(crate) struct Sender<'a> {
 
 /// A shard worker's ends of its rings: batches from the router, and
 /// the return ring its spent batches go home on.
-pub(crate) type WorkerRings = (Consumer<Batch>, Producer<Vec<Tuple>>);
+pub(crate) type WorkerRings<R> = (Consumer<Batch<R>>, Producer<Vec<R>>);
 
-impl<'a> Sender<'a> {
+impl<'a, R: Send> Sender<'a, R> {
     /// The router's end of one batch ring and one return ring per
     /// shard, and the workers' ends. The return ring holds the shard's
     /// whole pool — the ring's depth, the batch being filled, the batch
@@ -225,11 +221,11 @@ impl<'a> Sender<'a> {
         ring_depths: &'a [Gauge],
         registry: &Registry,
         fresh: &Counter,
-    ) -> (Self, Vec<WorkerRings>) {
+    ) -> (Self, Vec<WorkerRings<R>>) {
         let ring_cap = cfg.effective_ring_capacity();
         let (mut txs, mut homes, mut ends) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..cfg.shards {
-            let (tx, rx) = ring::<Batch>(ring_cap);
+            let (tx, rx) = ring::<Batch<R>>(ring_cap);
             // The return ring starts out full, its buffers counted as
             // fresh: with the whole pool in circulation a taker always
             // finds one at home and a return always finds room.
@@ -247,7 +243,7 @@ impl<'a> Sender<'a> {
             batch_size: cfg.batch_size,
             txs,
             homes,
-            batches: (0..cfg.shards).map(|_| Default::default()).collect(),
+            batches: (0..cfg.shards).map(|_| Vec::new()).collect(),
             next_batch_id: 0,
             stats,
             ring_depths,
@@ -262,36 +258,27 @@ impl<'a> Sender<'a> {
             }),
         };
         for shard in 0..cfg.shards {
-            sender.batches[shard].0 = sender.recycled(shard);
+            sender.batches[shard] = sender.recycled(shard);
         }
         (sender, ends)
     }
 
-    /// Route `tuple` to `shard` by trading it for a dead tuple of the
-    /// batch being filled: the chunk it came from goes home with a
-    /// buffer the source can overwrite.
-    fn push_tuple(&mut self, shard: usize, tuple: &mut Tuple) {
-        let (slots, live) = &mut self.batches[shard];
-        // The slots came home from the worker's core: ask for the one
-        // this shard fills a few tuples from now.
-        if let Some(ahead) = slots.get(*live + PREFETCH_AHEAD..=*live + PREFETCH_AHEAD) {
-            prefetch(ahead, true);
-        }
-        match slots.get_mut(*live) {
-            Some(dead) => std::mem::swap(dead, tuple),
-            None => slots.push(std::mem::take(tuple)),
-        }
-        *live += 1;
-        if *live >= self.batch_size {
+    /// Add `record` to `shard`'s batch, sending the batch once it is
+    /// full.
+    #[inline]
+    fn push(&mut self, shard: usize, record: R) {
+        let batch = &mut self.batches[shard];
+        batch.push(record);
+        if batch.len() >= self.batch_size {
             self.send_batch(shard);
         }
     }
 
     /// End of chunk: send every partial batch still buffered, so a
-    /// lightly loaded shard's tuples wait at most one chunk.
+    /// lightly loaded shard's records wait at most one chunk.
     pub(crate) fn end_chunk(&mut self) {
         for shard in 0..self.shards {
-            if self.batches[shard].1 > 0 {
+            if !self.batches[shard].is_empty() {
                 self.send_batch(shard);
             }
         }
@@ -299,7 +286,7 @@ impl<'a> Sender<'a> {
 
     /// A spent batch from `shard`'s worker, or — when none has come
     /// home — a new one.
-    fn recycled(&mut self, shard: usize) -> Vec<Tuple> {
+    fn recycled(&mut self, shard: usize) -> Vec<R> {
         match self.homes[shard].try_pop() {
             Ok(Some(spent)) => spent,
             _ => {
@@ -319,32 +306,26 @@ impl<'a> Sender<'a> {
     }
 
     /// Push one batch into a ring found full, waiting for room: one
-    /// stall, however long the wait. A closed ring hands the buffer
+    /// stall, however long the wait. A closed ring hands the batch
     /// back.
-    fn push_blocking(
-        &mut self,
-        shard: usize,
-        id: u32,
-        live: usize,
-        tuples: Vec<Tuple>,
-        t0: Option<u64>,
-    ) -> Option<Vec<Tuple>> {
+    fn push_blocking(&mut self, shard: usize, batch: Batch<R>, t0: Option<u64>) -> Option<Vec<R>> {
         // The waiting batch counts toward ring depth from wait *entry*:
         // a full-ring stall shorter than one batch is visible to a
         // mid-run snapshot, not only at the next batch boundary.
         self.ring_depths[shard].add(1.0);
         self.stats[shard].stalls.inc();
         let wait_from = self.trace.as_ref().map(|t| t.p.now_ns());
-        match self.txs[shard].push(Batch { id, live, tuples }) {
+        let (id, len) = (batch.id, batch.records.len() as u64);
+        match self.txs[shard].push(batch) {
             Ok(()) => {
-                self.delivered(shard, id, live as u64, t0, wait_from);
+                self.delivered(shard, id, len, t0, wait_from);
                 None
             }
             // Closed ring: the batch counted above never arrived.
             Err(batch) => {
                 self.ring_depths[shard].add(-1.0);
                 self.worker_gone = true;
-                Some(batch.tuples)
+                Some(batch.records)
             }
         }
     }
@@ -353,85 +334,151 @@ impl<'a> Sender<'a> {
     /// room when it is full, and start the next one in a recycled
     /// buffer.
     fn send_batch(&mut self, shard: usize) {
-        let (tuples, live) = std::mem::take(&mut self.batches[shard]);
-        let id = self.next_batch_id;
+        let records = std::mem::take(&mut self.batches[shard]);
+        let (id, len) = (self.next_batch_id, records.len() as u64);
         self.next_batch_id = id.wrapping_add(1);
         let t0 = self.trace.as_ref().map(|t| t.p.now_ns());
-        let unsent = match self.txs[shard].try_push(Batch { id, live, tuples }) {
+        let unsent = match self.txs[shard].try_push(Batch { id, records }) {
             Ok(()) => {
                 self.ring_depths[shard].add(1.0);
-                self.delivered(shard, id, live as u64, t0, None);
+                self.delivered(shard, id, len, t0, None);
                 None
             }
-            Err(PushError::Full(batch)) => self.push_blocking(shard, id, live, batch.tuples, t0),
+            Err(PushError::Full(batch)) => self.push_blocking(shard, batch, t0),
             // Worker death closes the ring: the pump stops at the end
             // of the chunk, and the join in `run_sharded` surfaces the
             // reason.
             Err(PushError::Closed(batch)) => {
                 self.worker_gone = true;
-                Some(batch.tuples)
+                Some(batch.records)
             }
         };
-        // A batch that never left is the next accumulator as it stands.
-        let next = unsent.unwrap_or_else(|| self.recycled(shard));
-        self.batches[shard] = (next, 0);
+        // A batch that never left is the next accumulator, emptied.
+        self.batches[shard] = match unsent {
+            Some(mut records) => {
+                records.clear();
+                records
+            }
+            None => self.recycled(shard),
+        };
     }
 }
 
 /// Route one piece of a chunk, stream positions `start ..`, in
-/// supervised stretches. A panic quarantines the router for the window
-/// it struck: the window's unrouted tuples are counted, never sent,
-/// until its first tuple of the next window. Routing is stateless, so
-/// going live again *is* the respawn. A tuple's fault ordinal is its
-/// 1-based stream position, quarantined tuples included.
-pub(crate) fn route_piece(
-    sender: &mut Sender<'_>,
+/// supervised stretches, moving each record into its shard's batch. A
+/// panic quarantines the router for the window it struck: the window's
+/// unrouted records are counted, never sent, until its first record of
+/// the next window. Routing is stateless, so going live again *is* the
+/// respawn. A record's fault ordinal is its 1-based stream position,
+/// quarantined records included.
+pub(crate) fn route_piece<R: Record + Default + Send>(
+    sender: &mut Sender<'_, R>,
     quarantine: &mut Quarantine,
     faults: &mut WorkerFaultSchedule,
-    router: &Router,
+    router: &mut Router,
     wexprs: &[Expr],
-    chunk: &mut [Tuple],
+    piece: &mut [R],
     start: u64,
 ) {
-    // The router prefetches only the values it reads: the lines the
-    // worker alone reads then travel from the pump's cache once.
-    let reads = router.reads();
     let mut local = 0usize;
-    while local < chunk.len() {
-        local += quarantine.skip(&chunk[local..], wexprs);
+    while local < piece.len() {
+        local += quarantine.skip(&piece[local..], wexprs);
         if quarantine.active() {
             break;
         }
         let first = start + local as u64 + 1;
-        let (fault, len) = stretch(faults, first, chunk.len() - local);
+        let (fault, len) = stretch(faults, first, piece.len() - local);
         let end = local + len;
         // `local` lives outside the closure: after a panic it names the
-        // tuple that tripped it (an injected trip fires before its
-        // tuple is traded out of the chunk, so it is still intact for
+        // record that tripped it (an injected trip fires before its
+        // record is moved out of the piece, so it is still intact for
         // window-key attribution).
         let outcome = {
-            let (local, chunk, sender, reads) = (&mut local, &mut *chunk, &mut *sender, &reads);
+            let (local, piece, sender, router) =
+                (&mut local, &mut *piece, &mut *sender, &mut *router);
             supervised(move || {
                 if let Some(f) = fault {
                     f.trip_router(first);
                 }
                 while *local < end {
-                    if let Some(ahead) = chunk.get(*local + PREFETCH_AHEAD) {
-                        let values = ahead.values();
-                        prefetch(values.get(reads.clone()).unwrap_or(values), false);
-                    }
-                    let tuple = &mut chunk[*local];
-                    let shard = router.route(tuple, start + *local as u64, sender.shards);
-                    sender.push_tuple(shard, tuple);
+                    let record = &mut piece[*local];
+                    let shard = router.route(record, start + *local as u64, sender.shards);
+                    sender.push(shard, std::mem::take(record));
                     *local += 1;
                 }
             })
         };
         if outcome.is_err() {
-            // The tripping tuple is the first of its window's tuples the
-            // router loses.
-            quarantine.enter(window_key(wexprs, &chunk[local]), 1);
+            // The tripping record is the first of its window's records
+            // the router loses.
+            quarantine.enter(window_key(wexprs, &piece[local]), 1);
             local += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sso_core::expr::BinOp;
+    use sso_core::MergeRule;
+    use sso_types::{Packet, Protocol, Value};
+
+    fn packets(n: u64) -> Vec<Packet> {
+        (0..n)
+            .map(|i| Packet {
+                uts: i * 7_919 + 1,
+                src_ip: (i.wrapping_mul(2_654_435_761) >> 7) as u32,
+                dest_ip: (i % 13) as u32,
+                src_port: (i * 31) as u16,
+                dest_port: 80,
+                proto: if i % 3 == 0 { Protocol::Udp } else { Protocol::Tcp },
+                len: 40 + (i % 1460) as u32,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_packet_goes_where_its_row_goes_for_every_router_kind() {
+        let (src, dest, len) = (Expr::Column(2), Expr::Column(3), Expr::Column(7));
+        let keys = [
+            ("round-robin", vec![]),
+            ("one column", vec![src.clone()]),
+            ("two columns", vec![src.clone(), dest.clone()]),
+            ("an expression", vec![Expr::bin(BinOp::Rem, src, Expr::lit(16u64))]),
+            ("a column and an expression", vec![dest, len.div(Expr::lit(100u64))]),
+        ];
+        let pkts = packets(5_000);
+        let rows: Vec<Tuple> = pkts.iter().map(Packet::to_tuple).collect();
+        for (what, partition_exprs) in keys {
+            let plan = ShardPlan { partition_exprs, rule: MergeRule::Concat };
+            for shards in [1, 2, 3, 8] {
+                let by_packet = route_stream(&plan, shards, &pkts);
+                assert_eq!(
+                    by_packet,
+                    route_stream(&plan, shards, &rows),
+                    "{what}, {shards} shards"
+                );
+                if shards > 1 {
+                    let used = (0..shards).filter(|s| by_packet.contains(s)).count();
+                    assert!(used > 1, "{what}, {shards} shards: every packet on one shard");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_column_that_is_not_a_u64_hashes_as_its_value() {
+        // Rows whose key column holds other kinds of value: the router
+        // hashes the value itself, and a non-negative `I64` lands where
+        // the equal `U64` does.
+        let plan = ShardPlan { partition_exprs: vec![Expr::Column(0)], rule: MergeRule::Concat };
+        let rows = |v: fn(u64) -> Value| -> Vec<Tuple> {
+            (0..512).map(|i| Tuple::new(vec![v(i)])).collect()
+        };
+        let unsigned = route_stream(&plan, 8, &rows(Value::U64));
+        assert_eq!(unsigned, route_stream(&plan, 8, &rows(|i| Value::I64(i as i64))));
+        let text = route_stream(&plan, 8, &rows(|i| Value::str(&i.to_string())));
+        assert!((0..8).all(|s| text.contains(&s)), "text keys spread over every shard");
     }
 }

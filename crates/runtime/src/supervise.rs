@@ -13,7 +13,7 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use sso_core::{panic_message, EvalCtx, Expr};
+use sso_core::{panic_message, EvalCtx, Expr, Record};
 use sso_faults::{WorkerFault, WorkerFaultSchedule};
 use sso_obs::Counter;
 use sso_profile::{DumpReason, Profiler};
@@ -73,10 +73,13 @@ pub(crate) fn stretch(
     (fault, len)
 }
 
-/// Evaluate the window-defining expressions against a raw tuple. `None`
-/// on evaluation error (the operator will surface the error itself when
-/// the tuple is processed live).
-pub(crate) fn window_key(wexprs: &[Expr], tuple: &Tuple) -> Option<Tuple> {
+/// Evaluate the window-defining expressions against a record, made a
+/// row for it (a packet's row is built here: only the quarantine and
+/// resume paths ask). `None` on evaluation error (the operator will
+/// surface the error itself when the record is processed live).
+pub(crate) fn window_key<R: Record>(wexprs: &[Expr], record: &R) -> Option<Tuple> {
+    let mut row = Tuple::empty();
+    let tuple = record.row(&mut row);
     let mut vals = Vec::with_capacity(wexprs.len());
     for e in wexprs {
         let mut ctx = EvalCtx { tuple: Some(tuple), ..EvalCtx::empty("GROUP BY") };
@@ -136,15 +139,16 @@ impl Quarantine {
         }
     }
 
-    /// Pass over the quarantined window's tuples at the front of
-    /// `tuples`, counting them as uncovered, and return how many were
-    /// passed over. The first tuple of any other window lifts the
+    /// Pass over the quarantined window's records at the front of
+    /// `records`, counting them as uncovered, and return how many were
+    /// passed over. The first record of any other window lifts the
     /// quarantine; it is not passed over.
-    pub(crate) fn skip(&mut self, tuples: &[Tuple], wexprs: &[Expr]) -> usize {
+    pub(crate) fn skip<R: Record>(&mut self, records: &[R], wexprs: &[Expr]) -> usize {
         let Some(key) = self.window.take() else { return 0 };
-        let n = tuples.iter().take_while(|t| window_key(wexprs, t).as_ref() == Some(&key)).count();
+        let n =
+            records.iter().take_while(|r| window_key(wexprs, *r).as_ref() == Some(&key)).count();
         self.charge(Some(&key), n as u64);
-        if n == tuples.len() {
+        if n == records.len() {
             self.window = Some(key);
         }
         n

@@ -5,7 +5,9 @@
 
 use std::sync::atomic::Ordering as AtomicOrdering;
 
-use sso_core::{Expr, OpError, OperatorMetrics, OperatorSpec, SamplingOperator, WindowOutput};
+use sso_core::{
+    Expr, OpError, OperatorMetrics, OperatorSpec, Record, SamplingOperator, WindowOutput,
+};
 use sso_faults::WorkerFaultSchedule;
 use sso_obs::{Gauge, Registry, Stopwatch};
 use sso_profile::{Event as ProfEvent, LaneWriter, Profiler, Stage as ProfStage};
@@ -15,7 +17,7 @@ use sso_types::Tuple;
 
 use crate::engine::{RuntimeConfig, RuntimeError, ShardStats, StoreStats};
 use crate::merge::{tuple_cmp, ShardPartial};
-use crate::pump::{prefetch, stamp};
+use crate::pump::stamp;
 use crate::ring::{Consumer, Producer};
 use crate::route::Batch;
 use crate::supervise::{stretch, supervised, window_key, Quarantine};
@@ -92,21 +94,22 @@ pub(crate) type Build<'a> =
 /// One shard's supervised worker: its forward ring and return ring, the
 /// live operator (`None` while quarantined), the window outputs
 /// accumulated so far, and its quarantine. Each shard runs one on a
-/// thread of its own ([`Worker::drain`]).
-pub(crate) struct Worker<'a> {
+/// thread of its own ([`Worker::drain`]) over records of type `R`: the
+/// operator builds a packet's row only where it needs one.
+pub(crate) struct Worker<'a, R> {
     pub(crate) shard: usize,
     /// The shard's ring from the pump.
-    pub(crate) rx: Consumer<Batch>,
-    /// Spent batches go home to the pump.
-    pub(crate) home: Producer<Vec<Tuple>>,
+    pub(crate) rx: Consumer<Batch<R>>,
+    /// Spent batches go home to the pump, emptied.
+    pub(crate) home: Producer<Vec<R>>,
     /// This shard's `rt.ring_depth` cell: one down per batch taken.
     pub(crate) depth: Gauge,
     pub(crate) op: Option<SamplingOperator>,
     pub(crate) quarantine: Quarantine,
-    /// Tuples fed into the live operator's current window (the loss if
+    /// Records fed into the live operator's current window (the loss if
     /// it panics now).
     pub(crate) window_tuples: u64,
-    /// Tuples handed to this worker so far (fault triggers key on this).
+    /// Records handed to this worker so far (fault triggers key on this).
     pub(crate) tuple_count: u64,
     pub(crate) windows: Vec<WindowOutput>,
     pub(crate) wexprs: Vec<Expr>,
@@ -116,9 +119,9 @@ pub(crate) struct Worker<'a> {
     pub(crate) build: &'a Build<'a>,
     /// Durable writer for this shard (`None` = in-memory run).
     pub(crate) store: Option<ShardStore>,
-    /// Resume watermark: tuples whose window key is `<=` this are
+    /// Resume watermark: records whose window key is `<=` this are
     /// skipped (their windows were recovered from the store). Cleared
-    /// at the first tuple past it.
+    /// at the first record past it.
     pub(crate) watermark: Option<Tuple>,
     pub(crate) store_stats: Option<StoreStats>,
     /// The worker's lineage lane, opened on its own thread (`Some`
@@ -126,7 +129,7 @@ pub(crate) struct Worker<'a> {
     pub(crate) trace: Option<(Profiler, LaneWriter)>,
 }
 
-impl Worker<'_> {
+impl<R: Record + Send> Worker<'_, R> {
     /// Catch the aftermath of a panic: take the poisoned operator,
     /// charge the tuples fed into it to its current window and the tuple
     /// that tripped the panic (if any) to the window its own key names,
@@ -134,7 +137,7 @@ impl Worker<'_> {
     /// the operator had none. A trip on the first tuple of a new window
     /// thus quarantines the old one, which the next tuple lifts: the new
     /// window loses the tripping tuple only.
-    fn enter_quarantine(&mut self, tripped_by: Option<&Tuple>) {
+    fn enter_quarantine(&mut self, tripped_by: Option<&R>) {
         let current = self.op.take().and_then(|o| o.current_window());
         let tripped = tripped_by.and_then(|t| window_key(&self.wexprs, t));
         let key = current.or_else(|| tripped.clone());
@@ -147,7 +150,7 @@ impl Worker<'_> {
         self.window_tuples = 0;
     }
 
-    fn run_batch(&mut self, batch: &[Tuple]) -> Result<(), RuntimeError> {
+    fn run_batch(&mut self, batch: &[R]) -> Result<(), RuntimeError> {
         let mut cursor = 0usize;
         while cursor < batch.len() {
             if self.quarantine.active() {
@@ -178,7 +181,7 @@ impl Worker<'_> {
     /// evaluation; windows are monotone in stream order, so the first
     /// tuple past the watermark ends the checking for good. Returns the
     /// position of the first tuple the operator must see.
-    fn skip_recovered(&mut self, batch: &[Tuple], mut cursor: usize) -> usize {
+    fn skip_recovered(&mut self, batch: &[R], mut cursor: usize) -> usize {
         while let (Some(wm), Some(t)) = (&self.watermark, batch.get(cursor)) {
             match window_key(&self.wexprs, t) {
                 Some(k) if tuple_cmp(&k, wm).is_le() => {
@@ -201,7 +204,7 @@ impl Worker<'_> {
     /// After a panic the operator's [`SamplingOperator::batch_entered`]
     /// names the tuple that raised it, and that tuple is the last one
     /// consumed.
-    fn run_stretch(&mut self, tuples: &[Tuple]) -> Result<usize, RuntimeError> {
+    fn run_stretch(&mut self, tuples: &[R]) -> Result<usize, RuntimeError> {
         let shard = self.shard;
         let first = self.tuple_count + 1;
         let (fault, mut len) = stretch(&mut self.faults, first, tuples.len());
@@ -291,21 +294,20 @@ impl Worker<'_> {
         mut self,
         crashed: &SyncBool,
     ) -> Result<Option<ShardPartial>, RuntimeError> {
-        while let Some(Batch { id, live, tuples }) = self.rx.pop() {
+        while let Some(Batch { id, mut records }) = self.rx.pop() {
             self.depth.add(-1.0);
             let win = self.windows.len() as u32;
+            let len = records.len() as u64;
             let sw = Stopwatch::start();
-            for tuple in &tuples[..live] {
-                prefetch(tuple.values(), false);
-            }
-            self.run_batch(&tuples[..live])?;
+            self.run_batch(&records)?;
             let busy = sw.elapsed_ns();
-            self.stats.tuples.add(live as u64);
+            self.stats.tuples.add(len);
             self.stats.busy_ns.add(busy);
             // Never waited on: a full or closed return ring frees the
             // batch here and the pump allocates its replacement.
-            let _ = self.home.try_push(tuples);
-            self.stamp(ProfStage::Process, busy, |e| e.window(win).batch(id).aux(live as u64));
+            records.clear();
+            let _ = self.home.try_push(records);
+            self.stamp(ProfStage::Process, busy, |e| e.window(win).batch(id).aux(len));
             self.publish_store_stats();
         }
         if crashed.load(AtomicOrdering::Acquire) {

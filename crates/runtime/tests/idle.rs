@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use sso_core::{queries, shard_plan};
 use sso_obs::Stopwatch;
-use sso_runtime::{run_sharded, Refill, RuntimeConfig};
-use sso_types::{Packet, Protocol, Tuple};
+use sso_runtime::{run_sharded, RuntimeConfig};
+use sso_types::{Packet, Protocol};
 
 /// Clock ticks per second of `/proc/<pid>/stat`'s time fields: the
 /// kernel's `USER_HZ`, fixed at 100 in its user-space ABI.
@@ -42,15 +42,15 @@ fn a_waiting_run_parks_instead_of_polling() {
     cfg.batch_size = 1;
     let mut slept = Duration::ZERO;
     let mut i = 0u64;
-    let source = Refill(|slot: &mut Tuple| {
+    let source = std::iter::from_fn(|| {
         if i == TUPLES {
-            return false;
+            return None;
         }
         let nap = Stopwatch::start();
         #[allow(clippy::disallowed_methods)] // the slow source under test
         std::thread::sleep(NAP);
         slept += nap.elapsed();
-        *slot = Packet {
+        let tuple = Packet {
             uts: i * 1_000_000 + 1,
             src_ip: (i % 16) as u32,
             dest_ip: 9,
@@ -61,7 +61,7 @@ fn a_waiting_run_parks_instead_of_polling() {
         }
         .to_tuple();
         i += 1;
-        true
+        Some(tuple)
     });
     let before = process_cpu();
     let report = run_sharded(&plan, |_| Ok(queries::total_sum_query(1)), &cfg, source).unwrap();

@@ -57,8 +57,16 @@ impl Protocol {
     }
 }
 
-/// A captured (synthetic) IP packet header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Protocol number 0, so that [`Packet::default`] is all zeros.
+impl Default for Protocol {
+    fn default() -> Self {
+        Protocol::Other(0)
+    }
+}
+
+/// A captured (synthetic) IP packet header. The default packet is all
+/// zeros: it stands for a record moved out of a buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Packet {
     /// Nanosecond-granularity capture timestamp.
     pub uts: u64,
