@@ -165,9 +165,7 @@ pub fn walk_cascade<L>(
                 next = level.filter(|_| statement.spec.is_some()).map(|l| (statement, l));
                 diags
             }
-            // Re-run through check() to get the E100/E101 diagnostic
-            // form of lex/parse failures.
-            Err(_) => sso_query::check(stmt, &sso_types::Packet::schema(), &config),
+            Err(e) => sso_query::parse_diagnostics(stmt, e),
         };
         // Re-base spans from the statement onto the whole file.
         for d in &mut diags {

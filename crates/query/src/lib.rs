@@ -84,41 +84,60 @@ pub fn compile(
 /// it, then classify the spec with [`sso_core::shard_plan`]. A query
 /// that fails to parse or plan returns [`check`]'s diagnostics; a valid
 /// but non-shard-mergeable query returns a single `W102` warning whose
-/// help text explains which merge rule is missing.
+/// help text explains which merge rule is missing
+/// ([`not_mergeable_diagnostic`]).
 pub fn check_shard_mergeable(
     text: &str,
     schema: &Schema,
     config: &PlannerConfig,
 ) -> Vec<Diagnostic> {
-    let Ok(q) = parse_query(text) else { return check(text, schema, config) };
+    let q = match parse_query(text) {
+        Ok(q) => q,
+        Err(e) => return parse_diagnostics(text, e),
+    };
     let spec = match resolve(&q, schema, config) {
         (_, Ok(spec)) => spec,
         (diags, Err(_)) => return diags,
     };
     match sso_core::shard_plan(&spec) {
         Ok(_) => Vec::new(),
-        Err(not_mergeable) => vec![Diagnostic::new(
-            Code::W102,
-            Span::DUMMY,
-            "query is not shard-mergeable; it must run on a single operator instance",
-        )
-        .with_help(not_mergeable.reason)],
+        Err(not_mergeable) => vec![not_mergeable_diagnostic(&not_mergeable)],
     }
+}
+
+/// The `W102` warning for a query [`sso_core::shard_plan`] refused: the
+/// query must run on a single operator instance, and the help says which
+/// merge rule is missing.
+pub fn not_mergeable_diagnostic(refusal: &sso_core::NotMergeable) -> Diagnostic {
+    Diagnostic::new(
+        Code::W102,
+        Span::DUMMY,
+        "query is not shard-mergeable; it must run on a single operator instance",
+    )
+    .with_help(refusal.reason.clone())
 }
 
 /// Statically check a query: parse, then resolve it, returning every
 /// diagnostic found. Lexical and syntax errors come back as single
-/// `E100`/`E101` diagnostics so callers can render any failure the
-/// same way.
+/// `E100`/`E101` diagnostics ([`parse_diagnostics`]) so callers can
+/// render any failure the same way.
 pub fn check(text: &str, schema: &Schema, config: &PlannerConfig) -> Vec<Diagnostic> {
     match parse_query(text) {
         Ok(q) => analyze(&q, schema, config),
-        Err(QueryError::Lex { position, message }) => vec![Diagnostic::new(
+        Err(e) => parse_diagnostics(text, e),
+    }
+}
+
+/// The diagnostics of `text`'s [`parse_query`] error: a lexical or
+/// syntax error as one `E100` / `E101` at its position.
+pub fn parse_diagnostics(text: &str, error: QueryError) -> Vec<Diagnostic> {
+    match error {
+        QueryError::Lex { position, message } => vec![Diagnostic::new(
             Code::E100,
             Span::new(position, position + 1),
             format!("lexical error: {message}"),
         )],
-        Err(QueryError::Parse { position, message }) => vec![Diagnostic::new(
+        QueryError::Parse { position, message } => vec![Diagnostic::new(
             Code::E101,
             Span::new(position, position + 1),
             format!("syntax error: {message}"),
@@ -127,8 +146,8 @@ pub fn check(text: &str, schema: &Schema, config: &PlannerConfig) -> Vec<Diagnos
         // front-end change routes others here, surface their own
         // diagnostics when they carry them, and otherwise point at the
         // statement the error is about — never at offset 0.
-        Err(QueryError::Analysis(diags)) => diags,
-        Err(other) => {
+        QueryError::Analysis(diags) => diags,
+        other => {
             let span = other.primary_span(text);
             vec![Diagnostic::new(Code::E101, span, other.to_string())]
         }

@@ -1055,8 +1055,8 @@ fn run(opts: Args) {
     // refusal renders as a proper W102 diagnostic instead of a runtime
     // error and the run reuses the plan.
     let shard_plan = opts.sharded().then(|| shard_plan(&spec));
-    if let Some(Err(_)) = shard_plan {
-        let diags = stream_sampler::query::check_shard_mergeable(query_text, &schema, &config);
+    if let Some(Err(refusal)) = &shard_plan {
+        let diags = [stream_sampler::query::not_mergeable_diagnostic(refusal)];
         eprint!("{}", diag::render(query_text, "query", &diags));
         let why = if shards > 1 {
             format!("--shards {shards}")
