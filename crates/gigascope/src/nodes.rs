@@ -8,6 +8,13 @@
 //! pass-everything selection subquery burned ~60% of a CPU in memory
 //! copies, while pushing *basic* subset-sum sampling (threshold `z/10`)
 //! down into the low-level node cut it to ~4%.
+//!
+//! A node that forwards packets unchanged has a pass test
+//! ([`LowLevelQuery::pass_test`]). Behind one, the executors hand the
+//! high level the packets themselves — inline in a batch, and sharded
+//! across the runtime's rings, 32 bytes a packet — and the tuple copy
+//! is paid only where an operator needs a row, for what it admits.
+//! Behind any other node, what crosses is the node's tuples.
 
 use sso_sampling::subset_sum::BasicSubsetSum;
 use sso_types::{Packet, Tuple};
