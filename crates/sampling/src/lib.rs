@@ -1,8 +1,7 @@
 //! # sso-sampling
 //!
-//! Standalone, operator-independent reference implementations of the four
-//! stream-sampling algorithm families the paper runs on its generic
-//! sampling operator (§4):
+//! The stream-sampling algorithm families the paper runs on its generic
+//! sampling operator (§4), outside the operator:
 //!
 //! * [`reservoir`] — fixed-size uniform sampling: Vitter's Algorithm R and
 //!   the skip-based Algorithm Z ("generate a skip, jump, replace").
@@ -17,10 +16,12 @@
 //!   \[19\]): a bounded uniform sample over distinct values via hash-level
 //!   thresholds, for distinct-count and distinct-subset queries.
 //!
-//! These are the ground-truth baselines: the operator-hosted versions in
-//! `sso-core` are tested for distributional agreement against this crate,
-//! and the benchmark harness uses these as the "algorithm outside the
-//! DSMS" comparators.
+//! For the threshold family this crate holds the operator's own kernel
+//! ([`ThresholdMeter`], [`ThresholdState`]): `sso-core`'s subset-sum
+//! library runs it, as do the prefilter node and the samplers here. Lossy
+//! counting and KMV are written apart from the operator and remain its
+//! end-to-end oracles. The benchmark harness uses this crate's samplers as
+//! the "algorithm outside the DSMS" comparators.
 
 pub mod distinct;
 pub mod hash;
@@ -35,6 +36,6 @@ pub use lossy::LossyCounter;
 pub use reservoir::{Reservoir, SkipReservoir};
 pub use subset_sum::{
     merge_threshold_samples, merge_window_results, BasicSubsetSum, DynamicSubsetSum,
-    MergedThresholdSample, SubsetSumConfig, ThresholdCarry, ThresholdPart, WeightedSample,
-    WindowResult,
+    MergedThresholdSample, SubsetSumConfig, ThresholdCarry, ThresholdMeter, ThresholdPart,
+    ThresholdState, WeightedSample, WindowResult,
 };
