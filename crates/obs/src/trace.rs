@@ -56,13 +56,6 @@ impl SampledSpan {
         }
     }
 
-    /// The busy-time counter this span scales its samples into. Callers
-    /// can add unsampled work to the same cell (e.g. a finish pass) and
-    /// read the combined estimate back.
-    pub fn busy_counter(&self) -> &Counter {
-        &self.busy
-    }
-
     /// Enter the span. `None` when tracing is disabled or this entry is
     /// not sampled; hold the guard for the duration of the work.
     #[inline]

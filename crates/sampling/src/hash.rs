@@ -2,14 +2,11 @@
 //! algorithms.
 //!
 //! Min-hash needs a family of independent hash functions; following the
-//! standard construction (and the paper's observation, after Broder, that
-//! "a substitute for the minimum of N hash functions is the N minimum
-//! values of a single hash function"), we provide:
-//!
-//! * [`splitmix64`] — a strong single 64-bit mixer, used as *the* hash
-//!   function for k-minimum-values signatures;
-//! * [`SeededHash`] — a seeded variant giving a cheap family of
-//!   pairwise-independent-ish functions for tests and ablations.
+//! paper's observation, after Broder, that "a substitute for the minimum
+//! of N hash functions is the N minimum values of a single hash
+//! function", [`splitmix64`] — a strong single 64-bit mixer — is *the*
+//! hash function for k-minimum-values signatures, and [`to_unit`] maps
+//! its output to the unit interval.
 
 /// The finalizer of the SplitMix64 generator: a fast, well-mixed 64-bit
 /// permutation. Suitable for hashing integer keys (IP addresses, ports)
@@ -27,36 +24,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
 pub fn to_unit(h: u64) -> f64 {
     // 53 high bits -> exactly representable double in [0,1).
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// A seeded hash function: member `seed` of a family of 64-bit hashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeededHash {
-    seed: u64,
-}
-
-impl SeededHash {
-    /// Construct family member `seed`.
-    pub fn new(seed: u64) -> Self {
-        SeededHash { seed: splitmix64(seed ^ 0xa076_1d64_78bd_642f) }
-    }
-
-    /// Hash a 64-bit key.
-    #[inline]
-    pub fn hash(&self, key: u64) -> u64 {
-        splitmix64(key ^ self.seed)
-    }
-
-    /// Hash a byte slice (for string keys).
-    pub fn hash_bytes(&self, bytes: &[u8]) -> u64 {
-        let mut acc = self.seed;
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            acc = splitmix64(acc ^ u64::from_le_bytes(word));
-        }
-        splitmix64(acc ^ bytes.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -95,22 +62,5 @@ mod tests {
         let n = 100_000u64;
         let mean: f64 = (0..n).map(|k| to_unit(splitmix64(k))).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn seeded_family_members_differ() {
-        let h1 = SeededHash::new(1);
-        let h2 = SeededHash::new(2);
-        assert_ne!(h1.hash(123), h2.hash(123));
-        assert_eq!(h1.hash(123), SeededHash::new(1).hash(123));
-    }
-
-    #[test]
-    fn byte_hashing_distinguishes_lengths_and_content() {
-        let h = SeededHash::new(7);
-        assert_ne!(h.hash_bytes(b""), h.hash_bytes(b"\0"));
-        assert_ne!(h.hash_bytes(b"abc"), h.hash_bytes(b"abd"));
-        assert_ne!(h.hash_bytes(b"abc"), h.hash_bytes(b"abc\0"));
-        assert_eq!(h.hash_bytes(b"abc"), h.hash_bytes(b"abc"));
     }
 }

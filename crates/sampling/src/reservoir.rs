@@ -147,9 +147,7 @@ impl<T: Clone> Reservoir<T> {
 ///
 /// Equivalent in distribution to [`Reservoir`], but once the reservoir is
 /// full it draws O(1) random numbers per *accepted* record rather than
-/// per offered record. [`SkipReservoir::pending_skip`] exposes the current
-/// skip so a stream operator can discard records without consulting the
-/// sampler.
+/// per offered record.
 #[derive(Debug, Clone)]
 pub struct SkipReservoir<T> {
     capacity: usize,
@@ -199,15 +197,6 @@ impl<T> SkipReservoir<T> {
         true
     }
 
-    /// How many upcoming records will be skipped without acceptance.
-    pub fn pending_skip(&self) -> u64 {
-        if self.items.len() < self.capacity {
-            0
-        } else {
-            self.skip
-        }
-    }
-
     /// Records offered so far.
     pub fn seen(&self) -> u64 {
         self.seen
@@ -222,34 +211,6 @@ impl<T> SkipReservoir<T> {
     pub fn into_items(self) -> Vec<T> {
         self.items
     }
-}
-
-/// Subsample exactly `n` of `items`, uniformly without replacement, in one
-/// sequential pass (Knuth's selection-sampling Algorithm S).
-///
-/// This is the "cleaning phase" primitive of the paper's reservoir query:
-/// the operator over-collects up to `T·n` candidates and then randomly
-/// keeps `n`.
-pub fn select_exactly<T, R: Rng>(items: Vec<T>, n: usize, rng: &mut R) -> Vec<T> {
-    let total = items.len();
-    if n >= total {
-        return items;
-    }
-    let mut kept = Vec::with_capacity(n);
-    let mut needed = n;
-    let mut remaining = total;
-    for item in items {
-        // P(keep) = needed / remaining.
-        if (rng.gen_range(0..remaining as u64) as usize) < needed {
-            kept.push(item);
-            needed -= 1;
-            if needed == 0 {
-                break;
-            }
-        }
-        remaining -= 1;
-    }
-    kept
 }
 
 #[cfg(test)]
@@ -363,47 +324,6 @@ mod tests {
         }
         // n + n*ln(N/n) = 10 + 10*ln(10000) ~ 102; allow generous slack.
         assert!(acceptances < 400, "acceptances = {acceptances}");
-    }
-
-    #[test]
-    fn pending_skip_reports_zero_while_filling() {
-        let mut r = SkipReservoir::new(4);
-        let mut g = rng(5);
-        assert_eq!(r.pending_skip(), 0);
-        for i in 0..3u64 {
-            r.offer(i, &mut g);
-            assert_eq!(r.pending_skip(), 0);
-        }
-    }
-
-    #[test]
-    fn select_exactly_returns_exact_count() {
-        let mut g = rng(6);
-        let out = select_exactly((0..100u64).collect(), 17, &mut g);
-        assert_eq!(out.len(), 17);
-        // All distinct, all from the input.
-        let mut sorted = out.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 17);
-        assert!(sorted.iter().all(|&x| x < 100));
-    }
-
-    #[test]
-    fn select_exactly_with_n_at_least_len_is_identity() {
-        let mut g = rng(7);
-        let out = select_exactly(vec![1u64, 2, 3], 3, &mut g);
-        assert_eq!(out, vec![1, 2, 3]);
-        let out = select_exactly(vec![1u64, 2, 3], 10, &mut g);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn select_exactly_is_uniform() {
-        inclusion_counts(10, 50, 3000, |seed| {
-            let mut g = rng(seed * 31 + 11);
-            select_exactly((0..50u64).collect(), 10, &mut g)
-        });
     }
 
     #[test]

@@ -167,17 +167,6 @@ impl Value {
         }
     }
 
-    /// Convert to `i64`.
-    pub fn as_i64(&self) -> Result<i64, TypeError> {
-        match self {
-            Value::U64(v) if *v <= i64::MAX as u64 => Ok(*v as i64),
-            Value::I64(v) => Ok(*v),
-            Value::Bool(b) => Ok(*b as i64),
-            Value::F64(v) if v.fract() == 0.0 => Ok(*v as i64),
-            other => Err(TypeError::InvalidConversion { target: "i64", actual: other.kind() }),
-        }
-    }
-
     /// Convert to `f64`, accepting any numeric value.
     pub fn as_f64(&self) -> Result<f64, TypeError> {
         match self {
