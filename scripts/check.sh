@@ -247,6 +247,14 @@ for example in examples/*.rs; do
     cargo run -q --release --example "$name" > /dev/null
 done
 
+echo "== subset-sum figure binaries (each once, release, --json; a non-zero exit fails) =="
+# `cargo test` compiles these but runs none of them. All five run the
+# operator's subset-sum path; ~16 s together on the 2-core reference host.
+for bin in fig2 fig3 fig4 sweep_n sweep_relaxation; do
+    echo "$bin"
+    cargo run -q --release -p sso-bench --bin "$bin" -- --json > /dev/null
+done
+
 echo "== overhead driver (each mechanism against its baseline, scaling, sharing) =="
 # One driver and one rule: every arm is the median of round-robin
 # repetitions, and an arm fails when it loses more than 5 % of its
