@@ -51,6 +51,6 @@ pub use engine::{
     run_sharded, DurabilityConfig, RouterStats, RuntimeConfig, RuntimeError, ShardStats,
     ShardedReport,
 };
-pub use merge::{merge_shard_partials, merge_windows, ShardPartial};
+pub use merge::merge_windows;
 pub use ring::{ring, Consumer, Producer, PushError};
 pub use route::route_stream;

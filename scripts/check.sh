@@ -113,6 +113,21 @@ for run in 1 2; do
 done
 cmp "$REPEAT/1.json" "$REPEAT/2.json"
 echo "repeatability smoke OK: $(wc -l < "$REPEAT/1.json") windows, identical in both runs"
+# The merge's packed sort (every merged row all U64 / F64 columns) end
+# to end: a subset-sum statement at N = 5000 in 1 s windows, thousands
+# of rows a window, at 2 shards, twice.
+SQUERY='SELECT tb, srcIP, destIP, UMAX(sum(len), ssthreshold()) FROM PKTS
+WHERE ssample(len, 5000) = TRUE
+GROUP BY time/1 as tb, srcIP, destIP, uts
+HAVING ssfinal_clean(sum(len), count_distinct$(*)) = TRUE
+CLEANING WHEN ssdo_clean(count_distinct$(*)) = TRUE
+CLEANING BY ssclean_with(sum(len)) = TRUE'
+for run in 1 2; do
+    cargo run -q --bin sso -- run --feed datacenter --seconds 4 --shards 2 --json "$SQUERY" \
+        > "$REPEAT/ss$run.json"
+done
+cmp "$REPEAT/ss1.json" "$REPEAT/ss2.json"
+echo "packed-merge repeatability OK: $(wc -l < "$REPEAT/ss1.json") windows, identical in both runs"
 rm -rf "$REPEAT"
 
 echo "== flat-memory smoke (sharded run on a 10x longer feed, <20 s) =="
