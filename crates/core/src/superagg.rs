@@ -21,8 +21,8 @@ use crate::agg::AggState;
 use crate::error::OpError;
 use crate::expr::{EvalCtx, Expr};
 
-/// A totally ordered wrapper over [`Value`] (via [`Value::compare`],
-/// which is total), so values can key a `BTreeMap`.
+/// A totally ordered wrapper over [`Value`] (via [`Value::total_cmp`]),
+/// so values can key a `BTreeMap`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrdValue(pub Value);
 
@@ -36,7 +36,7 @@ impl PartialOrd for OrdValue {
 
 impl Ord for OrdValue {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.compare(&other.0).unwrap_or(std::cmp::Ordering::Equal)
+        self.0.total_cmp(&other.0)
     }
 }
 

@@ -285,11 +285,15 @@ impl Value {
         }
     }
 
-    /// Three-way comparison across numeric types and strings.
+    /// Three-way comparison across numeric types and strings, as a
+    /// query's predicates compare.
     ///
-    /// `Null` compares equal to `Null` and less than everything else, so
-    /// sorting and grouping are total. Cross-kind numeric comparisons
-    /// promote to `f64`.
+    /// `Null` compares equal to `Null` and less than everything else.
+    /// Cross-kind numeric comparisons promote to `f64`. This is not a
+    /// total order: a string beside a number or a `Bool` is an error,
+    /// `NaN` compares `Equal` to every number, and the promotion rounds
+    /// (`U64(2^53 + 1)` equals `F64(2^53)`, which equals `U64(2^53)`).
+    /// Sort with [`Value::total_cmp`].
     pub fn compare(&self, other: &Self) -> Result<CmpOrdering, TypeError> {
         use Value::*;
         Ok(match (self, other) {
@@ -314,6 +318,84 @@ impl Value {
     pub fn eq_value(&self, other: &Self) -> Result<bool, TypeError> {
         Ok(self.compare(other)? == CmpOrdering::Equal)
     }
+
+    /// A total order over every value, for sorting rows and keying
+    /// ordered maps: `Null` first, then every number by its exact value
+    /// (`U64`, `I64`, `F64`, and `Bool` as 0 or 1; `-0.0` equals `0.0`),
+    /// then `NaN`, then strings in byte order.
+    ///
+    /// It agrees with [`Value::compare`] wherever that is consistent: on
+    /// `U64`s alone, on non-NaN `F64`s alone, between integers, and on
+    /// strings alone. Unlike `compare` it never refuses a pair and never
+    /// rounds an integer to `f64` beside a float.
+    pub fn total_cmp(&self, other: &Self) -> CmpOrdering {
+        match (self, other) {
+            (Value::U64(a), Value::U64(b)) => a.cmp(b),
+            _ => self.sort_key().cmp(&other.sort_key()),
+        }
+    }
+
+    fn sort_key(&self) -> SortKey<'_> {
+        match self {
+            Value::Null => SortKey::Null,
+            Value::Bool(b) => SortKey::Int(i128::from(*b)),
+            Value::U64(v) => SortKey::Int(i128::from(*v)),
+            Value::I64(v) => SortKey::Int(i128::from(*v)),
+            Value::F64(v) if v.is_nan() => SortKey::NaN,
+            Value::F64(v) => SortKey::Float(*v),
+            Value::Str(s) => SortKey::Str(s),
+        }
+    }
+}
+
+/// Where a value sorts in [`Value::total_cmp`]: its rank, then the exact
+/// number or the string it holds.
+enum SortKey<'a> {
+    Null,
+    Int(i128),
+    /// Never `NaN`.
+    Float(f64),
+    NaN,
+    Str(&'a str),
+}
+
+impl SortKey<'_> {
+    fn rank(&self) -> u8 {
+        match self {
+            SortKey::Null => 0,
+            SortKey::Int(_) | SortKey::Float(_) => 1,
+            SortKey::NaN => 2,
+            SortKey::Str(_) => 3,
+        }
+    }
+
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        match (self, other) {
+            (SortKey::Int(a), SortKey::Int(b)) => a.cmp(b),
+            (SortKey::Float(a), SortKey::Float(b)) => {
+                a.partial_cmp(b).unwrap_or(CmpOrdering::Equal)
+            }
+            (SortKey::Int(a), SortKey::Float(b)) => int_float_cmp(*a, *b),
+            (SortKey::Float(a), SortKey::Int(b)) => int_float_cmp(*b, *a).reverse(),
+            (SortKey::Str(a), SortKey::Str(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
+/// Exact comparison of an integer within ±2^64 and a non-NaN float.
+fn int_float_cmp(i: i128, f: f64) -> CmpOrdering {
+    const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+    if f >= TWO_64 {
+        return CmpOrdering::Less;
+    }
+    if f <= -TWO_64 {
+        return CmpOrdering::Greater;
+    }
+    // |f| < 2^64: its integral part converts exactly, and where `i`
+    // equals it the fraction's sign decides.
+    let whole = f.trunc();
+    i.cmp(&(whole as i128)).then(whole.partial_cmp(&f).unwrap_or(CmpOrdering::Equal))
 }
 
 fn binop_err(op: &'static str, lhs: &Value, rhs: &Value) -> TypeError {
@@ -563,5 +645,76 @@ mod tests {
         let nan = Value::F64(f64::NAN);
         assert_eq!(nan, nan.clone());
         assert_eq!(hash_of(&nan), hash_of(&nan.clone()));
+    }
+
+    #[test]
+    fn total_cmp_orders_every_kind() {
+        use CmpOrdering::*;
+        let two53 = 1u64 << 53;
+        // Exact where `compare` rounds both sides to 2^53.
+        assert_eq!(Value::U64(two53 + 1).total_cmp(&Value::F64(two53 as f64)), Greater);
+        assert_eq!(Value::F64(two53 as f64).total_cmp(&Value::U64(two53)), Equal);
+        assert_eq!(Value::I64(-3).total_cmp(&Value::F64(-2.5)), Less);
+        assert_eq!(Value::F64(-0.0).total_cmp(&Value::F64(0.0)), Equal);
+        assert_eq!(Value::F64(-0.0).total_cmp(&Value::U64(0)), Equal);
+        assert_eq!(Value::Bool(true).total_cmp(&Value::U64(1)), Equal);
+        assert_eq!(Value::U64(u64::MAX).total_cmp(&Value::F64(f64::INFINITY)), Less);
+        // Null, numbers, NaN, strings.
+        assert_eq!(Value::Null.total_cmp(&Value::I64(i64::MIN)), Less);
+        assert_eq!(Value::F64(f64::NAN).total_cmp(&Value::F64(f64::INFINITY)), Greater);
+        assert_eq!(Value::F64(f64::NAN).total_cmp(&Value::F64(-f64::NAN)), Equal);
+        assert_eq!(Value::str("").total_cmp(&Value::F64(f64::NAN)), Greater);
+        assert_eq!(Value::str("a").total_cmp(&Value::str("b")), Less);
+    }
+
+    /// Values where orders go wrong: NaN, both zeros, integers and
+    /// floats around 2^53 (where `f64` stops holding every integer),
+    /// strings, booleans and `Null`.
+    fn arb_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        let two53 = 1u64 << 53;
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            (two53 - 2..two53 + 3).prop_map(Value::U64),
+            (0u64..4).prop_map(Value::U64),
+            (-3i64..3).prop_map(Value::I64),
+            (two53 - 2..two53 + 3).prop_map(|v| Value::F64(v as f64)),
+            (0usize..7).prop_map(|i| {
+                Value::F64([f64::NAN, -0.0, 0.0, 0.5, -2.5, 1.0, f64::INFINITY][i])
+            }),
+            (0usize..3).prop_map(|i| Value::str(["", "a", "b"][i])),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 4096,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        /// `total_cmp` is a total order: antisymmetric and transitive,
+        /// and it agrees with `compare` on `U64`s alone and on non-NaN
+        /// `F64`s alone.
+        #[test]
+        fn total_cmp_is_a_total_order(a in arb_value(), b in arb_value(), c in arb_value()) {
+            use CmpOrdering::*;
+            proptest::prop_assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
+            let (ab, bc, ac) = (a.total_cmp(&b), b.total_cmp(&c), a.total_cmp(&c));
+            if ab != Greater && bc != Greater {
+                proptest::prop_assert!(ac != Greater, "{a:?} <= {b:?} <= {c:?} but {ac:?}");
+                if ab == Equal && bc == Equal {
+                    proptest::prop_assert_eq!(ac, Equal);
+                }
+            }
+            let same_packed_kind = match (&a, &b) {
+                (Value::U64(_), Value::U64(_)) => true,
+                (Value::F64(x), Value::F64(y)) => !x.is_nan() && !y.is_nan(),
+                _ => false,
+            };
+            if same_packed_kind {
+                proptest::prop_assert_eq!(Ok(ab), a.compare(&b));
+            }
+        }
     }
 }
