@@ -130,9 +130,14 @@ impl SkewClass {
         }
     }
 
-    /// Is this class a W202 hazard at the given shard count?
-    pub fn is_hazard(self) -> bool {
-        matches!(self, SkewClass::Narrow { .. } | SkewClass::Constant)
+    /// The most shards a W202 hazard's key reaches, or `None` when the
+    /// class is no hazard.
+    pub fn hazard(self) -> Option<u64> {
+        match self {
+            SkewClass::Constant => Some(1),
+            SkewClass::Narrow { cardinality } => Some(cardinality),
+            _ => None,
+        }
     }
 
     /// Stable label used in reports and JSON.
@@ -199,7 +204,7 @@ mod tests {
         assert_eq!(SkewClass::classify(Card::Finite(3), 4), SkewClass::Narrow { cardinality: 3 });
         assert_eq!(SkewClass::classify(Card::Finite(4), 4), SkewClass::Spread);
         assert_eq!(SkewClass::classify(Card::Unbounded, 4), SkewClass::Spread);
-        assert!(SkewClass::Constant.is_hazard());
-        assert!(!SkewClass::RoundRobin.is_hazard());
+        assert_eq!(SkewClass::Constant.hazard(), Some(1));
+        assert_eq!(SkewClass::RoundRobin.hazard(), None);
     }
 }

@@ -46,7 +46,7 @@ pub use agg::{AggSpec, AggState};
 pub use error::{panic_message, OpError};
 pub use expr::{BinOp, EvalCtx, Expr};
 pub use groups::{PagedBackend, SpillStats};
-pub use merge::{shard_plan, ColumnRule, MergeRule, NotMergeable, ShardPlan};
+pub use merge::{shard_plan, ColumnRule, MergeRule, NotMergeable, Sampler, ShardPlan};
 pub use metrics::OperatorMetrics;
 pub use operator::{
     Degradation, OperatorSpec, OperatorStats, Record, SamplingOperator, SizingHints, WindowOutput,
