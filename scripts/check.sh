@@ -73,12 +73,16 @@ echo "== static check over the example corpus (no diagnostics) =="
 # corpus must raise no error and no warning (W103 included).
 time cargo run -q --bin sso -- check --deny-warnings examples/queries.sql >/dev/null
 
-echo "== static audit over the example corpus (bounds certified) =="
+echo "== static audit over the example corpus (bounds certified, every feed envelope) =="
 # `sso audit` must certify a finite memory ceiling for every example
-# query with zero diagnostics (--deny-warnings), in well under 5s —
-# the pass is pure abstract interpretation, nothing executes. Its JSON
-# schema is pinned by tests/audit.rs.
-time cargo run -q --bin sso -- audit --json --deny-warnings examples/queries.sql >/dev/null
+# query with zero diagnostics (--deny-warnings) under each declared
+# feed envelope, in well under 5s — the pass is pure abstract
+# interpretation, nothing executes. Its JSON schema is pinned by
+# tests/audit.rs, its documents by tests/audit_pins.rs.
+for feed in research datacenter burst ddos; do
+    time cargo run -q --bin sso -- audit --json --deny-warnings --feed "$feed" \
+        examples/queries.sql >/dev/null
+done
 
 echo "== plan-rewrite optimizer over the example corpus (no rewrite, re-audit ok) =="
 # `sso optimize` must stay clean on the example corpus (every WHERE
