@@ -1,148 +1,18 @@
-//! The paper's closed-form state bounds per sampling family, evaluated
-//! symbolically over the abstract domain, and the cardinality bound of a
-//! planned expression. The family is read from the planned spec by
-//! [`sso_core::Sampler::of`], the same classification `shard_plan`
-//! reads.
-//!
-//! Each sampling family caps its live group count per supergroup with a
-//! cleaning phase that fires at a *trigger threshold*; the certified
-//! bound is that threshold plus the single admission that trips it:
-//!
-//! * **subset-sum** (§6.1): `ssdo_clean` fires when the group count
-//!   exceeds `γ·N`, so live groups never pass `⌈γ·N⌉ + 1` — the
-//!   paper's O(N) footprint with the over-sampling factor made
-//!   explicit. Without the cleaning clause (the §6.1 *basic* variant)
-//!   the sampler admits a tuple per distinct weight draw and only the
-//!   rows-per-window envelope bounds the table.
-//! * **reservoir** (the §6.6 reservoir query): `rsdo_clean` fires past
-//!   `T·n`, giving `T·n + 1`.
-//! * **lossy counting / heavy hitters** (§6.6): with bucket width `w`
-//!   over `N` rows, surviving entries obey the classic
-//!   `w·(ln(N/w) + 1)` bound (ε = 1/w ⇒ (1/ε)·log εN).
-//! * **distinct sampling** (Gibbons, the paper's ref \[19\]): `ddo_clean` raises the
-//!   hash level once the distinct count passes the capacity `c`,
-//!   bounding the table at `c + 1`.
-//! * **min-hash / KMV** (the §6.6 min-hash query): the k smallest hash values survive
-//!   cleaning, so at most `k + 1` groups live per supergroup.
-//!
-//! Trigger factors (`γ`, `T`) are read from the SFUN libraries' default
-//! configs, so a library retune cannot silently invalidate the audit.
+//! What the audit reads beside the sampler: the weight check (W204), the
+//! window length, and the cardinality bound of a planned expression.
+//! The sampling family, its label and its closed-form cap on live
+//! groups per supergroup are [`sso_core::Sampler`]'s, the same table
+//! `shard_plan` reads.
 
-use sso_core::libs::reservoir::ReservoirOpConfig;
-use sso_core::libs::subset_sum::SubsetSumOpConfig;
-use sso_core::{Expr, OperatorSpec, Sampler};
+use sso_core::{Expr, OperatorSpec};
 use sso_query::ast::{AstExpr, ExprKind, Query};
 use sso_types::{FieldType, Schema};
 
 use crate::domain::Card;
 
-/// The sampling family a planned query runs, with the parameters its
-/// closed-form state bound needs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SamplerKind {
-    /// No sampling clauses: exact grouped aggregation.
-    Exact,
-    /// `ssample(w, N)`; `cleaning` is true when `ssdo_clean` guards a
-    /// cleaning phase (the bounded, threshold-relaxing variant).
-    SubsetSum {
-        /// Target sample size N.
-        target: u64,
-        /// Whether the `ssdo_clean` cleaning phase is present.
-        cleaning: bool,
-    },
-    /// `rsample(n)` with the same cleaning split.
-    Reservoir {
-        /// Reservoir size n.
-        n: u64,
-        /// Whether the `rsdo_clean` cleaning phase is present.
-        cleaning: bool,
-    },
-    /// `local_count(w)` lossy counting with bucket width w.
-    LossyCount {
-        /// Bucket width (1/ε).
-        bucket_width: u64,
-    },
-    /// `dsample(x, c)` distinct sampling with capacity c.
-    Distinct {
-        /// Level-raise capacity c.
-        capacity: u64,
-    },
-    /// `Kth_smallest_value$(h, k)` min-hash with a cleaning phase.
-    Kmv {
-        /// Sketch size k.
-        k: u64,
-    },
-}
-
-impl SamplerKind {
-    /// The family [`Sampler::of`] reads from the plan. A subset-sum
-    /// target that is not a positive literal reads as 1, a reservoir size
-    /// that is not a literal as 0.
-    pub fn of(spec: &OperatorSpec) -> SamplerKind {
-        match Sampler::of(spec) {
-            Sampler::Exact => SamplerKind::Exact,
-            Sampler::SubsetSum { target, cleaning } => {
-                SamplerKind::SubsetSum { target: target.filter(|&t| t > 0).unwrap_or(1), cleaning }
-            }
-            Sampler::Reservoir { n, cleaning } => {
-                SamplerKind::Reservoir { n: n.unwrap_or(0), cleaning }
-            }
-            Sampler::LossyCount { bucket_width } => SamplerKind::LossyCount { bucket_width },
-            Sampler::Distinct { capacity } => SamplerKind::Distinct { capacity },
-            Sampler::Kmv { k } => SamplerKind::Kmv { k },
-        }
-    }
-
-    /// Human/JSON label, e.g. `subset-sum(N=100)`.
-    pub fn label(&self) -> String {
-        match self {
-            SamplerKind::Exact => "exact".to_string(),
-            SamplerKind::SubsetSum { target, cleaning: true } => format!("subset-sum(N={target})"),
-            SamplerKind::SubsetSum { target, cleaning: false } => {
-                format!("basic-subset-sum(N={target})")
-            }
-            SamplerKind::Reservoir { n, cleaning: true } => format!("reservoir(n={n})"),
-            SamplerKind::Reservoir { n, cleaning: false } => format!("basic-reservoir(n={n})"),
-            SamplerKind::LossyCount { bucket_width } => format!("lossy-count(w={bucket_width})"),
-            SamplerKind::Distinct { capacity } => format!("distinct(c={capacity})"),
-            SamplerKind::Kmv { k } => format!("kmv(k={k})"),
-        }
-    }
-
-    /// The closed-form bound on live groups *per supergroup*, given the
-    /// rows-per-window envelope (lossy counting's bound depends on it).
-    /// `Unbounded` means the sampler itself imposes no cap and only the
-    /// input envelopes bound the table.
-    pub fn per_supergroup_bound(&self, rows_per_window: Card) -> Card {
-        match *self {
-            SamplerKind::Exact => Card::Unbounded,
-            SamplerKind::SubsetSum { target, cleaning: true } => {
-                let gamma = SubsetSumOpConfig::default().gamma;
-                Card::Finite((gamma * target as f64).ceil() as u64 + 1)
-            }
-            SamplerKind::SubsetSum { cleaning: false, .. } => Card::Unbounded,
-            SamplerKind::Reservoir { n, cleaning: true } => {
-                let t = ReservoirOpConfig::default().t_factor as u64;
-                Card::Finite(t.saturating_mul(n) + 1)
-            }
-            SamplerKind::Reservoir { cleaning: false, .. } => Card::Unbounded,
-            SamplerKind::LossyCount { bucket_width } => match rows_per_window {
-                Card::Finite(n) => {
-                    let w = bucket_width.max(1);
-                    let ratio = (n as f64 / w as f64).max(1.0);
-                    Card::Finite((w as f64 * (ratio.ln() + 1.0)).ceil() as u64)
-                }
-                Card::Unbounded => Card::Unbounded,
-            },
-            SamplerKind::Distinct { capacity } => Card::Finite(capacity + 1),
-            SamplerKind::Kmv { k } => Card::Finite(k + 1),
-        }
-    }
-}
-
 /// `ssample`'s weight argument as written: the first `ssample` call in
-/// WHERE, the one [`Sampler::of`] classifies a subset-sum plan by. Read
-/// from the text so the weight check (W204) can point at it.
+/// WHERE, the one [`sso_core::Sampler::of`] reads the subset-sum target
+/// from. Read from the text so the weight check (W204) can point at it.
 pub fn ssample_weight(q: &Query) -> Option<&AstExpr> {
     let mut weight = None;
     q.where_clause.as_ref()?.walk(&mut |e| match &e.kind {
@@ -240,38 +110,44 @@ pub fn window_seconds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sso_core::merge::Size;
+    use sso_core::Sampler;
     use sso_query::parse_query;
     use sso_types::Packet;
 
-    fn detect(text: &str) -> SamplerKind {
+    fn detect(text: &str) -> Sampler {
         let q = parse_query(text).unwrap();
         let schema = sso_query::base_stream_schema(&q.from.text).unwrap();
-        SamplerKind::of(
-            &sso_query::plan(&q, &schema, &sso_query::PlannerConfig::standard()).unwrap(),
-        )
+        Sampler::of(&sso_query::plan(&q, &schema, &sso_query::PlannerConfig::standard()).unwrap())
     }
 
     #[test]
     fn classifies_every_sampler_family() {
-        let cases: &[(&str, SamplerKind)] = &[
-            (sso_core::queries::EXAMPLE_QUERIES[0].1, SamplerKind::Exact),
+        let cases: &[(&str, Sampler)] = &[
+            (sso_core::queries::EXAMPLE_QUERIES[0].1, Sampler::Exact),
             (
                 sso_core::queries::EXAMPLE_QUERIES[1].1,
-                SamplerKind::SubsetSum { target: 100, cleaning: true },
+                Sampler::SubsetSum { target: Size::Literal(100), cleaning: true },
             ),
             (
                 sso_core::queries::EXAMPLE_QUERIES[2].1,
-                SamplerKind::SubsetSum { target: 1, cleaning: false },
+                Sampler::SubsetSum { target: Size::Literal(1), cleaning: false },
             ),
             (
                 sso_core::queries::EXAMPLE_QUERIES[3].1,
-                SamplerKind::LossyCount { bucket_width: 100 },
+                Sampler::LossyCount { bucket_width: Size::Literal(100) },
             ),
-            (sso_core::queries::EXAMPLE_QUERIES[4].1, SamplerKind::Kmv { k: 10 }),
-            (sso_core::queries::EXAMPLE_QUERIES[5].1, SamplerKind::Distinct { capacity: 256 }),
+            (
+                sso_core::queries::EXAMPLE_QUERIES[4].1,
+                Sampler::Kmv { k: 10, hash: Some(2), cleaning: true },
+            ),
+            (
+                sso_core::queries::EXAMPLE_QUERIES[5].1,
+                Sampler::Distinct { capacity: Size::Literal(256) },
+            ),
             (
                 sso_core::queries::EXAMPLE_QUERIES[6].1,
-                SamplerKind::Reservoir { n: 25, cleaning: true },
+                Sampler::Reservoir { n: Size::Literal(25), cleaning: true },
             ),
         ];
         for (text, expected) in cases {
@@ -282,30 +158,30 @@ mod tests {
     #[test]
     fn trigger_thresholds_match_library_defaults() {
         // γ = 2 ⇒ subset-sum peaks at 2N+1; T = 25 ⇒ reservoir at 25n+1.
-        let ss = SamplerKind::SubsetSum { target: 100, cleaning: true };
-        assert_eq!(ss.per_supergroup_bound(Card::Unbounded), Card::Finite(201));
-        let rs = SamplerKind::Reservoir { n: 25, cleaning: true };
-        assert_eq!(rs.per_supergroup_bound(Card::Unbounded), Card::Finite(626));
-        let d = SamplerKind::Distinct { capacity: 256 };
-        assert_eq!(d.per_supergroup_bound(Card::Unbounded), Card::Finite(257));
-        let kmv = SamplerKind::Kmv { k: 10 };
-        assert_eq!(kmv.per_supergroup_bound(Card::Unbounded), Card::Finite(11));
+        let ss = Sampler::SubsetSum { target: Size::Literal(100), cleaning: true };
+        assert_eq!(ss.groups_cap(None), Some(201));
+        let rs = Sampler::Reservoir { n: Size::Literal(25), cleaning: true };
+        assert_eq!(rs.groups_cap(None), Some(626));
+        let d = Sampler::Distinct { capacity: Size::Literal(256) };
+        assert_eq!(d.groups_cap(None), Some(257));
+        let kmv = Sampler::Kmv { k: 10, hash: Some(2), cleaning: true };
+        assert_eq!(kmv.groups_cap(None), Some(11));
     }
 
     #[test]
     fn lossy_count_bound_is_logarithmic_in_rows() {
-        let lc = SamplerKind::LossyCount { bucket_width: 100 };
+        let lc = Sampler::LossyCount { bucket_width: Size::Literal(100) };
         // w(ln(N/w)+1) at N = 1.5M, w = 100: 100·(ln(15000)+1) ≈ 1062.
-        let bound = lc.per_supergroup_bound(Card::Finite(1_500_000)).finite().unwrap();
+        let bound = lc.groups_cap(Some(1_500_000)).unwrap();
         assert!((1000..1200).contains(&bound), "bound {bound}");
-        assert_eq!(lc.per_supergroup_bound(Card::Unbounded), Card::Unbounded);
+        assert_eq!(lc.groups_cap(None), None);
     }
 
     #[test]
     fn unbounded_variants_have_no_sampler_cap() {
-        let basic = SamplerKind::SubsetSum { target: 1, cleaning: false };
-        assert_eq!(basic.per_supergroup_bound(Card::Finite(1000)), Card::Unbounded);
-        assert_eq!(SamplerKind::Exact.per_supergroup_bound(Card::Finite(10)), Card::Unbounded);
+        let basic = Sampler::SubsetSum { target: Size::Literal(1), cleaning: false };
+        assert_eq!(basic.groups_cap(Some(1000)), None);
+        assert_eq!(Sampler::Exact.groups_cap(Some(10)), None);
     }
 
     #[test]

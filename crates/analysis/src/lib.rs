@@ -40,7 +40,6 @@ pub use audit::{
     audit_file, split_statements, walk_cascade, AuditOptions, AuditOutcome, Auditor, Level,
     Statement,
 };
-pub use bounds::SamplerKind;
 pub use domain::{AbstractState, Card, SkewClass};
 pub use report::{BoundsReport, StatementBounds};
 

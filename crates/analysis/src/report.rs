@@ -7,9 +7,8 @@
 //! `tests/audit.rs` pins that document's keys, so adding or renaming one
 //! is a deliberate, reviewed change.
 
-use sso_core::SizingHints;
+use sso_core::{Sampler, SizingHints};
 
-use crate::bounds::SamplerKind;
 use crate::domain::{Card, SkewClass};
 
 /// Certified bounds for one audited statement.
@@ -20,7 +19,7 @@ pub struct StatementBounds {
     /// The FROM stream.
     pub stream: String,
     /// The classified sampling family.
-    pub sampler: SamplerKind,
+    pub sampler: Sampler,
     /// Tumbling-window length from `GROUP BY <ordered>/n`, when the
     /// query has that canonical shape.
     pub window_secs: Option<u64>,
@@ -157,12 +156,13 @@ impl BoundsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sso_core::merge::Size;
 
     fn sample_statement() -> StatementBounds {
         StatementBounds {
             name: "stmt0".into(),
             stream: "PKT".into(),
-            sampler: SamplerKind::Reservoir { n: 25, cleaning: true },
+            sampler: Sampler::Reservoir { n: Size::Literal(25), cleaning: true },
             window_secs: Some(60),
             rows_per_sec: Card::Finite(25_000),
             rows_per_window: Card::Finite(1_500_000),

@@ -267,8 +267,10 @@ pub fn chrome_trace(dump: &Dump) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{audit_file, AuditOptions, SamplerKind, SkewClass};
+    use crate::analysis::{audit_file, AuditOptions, SkewClass};
+    use crate::operator::merge::Size;
     use crate::operator::queries::EXAMPLE_QUERIES;
+    use crate::operator::Sampler;
     use crate::profile::{DumpReason, Event, LaneDump, Stage};
 
     fn line(v: &Value) -> String {
@@ -335,7 +337,7 @@ mod tests {
         StatementBounds {
             name: "stmt0".into(),
             stream: "PKT".into(),
-            sampler: SamplerKind::Reservoir { n: 25, cleaning: true },
+            sampler: Sampler::Reservoir { n: Size::Literal(25), cleaning: true },
             window_secs: Some(60),
             rows_per_sec: Card::Finite(25_000),
             rows_per_window: Card::Finite(1_500_000),
