@@ -308,7 +308,7 @@ fn sharded<'a>(
         let (secs, report) = shape.run(packets, &cfg());
         tally.estimates(&truth, &report.windows);
         tally.dropped.set(tally.dropped.get() + report.dropped());
-        let degraded = report.windows.iter().filter(|w| w.degradation.degraded).count();
+        let degraded = report.windows.iter().filter(|w| w.degraded()).count();
         tally.degraded_windows.set(tally.degraded_windows.get() + degraded);
         (secs, report.windows.len())
     };

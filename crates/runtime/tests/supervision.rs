@@ -3,7 +3,7 @@
 //! window's unprocessed tuples are counted as uncovered, and the stage
 //! is live again at the next window boundary. Each case here pins, for a
 //! router panic, a shard panic or both, every number the contract
-//! produces: each window's `Degradation`, the per-shard and router
+//! produces: each window's coverage, the per-shard and router
 //! quarantine and uncovered counts, and the run's coverage. Every window
 //! no fault touched must come out byte-identical to the fault-free run's.
 //!
@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use sso_core::{queries, shard_plan, Degradation, OpError, OperatorSpec, WindowOutput};
+use sso_core::{queries, shard_plan, OpError, OperatorSpec, WindowOutput};
 use sso_faults::{FaultEvent, FaultPlan};
 use sso_runtime::{run_sharded, RuntimeConfig, ShardedReport};
 use sso_types::{Packet, Protocol, Tuple};
@@ -76,8 +76,12 @@ fn check(what: &str, tuples: &[Tuple], events: &[FaultEvent], want: Want) {
             Some(&(_, lost)) => {
                 assert_eq!(got.window, base.window, "{what}: window {i}'s key");
                 assert_eq!(got.stats.tuples, PER_WINDOW - lost, "{what}: window {i} covered");
-                let deg = Degradation::from_counts(PER_WINDOW - lost, lost);
-                assert_eq!(got.degradation, deg, "{what}: window {i}'s degradation");
+                let deg = ((PER_WINDOW - lost) as f64 / PER_WINDOW as f64, lost > 0);
+                assert_eq!(
+                    (got.coverage(), got.degraded()),
+                    deg,
+                    "{what}: window {i}'s degradation"
+                );
             }
             None => assert_eq!(show(got), show(base), "{what}: window {i} was not degraded"),
         }

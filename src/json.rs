@@ -191,7 +191,7 @@ pub fn window(w: &WindowOutput, columns: &[String]) -> Value {
         "window": w.window.to_string(), "columns": columns.to_vec(), "rows": rows,
         "tuples": w.stats.tuples, "admitted": w.stats.admitted,
         "cleaning_phases": w.stats.cleaning_phases,
-        "coverage": w.degradation.coverage, "degraded": w.degradation.degraded,
+        "coverage": w.coverage(), "degraded": w.degraded(),
     })
 }
 

@@ -71,8 +71,8 @@ fn assert_reports_byte_identical(a: &ShardedRunReport, b: &ShardedRunReport, wha
         assert_eq!(x.window, y.window, "{what}: window key");
         assert_eq!(x.rows, y.rows, "{what}: rows for {:?}", x.window);
         assert_eq!(x.stats, y.stats, "{what}: stats for {:?}", x.window);
-        assert_eq!(x.degradation.coverage, y.degradation.coverage, "{what}: coverage tag");
-        assert_eq!(x.degradation.degraded, y.degradation.degraded, "{what}: degraded tag");
+        assert_eq!(x.coverage(), y.coverage(), "{what}: coverage tag");
+        assert_eq!(x.degraded(), y.degraded(), "{what}: degraded tag");
     }
 }
 
@@ -109,11 +109,11 @@ fn shard_panic_degrades_exactly_one_window_with_exact_surviving_estimates() {
     for w in &report.windows {
         let wid = w.window.get(0).as_u64().expect("tb window key");
         if wid == poisoned_w {
-            assert!(w.degradation.degraded, "poisoned window must be tagged");
-            assert!(w.degradation.coverage < 1.0);
+            assert!(w.degraded(), "poisoned window must be tagged");
+            assert!(w.coverage() < 1.0);
         } else {
-            assert!(!w.degradation.degraded, "window {wid} lost nothing");
-            assert_eq!(w.degradation.coverage, 1.0);
+            assert!(!w.degraded(), "window {wid} lost nothing");
+            assert_eq!(w.coverage(), 1.0);
         }
     }
 
@@ -252,11 +252,11 @@ fn router_panic_degrades_exactly_one_window_with_exact_surviving_estimates() {
     for w in &report.windows {
         let wid = w.window.get(0).as_u64().expect("tb window key");
         if wid == poisoned_w {
-            assert!(w.degradation.degraded, "poisoned window must be tagged");
-            assert!(w.degradation.coverage < 1.0);
+            assert!(w.degraded(), "poisoned window must be tagged");
+            assert!(w.coverage() < 1.0);
         } else {
-            assert!(!w.degradation.degraded, "window {wid} lost nothing");
-            assert_eq!(w.degradation.coverage, 1.0);
+            assert!(!w.degraded(), "window {wid} lost nothing");
+            assert_eq!(w.coverage(), 1.0);
         }
     }
 
