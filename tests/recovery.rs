@@ -3,6 +3,9 @@
 //! restarted against the same store over the same deterministic input,
 //! must produce per-window results byte-identical to a fault-free run —
 //! for the paper's subset-sum, reservoir, and lossy-counting samplers.
+//! A worker panic in an early window, ahead of the crash, is a loss the
+//! store keeps: the resumed run equals the uncrashed faulted run window
+//! for window, its coverage and degraded tags included.
 //! A second resume replays every window straight from the finalized
 //! store, still byte-identical. Plus the spill pager: a huge-cardinality
 //! lossy-counting query completes under a `--state-budget` well below
@@ -41,25 +44,35 @@ fn assert_windows_equal(a: &[WindowOutput], b: &[WindowOutput], what: &str) {
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.window, y.window, "{what}: window key");
         assert_eq!(x.rows, y.rows, "{what}: rows for {:?}", x.window);
+        assert_eq!(x.coverage(), y.coverage(), "{what}: coverage of {:?}", x.window);
+        assert_eq!(x.degraded(), y.degraded(), "{what}: degraded tag of {:?}", x.window);
     }
 }
 
-/// The shared acceptance harness: fault-free reference, crashed durable
-/// run, resumed run compared window-for-window, and a second resume
-/// served entirely from the finalized store.
-fn crash_then_recover<F>(make: F, tag: &str)
+/// The shared acceptance harness: reference run, crashed durable run,
+/// resumed run compared window-for-window, and a second resume served
+/// entirely from the finalized store. `panic`, when given, is a worker
+/// fault both the reference and the crashed run take ahead of the
+/// crash; without it the reference is fault-free.
+fn crash_then_recover<F>(make: F, tag: &str, panic: Option<FaultEvent>)
 where
     F: Fn(usize) -> Result<OperatorSpec, OpError> + Sync,
 {
     let pkts = packets();
-    let reference = run(&make, &RuntimeConfig::new(SHARDS), pkts.clone());
+    let mut faulted = FaultPlan::empty(7);
+    faulted.events.extend(panic);
+    let reference_cfg = RuntimeConfig::new(SHARDS).with_faults(faulted.clone().into_shared());
+    let reference = run(&make, &reference_cfg, pkts.clone());
     assert!(reference.windows.len() >= 3, "{tag}: need several windows to lose one");
+    let degraded: Vec<bool> = reference.windows.iter().map(|w| w.degraded()).collect();
+    let want: Vec<bool> = (0..degraded.len()).map(|i| i == 0 && panic.is_some()).collect();
+    assert_eq!(degraded, want, "{tag}: only a panic degrades, and only window 0");
 
     // Kill the run at ~60% of the stream: past the first checkpoint,
     // mid-way through a later window.
     let dir = tmpdir(tag);
     let at_tuple = (pkts.len() as u64 * 3) / 5;
-    let mut fault = FaultPlan::empty(7);
+    let mut fault = faulted;
     fault.events.push(FaultEvent::Crash { at_tuple });
     let mut durability = DurabilityConfig::new(&dir);
     durability.checkpoint_every = 2;
@@ -76,23 +89,27 @@ where
     );
 
     // Restart against the same store over the same deterministic
-    // input: recorded windows are served back, the crash window is
-    // recomputed, and nothing is degraded.
+    // input and no faults: recorded windows are served back with the
+    // loss they recorded, the crash window is recomputed, and a
+    // fault-free reference leaves nothing degraded.
     let resume = |what: &str| {
         let mut durability = DurabilityConfig::new(&dir);
         durability.checkpoint_every = 2;
         durability.resume = true;
         let cfg = RuntimeConfig::new(SHARDS).with_durability(durability);
         let report = run(&make, &cfg, pkts.clone());
-        assert_eq!(report.coverage, 1.0, "{tag}: {what} must not be a degraded run");
+        if panic.is_none() {
+            assert_eq!(report.coverage, 1.0, "{tag}: {what} must not be a degraded run");
+        }
         report
     };
     let recovered = resume("recovery");
     assert_windows_equal(
         &reference.windows,
         &recovered.windows,
-        &format!("{tag}: recovery vs fault-free"),
+        &format!("{tag}: recovery vs reference"),
     );
+    assert_eq!(recovered.coverage, reference.coverage, "{tag}: recovery's run coverage");
 
     // Same-seed replay: the finalized store now holds every window, so
     // a second resume serves them all from disk — still byte-identical.
@@ -107,7 +124,18 @@ where
 
 #[test]
 fn subset_sum_crash_recovery_matches_fault_free() {
-    crash_then_recover(|_| queries::basic_subset_sum_query(WINDOW, 400.0), "subset-sum");
+    crash_then_recover(|_| queries::basic_subset_sum_query(WINDOW, 400.0), "subset-sum", None);
+}
+
+/// Shard 0 panics at its 300th tuple, in window 0, and loses that
+/// window's tuples; the crash comes windows later. The resumed run
+/// serves window 0 from the store as degraded as the faulted run left
+/// it.
+#[test]
+fn subset_sum_crash_recovery_keeps_a_worker_panics_loss() {
+    let panic = FaultEvent::WorkerPanic { shard: 0, at_tuple: 300 };
+    let make = |_| queries::basic_subset_sum_query(WINDOW, 400.0);
+    crash_then_recover(make, "subset-sum-panic", Some(panic));
 }
 
 #[test]
@@ -120,12 +148,13 @@ fn reservoir_crash_recovery_matches_fault_free() {
             )
         },
         "reservoir",
+        None,
     );
 }
 
 #[test]
 fn lossy_counting_crash_recovery_matches_fault_free() {
-    crash_then_recover(|_| queries::heavy_hitters_query(WINDOW, 200, None), "lossy-counting");
+    crash_then_recover(|_| queries::heavy_hitters_query(WINDOW, 200, None), "lossy-counting", None);
 }
 
 /// The CLI recover path: a durable run killed mid-stream by `crash
