@@ -7,18 +7,19 @@
 //!   recovered run can re-publish results without reprocessing;
 //! * **aggregate states** — the group table's per-group values, paged to
 //!   a spill file when live state exceeds the configured budget;
-//! * **window stats / degradation** — the counters attached to each
-//!   output, so recovered windows are indistinguishable from live ones.
+//! * **window stats / loss ledger** — the counters and the uncovered
+//!   count attached to each output, so recovered windows are
+//!   indistinguishable from live ones, degraded ones included.
 //!
 //! Everything rides on the little-endian, variant-tagged primitives of
 //! [`sso_types::wire`]; re-encoding a decoded value reproduces the
 //! original bytes exactly.
 
-use sso_types::wire::{put_f64, put_tuple, put_u32, put_u64, take_tuple, Reader, WireError};
+use sso_types::wire::{put_tuple, put_u32, put_u64, take_tuple, Reader, WireError};
 use sso_types::Value;
 
 use crate::agg::AggState;
-use crate::operator::{Degradation, WindowOutput, WindowStats};
+use crate::operator::{WindowOutput, WindowStats};
 
 /// Spill-page payload size: a sealed page of the paged group table holds
 /// up to this many bytes of encoded group entries. Also the unit the
@@ -117,8 +118,7 @@ pub fn put_window_output(out: &mut Vec<u8>, w: &WindowOutput) {
         put_tuple(out, row);
     }
     put_window_stats(out, &w.stats);
-    put_f64(out, w.degradation.coverage);
-    out.push(u8::from(w.degradation.degraded));
+    put_u64(out, w.uncovered);
 }
 
 /// Read one window-output record.
@@ -130,8 +130,7 @@ pub fn take_window_output(r: &mut Reader<'_>) -> Result<WindowOutput, WireError>
         rows.push(take_tuple(r)?);
     }
     let stats = take_window_stats(r)?;
-    let degradation = Degradation { coverage: r.take_f64()?, degraded: r.take_u8()? != 0 };
-    Ok(WindowOutput { window, rows, stats, degradation })
+    Ok(WindowOutput { window, rows, stats, uncovered: r.take_u64()? })
 }
 
 /// Encoded bytes of a tuple of `arity` non-string values: the arity
@@ -143,9 +142,8 @@ pub const fn tuple_wire_bytes(arity: usize) -> u64 {
 }
 
 /// Encoded bytes of a window output apart from its window key and its
-/// rows: the row count, the six stats counters, coverage and the
-/// degraded flag.
-pub const WINDOW_OUTPUT_FIXED_BYTES: u64 = 4 + 6 * 8 + 8 + 1;
+/// rows: the row count, the six stats counters and the uncovered count.
+pub const WINDOW_OUTPUT_FIXED_BYTES: u64 = 4 + 6 * 8 + 8;
 
 #[cfg(test)]
 mod tests {
@@ -168,7 +166,7 @@ mod tests {
             window: Tuple::new(vec![Value::U64(3)]),
             rows: (0..5).map(row).collect(),
             stats: WindowStats::default(),
-            degradation: Degradation { coverage: 1.0, degraded: false },
+            uncovered: 0,
         };
         let mut buf = Vec::new();
         put_window_output(&mut buf, &w);
@@ -216,7 +214,7 @@ mod tests {
                 evictions: 1,
                 output_rows: 2,
             },
-            degradation: Degradation { coverage: 0.75, degraded: true },
+            uncovered: 3,
         };
         let mut buf = Vec::new();
         put_window_output(&mut buf, &w);
@@ -226,7 +224,7 @@ mod tests {
         assert_eq!(out.window, w.window);
         assert_eq!(out.rows, w.rows);
         assert_eq!(out.stats, w.stats);
-        assert_eq!(out.degradation, w.degradation);
+        assert_eq!(out.uncovered, w.uncovered);
 
         // Re-encoding reproduces the original bytes exactly.
         let mut again = Vec::new();

@@ -241,7 +241,7 @@ impl Reference {
         let mut stats = std::mem::take(&mut self.stats);
         stats.output_rows = rows.len() as u64;
         let window = Tuple::new(self.window.clone().unwrap_or_default());
-        Ok(WindowOutput { window, rows, stats, degradation: Default::default() })
+        Ok(WindowOutput { window, rows, stats, uncovered: 0 })
     }
 
     fn finish(&mut self) -> Result<Option<WindowOutput>, OpError> {

@@ -36,8 +36,8 @@
 //! (paper §7.1). The router and every shard keep one fault
 //! contract: a panic quarantines the stage for the poisoned window, the
 //! stage is live again at the next window boundary (a shard with a
-//! fresh operator), and the merged output is tagged with per-window
-//! coverage. [`engine`] maps the modules.
+//! fresh operator), and each merged window carries what the stages
+//! lost of it. [`engine`] maps the modules.
 
 pub mod engine;
 pub mod merge;

@@ -8,7 +8,7 @@ use std::hash::{Hash, Hasher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rustc_hash::FxHasher;
-use sso_core::{ColumnRule, Degradation, MergeRule, WindowOutput, WindowStats};
+use sso_core::{ColumnRule, MergeRule, WindowOutput, WindowStats};
 use sso_sampling::subset_sum::{merge_threshold_samples, ThresholdPart};
 use sso_sampling::Reservoir;
 use sso_types::{Tuple, Value};
@@ -45,32 +45,18 @@ fn add_values(a: &Value, b: &Value) -> Value {
     }
 }
 
-/// One shard's contribution to merge-finalize: its window outputs plus
-/// the traffic it *lost* — (window key, tuple count) pairs recorded by
-/// the supervisor while the shard's worker was quarantined after a
-/// panic. The merge uses the uncovered counts to tag each window's
-/// output with its [`Degradation`].
-#[derive(Debug, Default)]
-pub(crate) struct ShardPartial {
-    /// The shard's per-window outputs, in stream order.
-    pub(crate) windows: Vec<WindowOutput>,
-    /// Tuples lost to quarantine, keyed by window.
-    pub(crate) uncovered: Vec<(Tuple, u64)>,
-}
-
-impl ShardPartial {
-    /// A partial that covers everything it saw (no faults).
-    pub(crate) fn clean(windows: Vec<WindowOutput>) -> Self {
-        ShardPartial { windows, uncovered: Vec::new() }
-    }
-}
-
-/// Merge one window's per-shard outputs into one row set + stats.
+/// Merge one window's per-shard outputs into one row set, its stats
+/// and its loss ledger, each summed over the parts.
 fn merge_one(window: Tuple, parts: Vec<WindowOutput>, rule: &MergeRule, seed: u64) -> WindowOutput {
     let mut stats = WindowStats::default();
+    let mut uncovered = 0;
     for p in &parts {
         stats.add(&p.stats);
+        uncovered += p.uncovered;
     }
+    // A part no tuple reached an operator for carries a loss and no
+    // sample: the rule merges the others.
+    let parts: Vec<WindowOutput> = parts.into_iter().filter(|p| p.stats.tuples > 0).collect();
 
     let mut rows: Vec<Tuple> = match rule {
         MergeRule::Concat => parts.into_iter().flat_map(|p| p.rows).collect(),
@@ -178,7 +164,7 @@ fn merge_one(window: Tuple, parts: Vec<WindowOutput>, rule: &MergeRule, seed: u6
 
     sort_rows(&mut rows);
     stats.output_rows = rows.len() as u64;
-    WindowOutput { window, rows, stats, degradation: Degradation::default() }
+    WindowOutput { window, rows, stats, uncovered }
 }
 
 /// Columns a packed sort key holds: every shard-mergeable example
@@ -252,61 +238,22 @@ fn packed_keys(rows: &[Tuple]) -> Option<Vec<([u64; PACKED_COLS], u32)>> {
 /// Combine per-shard window output streams into one ordered stream of
 /// merged windows. Windows are aligned by their window-attribute tuple;
 /// a shard that saw no tuples for a window simply contributes nothing.
-/// `seed` fixes the randomized merges (reservoir) per window.
+/// A window some stage lost whole still comes out, rowless, with its
+/// loss: losing the window's rows must not also lose the fact that the
+/// window existed. `seed` fixes the randomized merges (reservoir) per
+/// window.
 pub fn merge_windows(
     per_shard: Vec<Vec<WindowOutput>>,
     rule: &MergeRule,
     seed: u64,
 ) -> Vec<WindowOutput> {
-    merge_shard_partials(per_shard.into_iter().map(ShardPartial::clean).collect(), rule, seed)
-}
-
-/// [`merge_windows`] over full [`ShardPartial`]s: merges the surviving
-/// shards' outputs per the rule, then tags every window with its
-/// coverage. Per-window uncovered counts come from quarantine records.
-///
-/// A window key that appears *only* in uncovered records (its only
-/// shard's worker was poisoned for the whole window) still yields an
-/// output: an empty, fully-degraded row set — losing the window's rows
-/// must not also lose the fact that the window existed.
-pub(crate) fn merge_shard_partials(
-    parts: Vec<ShardPartial>,
-    rule: &MergeRule,
-    seed: u64,
-) -> Vec<WindowOutput> {
     let mut by_window: HashMap<Tuple, Vec<WindowOutput>> = HashMap::new();
-    let mut uncovered: HashMap<Tuple, u64> = HashMap::new();
-    for p in parts {
-        for w in p.windows {
-            by_window.entry(w.window.clone()).or_default().push(w);
-        }
-        for (key, n) in p.uncovered {
-            *uncovered.entry(key).or_default() += n;
-        }
+    for w in per_shard.into_iter().flatten() {
+        by_window.entry(w.window.clone()).or_default().push(w);
     }
-    let mut keys: Vec<Tuple> = by_window.keys().cloned().collect();
-    for key in uncovered.keys() {
-        if !by_window.contains_key(key) {
-            keys.push(key.clone());
-        }
-    }
-    keys.sort_by(tuple_cmp);
-    keys.into_iter()
-        .map(|key| {
-            let lost = uncovered.get(&key).copied().unwrap_or(0);
-            let mut out = match by_window.remove(&key) {
-                Some(parts) => merge_one(key, parts, rule, seed),
-                None => WindowOutput {
-                    window: key,
-                    rows: Vec::new(),
-                    stats: WindowStats::default(),
-                    degradation: Degradation::default(),
-                },
-            };
-            out.degradation = Degradation::from_counts(out.stats.tuples, lost);
-            out
-        })
-        .collect()
+    let mut windows: Vec<(Tuple, Vec<WindowOutput>)> = by_window.into_iter().collect();
+    windows.sort_by(|a, b| tuple_cmp(&a.0, &b.0));
+    windows.into_iter().map(|(key, parts)| merge_one(key, parts, rule, seed)).collect()
 }
 
 #[cfg(test)]
@@ -318,34 +265,50 @@ mod tests {
             window: Tuple::new(vec![Value::U64(window)]),
             rows: rows.into_iter().map(Tuple::new).collect(),
             stats: WindowStats { tuples, output_rows: 0, ..Default::default() },
-            degradation: Degradation::default(),
+            uncovered: 0,
         }
+    }
+
+    /// A window's loss, as a stage that counted no tuple of it hands it
+    /// over: no rows, no stats, only the uncovered count.
+    fn lost(window: u64, n: u64) -> WindowOutput {
+        WindowOutput { uncovered: n, ..w(window, vec![], 0) }
     }
 
     #[test]
     fn partials_tag_coverage_per_window() {
-        let parts = vec![
-            ShardPartial {
-                windows: vec![w(1, vec![vec![Value::U64(1), Value::U64(4)]], 6)],
-                uncovered: vec![],
-            },
-            ShardPartial {
-                windows: vec![w(2, vec![vec![Value::U64(2), Value::U64(5)]], 8)],
+        let merged = merge_windows(
+            vec![
+                vec![w(1, vec![vec![Value::U64(1), Value::U64(4)]], 6)],
                 // Window 1 lost 2 tuples to a quarantine; window 3 was
                 // lost entirely.
-                uncovered: vec![
-                    (Tuple::new(vec![Value::U64(1)]), 2),
-                    (Tuple::new(vec![Value::U64(3)]), 5),
-                ],
-            },
-        ];
-        let merged = merge_shard_partials(parts, &MergeRule::Concat, 0);
+                vec![lost(1, 2), w(2, vec![vec![Value::U64(2), Value::U64(5)]], 8), lost(3, 5)],
+            ],
+            &MergeRule::Concat,
+            0,
+        );
         assert_eq!(merged.len(), 3);
-        assert!((merged[0].degradation.coverage - 6.0 / 8.0).abs() < 1e-12);
-        assert!(merged[0].degradation.degraded);
-        assert_eq!(merged[1].degradation, Degradation::default());
-        assert_eq!(merged[2].degradation.coverage, 0.0);
+        assert_eq!((merged[0].stats.tuples, merged[0].uncovered), (6, 2));
+        assert!((merged[0].coverage() - 6.0 / 8.0).abs() < 1e-12);
+        assert!(merged[0].degraded());
+        assert_eq!((merged[1].coverage(), merged[1].degraded()), (1.0, false));
+        assert_eq!(merged[2].coverage(), 0.0);
         assert!(merged[2].rows.is_empty(), "fully lost window still surfaces, empty");
+    }
+
+    /// A part that only carries a loss takes no part in a seeded merge:
+    /// the reservoir rule draws as it does without it.
+    #[test]
+    fn a_loss_only_part_leaves_the_reservoir_draw_alone() {
+        let rows: Vec<Vec<Value>> = (0..10u64).map(|i| vec![Value::U64(i)]).collect();
+        let shards = vec![vec![w(1, rows.clone(), 100)], vec![w(1, rows, 300)]];
+        let rule = MergeRule::Reservoir { n: 10 };
+        let clean = merge_windows(shards.clone(), &rule, 99);
+        let mut with_loss = shards;
+        with_loss.push(vec![lost(1, 7)]);
+        let degraded = merge_windows(with_loss, &rule, 99);
+        assert_eq!(degraded[0].rows, clean[0].rows);
+        assert_eq!((degraded[0].stats.tuples, degraded[0].uncovered), (400, 7));
     }
 
     #[test]

@@ -9,15 +9,21 @@
 //! window's remaining tuples are counted as uncovered, and the first
 //! tuple of another window lifts it — the router goes live again, a
 //! worker respawns its operator.
+//!
+//! What a quarantine charges is handed over on windows, the one place a
+//! loss is kept: on the output of the window an operator closes, or on
+//! a rowless window of its own for a window no operator closed.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use sso_core::{panic_message, EvalCtx, Expr, Record};
+use sso_core::{panic_message, EvalCtx, Expr, Record, WindowOutput, WindowStats};
 use sso_faults::{WorkerFault, WorkerFaultSchedule};
 use sso_obs::Counter;
 use sso_profile::{DumpReason, Profiler};
 use sso_types::Tuple;
+
+use crate::merge::tuple_cmp;
 
 thread_local! {
     /// Set only inside [`supervised`]: a panic caught there is part of
@@ -92,9 +98,9 @@ pub(crate) fn window_key<R: Record>(wexprs: &[Expr], record: &R) -> Option<Tuple
 pub(crate) struct Quarantine {
     /// `Some(key)` while quarantined for window `key`.
     window: Option<Tuple>,
-    /// Tuples lost per window key; merge-finalize folds them into each
-    /// window's `Degradation`.
-    pub(crate) uncovered: Vec<(Tuple, u64)>,
+    /// Tuples lost per window key and not yet handed over on a window
+    /// ([`Self::take`], [`Self::release`]).
+    charged: Vec<(Tuple, u64)>,
     /// The stage's uncovered-tuple and quarantine counters.
     lost: Counter,
     entered: Counter,
@@ -105,7 +111,7 @@ pub(crate) struct Quarantine {
 
 impl Quarantine {
     pub(crate) fn new(lost: Counter, entered: Counter, profiler: Option<Profiler>) -> Self {
-        Quarantine { window: None, uncovered: Vec::new(), lost, entered, profiler }
+        Quarantine { window: None, charged: Vec::new(), lost, entered, profiler }
     }
 
     /// Is the stage quarantined?
@@ -121,10 +127,38 @@ impl Quarantine {
         }
         let key = key.cloned().unwrap_or_else(|| Tuple::new(Vec::new()));
         self.lost.add(n);
-        match self.uncovered.iter_mut().find(|(k, _)| *k == key) {
+        match self.charged.iter_mut().find(|(k, _)| *k == key) {
             Some((_, c)) => *c += n,
-            None => self.uncovered.push((key, n)),
+            None => self.charged.push((key, n)),
         }
+    }
+
+    /// The tuples charged to window `key`, handed over: an operator
+    /// closed that window, and its output carries them.
+    pub(crate) fn take(&mut self, key: &Tuple) -> u64 {
+        match self.charged.iter().position(|(k, _)| k == key) {
+            Some(i) => self.charged.swap_remove(i).1,
+            None => 0,
+        }
+    }
+
+    /// Every charge but `keep`'s, handed over in window order as a
+    /// window of its own: no rows, no counted tuple, only the loss.
+    pub(crate) fn release(&mut self, keep: Option<&Tuple>) -> Vec<WindowOutput> {
+        let (kept, lost): (Vec<_>, Vec<_>) =
+            self.charged.drain(..).partition(|(k, _)| Some(k) == keep);
+        self.charged = kept;
+        let mut lost: Vec<WindowOutput> = lost
+            .into_iter()
+            .map(|(window, uncovered)| WindowOutput {
+                window,
+                rows: Vec::new(),
+                stats: WindowStats::default(),
+                uncovered,
+            })
+            .collect();
+        lost.sort_by(|a, b| tuple_cmp(&a.window, &b.window));
+        lost
     }
 
     /// A panic struck window `key` after `lost` of its tuples entered

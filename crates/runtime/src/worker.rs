@@ -16,29 +16,35 @@ use sso_sync::SyncBool;
 use sso_types::Tuple;
 
 use crate::engine::{RuntimeConfig, RuntimeError, ShardStats, StoreStats};
-use crate::merge::{tuple_cmp, ShardPartial};
+use crate::merge::tuple_cmp;
 use crate::pump::stamp;
 use crate::ring::{Consumer, Producer};
 use crate::route::Batch;
 use crate::supervise::{stretch, supervised, window_key, Quarantine};
 
-/// Durably record one closed window, on a durable run: the output plus
-/// the carry-over and library-auxiliary bytes the operator captured *at
-/// the flush boundary* (see `SamplingOperator::set_capture_flush`),
-/// before the tuple that closed the window touched the new window's
-/// state — exactly the restart state, with no per-tuple work in the
-/// worker loop.
+/// Durably record one window the shard is done with, on a durable run:
+/// the output plus, for a window `op` closed, the carry-over and
+/// library-auxiliary bytes the operator captured *at the flush
+/// boundary* (see `SamplingOperator::set_capture_flush`), before the
+/// tuple that closed the window touched the new window's state —
+/// exactly the restart state, with no per-tuple work in the worker
+/// loop. A window no operator closed (`op` is `None`) is a quarantine's
+/// loss: it records no state, which restarts as the fresh operator the
+/// quarantine respawns.
 fn record_window(
     store: Option<&mut ShardStore>,
-    op: &mut SamplingOperator,
+    op: Option<&mut SamplingOperator>,
     output: &WindowOutput,
     shard: usize,
 ) -> Result<(), RuntimeError> {
     let Some(store) = store else { return Ok(()) };
     let store_err = |message| RuntimeError::Store { shard, message };
-    let (carry, aux) = op
-        .take_flush_state()
-        .ok_or_else(|| store_err("window closed without a boundary snapshot".into()))?;
+    let (carry, aux) = match op {
+        Some(op) => op
+            .take_flush_state()
+            .ok_or_else(|| store_err("window closed without a boundary snapshot".into()))?,
+        None => Default::default(),
+    };
     let record = WindowRecord { output, carry: &carry, aux: &aux };
     store.record_window(&record).map_err(|e| store_err(e.to_string()))
 }
@@ -92,8 +98,8 @@ pub(crate) type Build<'a> =
     dyn Fn(usize, bool) -> Result<SamplingOperator, RuntimeError> + Sync + 'a;
 
 /// One shard's supervised worker: its forward ring and return ring, the
-/// live operator (`None` while quarantined), the window outputs
-/// accumulated so far, and its quarantine. Each shard runs one on a
+/// live operator (`None` while quarantined), the windows it is done
+/// with so far, and its quarantine. Each shard runs one on a
 /// thread of its own ([`Worker::drain`]) over records of type `R`: the
 /// operator builds a packet's row only where it needs one.
 pub(crate) struct Worker<'a, R> {
@@ -136,7 +142,8 @@ impl<R: Record + Send> Worker<'_, R> {
     /// and quarantine the operator's window — the tripping tuple's when
     /// the operator had none. A trip on the first tuple of a new window
     /// thus quarantines the old one, which the next tuple lifts: the new
-    /// window loses the tripping tuple only.
+    /// window loses the tripping tuple only, and the respawned
+    /// operator's output for it carries that loss.
     fn enter_quarantine(&mut self, tripped_by: Option<&R>) {
         let current = self.op.take().and_then(|o| o.current_window());
         let tripped = tripped_by.and_then(|t| window_key(&self.wexprs, t));
@@ -160,7 +167,11 @@ impl<R: Record + Send> Worker<'_, R> {
                 if self.quarantine.active() {
                     return Ok(());
                 }
-                // Window boundary: respawn a fresh operator and resume
+                // Window boundary: the shard is done with every charged
+                // window but the one the lifting tuple opens.
+                let next = window_key(&self.wexprs, &batch[cursor]);
+                self.release(next.as_ref())?;
+                // Respawn a fresh operator and resume
                 // live. Its sampler state starts clean — cross-window
                 // threshold carry-over is lost for this shard, which
                 // only makes the next window's sample *larger* (lower
@@ -231,12 +242,14 @@ impl<R: Record + Send> Worker<'_, R> {
         };
         self.tuple_count += entered as u64;
         // Every window the stretch closed, in order: each was complete
-        // before the tuple that failed or panicked (if any) came in.
+        // before the tuple that failed or panicked (if any) came in, and
+        // carries what the quarantine charged to it.
         let mut closed_tuples = 0;
-        for w in &self.windows[before..] {
+        for w in &mut self.windows[before..] {
             self.stats.windows.inc();
             closed_tuples += w.stats.tuples;
-            record_window(self.store.as_mut(), op, w, shard)?;
+            w.uncovered += self.quarantine.take(&w.window);
+            record_window(self.store.as_mut(), Some(&mut *op), w, shard)?;
         }
         // Tuples fed into the window still open: those already in it,
         // plus the stretch's tuples before a panicking one, less every
@@ -253,18 +266,32 @@ impl<R: Record + Send> Worker<'_, R> {
         }
     }
 
+    /// Hand over, as windows of their own, the quarantine's charges to
+    /// every window but `keep` (the one a live operator is to close):
+    /// count, log and keep each like a window the operator closed.
+    fn release(&mut self, keep: Option<&Tuple>) -> Result<(), RuntimeError> {
+        for w in self.quarantine.release(keep) {
+            self.stats.windows.inc();
+            record_window(self.store.as_mut(), None, &w, self.shard)?;
+            self.windows.push(w);
+        }
+        Ok(())
+    }
+
     /// End of stream: flush the live operator's final window (a panic
     /// during the flush loses that window, accounted like any other),
-    /// then seal a durable run with its final checkpoint.
+    /// hand over every window still charged, then seal a durable run
+    /// with its final checkpoint.
     fn finish(&mut self) -> Result<(), RuntimeError> {
         let shard = self.shard;
         if let Some(op) = self.op.as_mut() {
             match supervised(|| op.finish()) {
-                Ok(Ok(Some(w))) => {
+                Ok(Ok(Some(mut w))) => {
                     self.stats.windows.inc();
+                    w.uncovered += self.quarantine.take(&w.window);
                     // The final flush captured its boundary snapshot
                     // like any other.
-                    record_window(self.store.as_mut(), op, &w, shard)?;
+                    record_window(self.store.as_mut(), Some(op), &w, shard)?;
                     self.windows.push(w);
                 }
                 Ok(Ok(None)) => {}
@@ -272,6 +299,7 @@ impl<R: Record + Send> Worker<'_, R> {
                 Err(_) => self.enter_quarantine(None),
             }
         }
+        self.release(None)?;
         if let Some(store) = self.store.as_mut() {
             store.finalize().map_err(|e| RuntimeError::Store { shard, message: e.to_string() })?;
         }
@@ -288,12 +316,12 @@ impl<R: Record + Send> Worker<'_, R> {
 
     /// The shard's thread body. Drains the ring in stream order, waiting
     /// in the ring's own blocking `pop`; a closed, drained ring means the
-    /// pump is done, so the shard is complete and its partial is the
+    /// pump is done, so the shard is complete and its windows are the
     /// thread's result, which the pump takes when it joins the thread.
     pub(crate) fn drain(
         mut self,
         crashed: &SyncBool,
-    ) -> Result<Option<ShardPartial>, RuntimeError> {
+    ) -> Result<Option<Vec<WindowOutput>>, RuntimeError> {
         while let Some(Batch { id, mut records }) = self.rx.pop() {
             self.depth.add(-1.0);
             let win = self.windows.len() as u32;
@@ -314,7 +342,7 @@ impl<R: Record + Send> Worker<'_, R> {
             // Simulated process death: the pump cut the stream exactly
             // at the trigger position, so what was delivered is
             // deterministic, but the open window dies here. No finish,
-            // no finalize, no partial: exactly what a killed process
+            // no finalize, no windows: exactly what a killed process
             // leaves behind.
             return Ok(None);
         }
@@ -324,7 +352,7 @@ impl<R: Record + Send> Worker<'_, R> {
         self.stats.busy_ns.add(busy);
         let win = self.windows.len().saturating_sub(1) as u32;
         self.stamp(ProfStage::Flush, busy, |e| e.window(win));
-        Ok(Some(ShardPartial { windows: self.windows, uncovered: self.quarantine.uncovered }))
+        Ok(Some(self.windows))
     }
 
     /// Stamp one `stage` event of `busy` ns ending now on the worker's

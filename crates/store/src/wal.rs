@@ -381,7 +381,7 @@ pub fn recover_shard(dir: &Path, shard: usize) -> io::Result<RecoveredShard> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sso_core::operator::{Degradation, WindowStats};
+    use sso_core::operator::WindowStats;
     use sso_types::Value;
 
     fn out(w: u64, rows: u64) -> WindowOutput {
@@ -391,7 +391,7 @@ mod tests {
                 .map(|i| Tuple::new(vec![Value::U64(w), Value::U64(i), Value::F64(i as f64)]))
                 .collect(),
             stats: WindowStats { tuples: rows * 2, output_rows: rows, ..Default::default() },
-            degradation: Degradation::default(),
+            uncovered: 0,
         }
     }
 

@@ -6,7 +6,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sso_core::operator::{Degradation, WindowStats};
+use sso_core::operator::WindowStats;
 use sso_core::WindowOutput;
 use sso_store::{ShardStore, StoreConfig, WindowRecord};
 use sso_types::{Tuple, Value};
@@ -66,7 +66,7 @@ fn recording_and_checkpointing_allocate_nothing_after_the_first_window() {
             })
             .collect(),
         stats: WindowStats { tuples: 100, output_rows: 50, ..Default::default() },
-        degradation: Degradation::default(),
+        uncovered: 0,
     };
     let rec = WindowRecord { output: &output, carry: &[7; 300], aux: &[9; 40] };
     store.record_window(&rec).expect("record the first window");

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use sso_core::operator::{Degradation, WindowStats};
+use sso_core::operator::WindowStats;
 use sso_core::snapshot::put_window_output;
 use sso_core::WindowOutput;
 use sso_store::{recover_shard, RecoveredShard, ShardStore, StoreConfig, WindowRecord};
@@ -47,7 +47,7 @@ fn record_strategy() -> impl Strategy<Value = Record> {
                 window: Tuple::new(vec![Value::U64(window)]),
                 rows,
                 stats,
-                degradation: Degradation::default(),
+                uncovered: 0,
             };
             (output, carry, aux)
         })

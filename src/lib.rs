@@ -71,7 +71,7 @@ pub mod json;
 pub mod prelude {
     pub use sso_core::libs::reservoir::ReservoirOpConfig;
     pub use sso_core::libs::subset_sum::SubsetSumOpConfig;
-    pub use sso_core::{queries, Degradation, OperatorSpec, SamplingOperator, WindowOutput};
+    pub use sso_core::{queries, OperatorSpec, SamplingOperator, WindowOutput};
     pub use sso_core::{shard_plan, MergeRule, ShardPlan};
     pub use sso_faults::{FaultEvent, FaultPlan};
     pub use sso_gigascope::{
