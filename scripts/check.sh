@@ -207,18 +207,29 @@ deg = sum(1 for r in rows if r["degraded"])
 print(f"fault smoke OK: {len(rows)} windows, {deg} degraded")
 '
 
-echo "== crash-recovery smoke (durable store, resumed run matches fault-free) =="
+echo "== crash-recovery smoke (durable store, resumed run matches the uncrashed run) =="
 # A durable 4-shard run is killed mid-stream by an injected crash
 # fault; `sso recover` over the same store must reproduce the
-# fault-free run's JSON output byte-for-byte. Run for an aggregate and
+# uncrashed run's JSON output byte-for-byte. Run for an aggregate and
 # for the subset-sum query of examples/queries.sql (with `time/1`
-# windows), whose WHERE the shards decide a run of tuples at a time.
+# windows), whose WHERE the shards decide a run of tuples at a time,
+# both fault-free; and for the aggregate with a worker panic in window
+# 0 ahead of the crash (the optional second argument), which the
+# baseline takes too: the recovered window 0 must come back as
+# degraded as the store logged it.
 crash_and_recover() {
 SMOKE_QUERY="$1"
+PANIC="${2:-}"
 STORE="$(mktemp -d)"
+if [ -n "$PANIC" ]; then
+    printf '%s\n' "$PANIC" > "$STORE/panic.txt"
+fi
 cargo run -q --bin sso -- run --feed research --seconds 4 --shards 4 --json \
-    "$SMOKE_QUERY" > "$STORE/baseline.json"
-printf 'crash at=20000\n' > "$STORE/plan.txt"
+    ${PANIC:+--fault-plan "$STORE/panic.txt"} "$SMOKE_QUERY" > "$STORE/baseline.json"
+if [ -n "$PANIC" ] && ! grep -q '"degraded":true' "$STORE/baseline.json"; then
+    echo "the worker fault '$PANIC' degraded no window"; exit 1
+fi
+{ [ -n "$PANIC" ] && printf '%s\n' "$PANIC"; printf 'crash at=20000\n'; } > "$STORE/plan.txt"
 if cargo run -q --bin sso -- run --feed research --seconds 4 --shards 4 --json \
     --durable "$STORE/store" --fault-plan "$STORE/plan.txt" \
     "$SMOKE_QUERY" > /dev/null 2> "$STORE/crash.err"; then
@@ -246,7 +257,7 @@ for log in logs:
         f"{log}: {size} bytes on disk, store.wal_bytes says {counted[f'shard={shard}']}"
 print(f"store layout OK: {len(logs)} logs, no checkpoint files, sizes match store.wal_bytes")
 PY
-echo "recovery smoke OK: recovered output identical to fault-free run"
+echo "recovery smoke OK: recovered output identical to the uncrashed${PANIC:+ faulted} run"
 rm -rf "$STORE"
 }
 crash_and_recover "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb"
@@ -256,6 +267,8 @@ GROUP BY time/1 as tb, srcIP, destIP, uts \
 HAVING ssfinal_clean(sum(len), count_distinct\$(*)) = TRUE \
 CLEANING WHEN ssdo_clean(count_distinct\$(*)) = TRUE \
 CLEANING BY ssclean_with(sum(len)) = TRUE"
+crash_and_recover "SELECT tb, sum(len), count(*) FROM PKT GROUP BY time/1 as tb" \
+    "panic shard=0 at=2000"
 
 echo "== examples (each once, release; a non-zero exit fails) =="
 # `cargo test` compiles examples/ but runs none of them. ~30 s on the
