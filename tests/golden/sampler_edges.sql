@@ -80,3 +80,7 @@ WHERE ssample(len, 10) = TRUE AND rsample(5) = TRUE GROUP BY time/1 as tb;
 SELECT tb, dscale(), max(len) FROM PKT GROUP BY time/1 as tb
 HAVING UMIN(sum(len), ssthreshold()) > 0
 CLEANING WHEN count_distinct$() > 3 CLEANING BY local_count(2) = TRUE;
+
+-- 12: distinct sampling without CLEANING WHEN.
+SELECT tb, srcIP, count(*) FROM TCP WHERE dsample(srcIP, 100) = TRUE
+GROUP BY time/1 as tb, srcIP;
