@@ -67,7 +67,9 @@ pub enum Code {
     E011,
     /// CLEANING WHEN and CLEANING BY must appear together.
     E012,
-    /// `Kth_smallest_value$` argument constraints.
+    /// A sampling size argument: `Kth_smallest_value$`'s k is not a positive
+    /// integer literal, or `ssample`, `rsample`, `dsample` or `local_count`
+    /// has a literal 0 size.
     E013,
     /// CLEANING WHEN predicate is constant (never or always fires).
     W001,
