@@ -41,7 +41,7 @@ pub mod lexer;
 pub mod parser;
 pub mod plan;
 
-pub use analyze::{analyze, resolve};
+pub use analyze::{analyze, resolve, SAMPLING_CALLS};
 pub use ast::{AstExpr, BinAstOp, ExprKind, Query, SelectItem, Span};
 pub use diag::{dedup_diagnostics, Code, Diagnostic, Severity};
 pub use error::QueryError;
